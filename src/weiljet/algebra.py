@@ -112,7 +112,7 @@ class WeilAlgebra:
     """
 
     __slots__ = ("_constants", "_labels", "_height", "_filtration", "_zero_tol",
-                 "_family", "_fingerprint")
+                 "_family", "_fingerprint", "_left", "_right", "_out", "_weights")
 
     def __init__(self, constants, basis_labels, height, ideal_filtration,
                  zero_tol=DEFAULT_ZERO_TOL, family=("table",)):
@@ -130,6 +130,10 @@ class WeilAlgebra:
         self._zero_tol = float(zero_tol)
         self._family = tuple(family)
         self._fingerprint = hash((arr.shape[0], arr.tobytes()))
+        # Products read only the nonzero constants: e_left[n] * e_right[n]
+        # contributes weights[n] to e_out[n].
+        self._left, self._right, self._out = np.nonzero(arr)
+        self._weights = arr[self._left, self._right, self._out]
 
     @property
     def dim(self) -> int:
@@ -169,18 +173,18 @@ class WeilAlgebra:
     def from_real(self, value: float) -> "WeilElement":
         coeffs = np.zeros(self.dim)
         coeffs[0] = value
-        return WeilElement(self, coeffs)
+        return _wrap(self, coeffs)
 
     def unit(self) -> "WeilElement":
         return self.from_real(1.0)
 
     def zero(self) -> "WeilElement":
-        return WeilElement(self, np.zeros(self.dim))
+        return _wrap(self, np.zeros(self.dim))
 
     def basis_element(self, index: int) -> "WeilElement":
         coeffs = np.zeros(self.dim)
         coeffs[index] = 1.0
-        return WeilElement(self, coeffs)
+        return _wrap(self, coeffs)
 
     def __repr__(self) -> str:
         return f"WeilAlgebra(dim={self.dim}, height={self.height})"
@@ -189,6 +193,16 @@ class WeilAlgebra:
 def _require_same_algebra(a: WeilAlgebra, b: WeilAlgebra) -> None:
     if not a.compatible_with(b):
         raise AlgebraMismatch("operands live in different algebras")
+
+
+def _wrap(algebra: WeilAlgebra, coeffs: np.ndarray) -> "WeilElement":
+    """Element over a fresh float array of the right shape, which it takes
+    over without a copy; arithmetic results come through here."""
+    coeffs.setflags(write=False)
+    elem = object.__new__(WeilElement)
+    elem.algebra = algebra
+    elem._coeffs = coeffs
+    return elem
 
 
 class WeilElement:
@@ -217,21 +231,21 @@ class WeilElement:
     def nilpotent_part(self) -> "WeilElement":
         coeffs = self._coeffs.copy()
         coeffs[0] = 0.0
-        return WeilElement(self.algebra, coeffs)
+        return _wrap(self.algebra, coeffs)
 
     def is_zero(self) -> bool:
-        return not np.any(self._coeffs)
+        return not np.count_nonzero(self._coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, WeilElement):
             _require_same_algebra(self.algebra, other.algebra)
-            return WeilElement(self.algebra, self._coeffs + other._coeffs)
+            return _wrap(self.algebra, self._coeffs + other._coeffs)
         if isinstance(other, (int, float)):
             coeffs = self._coeffs.copy()
             coeffs[0] += other
-            return WeilElement(self.algebra, coeffs)
+            return _wrap(self.algebra, coeffs)
         return NotImplemented
 
     __radd__ = __add__
@@ -239,30 +253,40 @@ class WeilElement:
     def __sub__(self, other):
         if isinstance(other, WeilElement):
             _require_same_algebra(self.algebra, other.algebra)
-            return WeilElement(self.algebra, self._coeffs - other._coeffs)
+            return _wrap(self.algebra, self._coeffs - other._coeffs)
         if isinstance(other, (int, float)):
             coeffs = self._coeffs.copy()
             coeffs[0] -= other
-            return WeilElement(self.algebra, coeffs)
+            return _wrap(self.algebra, coeffs)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
             coeffs = -self._coeffs
             coeffs[0] += other
-            return WeilElement(self.algebra, coeffs)
+            return _wrap(self.algebra, coeffs)
         return NotImplemented
 
     def __neg__(self):
-        return WeilElement(self.algebra, -self._coeffs)
+        return _wrap(self.algebra, -self._coeffs)
 
     def __mul__(self, other):
+        """Product through the nonzero structure constants only; a factor
+        with zero nilpotent part is a real multiple of the unit e_0 and just
+        scales the other factor."""
         if isinstance(other, WeilElement):
-            _require_same_algebra(self.algebra, other.algebra)
-            inter = np.tensordot(self._coeffs, self.algebra.structure_constants, axes=(0, 0))
-            return WeilElement(self.algebra, np.tensordot(other._coeffs, inter, axes=(0, 0)))
+            algebra = self.algebra
+            _require_same_algebra(algebra, other.algebra)
+            a, b = self._coeffs, other._coeffs
+            if not np.count_nonzero(b[1:]):
+                return _wrap(algebra, a * b[0])
+            if not np.count_nonzero(a[1:]):
+                return _wrap(algebra, b * a[0])
+            weights = a[algebra._left] * b[algebra._right] * algebra._weights
+            return _wrap(algebra, np.bincount(algebra._out, weights=weights,
+                                              minlength=a.shape[0]))
         if isinstance(other, (int, float)):
-            return WeilElement(self.algebra, self._coeffs * other)
+            return _wrap(self.algebra, self._coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -271,7 +295,7 @@ class WeilElement:
         if isinstance(other, WeilElement):
             return self * other.inverse()
         if isinstance(other, (int, float)):
-            return WeilElement(self.algebra, self._coeffs / other)
+            return _wrap(self.algebra, self._coeffs / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -280,13 +304,19 @@ class WeilElement:
         return NotImplemented
 
     def __pow__(self, exponent: int):
+        """Integer power by repeated squaring: O(log |exponent|) products."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result = self.algebra.unit()
-        for _ in range(exponent):
-            result = result * self
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def inverse(self) -> "WeilElement":

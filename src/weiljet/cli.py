@@ -58,7 +58,8 @@ DEFAULT_SEED = 42
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                     allow_nan=False))
 
 
 def _exit_code(exc: Exception) -> int:
@@ -77,6 +78,11 @@ def _report_error(exc: Exception) -> int:
     _emit({"error": body})
     print(f"error: {exc}", file=sys.stderr)
     return code
+
+
+def _require_samples(samples: int | None) -> None:
+    if samples is not None and samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {samples}")
 
 
 def _sign_flag(text: str) -> int:
@@ -176,6 +182,7 @@ def cmd_hamfield(args) -> int:
 
 
 def cmd_hamcheck(args) -> int:
+    _require_samples(args.samples)
     algebra = parse_algebra_spec(args.algebra)
     mode, base, prolonged = _structure(args, algebra)
     field = bundle_field_from_json(_load_json_arg(args.field, "field"), algebra)
@@ -213,6 +220,7 @@ def cmd_hamcheck(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_samples(args.samples)
     specs = default_specs(seed=args.seed, name_filter=args.filter,
                           samples=args.samples)
     reports = run_suite(specs, mutation=args.mutate)

@@ -355,7 +355,10 @@ def parse_expr(text: str, arity: int) -> ScalarExpr:
     """
     if arity < 0:
         raise ArityError("arity must be nonnegative")
-    return _Parser(text, arity).parse()
+    try:
+        return _Parser(text, arity).parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None
 
 
 # -- calculus ----------------------------------------------------------------
@@ -468,14 +471,18 @@ def _eval_real(f, xs):
 
 # closed-form k-th derivatives of the primitives at a real point
 def _primitive_derivative(fn: str, k: int, x: float) -> float:
-    if fn == "sin":
-        return (math.sin(x), math.cos(x), -math.sin(x), -math.cos(x))[k % 4]
-    if fn == "cos":
-        return (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))[k % 4]
-    if fn == "exp":
-        return math.exp(x)
-    # log: k = 0 handled by the caller
-    return ((-1.0) ** (k - 1)) * math.factorial(k - 1) / x ** k
+    try:
+        if fn == "sin":
+            return (math.sin(x), math.cos(x), -math.sin(x), -math.cos(x))[k % 4]
+        if fn == "cos":
+            return (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))[k % 4]
+        if fn == "exp":
+            return math.exp(x)
+        # log: k = 0 handled by the caller; x ** k underflows to zero when the
+        # derivative overflows
+        return ((-1.0) ** (k - 1)) * math.factorial(k - 1) / x ** k
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"derivative {k} of {fn} overflows at {x!r}") from None
 
 
 def eval_weil(f: ScalarExpr, point: Sequence[WeilElement], *,

@@ -71,6 +71,7 @@ from .sampling import (
 from .symplectic import (
     BaseForm,
     SymplecticStructure,
+    _matrix_product,
     base_hamiltonian_field,
     base_interior_product,
     check_global_witness_symplectic,
@@ -800,12 +801,6 @@ def _check_prop7_symplectic_global(spec: CheckSpec, ops: Ops,
     return tracker.result()
 
 
-def _mat_mul(a, b, size):
-    return [[sum((a[i][k] * b[k][j] for k in range(size)),
-                 a[0][0].algebra.zero()) for j in range(size)]
-            for i in range(size)]
-
-
 def _check_matrix_inverse_neumann(spec: CheckSpec, ops: Ops,
                                   rng: np.random.Generator):
     tracker = _Tracker()
@@ -822,7 +817,7 @@ def _check_matrix_inverse_neumann(spec: CheckSpec, ops: Ops,
                          ([real[i][j]], rng.uniform(-1.0, 1.0, dim - 1))))
                      for j in range(size)] for i in range(size)]
             inverse = ops.matrix_inverse(rows)
-            product = _mat_mul(rows, inverse, size)
+            product = _matrix_product(rows, inverse, size)
             residual = 0.0
             for i in range(size):
                 for j in range(size):

@@ -20,6 +20,7 @@ matching reader.
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 from .algebra import WeilAlgebra, WeilElement, make_truncated_algebra, validate_algebra
@@ -30,7 +31,7 @@ from .bundle import (
     NearPoint,
     Term,
 )
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .expression import parse_expr
 from .poisson import PoissonStructure
 from .symplectic import BaseForm
@@ -78,8 +79,26 @@ def parse_algebra_spec(text: str) -> WeilAlgebra:
 
 # -- elements and points ----------------------------------------------------------
 
+def _coeffs_to_json(element: WeilElement) -> list[float]:
+    """Coefficients as JSON numbers; a result that overflowed has none."""
+    values = [float(c) for c in element.coeffs]
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError("result has a non-finite coefficient")
+    return values
+
+
+def _coeffs_from_json(values) -> list[float]:
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ParseError("coefficients must be numbers") from None
+    if not all(math.isfinite(v) for v in out):
+        raise ParseError("coefficients must be finite")
+    return out
+
+
 def element_to_json(element: WeilElement) -> dict:
-    return {"coeffs": [float(c) for c in element.coeffs]}
+    return {"coeffs": _coeffs_to_json(element)}
 
 
 def element_from_json(obj, algebra: WeilAlgebra) -> WeilElement:
@@ -87,7 +106,7 @@ def element_from_json(obj, algebra: WeilAlgebra) -> WeilElement:
         obj = obj.get("coeffs")
     if not isinstance(obj, (list, tuple)):
         raise ParseError("an element needs a 'coeffs' list")
-    return algebra.element([float(v) for v in obj])
+    return algebra.element(_coeffs_from_json(obj))
 
 
 def point_to_json(point: NearPoint) -> dict:
@@ -112,7 +131,7 @@ def _term_from_json(obj: dict, algebra: WeilAlgebra, arity: int) -> Term:
         raise ParseError("a term must be an object with 'coeff' and 'pullbacks'")
     raw = obj.get("coeff", 1.0)
     if isinstance(raw, (int, float)):
-        coeff = algebra.from_real(float(raw))
+        coeff = algebra.from_real(_coeffs_from_json([raw])[0])
     else:
         coeff = element_from_json(raw, algebra)
     pulls = [parse_expr(text, arity) for text in obj.get("pullbacks", [])]
@@ -122,7 +141,7 @@ def _term_from_json(obj: dict, algebra: WeilAlgebra, arity: int) -> Term:
 def _term_to_json(term: Term) -> dict:
     if term.lazies:
         raise ValueError("solved components have no serialized form")
-    return {"coeff": [float(c) for c in term.coeff.coeffs],
+    return {"coeff": _coeffs_to_json(term.coeff),
             "pullbacks": [p.text for p in term.pullbacks]}
 
 

@@ -25,15 +25,6 @@ from .symplectic import BaseForm, increasing_tuples
 DEFAULT_SEED = 42
 
 
-def as_rng(seed_or_rng=None) -> np.random.Generator:
-    """Coerce None, an integer seed, or a Generator into a Generator."""
-    if seed_or_rng is None:
-        return np.random.default_rng(DEFAULT_SEED)
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def sample_element(algebra: WeilAlgebra, rng: np.random.Generator,
                    box: tuple[float, float] = DEFAULT_BOX) -> WeilElement:
     """Random element: augmentation in ``box``, nilpotent coefficients in
@@ -128,7 +119,6 @@ def random_bundle_function(algebra: WeilAlgebra, arity: int,
 
 __all__ = [
     "DEFAULT_SEED",
-    "as_rng",
     "sample_element",
     "sample_near_point",
     "random_polynomial",

@@ -170,3 +170,62 @@ def test_ideal_filtration_shrinks():
 def test_compatibility_is_structural():
     assert DUAL.compatible_with(make_truncated_algebra(1, 1))
     assert not DUAL.compatible_with(T4)
+
+
+def _dense_product(a, b):
+    constants = a.algebra.structure_constants
+    return np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, constants)
+
+
+def _random_element(algebra, rng):
+    coeffs = rng.uniform(-1.0, 1.0, size=algebra.dim)
+    coeffs[0] = rng.uniform(0.5, 2.0)
+    return algebra.element(coeffs)
+
+
+def _rescaled_truncated_1_3():
+    # basis f_i = s_i t^i of R[t]/(t^4), so f_i f_j = (s_i s_j / s_{i+j}) f_{i+j}
+    scales = (1.0, 2.0, 0.5, 3.0)
+    constants = np.zeros((4, 4, 4))
+    for i in range(4):
+        for j in range(4 - i):
+            constants[i, j, i + j] = scales[i] * scales[j] / scales[i + j]
+    return validate_algebra(constants)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [make_truncated_algebra(1, 1), make_truncated_algebra(3, 2),
+     make_truncated_algebra(4, 3), make_truncated_algebra(4, 4),
+     _rescaled_truncated_1_3()],
+    ids=["dim2", "dim10", "dim35", "dim70", "rescaled-table"],
+)
+def test_product_matches_the_dense_table(algebra):
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        a, b = _random_element(algebra, rng), _random_element(algebra, rng)
+        np.testing.assert_allclose((a * b).coeffs, _dense_product(a, b),
+                                   rtol=1e-12, atol=1e-12)
+        # a real operand on either side only scales the other factor
+        real = algebra.from_real(float(rng.uniform(-2.0, 2.0)))
+        assert np.array_equal((a * real).coeffs, _dense_product(a, real))
+        assert np.array_equal((real * a).coeffs, _dense_product(real, a))
+        assert (a * a.inverse()).almost_equal(algebra.unit(), tol=1e-9)
+
+
+def test_arithmetic_results_are_read_only():
+    a = M3.element([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    b = M3.element([0.5, -1.0, 0.0, 2.0, 1.0, -3.0])
+    results = (a + b, a - b, -a, a * b, a * 2.0, 2.0 - a, a / 2.0, a ** 3,
+               a.inverse(), a.nilpotent_part(), M3.from_real(1.5), M3.zero())
+    for result in results:
+        assert not result.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("a0,exponent", [(1.0, 100_000_000), (1.00001, 1_000_000),
+                                         (0.9999, 100_000), (-1.5, 33)])
+def test_large_integer_powers_of_dual_numbers(a0, exponent):
+    # (a0 + t)^N = a0^N + N a0^(N-1) t once t^2 = 0
+    power = DUAL.element([a0, 1.0]) ** exponent
+    expected = [a0 ** exponent, exponent * a0 ** (exponent - 1)]
+    np.testing.assert_allclose(power.coeffs, expected, rtol=1e-9)

@@ -7,8 +7,13 @@ import pytest
 
 from weiljet.algebra import make_truncated_algebra
 from weiljet.bundle import sample_near_point
-from weiljet.cli import main
-from weiljet.jsonio import bundle_field_from_json, bundle_function_from_json
+from weiljet.cli import _emit, main
+from weiljet.errors import ParseError
+from weiljet.jsonio import (
+    bundle_field_from_json,
+    bundle_function_from_json,
+    point_from_json,
+)
 
 T3 = make_truncated_algebra(1, 2)
 
@@ -288,3 +293,68 @@ def test_usage_errors_are_exit_two(capsys):
     capsys.readouterr()
     assert main(["verify", "--mutate", "bogus"]) == 2
     capsys.readouterr()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_document(out):
+    """The one strict-JSON document a call printed."""
+    (line,) = out.strip().splitlines()
+    return json.loads(line, parse_constant=_reject_constant)
+
+
+DUAL_FIELD = ("--algebra", "dual", "--poisson", "canonical:2", "--field", '["x1", "-x0"]')
+
+
+@pytest.mark.parametrize("argv", [
+    ("hamcheck", *DUAL_FIELD, "--samples", "0"),
+    ("hamcheck", *DUAL_FIELD, "--samples", "-3"),
+    ("verify", "--filter", "taylor", "--samples", "0"),
+])
+def test_samples_below_one_is_a_parse_error(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert strict_document(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_point_coefficients_are_parse_errors(capsys, value):
+    point = '{"coords": [{"coeffs": [%s, 1.0]}]}' % value
+    code, out, _ = run_cli(capsys, "prolong", "--algebra", "dual", "--expr", "x0",
+                           "--point", point)
+    assert code == 2
+    assert strict_document(out)["error"]["type"] == "ParseError"
+    with pytest.raises(ParseError):
+        point_from_json(json.loads(point), make_truncated_algebra(1, 1))
+    with pytest.raises(ParseError):
+        bundle_function_from_json({"terms": [{"coeff": float(value.lower()),
+                                              "pullbacks": ["x0"]}]}, T3, 1)
+
+
+@pytest.mark.parametrize("algebra,expr,coeffs", [
+    ("dual", "exp(x0)", [1000.0, 1.0]),
+    ("dual", "x0^64", [1e10, 1.0]),
+    ("truncated:1,2", "log(x0)", [1e-200, 1.0, 0.0]),
+])
+def test_overflow_is_a_domain_error(capsys, algebra, expr, coeffs):
+    point = json.dumps({"coords": [{"coeffs": coeffs}]})
+    code, out, _ = run_cli(capsys, "prolong", "--algebra", algebra, "--expr", expr,
+                           "--point", point)
+    assert code == 3
+    assert strict_document(out)["error"]["type"] == "DomainError"
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, out, _ = run_cli(capsys, "prolong", "--algebra", "dual",
+                           "--expr", "(" * 3000 + "x0" + ")" * 3000,
+                           "--point", '{"coords": [{"coeffs": [0.5, 1.0]}]}')
+    assert code == 2
+    assert strict_document(out)["error"]["type"] == "ParseError"
+
+
+def test_emit_refuses_non_finite_numbers(capsys):
+    with pytest.raises(ValueError):
+        _emit({"coeffs": [float("nan"), 1.0]})
+    assert capsys.readouterr().out == ""
