@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     AlgebraMismatch,
+    AlgebraValidationError,
     CapacityError,
     NoUnit,
     NotAssociative,
@@ -410,6 +411,9 @@ def validate_algebra(constants, *, basis_labels: Sequence[str] | None = None,
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
         raise ValueError("structure constants must form a d x d x d array")
     d = arr.shape[0]
+    if not np.isfinite(arr).all():
+        # every axiom test below compares against zero_tol, and NaN passes them all
+        raise AlgebraValidationError("the structure-constant table has non-finite entries")
     if np.max(np.abs(arr - arr.transpose(1, 0, 2))) > zero_tol:
         raise NotCommutative("c[i,j,:] != c[j,i,:]")
     if np.max(np.abs(arr[0] - np.eye(d))) > zero_tol:

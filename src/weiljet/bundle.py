@@ -34,8 +34,8 @@ DEFAULT_BOX = (-2.0, 2.0)
 class NearPoint:
     """A point of the prolonged space: one A element per base coordinate.
 
-    Evaluation of expressions at the point is memoized, so passing one
-    NearPoint through many functions repays the construction cost.
+    Evaluation of expressions at the point is memoized node by node, so
+    functions evaluated at one NearPoint share their subexpressions there.
     """
 
     __slots__ = ("algebra", "coords", "_eval_cache", "_hash")
@@ -66,8 +66,7 @@ class NearPoint:
         """Value of the prolonged function expr^A at this point."""
         cached = self._eval_cache.get(expr)
         if cached is None:
-            cached = eval_weil(expr, self.coords)
-            self._eval_cache[expr] = cached
+            cached = eval_weil(expr, self.coords, cache=self._eval_cache)
         return cached
 
     def __eq__(self, other):
@@ -118,7 +117,11 @@ class Term:
     def __init__(self, coeff: WeilElement, pullbacks: Iterable[ScalarExpr] = (),
                  lazies: Iterable[LazyFactor] = ()):
         self.coeff = coeff
-        self.pullbacks = tuple(sorted(pullbacks, key=lambda e: e.text))
+        pullbacks = tuple(pullbacks)
+        if len(pullbacks) > 1:
+            # sorting reads the texts, which a lone pullback never needs
+            pullbacks = tuple(sorted(pullbacks, key=lambda e: e.text))
+        self.pullbacks = pullbacks
         self.lazies = tuple(lazies)
 
     def key(self):

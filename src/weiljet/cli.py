@@ -233,6 +233,16 @@ def cmd_verify(args) -> int:
 
 # -- parser ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as a ParseError document (exit 2), like every
+    other rejected input; the subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _report_error(ParseError(f"{self.prog}: {message}"))
+        self.exit(2)
+
+
 def _add_structure_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--poisson",
@@ -242,7 +252,7 @@ def _add_structure_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="weiljet",
         description="jet calculus over Weil algebras: prolongation, brackets, "
                     "hamiltonian tests, and the verification suite")

@@ -1,10 +1,21 @@
-"""Expression trees for smooth scalar functions on R^n.
+"""Expressions for smooth scalar functions on R^n, as hash-consed DAGs.
 
 Nodes: coordinates x0..x{n-1}, float constants, the binary operations
 + - * /, integer powers, and the primitives sin, cos, exp, log.  Every node
-carries the ambient arity.  Trees are immutable; identity is the fully
-parenthesized text, which doubles as the wire format because
-``parse_expr(e.text, e.arity)`` reproduces ``e``.
+carries the ambient arity.  Nodes are immutable and hash-consed: every
+constructor call goes through one intern table keyed on the node's kind,
+payload, children and arity, so equal expressions are the same object and
+equality is identity.  The table holds its nodes weakly, so it never
+outgrows the live expressions.  A constant is keyed on the ``repr`` of its
+value, which keeps 0.0 and -0.0 apart and makes every NaN one node.
+
+``text`` is the fully parenthesized form, rendered on first use in one pass;
+it is the wire format, because ``parse_expr(e.text, e.arity)`` returns ``e``
+itself.  Evaluation, differentiation and composition visit the DAG in a
+topological order, found once per root and kept on it, with no Python
+recursion; each handles a distinct node once per call, so shared
+subexpressions cost nothing extra and nesting depth is bounded by memory
+only.  Only the parser recurses, so it refuses text nested too deeply.
 
 Evaluation over a Weil algebra replaces each primitive g by its truncated
 Taylor expansion g(a0 + nu) = sum_{k<=h} g^(k)(a0)/k! * nu^k, where a0 is the
@@ -16,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from typing import Sequence
 
 from .algebra import WeilElement
@@ -29,24 +41,44 @@ from .errors import (
 
 PRIMITIVES = ("sin", "cos", "exp", "log")
 
+# The intern table: key -> the one live node with that key.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-class ScalarExpr:
-    """Base node.  Subclasses add their payload; comparisons go by text."""
 
-    __slots__ = ("arity", "text", "_hash")
+class _Interned(type):
+    """Calling a node class returns the live node with the same key, and
+    builds (and registers) a new one only when there is none."""
 
-    def __init__(self, arity: int, text: str):
+    def __call__(cls, *args):
+        key = (cls, *args) if cls._key is None else cls._key(*args)
+        node = _NODES.get(key)
+        if node is None:
+            node = super().__call__(*args)
+            _NODES[key] = node
+        return node
+
+
+class ScalarExpr(metaclass=_Interned):
+    """Base node.  ``children`` lists the operand nodes left to right;
+    nodes compare and hash by identity."""
+
+    __slots__ = ("arity", "_text", "_tape", "__weakref__")
+    children: tuple = ()
+    # builds the intern key from the constructor arguments where
+    # (class, *args) would not do
+    _key = None
+
+    def __init__(self, arity: int, text: str | None = None):
         self.arity = arity
-        self.text = text
-        self._hash = hash((arity, text))
+        self._text = text
+        self._tape = None
 
-    def __eq__(self, other):
-        if not isinstance(other, ScalarExpr):
-            return NotImplemented
-        return self.arity == other.arity and self.text == other.text
-
-    def __hash__(self):
-        return self._hash
+    @property
+    def text(self) -> str:
+        """Fully parenthesized text, rendered once and kept."""
+        if self._text is None:
+            self._text = _render(self)
+        return self._text
 
     def __repr__(self):
         return self.text
@@ -60,6 +92,11 @@ class Const(ScalarExpr):
         super().__init__(arity, repr(value))
         self.value = value
 
+    @staticmethod
+    def _key(value, arity):
+        # repr keeps 0.0 and -0.0 apart and makes every NaN one node
+        return (Const, repr(float(value)), arity)
+
 
 class Var(ScalarExpr):
     __slots__ = ("index",)
@@ -69,36 +106,40 @@ class Var(ScalarExpr):
         self.index = index
 
 
-class Add(ScalarExpr):
+class _Binary(ScalarExpr):
     __slots__ = ("a", "b")
+    op = ""
 
     def __init__(self, a: ScalarExpr, b: ScalarExpr):
-        super().__init__(a.arity, f"({a.text} + {b.text})")
+        super().__init__(a.arity)
         self.a, self.b = a, b
 
+    @property
+    def children(self):
+        return (self.a, self.b)
 
-class Sub(ScalarExpr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: ScalarExpr, b: ScalarExpr):
-        super().__init__(a.arity, f"({a.text} - {b.text})")
-        self.a, self.b = a, b
-
-
-class Mul(ScalarExpr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: ScalarExpr, b: ScalarExpr):
-        super().__init__(a.arity, f"({a.text} * {b.text})")
-        self.a, self.b = a, b
+    def _pieces(self):
+        return ("(", self.a, f" {self.op} ", self.b, ")")
 
 
-class Div(ScalarExpr):
-    __slots__ = ("a", "b")
+class Add(_Binary):
+    __slots__ = ()
+    op = "+"
 
-    def __init__(self, a: ScalarExpr, b: ScalarExpr):
-        super().__init__(a.arity, f"({a.text} / {b.text})")
-        self.a, self.b = a, b
+
+class Sub(_Binary):
+    __slots__ = ()
+    op = "-"
+
+
+class Mul(_Binary):
+    __slots__ = ()
+    op = "*"
+
+
+class Div(_Binary):
+    __slots__ = ()
+    op = "/"
 
 
 class Pow(ScalarExpr):
@@ -108,16 +149,71 @@ class Pow(ScalarExpr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: ScalarExpr, exponent: int):
-        super().__init__(base.arity, f"({base.text} ^ {exponent})")
+        super().__init__(base.arity)
         self.base, self.exponent = base, exponent
+
+    @property
+    def children(self):
+        return (self.base,)
+
+    def _pieces(self):
+        return ("(", self.base, f" ^ {self.exponent})")
 
 
 class Call(ScalarExpr):
     __slots__ = ("fn", "arg")
 
     def __init__(self, fn: str, arg: ScalarExpr):
-        super().__init__(arg.arity, f"{fn}({arg.text})")
+        super().__init__(arg.arity)
         self.fn, self.arg = fn, arg
+
+    @property
+    def children(self):
+        return (self.arg,)
+
+    def _pieces(self):
+        return (f"{self.fn}(", self.arg, ")")
+
+
+def _render(root: ScalarExpr) -> str:
+    """Text of ``root`` in one pass, O(len(text)) and no recursion.  A node
+    without text lists its ``_pieces``, strings and child nodes; a node with
+    text is spliced in whole."""
+    out = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item._text is not None:
+            out.append(item._text)
+        else:
+            stack.extend(reversed(item._pieces()))
+    return "".join(out)
+
+
+def _topological(root: ScalarExpr) -> tuple[ScalarExpr, ...]:
+    """The distinct nodes under ``root``, children before parents and left
+    before right (the order of a recursive walk, repeats dropped), ending
+    with ``root``.  Found once without recursion and kept on the root, less
+    the root itself, which would make a reference cycle."""
+    tape = root._tape
+    if tape is None:
+        order = []
+        seen = {root}
+        stack = [(root, iter(root.children))]
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(child.children)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+        tape = root._tape = tuple(order[:-1])
+    return (*tape, root)
 
 
 # -- smart constructors (constant folding only) ------------------------------
@@ -189,7 +285,7 @@ def pow_(base: ScalarExpr, exponent: int) -> ScalarExpr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value ** exponent, base.arity)
+        return Const(_real_power(base.value, exponent), base.arity)
     return Pow(base, exponent)
 
 
@@ -199,8 +295,23 @@ def call(fn: str, arg: ScalarExpr) -> ScalarExpr:
     if isinstance(arg, Const):
         if fn == "log" and arg.value <= 0.0:
             raise DomainError("log of a nonpositive constant")
-        return Const(getattr(math, fn)(arg.value), arg.arity)
+        return Const(_real_primitive(fn, arg.value), arg.arity)
     return Call(fn, arg)
+
+
+def _real_power(x: float, exponent: int) -> float:
+    try:
+        return x ** exponent
+    except OverflowError:
+        raise DomainError(f"{x!r} ^ {exponent} overflows") from None
+
+
+def _real_primitive(fn: str, x: float) -> float:
+    """fn(x) for a primitive; log's domain is the caller's to check."""
+    try:
+        return getattr(math, fn)(x)
+    except (OverflowError, ValueError):
+        raise DomainError(f"{fn} is out of range at {x!r}") from None
 
 
 # -- parsing -----------------------------------------------------------------
@@ -367,39 +478,40 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
     """Symbolic partial derivative with respect to x{index}."""
     if index < 0 or index >= f.arity:
         raise ArityError(f"derivative index {index} out of range for arity {f.arity}")
-    return _diff(f, index)
-
-
-def _diff(f: ScalarExpr, i: int) -> ScalarExpr:
     arity = f.arity
-    if isinstance(f, Const):
-        return Const(0.0, arity)
-    if isinstance(f, Var):
-        return Const(1.0 if f.index == i else 0.0, arity)
-    if isinstance(f, Add):
-        return add(_diff(f.a, i), _diff(f.b, i))
-    if isinstance(f, Sub):
-        return sub(_diff(f.a, i), _diff(f.b, i))
-    if isinstance(f, Mul):
-        return add(mul(_diff(f.a, i), f.b), mul(f.a, _diff(f.b, i)))
-    if isinstance(f, Div):
-        num = sub(mul(_diff(f.a, i), f.b), mul(f.a, _diff(f.b, i)))
-        return div(num, mul(f.b, f.b))
-    if isinstance(f, Pow):
-        scale = mul(Const(float(f.exponent), arity), pow_(f.base, f.exponent - 1))
-        return mul(scale, _diff(f.base, i))
-    if isinstance(f, Call):
-        darg = _diff(f.arg, i)
-        if f.fn == "sin":
-            outer = call("cos", f.arg)
-        elif f.fn == "cos":
-            outer = neg(call("sin", f.arg))
-        elif f.fn == "exp":
-            outer = call("exp", f.arg)
-        else:  # log
-            return div(darg, f.arg)
-        return mul(outer, darg)
-    raise TypeError(f"unknown node {type(f).__name__}")
+    zero, one = Const(0.0, arity), Const(1.0, arity)
+    d: dict[ScalarExpr, ScalarExpr] = {}
+    for node in _topological(f):
+        kind = type(node)
+        if kind is Const:
+            out = zero
+        elif kind is Var:
+            out = one if node.index == index else zero
+        elif kind is Add:
+            out = add(d[node.a], d[node.b])
+        elif kind is Sub:
+            out = sub(d[node.a], d[node.b])
+        elif kind is Mul:
+            out = add(mul(d[node.a], node.b), mul(node.a, d[node.b]))
+        elif kind is Div:
+            num = sub(mul(d[node.a], node.b), mul(node.a, d[node.b]))
+            out = div(num, mul(node.b, node.b))
+        elif kind is Pow:
+            scale = mul(Const(float(node.exponent), arity),
+                        pow_(node.base, node.exponent - 1))
+            out = mul(scale, d[node.base])
+        else:  # Call
+            darg = d[node.arg]
+            if node.fn == "sin":
+                out = mul(call("cos", node.arg), darg)
+            elif node.fn == "cos":
+                out = mul(neg(call("sin", node.arg)), darg)
+            elif node.fn == "exp":
+                out = mul(node, darg)
+            else:  # log
+                out = div(darg, node.arg)
+        d[node] = out
+    return d[f]
 
 
 def compose(f: ScalarExpr, replacements: Sequence[ScalarExpr]) -> ScalarExpr:
@@ -413,60 +525,60 @@ def compose(f: ScalarExpr, replacements: Sequence[ScalarExpr]) -> ScalarExpr:
     for r in replacements:
         if r.arity != target:
             raise ArityError("replacements disagree on arity")
-    return _compose(f, tuple(replacements), target)
-
-
-def _compose(f, reps, target):
-    if isinstance(f, Const):
-        return Const(f.value, target)
-    if isinstance(f, Var):
-        return reps[f.index]
-    if isinstance(f, Add):
-        return add(_compose(f.a, reps, target), _compose(f.b, reps, target))
-    if isinstance(f, Sub):
-        return sub(_compose(f.a, reps, target), _compose(f.b, reps, target))
-    if isinstance(f, Mul):
-        return mul(_compose(f.a, reps, target), _compose(f.b, reps, target))
-    if isinstance(f, Div):
-        return div(_compose(f.a, reps, target), _compose(f.b, reps, target))
-    if isinstance(f, Pow):
-        return pow_(_compose(f.base, reps, target), f.exponent)
-    if isinstance(f, Call):
-        return call(f.fn, _compose(f.arg, reps, target))
-    raise TypeError(f"unknown node {type(f).__name__}")
+    out: dict[ScalarExpr, ScalarExpr] = {}
+    for node in _topological(f):
+        kind = type(node)
+        if kind is Const:
+            value = Const(node.value, target)
+        elif kind is Var:
+            value = replacements[node.index]
+        elif kind is Add:
+            value = add(out[node.a], out[node.b])
+        elif kind is Sub:
+            value = sub(out[node.a], out[node.b])
+        elif kind is Mul:
+            value = mul(out[node.a], out[node.b])
+        elif kind is Div:
+            value = div(out[node.a], out[node.b])
+        elif kind is Pow:
+            value = pow_(out[node.base], node.exponent)
+        else:  # Call
+            value = call(node.fn, out[node.arg])
+        out[node] = value
+    return out[f]
 
 
 def eval_real(f: ScalarExpr, point: Sequence[float]) -> float:
     """Evaluate at a real point."""
     if len(point) != f.arity:
         raise ArityError("point length does not match the arity")
-    return _eval_real(f, point)
-
-
-def _eval_real(f, xs):
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Var):
-        return float(xs[f.index])
-    if isinstance(f, Add):
-        return _eval_real(f.a, xs) + _eval_real(f.b, xs)
-    if isinstance(f, Sub):
-        return _eval_real(f.a, xs) - _eval_real(f.b, xs)
-    if isinstance(f, Mul):
-        return _eval_real(f.a, xs) * _eval_real(f.b, xs)
-    if isinstance(f, Div):
-        denom = _eval_real(f.b, xs)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return _eval_real(f.a, xs) / denom
-    if isinstance(f, Pow):
-        return _eval_real(f.base, xs) ** f.exponent
-    if isinstance(f, Call):
-        inner = _eval_real(f.arg, xs)
-        if f.fn == "log" and inner <= 0.0:
-            raise DomainError("log of a nonpositive value")
-        return getattr(math, f.fn)(inner)
-    raise TypeError(f"unknown node {type(f).__name__}")
+    values: dict[ScalarExpr, float] = {}
+    for node in _topological(f):
+        kind = type(node)
+        if kind is Const:
+            value = node.value
+        elif kind is Var:
+            value = float(point[node.index])
+        elif kind is Add:
+            value = values[node.a] + values[node.b]
+        elif kind is Sub:
+            value = values[node.a] - values[node.b]
+        elif kind is Mul:
+            value = values[node.a] * values[node.b]
+        elif kind is Div:
+            denom = values[node.b]
+            if denom == 0.0:
+                raise DomainError("division by zero")
+            value = values[node.a] / denom
+        elif kind is Pow:
+            value = _real_power(values[node.base], node.exponent)
+        else:  # Call
+            inner = values[node.arg]
+            if node.fn == "log" and inner <= 0.0:
+                raise DomainError("log of a nonpositive value")
+            value = _real_primitive(node.fn, inner)
+        values[node] = value
+    return values[f]
 
 
 # closed-form k-th derivatives of the primitives at a real point
@@ -481,18 +593,23 @@ def _primitive_derivative(fn: str, k: int, x: float) -> float:
         # log: k = 0 handled by the caller; x ** k underflows to zero when the
         # derivative overflows
         return ((-1.0) ** (k - 1)) * math.factorial(k - 1) / x ** k
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"derivative {k} of {fn} overflows at {x!r}") from None
+    except (OverflowError, ZeroDivisionError, ValueError):
+        # ValueError: sin and cos of an infinite augmentation
+        raise DomainError(f"derivative {k} of {fn} is out of range at {x!r}") from None
 
 
 def eval_weil(f: ScalarExpr, point: Sequence[WeilElement], *,
-              order_cap: int | None = None) -> WeilElement:
+              order_cap: int | None = None,
+              cache: dict | None = None) -> WeilElement:
     """Evaluate over a Weil algebra; this is the algebra morphism that sends
     x_i to point[i].
 
+    ``cache`` maps nodes to their values at this same point; it is read and
+    extended, so evaluations at one point share their subexpressions.
     ``order_cap`` truncates the primitives' Taylor expansions below the
     algebra height; it exists so the verification harness can demonstrate that
     dropping the top order is caught.  Leave it at None for correct results.
+    A capped evaluation neither reads nor writes ``cache``.
     """
     if len(point) != f.arity:
         raise ArityError("point length does not match the arity")
@@ -502,27 +619,30 @@ def eval_weil(f: ScalarExpr, point: Sequence[WeilElement], *,
     for elem in point:
         if not algebra.compatible_with(elem.algebra):
             raise AlgebraMismatch("point coordinates live in different algebras")
-    return _eval_weil(f, tuple(point), algebra, order_cap)
-
-
-def _eval_weil(f, point, algebra, cap):
-    if isinstance(f, Const):
-        return algebra.from_real(f.value)
-    if isinstance(f, Var):
-        return point[f.index]
-    if isinstance(f, Add):
-        return _eval_weil(f.a, point, algebra, cap) + _eval_weil(f.b, point, algebra, cap)
-    if isinstance(f, Sub):
-        return _eval_weil(f.a, point, algebra, cap) - _eval_weil(f.b, point, algebra, cap)
-    if isinstance(f, Mul):
-        return _eval_weil(f.a, point, algebra, cap) * _eval_weil(f.b, point, algebra, cap)
-    if isinstance(f, Div):
-        return _eval_weil(f.a, point, algebra, cap) * _eval_weil(f.b, point, algebra, cap).inverse()
-    if isinstance(f, Pow):
-        return _eval_weil(f.base, point, algebra, cap) ** f.exponent
-    if isinstance(f, Call):
-        return _taylor_lift(f.fn, _eval_weil(f.arg, point, algebra, cap), cap)
-    raise TypeError(f"unknown node {type(f).__name__}")
+    values = {} if cache is None or order_cap is not None else cache
+    for node in _topological(f):
+        if node in values:
+            # the cache only ever holds whole sub-DAGs
+            continue
+        kind = type(node)
+        if kind is Const:
+            value = algebra.from_real(node.value)
+        elif kind is Var:
+            value = point[node.index]
+        elif kind is Add:
+            value = values[node.a] + values[node.b]
+        elif kind is Sub:
+            value = values[node.a] - values[node.b]
+        elif kind is Mul:
+            value = values[node.a] * values[node.b]
+        elif kind is Div:
+            value = values[node.a] * values[node.b].inverse()
+        elif kind is Pow:
+            value = values[node.base] ** node.exponent
+        else:  # Call
+            value = _taylor_lift(node.fn, values[node.arg], order_cap)
+        values[node] = value
+    return values[f]
 
 
 def _taylor_lift(fn: str, a: WeilElement, cap: int | None) -> WeilElement:

@@ -1,9 +1,14 @@
 """End-to-end coverage of the command line interface."""
 
+import contextlib
+import io
 import json
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weiljet.algebra import make_truncated_algebra
 from weiljet.bundle import sample_near_point
@@ -287,12 +292,34 @@ def test_verify_mutation_is_exit_five(capsys):
 
 
 def test_usage_errors_are_exit_two(capsys):
-    assert main([]) == 2
-    capsys.readouterr()
-    assert main(["bracket", "--algebra", "dual"]) == 2
-    capsys.readouterr()
-    assert main(["verify", "--mutate", "bogus"]) == 2
-    capsys.readouterr()
+    for argv in ([],
+                 ["bracket", "--algebra", "dual"],
+                 ["verify", "--mutate", "bogus"],
+                 ["hamcheck", *DUAL_FIELD, "--samples", "many"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert strict_document(out)["error"]["type"] == "ParseError", argv
+        assert err.startswith("usage:"), argv
+
+
+def test_leading_minus_expression_is_a_usage_error(capsys):
+    code, out, _ = run_cli(capsys, "prolong", "--algebra", "dual", "--expr", "-x0",
+                           "--point", '{"coords": [{"coeffs": [1, 1]}]}')
+    assert code == 2
+    error = strict_document(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "--expr" in error["message"]
+    code, out, _ = run_cli(capsys, "prolong", "--algebra", "dual", "--expr=-x0",
+                           "--point", '{"coords": [{"coeffs": [1, 1]}]}')
+    assert code == 0
+    assert strict_document(out) == {"coeffs": [-1.0, -1.0]}
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "prolong", "--help")
+    assert code == 0
+    assert out.startswith("usage: weiljet prolong")
+    assert err == ""
 
 
 def _reject_constant(name):
@@ -358,3 +385,110 @@ def test_emit_refuses_non_finite_numbers(capsys):
     with pytest.raises(ValueError):
         _emit({"coeffs": [float("nan"), 1.0]})
     assert capsys.readouterr().out == ""
+
+
+def test_deep_sum_prolongs_without_recursion(capsys):
+    code, out, _ = run_cli(capsys, "prolong", "--algebra", "dual",
+                           "--expr", "+".join(["x0"] * 3000),
+                           "--point", '{"coords":[{"coeffs":[1,1]}]}')
+    assert code == 0
+    assert strict_document(out) == {"coeffs": [3000.0, 3000.0]}
+
+
+def test_deep_sum_hamfield_without_recursion(capsys):
+    code, out, _ = run_cli(capsys, "hamfield", "--algebra", "dual",
+                           "--poisson", "canonical:2",
+                           "--fn", "+".join(["x0*x1"] * 3000))
+    assert code == 0
+    components = strict_document(out)
+    # X = (df/dx1, -df/dx0): one pullback each, a 3000-term sum of x0 or x1
+    assert [len(terms) for terms in components] == [1, 1]
+    (first,), (second,) = (terms[0]["pullbacks"] for terms in components)
+    assert first.count("x0") == 3000 and "x1" not in first
+    assert second.count("x1") == 3000 and "x0" not in second
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_non_finite_algebra_table_is_a_validation_error(capsys, entry):
+    table = '{"family":"table","constants":[[[1,0],[0,1]],[[0,1],[0,%s]]]}' % entry
+    code, out, _ = run_cli(capsys, "algebra", "--algebra", table)
+    assert code == 4
+    error = strict_document(out)["error"]
+    assert error["type"] == "AlgebraValidationError"
+    assert "table" in error["message"]
+
+
+# -- the README contract under generated input ------------------------------------
+
+_LEAVES = st.sampled_from(["x0", "x1", "-x0", "2", "-1.5", "0", "1e308", "1e999"])
+
+
+def _compound(children):
+    binary = st.tuples(children, st.sampled_from("+-*/"), children).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})")
+    calls = st.tuples(st.sampled_from(["sin", "cos", "exp", "log"]), children).map(
+        lambda t: f"{t[0]}({t[1]})")
+    powers = st.tuples(children, st.integers(-3000, 3000)).map(
+        lambda t: f"({t[0]})^{t[1]}")
+    return binary | calls | powers
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _compound, max_leaves=10) | st.tuples(
+    st.sampled_from(["x0", "-x1", "x0*x1", "exp(x0)"]), st.integers(1, 3000)).map(
+    lambda t: "+".join([t[0]] * t[1]))
+
+_NAN_TABLE = '{"family":"table","constants":[[[1,0],[0,1]],[[0,1],[0,NaN]]]}'
+# (spec, dimension); the valid algebras are listed twice to be drawn more often
+_ALGEBRAS = st.sampled_from([
+    ("dual", 2), ("dual", 2), ("truncated:1,3", 4), ("truncated:1,3", 4),
+    ("truncated:2,2", 6), ("truncated:2,2", 6), ("truncated:0,1", 2),
+    ("truncated:1,600", 601), ("septic", 2), (_NAN_TABLE, 2)])
+# (flag, spec, arity)
+_STRUCTURES = st.sampled_from([("--poisson", "canonical:2", 2), ("--poisson", "rotational", 3),
+                               ("--symplectic", "canonical:2", 2)])
+_FINITE = st.floats(-3.0, 3.0).map(repr)
+_ANY_NUMBER = _FINITE | st.sampled_from(["NaN", "Infinity", "1e308", '"x"'])
+
+
+@st.composite
+def _coefficients(draw, dim):
+    """Mostly ``dim`` finite numbers; sometimes a wrong count or a bad entry."""
+    size = draw(st.sampled_from([dim, dim, dim, 1, 3]))
+    numbers = _FINITE if draw(st.integers(0, 3)) else _ANY_NUMBER
+    return draw(st.lists(numbers, min_size=size, max_size=size))
+
+
+@st.composite
+def _argv(draw):
+    spec, dim = draw(_ALGEBRAS)
+    command = draw(st.sampled_from(["algebra", "prolong", "hamfield", "bracket"]))
+
+    def point(arity):
+        return '{"coords": [%s]}' % ", ".join(
+            '{"coeffs": [%s]}' % ", ".join(draw(_coefficients(dim)))
+            for _ in range(arity))
+
+    if command == "algebra":
+        return ["algebra", "--algebra", spec]
+    if command == "prolong":
+        return ["prolong", "--algebra", spec, "--expr", draw(_EXPRESSIONS),
+                "--point", point(draw(st.integers(1, 3)))]
+    flag, structure, arity = draw(_STRUCTURES)
+    at = ["--point", point(arity)] if draw(st.booleans()) else []
+    if command == "hamfield":
+        return ["hamfield", "--algebra", spec, flag, structure,
+                "--fn", draw(_EXPRESSIONS), *at]
+    return ["bracket", "--algebra", spec, flag, structure,
+            "--left", draw(_EXPRESSIONS), "--right", draw(_EXPRESSIONS), *at]
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=10))
+@given(_argv())
+def test_cli_contract_holds_for_generated_input(argv):
+    """The README contract: exit 0, 2, 3, 4 or 5 with exactly one strict-JSON
+    document, within the deadline, whatever the arguments."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    strict_document(out.getvalue())

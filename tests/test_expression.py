@@ -4,6 +4,7 @@ Derivatives and jet coefficients are checked against sympy, which knows
 nothing about this package's evaluation code.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weiljet import expression
 from weiljet.algebra import NotInvertible, make_truncated_algebra
 from weiljet.errors import ArityError, DomainError, ParseError, UnknownIdentifier
 from weiljet.expression import (
@@ -23,11 +25,20 @@ from weiljet.expression import (
     Pow,
     Sub,
     Var,
+    _taylor_lift,
+    add,
+    call,
     compose,
+    const,
     differentiate,
+    div,
     eval_real,
     eval_weil,
+    mul,
+    neg,
     parse_expr,
+    pow_,
+    sub,
 )
 from weiljet.sampling import random_expression
 
@@ -86,7 +97,7 @@ def test_parse_print_roundtrip(arity, seed):
     rng = np.random.default_rng(seed)
     f = random_expression(arity, rng)
     g = parse_expr(f.text, arity)
-    assert g.text == f.text
+    assert g is f
     point = rng.uniform(-1.5, 1.5, arity)
     assert eval_real(g, point) == pytest.approx(eval_real(f, point), rel=1e-12, abs=1e-12)
 
@@ -219,3 +230,106 @@ def test_compose_arity_mismatch():
     f = parse_expr("x0 + x1", 2)
     with pytest.raises(ArityError):
         compose(f, [parse_expr("x0", 1)])
+
+
+def test_equal_expressions_are_one_node():
+    first = parse_expr("sin(x0) * x1 + x1^2 / 3", 2)
+    second = add(mul(call("sin", parse_expr("x0", 2)), parse_expr("x1", 2)),
+                 div(pow_(parse_expr("x1", 2), 2), const(3, 2)))
+    assert first is second
+    assert differentiate(first, 0) is differentiate(second, 0)
+    assert const(0.0, 1) is const(0, 1)
+    assert const(0.0, 1) is not const(-0.0, 1)
+    assert const(-0.0, 1).text == "-0.0"
+    assert const(float("nan"), 1) is const(float("nan"), 1)
+    assert const(1.0, 1) is not const(1.0, 2)
+
+
+def test_intern_table_holds_only_live_nodes():
+    gc.collect()
+    baseline = len(expression._NODES)
+    f = parse_expr(" + ".join(f"{k}.125 * x0^{k + 2}" for k in range(50)), 1)
+    g = differentiate(f, 0)
+    assert g.text and len(expression._NODES) > baseline + 100
+    del f, g
+    gc.collect()
+    assert len(expression._NODES) == baseline
+
+
+def _tree_eval_weil(f, point):
+    """Recursive tree walk over a Weil algebra, every occurrence evaluated
+    again: the reference the DAG evaluator must match bit for bit."""
+    algebra = point[0].algebra
+    if isinstance(f, Const):
+        return algebra.from_real(f.value)
+    if isinstance(f, Var):
+        return point[f.index]
+    if isinstance(f, Add):
+        return _tree_eval_weil(f.a, point) + _tree_eval_weil(f.b, point)
+    if isinstance(f, Sub):
+        return _tree_eval_weil(f.a, point) - _tree_eval_weil(f.b, point)
+    if isinstance(f, Mul):
+        return _tree_eval_weil(f.a, point) * _tree_eval_weil(f.b, point)
+    if isinstance(f, Div):
+        return _tree_eval_weil(f.a, point) * _tree_eval_weil(f.b, point).inverse()
+    if isinstance(f, Pow):
+        return _tree_eval_weil(f.base, point) ** f.exponent
+    return _taylor_lift(f.fn, _tree_eval_weil(f.arg, point), None)
+
+
+def _tree_diff(f, i):
+    """Recursive symbolic derivative, the reference for ``differentiate``."""
+    if isinstance(f, (Const, Var)):
+        return const(1.0 if isinstance(f, Var) and f.index == i else 0.0, f.arity)
+    if isinstance(f, Add):
+        return add(_tree_diff(f.a, i), _tree_diff(f.b, i))
+    if isinstance(f, Sub):
+        return sub(_tree_diff(f.a, i), _tree_diff(f.b, i))
+    if isinstance(f, Mul):
+        return add(mul(_tree_diff(f.a, i), f.b), mul(f.a, _tree_diff(f.b, i)))
+    if isinstance(f, Div):
+        num = sub(mul(_tree_diff(f.a, i), f.b), mul(f.a, _tree_diff(f.b, i)))
+        return div(num, mul(f.b, f.b))
+    if isinstance(f, Pow):
+        scale = mul(const(float(f.exponent), f.arity), pow_(f.base, f.exponent - 1))
+        return mul(scale, _tree_diff(f.base, i))
+    darg = _tree_diff(f.arg, i)
+    if f.fn == "log":
+        return div(darg, f.arg)
+    outer = {"sin": call("cos", f.arg), "cos": neg(call("sin", f.arg)),
+             "exp": call("exp", f.arg)}[f.fn]
+    return mul(outer, darg)
+
+
+DEEP_BASE = "sin(0.3*x0) * cos(0.7*x1) * exp(0.5*x0*x1) * x0^3"
+
+
+def test_dag_walks_match_recursive_tree_walks_on_deep_partials():
+    algebra = make_truncated_algebra(2, 2)
+    rng = np.random.default_rng(11)
+    f = parse_expr(DEEP_BASE, 2)
+    for order, index in enumerate((0, 1, 0, 1, 0), start=1):
+        expected = _tree_diff(f, index)
+        f = differentiate(f, index)
+        assert f is expected, order
+        point = [algebra.element(np.concatenate(([rng.uniform(-1, 1)],
+                                                 rng.uniform(-1, 1, algebra.dim - 1))))
+                 for _ in range(2)]
+        got = eval_weil(f, point).coeffs
+        assert np.array_equal(got, _tree_eval_weil(f, point).coeffs), order
+        cache = {}
+        assert np.array_equal(eval_weil(f, point, cache=cache).coeffs, got)
+        shared = f.children[0]
+        assert eval_weil(shared, point, cache=cache) is cache[shared]
+
+
+def test_deep_nesting_evaluates_without_recursion():
+    n = 5000
+    f = parse_expr("+".join(["x0*x1"] * n), 2)
+    g = differentiate(f, 0)
+    assert g.text == "(" * (n - 1) + "x1" + " + x1)" * (n - 1)
+    assert eval_real(g, [0.5, 2.0]) == 2.0 * n
+    point = [DUAL.element([1.0, 1.0]), DUAL.element([2.0, 0.0])]
+    assert eval_weil(f, point).coeffs.tolist() == [2.0 * n, 2.0 * n]
+    h = compose(f, [parse_expr("x2", 3), parse_expr("x0", 3)])
+    assert eval_real(h, [2.0, 0.0, 0.5]) == 1.0 * n
