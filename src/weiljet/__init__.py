@@ -72,7 +72,6 @@ from .poisson import (
     PoissonStructure,
     ProlongedPoisson,
     adjoint_differential,
-    base_bracket,
     check_global_witness_poisson,
     is_locally_hamiltonian_poisson,
     poisson_closedness_defect,
@@ -116,8 +115,8 @@ __all__ = [
     "pushforward_map", "apply_field", "lie_bracket", "sample_near_point",
     "max_difference", "functions_equal",
     # poisson
-    "PoissonStructure", "ProlongedPoisson", "base_bracket",
-    "poisson_derivation", "prolonged_bracket", "BaseCochain", "PoissonCochain",
+    "PoissonStructure", "ProlongedPoisson", "poisson_derivation",
+    "prolonged_bracket", "BaseCochain", "PoissonCochain",
     "adjoint_differential", "prolonged_adjoint_differential",
     "prolong_base_cochain", "poisson_closedness_defect",
     "is_locally_hamiltonian_poisson", "check_global_witness_poisson",

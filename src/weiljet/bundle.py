@@ -187,6 +187,19 @@ class BundleFunction:
         """Prolongation of a base expression: one pullback with unit weight."""
         return cls(algebra, expr.arity, [Term(algebra.unit(), (expr,))])
 
+    @classmethod
+    def sum(cls, algebra: WeilAlgebra, arity: int,
+            parts: Iterable["BundleFunction"]) -> "BundleFunction":
+        """The sum of functions, merging all their terms in one pass."""
+        terms = []
+        for part in parts:
+            if not algebra.compatible_with(part.algebra):
+                raise AlgebraMismatch("functions live over different algebras")
+            if part.arity != arity:
+                raise ArityError("functions disagree on the base arity")
+            terms.extend(part.terms)
+        return cls(algebra, arity, terms)
+
     # -- structure -----------------------------------------------------------
 
     @property
@@ -226,21 +239,21 @@ class BundleFunction:
         symbolically)."""
         if index < 0 or index >= self.arity:
             raise ArityError(f"derivative index {index} out of range")
-        out = BundleFunction.zero(self.algebra, self.arity)
+        parts = []
         for term in self.terms:
             for j, p in enumerate(term.pullbacks):
                 rest = term.pullbacks[:j] + term.pullbacks[j + 1:]
                 dp = differentiate(p, index)
-                out = out + BundleFunction(
+                parts.append(BundleFunction(
                     self.algebra, self.arity,
-                    [Term(term.coeff, rest + (dp,), term.lazies)])
+                    [Term(term.coeff, rest + (dp,), term.lazies)]))
             for k, lz in enumerate(term.lazies):
                 rest_lz = term.lazies[:k] + term.lazies[k + 1:]
                 base = BundleFunction(
                     self.algebra, self.arity,
                     [Term(term.coeff, term.pullbacks, rest_lz)])
-                out = out + base * lz.partial(index)
-        return out
+                parts.append(base * lz.partial(index))
+        return BundleFunction.sum(self.algebra, self.arity, parts)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -408,10 +421,9 @@ def apply_field(field: BundleVectorField, fn: BundleFunction) -> BundleFunction:
         raise ArityError("field and function disagree on arity")
     if not field.algebra.compatible_with(fn.algebra):
         raise AlgebraMismatch("field and function live over different algebras")
-    out = BundleFunction.zero(fn.algebra, fn.arity)
-    for i, comp in enumerate(field.components):
-        out = out + comp * fn.partial(i)
-    return out
+    return BundleFunction.sum(fn.algebra, fn.arity,
+                              [comp * fn.partial(i)
+                               for i, comp in enumerate(field.components)])
 
 
 def lie_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:

@@ -3,7 +3,8 @@
 Every check names one identity, owns a seeded RNG stream, and reports the
 worst residual it saw together with a witness that replays it.  Checks draw
 algebras from a small battery of truncated algebras and compare both sides of
-each identity at randomly sampled near-points.
+each identity at randomly sampled near-points.  A check is written as a
+generator of (residual, witness) cases; one runner step keeps the worst.
 
 Mutation mode reroutes a core operation (evaluation, field application, the
 Poisson derivation, or matrix inversion) through an intentionally wrong
@@ -13,7 +14,10 @@ failing check.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import operator
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -26,6 +30,7 @@ from .bundle import (
     DEFAULT_BOX,
     BaseVectorField,
     BundleFunction,
+    BundleVectorField,
     NearPoint,
     Term,
     apply_field,
@@ -57,7 +62,6 @@ from .poisson import (
     is_locally_hamiltonian_poisson,
     poisson_derivation,
     prolonged_adjoint_differential,
-    prolonged_bracket,
 )
 from .sampling import (
     DEFAULT_SEED,
@@ -101,9 +105,6 @@ class AlgebraSpec:
     width: int
     height: int
     label: str
-
-    def build(self) -> WeilAlgebra:
-        return battery_algebra(self.key)
 
 
 BATTERY: tuple[AlgebraSpec, ...] = (
@@ -209,21 +210,21 @@ def default_ops() -> Ops:
 
 def _dropped_partial(fn: BundleFunction, index: int) -> BundleFunction:
     # product rule with the final pullback branch dropped on genuine products
-    out = BundleFunction.zero(fn.algebra, fn.arity)
+    parts = []
     for term in fn.terms:
         pulls = term.pullbacks
         limit = len(pulls) - 1 if len(pulls) >= 2 else len(pulls)
         for j in range(limit):
             rest = pulls[:j] + pulls[j + 1:]
             dp = differentiate(pulls[j], index)
-            out = out + BundleFunction(fn.algebra, fn.arity,
-                                       [Term(term.coeff, rest + (dp,), term.lazies)])
+            parts.append(BundleFunction(fn.algebra, fn.arity,
+                                        [Term(term.coeff, rest + (dp,), term.lazies)]))
         for k, lz in enumerate(term.lazies):
             rest_lz = term.lazies[:k] + term.lazies[k + 1:]
             base = BundleFunction(fn.algebra, fn.arity,
                                   [Term(term.coeff, pulls, rest_lz)])
-            out = out + base * lz.partial(index)
-    return out
+            parts.append(base * lz.partial(index))
+    return BundleFunction.sum(fn.algebra, fn.arity, parts)
 
 
 def _mutate_tau_sign_flip(ops: Ops) -> Ops:
@@ -237,10 +238,9 @@ def _mutate_tau_sign_flip(ops: Ops) -> Ops:
 
 def _mutate_leibniz_drop(ops: Ops) -> Ops:
     def lossy_apply(vector_field, fn):
-        out = BundleFunction.zero(fn.algebra, fn.arity)
-        for i, comp in enumerate(vector_field.components):
-            out = out + comp * _dropped_partial(fn, i)
-        return out
+        return BundleFunction.sum(fn.algebra, fn.arity,
+                                  [comp * _dropped_partial(fn, i)
+                                   for i, comp in enumerate(vector_field.components)])
 
     return replace(ops, apply_field=lossy_apply)
 
@@ -289,29 +289,71 @@ MUTATION_TARGETS: dict[str, tuple[str, ...]] = {
 }
 
 
-# -- shared helpers ----------------------------------------------------------------
+# -- cases and the runner's shared steps ---------------------------------------------
+#
+# A check is a generator of (residual, witness) cases; ``_worst_case`` runs one
+# and keeps the first case with the largest residual.  Cases are produced
+# lazily, so every draw happens at the same place in the check's RNG stream
+# as it would in a hand-written loop.
 
-class _Tracker:
-    """Running maximum residual with the witness that produced it."""
-
-    __slots__ = ("worst", "witness")
-
-    def __init__(self):
-        self.worst = -1.0
-        self.witness = None
-
-    def update(self, residual: float, witness: dict):
+def _worst_case(check: Callable, spec: CheckSpec, ops: Ops,
+                rng: np.random.Generator) -> tuple[float, dict | None]:
+    """The first-seen worst (residual, witness) of a check; (0.0, None)
+    when it yields no cases."""
+    worst, witness = -1.0, None
+    for residual, case_witness in check(spec, ops, rng):
         residual = float(residual)
-        if residual > self.worst:
-            self.worst = residual
-            self.witness = witness
-
-    def result(self) -> tuple[float, dict | None]:
-        return max(self.worst, 0.0), self.witness
+        if residual > worst:
+            worst, witness = residual, case_witness
+    return max(worst, 0.0), witness
 
 
 def _coords_json(point: NearPoint) -> list:
     return [[float(v) for v in c.coeffs] for c in point.coords]
+
+
+def _sampled(lhs: BundleFunction, rhs: BundleFunction, spec: CheckSpec,
+             rng: np.random.Generator, **witness) -> tuple[float, dict]:
+    """One case: the worst sampled |lhs - rhs|, with its point in the witness."""
+    residual, point = max_difference(lhs, rhs, samples=spec.samples, rng=rng)
+    witness["point"] = _coords_json(point)
+    return residual, witness
+
+
+def _componentwise(lhs_field: BundleVectorField, rhs_field: BundleVectorField,
+                   spec: CheckSpec, rng: np.random.Generator, **witness):
+    """One sampled case per component of two fields."""
+    for i, (lhs, rhs) in enumerate(zip(lhs_field.components, rhs_field.components)):
+        yield _sampled(lhs, rhs, spec, rng, component=i, **witness)
+
+
+def _derivation_sides(apply: Callable, field, bracket: Callable,
+                      phi: BundleFunction, psi: BundleFunction):
+    """Both sides of field(phi . psi) = field(phi) . psi + phi . field(psi)."""
+    lhs = apply(field, bracket(phi, psi))
+    rhs = bracket(apply(field, phi), psi) + bracket(phi, apply(field, psi))
+    return lhs, rhs
+
+
+def _spec_algebras(spec: CheckSpec):
+    """(key, algebra) for each battery algebra the spec names."""
+    return ((key, battery_algebra(key)) for key in spec.algebras)
+
+
+def _poisson_cases(spec: CheckSpec):
+    """Each spec algebra against both Poisson structures, with the witness
+    context naming the pair."""
+    for key, algebra in _spec_algebras(spec):
+        for sname, structure in (("canonical2", PoissonStructure.canonical(2)),
+                                 ("rotational3", PoissonStructure.rotational())):
+            yield ({"algebra": key, "structure": sname}, algebra, structure,
+                   ProlongedPoisson(structure, algebra))
+
+
+def _lifted_pair(n: int, algebra: WeilAlgebra, rng: np.random.Generator):
+    """Two prolonged random polynomials of degree at most 2."""
+    return [prolong_function(random_polynomial(n, rng, max_degree=2), algebra)
+            for _ in range(2)]
 
 
 def _element_diff(a: WeilElement, b: WeilElement) -> float:
@@ -322,51 +364,110 @@ def _field_texts(field: BaseVectorField) -> list[str]:
     return [c.text for c in field.components]
 
 
-def _poisson_structures() -> list[tuple[str, PoissonStructure]]:
-    return [("canonical2", PoissonStructure.canonical(2)),
-            ("rotational3", PoissonStructure.rotational())]
-
-
 def _small_generators(arity: int) -> list[ScalarExpr]:
     gens: list[ScalarExpr] = [var(i, arity) for i in range(arity)]
     gens.append(mul(var(0, arity), var(arity - 1, arity)))
     return gens
 
 
+def _worst_real(exprs, points: np.ndarray) -> float:
+    """Largest |expr(x)| over base expressions and probe points."""
+    return max((abs(eval_real(expr, x.tolist())) for expr in exprs for x in points),
+               default=0.0)
+
+
 def _base_poisson_defect(theta: BaseVectorField, structure: PoissonStructure,
-                         gens: Sequence[ScalarExpr],
                          points: np.ndarray) -> float:
     """Worst sampled residual of the base bracket-compatibility defect."""
     defect = adjoint_differential(BaseCochain(1, theta), structure).value
-    worst = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            expr = defect(gens[i], gens[j])
-            for x in points:
-                worst = max(worst, abs(eval_real(expr, x.tolist())))
-    return worst
+    pairs = itertools.combinations(_small_generators(structure.arity), 2)
+    return _worst_real((defect(f, g) for f, g in pairs), points)
 
 
 def _base_symplectic_defect(theta: BaseVectorField, structure: SymplecticStructure,
                             points: np.ndarray) -> float:
     """Worst sampled coefficient of d(i_theta Omega) on the base."""
     closed = exterior_derivative(base_interior_product(theta, structure.form))
-    worst = 0.0
-    for expr in closed.coeffs.values():
-        for x in points:
-            worst = max(worst, abs(eval_real(expr, x.tolist())))
-    return worst
+    return _worst_real(closed.coeffs.values(), points)
+
+
+def _poisson_local_test(field: BundleVectorField, structure: PoissonStructure,
+                        algebra: WeilAlgebra, **options) -> bool:
+    """The Poisson local test, called like ``is_locally_hamiltonian_symplectic``."""
+    return is_locally_hamiltonian_poisson(
+        field, ProlongedPoisson(structure, algebra),
+        _small_generators(structure.arity), **options)
+
+
+def _verdict_agreement(spec: CheckSpec, rng: np.random.Generator, structures,
+                       potential_field: Callable, base_defect: Callable,
+                       lifted_test: Callable):
+    """One case counting the disagreements of base and lifted local verdicts.
+
+    Per structure, closed fields come from random potentials and open fields
+    from a search of up to 50 random fields for a visible base defect; every
+    field is then decided over each spec algebra.  The witness is the last
+    disagreement, or the case count when there is none.
+    """
+    disagreements, total, witness = 0, 0, None
+    for where, structure in structures:
+        n = structure.arity
+        probe = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=(4, n))
+        cases: list[tuple[str, BaseVectorField, float]] = []
+        for _ in range(spec.expressions):
+            theta = potential_field(random_polynomial(n, rng, max_degree=2),
+                                    structure)
+            cases.append(("closed", theta, base_defect(theta, structure, probe)))
+        for _ in range(spec.expressions):
+            theta, defect = None, 0.0
+            for _ in range(50):
+                candidate = random_base_field(n, rng, max_degree=2)
+                value = base_defect(candidate, structure, probe)
+                if value > defect:
+                    theta, defect = candidate, value
+                if defect > _OPEN_MARGIN:
+                    break
+            cases.append(("open", theta, defect))
+        for key, algebra in _spec_algebras(spec):
+            for kind, theta, defect in cases:
+                total += 1
+                base_verdict = defect <= _VERDICT_TOL
+                lifted_verdict = lifted_test(
+                    prolong_vector_field(theta, algebra), structure, algebra,
+                    samples=spec.samples, tol=_VERDICT_TOL, rng=rng)
+                if lifted_verdict != base_verdict:
+                    disagreements += 1
+                    witness = {
+                        **where, "algebra": key, "kind": kind,
+                        "theta": _field_texts(theta),
+                        "base_defect": float(defect),
+                        "base_verdict": base_verdict,
+                        "lifted_verdict": lifted_verdict,
+                    }
+    yield float(disagreements), witness or {"cases": total, "disagreements": 0}
 
 
 # -- checks -----------------------------------------------------------------------
 
+# callable(spec, ops, rng) runs the whole check and returns (residual, witness)
+_REGISTRY: dict[str, tuple[Callable, CheckSpec]] = {}
+
+
+def _check(spec: CheckSpec) -> Callable:
+    """Register a case generator as the check named by its spec."""
+    def register(cases: Callable) -> Callable:
+        _REGISTRY[spec.name] = (functools.partial(_worst_case, cases), spec)
+        return cases
+    return register
+
+
+@_check(CheckSpec("morphism_function_lift",
+                  "sums, scalar multiples, and products lift through prolongation",
+                  1e-9, samples=32, expressions=8))
 def _check_morphism_function_lift(spec: CheckSpec, ops: Ops,
                                   rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for idx in range(spec.expressions):
-            n = spec.arities[idx % len(spec.arities)]
+    for key, algebra in _spec_algebras(spec):
+        for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
             f = random_expression(n, rng)
             g = random_expression(n, rng)
             lam = round(float(rng.uniform(-2.0, 2.0)), 3)
@@ -380,22 +481,22 @@ def _check_morphism_function_lift(spec: CheckSpec, ops: Ops,
                 fv = ops.eval_weil(f, xi.coords)
                 gv = ops.eval_weil(g, xi.coords)
                 for label, combined, expected in cases:
-                    residual = _element_diff(ops.eval_weil(combined, xi.coords),
-                                             expected(fv, gv))
-                    tracker.update(residual, {
+                    yield _element_diff(ops.eval_weil(combined, xi.coords),
+                                        expected(fv, gv)), {
                         "algebra": key, "identity": label, "f": f.text,
                         "g": g.text, "scalar": lam, "point": _coords_json(xi),
-                    })
-    return tracker.result()
+                    }
 
 
+@_check(CheckSpec("dual_forward_derivative",
+                  "dual-number nilpotent parts recover first derivatives, checked "
+                  "against symbolic and central finite differences",
+                  1e-6, samples=4, expressions=20, algebras=("dual",)))
 def _check_dual_forward_derivative(spec: CheckSpec, ops: Ops,
                                    rng: np.random.Generator):
-    tracker = _Tracker()
     algebra = battery_algebra("dual")
     step = 1e-5
-    for idx in range(spec.expressions):
-        n = spec.arities[idx % len(spec.arities)]
+    for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
         f = random_expression(n, rng)
         grads = [differentiate(f, d) for d in range(n)]
         for _ in range(spec.samples):
@@ -415,20 +516,22 @@ def _check_dual_forward_derivative(spec: CheckSpec, ops: Ops,
                 fd = (upper - lower) / (2.0 * step)
                 residual = max(abs(slope - fd) / max(1.0, abs(fd)),
                                abs(slope - exact) / max(1.0, abs(exact)))
-                tracker.update(residual, {
+                yield residual, {
                     "f": f.text, "direction": d, "x": [float(v) for v in base],
                     "slope": slope, "finite_difference": float(fd),
-                })
-    return tracker.result()
+                }
 
 
+@_check(CheckSpec("taylor_coefficients",
+                  "single-variable jets carry k-th derivatives over k! as "
+                  "coefficients",
+                  1e-7, samples=4, expressions=8,
+                  algebras=("dual", "t3", "t4"), arities=(1,)))
 def _check_taylor_coefficients(spec: CheckSpec, ops: Ops,
                                rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
+    for key, algebra in _spec_algebras(spec):
         if _BATTERY_BY_KEY[key].width != 1:
             continue
-        algebra = battery_algebra(key)
         height = algebra.height
         for _ in range(spec.expressions):
             f = random_expression(1, rng)
@@ -444,21 +547,21 @@ def _check_taylor_coefficients(spec: CheckSpec, ops: Ops,
                     if k:
                         factorial *= k
                     expected = eval_real(derivs[k], [x]) / factorial
-                    tracker.update(abs(float(jet.coeffs[k]) - expected), {
+                    yield abs(float(jet.coeffs[k]) - expected), {
                         "algebra": key, "f": f.text, "x": x, "order": k,
                         "coefficient": float(jet.coeffs[k]),
                         "expected": float(expected),
-                    })
-    return tracker.result()
+                    }
 
 
+@_check(CheckSpec("lie_morphism_fields",
+                  "field prolongation preserves brackets, function scaling, and "
+                  "sums",
+                  1e-8, samples=6, expressions=8, arities=(1, 2, 3)))
 def _check_lie_morphism_fields(spec: CheckSpec, ops: Ops,
                                rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for idx in range(spec.expressions):
-            n = spec.arities[idx % len(spec.arities)]
+    for key, algebra in _spec_algebras(spec):
+        for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
             theta1 = random_base_field(n, rng)
             theta2 = random_base_field(n, rng)
             f = random_polynomial(n, rng, max_degree=2)
@@ -477,24 +580,19 @@ def _check_lie_morphism_fields(spec: CheckSpec, ops: Ops,
                  lifted1 + lifted2),
             )
             for label, lhs, rhs in cases:
-                for i in range(n):
-                    residual, point = max_difference(
-                        lhs.components[i], rhs.components[i],
-                        samples=spec.samples, rng=rng)
-                    tracker.update(residual, {
-                        "algebra": key, "identity": label, "component": i,
-                        "theta1": _field_texts(theta1),
-                        "theta2": _field_texts(theta2),
-                        "factor": f.text, "point": _coords_json(point),
-                    })
-    return tracker.result()
+                yield from _componentwise(
+                    lhs, rhs, spec, rng, algebra=key, identity=label,
+                    theta1=_field_texts(theta1), theta2=_field_texts(theta2),
+                    factor=f.text)
 
 
+@_check(CheckSpec("functoriality_composition",
+                  "composition with a polynomial map lifts through the "
+                  "pushforward of near-points",
+                  1e-9, samples=8, expressions=8, arities=(2,)))
 def _check_functoriality_composition(spec: CheckSpec, ops: Ops,
                                      rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
+    for key, algebra in _spec_algebras(spec):
         for _ in range(spec.expressions):
             smooth_map = [random_polynomial(2, rng, max_degree=2, max_terms=3)
                           for _ in range(2)]
@@ -503,175 +601,103 @@ def _check_functoriality_composition(spec: CheckSpec, ops: Ops,
             for _ in range(spec.samples):
                 xi = sample_near_point(algebra, 2, rng)
                 eta = pushforward_map(smooth_map, xi)
-                residual = _element_diff(ops.eval_weil(composed, xi.coords),
-                                         ops.eval_weil(g, eta.coords))
-                tracker.update(residual, {
+                yield _element_diff(ops.eval_weil(composed, xi.coords),
+                                    ops.eval_weil(g, eta.coords)), {
                     "algebra": key, "map": [c.text for c in smooth_map],
                     "g": g.text, "point": _coords_json(xi),
-                })
-    return tracker.result()
+                }
 
 
+@_check(CheckSpec("prop1_cochain_prolongation",
+                  "the adjoint differential of a lifted 1-cochain is the lifted "
+                  "base defect",
+                  1e-8, samples=6, expressions=4))
 def _check_prop1_cochain_prolongation(spec: CheckSpec, ops: Ops,
                                       rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for sname, structure in _poisson_structures():
-            n = structure.arity
-            prolonged = ProlongedPoisson(structure, algebra)
-            for _ in range(spec.expressions):
-                eta = random_base_field(n, rng, max_degree=2)
-                base_defect = adjoint_differential(
-                    BaseCochain(1, eta), structure).value
-                lifted_defect = prolonged_adjoint_differential(
-                    PoissonCochain(1, prolong_vector_field(eta, algebra)),
-                    prolonged).value
-                for _ in range(6):
-                    f = random_polynomial(n, rng, max_degree=2)
-                    g = random_polynomial(n, rng, max_degree=2)
-                    lhs = lifted_defect(prolong_function(f, algebra),
-                                        prolong_function(g, algebra))
-                    rhs = prolong_function(base_defect(f, g), algebra)
-                    residual, point = max_difference(lhs, rhs,
-                                                     samples=spec.samples, rng=rng)
-                    tracker.update(residual, {
-                        "algebra": key, "structure": sname,
-                        "eta": _field_texts(eta), "f": f.text, "g": g.text,
-                        "point": _coords_json(point),
-                    })
-    return tracker.result()
+    for where, algebra, structure, prolonged in _poisson_cases(spec):
+        n = structure.arity
+        for _ in range(spec.expressions):
+            eta = random_base_field(n, rng, max_degree=2)
+            base_defect = adjoint_differential(BaseCochain(1, eta), structure).value
+            lifted_defect = prolonged_adjoint_differential(
+                PoissonCochain(1, prolong_vector_field(eta, algebra)),
+                prolonged).value
+            for _ in range(6):
+                f = random_polynomial(n, rng, max_degree=2)
+                g = random_polynomial(n, rng, max_degree=2)
+                lhs = lifted_defect(prolong_function(f, algebra),
+                                    prolong_function(g, algebra))
+                rhs = prolong_function(base_defect(f, g), algebra)
+                yield _sampled(lhs, rhs, spec, rng, **where,
+                               eta=_field_texts(eta), f=f.text, g=g.text)
 
 
+@_check(CheckSpec("prop2_local_iff",
+                  "base and lifted local-hamiltonicity verdicts agree (residual "
+                  "counts disagreements)",
+                  0.5, samples=4, expressions=6, arities=(3,)))
 def _check_prop2_local_iff(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
-    structure = PoissonStructure.rotational()
-    n = structure.arity
-    gens = _small_generators(n)
-    probe = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=(4, n))
-    cases: list[tuple[str, BaseVectorField, float]] = []
-    for _ in range(spec.expressions):
-        f = random_polynomial(n, rng, max_degree=2)
-        theta = structure.ad(f)
-        cases.append(("closed", theta, _base_poisson_defect(theta, structure,
-                                                            gens, probe)))
-    for _ in range(spec.expressions):
-        theta, defect = None, 0.0
-        for _ in range(50):
-            candidate = random_base_field(n, rng, max_degree=2)
-            value = _base_poisson_defect(candidate, structure, gens, probe)
-            if value > defect:
-                theta, defect = candidate, value
-            if defect > _OPEN_MARGIN:
-                break
-        cases.append(("open", theta, defect))
-    disagreements = 0
-    witness = None
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        prolonged = ProlongedPoisson(structure, algebra)
-        for kind, theta, base_defect in cases:
-            base_verdict = base_defect <= _VERDICT_TOL
-            lifted_verdict = is_locally_hamiltonian_poisson(
-                prolong_vector_field(theta, algebra), prolonged, gens,
-                samples=spec.samples, tol=_VERDICT_TOL, rng=rng)
-            if lifted_verdict != base_verdict:
-                disagreements += 1
-                witness = {
-                    "algebra": key, "kind": kind, "theta": _field_texts(theta),
-                    "base_defect": float(base_defect),
-                    "base_verdict": base_verdict,
-                    "lifted_verdict": lifted_verdict,
-                }
-    if witness is None:
-        witness = {"cases": len(cases) * len(spec.algebras), "disagreements": 0}
-    return float(disagreements), witness
+    return _verdict_agreement(
+        spec, rng, [({}, PoissonStructure.rotational())],
+        lambda f, structure: structure.ad(f), _base_poisson_defect,
+        _poisson_local_test)
 
 
+@_check(CheckSpec("prop3_bracket_derivation",
+                  "locally hamiltonian fields derive the prolonged Poisson "
+                  "bracket",
+                  1e-8, samples=4, expressions=10))
 def _check_prop3_bracket_derivation(spec: CheckSpec, ops: Ops,
                                     rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for sname, structure in _poisson_structures():
-            n = structure.arity
-            prolonged = ProlongedPoisson(structure, algebra)
-            chi = random_polynomial(n, rng, max_degree=3)
-            derivation = poisson_derivation(prolonged,
-                                            prolong_function(chi, algebra))
-            if not is_locally_hamiltonian_poisson(
-                    derivation, prolonged, _small_generators(n),
-                    samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
-                tracker.update(1.0, {
-                    "algebra": key, "structure": sname, "chi": chi.text,
-                    "reason": "premise field failed the local test",
-                })
-                continue
-            for _ in range(spec.expressions):
-                phi = prolong_function(random_polynomial(n, rng, max_degree=2),
-                                       algebra)
-                psi = prolong_function(random_polynomial(n, rng, max_degree=2),
-                                       algebra)
-                lhs = ops.apply_field(derivation,
-                                      prolonged_bracket(prolonged, phi, psi))
-                rhs = (prolonged_bracket(prolonged,
-                                         ops.apply_field(derivation, phi), psi)
-                       + prolonged_bracket(prolonged, phi,
-                                           ops.apply_field(derivation, psi)))
-                residual, point = max_difference(lhs, rhs,
-                                                 samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "structure": sname, "chi": chi.text,
-                    "point": _coords_json(point),
-                })
-    return tracker.result()
+    for where, algebra, structure, prolonged in _poisson_cases(spec):
+        n = structure.arity
+        chi = random_polynomial(n, rng, max_degree=3)
+        derivation = poisson_derivation(prolonged,
+                                        prolong_function(chi, algebra))
+        if not _poisson_local_test(derivation, structure, algebra,
+                                   samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
+            yield 1.0, {**where, "chi": chi.text,
+                        "reason": "premise field failed the local test"}
+            continue
+        for _ in range(spec.expressions):
+            lhs, rhs = _derivation_sides(ops.apply_field, derivation,
+                                         prolonged.bracket,
+                                         *_lifted_pair(n, algebra, rng))
+            yield _sampled(lhs, rhs, spec, rng, **where, chi=chi.text)
 
 
+@_check(CheckSpec("prop4_prop5_global_witness",
+                  "hamiltonian fields prolong to the Poisson derivation of the "
+                  "lifted potential, as fields and on brackets",
+                  1e-8, samples=6, expressions=10))
 def _check_prop4_prop5_global_witness(spec: CheckSpec, ops: Ops,
                                       rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for sname, structure in _poisson_structures():
-            n = structure.arity
-            prolonged = ProlongedPoisson(structure, algebra)
-            f = random_polynomial(n, rng, max_degree=3)
-            lifted_potential = prolong_function(f, algebra)
-            lifted_field = prolong_vector_field(structure.ad(f), algebra)
-            derivation = ops.tau_field(prolonged, lifted_potential)
-            for i in range(n):
-                residual, point = max_difference(
-                    lifted_field.components[i], derivation.components[i],
-                    samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "structure": sname, "part": "field",
-                    "f": f.text, "component": i, "point": _coords_json(point),
-                })
-            for _ in range(spec.expressions):
-                psi = random_bundle_function(algebra, n, rng)
-                residual, point = max_difference(
-                    apply_field(lifted_field, psi),
-                    apply_field(derivation, psi),
-                    samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "structure": sname, "part": "bracket",
-                    "f": f.text, "point": _coords_json(point),
-                })
-            if not check_global_witness_poisson(
-                    lifted_field, lifted_potential, prolonged,
-                    samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
-                tracker.update(1.0, {
-                    "algebra": key, "structure": sname, "part": "witness",
-                    "f": f.text,
-                })
-    return tracker.result()
+    for where, algebra, structure, prolonged in _poisson_cases(spec):
+        n = structure.arity
+        f = random_polynomial(n, rng, max_degree=3)
+        lifted_potential = prolong_function(f, algebra)
+        lifted_field = prolong_vector_field(structure.ad(f), algebra)
+        derivation = ops.tau_field(prolonged, lifted_potential)
+        yield from _componentwise(lifted_field, derivation, spec, rng, **where,
+                                  part="field", f=f.text)
+        for _ in range(spec.expressions):
+            psi = random_bundle_function(algebra, n, rng)
+            yield _sampled(apply_field(lifted_field, psi),
+                           apply_field(derivation, psi), spec, rng, **where,
+                           part="bracket", f=f.text)
+        if not check_global_witness_poisson(
+                lifted_field, lifted_potential, prolonged,
+                samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
+            yield 1.0, {**where, "part": "witness", "f": f.text}
 
 
+@_check(CheckSpec("prop6_interior_prolongation",
+                  "interior products commute with prolongation in degrees 1 and 2",
+                  1e-8, samples=6, expressions=4, arities=(3,)))
 def _check_prop6_interior_prolongation(spec: CheckSpec, ops: Ops,
                                        rng: np.random.Generator):
-    tracker = _Tracker()
     n = spec.arities[0]
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
+    for key, algebra in _spec_algebras(spec):
         for degree in (1, 2):
             for _ in range(spec.expressions):
                 theta = random_base_field(n, rng, max_degree=2)
@@ -680,21 +706,18 @@ def _check_prop6_interior_prolongation(spec: CheckSpec, ops: Ops,
                 rhs = interior_product(prolong_vector_field(theta, algebra),
                                        prolong_form(omega, algebra))
                 for idx in increasing_tuples(n, degree - 1):
-                    residual, point = max_difference(
-                        lhs.coefficient(idx), rhs.coefficient(idx),
-                        samples=spec.samples, rng=rng)
-                    tracker.update(residual, {
-                        "algebra": key, "degree": degree, "index": list(idx),
-                        "theta": _field_texts(theta), "point": _coords_json(point),
-                    })
-    return tracker.result()
+                    yield _sampled(lhs.coefficient(idx), rhs.coefficient(idx),
+                                   spec, rng, algebra=key, degree=degree,
+                                   index=list(idx), theta=_field_texts(theta))
 
 
+@_check(CheckSpec("thm1_bracket_coincidence",
+                  "the symplectic bracket equals the inverse-bivector Poisson "
+                  "bracket, and hamiltonian fields commute with prolongation",
+                  1e-8, samples=4, expressions=5, arities=(2, 4)))
 def _check_thm1_bracket_coincidence(spec: CheckSpec, ops: Ops,
                                     rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
+    for key, algebra in _spec_algebras(spec):
         for n in spec.arities:
             structure = SymplecticStructure.canonical(n)
             bivector = inverse_bivector(structure)
@@ -704,35 +727,26 @@ def _check_thm1_bracket_coincidence(spec: CheckSpec, ops: Ops,
                 psi = random_bundle_function(algebra, n, rng)
                 lhs = symplectic_bracket(phi, psi, structure, algebra)
                 rhs = apply_field(ops.tau_field(prolonged, phi), psi)
-                residual, point = max_difference(lhs, rhs,
-                                                 samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "arity": n, "part": "bracket",
-                    "point": _coords_json(point),
-                })
+                yield _sampled(lhs, rhs, spec, rng, algebra=key, arity=n,
+                               part="bracket")
             f = random_polynomial(n, rng, max_degree=3)
             solved = hamiltonian_field(prolong_function(f, algebra),
                                        structure, algebra)
             lifted = prolong_vector_field(base_hamiltonian_field(f, structure),
                                           algebra)
-            for i in range(n):
-                residual, point = max_difference(
-                    solved.components[i], lifted.components[i],
-                    samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "arity": n, "part": "field", "f": f.text,
-                    "component": i, "point": _coords_json(point),
-                })
-    return tracker.result()
+            yield from _componentwise(solved, lifted, spec, rng, algebra=key,
+                                      arity=n, part="field", f=f.text)
 
 
+@_check(CheckSpec("thm2_symplectic_derivation",
+                  "locally hamiltonian fields derive the prolonged symplectic "
+                  "bracket",
+                  1e-8, samples=4, expressions=10, arities=(2,)))
 def _check_thm2_symplectic_derivation(spec: CheckSpec, ops: Ops,
                                       rng: np.random.Generator):
-    tracker = _Tracker()
     structure = SymplecticStructure.canonical(2)
     bivector = inverse_bivector(structure)
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
+    for key, algebra in _spec_algebras(spec):
         prolonged = ProlongedPoisson(bivector, algebra)
         f = random_polynomial(2, rng, max_degree=3)
         lifted_field = prolong_vector_field(base_hamiltonian_field(f, structure),
@@ -740,52 +754,29 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, ops: Ops,
         if not is_locally_hamiltonian_symplectic(
                 lifted_field, structure, algebra,
                 samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
-            tracker.update(1.0, {
-                "algebra": key, "f": f.text,
-                "reason": "premise field failed the local test",
-            })
+            yield 1.0, {"algebra": key, "f": f.text,
+                        "reason": "premise field failed the local test"}
             continue
-        # one anchor pair through the pointwise-solved bracket itself
-        phi0 = prolong_function(random_polynomial(2, rng, max_degree=2), algebra)
-        psi0 = prolong_function(random_polynomial(2, rng, max_degree=2), algebra)
-        lhs0 = ops.apply_field(lifted_field,
-                               symplectic_bracket(phi0, psi0, structure, algebra))
-        rhs0 = (symplectic_bracket(ops.apply_field(lifted_field, phi0), psi0,
-                                   structure, algebra)
-                + symplectic_bracket(phi0, ops.apply_field(lifted_field, psi0),
-                                     structure, algebra))
-        residual, point = max_difference(lhs0, rhs0, samples=spec.samples, rng=rng)
-        tracker.update(residual, {
-            "algebra": key, "f": f.text, "part": "solved_bracket",
-            "point": _coords_json(point),
-        })
+        # one anchor pair through the pointwise-solved bracket itself, the
         # remaining pairs through the equivalent inverse-bivector bracket
-        for _ in range(spec.expressions):
-            phi = prolong_function(random_polynomial(2, rng, max_degree=2),
-                                   algebra)
-            psi = prolong_function(random_polynomial(2, rng, max_degree=2),
-                                   algebra)
-            lhs = ops.apply_field(lifted_field,
-                                  prolonged_bracket(prolonged, phi, psi))
-            rhs = (prolonged_bracket(prolonged,
-                                     ops.apply_field(lifted_field, phi), psi)
-                   + prolonged_bracket(prolonged, phi,
-                                       ops.apply_field(lifted_field, psi)))
-            residual, point = max_difference(lhs, rhs,
-                                             samples=spec.samples, rng=rng)
-            tracker.update(residual, {
-                "algebra": key, "f": f.text, "part": "bivector_bracket",
-                "point": _coords_json(point),
-            })
-    return tracker.result()
+        solved_bracket = functools.partial(symplectic_bracket, structure=structure,
+                                           algebra=algebra)
+        brackets = ([("solved_bracket", solved_bracket)]
+                    + [("bivector_bracket", prolonged.bracket)] * spec.expressions)
+        for part, bracket in brackets:
+            lhs, rhs = _derivation_sides(ops.apply_field, lifted_field, bracket,
+                                         *_lifted_pair(2, algebra, rng))
+            yield _sampled(lhs, rhs, spec, rng, algebra=key, f=f.text, part=part)
 
 
+@_check(CheckSpec("prop7_symplectic_global",
+                  "lifted hamiltonian fields certify their lifted potentials "
+                  "under the configured sign",
+                  1e-8, samples=4, expressions=8, arities=(2,)))
 def _check_prop7_symplectic_global(spec: CheckSpec, ops: Ops,
                                    rng: np.random.Generator):
-    tracker = _Tracker()
     structure = SymplecticStructure.canonical(2)
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
+    for key, algebra in _spec_algebras(spec):
         for _ in range(spec.expressions):
             f = random_polynomial(2, rng, max_degree=3)
             lifted_field = prolong_vector_field(
@@ -794,19 +785,17 @@ def _check_prop7_symplectic_global(spec: CheckSpec, ops: Ops,
                 lifted_field, prolong_function(f, algebra), structure, algebra,
                 sigma=1, samples=spec.samples, tol=spec.tolerance, rng=rng)
             residual = verdict.residual if verdict.ok else max(verdict.residual, 1.0)
-            tracker.update(residual, {
-                "algebra": key, "f": f.text,
-                "matched_sign": verdict.matched_sign,
-            })
-    return tracker.result()
+            yield residual, {"algebra": key, "f": f.text,
+                             "matched_sign": verdict.matched_sign}
 
 
+@_check(CheckSpec("matrix_inverse_neumann",
+                  "nilpotent-series inverses of matrices with well-conditioned "
+                  "real part multiply back to the identity",
+                  1e-9, samples=50, expressions=0))
 def _check_matrix_inverse_neumann(spec: CheckSpec, ops: Ops,
                                   rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        dim = algebra.dim
+    for key, algebra in _spec_algebras(spec):
         for trial in range(spec.samples):
             size = 2 + (trial % 3)
             while True:
@@ -814,193 +803,144 @@ def _check_matrix_inverse_neumann(spec: CheckSpec, ops: Ops,
                 if np.linalg.cond(real) < 100.0:
                     break
             rows = [[algebra.element(np.concatenate(
-                         ([real[i][j]], rng.uniform(-1.0, 1.0, dim - 1))))
+                         ([real[i][j]], rng.uniform(-1.0, 1.0, algebra.dim - 1))))
                      for j in range(size)] for i in range(size)]
-            inverse = ops.matrix_inverse(rows)
-            product = _matrix_product(rows, inverse, size)
-            residual = 0.0
-            for i in range(size):
-                for j in range(size):
-                    target = algebra.from_real(1.0 if i == j else 0.0)
-                    residual = max(residual,
-                                   _element_diff(product[i][j], target))
-            tracker.update(residual, {
+            product = _matrix_product(rows, ops.matrix_inverse(rows), size)
+            coeffs = np.array([[entry.coeffs for entry in row] for row in product])
+            identity = np.eye(size)[:, :, None] * algebra.unit().coeffs
+            residual = float(np.max(np.abs(coeffs - identity)))
+            yield residual, {
                 "algebra": key, "size": size,
                 "matrix": [[[float(v) for v in entry.coeffs] for entry in row]
                            for row in rows],
-            })
-    return tracker.result()
+            }
 
 
+@_check(CheckSpec("leibniz_derivation",
+                  "prolonged fields satisfy the Leibniz rule on products",
+                  1e-9, samples=8, expressions=4, arities=(2,)))
 def _check_leibniz_derivation(spec: CheckSpec, ops: Ops,
                               rng: np.random.Generator):
-    tracker = _Tracker()
     n = spec.arities[0]
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
+    for key, algebra in _spec_algebras(spec):
         for _ in range(spec.expressions):
             theta = random_base_field(n, rng, max_degree=2)
             lifted = prolong_vector_field(theta, algebra)
-            phi = prolong_function(random_polynomial(n, rng, max_degree=2),
-                                   algebra)
-            psi = prolong_function(random_polynomial(n, rng, max_degree=2),
-                                   algebra)
+            phi, psi = _lifted_pair(n, algebra, rng)
             chi = random_bundle_function(algebra, n, rng)
             for label, left, right in (("pullbacks", phi, psi),
                                        ("mixed", phi, chi)):
-                lhs = ops.apply_field(lifted, left * right)
-                rhs = (ops.apply_field(lifted, left) * right
-                       + left * ops.apply_field(lifted, right))
-                residual, point = max_difference(lhs, rhs,
-                                                 samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "case": label,
-                    "theta": _field_texts(theta), "point": _coords_json(point),
-                })
-    return tracker.result()
+                lhs, rhs = _derivation_sides(ops.apply_field, lifted,
+                                             operator.mul, left, right)
+                yield _sampled(lhs, rhs, spec, rng, algebra=key, case=label,
+                               theta=_field_texts(theta))
 
 
+@_check(CheckSpec("tau_calculus",
+                  "the Poisson derivation map anchors to base brackets and is "
+                  "additive, module-linear, and Leibniz",
+                  1e-8, samples=4, expressions=3))
 def _check_tau_calculus(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for sname, structure in _poisson_structures():
-            n = structure.arity
-            prolonged = ProlongedPoisson(structure, algebra)
-            for _ in range(spec.expressions):
-                f = random_polynomial(n, rng, max_degree=2)
-                g = random_polynomial(n, rng, max_degree=2)
-                anchored = apply_field(
-                    ops.tau_field(prolonged, prolong_function(f, algebra)),
-                    prolong_function(g, algebra))
-                residual, point = max_difference(
-                    anchored, prolong_function(structure.bracket(f, g), algebra),
-                    samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "structure": sname, "identity": "base_anchor",
-                    "f": f.text, "g": g.text, "point": _coords_json(point),
-                })
-                phi = random_bundle_function(algebra, n, rng)
-                psi = random_bundle_function(algebra, n, rng)
-                scale = sample_element(algebra, rng)
-                tau_phi = ops.tau_field(prolonged, phi)
-                tau_psi = ops.tau_field(prolonged, psi)
-                cases = (
-                    ("additivity", ops.tau_field(prolonged, phi + psi),
-                     tau_phi + tau_psi),
-                    ("module_linearity", ops.tau_field(prolonged, phi * scale),
-                     tau_phi.scaled(BundleFunction.constant(scale, algebra, n))),
-                    ("leibniz", ops.tau_field(prolonged, phi * psi),
-                     tau_psi.scaled(phi) + tau_phi.scaled(psi)),
-                )
-                for label, lhs, rhs in cases:
-                    for i in range(n):
-                        residual, point = max_difference(
-                            lhs.components[i], rhs.components[i],
-                            samples=spec.samples, rng=rng)
-                        tracker.update(residual, {
-                            "algebra": key, "structure": sname,
-                            "identity": label, "component": i,
-                            "point": _coords_json(point),
-                        })
-    return tracker.result()
+    for where, algebra, structure, prolonged in _poisson_cases(spec):
+        n = structure.arity
+        for _ in range(spec.expressions):
+            f = random_polynomial(n, rng, max_degree=2)
+            g = random_polynomial(n, rng, max_degree=2)
+            anchored = apply_field(
+                ops.tau_field(prolonged, prolong_function(f, algebra)),
+                prolong_function(g, algebra))
+            yield _sampled(
+                anchored, prolong_function(structure.bracket(f, g), algebra),
+                spec, rng, **where, identity="base_anchor", f=f.text, g=g.text)
+            phi = random_bundle_function(algebra, n, rng)
+            psi = random_bundle_function(algebra, n, rng)
+            scale = sample_element(algebra, rng)
+            tau_phi = ops.tau_field(prolonged, phi)
+            tau_psi = ops.tau_field(prolonged, psi)
+            cases = (
+                ("additivity", ops.tau_field(prolonged, phi + psi),
+                 tau_phi + tau_psi),
+                ("module_linearity", ops.tau_field(prolonged, phi * scale),
+                 tau_phi.scaled(BundleFunction.constant(scale, algebra, n))),
+                ("leibniz", ops.tau_field(prolonged, phi * psi),
+                 tau_psi.scaled(phi) + tau_phi.scaled(psi)),
+            )
+            for label, lhs, rhs in cases:
+                yield from _componentwise(lhs, rhs, spec, rng, **where,
+                                          identity=label)
 
 
+@_check(CheckSpec("bracket_prolongation_poisson",
+                  "the prolonged bracket restricts to the lifted base bracket "
+                  "and is antisymmetric",
+                  1e-8, samples=6, expressions=4))
 def _check_bracket_prolongation_poisson(spec: CheckSpec, ops: Ops,
                                         rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for sname, structure in _poisson_structures():
-            n = structure.arity
-            prolonged = ProlongedPoisson(structure, algebra)
-            zero = BundleFunction.zero(algebra, n)
-            for _ in range(spec.expressions):
-                f = random_polynomial(n, rng, max_degree=2)
-                g = random_polynomial(n, rng, max_degree=2)
-                lhs = prolonged.bracket(prolong_function(f, algebra),
-                                        prolong_function(g, algebra))
-                rhs = prolong_function(structure.bracket(f, g), algebra)
-                residual, point = max_difference(lhs, rhs,
-                                                 samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "structure": sname,
-                    "identity": "prolongation", "f": f.text, "g": g.text,
-                    "point": _coords_json(point),
-                })
-                phi = random_bundle_function(algebra, n, rng)
-                psi = random_bundle_function(algebra, n, rng)
-                skew = prolonged.bracket(phi, psi) + prolonged.bracket(psi, phi)
-                residual, point = max_difference(skew, zero,
-                                                 samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "structure": sname,
-                    "identity": "antisymmetry", "point": _coords_json(point),
-                })
-    return tracker.result()
+    for where, algebra, structure, prolonged in _poisson_cases(spec):
+        n = structure.arity
+        zero = BundleFunction.zero(algebra, n)
+        for _ in range(spec.expressions):
+            f = random_polynomial(n, rng, max_degree=2)
+            g = random_polynomial(n, rng, max_degree=2)
+            lhs = prolonged.bracket(prolong_function(f, algebra),
+                                    prolong_function(g, algebra))
+            rhs = prolong_function(structure.bracket(f, g), algebra)
+            yield _sampled(lhs, rhs, spec, rng, **where,
+                           identity="prolongation", f=f.text, g=g.text)
+            phi = random_bundle_function(algebra, n, rng)
+            psi = random_bundle_function(algebra, n, rng)
+            skew = prolonged.bracket(phi, psi) + prolonged.bracket(psi, phi)
+            yield _sampled(skew, zero, spec, rng, **where, identity="antisymmetry")
 
 
+@_check(CheckSpec("poisson_leibniz",
+                  "the prolonged bracket is a derivation in its function slots",
+                  1e-8, samples=6, expressions=4))
 def _check_poisson_leibniz(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for sname, structure in _poisson_structures():
-            n = structure.arity
-            prolonged = ProlongedPoisson(structure, algebra)
-            for _ in range(spec.expressions):
-                phi1 = random_bundle_function(algebra, n, rng)
-                phi2 = random_bundle_function(algebra, n, rng)
-                phi3 = random_bundle_function(algebra, n, rng)
-                lhs = prolonged.bracket(phi1 * phi2, phi3)
-                rhs = (prolonged.bracket(phi1, phi3) * phi2
-                       + phi1 * prolonged.bracket(phi2, phi3))
-                residual, point = max_difference(lhs, rhs,
-                                                 samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "structure": sname,
-                    "point": _coords_json(point),
-                })
-    return tracker.result()
+    for where, algebra, structure, prolonged in _poisson_cases(spec):
+        n = structure.arity
+        for _ in range(spec.expressions):
+            phi1, phi2, phi3 = (random_bundle_function(algebra, n, rng)
+                                for _ in range(3))
+            # {., phi3} is a derivation of products
+            lhs, rhs = _derivation_sides(
+                lambda third, fn: prolonged.bracket(fn, third), phi3,
+                operator.mul, phi1, phi2)
+            yield _sampled(lhs, rhs, spec, rng, **where)
 
 
+@_check(CheckSpec("chain_rule_soundness",
+                  "applying a prolonged field matches the lifted directional "
+                  "derivative; canonical components reconstruct the field",
+                  1e-9, samples=8, expressions=6, arities=(1, 2, 3)))
 def _check_chain_rule_soundness(spec: CheckSpec, ops: Ops,
                                 rng: np.random.Generator):
-    tracker = _Tracker()
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        for idx in range(spec.expressions):
-            n = spec.arities[idx % len(spec.arities)]
+    for key, algebra in _spec_algebras(spec):
+        for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
             theta = random_base_field(n, rng)
             f = random_expression(n, rng)
             lifted = prolong_vector_field(theta, algebra)
             lhs = ops.apply_field(lifted, prolong_function(f, algebra))
             rhs = prolong_function(theta.apply_to(f), algebra)
-            residual, point = max_difference(lhs, rhs,
-                                             samples=spec.samples, rng=rng)
-            tracker.update(residual, {
-                "algebra": key, "identity": "chain",
-                "theta": _field_texts(theta), "f": f.text,
-                "point": _coords_json(point),
-            })
-            for i in range(n):
-                coordinate = prolong_function(var(i, n), algebra)
-                residual, point = max_difference(
-                    apply_field(lifted, coordinate), lifted.components[i],
-                    samples=spec.samples, rng=rng)
-                tracker.update(residual, {
-                    "algebra": key, "identity": "coordinate", "component": i,
-                    "theta": _field_texts(theta), "point": _coords_json(point),
-                })
-    return tracker.result()
+            yield _sampled(lhs, rhs, spec, rng, algebra=key, identity="chain",
+                           theta=_field_texts(theta), f=f.text)
+            applied = BundleVectorField(
+                [apply_field(lifted, prolong_function(var(i, n), algebra))
+                 for i in range(n)])
+            yield from _componentwise(applied, lifted, spec, rng, algebra=key,
+                                      identity="coordinate",
+                                      theta=_field_texts(theta))
 
 
+@_check(CheckSpec("jacobi_field_bracket",
+                  "the bracket of prolonged fields is antisymmetric and "
+                  "satisfies the Jacobi identity",
+                  1e-8, samples=4, expressions=2, arities=(2,)))
 def _check_jacobi_field_bracket(spec: CheckSpec, ops: Ops,
                                 rng: np.random.Generator):
-    tracker = _Tracker()
     n = spec.arities[0]
-    for key in spec.algebras:
-        algebra = battery_algebra(key)
-        zero = BundleFunction.zero(algebra, n)
+    for key, algebra in _spec_algebras(spec):
+        zero = BundleVectorField([BundleFunction.zero(algebra, n)] * n)
         for _ in range(spec.expressions):
             fields = [prolong_vector_field(random_base_field(n, rng, max_degree=2),
                                            algebra) for _ in range(3)]
@@ -1010,179 +950,25 @@ def _check_jacobi_field_bracket(spec: CheckSpec, ops: Ops,
                       + lie_bracket(lie_bracket(y, z), x)
                       + lie_bracket(lie_bracket(z, x), y))
             for label, combo in (("antisymmetry", skew), ("jacobi", cyclic)):
-                for i in range(n):
-                    residual, point = max_difference(
-                        combo.components[i], zero,
-                        samples=spec.samples, rng=rng)
-                    tracker.update(residual, {
-                        "algebra": key, "identity": label, "component": i,
-                        "point": _coords_json(point),
-                    })
-    return tracker.result()
+                yield from _componentwise(combo, zero, spec, rng, algebra=key,
+                                          identity=label)
 
 
-def _symplectic_structures() -> list[tuple[str, SymplecticStructure]]:
-    curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
-    return [("canonical2", SymplecticStructure.canonical(2)),
-            ("curved2", curved)]
-
-
+@_check(CheckSpec("symplectic_local_equivalence",
+                  "base and lifted symplectic local tests agree, including a "
+                  "curved structure (residual counts disagreements)",
+                  0.5, samples=3, expressions=3, arities=(2,)))
 def _check_symplectic_local_equivalence(spec: CheckSpec, ops: Ops,
                                         rng: np.random.Generator):
-    disagreements = 0
-    witness = None
-    cases_total = 0
-    for sname, structure in _symplectic_structures():
-        n = structure.arity
-        probe = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=(4, n))
-        cases: list[tuple[str, BaseVectorField, float]] = []
-        for _ in range(spec.expressions):
-            f = random_polynomial(n, rng, max_degree=2)
-            theta = base_hamiltonian_field(f, structure)
-            cases.append(("closed", theta,
-                          _base_symplectic_defect(theta, structure, probe)))
-        for _ in range(spec.expressions):
-            theta, defect = None, 0.0
-            for _ in range(50):
-                candidate = random_base_field(n, rng, max_degree=2)
-                value = _base_symplectic_defect(candidate, structure, probe)
-                if value > defect:
-                    theta, defect = candidate, value
-                if defect > _OPEN_MARGIN:
-                    break
-            cases.append(("open", theta, defect))
-        for key in spec.algebras:
-            algebra = battery_algebra(key)
-            for kind, theta, base_defect in cases:
-                cases_total += 1
-                base_verdict = base_defect <= _VERDICT_TOL
-                lifted_verdict = is_locally_hamiltonian_symplectic(
-                    prolong_vector_field(theta, algebra), structure, algebra,
-                    samples=spec.samples, tol=_VERDICT_TOL, rng=rng)
-                if lifted_verdict != base_verdict:
-                    disagreements += 1
-                    witness = {
-                        "structure": sname, "algebra": key, "kind": kind,
-                        "theta": _field_texts(theta),
-                        "base_defect": float(base_defect),
-                        "base_verdict": base_verdict,
-                        "lifted_verdict": lifted_verdict,
-                    }
-    if witness is None:
-        witness = {"cases": cases_total, "disagreements": 0}
-    return float(disagreements), witness
+    curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
+    return _verdict_agreement(
+        spec, rng, [({"structure": "canonical2"}, SymplecticStructure.canonical(2)),
+                    ({"structure": "curved2"}, curved)],
+        base_hamiltonian_field, _base_symplectic_defect,
+        is_locally_hamiltonian_symplectic)
 
 
-# -- registry and runner ------------------------------------------------------------
-
-_CHECKS: tuple[tuple[CheckSpec, Callable], ...] = (
-    (CheckSpec("morphism_function_lift",
-               "sums, scalar multiples, and products lift through prolongation",
-               1e-9, samples=32, expressions=8),
-     _check_morphism_function_lift),
-    (CheckSpec("dual_forward_derivative",
-               "dual-number nilpotent parts recover first derivatives, checked "
-               "against symbolic and central finite differences",
-               1e-6, samples=4, expressions=20, algebras=("dual",)),
-     _check_dual_forward_derivative),
-    (CheckSpec("taylor_coefficients",
-               "single-variable jets carry k-th derivatives over k! as "
-               "coefficients",
-               1e-7, samples=4, expressions=8,
-               algebras=("dual", "t3", "t4"), arities=(1,)),
-     _check_taylor_coefficients),
-    (CheckSpec("lie_morphism_fields",
-               "field prolongation preserves brackets, function scaling, and "
-               "sums",
-               1e-8, samples=6, expressions=8, arities=(1, 2, 3)),
-     _check_lie_morphism_fields),
-    (CheckSpec("functoriality_composition",
-               "composition with a polynomial map lifts through the "
-               "pushforward of near-points",
-               1e-9, samples=8, expressions=8, arities=(2,)),
-     _check_functoriality_composition),
-    (CheckSpec("prop1_cochain_prolongation",
-               "the adjoint differential of a lifted 1-cochain is the lifted "
-               "base defect",
-               1e-8, samples=6, expressions=4),
-     _check_prop1_cochain_prolongation),
-    (CheckSpec("prop2_local_iff",
-               "base and lifted local-hamiltonicity verdicts agree (residual "
-               "counts disagreements)",
-               0.5, samples=4, expressions=6, arities=(3,)),
-     _check_prop2_local_iff),
-    (CheckSpec("prop3_bracket_derivation",
-               "locally hamiltonian fields derive the prolonged Poisson "
-               "bracket",
-               1e-8, samples=4, expressions=10),
-     _check_prop3_bracket_derivation),
-    (CheckSpec("prop4_prop5_global_witness",
-               "hamiltonian fields prolong to the Poisson derivation of the "
-               "lifted potential, as fields and on brackets",
-               1e-8, samples=6, expressions=10),
-     _check_prop4_prop5_global_witness),
-    (CheckSpec("prop6_interior_prolongation",
-               "interior products commute with prolongation in degrees 1 and 2",
-               1e-8, samples=6, expressions=4, arities=(3,)),
-     _check_prop6_interior_prolongation),
-    (CheckSpec("thm1_bracket_coincidence",
-               "the symplectic bracket equals the inverse-bivector Poisson "
-               "bracket, and hamiltonian fields commute with prolongation",
-               1e-8, samples=4, expressions=5, arities=(2, 4)),
-     _check_thm1_bracket_coincidence),
-    (CheckSpec("thm2_symplectic_derivation",
-               "locally hamiltonian fields derive the prolonged symplectic "
-               "bracket",
-               1e-8, samples=4, expressions=10, arities=(2,)),
-     _check_thm2_symplectic_derivation),
-    (CheckSpec("prop7_symplectic_global",
-               "lifted hamiltonian fields certify their lifted potentials "
-               "under the configured sign",
-               1e-8, samples=4, expressions=8, arities=(2,)),
-     _check_prop7_symplectic_global),
-    (CheckSpec("matrix_inverse_neumann",
-               "nilpotent-series inverses of matrices with well-conditioned "
-               "real part multiply back to the identity",
-               1e-9, samples=50, expressions=0),
-     _check_matrix_inverse_neumann),
-    (CheckSpec("leibniz_derivation",
-               "prolonged fields satisfy the Leibniz rule on products",
-               1e-9, samples=8, expressions=4, arities=(2,)),
-     _check_leibniz_derivation),
-    (CheckSpec("tau_calculus",
-               "the Poisson derivation map anchors to base brackets and is "
-               "additive, module-linear, and Leibniz",
-               1e-8, samples=4, expressions=3),
-     _check_tau_calculus),
-    (CheckSpec("bracket_prolongation_poisson",
-               "the prolonged bracket restricts to the lifted base bracket "
-               "and is antisymmetric",
-               1e-8, samples=6, expressions=4),
-     _check_bracket_prolongation_poisson),
-    (CheckSpec("poisson_leibniz",
-               "the prolonged bracket is a derivation in its function slots",
-               1e-8, samples=6, expressions=4),
-     _check_poisson_leibniz),
-    (CheckSpec("chain_rule_soundness",
-               "applying a prolonged field matches the lifted directional "
-               "derivative; canonical components reconstruct the field",
-               1e-9, samples=8, expressions=6, arities=(1, 2, 3)),
-     _check_chain_rule_soundness),
-    (CheckSpec("jacobi_field_bracket",
-               "the bracket of prolonged fields is antisymmetric and "
-               "satisfies the Jacobi identity",
-               1e-8, samples=4, expressions=2, arities=(2,)),
-     _check_jacobi_field_bracket),
-    (CheckSpec("symplectic_local_equivalence",
-               "base and lifted symplectic local tests agree, including a "
-               "curved structure (residual counts disagreements)",
-               0.5, samples=3, expressions=3, arities=(2,)),
-     _check_symplectic_local_equivalence),
-)
-
-_REGISTRY: dict[str, tuple[Callable, CheckSpec]] = {
-    spec.name: (fn, spec) for spec, fn in _CHECKS
-}
+# -- runner -----------------------------------------------------------------------
 
 CHECK_NAMES = tuple(sorted(_REGISTRY))
 
@@ -1216,7 +1002,6 @@ def default_specs(*, seed: int = DEFAULT_SEED, name_filter: str | None = None,
 
 
 def run_suite(specs: Sequence[CheckSpec] | None = None, *,
-              ops: Ops | None = None,
               mutation: str | None = None) -> list[CheckReport]:
     """Run checks and return their reports sorted by name.
 
@@ -1225,8 +1010,7 @@ def run_suite(specs: Sequence[CheckSpec] | None = None, *,
     """
     if specs is None:
         specs = default_specs()
-    if ops is None:
-        ops = default_ops()
+    ops = default_ops()
     if mutation is not None:
         mutator = MUTATIONS.get(mutation)
         if mutator is None:

@@ -106,6 +106,9 @@ def element_from_json(obj, algebra: WeilAlgebra) -> WeilElement:
         obj = obj.get("coeffs")
     if not isinstance(obj, (list, tuple)):
         raise ParseError("an element needs a 'coeffs' list")
+    if len(obj) != algebra.dim:
+        raise ParseError(f"an element of this algebra needs {algebra.dim} "
+                         f"coefficients, got {len(obj)}")
     return algebra.element(_coeffs_from_json(obj))
 
 

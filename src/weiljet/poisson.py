@@ -185,12 +185,6 @@ class PoissonStructure:
         return f"PoissonStructure(arity={self.arity}, {{{inner}}})"
 
 
-def base_bracket(structure: PoissonStructure, f: ScalarExpr,
-                 g: ScalarExpr) -> ScalarExpr:
-    """Module-level alias for the symbolic base bracket."""
-    return structure.bracket(f, g)
-
-
 class ProlongedPoisson:
     """A base Poisson structure together with the Weil algebra it is
     prolonged over."""

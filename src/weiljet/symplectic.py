@@ -249,16 +249,17 @@ class BundleForm:
         components."""
         if len(fields) != self.degree:
             raise DegreeError("field count does not match the form degree")
-        acc = BundleFunction.zero(self.algebra, self.arity)
+        summands = []
         for idx, coeff in self.coeffs.items():
-            det = BundleFunction.zero(self.algebra, self.arity)
+            products = []
             for perm in itertools.permutations(range(self.degree)):
                 prod = BundleFunction.constant(_perm_sign(perm), self.algebra, self.arity)
                 for a, b in enumerate(perm):
                     prod = prod * fields[a].components[idx[b]]
-                det = det + prod
-            acc = acc + coeff * det
-        return acc
+                products.append(prod)
+            det = BundleFunction.sum(self.algebra, self.arity, products)
+            summands.append(coeff * det)
+        return BundleFunction.sum(self.algebra, self.arity, summands)
 
     def __add__(self, other):
         if not isinstance(other, BundleForm):

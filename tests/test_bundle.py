@@ -8,6 +8,7 @@ from weiljet.bundle import (
     BaseVectorField,
     BundleFunction,
     NearPoint,
+    Term,
     apply_field,
     functions_equal,
     lie_bracket,
@@ -17,6 +18,7 @@ from weiljet.bundle import (
     pushforward_map,
     sample_near_point,
 )
+from weiljet.errors import ArityError
 from weiljet.expression import add, compose, differentiate, eval_weil, mul, parse_expr, sub
 from weiljet.sampling import random_base_field, random_expression
 
@@ -174,3 +176,45 @@ def test_representability():
     f = prolong_function(parse_expr("x0", 1), T3)
     assert f.is_representable
     assert (f * T3.basis_element(1)).is_representable
+
+
+def _summands():
+    # the x0 term cancels exactly in the second part and comes back in the
+    # fourth, so a fold of + drops it and re-appends it at the end
+    x0, x1 = parse_expr("x0", 2), parse_expr("x1", 2)
+    sine, cosine = parse_expr("sin(x0)", 2), parse_expr("cos(x1)", 2)
+    c = M2.element([2.0, 0.5, -1.0])
+    return [
+        BundleFunction(M2, 2, [Term(c, (x0,)), Term(M2.unit(), (sine,))]),
+        BundleFunction(M2, 2, [Term(c * -1.0, (x0,)), Term(c, (x1, x0))]),
+        BundleFunction(M2, 2, [Term(M2.element([0.0, 1.0, 0.0]), (cosine,))]),
+        BundleFunction(M2, 2, [Term(c * 3.0, (x0,)), Term(c, (sine, x1))]),
+    ]
+
+
+def _by_key(fn):
+    return {term.key(): tuple(term.coeff.coeffs) for term in fn.terms}
+
+
+def test_sum_matches_a_fold_of_additions():
+    parts = _summands()
+    folded = BundleFunction.zero(M2, 2)
+    for part in parts:
+        folded = folded + part
+    summed = BundleFunction.sum(M2, 2, parts)
+    assert _by_key(summed) == _by_key(folded)
+    assert [t.key() for t in summed.terms] != [t.key() for t in folded.terms]
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        point = sample_near_point(M2, 2, rng)
+        np.testing.assert_allclose(summed.evaluate(point).coeffs,
+                                   folded.evaluate(point).coeffs, atol=1e-12)
+    assert BundleFunction.sum(M2, 2, []).is_structurally_zero()
+
+
+def test_sum_rejects_mismatched_parts():
+    parts = _summands()
+    with pytest.raises(AlgebraMismatch):
+        BundleFunction.sum(M2, 2, parts + [BundleFunction.constant(1.0, T3, 2)])
+    with pytest.raises(ArityError):
+        BundleFunction.sum(M2, 2, parts + [BundleFunction.constant(1.0, M2, 3)])

@@ -373,6 +373,16 @@ def test_overflow_is_a_domain_error(capsys, algebra, expr, coeffs):
     assert strict_document(out)["error"]["type"] == "DomainError"
 
 
+def test_point_with_the_wrong_coefficient_count_is_a_parse_error(capsys):
+    code, out, _ = run_cli(capsys, "prolong", "--algebra",
+                           '{"family":"truncated","width":2,"height":2}',
+                           "--expr", "x0", "--point", '{"coords":[[1.0]]}')
+    assert code == 2
+    assert strict_document(out)["error"]["type"] == "ParseError"
+    with pytest.raises(ParseError):
+        point_from_json({"coords": [[1.0, 0.0]]}, T3)
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     code, out, _ = run_cli(capsys, "prolong", "--algebra", "dual",
                            "--expr", "(" * 3000 + "x0" + ")" * 3000,

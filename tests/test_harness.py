@@ -1,16 +1,22 @@
 """Registry plumbing and determinism of the randomized check suite."""
 
+import inspect
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from weiljet.harness import (
+    _REGISTRY,
     BATTERY,
     CHECK_NAMES,
     MUTATION_TARGETS,
     MUTATIONS,
     CheckReport,
+    _worst_case,
     battery_algebra,
+    default_ops,
     default_specs,
     run_suite,
 )
@@ -83,3 +89,31 @@ def test_reports_come_back_sorted_and_passing():
     for report in reports:
         assert report.passed
         assert report.worst_residual >= 0.0
+
+
+def test_worst_case_keeps_the_first_of_tied_residuals():
+    def cases(spec, ops, rng):
+        yield 0.5, {"case": 0}
+        yield 2.0, {"case": 1}
+        yield 1.0, {"case": 2}
+        yield 2.0, {"case": 3}
+
+    assert _worst_case(cases, None, None, None) == (2.0, {"case": 1})
+
+
+def test_worst_case_of_a_check_without_cases():
+    def cases(spec, ops, rng):
+        yield from ()
+
+    assert _worst_case(cases, None, None, None) == (0.0, None)
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_registered_callable_runs_the_whole_check(name):
+    # timing wrappers around the registered callable must see the whole run
+    check, spec = _REGISTRY[name]
+    result = check(replace(spec, samples=1), default_ops(), np.random.default_rng(0))
+    assert isinstance(result, tuple) and not inspect.isgenerator(result)
+    residual, witness = result
+    assert isinstance(residual, float)
+    assert isinstance(witness, dict)

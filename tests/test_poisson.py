@@ -20,7 +20,6 @@ from weiljet.poisson import (
     PoissonStructure,
     ProlongedPoisson,
     adjoint_differential,
-    base_bracket,
     check_global_witness_poisson,
     default_generators,
     is_locally_hamiltonian_poisson,
@@ -62,7 +61,7 @@ def test_rotational_brackets():
     x0, x1, x2 = (parse_expr(f"x{i}", 3) for i in range(3))
     pairs = [((x0, x1), x2), ((x1, x2), x0), ((x2, x0), x1)]
     for (f, g), want in pairs:
-        got = base_bracket(ROTATIONAL, f, g)
+        got = ROTATIONAL.bracket(f, g)
         for point, value in _eval_grid(want, rng):
             assert eval_real(got, point) == pytest.approx(value, abs=1e-12)
 
@@ -80,12 +79,12 @@ def test_base_bracket_laws_sampled():
     for structure in (CANONICAL, ROTATIONAL):
         arity = structure.arity
         f, g, h = (random_expression(arity, rng) for _ in range(3))
-        anti = base_bracket(structure, f, g)
-        flip = base_bracket(structure, g, f)
+        anti = structure.bracket(f, g)
+        flip = structure.bracket(g, f)
         jacobi_terms = [
-            base_bracket(structure, f, base_bracket(structure, g, h)),
-            base_bracket(structure, g, base_bracket(structure, h, f)),
-            base_bracket(structure, h, base_bracket(structure, f, g)),
+            structure.bracket(f, structure.bracket(g, h)),
+            structure.bracket(g, structure.bracket(h, f)),
+            structure.bracket(h, structure.bracket(f, g)),
         ]
         for point in rng.uniform(-1.5, 1.5, (5, arity)):
             assert eval_real(anti, point) == pytest.approx(-eval_real(flip, point), abs=1e-8)
@@ -107,8 +106,8 @@ def test_transpose_negates_the_bracket():
     flipped = CANONICAL.transpose()
     f = parse_expr("x0^2 * x1", 2)
     g = parse_expr("sin(x0) + x1", 2)
-    lhs = base_bracket(CANONICAL, f, g)
-    rhs = base_bracket(flipped, f, g)
+    lhs = CANONICAL.bracket(f, g)
+    rhs = flipped.bracket(f, g)
     rng = np.random.default_rng(9)
     for point in rng.uniform(-2, 2, (5, 2)):
         assert eval_real(lhs, point) == pytest.approx(-eval_real(rhs, point), abs=1e-10)
@@ -120,7 +119,7 @@ def test_prolonged_bracket_extends_the_base_bracket():
     f = random_expression(2, rng)
     g = random_expression(2, rng)
     got = structure.bracket(prolong_function(f, T3), prolong_function(g, T3))
-    want = prolong_function(base_bracket(CANONICAL, f, g), T3)
+    want = prolong_function(CANONICAL.bracket(f, g), T3)
     assert functions_equal(got, want, samples=8, tol=1e-8, rng=np.random.default_rng(1))
 
 
