@@ -113,7 +113,8 @@ class WeilAlgebra:
     """
 
     __slots__ = ("_constants", "_labels", "_height", "_filtration", "_zero_tol",
-                 "_family", "_fingerprint", "_left", "_right", "_out", "_weights")
+                 "_family", "_fingerprint", "_left", "_right", "_out", "_weights",
+                 "_row_slots")
 
     def __init__(self, constants, basis_labels, height, ideal_filtration,
                  zero_tol=DEFAULT_ZERO_TOL, family=("table",)):
@@ -135,6 +136,9 @@ class WeilAlgebra:
         # contributes weights[n] to e_out[n].
         self._left, self._right, self._out = np.nonzero(arr)
         self._weights = arr[self._left, self._right, self._out]
+        # _out shifted by d * row for rows 0, 1, ...: the output slots of a
+        # batch of products, grown on demand
+        self._row_slots = self._out
 
     @property
     def dim(self) -> int:
@@ -206,6 +210,137 @@ def _wrap(algebra: WeilAlgebra, coeffs: np.ndarray) -> "WeilElement":
     return elem
 
 
+# -- the kernel ----------------------------------------------------------------
+#
+# Arithmetic on coefficient arrays of shape (..., d): one element, or one per
+# point of a batch.  Operands share their leading axes, or one of them is a
+# single element (d,) that applies to every point.  Every point of a
+# batch gets the bits it would get alone, so a batch of S points equals S
+# single evaluations exactly.  WeilElement is the front end for one element.
+
+def _unit(algebra: WeilAlgebra) -> np.ndarray:
+    coeffs = np.zeros(algebra.dim)
+    coeffs[0] = 1.0
+    return coeffs
+
+
+def _product(algebra: WeilAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products through the nonzero structure constants only; a factor with
+    zero nilpotent part is a real multiple of the unit e_0 and just scales
+    the other factor (the right one is tested first)."""
+    if a.ndim == 1 and b.ndim == 1:
+        if not np.count_nonzero(b[1:]):
+            return a * b[0]
+        if not np.count_nonzero(a[1:]):
+            return b * a[0]
+        weights = a[algebra._left] * b[algebra._right] * algebra._weights
+        return np.bincount(algebra._out, weights=weights, minlength=a.shape[0])
+    d = algebra.dim
+    a2, b2 = a.reshape(-1, d), b.reshape(-1, d)
+    # counts of nonzero nilpotent coefficients decide most batches at once
+    b_count = np.count_nonzero(b2[:, 1:])
+    if not b_count:
+        return a * b[..., :1]
+    a_count = np.count_nonzero(a2[:, 1:])
+    if b_count == b2.shape[0] * (d - 1):
+        # no right factor is real
+        if not a_count:
+            return b * a[..., :1]
+        if a_count == a2.shape[0] * (d - 1):
+            weights = (a2[:, algebra._left] * b2[:, algebra._right]
+                       * algebra._weights)
+            return _bincount(algebra, weights, len(weights)).reshape(
+                a.shape if a.ndim > 1 else b.shape)
+    # real and general factors mixed: each point on its own rule
+    a, b = np.broadcast_arrays(a, b)
+    shape = a.shape
+    a, b = a.reshape(-1, d), b.reshape(-1, d)
+    b_real = ~b[:, 1:].any(axis=1)
+    a_real = ~a[:, 1:].any(axis=1) & ~b_real
+    out = a * b[:, :1]
+    out[a_real] = b[a_real] * a[a_real, :1]
+    rows = np.flatnonzero(~(b_real | a_real))
+    if rows.size:
+        weights = (a[rows][:, algebra._left] * b[rows][:, algebra._right]
+                   * algebra._weights)
+        out[rows] = _bincount(algebra, weights, rows.size).reshape(-1, d)
+    return out.reshape(shape)
+
+
+def _bincount(algebra: WeilAlgebra, weights: np.ndarray, rows: int) -> np.ndarray:
+    """Sum the (rows, nnz) products of a batch into rows * d output slots:
+    row r of the batch goes to slots d*r + _out, in the order of one product."""
+    size = rows * algebra._out.size
+    slots = algebra._row_slots
+    if slots.size < size:
+        slots = algebra._row_slots = (
+            algebra._out + algebra.dim * np.arange(rows)[:, None]).ravel()
+    return np.bincount(slots[:size], weights=weights.ravel(),
+                       minlength=rows * algebra.dim)
+
+
+def _inverse(algebra: WeilAlgebra, a: np.ndarray) -> np.ndarray:
+    """Inverse via the finite Neumann series 1/a0 * sum (-nu/a0)^k.
+
+    The series terminates because the nilpotent part nu satisfies
+    nu^(h+1) = 0; each point stops at its first vanishing term.  Raises
+    NotInvertible when an augmentation sits inside the algebra's zero
+    tolerance.
+    """
+    a0 = a[..., 0]
+    if np.any(np.abs(a0) <= algebra.zero_tol):
+        raise NotInvertible("augmentation is zero to working tolerance")
+    scale = (1.0 / a0)[..., None]
+    nil = a.copy()
+    nil[..., 0] = 0.0
+    scaled_nil = nil * scale
+    acc = term = _unit(algebra)
+    live = True
+    for _ in range(algebra.height):
+        term = -_product(algebra, term, scaled_nil)
+        live = _live(term, live)
+        if live is False:
+            break
+        acc = _add_live(acc, term, live)
+    return acc * scale
+
+
+def _live(term: np.ndarray, live):
+    """Which points still go on after ``term``: a point stops at its first
+    term that vanishes, as its series has ended there.  ``live`` is True
+    while every point goes on, False when none does, else a mask."""
+    if term.ndim == 1:
+        return live and bool(np.count_nonzero(term))
+    going = term.any(axis=-1)
+    if live is not True:
+        going &= live
+    if going.all():
+        return True
+    return going if going.any() else False
+
+
+def _add_live(acc: np.ndarray, term: np.ndarray, live) -> np.ndarray:
+    """acc + term at the points still going on, acc elsewhere."""
+    if live is True:
+        return acc + term
+    return np.where(live[..., None], acc + term, acc)
+
+
+def _power(algebra: WeilAlgebra, a: np.ndarray, exponent: int) -> np.ndarray:
+    """Integer power by repeated squaring: O(log |exponent|) products."""
+    if exponent < 0:
+        return _power(algebra, _inverse(algebra, a), -exponent)
+    result = _unit(algebra)
+    square = a
+    while exponent:
+        if exponent & 1:
+            result = _product(algebra, result, square)
+        exponent >>= 1
+        if exponent:
+            square = _product(algebra, square, square)
+    return result
+
+
 class WeilElement:
     """An element of a fixed Weil algebra, held as a coefficient vector."""
 
@@ -272,20 +407,10 @@ class WeilElement:
         return _wrap(self.algebra, -self._coeffs)
 
     def __mul__(self, other):
-        """Product through the nonzero structure constants only; a factor
-        with zero nilpotent part is a real multiple of the unit e_0 and just
-        scales the other factor."""
         if isinstance(other, WeilElement):
             algebra = self.algebra
             _require_same_algebra(algebra, other.algebra)
-            a, b = self._coeffs, other._coeffs
-            if not np.count_nonzero(b[1:]):
-                return _wrap(algebra, a * b[0])
-            if not np.count_nonzero(a[1:]):
-                return _wrap(algebra, b * a[0])
-            weights = a[algebra._left] * b[algebra._right] * algebra._weights
-            return _wrap(algebra, np.bincount(algebra._out, weights=weights,
-                                              minlength=a.shape[0]))
+            return _wrap(algebra, _product(algebra, self._coeffs, other._coeffs))
         if isinstance(other, (int, float)):
             return _wrap(self.algebra, self._coeffs * other)
         return NotImplemented
@@ -308,37 +433,13 @@ class WeilElement:
         """Integer power by repeated squaring: O(log |exponent|) products."""
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.algebra.unit()
-        square = self
-        while exponent:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return result
+        return _wrap(self.algebra, _power(self.algebra, self._coeffs, exponent))
 
     def inverse(self) -> "WeilElement":
-        """Inverse via the finite Neumann series 1/a0 * sum (-nu/a0)^k.
-
-        The series terminates because the nilpotent part nu satisfies
-        nu^(h+1) = 0.  Raises NotInvertible when the augmentation sits inside
-        the algebra's zero tolerance.
-        """
-        a0 = self.augmentation
-        if abs(a0) <= self.algebra.zero_tol:
-            raise NotInvertible("augmentation is zero to working tolerance")
-        scaled_nil = self.nilpotent_part() * (1.0 / a0)
-        acc = self.algebra.unit()
-        term = self.algebra.unit()
-        for _ in range(self.algebra.height):
-            term = -(term * scaled_nil)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc * (1.0 / a0)
+        """Inverse via the finite Neumann series 1/a0 * sum (-nu/a0)^k;
+        raises NotInvertible when the augmentation sits inside the algebra's
+        zero tolerance."""
+        return _wrap(self.algebra, _inverse(self.algebra, self._coeffs))
 
     # -- comparisons --------------------------------------------------------
 

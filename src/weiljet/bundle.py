@@ -3,7 +3,10 @@
 A near-point of R^n for a Weil algebra A is an n-tuple of A elements; its
 origin is the tuple of augmentations.  A smooth map h between base opens
 prolongs to near-points by evaluating each component over A, and a scalar
-function f prolongs to the A-valued function f^A acting the same way.
+function f prolongs to the A-valued function f^A acting the same way.  A
+batch of near-points (``NearPoints``) holds S of them as one coefficient
+array, and functions evaluate over all of them at once; sampled comparisons
+draw and evaluate their points that way.
 
 A-valued functions on the near-point space are stored as sums of terms
 
@@ -24,8 +27,8 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .algebra import WeilAlgebra, WeilElement
-from .errors import AlgebraMismatch, ArityError
+from .algebra import WeilAlgebra, WeilElement, _product, _wrap
+from .errors import AlgebraMismatch, ArityError, DomainError
 from .expression import Const, ScalarExpr, add, differentiate, eval_weil, mul, sub
 
 DEFAULT_BOX = (-2.0, 2.0)
@@ -34,11 +37,12 @@ DEFAULT_BOX = (-2.0, 2.0)
 class NearPoint:
     """A point of the prolonged space: one A element per base coordinate.
 
+    ``coeffs`` stacks the coordinates' coefficients as an (n, d) array.
     Evaluation of expressions at the point is memoized node by node, so
     functions evaluated at one NearPoint share their subexpressions there.
     """
 
-    __slots__ = ("algebra", "coords", "_eval_cache", "_hash")
+    __slots__ = ("algebra", "coords", "coeffs", "_eval_cache", "_hash")
 
     def __init__(self, coords: Sequence[WeilElement]):
         coords = tuple(coords)
@@ -50,6 +54,8 @@ class NearPoint:
                 raise AlgebraMismatch("near-point coordinates disagree on the algebra")
         self.algebra = algebra
         self.coords = coords
+        self.coeffs = np.array([c.coeffs for c in coords])
+        self.coeffs.setflags(write=False)
         self._eval_cache = {}
         self._hash = hash((algebra._fingerprint, coords))
 
@@ -62,12 +68,15 @@ class NearPoint:
         """The underlying base point (coordinate augmentations)."""
         return tuple(c.augmentation for c in self.coords)
 
-    def pulled(self, expr: ScalarExpr) -> WeilElement:
-        """Value of the prolonged function expr^A at this point."""
+    def pulled(self, expr: ScalarExpr) -> np.ndarray:
+        """Coefficients of the prolonged function expr^A at this point."""
         cached = self._eval_cache.get(expr)
         if cached is None:
-            cached = eval_weil(expr, self.coords, cache=self._eval_cache)
+            cached = eval_weil(expr, self, cache=self._eval_cache)
         return cached
+
+    def _factor(self, lazy: "LazyFactor") -> np.ndarray:
+        return lazy.evaluate(self).coeffs
 
     def __eq__(self, other):
         if not isinstance(other, NearPoint):
@@ -83,17 +92,69 @@ class NearPoint:
         return f"NearPoint({inner})"
 
 
+class NearPoints:
+    """A batch of S near-points, held as one (S, n, d) coefficient array.
+
+    Expressions evaluate over the whole batch at once, memoized node by node
+    in one cache for the batch.  Lazy factors evaluate point by point, through
+    the NearPoint of each sample (``batch[s]``), built on first use and kept,
+    so every function evaluated on the batch shares it.
+    """
+
+    __slots__ = ("algebra", "coeffs", "_eval_cache", "_points")
+
+    def __init__(self, algebra: WeilAlgebra, coeffs):
+        coeffs = np.array(coeffs, dtype=float)
+        if coeffs.ndim != 3 or coeffs.shape[1] < 1 or coeffs.shape[2] != algebra.dim:
+            raise ArityError(f"expected an (S, n, {algebra.dim}) coefficient array, "
+                             f"got shape {coeffs.shape}")
+        coeffs.setflags(write=False)
+        self.algebra = algebra
+        self.coeffs = coeffs
+        self._eval_cache = {}
+        self._points = [None] * coeffs.shape[0]
+
+    @property
+    def arity(self) -> int:
+        return self.coeffs.shape[1]
+
+    def __len__(self) -> int:
+        return self.coeffs.shape[0]
+
+    def __getitem__(self, index: int) -> NearPoint:
+        point = self._points[index]
+        if point is None:
+            point = self._points[index] = NearPoint(
+                [WeilElement(self.algebra, c) for c in self.coeffs[index]])
+        return point
+
+    pulled = NearPoint.pulled
+
+    def _factor(self, lazy: "LazyFactor") -> np.ndarray:
+        return np.array([lazy.evaluate(self[s]).coeffs for s in range(len(self))])
+
+
+def sample_near_points(algebra: WeilAlgebra, arity: int, rng: np.random.Generator,
+                       samples: int, box: tuple[float, float] = DEFAULT_BOX) -> NearPoints:
+    """``samples`` random near-points from one draw: augmentations uniform in
+    ``box``, the remaining coefficients uniform in [-1, 1].  The points and
+    the generator's final state are those of drawing the points one by one,
+    each coordinate as ``rng.uniform(-1, 1, d)`` with slot 0 then replaced
+    by ``rng.uniform(*box)``."""
+    lo, hi = box
+    u = rng.random((samples, arity, algebra.dim + 1))
+    # per coordinate: d values for [-1, 1], of which slot 0 is then replaced
+    # by the last value scaled to the box
+    coeffs = -1.0 + 2.0 * u[..., :-1]
+    coeffs[..., 0] = lo + (hi - lo) * u[..., -1]
+    return NearPoints(algebra, coeffs)
+
+
 def sample_near_point(algebra: WeilAlgebra, arity: int, rng: np.random.Generator,
                       box: tuple[float, float] = DEFAULT_BOX) -> NearPoint:
     """Random near-point: augmentations uniform in ``box``, the remaining
     coefficients uniform in [-1, 1]."""
-    lo, hi = box
-    coords = []
-    for _ in range(arity):
-        coeffs = rng.uniform(-1.0, 1.0, size=algebra.dim)
-        coeffs[0] = rng.uniform(lo, hi)
-        coords.append(algebra.element(coeffs))
-    return NearPoint(coords)
+    return sample_near_points(algebra, arity, rng, 1, box)[0]
 
 
 @runtime_checkable
@@ -218,20 +279,23 @@ class BundleFunction:
 
     # -- evaluation and calculus ----------------------------------------------
 
-    def evaluate(self, point: NearPoint) -> WeilElement:
+    def evaluate(self, point):
+        """Value at a NearPoint, or at every point of a NearPoints batch as
+        an (S, d) coefficient array, in one pass over the terms."""
         if not self.algebra.compatible_with(point.algebra):
             raise AlgebraMismatch("point algebra does not match the function")
         if point.arity != self.arity:
             raise ArityError("point arity does not match the function")
-        total = self.algebra.zero()
+        algebra = self.algebra
+        total = np.zeros(point.coeffs.shape[:-2] + (algebra.dim,))
         for term in self.terms:
-            value = term.coeff
+            value = term.coeff.coeffs
             for p in term.pullbacks:
-                value = value * point.pulled(p)
+                value = _product(algebra, value, point.pulled(p))
             for lz in term.lazies:
-                value = value * lz.evaluate(point)
+                value = _product(algebra, value, point._factor(lz))
             total = total + value
-        return total
+        return total if isinstance(point, NearPoints) else _wrap(algebra, total)
 
     def partial(self, index: int) -> "BundleFunction":
         """Partial derivative along base coordinate ``index`` (product rule
@@ -306,15 +370,18 @@ def prolong_function(f: ScalarExpr, algebra: WeilAlgebra) -> BundleFunction:
     return BundleFunction.from_expr(f, algebra)
 
 
-def pushforward_map(components: Sequence[ScalarExpr], point: NearPoint) -> NearPoint:
+def pushforward_map(components: Sequence[ScalarExpr], point):
     """Apply the prolongation of the smooth map with the given component
-    expressions to a near-point."""
+    expressions to a near-point, or to every point of a batch."""
     if not components:
         raise ArityError("a map needs at least one component")
     for h in components:
         if h.arity != point.arity:
             raise ArityError("map components disagree with the point arity")
-    return NearPoint([point.pulled(h) for h in components])
+    coeffs = np.stack([point.pulled(h) for h in components], axis=-2)
+    if isinstance(point, NearPoints):
+        return NearPoints(point.algebra, coeffs)
+    return NearPoint([WeilElement(point.algebra, c) for c in coeffs])
 
 
 # -- vector fields ------------------------------------------------------------
@@ -442,21 +509,23 @@ def max_difference(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
                    box: tuple[float, float] = DEFAULT_BOX):
     """Largest coefficientwise deviation |f - g| over random near-points.
 
-    Returns (residual, worst_point); the worst point is None for zero samples.
+    Draws all ``samples`` points at once and evaluates both sides over the
+    batch.  Returns (residual, worst_point), the first point with the largest
+    residual in sample order.  Raises ValueError for fewer than one sample
+    and DomainError when a residual is not finite (an overflow, say), since
+    no largest deviation can then be named.
     """
     f._check_mate(g)
+    if samples < 1:
+        raise ValueError("max_difference needs at least one sample")
     if rng is None:
         rng = np.random.default_rng(42)
-    worst = 0.0
-    worst_point = None
-    for _ in range(samples):
-        point = sample_near_point(f.algebra, f.arity, rng, box)
-        delta = f.evaluate(point) - g.evaluate(point)
-        residual = float(np.max(np.abs(delta.coeffs)))
-        if worst_point is None or residual > worst:
-            worst = residual
-            worst_point = point
-    return worst, worst_point
+    points = sample_near_points(f.algebra, f.arity, rng, samples, box)
+    residuals = np.max(np.abs(f.evaluate(points) - g.evaluate(points)), axis=-1)
+    if not np.isfinite(residuals).all():
+        raise DomainError("a sampled residual is not finite")
+    worst = int(np.argmax(residuals))
+    return float(residuals[worst]), points[worst]
 
 
 def functions_equal(f: BundleFunction, g: BundleFunction, *, samples: int = 32,

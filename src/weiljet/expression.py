@@ -15,12 +15,15 @@ itself.  Evaluation, differentiation and composition visit the DAG in a
 topological order, found once per root and kept on it, with no Python
 recursion; each handles a distinct node once per call, so shared
 subexpressions cost nothing extra and nesting depth is bounded by memory
-only.  Only the parser recurses, so it refuses text nested too deeply.
+only.  Differentiation goes further and keeps each node's partials on the
+node.  Only the parser recurses, so it refuses text nested too deeply.
 
 Evaluation over a Weil algebra replaces each primitive g by its truncated
 Taylor expansion g(a0 + nu) = sum_{k<=h} g^(k)(a0)/k! * nu^k, where a0 is the
 augmentation and nu the nilpotent part of the argument; the expansion is exact
-because nu^(h+1) = 0.  No simplification is performed beyond constant folding.
+because nu^(h+1) = 0.  It runs on coefficient arrays, at one point or at a
+batch of points at once.  No simplification is performed beyond constant
+folding.
 """
 
 from __future__ import annotations
@@ -30,7 +33,19 @@ import re
 import weakref
 from typing import Sequence
 
-from .algebra import WeilElement
+import numpy as np
+
+from .algebra import (
+    WeilAlgebra,
+    WeilElement,
+    _add_live,
+    _inverse,
+    _live,
+    _power,
+    _product,
+    _unit,
+    _wrap,
+)
 from .errors import (
     AlgebraMismatch,
     ArityError,
@@ -41,7 +56,10 @@ from .errors import (
 
 PRIMITIVES = ("sin", "cos", "exp", "log")
 
-# The intern table: key -> the one live node with that key.
+# The intern table: key -> the one live node with that key.  Keys name
+# child nodes by id, so the table holds no node strongly: a live node keeps
+# its children alive, so the ids in a live key are never reused, and a dead
+# node's children can be collected with it in one pass of the collector.
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -62,7 +80,7 @@ class ScalarExpr(metaclass=_Interned):
     """Base node.  ``children`` lists the operand nodes left to right;
     nodes compare and hash by identity."""
 
-    __slots__ = ("arity", "_text", "_tape", "__weakref__")
+    __slots__ = ("arity", "_text", "_tape", "_derivs", "__weakref__")
     children: tuple = ()
     # builds the intern key from the constructor arguments where
     # (class, *args) would not do
@@ -72,6 +90,8 @@ class ScalarExpr(metaclass=_Interned):
         self.arity = arity
         self._text = text
         self._tape = None
+        # index -> partial derivative, filled by differentiate
+        self._derivs = None
 
     @property
     def text(self) -> str:
@@ -114,6 +134,10 @@ class _Binary(ScalarExpr):
         super().__init__(a.arity)
         self.a, self.b = a, b
 
+    @classmethod
+    def _key(cls, a, b):
+        return (cls, id(a), id(b))
+
     @property
     def children(self):
         return (self.a, self.b)
@@ -152,6 +176,10 @@ class Pow(ScalarExpr):
         super().__init__(base.arity)
         self.base, self.exponent = base, exponent
 
+    @classmethod
+    def _key(cls, base, exponent):
+        return (cls, id(base), exponent)
+
     @property
     def children(self):
         return (self.base,)
@@ -166,6 +194,10 @@ class Call(ScalarExpr):
     def __init__(self, fn: str, arg: ScalarExpr):
         super().__init__(arg.arity)
         self.fn, self.arg = fn, arg
+
+    @classmethod
+    def _key(cls, fn, arg):
+        return (cls, fn, id(arg))
 
     @property
     def children(self):
@@ -475,33 +507,48 @@ def parse_expr(text: str, arity: int) -> ScalarExpr:
 # -- calculus ----------------------------------------------------------------
 
 def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
-    """Symbolic partial derivative with respect to x{index}."""
+    """Symbolic partial derivative with respect to x{index}.
+
+    Every node keeps its partials by index once they are built, so a repeated
+    call returns at once and a call on an expression that shares nodes with
+    earlier ones builds only what is new.  A derivative can refer back to its
+    node (d exp(u) = exp(u) * u'), so the kept partials form reference cycles
+    that the garbage collector frees with the expression.
+    """
     if index < 0 or index >= f.arity:
         raise ArityError(f"derivative index {index} out of range for arity {f.arity}")
+    if f._derivs is not None and index in f._derivs:
+        return f._derivs[index]
     arity = f.arity
     zero, one = Const(0.0, arity), Const(1.0, arity)
-    d: dict[ScalarExpr, ScalarExpr] = {}
     for node in _topological(f):
+        derivs = node._derivs
+        if derivs is None:
+            derivs = node._derivs = {}
+        elif index in derivs:
+            continue
         kind = type(node)
         if kind is Const:
             out = zero
         elif kind is Var:
             out = one if node.index == index else zero
         elif kind is Add:
-            out = add(d[node.a], d[node.b])
+            out = add(node.a._derivs[index], node.b._derivs[index])
         elif kind is Sub:
-            out = sub(d[node.a], d[node.b])
+            out = sub(node.a._derivs[index], node.b._derivs[index])
         elif kind is Mul:
-            out = add(mul(d[node.a], node.b), mul(node.a, d[node.b]))
+            out = add(mul(node.a._derivs[index], node.b),
+                      mul(node.a, node.b._derivs[index]))
         elif kind is Div:
-            num = sub(mul(d[node.a], node.b), mul(node.a, d[node.b]))
+            num = sub(mul(node.a._derivs[index], node.b),
+                      mul(node.a, node.b._derivs[index]))
             out = div(num, mul(node.b, node.b))
         elif kind is Pow:
             scale = mul(Const(float(node.exponent), arity),
                         pow_(node.base, node.exponent - 1))
-            out = mul(scale, d[node.base])
+            out = mul(scale, node.base._derivs[index])
         else:  # Call
-            darg = d[node.arg]
+            darg = node.arg._derivs[index]
             if node.fn == "sin":
                 out = mul(call("cos", node.arg), darg)
             elif node.fn == "cos":
@@ -510,8 +557,8 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
                 out = mul(node, darg)
             else:  # log
                 out = div(darg, node.arg)
-        d[node] = out
-    return d[f]
+        derivs[index] = out
+    return f._derivs[index]
 
 
 def compose(f: ScalarExpr, replacements: Sequence[ScalarExpr]) -> ScalarExpr:
@@ -598,27 +645,44 @@ def _primitive_derivative(fn: str, k: int, x: float) -> float:
         raise DomainError(f"derivative {k} of {fn} is out of range at {x!r}") from None
 
 
-def eval_weil(f: ScalarExpr, point: Sequence[WeilElement], *,
-              order_cap: int | None = None,
-              cache: dict | None = None) -> WeilElement:
+def eval_weil(f: ScalarExpr, point, *, order_cap: int | None = None,
+              cache: dict | None = None) -> WeilElement | np.ndarray:
     """Evaluate over a Weil algebra; this is the algebra morphism that sends
-    x_i to point[i].
+    x_i to the i-th coordinate of the point.
 
-    ``cache`` maps nodes to their values at this same point; it is read and
-    extended, so evaluations at one point share their subexpressions.
-    ``order_cap`` truncates the primitives' Taylor expansions below the
-    algebra height; it exists so the verification harness can demonstrate that
-    dropping the top order is caught.  Leave it at None for correct results.
-    A capped evaluation neither reads nor writes ``cache``.
+    ``point`` is either a sequence of n WeilElements, and the value is a
+    WeilElement, or near-points given as an object with an ``algebra`` and a
+    coefficient array ``coeffs`` of shape (..., n, d) (a ``bundle.NearPoint``
+    or a ``bundle.NearPoints`` batch), and the value is the (..., d) array.
+    A batch runs the DAG once, each node over all of its points at once, and
+    gives every point the bits a single evaluation would.
+
+    ``cache`` maps nodes to their coefficient arrays at this same point; it is
+    read and extended, so evaluations at one point share their
+    subexpressions.  ``order_cap`` truncates the primitives' Taylor
+    expansions below the algebra height; it exists so the verification
+    harness can demonstrate that dropping the top order is caught.  Leave it
+    at None for correct results.  A capped evaluation neither reads nor
+    writes ``cache``.
     """
-    if len(point) != f.arity:
-        raise ArityError("point length does not match the arity")
-    if not point:
-        raise ArityError("evaluation over an algebra needs at least one coordinate")
-    algebra = point[0].algebra
-    for elem in point:
-        if not algebra.compatible_with(elem.algebra):
-            raise AlgebraMismatch("point coordinates live in different algebras")
+    elements = not hasattr(point, "coeffs")
+    if elements:
+        if len(point) != f.arity:
+            raise ArityError("point length does not match the arity")
+        if not point:
+            raise ArityError("evaluation over an algebra needs at least one coordinate")
+        algebra = point[0].algebra
+        for elem in point:
+            if not algebra.compatible_with(elem.algebra):
+                raise AlgebraMismatch("point coordinates live in different algebras")
+        coords = [elem.coeffs for elem in point]
+        batch = ()
+    else:
+        algebra, array = point.algebra, point.coeffs
+        if array.shape[-2] != f.arity:
+            raise ArityError("point length does not match the arity")
+        coords = [array[..., i, :] for i in range(f.arity)]
+        batch = array.shape[:-2]
     values = {} if cache is None or order_cap is not None else cache
     for node in _topological(f):
         if node in values:
@@ -626,43 +690,59 @@ def eval_weil(f: ScalarExpr, point: Sequence[WeilElement], *,
             continue
         kind = type(node)
         if kind is Const:
-            value = algebra.from_real(node.value)
+            value = np.zeros(batch + (algebra.dim,))
+            value[..., 0] = node.value
         elif kind is Var:
-            value = point[node.index]
+            value = coords[node.index]
         elif kind is Add:
             value = values[node.a] + values[node.b]
         elif kind is Sub:
             value = values[node.a] - values[node.b]
         elif kind is Mul:
-            value = values[node.a] * values[node.b]
+            value = _product(algebra, values[node.a], values[node.b])
         elif kind is Div:
-            value = values[node.a] * values[node.b].inverse()
+            value = _product(algebra, values[node.a],
+                             _inverse(algebra, values[node.b]))
         elif kind is Pow:
-            value = values[node.base] ** node.exponent
+            value = _power(algebra, values[node.base], node.exponent)
         else:  # Call
-            value = _taylor_lift(node.fn, values[node.arg], order_cap)
+            value = _taylor_lift(node.fn, algebra, values[node.arg], order_cap)
         values[node] = value
-    return values[f]
+    return _wrap(algebra, values[f]) if elements else values[f]
 
 
-def _taylor_lift(fn: str, a: WeilElement, cap: int | None) -> WeilElement:
-    algebra = a.algebra
+def _taylor_lift(fn: str, algebra: WeilAlgebra, a: np.ndarray,
+                 cap: int | None) -> np.ndarray:
+    """fn over coefficient arrays of shape (..., d), point by point: the
+    Taylor series at the augmentation, up to the first vanishing power of
+    the nilpotent part."""
     order = algebra.height if cap is None else min(algebra.height, cap)
-    a0 = a.augmentation
+    xs = a[..., 0].ravel().tolist()
     if fn == "log":
-        if a0 <= 0.0:
+        if any(x <= 0.0 for x in xs):
             raise DomainError("log needs a positive augmentation")
-        head = math.log(a0)
+        heads = [math.log(x) for x in xs]
     else:
-        head = _primitive_derivative(fn, 0, a0)
-    acc = algebra.from_real(head)
-    power = algebra.unit()
+        heads = [_primitive_derivative(fn, 0, x) for x in xs]
+    acc = np.zeros(a.shape)
+    acc[..., 0] = heads[0] if a.ndim == 1 else np.reshape(heads, a.shape[:-1])
+    power = _unit(algebra)
+    nil = a.copy()
+    nil[..., 0] = 0.0
+    live = True
     factorial = 1.0
-    nil = a.nilpotent_part()
     for k in range(1, order + 1):
-        power = power * nil
-        if power.is_zero():
+        power = _product(algebra, power, nil)
+        live = _live(power, live)
+        if live is False:
             break
         factorial *= k
-        acc = acc + power * (_primitive_derivative(fn, k, a0) / factorial)
+        if a.ndim == 1:
+            scale = _primitive_derivative(fn, k, xs[0]) / factorial
+        else:
+            going = [True] * len(xs) if live is True else live.ravel().tolist()
+            scale = np.reshape([_primitive_derivative(fn, k, x) / factorial
+                                if alive else 0.0 for x, alive in zip(xs, going)],
+                               a.shape[:-1] + (1,))
+        acc = _add_live(acc, power * scale, live)
     return acc

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import time
 import zlib
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import WeilAlgebra, WeilElement, make_truncated_algebra
+from .algebra import WeilAlgebra, _product, make_truncated_algebra
 from .bundle import (
     DEFAULT_BOX,
     BaseVectorField,
@@ -39,8 +40,9 @@ from .bundle import (
     prolong_function,
     prolong_vector_field,
     pushforward_map,
-    sample_near_point,
+    sample_near_points,
 )
+from .errors import DomainError
 from .expression import (
     ScalarExpr,
     add,
@@ -201,7 +203,7 @@ class Ops:
 
 def default_ops() -> Ops:
     return Ops(
-        eval_weil=lambda f, coords: eval_weil(f, coords),
+        eval_weil=lambda f, point: eval_weil(f, point),
         apply_field=apply_field,
         tau_field=poisson_derivation,
         matrix_inverse=weil_matrix_inverse,
@@ -246,9 +248,8 @@ def _mutate_leibniz_drop(ops: Ops) -> Ops:
 
 
 def _mutate_taylor_truncate(ops: Ops) -> Ops:
-    def truncated(f, coords):
-        algebra = coords[0].algebra
-        return eval_weil(f, coords, order_cap=max(algebra.height - 1, 0))
+    def truncated(f, point):
+        return eval_weil(f, point, order_cap=max(point.algebra.height - 1, 0))
 
     return replace(ops, eval_weil=truncated)
 
@@ -303,20 +304,18 @@ def _worst_case(check: Callable, spec: CheckSpec, ops: Ops,
     worst, witness = -1.0, None
     for residual, case_witness in check(spec, ops, rng):
         residual = float(residual)
+        if not math.isfinite(residual):
+            raise DomainError(f"{spec.name}: a residual is not finite")
         if residual > worst:
             worst, witness = residual, case_witness
     return max(worst, 0.0), witness
-
-
-def _coords_json(point: NearPoint) -> list:
-    return [[float(v) for v in c.coeffs] for c in point.coords]
 
 
 def _sampled(lhs: BundleFunction, rhs: BundleFunction, spec: CheckSpec,
              rng: np.random.Generator, **witness) -> tuple[float, dict]:
     """One case: the worst sampled |lhs - rhs|, with its point in the witness."""
     residual, point = max_difference(lhs, rhs, samples=spec.samples, rng=rng)
-    witness["point"] = _coords_json(point)
+    witness["point"] = point.coeffs.tolist()
     return residual, witness
 
 
@@ -354,10 +353,6 @@ def _lifted_pair(n: int, algebra: WeilAlgebra, rng: np.random.Generator):
     """Two prolonged random polynomials of degree at most 2."""
     return [prolong_function(random_polynomial(n, rng, max_degree=2), algebra)
             for _ in range(2)]
-
-
-def _element_diff(a: WeilElement, b: WeilElement) -> float:
-    return float(np.max(np.abs(a.coeffs - b.coeffs)))
 
 
 def _field_texts(field: BaseVectorField) -> list[str]:
@@ -474,17 +469,22 @@ def _check_morphism_function_lift(spec: CheckSpec, ops: Ops,
             cases = (
                 ("sum", add(f, g), lambda fv, gv: fv + gv),
                 ("scale", mul(const(lam, n), f), lambda fv, gv: fv * lam),
-                ("product", mul(f, g), lambda fv, gv: fv * gv),
+                ("product", mul(f, g), lambda fv, gv: _product(algebra, fv, gv)),
             )
-            for _ in range(spec.samples):
-                xi = sample_near_point(algebra, n, rng)
-                fv = ops.eval_weil(f, xi.coords)
-                gv = ops.eval_weil(g, xi.coords)
-                for label, combined, expected in cases:
-                    yield _element_diff(ops.eval_weil(combined, xi.coords),
-                                        expected(fv, gv)), {
+            # f, g and each combination evaluate separately: a shared cache
+            # would check f + g against its own cached summands
+            xi = sample_near_points(algebra, n, rng, spec.samples)
+            fv = ops.eval_weil(f, xi)
+            gv = ops.eval_weil(g, xi)
+            residuals = [(label, np.max(np.abs(ops.eval_weil(combined, xi)
+                                               - expected(fv, gv)), axis=-1))
+                         for label, combined, expected in cases]
+            for s in range(spec.samples):
+                point = xi.coeffs[s].tolist()
+                for label, residual in residuals:
+                    yield float(residual[s]), {
                         "algebra": key, "identity": label, "f": f.text,
-                        "g": g.text, "scalar": lam, "point": _coords_json(xi),
+                        "g": g.text, "scalar": lam, "point": point,
                     }
 
 
@@ -506,7 +506,7 @@ def _check_dual_forward_derivative(spec: CheckSpec, ops: Ops,
                 coords = tuple(
                     algebra.element([base[k], 1.0]) if k == d
                     else algebra.from_real(base[k]) for k in range(n))
-                slope = float(ops.eval_weil(f, coords).coeffs[1])
+                slope = float(ops.eval_weil(f, NearPoint(coords))[1])
                 exact = eval_real(grads[d], base)
                 bumped = list(base)
                 bumped[d] = base[d] + step
@@ -540,16 +540,16 @@ def _check_taylor_coefficients(spec: CheckSpec, ops: Ops,
                 derivs.append(differentiate(derivs[-1], 0))
             for _ in range(spec.samples):
                 x = float(rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1]))
-                jet = ops.eval_weil(f, (algebra.from_real(x)
-                                        + algebra.basis_element(1),))
+                jet = ops.eval_weil(f, NearPoint([algebra.from_real(x)
+                                                  + algebra.basis_element(1)]))
                 factorial = 1.0
                 for k in range(height + 1):
                     if k:
                         factorial *= k
                     expected = eval_real(derivs[k], [x]) / factorial
-                    yield abs(float(jet.coeffs[k]) - expected), {
+                    yield abs(float(jet[k]) - expected), {
                         "algebra": key, "f": f.text, "x": x, "order": k,
-                        "coefficient": float(jet.coeffs[k]),
+                        "coefficient": float(jet[k]),
                         "expected": float(expected),
                     }
 
@@ -598,13 +598,14 @@ def _check_functoriality_composition(spec: CheckSpec, ops: Ops,
                           for _ in range(2)]
             g = random_expression(2, rng)
             composed = compose(g, smooth_map)
-            for _ in range(spec.samples):
-                xi = sample_near_point(algebra, 2, rng)
-                eta = pushforward_map(smooth_map, xi)
-                yield _element_diff(ops.eval_weil(composed, xi.coords),
-                                    ops.eval_weil(g, eta.coords)), {
+            xi = sample_near_points(algebra, 2, rng, spec.samples)
+            eta = pushforward_map(smooth_map, xi)
+            residuals = np.max(np.abs(ops.eval_weil(composed, xi)
+                                      - ops.eval_weil(g, eta)), axis=-1)
+            for s in range(spec.samples):
+                yield float(residuals[s]), {
                     "algebra": key, "map": [c.text for c in smooth_map],
-                    "g": g.text, "point": _coords_json(xi),
+                    "g": g.text, "point": xi.coeffs[s].tolist(),
                 }
 
 
@@ -1005,8 +1006,11 @@ def run_suite(specs: Sequence[CheckSpec] | None = None, *,
               mutation: str | None = None) -> list[CheckReport]:
     """Run checks and return their reports sorted by name.
 
-    Failures are data: no exception escapes a check.  ``mutation`` reroutes
-    the named core operation through its intentionally wrong variant.
+    A residual beyond its tolerance is data: a failing report.  Errors are
+    not: a check that cannot compute a residual raises, for instance
+    ValueError for specs with fewer than one sample and DomainError for a
+    residual that is not finite.  ``mutation`` reroutes the named core
+    operation through its intentionally wrong variant.
     """
     if specs is None:
         specs = default_specs()

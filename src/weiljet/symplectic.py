@@ -485,7 +485,8 @@ class _SystemMatrix:
     def inverse_at(self, point: NearPoint):
         cached = self._inverses.get(point)
         if cached is None:
-            values = [[point.pulled(entry) for entry in row] for row in self.entries]
+            values = [[WeilElement(point.algebra, point.pulled(entry)) for entry in row]
+                      for row in self.entries]
             cached = weil_matrix_inverse(values)
             self._inverses[point] = cached
         return cached

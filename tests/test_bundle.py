@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from weiljet.algebra import AlgebraMismatch, make_truncated_algebra
+from weiljet.algebra import (
+    AlgebraMismatch,
+    NotInvertible,
+    make_truncated_algebra,
+    validate_algebra,
+)
 from weiljet.bundle import (
     BaseVectorField,
     BundleFunction,
     NearPoint,
+    NearPoints,
     Term,
     apply_field,
     functions_equal,
@@ -17,10 +23,12 @@ from weiljet.bundle import (
     prolong_vector_field,
     pushforward_map,
     sample_near_point,
+    sample_near_points,
 )
-from weiljet.errors import ArityError
+from weiljet.errors import ArityError, DomainError
 from weiljet.expression import add, compose, differentiate, eval_weil, mul, parse_expr, sub
 from weiljet.sampling import random_base_field, random_expression
+from weiljet.symplectic import SymplecticStructure, hamiltonian_field
 
 DUAL = make_truncated_algebra(1, 1)
 T3 = make_truncated_algebra(1, 2)
@@ -218,3 +226,130 @@ def test_sum_rejects_mismatched_parts():
         BundleFunction.sum(M2, 2, parts + [BundleFunction.constant(1.0, T3, 2)])
     with pytest.raises(ArityError):
         BundleFunction.sum(M2, 2, parts + [BundleFunction.constant(1.0, M2, 3)])
+
+
+def test_max_difference_needs_a_sample():
+    f = prolong_function(parse_expr("x0", 1), DUAL)
+    with pytest.raises(ValueError):
+        max_difference(f, f, samples=0)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 6])
+def test_non_finite_residual_is_a_domain_error(seed):
+    # x0^100000 overflows at most points of the box; at these seeds the first
+    # point does not, and a residual of inf - inf there must not be dropped
+    twice = prolong_function(parse_expr("2*x0^100000", 1), T3)
+    once = prolong_function(parse_expr("x0^100000", 1), T3)
+    with pytest.raises(DomainError):
+        functions_equal(twice, once, rng=np.random.default_rng(seed))
+
+
+def test_worst_point_is_the_first_largest_in_sample_order():
+    # constants differ by exactly 0.25 everywhere: every point ties
+    f = BundleFunction.constant(1.0, DUAL, 1)
+    g = BundleFunction.constant(1.25, DUAL, 1)
+    residual, point = max_difference(f, g, samples=8, rng=np.random.default_rng(1))
+    assert residual == 0.25
+    assert point == sample_near_points(DUAL, 1, np.random.default_rng(1), 8)[0]
+
+
+# -- batches ----------------------------------------------------------------------
+
+def _drawn_one_at_a_time(algebra, arity, rng, box):
+    # sample_near_point as it drew before batches: one coordinate at a time
+    coords = []
+    for _ in range(arity):
+        coeffs = rng.uniform(-1.0, 1.0, size=algebra.dim)
+        coeffs[0] = rng.uniform(*box)
+        coords.append(coeffs)
+    return np.array(coords)
+
+
+@pytest.mark.parametrize("algebra", [DUAL, make_truncated_algebra(2, 2),
+                                     make_truncated_algebra(3, 3)],
+                         ids=["dim2", "dim6", "dim20"])
+def test_batch_sampling_reads_the_stream_as_single_draws(algebra):
+    box = (-1.0, 3.0)
+    single, batched = np.random.default_rng(8), np.random.default_rng(8)
+    batch = sample_near_points(algebra, 3, batched, 5, box)
+    for s in range(5):
+        assert np.array_equal(batch.coeffs[s], _drawn_one_at_a_time(algebra, 3, single, box))
+    assert single.bit_generator.state == batched.bit_generator.state
+    assert single.random() == batched.random()
+
+
+def _rescaled_truncated_1_3():
+    # the rescaled table of tests/test_algebra.py: basis f_i = s_i t^i of
+    # R[t]/(t^4), so f_i f_j = (s_i s_j / s_{i+j}) f_{i+j}
+    scales = (1.0, 2.0, 0.5, 3.0)
+    constants = np.zeros((4, 4, 4))
+    for i in range(4):
+        for j in range(4 - i):
+            constants[i, j, i + j] = scales[i] * scales[j] / scales[i + j]
+    return validate_algebra(constants)
+
+
+BATCH_ALGEBRAS = [DUAL, make_truncated_algebra(2, 2), make_truncated_algebra(3, 4),
+                  make_truncated_algebra(4, 4), _rescaled_truncated_1_3()]
+BATCH_EXPRS = ("(x0 + 2) / (x1^2 + 3) - (x0*x1 + 5)^-2",
+               "log(x0^2 + x1^2 + 1) * exp(0.3*x0 - x1)",
+               "sin(x0) * cos(x1) + exp(x0*x1) - x1^3")
+
+
+def _points_of(batch):
+    """Each point of a batch as a NearPoint of its own, sharing nothing."""
+    return [NearPoint([batch.algebra.element(c) for c in coords])
+            for coords in batch.coeffs]
+
+
+@pytest.mark.parametrize("samples", [1, 4, 32])
+@pytest.mark.parametrize("algebra", BATCH_ALGEBRAS,
+                         ids=["dim2", "dim6", "dim35", "dim70", "rescaled-table"])
+def test_batch_evaluation_equals_point_evaluation(algebra, samples):
+    exprs = [parse_expr(text, 2) for text in BATCH_EXPRS]
+    batch = sample_near_points(algebra, 2, np.random.default_rng(samples), samples)
+    coeff = algebra.element(np.linspace(0.5, -0.5, algebra.dim))
+    fn = BundleFunction(algebra, 2, [Term(coeff, exprs[:2]), Term(algebra.unit(), exprs[2:])])
+    jets = [eval_weil(f, batch) for f in exprs]
+    values = fn.evaluate(batch)
+    assert values.shape == (samples, algebra.dim)
+    for s, point in enumerate(_points_of(batch)):
+        assert np.array_equal(values[s], fn.evaluate(point).coeffs)
+        for f, jet in zip(exprs, jets):
+            assert np.array_equal(jet[s], eval_weil(f, point.coords).coeffs)
+
+
+@pytest.mark.parametrize("samples", [1, 4, 32])
+def test_batch_evaluates_solved_factors_point_by_point(samples):
+    structure = SymplecticStructure.canonical(2)
+    potential = prolong_function(parse_expr("sin(x0) * x1^2 + exp(0.5*x1)", 2), T3)
+    weight = prolong_function(parse_expr("x0 + x1^2", 2), T3)
+
+    def solved():
+        # a fresh solve each time: its per-point caches start empty
+        field = hamiltonian_field(potential, structure, T3)
+        fn = field.components[0] * weight
+        return [fn, fn.partial(1)]
+
+    batch = sample_near_points(T3, 2, np.random.default_rng(samples), samples)
+    batched = [fn.evaluate(batch) for fn in solved()]
+    assert not solved()[0].is_representable
+    for s, point in enumerate(_points_of(batch)):
+        for fn, values in zip(solved(), batched):
+            assert np.array_equal(values[s], fn.evaluate(point).coeffs)
+
+
+def test_batch_domain_error_at_the_last_point():
+    coeffs = np.array(sample_near_points(T3, 1, np.random.default_rng(2), 4).coeffs)
+    coeffs[:, 0, 0] = [1.0, 2.0, 0.5, -0.5]
+    log = parse_expr("log(x0)", 1)
+    assert eval_weil(log, NearPoints(T3, coeffs[:3])).shape == (3, 3)
+    with pytest.raises(DomainError):
+        eval_weil(log, NearPoints(T3, coeffs))
+
+
+def test_batch_with_a_singular_point_is_not_invertible():
+    coeffs = np.array(sample_near_points(T3, 1, np.random.default_rng(2), 4).coeffs)
+    coeffs[2, 0, 0] = 0.0
+    with pytest.raises(NotInvertible):
+        eval_weil(parse_expr("1 / x0", 1), NearPoints(T3, coeffs))

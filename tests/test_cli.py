@@ -373,6 +373,18 @@ def test_overflow_is_a_domain_error(capsys, algebra, expr, coeffs):
     assert strict_document(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("seed", ["1", "4", "8"])
+def test_hamcheck_with_an_overflowing_field_is_a_domain_error(capsys, seed):
+    # the field is twice the hamiltonian field of the witness; where
+    # x0^100000 overflows, both sides are inf and the residual is not finite
+    code, out, _ = run_cli(capsys, "hamcheck", "--algebra", "dual",
+                           "--poisson", "canonical:2",
+                           "--field", '["0", "200002*x0^100000"]',
+                           "--witness", "x0^100001", "--seed", seed)
+    assert code == 3
+    assert strict_document(out)["error"]["type"] == "DomainError"
+
+
 def test_point_with_the_wrong_coefficient_count_is_a_parse_error(capsys):
     code, out, _ = run_cli(capsys, "prolong", "--algebra",
                            '{"family":"truncated","width":2,"height":2}',

@@ -251,7 +251,18 @@ def test_intern_table_holds_only_live_nodes():
     f = parse_expr(" + ".join(f"{k}.125 * x0^{k + 2}" for k in range(50)), 1)
     g = differentiate(f, 0)
     assert g.text and len(expression._NODES) > baseline + 100
-    del f, g
+    # partials are kept on their nodes: asking again builds nothing
+    built = len(expression._NODES)
+    assert differentiate(f, 0) is g
+    assert len(expression._NODES) == built
+    # kept partials refer back to their nodes (d exp(u) = exp(u) * u', and a
+    # sum of exp(x0) is its own partial), so only the collector frees them
+    h = parse_expr("exp(x0*x1) * sin(x0) + cos(x1)^2 / (1 + x0^2)", 2)
+    third = differentiate(differentiate(differentiate(h, 0), 1), 0)
+    assert third.text
+    chain = parse_expr("+".join(["exp(x0)"] * 200), 2)
+    assert differentiate(chain, 0) is chain
+    del f, g, h, third, chain
     gc.collect()
     assert len(expression._NODES) == baseline
 
@@ -274,7 +285,8 @@ def _tree_eval_weil(f, point):
         return _tree_eval_weil(f.a, point) * _tree_eval_weil(f.b, point).inverse()
     if isinstance(f, Pow):
         return _tree_eval_weil(f.base, point) ** f.exponent
-    return _taylor_lift(f.fn, _tree_eval_weil(f.arg, point), None)
+    arg = _tree_eval_weil(f.arg, point)
+    return algebra.element(_taylor_lift(f.fn, algebra, arg.coeffs, None))
 
 
 def _tree_diff(f, i):
@@ -320,7 +332,7 @@ def test_dag_walks_match_recursive_tree_walks_on_deep_partials():
         cache = {}
         assert np.array_equal(eval_weil(f, point, cache=cache).coeffs, got)
         shared = f.children[0]
-        assert eval_weil(shared, point, cache=cache) is cache[shared]
+        assert eval_weil(shared, point, cache=cache).coeffs is cache[shared]
 
 
 def test_deep_nesting_evaluates_without_recursion():

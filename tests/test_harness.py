@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from weiljet.errors import DomainError
 from weiljet.harness import (
     _REGISTRY,
     BATTERY,
@@ -99,6 +100,22 @@ def test_worst_case_keeps_the_first_of_tied_residuals():
         yield 2.0, {"case": 3}
 
     assert _worst_case(cases, None, None, None) == (2.0, {"case": 1})
+
+
+def test_worst_case_refuses_a_non_finite_residual():
+    def cases(spec, ops, rng):
+        yield 0.5, {"case": 0}
+        yield float("nan"), {"case": 1}
+        yield 1.0, {"case": 2}
+
+    spec = default_specs(names=("tau_calculus",))[0]
+    with pytest.raises(DomainError):
+        _worst_case(cases, spec, None, None)
+
+
+def test_run_suite_refuses_zero_samples():
+    with pytest.raises(ValueError):
+        run_suite(default_specs(names=("tau_calculus",), samples=0))
 
 
 def test_worst_case_of_a_check_without_cases():
