@@ -6,7 +6,9 @@ prolongs to near-points by evaluating each component over A, and a scalar
 function f prolongs to the A-valued function f^A acting the same way.  A
 batch of near-points (``NearPoints``) holds S of them as one coefficient
 array, and functions evaluate over all of them at once; sampled comparisons
-draw and evaluate their points that way.
+draw and evaluate their points that way.  A point or a batch keeps what was
+evaluated there (expression nodes, linear solves) in its own cache, which
+goes when the point goes.
 
 A-valued functions on the near-point space are stored as sums of terms
 
@@ -15,10 +17,11 @@ A-valued functions on the near-point space are stored as sums of terms
 with coeff in A, each f an expression on the base, and each L an opaque
 pointwise factor that knows how to evaluate itself and how to differentiate
 itself (used for hamiltonian fields of non-representable functions, whose
-components come from solving a linear system at each point).  Functions with
-no opaque factors are called representable; structural operations that need
-to inspect the integrand (like the prolonged Poisson derivation) require
-representability, while evaluation and derivatives work for every term.
+components come from solving a linear system at each point, for a whole
+batch at once).  Functions with no opaque factors are called representable;
+structural operations that need to inspect the integrand (like the prolonged
+Poisson derivation) require representability, while evaluation and
+derivatives work for every term.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ class NearPoint:
 
     ``coeffs`` stacks the coordinates' coefficients as an (n, d) array.
     Evaluation of expressions at the point is memoized node by node, so
-    functions evaluated at one NearPoint share their subexpressions there.
+    functions evaluated at one NearPoint share their subexpressions there;
+    lazy factors keep their solves in the same cache.
     """
 
-    __slots__ = ("algebra", "coords", "coeffs", "_eval_cache", "_hash")
+    __slots__ = ("algebra", "coords", "coeffs", "_eval_cache", "__weakref__")
 
     def __init__(self, coords: Sequence[WeilElement]):
         coords = tuple(coords)
@@ -57,7 +61,6 @@ class NearPoint:
         self.coeffs = np.array([c.coeffs for c in coords])
         self.coeffs.setflags(write=False)
         self._eval_cache = {}
-        self._hash = hash((algebra._fingerprint, coords))
 
     @property
     def arity(self) -> int:
@@ -75,9 +78,6 @@ class NearPoint:
             cached = eval_weil(expr, self, cache=self._eval_cache)
         return cached
 
-    def _factor(self, lazy: "LazyFactor") -> np.ndarray:
-        return lazy.evaluate(self).coeffs
-
     def __eq__(self, other):
         if not isinstance(other, NearPoint):
             return NotImplemented
@@ -85,7 +85,7 @@ class NearPoint:
                 and self.coords == other.coords)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.algebra._fingerprint, self.coords))
 
     def __repr__(self):
         inner = ", ".join(repr(c) for c in self.coords)
@@ -95,13 +95,12 @@ class NearPoint:
 class NearPoints:
     """A batch of S near-points, held as one (S, n, d) coefficient array.
 
-    Expressions evaluate over the whole batch at once, memoized node by node
-    in one cache for the batch.  Lazy factors evaluate point by point, through
-    the NearPoint of each sample (``batch[s]``), built on first use and kept,
-    so every function evaluated on the batch shares it.
+    Expressions and lazy factors evaluate over the whole batch at once,
+    memoized in one cache for the batch, and give every sample the bits it
+    would get alone.  ``batch[s]`` is sample s as a NearPoint of its own.
     """
 
-    __slots__ = ("algebra", "coeffs", "_eval_cache", "_points")
+    __slots__ = ("algebra", "coeffs", "_eval_cache")
 
     def __init__(self, algebra: WeilAlgebra, coeffs):
         coeffs = np.array(coeffs, dtype=float)
@@ -112,7 +111,6 @@ class NearPoints:
         self.algebra = algebra
         self.coeffs = coeffs
         self._eval_cache = {}
-        self._points = [None] * coeffs.shape[0]
 
     @property
     def arity(self) -> int:
@@ -122,16 +120,9 @@ class NearPoints:
         return self.coeffs.shape[0]
 
     def __getitem__(self, index: int) -> NearPoint:
-        point = self._points[index]
-        if point is None:
-            point = self._points[index] = NearPoint(
-                [WeilElement(self.algebra, c) for c in self.coeffs[index]])
-        return point
+        return NearPoint([WeilElement(self.algebra, c) for c in self.coeffs[index]])
 
     pulled = NearPoint.pulled
-
-    def _factor(self, lazy: "LazyFactor") -> np.ndarray:
-        return np.array([lazy.evaluate(self[s]).coeffs for s in range(len(self))])
 
 
 def sample_near_points(algebra: WeilAlgebra, arity: int, rng: np.random.Generator,
@@ -161,11 +152,13 @@ def sample_near_point(algebra: WeilAlgebra, arity: int, rng: np.random.Generator
 class LazyFactor(Protocol):
     """A pointwise A-valued factor that can evaluate and differentiate itself.
 
-    ``partial`` returns a full function (not another factor) because the
-    derivative of a solved quantity is generally a combination of factors.
+    ``evaluate`` takes a NearPoint or a NearPoints batch and returns the
+    (..., d) coefficient array, as ``pulled`` does.  ``partial`` returns a
+    full function (not another factor) because the derivative of a solved
+    quantity is generally a combination of factors.
     """
 
-    def evaluate(self, point: NearPoint) -> WeilElement: ...
+    def evaluate(self, point) -> np.ndarray: ...
 
     def partial(self, index: int) -> "BundleFunction": ...
 
@@ -282,6 +275,12 @@ class BundleFunction:
     def evaluate(self, point):
         """Value at a NearPoint, or at every point of a NearPoints batch as
         an (S, d) coefficient array, in one pass over the terms."""
+        total = self._coefficients(point)
+        return total if isinstance(point, NearPoints) else _wrap(self.algebra, total)
+
+    def _coefficients(self, point) -> np.ndarray:
+        """The (..., d) coefficient array of the value at a NearPoint or a
+        NearPoints batch."""
         if not self.algebra.compatible_with(point.algebra):
             raise AlgebraMismatch("point algebra does not match the function")
         if point.arity != self.arity:
@@ -293,9 +292,9 @@ class BundleFunction:
             for p in term.pullbacks:
                 value = _product(algebra, value, point.pulled(p))
             for lz in term.lazies:
-                value = _product(algebra, value, point._factor(lz))
+                value = _product(algebra, value, lz.evaluate(point))
             total = total + value
-        return total if isinstance(point, NearPoints) else _wrap(algebra, total)
+        return total
 
     def partial(self, index: int) -> "BundleFunction":
         """Partial derivative along base coordinate ``index`` (product rule

@@ -803,18 +803,16 @@ def _check_matrix_inverse_neumann(spec: CheckSpec, ops: Ops,
                 real = rng.uniform(-2.0, 2.0, size=(size, size))
                 if np.linalg.cond(real) < 100.0:
                     break
-            rows = [[algebra.element(np.concatenate(
-                         ([real[i][j]], rng.uniform(-1.0, 1.0, algebra.dim - 1))))
-                     for j in range(size)] for i in range(size)]
-            product = _matrix_product(rows, ops.matrix_inverse(rows), size)
-            coeffs = np.array([[entry.coeffs for entry in row] for row in product])
+            matrix = np.concatenate(
+                (real[..., None], rng.uniform(-1.0, 1.0, (size, size, algebra.dim - 1))),
+                axis=-1)
+            inverse = ops.matrix_inverse([[algebra.element(entry) for entry in row]
+                                          for row in matrix])
+            product = _matrix_product(algebra, matrix, np.array(
+                [[entry.coeffs for entry in row] for row in inverse]))
             identity = np.eye(size)[:, :, None] * algebra.unit().coeffs
-            residual = float(np.max(np.abs(coeffs - identity)))
-            yield residual, {
-                "algebra": key, "size": size,
-                "matrix": [[[float(v) for v in entry.coeffs] for entry in row]
-                           for row in rows],
-            }
+            residual = float(np.max(np.abs(product - identity)))
+            yield residual, {"algebra": key, "size": size, "matrix": matrix.tolist()}
 
 
 @_check(CheckSpec("leibniz_derivation",

@@ -8,10 +8,11 @@ the index basis and prolongs each coefficient.
 A symplectic structure is a closed nondegenerate 2-form (both sampled at
 construction).  The hamiltonian field of an A-valued function solves the
 linear system  sum_i Omega_ij X^i = d_j(phi)  over the algebra at each
-evaluation point; components come back as opaque factors that carry exact
-derivative rules, so the field composes with the rest of the calculus even
-though no closed form for it exists.  Inverting the solve matrix uses the
-finite Neumann series of local-ring linear algebra.
+evaluation point, for a whole batch of points at once; components come back
+as opaque factors that carry exact derivative rules, so the field composes
+with the rest of the calculus even though no closed form for it exists.
+Inverting the solve matrices uses the finite Neumann series of local-ring
+linear algebra, over (..., m, m, d) coefficient arrays.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import WeilAlgebra, WeilElement
+from .algebra import WeilAlgebra, WeilElement, _add_live, _live, _product, _unit, _wrap
 from .bundle import (
     DEFAULT_BOX,
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
-    NearPoint,
     Term,
     apply_field,
     max_difference,
@@ -395,33 +395,67 @@ class SymplecticStructure:
 
 
 # -- local-ring linear algebra --------------------------------------------------
+#
+# Matrices over A are coefficient arrays of shape (..., m, m, d): one matrix,
+# or one per point of a batch, each of which gets the bits it would get alone.
+# Real matrices enter as multiples of the unit.
 
-def _matrix_product(a, b, size):
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, size):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def _matrix_product(algebra: WeilAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (..., m, p, d) and (..., p, q, d) matrices over A; each
+    entry sums its p products from left to right."""
+    acc = None
+    for k in range(a.shape[-2]):
+        left, right = np.broadcast_arrays(a[..., :, k:k + 1, :], b[..., k:k + 1, :, :])
+        term = _product(algebra, left, right)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _matrix_inverse(algebra: WeilAlgebra, matrix: np.ndarray, *,
+                    terms: int | None = None) -> np.ndarray:
+    """Inverse of (..., m, m, d) matrices over A.
+
+    Splits M = M0 + N into the real-part matrix and the nilpotent remainder
+    and evaluates M^{-1} = M0^{-1} * sum_{k=0}^{h} (-N M0^{-1})^k; the series
+    is exact because products of h+1 nilpotent entries vanish, and each
+    matrix stops at its own first vanishing power.  ``terms`` overrides the
+    summand count.  Raises SingularRealPart at the first matrix whose real
+    part is singular at the algebra's zero tolerance.
+    """
+    real = matrix[..., 0]
+    smallest = np.linalg.svd(real, compute_uv=False)[..., -1].ravel()
+    singular = smallest[smallest <= algebra.zero_tol]
+    if singular.size:
+        raise SingularRealPart(
+            f"real part is singular to tolerance (smallest singular value "
+            f"{singular[0]:.3e})")
+    real_inv = np.linalg.inv(real)[..., None] * _unit(algebra)
+    nil = matrix.copy()
+    nil[..., 0] = 0.0
+    c = _matrix_product(algebra, nil, -real_inv)
+    count = algebra.height + 1 if terms is None else terms
+    identity = np.eye(matrix.shape[-2])[..., None] * _unit(algebra)
+    # the series runs flat, one row of m*m*d coefficients per matrix
+    series, power, live = identity.reshape(-1), identity, True
+    for _ in range(count - 1):
+        power = _matrix_product(algebra, c, power)
+        flat = power.reshape(matrix.shape[:-3] + (-1,))
+        live = _live(flat, live)
+        if live is False:
+            break
+        series = _add_live(series, flat, live)
+    series = series.reshape(series.shape[:-1] + identity.shape)
+    # M0^{-1} S as (S^T M0^{-T})^T: each series entry times a real, in that order
+    return _matrix_product(algebra, series.swapaxes(-3, -2),
+                           real_inv.swapaxes(-3, -2)).swapaxes(-3, -2)
 
 
 def weil_matrix_inverse(rows: Sequence[Sequence[WeilElement]], *,
                         terms: int | None = None) -> list[list[WeilElement]]:
-    """Invert a square matrix over a Weil algebra.
-
-    Splits M = M0 + N into the real-part matrix and the nilpotent remainder
-    and evaluates M^{-1} = M0^{-1} * sum_{k=0}^{h} (-N M0^{-1})^k; the series
-    is exact because products of h+1 nilpotent entries vanish.  ``terms``
-    overrides the summand count (testing hook; fewer than h+1 terms gives a
-    wrong inverse whenever order-h contributions matter).
-
-    Raises SingularRealPart when the real part is singular at the algebra's
-    zero tolerance.
-    """
+    """Invert a square matrix over a Weil algebra (``_matrix_inverse``).
+    ``terms`` overrides the summand count (testing hook; fewer than h+1 terms
+    gives a wrong inverse whenever order-h contributions matter).  Raises
+    SingularRealPart when the real part is singular to tolerance."""
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
         raise ValueError("expected a nonempty square matrix")
@@ -430,93 +464,52 @@ def weil_matrix_inverse(rows: Sequence[Sequence[WeilElement]], *,
         for entry in row:
             if not algebra.compatible_with(entry.algebra):
                 raise AlgebraMismatch("matrix entries live in different algebras")
-    real = np.array([[entry.augmentation for entry in row] for row in rows])
-    smallest = float(np.linalg.svd(real, compute_uv=False)[-1])
-    if smallest <= algebra.zero_tol:
-        raise SingularRealPart(
-            f"real part is singular to tolerance (smallest singular value "
-            f"{smallest:.3e})")
-    real_inv = np.linalg.inv(real)
-    # C = -N * M0^{-1}, entries of N nilpotent
-    c = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = algebra.zero()
-            for k in range(size):
-                acc = acc + rows[i][k].nilpotent_part() * float(-real_inv[k][j])
-            row.append(acc)
-        c.append(row)
-    count = algebra.height + 1 if terms is None else terms
-    unit, zero = algebra.unit(), algebra.zero()
-    series = [[unit if i == j else zero for j in range(size)] for i in range(size)]
-    power = series
-    for _ in range(count - 1):
-        power = _matrix_product(c, power, size)
-        if all(entry.is_zero() for row in power for entry in row):
-            break
-        series = [[series[i][j] + power[i][j] for j in range(size)]
-                  for i in range(size)]
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = series[0][j] * float(real_inv[i][0])
-            for k in range(1, size):
-                acc = acc + series[k][j] * float(real_inv[i][k])
-            row.append(acc)
-        out.append(row)
-    return out
+    inverse = _matrix_inverse(algebra, np.array([[entry.coeffs for entry in row]
+                                                 for row in rows]), terms=terms)
+    return [[_wrap(algebra, entry) for entry in row] for row in inverse]
 
 
 # -- hamiltonian fields via pointwise solves ------------------------------------
 
 class _SystemMatrix:
-    """Solve matrix of expressions with a per-point inverse cache."""
+    """Solve matrix of expressions.  Its inverse at a near-point or a batch
+    is kept in that point's own evaluation cache, keyed by the matrix."""
 
-    __slots__ = ("entries", "algebra", "arity", "_inverses")
+    __slots__ = ("entries", "algebra", "arity")
 
     def __init__(self, entries, algebra: WeilAlgebra, arity: int):
         self.entries = tuple(tuple(row) for row in entries)
         self.algebra = algebra
         self.arity = arity
-        self._inverses: dict[NearPoint, list[list[WeilElement]]] = {}
 
-    def inverse_at(self, point: NearPoint):
-        cached = self._inverses.get(point)
+    def inverse_at(self, point) -> np.ndarray:
+        cached = point._eval_cache.get(self)
         if cached is None:
-            values = [[WeilElement(point.algebra, point.pulled(entry)) for entry in row]
-                      for row in self.entries]
-            cached = weil_matrix_inverse(values)
-            self._inverses[point] = cached
+            values = np.stack([np.stack([point.pulled(entry) for entry in row], axis=-2)
+                               for row in self.entries], axis=-3)
+            cached = point._eval_cache[self] = _matrix_inverse(self.algebra, values)
         return cached
 
 
 class _LinearSolve:
-    """One right-hand side against a shared system; solutions cached per
-    point, derivatives produced as further solves."""
+    """One right-hand side against a shared system; solutions kept in the
+    point's evaluation cache, derivatives produced as further solves."""
 
-    __slots__ = ("system", "rhs", "_solutions", "_derived")
+    __slots__ = ("system", "rhs", "_derived")
 
     def __init__(self, system: _SystemMatrix, rhs: Sequence[BundleFunction]):
         self.system = system
         self.rhs = tuple(rhs)
-        self._solutions: dict[NearPoint, list[WeilElement]] = {}
         self._derived: dict[int, "_LinearSolve"] = {}
 
-    def solution(self, point: NearPoint) -> list[WeilElement]:
-        cached = self._solutions.get(point)
+    def solution(self, point) -> np.ndarray:
+        """The (..., m, d) solution at a near-point or a batch."""
+        cached = point._eval_cache.get(self)
         if cached is None:
-            inverse = self.system.inverse_at(point)
-            values = [fn.evaluate(point) for fn in self.rhs]
-            size = len(values)
-            cached = []
-            for i in range(size):
-                acc = inverse[i][0] * values[0]
-                for k in range(1, size):
-                    acc = acc + inverse[i][k] * values[k]
-                cached.append(acc)
-            self._solutions[point] = cached
+            values = np.stack([fn._coefficients(point) for fn in self.rhs], axis=-2)
+            cached = _matrix_product(self.system.algebra, self.system.inverse_at(point),
+                                     values[..., None, :])[..., 0, :]
+            point._eval_cache[self] = cached
         return cached
 
     def component_function(self, index: int) -> BundleFunction:
@@ -555,8 +548,8 @@ class _SolvedComponent:
         self.solve = solve
         self.index = index
 
-    def evaluate(self, point: NearPoint) -> WeilElement:
-        return self.solve.solution(point)[self.index]
+    def evaluate(self, point) -> np.ndarray:
+        return self.solve.solution(point)[..., self.index, :]
 
     def partial(self, index: int) -> BundleFunction:
         return self.solve.derivative(index).component_function(self.index)

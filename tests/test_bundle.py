@@ -28,7 +28,7 @@ from weiljet.bundle import (
 from weiljet.errors import ArityError, DomainError
 from weiljet.expression import add, compose, differentiate, eval_weil, mul, parse_expr, sub
 from weiljet.sampling import random_base_field, random_expression
-from weiljet.symplectic import SymplecticStructure, hamiltonian_field
+from weiljet.symplectic import BaseForm, SymplecticStructure, hamiltonian_field
 
 DUAL = make_truncated_algebra(1, 1)
 T3 = make_truncated_algebra(1, 2)
@@ -319,24 +319,29 @@ def test_batch_evaluation_equals_point_evaluation(algebra, samples):
             assert np.array_equal(jet[s], eval_weil(f, point.coords).coeffs)
 
 
+SOLVE_STRUCTURES = {
+    "canonical2": SymplecticStructure.canonical(2),
+    "canonical4": SymplecticStructure.canonical(4),
+    "curved": SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"})),
+}
+
+
 @pytest.mark.parametrize("samples", [1, 4, 32])
-def test_batch_evaluates_solved_factors_point_by_point(samples):
-    structure = SymplecticStructure.canonical(2)
-    potential = prolong_function(parse_expr("sin(x0) * x1^2 + exp(0.5*x1)", 2), T3)
-    weight = prolong_function(parse_expr("x0 + x1^2", 2), T3)
-
-    def solved():
-        # a fresh solve each time: its per-point caches start empty
-        field = hamiltonian_field(potential, structure, T3)
-        fn = field.components[0] * weight
-        return [fn, fn.partial(1)]
-
-    batch = sample_near_points(T3, 2, np.random.default_rng(samples), samples)
-    batched = [fn.evaluate(batch) for fn in solved()]
-    assert not solved()[0].is_representable
-    for s, point in enumerate(_points_of(batch)):
-        for fn, values in zip(solved(), batched):
-            assert np.array_equal(values[s], fn.evaluate(point).coeffs)
+@pytest.mark.parametrize("algebra", [T3, make_truncated_algebra(2, 2)], ids=["t3", "m3"])
+@pytest.mark.parametrize("structure", SOLVE_STRUCTURES.values(), ids=SOLVE_STRUCTURES.keys())
+def test_batch_solves_equal_point_solves(structure, algebra, samples):
+    n = structure.arity
+    potential = prolong_function(
+        parse_expr(f"sin(x0) * x1^2 + exp(0.5*x{n - 1})", n), algebra)
+    weight = prolong_function(parse_expr("x0 + x1^2", n), algebra)
+    field = hamiltonian_field(potential, structure, algebra)
+    fn = field.components[0] * weight
+    assert not fn.is_representable
+    batch = sample_near_points(algebra, n, np.random.default_rng(samples), samples)
+    for f in (fn, fn.partial(1)):
+        values = f.evaluate(batch)
+        for s, point in enumerate(_points_of(batch)):
+            assert np.array_equal(values[s], f.evaluate(point).coeffs)
 
 
 def test_batch_domain_error_at_the_last_point():

@@ -1,5 +1,8 @@
 """Differential forms, matrix inversion over a Weil algebra, and symplectic brackets."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,16 +11,21 @@ from weiljet.bundle import (
     BaseVectorField,
     BundleFunction,
     NearPoint,
+    NearPoints,
     functions_equal,
     prolong_function,
     prolong_vector_field,
     sample_near_point,
+    sample_near_points,
 )
 from weiljet.errors import DegreeError, InvalidSymplecticStructure, SingularRealPart
 from weiljet.expression import eval_real, parse_expr
+from weiljet.harness import ALL_ALGEBRAS, battery_algebra
 from weiljet.poisson import ProlongedPoisson
 from weiljet.symplectic import (
     BaseForm,
+    _matrix_inverse,
+    _matrix_product,
     SymplecticStructure,
     base_hamiltonian_field,
     base_interior_product,
@@ -146,6 +154,60 @@ def test_truncating_the_neumann_tail_is_detected():
 def test_singular_real_part_is_rejected():
     with pytest.raises(SingularRealPart):
         weil_matrix_inverse([[T3.basis_element(1)]])
+
+
+@pytest.mark.parametrize("terms", ["full", "height"])
+@pytest.mark.parametrize("samples", [1, 5])
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("key", ALL_ALGEBRAS)
+def test_stacked_matrix_kernel_equals_single_inverses(key, size, samples, terms):
+    algebra = battery_algebra(key)
+    count = algebra.height if terms == "height" else None
+    rng = np.random.default_rng(10 * size + samples)
+    stack = rng.uniform(-1.0, 1.0, (samples, size, size, algebra.dim))
+    stack[..., 0] += 3.0 * np.eye(size)
+    stack[:, 0, -1, 1:] = 0.0  # a real entry in every matrix
+    stack[-1, ..., 1:] = 0.0   # a real matrix, whose series ends at once
+    inverses = _matrix_inverse(algebra, stack, terms=count)
+    products = _matrix_product(algebra, stack, inverses)
+    assert inverses.shape == products.shape == stack.shape
+    for s in range(samples):
+        rows = [[algebra.element(entry) for entry in row] for row in stack[s]]
+        inverse = weil_matrix_inverse(rows, terms=count)
+        assert np.array_equal(inverses[s], [[e.coeffs for e in row] for row in inverse])
+        for i in range(size):
+            for j in range(size):
+                acc = rows[i][0] * inverse[0][j]
+                for k in range(1, size):
+                    acc = acc + rows[i][k] * inverse[k][j]
+                assert np.array_equal(products[s, i, j], acc.coeffs)
+
+
+def test_batch_with_a_singular_solve_point_raises():
+    structure = SymplecticStructure(BaseForm(2, 2, {(0, 1): "x0"}), validate=False)
+    potential = prolong_function(parse_expr("x0 * x1^2", 2), T3)
+    component = hamiltonian_field(potential, structure, T3).components[0]
+    coeffs = np.array(sample_near_points(T3, 2, np.random.default_rng(3), 4).coeffs)
+    assert component.evaluate(NearPoints(T3, coeffs)).shape == (4, 3)
+    coeffs[2, 0, 0] = 0.0
+    with pytest.raises(SingularRealPart):
+        component.evaluate(NearPoints(T3, coeffs))
+
+
+def test_solves_do_not_keep_their_points_alive():
+    potential = prolong_function(parse_expr("sin(x0) * x1^2", 2), T3)
+    component = hamiltonian_field(potential, CURVED, T3).components[0]
+    derivative = component.partial(1)
+    rng = np.random.default_rng(5)
+    refs = []
+    for _ in range(1000):
+        point = sample_near_point(T3, 2, rng)
+        component.evaluate(point)
+        derivative.evaluate(point)
+        refs.append(weakref.ref(point))
+    del point
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_structure_validation():
