@@ -22,10 +22,20 @@ batch at once).  Functions with no opaque factors are called representable;
 structural operations that need to inspect the integrand (like the prolonged
 Poisson derivation) require representability, while evaluation and
 derivatives work for every term.
+
+A function's terms are canonical: no pullback is a constant (constants fold
+into the coefficient), the pullbacks are sorted by text, and no two terms
+share their factors.  The public constructor checks and canonicalizes what
+it is given.  The operations (``partial``, sums, products, ``apply_field``
+and the Poisson derivation) read canonical terms, emit canonical terms, and
+merge them once per operation without checking them again; the merge adds
+coefficients in the order the terms come and drops zero sums.  A function
+keeps its partials, so each is built once, and they go when it goes.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -171,11 +181,7 @@ class Term:
     def __init__(self, coeff: WeilElement, pullbacks: Iterable[ScalarExpr] = (),
                  lazies: Iterable[LazyFactor] = ()):
         self.coeff = coeff
-        pullbacks = tuple(pullbacks)
-        if len(pullbacks) > 1:
-            # sorting reads the texts, which a lone pullback never needs
-            pullbacks = tuple(sorted(pullbacks, key=lambda e: e.text))
-        self.pullbacks = pullbacks
+        self.pullbacks = _sorted_pullbacks(tuple(pullbacks))
         self.lazies = tuple(lazies)
 
     def key(self):
@@ -188,16 +194,98 @@ class Term:
         return " * ".join(parts)
 
 
-class BundleFunction:
-    """A-valued function on the prolonged space, a compacted sum of terms."""
+# -- canonical terms ------------------------------------------------------------
+#
+# A term is canonical for a function when its coefficient lives in the
+# function's algebra, its pullbacks have the function's arity, none of them
+# is a Const, and they are sorted by text.  The operations below take
+# canonical terms and emit canonical terms, so one merge per operation is all
+# they need.
 
-    __slots__ = ("algebra", "arity", "terms")
+_text = attrgetter("text")
+
+
+def _sorted_pullbacks(pullbacks: tuple) -> tuple:
+    # sorting reads the texts, which a lone pullback never needs
+    return tuple(sorted(pullbacks, key=_text)) if len(pullbacks) > 1 else pullbacks
+
+
+def _term(coeff: WeilElement, pullbacks: tuple, lazies: tuple) -> Term:
+    """A term from parts that are canonical already: nothing is sorted,
+    copied or checked."""
+    term = object.__new__(Term)
+    term.coeff = coeff
+    term.pullbacks = pullbacks
+    term.lazies = lazies
+    return term
+
+
+def _merge(terms: Iterable[Term]) -> tuple[Term, ...]:
+    """Merge canonical terms: terms with the same factors add their
+    coefficients in order, in the place of the first, and sums that are zero
+    are dropped."""
+    merged: dict = {}
+    for term in terms:
+        key = (term.pullbacks, term.lazies)
+        first = merged.get(key)
+        if first is None:
+            merged[key] = term
+        else:
+            merged[key] = _term(_wrap(first.coeff.algebra,
+                                      first.coeff.coeffs + term.coeff.coeffs),
+                                key[0], key[1])
+    return tuple(t for t in merged.values() if np.count_nonzero(t.coeff.coeffs))
+
+
+def _replaced(term: Term, j: int, expr: ScalarExpr) -> Term:
+    """The term with pullback j replaced by expr; a constant expr folds into
+    the coefficient."""
+    rest = term.pullbacks[:j] + term.pullbacks[j + 1:]
+    if isinstance(expr, Const):
+        return _term(term.coeff * expr.value, rest, term.lazies)
+    return _term(term.coeff, _sorted_pullbacks(rest + (expr,)), term.lazies)
+
+
+def _products(left: Iterable[Term], right: Sequence[Term]):
+    """The canonical terms of a product of two sums of terms, unmerged, in
+    distributive order."""
+    for s in left:
+        algebra, a = s.coeff.algebra, s.coeff.coeffs
+        for t in right:
+            yield _term(_wrap(algebra, _product(algebra, a, t.coeff.coeffs)),
+                        _sorted_pullbacks(s.pullbacks + t.pullbacks),
+                        s.lazies + t.lazies)
+
+
+def _product_rule(term: Term, index: int, positions: Iterable[int]) -> list[Term]:
+    """The terms of d/dx_index of one term, differentiating the pullbacks at
+    ``positions`` and every lazy factor.  Each pullback branch is kept as its
+    own one-term function would keep it (a zero branch is dropped); each lazy
+    branch is the rest of the term times the factor's partial, merged as that
+    product."""
+    out = []
+    for j in positions:
+        branch = _replaced(term, j, differentiate(term.pullbacks[j], index))
+        if np.count_nonzero(branch.coeff.coeffs):
+            out.append(branch)
+    for k, lz in enumerate(term.lazies):
+        rest = _term(term.coeff, term.pullbacks, term.lazies[:k] + term.lazies[k + 1:])
+        out.extend(_merge(_products((rest,), lz.partial(index).terms)))
+    return out
+
+
+class BundleFunction:
+    """A-valued function on the prolonged space, a compacted sum of terms.
+
+    Its terms are canonical (see "canonical terms" above), and its partials
+    are built once and kept on it."""
+
+    __slots__ = ("algebra", "arity", "terms", "_partials", "__weakref__")
 
     def __init__(self, algebra: WeilAlgebra, arity: int, terms: Iterable[Term] = ()):
         if arity < 1:
             raise ArityError("functions need at least one base coordinate")
-        merged: dict = {}
-        order: list = []
+        canonical = []
         for term in terms:
             if not algebra.compatible_with(term.coeff.algebra):
                 raise AlgebraMismatch("term coefficient lives in a different algebra")
@@ -211,16 +299,23 @@ class BundleFunction:
                     coeff = coeff * p.value
                 else:
                     kept.append(p)
-            reduced = Term(coeff, kept, term.lazies)
-            key = reduced.key()
-            if key in merged:
-                merged[key] = Term(merged[key].coeff + coeff, kept, reduced.lazies)
-            else:
-                merged[key] = reduced
-                order.append(key)
+            canonical.append(_term(coeff, _sorted_pullbacks(tuple(kept)),
+                                   tuple(term.lazies)))
         self.algebra = algebra
         self.arity = arity
-        self.terms = tuple(merged[k] for k in order if not merged[k].coeff.is_zero())
+        self.terms = _merge(canonical)
+        self._partials = None
+
+    @classmethod
+    def _merged(cls, algebra: WeilAlgebra, arity: int,
+                terms: Iterable[Term]) -> "BundleFunction":
+        """The function of canonical terms after one merge, unchecked."""
+        fn = object.__new__(cls)
+        fn.algebra = algebra
+        fn.arity = arity
+        fn.terms = _merge(terms)
+        fn._partials = None
+        return fn
 
     # -- constructors --------------------------------------------------------
 
@@ -252,7 +347,7 @@ class BundleFunction:
             if part.arity != arity:
                 raise ArityError("functions disagree on the base arity")
             terms.extend(part.terms)
-        return cls(algebra, arity, terms)
+        return cls._merged(algebra, arity, terms)
 
     # -- structure -----------------------------------------------------------
 
@@ -299,24 +394,20 @@ class BundleFunction:
     def partial(self, index: int) -> "BundleFunction":
         """Partial derivative along base coordinate ``index`` (product rule
         across pullbacks and opaque factors; pullbacks differentiate
-        symbolically)."""
+        symbolically).  Built once per index and kept on the function."""
+        partials = self._partials
+        if partials is not None and index in partials:
+            return partials[index]
         if index < 0 or index >= self.arity:
             raise ArityError(f"derivative index {index} out of range")
-        parts = []
+        terms = []
         for term in self.terms:
-            for j, p in enumerate(term.pullbacks):
-                rest = term.pullbacks[:j] + term.pullbacks[j + 1:]
-                dp = differentiate(p, index)
-                parts.append(BundleFunction(
-                    self.algebra, self.arity,
-                    [Term(term.coeff, rest + (dp,), term.lazies)]))
-            for k, lz in enumerate(term.lazies):
-                rest_lz = term.lazies[:k] + term.lazies[k + 1:]
-                base = BundleFunction(
-                    self.algebra, self.arity,
-                    [Term(term.coeff, term.pullbacks, rest_lz)])
-                parts.append(base * lz.partial(index))
-        return BundleFunction.sum(self.algebra, self.arity, parts)
+            terms.extend(_product_rule(term, index, range(len(term.pullbacks))))
+        result = BundleFunction._merged(self.algebra, self.arity, terms)
+        if partials is None:
+            partials = self._partials = {}
+        partials[index] = result
+        return result
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -324,7 +415,7 @@ class BundleFunction:
         if not isinstance(other, BundleFunction):
             return NotImplemented
         self._check_mate(other)
-        return BundleFunction(self.algebra, self.arity, self.terms + other.terms)
+        return BundleFunction._merged(self.algebra, self.arity, self.terms + other.terms)
 
     def __sub__(self, other):
         if not isinstance(other, BundleFunction):
@@ -337,23 +428,19 @@ class BundleFunction:
     def __mul__(self, other):
         if isinstance(other, BundleFunction):
             self._check_mate(other)
-            products = []
-            for s in self.terms:
-                for t in other.terms:
-                    products.append(Term(s.coeff * t.coeff,
-                                         s.pullbacks + t.pullbacks,
-                                         s.lazies + t.lazies))
-            return BundleFunction(self.algebra, self.arity, products)
-        if isinstance(other, WeilElement):
+            terms = _products(self.terms, other.terms)
+        elif isinstance(other, WeilElement):
             if not self.algebra.compatible_with(other.algebra):
                 raise AlgebraMismatch("scalar lives in a different algebra")
-            scaled = [Term(t.coeff * other, t.pullbacks, t.lazies) for t in self.terms]
-            return BundleFunction(self.algebra, self.arity, scaled)
-        if isinstance(other, (int, float)):
-            scaled = [Term(t.coeff * float(other), t.pullbacks, t.lazies)
-                      for t in self.terms]
-            return BundleFunction(self.algebra, self.arity, scaled)
-        return NotImplemented
+            terms = [_term(_wrap(t.coeff.algebra,
+                                 _product(t.coeff.algebra, t.coeff.coeffs, other.coeffs)),
+                           t.pullbacks, t.lazies) for t in self.terms]
+        elif isinstance(other, (int, float)):
+            factor = float(other)
+            terms = [_term(t.coeff * factor, t.pullbacks, t.lazies) for t in self.terms]
+        else:
+            return NotImplemented
+        return BundleFunction._merged(self.algebra, self.arity, terms)
 
     __rmul__ = __mul__
 
@@ -487,9 +574,10 @@ def apply_field(field: BundleVectorField, fn: BundleFunction) -> BundleFunction:
         raise ArityError("field and function disagree on arity")
     if not field.algebra.compatible_with(fn.algebra):
         raise AlgebraMismatch("field and function live over different algebras")
-    return BundleFunction.sum(fn.algebra, fn.arity,
-                              [comp * fn.partial(i)
-                               for i, comp in enumerate(field.components)])
+    terms = []
+    for i, comp in enumerate(field.components):
+        terms.extend(_merge(_products(comp.terms, fn.partial(i).terms)))
+    return BundleFunction._merged(fn.algebra, fn.arity, terms)
 
 
 def lie_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:

@@ -33,7 +33,7 @@ from .bundle import (
     BundleFunction,
     BundleVectorField,
     NearPoint,
-    Term,
+    _product_rule,
     apply_field,
     lie_bracket,
     max_difference,
@@ -212,21 +212,11 @@ def default_ops() -> Ops:
 
 def _dropped_partial(fn: BundleFunction, index: int) -> BundleFunction:
     # product rule with the final pullback branch dropped on genuine products
-    parts = []
+    terms = []
     for term in fn.terms:
-        pulls = term.pullbacks
-        limit = len(pulls) - 1 if len(pulls) >= 2 else len(pulls)
-        for j in range(limit):
-            rest = pulls[:j] + pulls[j + 1:]
-            dp = differentiate(pulls[j], index)
-            parts.append(BundleFunction(fn.algebra, fn.arity,
-                                        [Term(term.coeff, rest + (dp,), term.lazies)]))
-        for k, lz in enumerate(term.lazies):
-            rest_lz = term.lazies[:k] + term.lazies[k + 1:]
-            base = BundleFunction(fn.algebra, fn.arity,
-                                  [Term(term.coeff, pulls, rest_lz)])
-            parts.append(base * lz.partial(index))
-    return BundleFunction.sum(fn.algebra, fn.arity, parts)
+        count = len(term.pullbacks)
+        terms.extend(_product_rule(term, index, range(count - 1 if count >= 2 else count)))
+    return BundleFunction._merged(fn.algebra, fn.arity, terms)
 
 
 def _mutate_tau_sign_flip(ops: Ops) -> Ops:

@@ -1,17 +1,22 @@
 """Prolongation of functions and vector fields to near-points."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from weiljet.algebra import (
     AlgebraMismatch,
     NotInvertible,
+    WeilElement,
     make_truncated_algebra,
     validate_algebra,
 )
 from weiljet.bundle import (
     BaseVectorField,
     BundleFunction,
+    BundleVectorField,
     NearPoint,
     NearPoints,
     Term,
@@ -26,8 +31,23 @@ from weiljet.bundle import (
     sample_near_points,
 )
 from weiljet.errors import ArityError, DomainError
-from weiljet.expression import add, compose, differentiate, eval_weil, mul, parse_expr, sub
-from weiljet.sampling import random_base_field, random_expression
+from weiljet.expression import (
+    Const,
+    add,
+    compose,
+    differentiate,
+    eval_weil,
+    mul,
+    parse_expr,
+    sub,
+)
+from weiljet.poisson import PoissonStructure, ProlongedPoisson, poisson_derivation
+from weiljet.sampling import (
+    random_base_field,
+    random_bundle_function,
+    random_expression,
+    sample_element,
+)
 from weiljet.symplectic import BaseForm, SymplecticStructure, hamiltonian_field
 
 DUAL = make_truncated_algebra(1, 1)
@@ -358,3 +378,157 @@ def test_batch_with_a_singular_point_is_not_invertible():
     coeffs[2, 0, 0] = 0.0
     with pytest.raises(NotInvertible):
         eval_weil(parse_expr("1 / x0", 1), NearPoints(T3, coeffs))
+
+
+# -- one merge per operation --------------------------------------------------
+#
+# The reference builds each result as the term algebra did before its
+# operations emitted canonical terms into one merge: every product-rule branch
+# as a one-term public BundleFunction, every product and scaling through the
+# public constructor, and a sum of those.  The operations must give the same
+# terms, in the same order, with bit-identical coefficients.
+
+def _ref_mul(f, other):
+    if isinstance(other, BundleFunction):
+        terms = [Term(s.coeff * t.coeff, s.pullbacks + t.pullbacks, s.lazies + t.lazies)
+                 for s in f.terms for t in other.terms]
+    else:
+        scale = other if isinstance(other, WeilElement) else float(other)
+        terms = [Term(t.coeff * scale, t.pullbacks, t.lazies) for t in f.terms]
+    return BundleFunction(f.algebra, f.arity, terms)
+
+
+def _ref_sum(algebra, arity, parts):
+    return BundleFunction(algebra, arity, [t for part in parts for t in part.terms])
+
+
+def _ref_partial(fn, index):
+    parts = []
+    for term in fn.terms:
+        for j, p in enumerate(term.pullbacks):
+            rest = term.pullbacks[:j] + term.pullbacks[j + 1:]
+            parts.append(BundleFunction(fn.algebra, fn.arity, [
+                Term(term.coeff, rest + (differentiate(p, index),), term.lazies)]))
+        for k, lz in enumerate(term.lazies):
+            base = BundleFunction(fn.algebra, fn.arity, [
+                Term(term.coeff, term.pullbacks, term.lazies[:k] + term.lazies[k + 1:])])
+            parts.append(_ref_mul(base, lz.partial(index)))
+    return _ref_sum(fn.algebra, fn.arity, parts)
+
+
+def _ref_apply_field(field, fn):
+    return _ref_sum(fn.algebra, fn.arity, [_ref_mul(comp, _ref_partial(fn, i))
+                                           for i, comp in enumerate(field.components)])
+
+
+def _ref_poisson_derivation(structure, fn):
+    components = []
+    for i in range(structure.arity):
+        terms = []
+        for term in fn.terms:
+            for j, p in enumerate(term.pullbacks):
+                comp = structure.base.ad(p).components[i]
+                if isinstance(comp, Const) and comp.value == 0.0:
+                    continue
+                terms.append(Term(term.coeff,
+                                  term.pullbacks[:j] + term.pullbacks[j + 1:] + (comp,)))
+        components.append(BundleFunction(structure.algebra, structure.arity, terms))
+    return components
+
+
+def _lazy_identity(lz):
+    # a solved factor's partial is a fresh factor on a kept derived solve
+    return (lz.solve, lz.index)
+
+
+def _assert_same_terms(got, ref):
+    assert len(got.terms) == len(ref.terms)
+    for g, r in zip(got.terms, ref.terms):
+        assert len(g.pullbacks) == len(r.pullbacks)
+        assert all(a is b for a, b in zip(g.pullbacks, r.pullbacks))
+        assert [_lazy_identity(lz) for lz in g.lazies] == [_lazy_identity(lz) for lz in r.lazies]
+        assert np.array_equal(g.coeff.coeffs, r.coeff.coeffs)
+        assert g.coeff.coeffs.tobytes() == r.coeff.coeffs.tobytes()
+
+
+def _operands(algebra, seed):
+    rng = np.random.default_rng(seed)
+    fns = [random_bundle_function(algebra, 2, rng, max_terms=3) for _ in range(4)]
+    x0, x1 = parse_expr("x0", 2), parse_expr("x1", 2)
+    affine, product = parse_expr("3*x1 + 2", 2), parse_expr("x0*x1", 2)
+    c = algebra.element(np.linspace(1.0, -0.5, algebra.dim))
+    # derivatives that are constants, 0 among them, and terms that cancel
+    fns.append(BundleFunction(algebra, 2, [
+        Term(c, (x0,)), Term(c * -2.0, (affine,)), Term(algebra.unit(), (x0, x1)),
+        Term(c, (product, x1)), Term(c * -1.0, (x1, x0))]))
+    # products whose terms merge within one component's product and with
+    # the product of the component before: a merge of the whole sum at once
+    # would add those coefficients in another order
+    e, f, g, h = (sample_element(algebra, rng) for _ in range(4))
+    fns.append(BundleFunction(algebra, 2, [Term(e, (x0,)), Term(f, (x1,))]))
+    fns.append(BundleFunction(algebra, 2, [Term(g, (x1, x1)), Term(h, (x0, x1))]))
+    potential = prolong_function(parse_expr("x0^2*x1 + sin(x1)", 2), algebra)
+    solved = hamiltonian_field(potential, SymplecticStructure.canonical(2), algebra)
+    fns.append(solved.components[0])
+    fns.append(solved.components[1] * fns[0] + fns[4])
+    return fns, solved
+
+
+@pytest.mark.parametrize("algebra", [DUAL, T3, M2], ids=["dual", "t3", "m2"])
+def test_operations_match_the_one_term_reference(algebra):
+    fns, solved = _operands(algebra, 11)
+    scale = algebra.element(np.linspace(-0.5, 0.75, algebra.dim))
+    for f in fns:
+        for index in range(2):
+            _assert_same_terms(f.partial(index), _ref_partial(f, index))
+        _assert_same_terms(f * scale, _ref_mul(f, scale))
+        _assert_same_terms(f * 2.5, _ref_mul(f, 2.5))
+        _assert_same_terms(f * 0.0, _ref_mul(f, 0.0))
+        _assert_same_terms(-f, _ref_mul(f, -1.0))
+        for g in fns:
+            _assert_same_terms(f * g, _ref_mul(f, g))
+            _assert_same_terms(f + g, _ref_sum(algebra, 2, [f, g]))
+            _assert_same_terms(f - g, _ref_sum(algebra, 2, [f, _ref_mul(g, -1.0)]))
+            _assert_same_terms(f - f, BundleFunction.zero(algebra, 2))
+    _assert_same_terms(BundleFunction.sum(algebra, 2, fns), _ref_sum(algebra, 2, fns))
+    fields = [solved, BundleVectorField(fns[:2]), BundleVectorField([fns[5], fns[5]]),
+              BundleVectorField([fns[4], fns[8]])]
+    for field in fields:
+        for f in fns:
+            _assert_same_terms(apply_field(field, f), _ref_apply_field(field, f))
+    prolonged = ProlongedPoisson(PoissonStructure.canonical(2), algebra)
+    for f in fns:
+        if f.is_representable:
+            for got, ref in zip(poisson_derivation(prolonged, f).components,
+                                _ref_poisson_derivation(prolonged, f)):
+                _assert_same_terms(got, ref)
+
+
+# -- partials kept on the function ---------------------------------------------
+
+def test_partials_are_built_once_per_index():
+    fns, _ = _operands(M2, 3)
+    for f in fns:
+        assert f.partial(0) is f.partial(0)
+        assert f.partial(1) is f.partial(1)
+        assert f.partial(0) is not f.partial(1)
+        with pytest.raises(ArityError):
+            f.partial(2)
+        with pytest.raises(ArityError):
+            f.partial(-1)
+
+
+def test_kept_partials_die_with_their_functions():
+    x0, x1 = parse_expr("x0", 2), parse_expr("sin(x0*x1)", 2)
+    potential = prolong_function(parse_expr("x0^2*x1", 2), T3)
+    refs = []
+    for k in range(1000):
+        if k % 100 == 0:
+            fn = hamiltonian_field(potential, SymplecticStructure.canonical(2), T3).components[1]
+        else:
+            fn = BundleFunction(T3, 2, [Term(T3.element([k, 1.0, 0.5]), (x0, x1))])
+        refs += [weakref.ref(fn), weakref.ref(fn.partial(k % 2)),
+                 weakref.ref(fn.partial(k % 2).partial(0))]
+    del fn
+    gc.collect()
+    assert not [r for r in refs if r() is not None]

@@ -2,12 +2,19 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weiljet.algebra import make_truncated_algebra
+from weiljet.bundle import prolong_function
 from weiljet.errors import DomainError
+from weiljet.expression import parse_expr
 from weiljet.harness import (
     _REGISTRY,
     BATTERY,
@@ -15,6 +22,7 @@ from weiljet.harness import (
     MUTATION_TARGETS,
     MUTATIONS,
     CheckReport,
+    _dropped_partial,
     _worst_case,
     battery_algebra,
     default_ops,
@@ -134,3 +142,39 @@ def test_registered_callable_runs_the_whole_check(name):
     residual, witness = result
     assert isinstance(residual, float)
     assert isinstance(witness, dict)
+
+
+def test_a_mutated_run_leaves_the_next_run_unchanged():
+    # partials are kept on the functions that built them; a mutated partial
+    # must never be kept, so an unmutated verify after a mutated one in the
+    # same process prints what a fresh process prints
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    after_mutation = (
+        "import contextlib, io, sys\n"
+        "from weiljet.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    main(['verify', '--seed', '42', '--mutate', 'leibniz_drop'])\n"
+        "sys.exit(main(['verify', '--seed', '42']))\n")
+    runs = [subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for argv in ([sys.executable, "-c", after_mutation],
+                         [sys.executable, "-m", "weiljet", "verify", "--seed", "42"])]
+    (out, err), (fresh_out, fresh_err) = (run.communicate(timeout=120) for run in runs)
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert out == fresh_out
+    assert err == fresh_err
+
+
+def test_a_dropped_partial_is_never_kept():
+    algebra = make_truncated_algebra(1, 2)
+    fn = (prolong_function(parse_expr("x0^2", 2), algebra)
+          * prolong_function(parse_expr("sin(x1)", 2), algebra))
+    lossy = _dropped_partial(fn, 1)
+    assert fn._partials is None
+    kept = fn.partial(1)
+    assert _dropped_partial(fn, 1) is not kept
+    assert fn.partial(1) is kept
+    assert lossy.is_structurally_zero() and not kept.is_structurally_zero()

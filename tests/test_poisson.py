@@ -5,20 +5,25 @@ import pytest
 
 from weiljet.algebra import make_truncated_algebra
 from weiljet.bundle import (
+    DEFAULT_BOX,
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
     apply_field,
     functions_equal,
+    max_difference,
     prolong_function,
     prolong_vector_field,
 )
 from weiljet.errors import ArityError, DegreeError, InvalidPoissonStructure
-from weiljet.expression import eval_real, parse_expr
+from weiljet.expression import add, eval_real, parse_expr
 from weiljet.poisson import (
     BaseCochain,
+    PoissonCochain,
     PoissonStructure,
     ProlongedPoisson,
+    _closedness_cases,
+    _random_unit_scale,
     adjoint_differential,
     check_global_witness_poisson,
     default_generators,
@@ -211,3 +216,59 @@ def test_global_witness_for_a_constant_field():
     wrong = prolong_function(parse_expr("x1", 2), DUAL)
     assert check_global_witness_poisson(field, good, structure, rng=np.random.default_rng(1))
     assert not check_global_witness_poisson(field, wrong, structure, rng=np.random.default_rng(1))
+
+
+def _ref_closedness_cases(field, structure, gens, samples, rng):
+    # the defect of every scaled pair built whole, as the pair form defines it
+    algebra, n = structure.algebra, structure.arity
+    prolonged = [prolong_function(g, algebra) for g in gens]
+    defect = prolonged_adjoint_differential(PoissonCochain(1, field), structure).value
+    zero = BundleFunction.zero(algebra, n)
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            a = _random_unit_scale(algebra, rng)
+            b = _random_unit_scale(algebra, rng)
+            residual, point = max_difference(defect(prolonged[i] * a, prolonged[j] * b),
+                                             zero, samples=samples, rng=rng)
+            yield residual, {
+                "left": gens[i].text,
+                "right": gens[j].text,
+                "left_scale": [float(c) for c in a.coeffs],
+                "right_scale": [float(c) for c in b.coeffs],
+                "point": [[float(v) for v in c.coeffs] for c in point.coords],
+            }
+
+
+CLOSEDNESS_CASES = {
+    "canonical2": (PoissonStructure.canonical(2), "x0^2*x1 + sin(x0) + x1^3"),
+    "rotational": (ROTATIONAL, "x0^2 + x1*x2 + cos(x2)"),
+    "canonical4": (PoissonStructure.canonical(4), "x0*x2 + x1^2*x3 + sin(x3)"),
+}
+
+
+@pytest.mark.parametrize("algebra", [DUAL, T3], ids=["dual", "truncated:1,2"])
+@pytest.mark.parametrize("name", CLOSEDNESS_CASES)
+def test_hoisted_closedness_matches_the_whole_pair_defect(name, algebra):
+    base, potential = CLOSEDNESS_CASES[name]
+    n = base.arity
+    structure = ProlongedPoisson(base, algebra)
+    closed = base.ad(parse_expr(potential, n))
+    perturbed = BaseVectorField([add(closed.components[0], parse_expr("0.7*x0^2", n)),
+                                 *closed.components[1:]])
+    gens = default_generators(n)
+    for base_field, is_closed in ((closed, True), (perturbed, False)):
+        field = prolong_vector_field(base_field, algebra)
+        got = list(_closedness_cases(field, structure, gens, 8,
+                                     np.random.default_rng(5), DEFAULT_BOX))
+        ref = list(_ref_closedness_cases(field, structure, gens, 8, np.random.default_rng(5)))
+        assert len(got) == len(ref) == len(gens) * (len(gens) - 1) // 2
+        for (residual, case), (ref_residual, ref_case) in zip(got, ref):
+            assert abs(residual - ref_residual) <= 1e-12 * (1.0 + abs(ref_residual))
+            assert {k: case[k] for k in ("left", "right", "left_scale", "right_scale")} == \
+                {k: ref_case[k] for k in ("left", "right", "left_scale", "right_scale")}
+        worst, witness = poisson_closedness_defect(field, structure, gens, samples=8,
+                                                   rng=np.random.default_rng(5))
+        ref_worst, ref_witness = max(ref, key=lambda case: case[0])
+        assert (worst <= 1e-9) == (ref_worst <= 1e-9) == is_closed
+        if not is_closed:
+            assert witness == ref_witness

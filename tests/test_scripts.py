@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts against the package sources."""
 
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +26,20 @@ def test_check_timings_profiles_a_filtered_run():
     result = run_script("scripts/check_timings.py", "--filter", "tau_calculus")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1].startswith("1/1 checks passed")
+
+
+def test_bench_writes_its_record(tmp_path):
+    out = tmp_path / "BENCH_smoke.json"
+    result = run_script("scripts/bench.py", "--out", str(out), "--seeds", "42",
+                        "--repeats", "1")
+    assert result.returncode == 0, result.stderr
+    record = json.loads(out.read_text())
+    assert set(record["machine"]) == {"nproc", "python", "numpy", "blas_threads"}
+    (side,) = record["sides"].values()
+    assert [run["exit"] for run in side["verify"]["42"]["runs"]] == [0]
+    summary = record["summary"]["change"]
+    assert summary["src_lines"] > 0
+    for name in ("verify_s.42", "poisson_decisions_per_s",
+                 "symplectic_decisions_per_s", "cli_start_s"):
+        assert summary[name] > 0
+    assert json.loads(result.stdout.splitlines()[-1]) == record["summary"]
