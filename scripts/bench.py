@@ -1,26 +1,31 @@
 """Before-and-after numbers of a change, written to one BENCH file.
 
     python3 scripts/bench.py --out BENCH_<label>.json [--parent DIR]
-                             [--repeats N] [--seeds 42,7,1000]
 
 Measures the checkout this script lives in ("change") and, with --parent, a
-second checkout of the parent commit ("parent") the same way, alternating
-which side goes first in each repeat.  Per side and repeat it records:
+second checkout of the parent commit ("parent") the same way, REPEATS times,
+alternating which side goes first in each repeat.  Per side and repeat it
+records:
 
 - the wall time of a fresh ``python -m weiljet verify --seed S`` for each
-  seed, with the exit code and a digest of its stdout and stderr, so equal
-  digests show byte-identical reports;
+  seed in SEEDS, with the exit code and a digest of its stdout and stderr,
+  so equal digests show byte-identical reports;
 - Poisson and symplectic decisions per second over one round of
   perfbench's decide workload, run against the checkout's sources in a fresh
   process by this checkout's ``perfbench/worker.py`` (``workloads.Decide`` on
   the inputs ``reference.make_inputs`` draws for DECIDE_SEED), so both sides
   run the same benchmark code; its outputs are checked by
-  ``reference.check``;
+  ``reference.check`` and its rates are perfbench's ``family_figures``;
 - the cold start of ``python -m weiljet algebra --algebra dual``;
 
-and once per side the line count of ``src/``.  The machine record (nproc,
+and once per side the line count of ``src/`` and the tree it measured: the
+commit, and a digest of the uncommitted changes under ``src/`` and
+``perfbench/`` (null when there are none).  The machine record (nproc,
 Python, numpy, BLAS threads) and the pinned BLAS environment are
-perfbench's.  The last line of stdout is a JSON summary of the medians.
+perfbench's.  With --parent, each figure is also compared pair by pair: in
+how many repeats the change did better, the gain of the change's median,
+and the parent's interquartile range.  The last line of stdout is a JSON
+summary of the medians.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -38,9 +44,17 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import reference  # noqa: E402  (perfbench's input maker and output checker)
 from common import child_env, machine_record, median  # noqa: E402
+from run import family_figures  # noqa: E402
 
+REPEATS = 10
+SEEDS = (42, 7, 1000)
 DECIDE_SEED = 1
 TIMEOUT_S = 300
+RATES = ("poisson_decisions_per_s", "symplectic_decisions_per_s")
+# Figures where a lower value is better; the rest are rates.
+LOWER_IS_BETTER = ("verify_s.", "cli_start_s")
+# Where an uncommitted change moves the numbers.
+MEASURED_PATHS = ("src", "perfbench")
 
 
 class BenchError(Exception):
@@ -60,10 +74,26 @@ def src_lines(root: Path) -> int:
                for path in sorted((root / "src").rglob("*.py")))
 
 
-def measure_once(root: Path, seeds, decide, side: dict) -> str:
+def git(root: Path, *argv: str) -> str:
+    return subprocess.run(["git", *argv], cwd=root, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+
+
+def tree_state(root: Path) -> dict:
+    """The commit measured, and a digest of what differs from it under
+    MEASURED_PATHS (tracked changes and untracked file names), or None."""
+    changes = (git(root, "diff", "HEAD", "--", *MEASURED_PATHS)
+               + git(root, "ls-files", "--others", "--exclude-standard", "--",
+                     *MEASURED_PATHS))
+    return {"commit": git(root, "rev-parse", "HEAD").strip(),
+            "uncommitted_sha256": (hashlib.sha256(changes.encode()).hexdigest()
+                                   if changes else None)}
+
+
+def measure_once(root: Path, decide, side: dict) -> str:
     """One repeat on one checkout, appended to ``side``; returns the numpy
     version the checkout's measuring process reported."""
-    for seed in seeds:
+    for seed in SEEDS:
         proc, spent = run(root, [sys.executable, "-m", "weiljet", "verify",
                                  "--seed", str(seed)])
         digest = hashlib.sha256((proc.stdout + "\0" + proc.stderr).encode())
@@ -83,10 +113,9 @@ def measure_once(root: Path, seeds, decide, side: dict) -> str:
     problems, failed = reference.check("decide", inputs, expect, result["outputs"])
     if problems or failed:
         raise BenchError(f"decide outputs in {root} are wrong: {problems[:3]}")
-    (decide_round,) = result["rounds"]
-    for family in ("poisson", "symplectic"):
-        times = decide_round["families"][family]
-        side[f"{family}_decisions_per_s"].append(len(times) / sum(times))
+    for name, (ops, seconds) in zip(RATES, family_figures("decide",
+                                                         result["rounds"])):
+        side[name].append(ops / seconds)
 
     proc, spent = run(root, [sys.executable, "-m", "weiljet", "algebra",
                              "--algebra", "dual"])
@@ -96,13 +125,36 @@ def measure_once(root: Path, seeds, decide, side: dict) -> str:
     return result["numpy"]
 
 
-def summary(side: dict) -> dict:
-    out = {f"verify_s.{seed}": median(entry["s"])
+def series(side: dict) -> dict:
+    """Each figure's values, one per repeat."""
+    out = {f"verify_s.{seed}": entry["s"]
            for seed, entry in side["verify"].items()}
-    for name in ("poisson_decisions_per_s", "symplectic_decisions_per_s",
-                 "cli_start_s"):
-        out[name] = median(side[name])
+    for name in RATES + ("cli_start_s",):
+        out[name] = side[name]
+    return out
+
+
+def summary(side: dict) -> dict:
+    out = {name: median(values) for name, values in series(side).items()}
     out["src_lines"] = side["src_lines"]
+    return out
+
+
+def comparison(change: dict, parent: dict) -> dict:
+    """Per figure: the repeats in which the change did better, the gain of
+    its median over the parent's (positive when better) and the parent's
+    interquartile range, which a gain must exceed to show."""
+    out = {}
+    old_series = series(parent)
+    for name, new in series(change).items():
+        old = old_series[name]
+        sign = -1.0 if name.startswith(LOWER_IS_BETTER) else 1.0
+        q1, _, q3 = statistics.quantiles(old, n=4)
+        out[name] = {"change_better": sum(sign * (n - o) > 0
+                                          for n, o in zip(new, old)),
+                     "pairs": len(new),
+                     "median_gain": sign * (median(new) - median(old)),
+                     "parent_iqr": q3 - q1}
     return out
 
 
@@ -111,31 +163,23 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH JSON file to write")
     parser.add_argument("--parent", type=Path,
                         help="a checkout of the parent commit to measure alongside")
-    parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument("--seeds", default="42,7,1000",
-                        help="comma-separated verify seeds")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    seeds = [int(s) for s in args.seeds.split(",")]
 
     roots = {"change": ROOT}
     if args.parent is not None:
         roots["parent"] = args.parent.resolve()
-    sides = {name: {"commit": machine_record(str(root), None)["commit"],
-                    "src_lines": src_lines(root),
-                    "verify": {}, "poisson_decisions_per_s": [],
-                    "symplectic_decisions_per_s": [],
-                    "cli_start_s": []}
-             for name, root in roots.items()}
     decide = reference.make_inputs("decide", DECIDE_SEED)
     numpy_version = None
     try:
-        for repeat in range(args.repeats):
+        sides = {name: {**tree_state(root), "src_lines": src_lines(root),
+                        "verify": {},
+                        **{figure: [] for figure in RATES + ("cli_start_s",)}}
+                 for name, root in roots.items()}
+        for repeat in range(REPEATS):
             order = list(roots) if repeat % 2 == 0 else list(reversed(roots))
             for name in order:
-                numpy_version = measure_once(roots[name], seeds, decide, sides[name])
-    except (BenchError, subprocess.TimeoutExpired) as exc:
+                numpy_version = measure_once(roots[name], decide, sides[name])
+    except (BenchError, OSError, subprocess.SubprocessError) as exc:
         print(f"bench error: {exc}", file=sys.stderr)
         return 1
 
@@ -143,12 +187,14 @@ def main(argv=None) -> int:
         "machine": {key: value for key, value in
                     machine_record(str(ROOT), numpy_version).items()
                     if key != "commit"},
-        "settings": {"repeats": args.repeats, "seeds": seeds,
+        "settings": {"repeats": REPEATS, "seeds": list(SEEDS),
                      "decide_seed": DECIDE_SEED,
                      "order": "alternating, change first in even repeats"},
         "summary": {name: summary(side) for name, side in sides.items()},
-        "sides": sides,
     }
+    if "parent" in sides:
+        record["comparison"] = comparison(sides["change"], sides["parent"])
+    record["sides"] = sides
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for name, figures in record["summary"].items():
         for key, value in figures.items():

@@ -184,9 +184,6 @@ class Term:
         self.pullbacks = _sorted_pullbacks(tuple(pullbacks))
         self.lazies = tuple(lazies)
 
-    def key(self):
-        return (self.pullbacks, self.lazies)
-
     def __repr__(self):
         parts = [repr(self.coeff)]
         parts.extend(f"({p.text})^A" for p in self.pullbacks)

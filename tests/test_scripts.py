@@ -1,10 +1,13 @@
 """Smoke runs of the example scripts against the package sources."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,18 +31,52 @@ def test_check_timings_profiles_a_filtered_run():
     assert result.stdout.splitlines()[-1].startswith("1/1 checks passed")
 
 
-def test_bench_writes_its_record(tmp_path):
+@pytest.fixture
+def bench(monkeypatch):
+    """scripts/bench.py loaded as a module.  The perfbench modules it imports
+    are dropped afterwards and sys.path is restored."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("bench",
+                                                  ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    perfbench = str(ROOT / "perfbench")
+    for name in set(sys.modules) - before:
+        if (getattr(sys.modules[name], "__file__", None) or "").startswith(perfbench):
+            del sys.modules[name]
+
+
+def test_bench_writes_its_record(bench, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "SEEDS", (42,))
     out = tmp_path / "BENCH_smoke.json"
-    result = run_script("scripts/bench.py", "--out", str(out), "--seeds", "42",
-                        "--repeats", "1")
-    assert result.returncode == 0, result.stderr
+    assert bench.main(["--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert set(record["machine"]) == {"nproc", "python", "numpy", "blas_threads"}
+    assert "comparison" not in record
     (side,) = record["sides"].values()
+    assert len(side["commit"]) == 40
     assert [run["exit"] for run in side["verify"]["42"]["runs"]] == [0]
     summary = record["summary"]["change"]
     assert summary["src_lines"] > 0
     for name in ("verify_s.42", "poisson_decisions_per_s",
                  "symplectic_decisions_per_s", "cli_start_s"):
         assert summary[name] > 0
-    assert json.loads(result.stdout.splitlines()[-1]) == record["summary"]
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == record["summary"]
+
+
+def test_bench_compares_pair_by_pair(bench):
+    def side(verify, poisson):
+        return {"verify": {"42": {"s": verify}}, "poisson_decisions_per_s": poisson,
+                "symplectic_decisions_per_s": [1.0] * 4, "cli_start_s": [0.2] * 4}
+
+    compared = bench.comparison(side([1.0, 2.0, 1.0, 1.0], [3.0, 3.0, 1.0, 3.0]),
+                                side([2.0, 1.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]))
+    assert compared["verify_s.42"]["change_better"] == 3
+    assert compared["verify_s.42"]["median_gain"] == 1.0
+    assert compared["poisson_decisions_per_s"]["change_better"] == 3
+    assert compared["poisson_decisions_per_s"]["parent_iqr"] == 0.0
+    assert compared["cli_start_s"] == {"change_better": 0, "pairs": 4,
+                                       "median_gain": 0.0, "parent_iqr": 0.0}
