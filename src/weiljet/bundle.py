@@ -76,11 +76,6 @@ class NearPoint:
     def arity(self) -> int:
         return len(self.coords)
 
-    @property
-    def origin(self) -> tuple[float, ...]:
-        """The underlying base point (coordinate augmentations)."""
-        return tuple(c.augmentation for c in self.coords)
-
     def pulled(self, expr: ScalarExpr) -> np.ndarray:
         """Coefficients of the prolonged function expr^A at this point."""
         cached = self._eval_cache.get(expr)

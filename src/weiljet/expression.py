@@ -645,7 +645,7 @@ def _primitive_derivative(fn: str, k: int, x: float) -> float:
         raise DomainError(f"derivative {k} of {fn} is out of range at {x!r}") from None
 
 
-def eval_weil(f: ScalarExpr, point, *, order_cap: int | None = None,
+def eval_weil(f: ScalarExpr, point, *,
               cache: dict | None = None) -> WeilElement | np.ndarray:
     """Evaluate over a Weil algebra; this is the algebra morphism that sends
     x_i to the i-th coordinate of the point.
@@ -659,11 +659,7 @@ def eval_weil(f: ScalarExpr, point, *, order_cap: int | None = None,
 
     ``cache`` maps nodes to their coefficient arrays at this same point; it is
     read and extended, so evaluations at one point share their
-    subexpressions.  ``order_cap`` truncates the primitives' Taylor
-    expansions below the algebra height; it exists so the verification
-    harness can demonstrate that dropping the top order is caught.  Leave it
-    at None for correct results.  A capped evaluation neither reads nor
-    writes ``cache``.
+    subexpressions.
     """
     elements = not hasattr(point, "coeffs")
     if elements:
@@ -683,7 +679,7 @@ def eval_weil(f: ScalarExpr, point, *, order_cap: int | None = None,
             raise ArityError("point length does not match the arity")
         coords = [array[..., i, :] for i in range(f.arity)]
         batch = array.shape[:-2]
-    values = {} if cache is None or order_cap is not None else cache
+    values = {} if cache is None else cache
     for node in _topological(f):
         if node in values:
             # the cache only ever holds whole sub-DAGs
@@ -706,17 +702,19 @@ def eval_weil(f: ScalarExpr, point, *, order_cap: int | None = None,
         elif kind is Pow:
             value = _power(algebra, values[node.base], node.exponent)
         else:  # Call
-            value = _taylor_lift(node.fn, algebra, values[node.arg], order_cap)
+            value = _taylor_lift(node.fn, algebra, values[node.arg])
         values[node] = value
     return _wrap(algebra, values[f]) if elements else values[f]
 
 
 def _taylor_lift(fn: str, algebra: WeilAlgebra, a: np.ndarray,
-                 cap: int | None) -> np.ndarray:
+                 order: int | None = None) -> np.ndarray:
     """fn over coefficient arrays of shape (..., d), point by point: the
     Taylor series at the augmentation, up to the first vanishing power of
-    the nilpotent part."""
-    order = algebra.height if cap is None else min(algebra.height, cap)
+    the nilpotent part.  ``order`` caps the series below the algebra height,
+    which gives a wrong lift; only the harness's ``taylor_truncate``
+    mutation sets it."""
+    order = algebra.height if order is None else min(algebra.height, order)
     xs = a[..., 0].ravel().tolist()
     if fn == "log":
         if any(x <= 0.0 for x in xs):

@@ -6,14 +6,17 @@ algebras from a small battery of truncated algebras and compare both sides of
 each identity at randomly sampled near-points.  A check is written as a
 generator of (residual, witness) cases; one runner step keeps the worst.
 
-Mutation mode reroutes a core operation (evaluation, field application, the
-Poisson derivation, or matrix inversion) through an intentionally wrong
-variant; the suite must catch each built-in mutation with at least one
-failing check.
+Mutation mode swaps one private kernel of the library (the Taylor lift of
+primitives, the product rule of partials, the Poisson derivation, the
+bivector's entries, or the Neumann series of matrix inverses) for an
+intentionally wrong variant where it lives, so every path through the
+library meets the fault; the suite must catch each built-in mutation with at
+least one failing check.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -26,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import bundle, expression, poisson, symplectic
 from .algebra import WeilAlgebra, _product, make_truncated_algebra
 from .bundle import (
     DEFAULT_BOX,
@@ -33,7 +37,6 @@ from .bundle import (
     BundleFunction,
     BundleVectorField,
     NearPoint,
-    _product_rule,
     apply_field,
     lie_bracket,
     max_difference,
@@ -189,88 +192,47 @@ class CheckReport:
         return f"CheckReport({self.name}: {status}, worst={self.worst_residual:.3e})"
 
 
-# -- routed operations and mutations ---------------------------------------------------
+# -- mutations -----------------------------------------------------------------------
+#
+# A mutation is (owner, attribute, wrong): the module or class that owns one
+# private kernel, the kernel's name there, and a wrong variant that takes the
+# kernel followed by the kernel's own arguments.  ``run_suite`` installs the
+# variant in the kernel's place for the length of a run, so every library path
+# that reaches the kernel reaches the fault.
 
-@dataclass(frozen=True)
-class Ops:
-    """The operations checks route through, so mutations can replace them."""
-
-    eval_weil: Callable
-    apply_field: Callable
-    tau_field: Callable
-    matrix_inverse: Callable
-
-
-def default_ops() -> Ops:
-    return Ops(
-        eval_weil=lambda f, point: eval_weil(f, point),
-        apply_field=apply_field,
-        tau_field=poisson_derivation,
-        matrix_inverse=weil_matrix_inverse,
-    )
+def _flipped_derivation(derivation, structure, fn):
+    return -derivation(structure, fn)
 
 
-def _dropped_partial(fn: BundleFunction, index: int) -> BundleFunction:
-    # product rule with the final pullback branch dropped on genuine products
-    terms = []
-    for term in fn.terms:
-        count = len(term.pullbacks)
-        terms.extend(_product_rule(term, index, range(count - 1 if count >= 2 else count)))
-    return BundleFunction._merged(fn.algebra, fn.arity, terms)
+def _dropped_branch(product_rule, term, index, positions):
+    # the final pullback branch is lost on genuine products
+    count = len(term.pullbacks)
+    if count >= 2:
+        positions = [j for j in positions if j != count - 1]
+    return product_rule(term, index, positions)
 
 
-def _mutate_tau_sign_flip(ops: Ops) -> Ops:
-    base = ops.tau_field
-
-    def flipped(structure, fn):
-        return -base(structure, fn)
-
-    return replace(ops, tau_field=flipped)
+def _truncated_lift(taylor_lift, fn, algebra, a):
+    return taylor_lift(fn, algebra, a, max(algebra.height - 1, 0))
 
 
-def _mutate_leibniz_drop(ops: Ops) -> Ops:
-    def lossy_apply(vector_field, fn):
-        return BundleFunction.sum(fn.algebra, fn.arity,
-                                  [comp * _dropped_partial(fn, i)
-                                   for i, comp in enumerate(vector_field.components)])
-
-    return replace(ops, apply_field=lossy_apply)
+def _unsigned_entry(entry, structure, i, j):
+    # pi_ji read as +pi_ij: the lower triangle loses its sign
+    return entry(structure, min(i, j), max(i, j))
 
 
-def _mutate_taylor_truncate(ops: Ops) -> Ops:
-    def truncated(f, point):
-        return eval_weil(f, point, order_cap=max(point.algebra.height - 1, 0))
-
-    return replace(ops, eval_weil=truncated)
+def _short_series(matrix_inverse, algebra, matrix):
+    return matrix_inverse(algebra, matrix, terms=algebra.height)
 
 
-def _mutate_bivector_transpose(ops: Ops) -> Ops:
-    base = ops.tau_field
-
-    def transposed(structure, fn):
-        twisted = ProlongedPoisson(structure.base.transpose(), structure.algebra)
-        return base(twisted, fn)
-
-    return replace(ops, tau_field=transposed)
-
-
-def _mutate_neumann_skip(ops: Ops) -> Ops:
-    def skipped(rows):
-        algebra = rows[0][0].algebra
-        return weil_matrix_inverse(rows, terms=algebra.height)
-
-    return replace(ops, matrix_inverse=skipped)
-
-
-MUTATIONS: dict[str, Callable[[Ops], Ops]] = {
-    "tau_sign_flip": _mutate_tau_sign_flip,
-    "leibniz_drop": _mutate_leibniz_drop,
-    "taylor_truncate": _mutate_taylor_truncate,
-    "bivector_transpose": _mutate_bivector_transpose,
-    "neumann_skip": _mutate_neumann_skip,
+MUTATIONS: dict[str, tuple[object, str, Callable]] = {
+    "tau_sign_flip": (poisson, "_derivation", _flipped_derivation),
+    "leibniz_drop": (bundle, "_product_rule", _dropped_branch),
+    "taylor_truncate": (expression, "_taylor_lift", _truncated_lift),
+    "bivector_transpose": (PoissonStructure, "entry", _unsigned_entry),
+    "neumann_skip": (symplectic, "_matrix_inverse", _short_series),
 }
 
-# checks guaranteed to catch each mutation; used by tests and scripted runs
 MUTATION_TARGETS: dict[str, tuple[str, ...]] = {
     "tau_sign_flip": ("tau_calculus", "prop4_prop5_global_witness"),
     "leibniz_drop": ("leibniz_derivation",),
@@ -287,12 +249,12 @@ MUTATION_TARGETS: dict[str, tuple[str, ...]] = {
 # lazily, so every draw happens at the same place in the check's RNG stream
 # as it would in a hand-written loop.
 
-def _worst_case(check: Callable, spec: CheckSpec, ops: Ops,
+def _worst_case(check: Callable, spec: CheckSpec,
                 rng: np.random.Generator) -> tuple[float, dict | None]:
     """The first-seen worst (residual, witness) of a check; (0.0, None)
     when it yields no cases."""
     worst, witness = -1.0, None
-    for residual, case_witness in check(spec, ops, rng):
+    for residual, case_witness in check(spec, rng):
         residual = float(residual)
         if not math.isfinite(residual):
             raise DomainError(f"{spec.name}: a residual is not finite")
@@ -434,7 +396,7 @@ def _verdict_agreement(spec: CheckSpec, rng: np.random.Generator, structures,
 
 # -- checks -----------------------------------------------------------------------
 
-# callable(spec, ops, rng) runs the whole check and returns (residual, witness)
+# callable(spec, rng) runs the whole check and returns (residual, witness)
 _REGISTRY: dict[str, tuple[Callable, CheckSpec]] = {}
 
 
@@ -449,8 +411,7 @@ def _check(spec: CheckSpec) -> Callable:
 @_check(CheckSpec("morphism_function_lift",
                   "sums, scalar multiples, and products lift through prolongation",
                   1e-9, samples=32, expressions=8))
-def _check_morphism_function_lift(spec: CheckSpec, ops: Ops,
-                                  rng: np.random.Generator):
+def _check_morphism_function_lift(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
         for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
             f = random_expression(n, rng)
@@ -464,9 +425,9 @@ def _check_morphism_function_lift(spec: CheckSpec, ops: Ops,
             # f, g and each combination evaluate separately: a shared cache
             # would check f + g against its own cached summands
             xi = sample_near_points(algebra, n, rng, spec.samples)
-            fv = ops.eval_weil(f, xi)
-            gv = ops.eval_weil(g, xi)
-            residuals = [(label, np.max(np.abs(ops.eval_weil(combined, xi)
+            fv = eval_weil(f, xi)
+            gv = eval_weil(g, xi)
+            residuals = [(label, np.max(np.abs(eval_weil(combined, xi)
                                                - expected(fv, gv)), axis=-1))
                          for label, combined, expected in cases]
             for s in range(spec.samples):
@@ -482,8 +443,7 @@ def _check_morphism_function_lift(spec: CheckSpec, ops: Ops,
                   "dual-number nilpotent parts recover first derivatives, checked "
                   "against symbolic and central finite differences",
                   1e-6, samples=4, expressions=20, algebras=("dual",)))
-def _check_dual_forward_derivative(spec: CheckSpec, ops: Ops,
-                                   rng: np.random.Generator):
+def _check_dual_forward_derivative(spec: CheckSpec, rng: np.random.Generator):
     algebra = battery_algebra("dual")
     step = 1e-5
     for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
@@ -496,7 +456,7 @@ def _check_dual_forward_derivative(spec: CheckSpec, ops: Ops,
                 coords = tuple(
                     algebra.element([base[k], 1.0]) if k == d
                     else algebra.from_real(base[k]) for k in range(n))
-                slope = float(ops.eval_weil(f, NearPoint(coords))[1])
+                slope = float(eval_weil(f, NearPoint(coords))[1])
                 exact = eval_real(grads[d], base)
                 bumped = list(base)
                 bumped[d] = base[d] + step
@@ -517,8 +477,7 @@ def _check_dual_forward_derivative(spec: CheckSpec, ops: Ops,
                   "coefficients",
                   1e-7, samples=4, expressions=8,
                   algebras=("dual", "t3", "t4"), arities=(1,)))
-def _check_taylor_coefficients(spec: CheckSpec, ops: Ops,
-                               rng: np.random.Generator):
+def _check_taylor_coefficients(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
         if _BATTERY_BY_KEY[key].width != 1:
             continue
@@ -530,8 +489,8 @@ def _check_taylor_coefficients(spec: CheckSpec, ops: Ops,
                 derivs.append(differentiate(derivs[-1], 0))
             for _ in range(spec.samples):
                 x = float(rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1]))
-                jet = ops.eval_weil(f, NearPoint([algebra.from_real(x)
-                                                  + algebra.basis_element(1)]))
+                jet = eval_weil(f, NearPoint([algebra.from_real(x)
+                                              + algebra.basis_element(1)]))
                 factorial = 1.0
                 for k in range(height + 1):
                     if k:
@@ -548,8 +507,7 @@ def _check_taylor_coefficients(spec: CheckSpec, ops: Ops,
                   "field prolongation preserves brackets, function scaling, and "
                   "sums",
                   1e-8, samples=6, expressions=8, arities=(1, 2, 3)))
-def _check_lie_morphism_fields(spec: CheckSpec, ops: Ops,
-                               rng: np.random.Generator):
+def _check_lie_morphism_fields(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
         for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
             theta1 = random_base_field(n, rng)
@@ -580,8 +538,7 @@ def _check_lie_morphism_fields(spec: CheckSpec, ops: Ops,
                   "composition with a polynomial map lifts through the "
                   "pushforward of near-points",
                   1e-9, samples=8, expressions=8, arities=(2,)))
-def _check_functoriality_composition(spec: CheckSpec, ops: Ops,
-                                     rng: np.random.Generator):
+def _check_functoriality_composition(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
         for _ in range(spec.expressions):
             smooth_map = [random_polynomial(2, rng, max_degree=2, max_terms=3)
@@ -590,8 +547,8 @@ def _check_functoriality_composition(spec: CheckSpec, ops: Ops,
             composed = compose(g, smooth_map)
             xi = sample_near_points(algebra, 2, rng, spec.samples)
             eta = pushforward_map(smooth_map, xi)
-            residuals = np.max(np.abs(ops.eval_weil(composed, xi)
-                                      - ops.eval_weil(g, eta)), axis=-1)
+            residuals = np.max(np.abs(eval_weil(composed, xi) - eval_weil(g, eta)),
+                               axis=-1)
             for s in range(spec.samples):
                 yield float(residuals[s]), {
                     "algebra": key, "map": [c.text for c in smooth_map],
@@ -603,8 +560,7 @@ def _check_functoriality_composition(spec: CheckSpec, ops: Ops,
                   "the adjoint differential of a lifted 1-cochain is the lifted "
                   "base defect",
                   1e-8, samples=6, expressions=4))
-def _check_prop1_cochain_prolongation(spec: CheckSpec, ops: Ops,
-                                      rng: np.random.Generator):
+def _check_prop1_cochain_prolongation(spec: CheckSpec, rng: np.random.Generator):
     for where, algebra, structure, prolonged in _poisson_cases(spec):
         n = structure.arity
         for _ in range(spec.expressions):
@@ -627,7 +583,7 @@ def _check_prop1_cochain_prolongation(spec: CheckSpec, ops: Ops,
                   "base and lifted local-hamiltonicity verdicts agree (residual "
                   "counts disagreements)",
                   0.5, samples=4, expressions=6, arities=(3,)))
-def _check_prop2_local_iff(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
+def _check_prop2_local_iff(spec: CheckSpec, rng: np.random.Generator):
     return _verdict_agreement(
         spec, rng, [({}, PoissonStructure.rotational())],
         lambda f, structure: structure.ad(f), _base_poisson_defect,
@@ -638,8 +594,7 @@ def _check_prop2_local_iff(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
                   "locally hamiltonian fields derive the prolonged Poisson "
                   "bracket",
                   1e-8, samples=4, expressions=10))
-def _check_prop3_bracket_derivation(spec: CheckSpec, ops: Ops,
-                                    rng: np.random.Generator):
+def _check_prop3_bracket_derivation(spec: CheckSpec, rng: np.random.Generator):
     for where, algebra, structure, prolonged in _poisson_cases(spec):
         n = structure.arity
         chi = random_polynomial(n, rng, max_degree=3)
@@ -651,7 +606,7 @@ def _check_prop3_bracket_derivation(spec: CheckSpec, ops: Ops,
                         "reason": "premise field failed the local test"}
             continue
         for _ in range(spec.expressions):
-            lhs, rhs = _derivation_sides(ops.apply_field, derivation,
+            lhs, rhs = _derivation_sides(apply_field, derivation,
                                          prolonged.bracket,
                                          *_lifted_pair(n, algebra, rng))
             yield _sampled(lhs, rhs, spec, rng, **where, chi=chi.text)
@@ -661,14 +616,13 @@ def _check_prop3_bracket_derivation(spec: CheckSpec, ops: Ops,
                   "hamiltonian fields prolong to the Poisson derivation of the "
                   "lifted potential, as fields and on brackets",
                   1e-8, samples=6, expressions=10))
-def _check_prop4_prop5_global_witness(spec: CheckSpec, ops: Ops,
-                                      rng: np.random.Generator):
+def _check_prop4_prop5_global_witness(spec: CheckSpec, rng: np.random.Generator):
     for where, algebra, structure, prolonged in _poisson_cases(spec):
         n = structure.arity
         f = random_polynomial(n, rng, max_degree=3)
         lifted_potential = prolong_function(f, algebra)
         lifted_field = prolong_vector_field(structure.ad(f), algebra)
-        derivation = ops.tau_field(prolonged, lifted_potential)
+        derivation = poisson_derivation(prolonged, lifted_potential)
         yield from _componentwise(lifted_field, derivation, spec, rng, **where,
                                   part="field", f=f.text)
         for _ in range(spec.expressions):
@@ -685,8 +639,7 @@ def _check_prop4_prop5_global_witness(spec: CheckSpec, ops: Ops,
 @_check(CheckSpec("prop6_interior_prolongation",
                   "interior products commute with prolongation in degrees 1 and 2",
                   1e-8, samples=6, expressions=4, arities=(3,)))
-def _check_prop6_interior_prolongation(spec: CheckSpec, ops: Ops,
-                                       rng: np.random.Generator):
+def _check_prop6_interior_prolongation(spec: CheckSpec, rng: np.random.Generator):
     n = spec.arities[0]
     for key, algebra in _spec_algebras(spec):
         for degree in (1, 2):
@@ -706,8 +659,7 @@ def _check_prop6_interior_prolongation(spec: CheckSpec, ops: Ops,
                   "the symplectic bracket equals the inverse-bivector Poisson "
                   "bracket, and hamiltonian fields commute with prolongation",
                   1e-8, samples=4, expressions=5, arities=(2, 4)))
-def _check_thm1_bracket_coincidence(spec: CheckSpec, ops: Ops,
-                                    rng: np.random.Generator):
+def _check_thm1_bracket_coincidence(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
         for n in spec.arities:
             structure = SymplecticStructure.canonical(n)
@@ -717,7 +669,7 @@ def _check_thm1_bracket_coincidence(spec: CheckSpec, ops: Ops,
                 phi = random_bundle_function(algebra, n, rng)
                 psi = random_bundle_function(algebra, n, rng)
                 lhs = symplectic_bracket(phi, psi, structure, algebra)
-                rhs = apply_field(ops.tau_field(prolonged, phi), psi)
+                rhs = apply_field(poisson_derivation(prolonged, phi), psi)
                 yield _sampled(lhs, rhs, spec, rng, algebra=key, arity=n,
                                part="bracket")
             f = random_polynomial(n, rng, max_degree=3)
@@ -733,8 +685,7 @@ def _check_thm1_bracket_coincidence(spec: CheckSpec, ops: Ops,
                   "locally hamiltonian fields derive the prolonged symplectic "
                   "bracket",
                   1e-8, samples=4, expressions=10, arities=(2,)))
-def _check_thm2_symplectic_derivation(spec: CheckSpec, ops: Ops,
-                                      rng: np.random.Generator):
+def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator):
     structure = SymplecticStructure.canonical(2)
     bivector = inverse_bivector(structure)
     for key, algebra in _spec_algebras(spec):
@@ -755,7 +706,7 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, ops: Ops,
         brackets = ([("solved_bracket", solved_bracket)]
                     + [("bivector_bracket", prolonged.bracket)] * spec.expressions)
         for part, bracket in brackets:
-            lhs, rhs = _derivation_sides(ops.apply_field, lifted_field, bracket,
+            lhs, rhs = _derivation_sides(apply_field, lifted_field, bracket,
                                          *_lifted_pair(2, algebra, rng))
             yield _sampled(lhs, rhs, spec, rng, algebra=key, f=f.text, part=part)
 
@@ -764,8 +715,7 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, ops: Ops,
                   "lifted hamiltonian fields certify their lifted potentials "
                   "under the configured sign",
                   1e-8, samples=4, expressions=8, arities=(2,)))
-def _check_prop7_symplectic_global(spec: CheckSpec, ops: Ops,
-                                   rng: np.random.Generator):
+def _check_prop7_symplectic_global(spec: CheckSpec, rng: np.random.Generator):
     structure = SymplecticStructure.canonical(2)
     for key, algebra in _spec_algebras(spec):
         for _ in range(spec.expressions):
@@ -784,8 +734,7 @@ def _check_prop7_symplectic_global(spec: CheckSpec, ops: Ops,
                   "nilpotent-series inverses of matrices with well-conditioned "
                   "real part multiply back to the identity",
                   1e-9, samples=50, expressions=0))
-def _check_matrix_inverse_neumann(spec: CheckSpec, ops: Ops,
-                                  rng: np.random.Generator):
+def _check_matrix_inverse_neumann(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
         for trial in range(spec.samples):
             size = 2 + (trial % 3)
@@ -796,8 +745,8 @@ def _check_matrix_inverse_neumann(spec: CheckSpec, ops: Ops,
             matrix = np.concatenate(
                 (real[..., None], rng.uniform(-1.0, 1.0, (size, size, algebra.dim - 1))),
                 axis=-1)
-            inverse = ops.matrix_inverse([[algebra.element(entry) for entry in row]
-                                          for row in matrix])
+            inverse = weil_matrix_inverse([[algebra.element(entry) for entry in row]
+                                           for row in matrix])
             product = _matrix_product(algebra, matrix, np.array(
                 [[entry.coeffs for entry in row] for row in inverse]))
             identity = np.eye(size)[:, :, None] * algebra.unit().coeffs
@@ -808,8 +757,7 @@ def _check_matrix_inverse_neumann(spec: CheckSpec, ops: Ops,
 @_check(CheckSpec("leibniz_derivation",
                   "prolonged fields satisfy the Leibniz rule on products",
                   1e-9, samples=8, expressions=4, arities=(2,)))
-def _check_leibniz_derivation(spec: CheckSpec, ops: Ops,
-                              rng: np.random.Generator):
+def _check_leibniz_derivation(spec: CheckSpec, rng: np.random.Generator):
     n = spec.arities[0]
     for key, algebra in _spec_algebras(spec):
         for _ in range(spec.expressions):
@@ -819,7 +767,7 @@ def _check_leibniz_derivation(spec: CheckSpec, ops: Ops,
             chi = random_bundle_function(algebra, n, rng)
             for label, left, right in (("pullbacks", phi, psi),
                                        ("mixed", phi, chi)):
-                lhs, rhs = _derivation_sides(ops.apply_field, lifted,
+                lhs, rhs = _derivation_sides(apply_field, lifted,
                                              operator.mul, left, right)
                 yield _sampled(lhs, rhs, spec, rng, algebra=key, case=label,
                                theta=_field_texts(theta))
@@ -829,14 +777,14 @@ def _check_leibniz_derivation(spec: CheckSpec, ops: Ops,
                   "the Poisson derivation map anchors to base brackets and is "
                   "additive, module-linear, and Leibniz",
                   1e-8, samples=4, expressions=3))
-def _check_tau_calculus(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
+def _check_tau_calculus(spec: CheckSpec, rng: np.random.Generator):
     for where, algebra, structure, prolonged in _poisson_cases(spec):
         n = structure.arity
         for _ in range(spec.expressions):
             f = random_polynomial(n, rng, max_degree=2)
             g = random_polynomial(n, rng, max_degree=2)
             anchored = apply_field(
-                ops.tau_field(prolonged, prolong_function(f, algebra)),
+                poisson_derivation(prolonged, prolong_function(f, algebra)),
                 prolong_function(g, algebra))
             yield _sampled(
                 anchored, prolong_function(structure.bracket(f, g), algebra),
@@ -844,14 +792,14 @@ def _check_tau_calculus(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
             phi = random_bundle_function(algebra, n, rng)
             psi = random_bundle_function(algebra, n, rng)
             scale = sample_element(algebra, rng)
-            tau_phi = ops.tau_field(prolonged, phi)
-            tau_psi = ops.tau_field(prolonged, psi)
+            tau_phi = poisson_derivation(prolonged, phi)
+            tau_psi = poisson_derivation(prolonged, psi)
             cases = (
-                ("additivity", ops.tau_field(prolonged, phi + psi),
+                ("additivity", poisson_derivation(prolonged, phi + psi),
                  tau_phi + tau_psi),
-                ("module_linearity", ops.tau_field(prolonged, phi * scale),
+                ("module_linearity", poisson_derivation(prolonged, phi * scale),
                  tau_phi.scaled(BundleFunction.constant(scale, algebra, n))),
-                ("leibniz", ops.tau_field(prolonged, phi * psi),
+                ("leibniz", poisson_derivation(prolonged, phi * psi),
                  tau_psi.scaled(phi) + tau_phi.scaled(psi)),
             )
             for label, lhs, rhs in cases:
@@ -863,8 +811,7 @@ def _check_tau_calculus(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
                   "the prolonged bracket restricts to the lifted base bracket "
                   "and is antisymmetric",
                   1e-8, samples=6, expressions=4))
-def _check_bracket_prolongation_poisson(spec: CheckSpec, ops: Ops,
-                                        rng: np.random.Generator):
+def _check_bracket_prolongation_poisson(spec: CheckSpec, rng: np.random.Generator):
     for where, algebra, structure, prolonged in _poisson_cases(spec):
         n = structure.arity
         zero = BundleFunction.zero(algebra, n)
@@ -885,7 +832,7 @@ def _check_bracket_prolongation_poisson(spec: CheckSpec, ops: Ops,
 @_check(CheckSpec("poisson_leibniz",
                   "the prolonged bracket is a derivation in its function slots",
                   1e-8, samples=6, expressions=4))
-def _check_poisson_leibniz(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
+def _check_poisson_leibniz(spec: CheckSpec, rng: np.random.Generator):
     for where, algebra, structure, prolonged in _poisson_cases(spec):
         n = structure.arity
         for _ in range(spec.expressions):
@@ -902,14 +849,13 @@ def _check_poisson_leibniz(spec: CheckSpec, ops: Ops, rng: np.random.Generator):
                   "applying a prolonged field matches the lifted directional "
                   "derivative; canonical components reconstruct the field",
                   1e-9, samples=8, expressions=6, arities=(1, 2, 3)))
-def _check_chain_rule_soundness(spec: CheckSpec, ops: Ops,
-                                rng: np.random.Generator):
+def _check_chain_rule_soundness(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
         for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
             theta = random_base_field(n, rng)
             f = random_expression(n, rng)
             lifted = prolong_vector_field(theta, algebra)
-            lhs = ops.apply_field(lifted, prolong_function(f, algebra))
+            lhs = apply_field(lifted, prolong_function(f, algebra))
             rhs = prolong_function(theta.apply_to(f), algebra)
             yield _sampled(lhs, rhs, spec, rng, algebra=key, identity="chain",
                            theta=_field_texts(theta), f=f.text)
@@ -925,8 +871,7 @@ def _check_chain_rule_soundness(spec: CheckSpec, ops: Ops,
                   "the bracket of prolonged fields is antisymmetric and "
                   "satisfies the Jacobi identity",
                   1e-8, samples=4, expressions=2, arities=(2,)))
-def _check_jacobi_field_bracket(spec: CheckSpec, ops: Ops,
-                                rng: np.random.Generator):
+def _check_jacobi_field_bracket(spec: CheckSpec, rng: np.random.Generator):
     n = spec.arities[0]
     for key, algebra in _spec_algebras(spec):
         zero = BundleVectorField([BundleFunction.zero(algebra, n)] * n)
@@ -947,8 +892,7 @@ def _check_jacobi_field_bracket(spec: CheckSpec, ops: Ops,
                   "base and lifted symplectic local tests agree, including a "
                   "curved structure (residual counts disagreements)",
                   0.5, samples=3, expressions=3, arities=(2,)))
-def _check_symplectic_local_equivalence(spec: CheckSpec, ops: Ops,
-                                        rng: np.random.Generator):
+def _check_symplectic_local_equivalence(spec: CheckSpec, rng: np.random.Generator):
     curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
     return _verdict_agreement(
         spec, rng, [({"structure": "canonical2"}, SymplecticStructure.canonical(2)),
@@ -997,32 +941,48 @@ def run_suite(specs: Sequence[CheckSpec] | None = None, *,
     A residual beyond its tolerance is data: a failing report.  Errors are
     not: a check that cannot compute a residual raises, for instance
     ValueError for specs with fewer than one sample and DomainError for a
-    residual that is not finite.  ``mutation`` reroutes the named core
-    operation through its intentionally wrong variant.
+    residual that is not finite.  ``mutation`` names an entry of
+    ``MUTATIONS``; its wrong variant replaces the kernel on the owning
+    module or class for the length of the run, and the kernel is put back
+    however the run ends.  The swap is process-wide: the package starts no
+    threads, so nothing else runs against the mutated kernel meanwhile.
     """
     if specs is None:
         specs = default_specs()
-    ops = default_ops()
-    if mutation is not None:
-        mutator = MUTATIONS.get(mutation)
-        if mutator is None:
-            raise ValueError(f"unknown mutation {mutation!r}; "
-                             f"known: {', '.join(sorted(MUTATIONS))}")
-        ops = mutator(ops)
-    reports = []
-    for spec in sorted(specs, key=lambda s: s.name):
-        entry = _REGISTRY.get(spec.name)
-        if entry is None:
-            raise ValueError(f"unknown check {spec.name!r}")
-        fn = entry[0]
-        rng = np.random.default_rng([spec.seed,
-                                     zlib.crc32(spec.name.encode("ascii"))])
-        start = time.perf_counter()
-        residual, witness = fn(spec, ops, rng)
-        elapsed = time.perf_counter() - start
-        reports.append(CheckReport(spec.name, residual <= spec.tolerance,
-                                   residual, witness, elapsed))
+    with _mutated(mutation):
+        reports = []
+        for spec in sorted(specs, key=lambda s: s.name):
+            entry = _REGISTRY.get(spec.name)
+            if entry is None:
+                raise ValueError(f"unknown check {spec.name!r}")
+            fn = entry[0]
+            rng = np.random.default_rng([spec.seed,
+                                         zlib.crc32(spec.name.encode("ascii"))])
+            start = time.perf_counter()
+            residual, witness = fn(spec, rng)
+            elapsed = time.perf_counter() - start
+            reports.append(CheckReport(spec.name, residual <= spec.tolerance,
+                                       residual, witness, elapsed))
     return reports
+
+
+@contextlib.contextmanager
+def _mutated(mutation: str | None):
+    """Install the named mutation's wrong variant over its kernel, and put
+    the kernel back on the way out."""
+    if mutation is None:
+        yield
+        return
+    if mutation not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutation!r}; "
+                         f"known: {', '.join(sorted(MUTATIONS))}")
+    owner, attribute, wrong = MUTATIONS[mutation]
+    kernel = getattr(owner, attribute)
+    setattr(owner, attribute, lambda *args: wrong(kernel, *args))
+    try:
+        yield
+    finally:
+        setattr(owner, attribute, kernel)
 
 
 __all__ = [
@@ -1034,9 +994,7 @@ __all__ = [
     "AlgebraSpec",
     "CheckReport",
     "CheckSpec",
-    "Ops",
     "battery_algebra",
-    "default_ops",
     "default_specs",
     "run_suite",
 ]

@@ -161,13 +161,6 @@ def bundle_function_from_json(obj, algebra: WeilAlgebra, arity: int) -> BundleFu
     raise ParseError("a function is an expression string or a terms object")
 
 
-def base_field_from_json(obj, arity: int | None = None) -> BaseVectorField:
-    if not isinstance(obj, list) or not all(isinstance(c, str) for c in obj):
-        raise ParseError("a base field is a list of expression strings")
-    n = len(obj) if arity is None else arity
-    return BaseVectorField([parse_expr(text, n) for text in obj])
-
-
 def field_to_json(field) -> list:
     if isinstance(field, BaseVectorField):
         return [c.text for c in field.components]
@@ -290,7 +283,7 @@ __all__ = [
     "element_to_json", "element_from_json",
     "point_to_json", "point_from_json",
     "bundle_function_to_json", "bundle_function_from_json",
-    "base_field_from_json", "bundle_field_from_json", "field_to_json",
+    "bundle_field_from_json", "field_to_json",
     "poisson_to_json", "poisson_from_json", "parse_poisson_spec",
     "form_to_json", "form_from_json", "parse_symplectic_spec",
 ]

@@ -160,11 +160,6 @@ class PoissonStructure:
         self._ad_cache[f] = field
         return field
 
-    def transpose(self) -> "PoissonStructure":
-        """Sign-flipped structure (itself Poisson; used by mutation testing)."""
-        flipped = {key: neg(expr) for key, expr in self._entries.items()}
-        return PoissonStructure(self.arity, flipped, validate=False)
-
     @classmethod
     def canonical(cls, arity: int) -> "PoissonStructure":
         """{x_{2k}, x_{2k+1}} = 1 on an even-dimensional base."""
@@ -221,6 +216,11 @@ def poisson_derivation(structure: ProlongedPoisson,
         raise AlgebraMismatch("function algebra does not match the prolongation")
     if not fn.is_representable:
         raise ValueError("the Poisson derivation needs a representable function")
+    return _derivation(structure, fn)
+
+
+def _derivation(structure: ProlongedPoisson, fn: BundleFunction) -> BundleVectorField:
+    """The body of ``poisson_derivation``, for arguments it has checked."""
     algebra, n = structure.algebra, structure.arity
     components = []
     for i in range(n):

@@ -419,8 +419,10 @@ def _matrix_inverse(algebra: WeilAlgebra, matrix: np.ndarray, *,
     and evaluates M^{-1} = M0^{-1} * sum_{k=0}^{h} (-N M0^{-1})^k; the series
     is exact because products of h+1 nilpotent entries vanish, and each
     matrix stops at its own first vanishing power.  ``terms`` overrides the
-    summand count.  Raises SingularRealPart at the first matrix whose real
-    part is singular at the algebra's zero tolerance.
+    summand count; fewer than h+1 gives a wrong inverse whenever order-h
+    contributions matter, and only the harness's ``neumann_skip`` mutation
+    sets it.  Raises SingularRealPart at the first matrix whose real part is
+    singular at the algebra's zero tolerance.
     """
     real = matrix[..., 0]
     smallest = np.linalg.svd(real, compute_uv=False)[..., -1].ravel()
@@ -450,12 +452,9 @@ def _matrix_inverse(algebra: WeilAlgebra, matrix: np.ndarray, *,
                            real_inv.swapaxes(-3, -2)).swapaxes(-3, -2)
 
 
-def weil_matrix_inverse(rows: Sequence[Sequence[WeilElement]], *,
-                        terms: int | None = None) -> list[list[WeilElement]]:
+def weil_matrix_inverse(rows: Sequence[Sequence[WeilElement]]) -> list[list[WeilElement]]:
     """Invert a square matrix over a Weil algebra (``_matrix_inverse``).
-    ``terms`` overrides the summand count (testing hook; fewer than h+1 terms
-    gives a wrong inverse whenever order-h contributions matter).  Raises
-    SingularRealPart when the real part is singular to tolerance."""
+    Raises SingularRealPart when the real part is singular to tolerance."""
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
         raise ValueError("expected a nonempty square matrix")
@@ -465,7 +464,7 @@ def weil_matrix_inverse(rows: Sequence[Sequence[WeilElement]], *,
             if not algebra.compatible_with(entry.algebra):
                 raise AlgebraMismatch("matrix entries live in different algebras")
     inverse = _matrix_inverse(algebra, np.array([[entry.coeffs for entry in row]
-                                                 for row in rows]), terms=terms)
+                                                 for row in rows]))
     return [[_wrap(algebra, entry) for entry in row] for row in inverse]
 
 

@@ -1,8 +1,10 @@
 """Registry plumbing and determinism of the randomized check suite."""
 
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import weiljet
 from weiljet.algebra import make_truncated_algebra
-from weiljet.bundle import prolong_function
+from weiljet.bundle import NearPoint, prolong_function
 from weiljet.errors import DomainError
 from weiljet.expression import parse_expr
 from weiljet.harness import (
@@ -22,13 +25,16 @@ from weiljet.harness import (
     MUTATION_TARGETS,
     MUTATIONS,
     CheckReport,
-    _dropped_partial,
+    _mutated,
     _worst_case,
     battery_algebra,
-    default_ops,
     default_specs,
     run_suite,
 )
+from weiljet.poisson import PoissonStructure, ProlongedPoisson, prolonged_bracket
+from weiljet.symplectic import BaseForm, SymplecticStructure, hamiltonian_field
+
+T3 = make_truncated_algebra(1, 2)
 
 
 def test_battery_shape():
@@ -101,24 +107,24 @@ def test_reports_come_back_sorted_and_passing():
 
 
 def test_worst_case_keeps_the_first_of_tied_residuals():
-    def cases(spec, ops, rng):
+    def cases(spec, rng):
         yield 0.5, {"case": 0}
         yield 2.0, {"case": 1}
         yield 1.0, {"case": 2}
         yield 2.0, {"case": 3}
 
-    assert _worst_case(cases, None, None, None) == (2.0, {"case": 1})
+    assert _worst_case(cases, None, None) == (2.0, {"case": 1})
 
 
 def test_worst_case_refuses_a_non_finite_residual():
-    def cases(spec, ops, rng):
+    def cases(spec, rng):
         yield 0.5, {"case": 0}
         yield float("nan"), {"case": 1}
         yield 1.0, {"case": 2}
 
     spec = default_specs(names=("tau_calculus",))[0]
     with pytest.raises(DomainError):
-        _worst_case(cases, spec, None, None)
+        _worst_case(cases, spec, None)
 
 
 def test_run_suite_refuses_zero_samples():
@@ -127,17 +133,17 @@ def test_run_suite_refuses_zero_samples():
 
 
 def test_worst_case_of_a_check_without_cases():
-    def cases(spec, ops, rng):
+    def cases(spec, rng):
         yield from ()
 
-    assert _worst_case(cases, None, None, None) == (0.0, None)
+    assert _worst_case(cases, None, None) == (0.0, None)
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_registered_callable_runs_the_whole_check(name):
     # timing wrappers around the registered callable must see the whole run
     check, spec = _REGISTRY[name]
-    result = check(replace(spec, samples=1), default_ops(), np.random.default_rng(0))
+    result = check(replace(spec, samples=1), np.random.default_rng(0))
     assert isinstance(result, tuple) and not inspect.isgenerator(result)
     residual, witness = result
     assert isinstance(residual, float)
@@ -145,36 +151,123 @@ def test_registered_callable_runs_the_whole_check(name):
 
 
 def test_a_mutated_run_leaves_the_next_run_unchanged():
-    # partials are kept on the functions that built them; a mutated partial
-    # must never be kept, so an unmutated verify after a mutated one in the
-    # same process prints what a fresh process prints
+    # partials are kept on the functions that built them and solves on the
+    # points; after every mutation's full run and target sweeps in one
+    # process, an unmutated verify prints what a fresh process prints
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     after_mutation = (
         "import contextlib, io, sys\n"
         "from weiljet.cli import main\n"
+        "from weiljet.harness import MUTATION_TARGETS\n"
+        "codes = []\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    main(['verify', '--seed', '42', '--mutate', 'leibniz_drop'])\n"
+        "    for m, targets in sorted(MUTATION_TARGETS.items()):\n"
+        "        codes.append(main(['verify', '--seed', '42', '--mutate', m]))\n"
+        "        for t in targets:\n"
+        "            codes.append(main(['verify', '--seed', '42', '--mutate', m,\n"
+        "                               '--filter', t]))\n"
+        "assert codes == [5] * len(codes), codes\n"
         "sys.exit(main(['verify', '--seed', '42']))\n")
     runs = [subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
             for argv in ([sys.executable, "-c", after_mutation],
                          [sys.executable, "-m", "weiljet", "verify", "--seed", "42"])]
-    (out, err), (fresh_out, fresh_err) = (run.communicate(timeout=120) for run in runs)
-    assert runs[0].returncode == runs[1].returncode == 0
+    (out, err), (fresh_out, fresh_err) = (run.communicate(timeout=300) for run in runs)
+    assert runs[0].returncode == runs[1].returncode == 0, err
     assert out == fresh_out
     assert err == fresh_err
 
 
-def test_a_dropped_partial_is_never_kept():
-    algebra = make_truncated_algebra(1, 2)
-    fn = (prolong_function(parse_expr("x0^2", 2), algebra)
-          * prolong_function(parse_expr("sin(x1)", 2), algebra))
-    lossy = _dropped_partial(fn, 1)
-    assert fn._partials is None
-    kept = fn.partial(1)
-    assert _dropped_partial(fn, 1) is not kept
-    assert fn.partial(1) is kept
-    assert lossy.is_structurally_zero() and not kept.is_structurally_zero()
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_run_that_raises_puts_the_kernel_back(mutation):
+    owner, attribute, _ = MUTATIONS[mutation]
+    kernel = vars(owner)[attribute]
+    # the first check completes; zero samples stop the second one mid-run
+    specs = default_specs(names=("dual_forward_derivative", "tau_calculus"), samples=0)
+    with pytest.raises(ValueError):
+        run_suite(specs, mutation=mutation)
+    assert vars(owner)[attribute] is kernel
+
+
+def test_only_the_owner_binds_a_mutated_kernel():
+    # a name bound elsewhere by ``from ... import`` would keep calling the
+    # kernel while the mutation is installed over the owner's binding
+    modules = [weiljet] + [importlib.import_module(f"weiljet.{info.name}")
+                           for info in pkgutil.iter_modules(weiljet.__path__)]
+    assert len(modules) > 10
+    for mutation, (owner, attribute, _) in MUTATIONS.items():
+        kernel = vars(owner)[attribute]
+        binders = [module.__name__ for module in modules if module is not owner
+                   and any(value is kernel for value in vars(module).values())]
+        assert binders == [], mutation
+
+
+def test_bivector_transpose_is_not_a_sign_flip():
+    # transposing an antisymmetric bivector only negates it, which is the
+    # sign flip again; dropping the lower triangle's sign is a fault of its own
+    lines = {m: [r.json_line() for r in run_suite(mutation=m)]
+             for m in ("bivector_transpose", "tau_sign_flip")}
+    assert lines["bivector_transpose"] != lines["tau_sign_flip"]
+
+
+def _unmutated_and_mutated(mutation, compute):
+    """compute() before, under and after the mutation; it must build every
+    object it evaluates afresh, since points and functions keep results."""
+    before = compute()
+    with _mutated(mutation):
+        during = compute()
+    assert np.array_equal(compute(), before)
+    return before, during
+
+
+def _near_point():
+    return NearPoint([T3.element([0.3, 0.5, -0.2]), T3.element([-0.4, 0.1, 0.7])])
+
+
+def _lifted(text):
+    return prolong_function(parse_expr(text, 2), T3)
+
+
+def test_neumann_skip_reaches_the_hamiltonian_field_solve():
+    curved = BaseForm(2, 2, {(0, 1): "1 + x0^2"})
+
+    def component():
+        field = hamiltonian_field(_lifted("x0*x1 + sin(x0)"),
+                                  SymplecticStructure(curved), T3)
+        return field.components[0].evaluate(_near_point()).coeffs
+
+    exact, skipped = _unmutated_and_mutated("neumann_skip", component)
+    assert np.max(np.abs(skipped - exact)) > 1e-3
+
+
+def test_taylor_truncate_reaches_bundle_evaluation():
+    exact, truncated = _unmutated_and_mutated(
+        "taylor_truncate", lambda: _lifted("sin(x0)").evaluate(_near_point()).coeffs)
+    assert np.max(np.abs(truncated - exact)) > 1e-3
+
+
+def test_leibniz_drop_reaches_bundle_partials():
+    def partials():
+        product = _lifted("x0^2") * _lifted("sin(x1)")
+        return np.stack([product.partial(i).evaluate(_near_point()).coeffs
+                         for i in range(2)])
+
+    exact, dropped = _unmutated_and_mutated("leibniz_drop", partials)
+    assert np.max(np.abs(dropped - exact)) > 1e-3
+
+
+@pytest.mark.parametrize("mutation", ["tau_sign_flip", "bivector_transpose"])
+def test_poisson_mutations_reach_the_prolonged_bracket(mutation):
+    def bracket():
+        structure = ProlongedPoisson(PoissonStructure.canonical(2), T3)
+        return prolonged_bracket(structure, _lifted("x0*x1 + sin(x0)"),
+                                 _lifted("x0^2 + cos(x1)")).evaluate(_near_point()).coeffs
+
+    exact, wrong = _unmutated_and_mutated(mutation, bracket)
+    if mutation == "tau_sign_flip":
+        assert np.array_equal(wrong, -exact)
+    else:
+        assert min(np.max(np.abs(wrong - exact)), np.max(np.abs(wrong + exact))) > 1e-3

@@ -107,17 +107,6 @@ def test_hamiltonian_derivation_of_the_oscillator():
         assert eval_real(field.components[1], point) == pytest.approx(point[0])
 
 
-def test_transpose_negates_the_bracket():
-    flipped = CANONICAL.transpose()
-    f = parse_expr("x0^2 * x1", 2)
-    g = parse_expr("sin(x0) + x1", 2)
-    lhs = CANONICAL.bracket(f, g)
-    rhs = flipped.bracket(f, g)
-    rng = np.random.default_rng(9)
-    for point in rng.uniform(-2, 2, (5, 2)):
-        assert eval_real(lhs, point) == pytest.approx(-eval_real(rhs, point), abs=1e-10)
-
-
 def test_prolonged_bracket_extends_the_base_bracket():
     structure = ProlongedPoisson(CANONICAL, T3)
     rng = np.random.default_rng(17)
