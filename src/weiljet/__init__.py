@@ -67,8 +67,6 @@ from .harness import (
     run_suite,
 )
 from .poisson import (
-    BaseCochain,
-    PoissonCochain,
     PoissonStructure,
     ProlongedPoisson,
     adjoint_differential,
@@ -76,7 +74,6 @@ from .poisson import (
     is_locally_hamiltonian_poisson,
     poisson_closedness_defect,
     poisson_derivation,
-    prolong_base_cochain,
     prolonged_adjoint_differential,
     prolonged_bracket,
 )
@@ -116,9 +113,8 @@ __all__ = [
     "max_difference", "functions_equal",
     # poisson
     "PoissonStructure", "ProlongedPoisson", "poisson_derivation",
-    "prolonged_bracket", "BaseCochain", "PoissonCochain",
-    "adjoint_differential", "prolonged_adjoint_differential",
-    "prolong_base_cochain", "poisson_closedness_defect",
+    "prolonged_bracket", "adjoint_differential",
+    "prolonged_adjoint_differential", "poisson_closedness_defect",
     "is_locally_hamiltonian_poisson", "check_global_witness_poisson",
     # symplectic
     "BaseForm", "BundleForm", "SymplecticStructure", "WitnessVerdict",

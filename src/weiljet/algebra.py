@@ -15,7 +15,7 @@ re-derives every axiom numerically and never trusts a caller-supplied height.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -30,8 +30,10 @@ from .errors import (
     NotLocal,
 )
 
-DEFAULT_ZERO_TOL = 1e-10
-DEFAULT_MAX_DIM = 512
+# Working tolerance: ranks, axiom checks and invertibility are decided at it.
+ZERO_TOL = 1e-10
+# Largest algebra dimension make_truncated_algebra builds.
+MAX_DIM = 512
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -68,18 +70,18 @@ def _monomial_label(mono: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-def _row_space_basis(rows: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Orthonormal basis of the row space, ranks decided at zero_tol."""
+def _row_space_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the row space, ranks decided at ZERO_TOL."""
     d = rows.shape[1] if rows.ndim == 2 else 0
-    rows = rows[np.any(np.abs(rows) > zero_tol, axis=1)]
+    rows = rows[np.any(np.abs(rows) > ZERO_TOL, axis=1)]
     if rows.shape[0] == 0:
         return np.zeros((0, d))
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > zero_tol))
+    rank = int(np.sum(s > ZERO_TOL))
     return vt[:rank]
 
 
-def _ideal_filtration(constants: np.ndarray, zero_tol: float) -> tuple[int, list[np.ndarray]]:
+def _ideal_filtration(constants: np.ndarray) -> tuple[int, list[np.ndarray]]:
     """Compute the filtration m, m^2, ... and the height from the table alone.
 
     Raises NotLocal when span(e_1..e_{d-1}) is not an ideal or fails to be
@@ -88,7 +90,7 @@ def _ideal_filtration(constants: np.ndarray, zero_tol: float) -> tuple[int, list
     d = constants.shape[0]
     if d == 1:
         return 0, []
-    if np.max(np.abs(constants[1:, 1:, 0])) > zero_tol:
+    if np.max(np.abs(constants[1:, 1:, 0])) > ZERO_TOL:
         raise NotLocal("span(e_1..e_{d-1}) is not closed under multiplication")
     generators = np.eye(d)[1:]
     levels = [generators.copy()]
@@ -96,7 +98,7 @@ def _ideal_filtration(constants: np.ndarray, zero_tol: float) -> tuple[int, list
     for _ in range(d):
         # products v * e_j for v in the current level, j >= 1
         prods = np.einsum("ri,ijk->rjk", current, constants)[:, 1:, :].reshape(-1, d)
-        basis = _row_space_basis(prods, zero_tol)
+        basis = _row_space_basis(prods)
         if basis.shape[0] == 0:
             return len(levels), levels
         levels.append(basis)
@@ -112,16 +114,15 @@ class WeilAlgebra:
     established the axioms.
     """
 
-    __slots__ = ("_constants", "_labels", "_height", "_filtration", "_zero_tol",
-                 "_family", "_fingerprint", "_left", "_right", "_out", "_weights",
-                 "_row_slots")
+    __slots__ = ("_constants", "_labels", "_height", "_filtration", "_family",
+                 "_fingerprint", "_left", "_right", "_out", "_weights", "_row_slots")
 
-    def __init__(self, constants, basis_labels, height, ideal_filtration,
-                 zero_tol=DEFAULT_ZERO_TOL, family=("table",)):
+    def __init__(self, constants, labels, height, ideal_filtration,
+                 family=("table",)):
         arr = np.array(constants, dtype=float)
         arr.setflags(write=False)
         self._constants = arr
-        self._labels = tuple(basis_labels)
+        self._labels = tuple(labels)
         self._height = int(height)
         filt = []
         for level in ideal_filtration:
@@ -129,7 +130,6 @@ class WeilAlgebra:
             level.setflags(write=False)
             filt.append(level)
         self._filtration = tuple(filt)
-        self._zero_tol = float(zero_tol)
         self._family = tuple(family)
         self._fingerprint = hash((arr.shape[0], arr.tobytes()))
         # Products read only the nonzero constants: e_left[n] * e_right[n]
@@ -159,10 +159,6 @@ class WeilAlgebra:
     @property
     def ideal_filtration(self) -> tuple[np.ndarray, ...]:
         return self._filtration
-
-    @property
-    def zero_tol(self) -> float:
-        return self._zero_tol
 
     @property
     def family(self) -> tuple:
@@ -284,11 +280,10 @@ def _inverse(algebra: WeilAlgebra, a: np.ndarray) -> np.ndarray:
 
     The series terminates because the nilpotent part nu satisfies
     nu^(h+1) = 0; each point stops at its first vanishing term.  Raises
-    NotInvertible when an augmentation sits inside the algebra's zero
-    tolerance.
+    NotInvertible when an augmentation sits within ZERO_TOL of zero.
     """
     a0 = a[..., 0]
-    if np.any(np.abs(a0) <= algebra.zero_tol):
+    if np.any(np.abs(a0) <= ZERO_TOL):
         raise NotInvertible("augmentation is zero to working tolerance")
     scale = (1.0 / a0)[..., None]
     nil = a.copy()
@@ -437,8 +432,8 @@ class WeilElement:
 
     def inverse(self) -> "WeilElement":
         """Inverse via the finite Neumann series 1/a0 * sum (-nu/a0)^k;
-        raises NotInvertible when the augmentation sits inside the algebra's
-        zero tolerance."""
+        raises NotInvertible when the augmentation sits within ZERO_TOL of
+        zero."""
         return _wrap(self.algebra, _inverse(self.algebra, self._coeffs))
 
     # -- comparisons --------------------------------------------------------
@@ -465,9 +460,7 @@ class WeilElement:
         return " + ".join(parts) if parts else "0"
 
 
-def make_truncated_algebra(width: int, height: int, *,
-                           max_dim: int = DEFAULT_MAX_DIM,
-                           zero_tol: float = DEFAULT_ZERO_TOL) -> WeilAlgebra:
+def make_truncated_algebra(width: int, height: int) -> WeilAlgebra:
     """Truncated polynomial algebra R[t1..tk] modulo total degree > height.
 
     Basis: all monomials of degree <= height in graded order, so the unit is
@@ -478,8 +471,8 @@ def make_truncated_algebra(width: int, height: int, *,
     if height < 0:
         raise ValueError("height must be nonnegative")
     dim = math.comb(width + height, width)
-    if dim > max_dim:
-        raise CapacityError(f"dimension {dim} exceeds the cap of {max_dim}")
+    if dim > MAX_DIM:
+        raise CapacityError(f"dimension {dim} exceeds the cap of {MAX_DIM}")
     monos = _monomials(width, height)
     index = {m: i for i, m in enumerate(monos)}
     constants = np.zeros((dim, dim, dim))
@@ -493,15 +486,14 @@ def make_truncated_algebra(width: int, height: int, *,
     labels = [_monomial_label(m) for m in monos]
     # The monomial table is commutative/associative/local by construction, but
     # the height is still recomputed from the table rather than trusted.
-    computed_height, filtration = _ideal_filtration(constants, zero_tol)
+    computed_height, filtration = _ideal_filtration(constants)
     if computed_height != height:
         raise AssertionError("computed height disagrees with the construction")
     return WeilAlgebra(constants, labels, computed_height, filtration,
-                       zero_tol, family=("truncated", width, height))
+                       family=("truncated", width, height))
 
 
-def validate_algebra(constants, *, basis_labels: Sequence[str] | None = None,
-                     zero_tol: float = DEFAULT_ZERO_TOL) -> WeilAlgebra:
+def validate_algebra(constants) -> WeilAlgebra:
     """Check a raw structure-constant table and wrap it as a WeilAlgebra.
 
     Verifies commutativity, unitality of basis element 0, associativity, and
@@ -513,20 +505,16 @@ def validate_algebra(constants, *, basis_labels: Sequence[str] | None = None,
         raise ValueError("structure constants must form a d x d x d array")
     d = arr.shape[0]
     if not np.isfinite(arr).all():
-        # every axiom test below compares against zero_tol, and NaN passes them all
+        # every axiom test below compares against ZERO_TOL, and NaN passes them all
         raise AlgebraValidationError("the structure-constant table has non-finite entries")
-    if np.max(np.abs(arr - arr.transpose(1, 0, 2))) > zero_tol:
+    if np.max(np.abs(arr - arr.transpose(1, 0, 2))) > ZERO_TOL:
         raise NotCommutative("c[i,j,:] != c[j,i,:]")
-    if np.max(np.abs(arr[0] - np.eye(d))) > zero_tol:
+    if np.max(np.abs(arr[0] - np.eye(d))) > ZERO_TOL:
         raise NoUnit("basis element 0 does not act as the unit")
     left = np.einsum("ijm,mkl->ijkl", arr, arr)
     right = np.einsum("jkm,iml->ijkl", arr, arr)
-    if np.max(np.abs(left - right)) > zero_tol:
+    if np.max(np.abs(left - right)) > ZERO_TOL:
         raise NotAssociative("(e_i e_j) e_k != e_i (e_j e_k)")
-    height, filtration = _ideal_filtration(arr, zero_tol)
-    if basis_labels is None:
-        basis_labels = [f"e{i}" for i in range(d)]
-    elif len(basis_labels) != d:
-        raise ValueError("label count does not match the dimension")
-    return WeilAlgebra(arr, basis_labels, height, filtration, zero_tol,
+    height, filtration = _ideal_filtration(arr)
+    return WeilAlgebra(arr, [f"e{i}" for i in range(d)], height, filtration,
                        family=("table",))

@@ -44,6 +44,7 @@ from .algebra import WeilAlgebra, WeilElement, _product, _wrap
 from .errors import AlgebraMismatch, ArityError, DomainError
 from .expression import Const, ScalarExpr, add, differentiate, eval_weil, mul, sub
 
+# Sampled near-points draw their augmentations uniformly from this interval.
 DEFAULT_BOX = (-2.0, 2.0)
 
 
@@ -131,13 +132,13 @@ class NearPoints:
 
 
 def sample_near_points(algebra: WeilAlgebra, arity: int, rng: np.random.Generator,
-                       samples: int, box: tuple[float, float] = DEFAULT_BOX) -> NearPoints:
+                       samples: int) -> NearPoints:
     """``samples`` random near-points from one draw: augmentations uniform in
-    ``box``, the remaining coefficients uniform in [-1, 1].  The points and
-    the generator's final state are those of drawing the points one by one,
-    each coordinate as ``rng.uniform(-1, 1, d)`` with slot 0 then replaced
-    by ``rng.uniform(*box)``."""
-    lo, hi = box
+    ``DEFAULT_BOX``, the remaining coefficients uniform in [-1, 1].  The
+    points and the generator's final state are those of drawing the points
+    one by one, each coordinate as ``rng.uniform(-1, 1, d)`` with slot 0 then
+    replaced by ``rng.uniform(*DEFAULT_BOX)``."""
+    lo, hi = DEFAULT_BOX
     u = rng.random((samples, arity, algebra.dim + 1))
     # per coordinate: d values for [-1, 1], of which slot 0 is then replaced
     # by the last value scaled to the box
@@ -146,11 +147,11 @@ def sample_near_points(algebra: WeilAlgebra, arity: int, rng: np.random.Generato
     return NearPoints(algebra, coeffs)
 
 
-def sample_near_point(algebra: WeilAlgebra, arity: int, rng: np.random.Generator,
-                      box: tuple[float, float] = DEFAULT_BOX) -> NearPoint:
-    """Random near-point: augmentations uniform in ``box``, the remaining
-    coefficients uniform in [-1, 1]."""
-    return sample_near_points(algebra, arity, rng, 1, box)[0]
+def sample_near_point(algebra: WeilAlgebra, arity: int,
+                      rng: np.random.Generator) -> NearPoint:
+    """Random near-point: augmentations uniform in ``DEFAULT_BOX``, the
+    remaining coefficients uniform in [-1, 1]."""
+    return sample_near_points(algebra, arity, rng, 1)[0]
 
 
 @runtime_checkable
@@ -584,8 +585,7 @@ def lie_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField
 # -- sampled comparison --------------------------------------------------------
 
 def max_difference(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
-                   rng: np.random.Generator | None = None,
-                   box: tuple[float, float] = DEFAULT_BOX):
+                   rng: np.random.Generator | None = None):
     """Largest coefficientwise deviation |f - g| over random near-points.
 
     Draws all ``samples`` points at once and evaluates both sides over the
@@ -599,7 +599,7 @@ def max_difference(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
         raise ValueError("max_difference needs at least one sample")
     if rng is None:
         rng = np.random.default_rng(42)
-    points = sample_near_points(f.algebra, f.arity, rng, samples, box)
+    points = sample_near_points(f.algebra, f.arity, rng, samples)
     residuals = np.max(np.abs(f.evaluate(points) - g.evaluate(points)), axis=-1)
     if not np.isfinite(residuals).all():
         raise DomainError("a sampled residual is not finite")
@@ -608,8 +608,7 @@ def max_difference(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
 
 
 def functions_equal(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
-                    tol: float = 1e-9, rng: np.random.Generator | None = None,
-                    box: tuple[float, float] = DEFAULT_BOX) -> bool:
+                    tol: float = 1e-9, rng: np.random.Generator | None = None) -> bool:
     """Sampled equality of A-valued functions at the given tolerance."""
-    residual, _ = max_difference(f, g, samples=samples, rng=rng, box=box)
+    residual, _ = max_difference(f, g, samples=samples, rng=rng)
     return residual <= tol

@@ -45,6 +45,7 @@ from .poisson import (
     poisson_derivation,
     prolonged_bracket,
 )
+from .sampling import DEFAULT_SEED
 from .symplectic import (
     check_global_witness_symplectic,
     hamiltonian_field,
@@ -54,7 +55,6 @@ from .symplectic import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 32
-DEFAULT_SEED = 42
 
 
 def _emit(payload) -> None:

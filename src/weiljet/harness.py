@@ -58,8 +58,6 @@ from .expression import (
     var,
 )
 from .poisson import (
-    BaseCochain,
-    PoissonCochain,
     PoissonStructure,
     ProlongedPoisson,
     adjoint_differential,
@@ -326,7 +324,7 @@ def _worst_real(exprs, points: np.ndarray) -> float:
 def _base_poisson_defect(theta: BaseVectorField, structure: PoissonStructure,
                          points: np.ndarray) -> float:
     """Worst sampled residual of the base bracket-compatibility defect."""
-    defect = adjoint_differential(BaseCochain(1, theta), structure).value
+    defect = adjoint_differential(theta, structure)
     pairs = itertools.combinations(_small_generators(structure.arity), 2)
     return _worst_real((defect(f, g) for f, g in pairs), points)
 
@@ -565,10 +563,9 @@ def _check_prop1_cochain_prolongation(spec: CheckSpec, rng: np.random.Generator)
         n = structure.arity
         for _ in range(spec.expressions):
             eta = random_base_field(n, rng, max_degree=2)
-            base_defect = adjoint_differential(BaseCochain(1, eta), structure).value
+            base_defect = adjoint_differential(eta, structure)
             lifted_defect = prolonged_adjoint_differential(
-                PoissonCochain(1, prolong_vector_field(eta, algebra)),
-                prolonged).value
+                prolong_vector_field(eta, algebra), prolonged)
             for _ in range(6):
                 f = random_polynomial(n, rng, max_degree=2)
                 g = random_polynomial(n, rng, max_degree=2)

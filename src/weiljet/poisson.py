@@ -8,11 +8,13 @@ computed structurally: on a pullback f^A the associated derivation is the
 prolongation of the base hamiltonian field of f, and it extends to products
 by the Leibniz rule and to algebra-element coefficients linearly.
 
-The cochain complex in degrees 0..2 carries the differential of the adjoint
-representation: functions go to their hamiltonian derivations, vector fields
-go to their bracket-compatibility defect.  A field is locally hamiltonian
-when that defect vanishes, globally hamiltonian when a potential function
-produces it exactly; both tests are sampled, never searched.
+The adjoint differential takes a function to its hamiltonian field
+(``PoissonStructure.ad``, ``poisson_derivation``) and a field X to its defect
+(f, g) -> {f, Xg} - {g, Xf} - X{f, g}, which ``adjoint_differential`` (base)
+and ``prolonged_adjoint_differential`` (over the algebra) return as a function
+of the pair.  A field is locally hamiltonian when that defect vanishes,
+globally hamiltonian when a potential function produces it exactly; both
+tests are sampled, never searched.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .bundle import (
     apply_field,
     max_difference,
     prolong_function,
-    prolong_vector_field,
 )
-from .errors import AlgebraMismatch, ArityError, DegreeError, InvalidPoissonStructure
+from .errors import AlgebraMismatch, ArityError, InvalidPoissonStructure
 from .expression import (
     Const,
     ScalarExpr,
@@ -47,6 +48,11 @@ from .expression import (
     sub,
     var,
 )
+
+# Jacobi validation at construction: seeded points in DEFAULT_BOX, and the
+# largest defect accepted at each
+_JACOBI_SAMPLES = 12
+_JACOBI_TOL = 1e-8
 
 
 def _coerce_entry(value, arity: int) -> ScalarExpr:
@@ -64,10 +70,7 @@ def _coerce_entry(value, arity: int) -> ScalarExpr:
 class PoissonStructure:
     """Antisymmetric bivector on a base open, stored as its upper triangle."""
 
-    def __init__(self, arity: int, bivector: dict, *, validate: bool = True,
-                 samples: int = 12, tol: float = 1e-8,
-                 rng: np.random.Generator | None = None,
-                 box: tuple[float, float] = DEFAULT_BOX):
+    def __init__(self, arity: int, bivector: dict, *, validate: bool = True):
         if arity < 1:
             raise ArityError("a Poisson structure needs at least one coordinate")
         entries: dict[tuple[int, int], ScalarExpr] = {}
@@ -88,15 +91,14 @@ class PoissonStructure:
         self._entries = entries
         self._ad_cache: dict[ScalarExpr, BaseVectorField] = {}
         if validate:
-            self._validate_jacobi(samples, tol, rng, box)
+            self._validate_jacobi()
 
-    def _validate_jacobi(self, samples, tol, rng, box):
+    def _validate_jacobi(self):
         """Sampled Jacobi identity on coordinate triples."""
         n = self.arity
         if n < 3:
             return
-        if rng is None:
-            rng = np.random.default_rng(42)
+        rng = np.random.default_rng(42)
         defects = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -111,10 +113,10 @@ class PoissonStructure:
                                            differentiate(self.entry(i, j), m)))
                     defects.append(((i, j, k), acc))
         for (i, j, k), defect in defects:
-            for _ in range(samples):
-                x = rng.uniform(box[0], box[1], size=n)
+            for _ in range(_JACOBI_SAMPLES):
+                x = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
                 value = eval_real(defect, x)
-                if abs(value) > tol:
+                if abs(value) > _JACOBI_TOL:
                     raise InvalidPoissonStructure(
                         f"Jacobi identity fails on coordinates {(i, j, k)}: "
                         f"residual {value:.3e} at {tuple(round(v, 4) for v in x)}")
@@ -192,9 +194,6 @@ class ProlongedPoisson:
     def arity(self) -> int:
         return self.base.arity
 
-    def derivation(self, fn: BundleFunction) -> BundleVectorField:
-        return poisson_derivation(self, fn)
-
     def bracket(self, f: BundleFunction, g: BundleFunction) -> BundleFunction:
         return prolonged_bracket(self, f, g)
 
@@ -241,87 +240,34 @@ def prolonged_bracket(structure: ProlongedPoisson, f: BundleFunction,
     return apply_field(poisson_derivation(structure, f), g)
 
 
-# -- cochains and the adjoint differential -------------------------------------
+# -- the adjoint differential --------------------------------------------------
 
-def _check_degree_payload(degree, value, fn_type, field_type):
-    if degree == 0:
-        if not isinstance(value, fn_type):
-            raise DegreeError(f"degree-0 cochains hold a {fn_type.__name__}")
-    elif degree == 1:
-        if not isinstance(value, field_type):
-            raise DegreeError(f"degree-1 cochains hold a {field_type.__name__}")
-    elif degree == 2:
-        if not callable(value):
-            raise DegreeError("degree-2 cochains hold a pair evaluator")
-    else:
-        raise DegreeError(f"unsupported cochain degree {degree}")
+def adjoint_differential(field: BaseVectorField, structure: PoissonStructure):
+    """The adjoint differential of a base field: its bracket-compatibility
+    defect (f, g) -> {f, Xg} - {g, Xf} - X{f, g}, as a function of two base
+    expressions."""
 
+    def defect(f: ScalarExpr, g: ScalarExpr) -> ScalarExpr:
+        return sub(sub(structure.bracket(f, field.apply_to(g)),
+                       structure.bracket(g, field.apply_to(f))),
+                   field.apply_to(structure.bracket(f, g)))
 
-class BaseCochain:
-    """Poisson cochain on the base: a function, a vector field, or a lazy
-    alternating pair form."""
-
-    __slots__ = ("degree", "value")
-
-    def __init__(self, degree: int, value):
-        _check_degree_payload(degree, value, ScalarExpr, BaseVectorField)
-        self.degree = degree
-        self.value = value
+    return defect
 
 
-class PoissonCochain:
-    """Prolonged Poisson cochain in degrees 0..2."""
+def prolonged_adjoint_differential(field: BundleVectorField,
+                                   prolonged: ProlongedPoisson):
+    """The adjoint differential of a field over the algebra: the defect
+    (f, g) -> {f, Xg} - {g, Xf} - X{f, g} with all brackets taken over the
+    algebra, as a function of two representable arguments.  X itself may
+    have opaque (solved) components."""
 
-    __slots__ = ("degree", "value")
+    def defect(f: BundleFunction, g: BundleFunction) -> BundleFunction:
+        return _pair_defect(field, poisson_derivation(prolonged, f),
+                            poisson_derivation(prolonged, g),
+                            apply_field(field, f), apply_field(field, g), g)
 
-    def __init__(self, degree: int, value):
-        _check_degree_payload(degree, value, BundleFunction, BundleVectorField)
-        self.degree = degree
-        self.value = value
-
-
-def adjoint_differential(cochain: BaseCochain,
-                         structure: PoissonStructure) -> BaseCochain:
-    """Differential of the adjoint representation on the base.
-
-    Degree 0: a function goes to its hamiltonian field.  Degree 1: a field
-    goes to its bracket-compatibility defect (f,g) -> {f,Xg} - {g,Xf} - X{f,g}.
-    """
-    if cochain.degree == 0:
-        return BaseCochain(1, structure.ad(cochain.value))
-    if cochain.degree == 1:
-        field = cochain.value
-
-        def defect(f: ScalarExpr, g: ScalarExpr) -> ScalarExpr:
-            return sub(sub(structure.bracket(f, field.apply_to(g)),
-                           structure.bracket(g, field.apply_to(f))),
-                       field.apply_to(structure.bracket(f, g)))
-
-        return BaseCochain(2, defect)
-    raise DegreeError("the adjoint differential is defined in degrees 0 and 1")
-
-
-def prolonged_adjoint_differential(cochain: PoissonCochain,
-                                   structure: ProlongedPoisson) -> PoissonCochain:
-    """Differential of the adjoint representation over the algebra.
-
-    Degree 0: a function goes to its Poisson derivation.  Degree 1: a field X
-    goes to the defect (f,g) -> {f,Xg} - {g,Xf} - X{f,g}, with all brackets
-    taken over the algebra.  The pair evaluator accepts representable
-    arguments; X itself may have opaque (solved) components.
-    """
-    if cochain.degree == 0:
-        return PoissonCochain(1, poisson_derivation(structure, cochain.value))
-    if cochain.degree == 1:
-        field = cochain.value
-
-        def defect(f: BundleFunction, g: BundleFunction) -> BundleFunction:
-            return _pair_defect(field, poisson_derivation(structure, f),
-                                poisson_derivation(structure, g),
-                                apply_field(field, f), apply_field(field, g), g)
-
-        return PoissonCochain(2, defect)
-    raise DegreeError("the adjoint differential is defined in degrees 0 and 1")
+    return defect
 
 
 def _pair_defect(field: BundleVectorField, derivation_f: BundleVectorField,
@@ -331,15 +277,6 @@ def _pair_defect(field: BundleVectorField, derivation_f: BundleVectorField,
     Poisson derivations, Xf, Xg, and g."""
     return (apply_field(derivation_f, moved_g) - apply_field(derivation_g, moved_f)
             - apply_field(field, apply_field(derivation_f, g)))
-
-
-def prolong_base_cochain(cochain: BaseCochain, algebra: WeilAlgebra) -> PoissonCochain:
-    """Prolong a degree-0 or degree-1 base cochain over the algebra."""
-    if cochain.degree == 0:
-        return PoissonCochain(0, prolong_function(cochain.value, algebra))
-    if cochain.degree == 1:
-        return PoissonCochain(1, prolong_vector_field(cochain.value, algebra))
-    raise DegreeError("only degree-0 and degree-1 cochains prolong directly")
 
 
 # -- hamiltonian decision procedures -------------------------------------------
@@ -362,7 +299,7 @@ def _random_unit_scale(algebra: WeilAlgebra, rng: np.random.Generator) -> WeilEl
 
 def _closedness_cases(field: BundleVectorField, structure: ProlongedPoisson,
                       gens: Sequence[ScalarExpr], samples: int,
-                      rng: np.random.Generator, box: tuple[float, float]):
+                      rng: np.random.Generator):
     """(residual, witness) of the defect on each generator pair, in pair
     order.  X(g^A) and the Poisson derivation of g^A are built once per
     generator; each pair draws its two scales, then its points."""
@@ -378,7 +315,7 @@ def _closedness_cases(field: BundleVectorField, structure: ProlongedPoisson,
             defect = _pair_defect(field, derivations[i], derivations[j],
                                   moved[i], moved[j], prolonged[j])
             residual, point = max_difference(defect * (a * b), zero,
-                                             samples=samples, rng=rng, box=box)
+                                             samples=samples, rng=rng)
             yield residual, {
                 "left": gens[i].text,
                 "right": gens[j].text,
@@ -391,8 +328,7 @@ def _closedness_cases(field: BundleVectorField, structure: ProlongedPoisson,
 def poisson_closedness_defect(field: BundleVectorField, structure: ProlongedPoisson,
                               gens: Sequence[ScalarExpr] | None = None, *,
                               samples: int = 32,
-                              rng: np.random.Generator | None = None,
-                              box: tuple[float, float] = DEFAULT_BOX):
+                              rng: np.random.Generator | None = None):
     """Worst residual of the prolonged adjoint differential of the field on
     generator pairs with random invertible algebra scales.
 
@@ -412,7 +348,7 @@ def poisson_closedness_defect(field: BundleVectorField, structure: ProlongedPois
         rng = np.random.default_rng(42)
     worst = -1.0
     witness = None
-    for residual, case in _closedness_cases(field, structure, gens, samples, rng, box):
+    for residual, case in _closedness_cases(field, structure, gens, samples, rng):
         if residual > worst:
             worst, witness = residual, case
     return max(worst, 0.0), witness
@@ -422,19 +358,17 @@ def is_locally_hamiltonian_poisson(field: BundleVectorField,
                                    structure: ProlongedPoisson,
                                    gens: Sequence[ScalarExpr] | None = None, *,
                                    samples: int = 32, tol: float = 1e-9,
-                                   rng: np.random.Generator | None = None,
-                                   box: tuple[float, float] = DEFAULT_BOX) -> bool:
+                                   rng: np.random.Generator | None = None) -> bool:
     """Sampled test that the field is closed for the adjoint differential."""
     residual, _ = poisson_closedness_defect(field, structure, gens,
-                                            samples=samples, rng=rng, box=box)
+                                            samples=samples, rng=rng)
     return residual <= tol
 
 
 def check_global_witness_poisson(field: BundleVectorField, witness: BundleFunction,
                                  structure: ProlongedPoisson, *,
                                  samples: int = 32, tol: float = 1e-9,
-                                 rng: np.random.Generator | None = None,
-                                 box: tuple[float, float] = DEFAULT_BOX) -> bool:
+                                 rng: np.random.Generator | None = None) -> bool:
     """True when the field equals the Poisson derivation of the witness
     componentwise (sampled)."""
     if rng is None:
@@ -443,7 +377,7 @@ def check_global_witness_poisson(field: BundleVectorField, witness: BundleFuncti
     if field.arity != candidate.arity:
         raise ArityError("field arity does not match the structure")
     for mine, theirs in zip(field.components, candidate.components):
-        residual, _ = max_difference(mine, theirs, samples=samples, rng=rng, box=box)
+        residual, _ = max_difference(mine, theirs, samples=samples, rng=rng)
         if residual > tol:
             return False
     return True

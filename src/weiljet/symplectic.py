@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import WeilAlgebra, WeilElement, _add_live, _live, _product, _unit, _wrap
+from .algebra import ZERO_TOL, WeilAlgebra, WeilElement, _add_live, _live, _product, _unit, _wrap
 from .bundle import (
     DEFAULT_BOX,
     BaseVectorField,
@@ -332,16 +332,19 @@ def interior_product(field: BundleVectorField, form: BundleForm) -> BundleForm:
     return BundleForm(form.degree - 1, form.arity, form.algebra, out)
 
 
+# Validation at construction: seeded points in DEFAULT_BOX; a closedness
+# coefficient above _VALIDATION_TOL, or a determinant within it, rejects the form
+_VALIDATION_SAMPLES = 12
+_VALIDATION_TOL = 1e-9
+
+
 class SymplecticStructure:
     """Closed nondegenerate 2-form on an even-dimensional base open.
 
     Closedness and nondegeneracy are sampled at construction; pass
     validate=False for structures known sound (the canonical family)."""
 
-    def __init__(self, form: BaseForm, *, validate: bool = True,
-                 samples: int = 12, tol: float = 1e-9,
-                 rng: np.random.Generator | None = None,
-                 box: tuple[float, float] = DEFAULT_BOX):
+    def __init__(self, form: BaseForm, *, validate: bool = True):
         if form.degree != 2:
             raise DegreeError("a symplectic structure is a 2-form")
         if form.arity % 2 != 0:
@@ -349,30 +352,29 @@ class SymplecticStructure:
         self.form = form
         self._inverse_bivector: PoissonStructure | None = None
         if validate:
-            self._validate(samples, tol, rng, box)
+            self._validate()
 
     @property
     def arity(self) -> int:
         return self.form.arity
 
-    def _validate(self, samples, tol, rng, box):
-        if rng is None:
-            rng = np.random.default_rng(42)
+    def _validate(self):
+        rng = np.random.default_rng(42)
         n = self.arity
         closed = exterior_derivative(self.form)
         matrix = self.matrix()
-        for _ in range(samples):
-            x = rng.uniform(box[0], box[1], size=n)
+        for _ in range(_VALIDATION_SAMPLES):
+            x = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
             for idx, coeff in closed.coeffs.items():
                 value = eval_real(coeff, x)
-                if abs(value) > tol:
+                if abs(value) > _VALIDATION_TOL:
                     raise InvalidSymplecticStructure(
                         f"the form is not closed: d-coefficient {idx} is "
                         f"{value:.3e} at {tuple(round(v, 4) for v in x)}")
             numeric = np.array([[eval_real(matrix[i][j], x) for j in range(n)]
                                 for i in range(n)])
             det = float(np.linalg.det(numeric))
-            if abs(det) <= tol:
+            if abs(det) <= _VALIDATION_TOL:
                 raise InvalidSymplecticStructure(
                     f"the form degenerates (det {det:.3e}) at "
                     f"{tuple(round(v, 4) for v in x)}")
@@ -422,11 +424,11 @@ def _matrix_inverse(algebra: WeilAlgebra, matrix: np.ndarray, *,
     summand count; fewer than h+1 gives a wrong inverse whenever order-h
     contributions matter, and only the harness's ``neumann_skip`` mutation
     sets it.  Raises SingularRealPart at the first matrix whose real part is
-    singular at the algebra's zero tolerance.
+    singular at ZERO_TOL.
     """
     real = matrix[..., 0]
     smallest = np.linalg.svd(real, compute_uv=False)[..., -1].ravel()
-    singular = smallest[smallest <= algebra.zero_tol]
+    singular = smallest[smallest <= ZERO_TOL]
     if singular.size:
         raise SingularRealPart(
             f"real part is singular to tolerance (smallest singular value "
@@ -494,12 +496,13 @@ class _LinearSolve:
     """One right-hand side against a shared system; solutions kept in the
     point's evaluation cache, derivatives produced as further solves."""
 
-    __slots__ = ("system", "rhs", "_derived")
+    __slots__ = ("system", "rhs", "_derived", "_components")
 
     def __init__(self, system: _SystemMatrix, rhs: Sequence[BundleFunction]):
         self.system = system
         self.rhs = tuple(rhs)
         self._derived: dict[int, "_LinearSolve"] = {}
+        self._components: dict[int, BundleFunction] = {}
 
     def solution(self, point) -> np.ndarray:
         """The (..., m, d) solution at a near-point or a batch."""
@@ -512,9 +515,15 @@ class _LinearSolve:
         return cached
 
     def component_function(self, index: int) -> BundleFunction:
-        factor = _SolvedComponent(self, index)
-        return BundleFunction(self.system.algebra, self.system.arity,
-                              [Term(self.system.algebra.unit(), (), (factor,))])
+        """Solution component ``index`` as a function of one opaque factor.
+        Built once per index and kept, so terms carrying the factor merge."""
+        fn = self._components.get(index)
+        if fn is None:
+            factor = _SolvedComponent(self, index)
+            fn = self._components[index] = BundleFunction(
+                self.system.algebra, self.system.arity,
+                [Term(self.system.algebra.unit(), (), (factor,))])
+        return fn
 
     def derivative(self, direction: int) -> "_LinearSolve":
         """Solve for the directional derivative of the solution:
@@ -649,8 +658,7 @@ def symplectic_closedness_defect(field: BundleVectorField,
                                  structure: SymplecticStructure,
                                  algebra: WeilAlgebra, *,
                                  samples: int = 32,
-                                 rng: np.random.Generator | None = None,
-                                 box: tuple[float, float] = DEFAULT_BOX):
+                                 rng: np.random.Generator | None = None):
     """Worst residual of d(i_X Omega) contracted with coordinate-field pairs
     carrying random invertible function coefficients.
 
@@ -675,7 +683,7 @@ def symplectic_closedness_defect(field: BundleVectorField,
                 _random_coefficient_function(algebra, n, rng))
             value = defect_form.contract([left, right])
             residual, point = max_difference(value, zero, samples=samples,
-                                             rng=rng, box=box)
+                                             rng=rng)
             if residual > worst:
                 worst = residual
                 witness = {
@@ -689,11 +697,10 @@ def is_locally_hamiltonian_symplectic(field: BundleVectorField,
                                       structure: SymplecticStructure,
                                       algebra: WeilAlgebra, *,
                                       samples: int = 32, tol: float = 1e-9,
-                                      rng: np.random.Generator | None = None,
-                                      box: tuple[float, float] = DEFAULT_BOX) -> bool:
+                                      rng: np.random.Generator | None = None) -> bool:
     """Sampled test that i_X Omega is closed over the algebra."""
     residual, _ = symplectic_closedness_defect(field, structure, algebra,
-                                               samples=samples, rng=rng, box=box)
+                                               samples=samples, rng=rng)
     return residual <= tol
 
 
@@ -720,8 +727,7 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
                                     structure: SymplecticStructure,
                                     algebra: WeilAlgebra, *, sigma: int = 1,
                                     samples: int = 32, tol: float = 1e-9,
-                                    rng: np.random.Generator | None = None,
-                                    box: tuple[float, float] = DEFAULT_BOX) -> WitnessVerdict:
+                                    rng: np.random.Generator | None = None) -> WitnessVerdict:
     """Confirm i_X Omega = sigma * d(witness) coefficientwise (sampled).
 
     The verdict is positive only under the configured sign; the opposite sign
@@ -742,7 +748,7 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
         for i in range(n):
             target = gradient[i] * float(sign)
             residual, _ = max_difference(contracted.coefficient((i,)), target,
-                                         samples=samples, rng=rng, box=box)
+                                         samples=samples, rng=rng)
             worst = max(worst, residual)
         outcomes[sign] = worst
         if worst <= tol:

@@ -14,6 +14,7 @@ from weiljet.algebra import (
     validate_algebra,
 )
 from weiljet.bundle import (
+    DEFAULT_BOX,
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
@@ -276,12 +277,12 @@ def test_worst_point_is_the_first_largest_in_sample_order():
 
 # -- batches ----------------------------------------------------------------------
 
-def _drawn_one_at_a_time(algebra, arity, rng, box):
+def _drawn_one_at_a_time(algebra, arity, rng):
     # sample_near_point as it drew before batches: one coordinate at a time
     coords = []
     for _ in range(arity):
         coeffs = rng.uniform(-1.0, 1.0, size=algebra.dim)
-        coeffs[0] = rng.uniform(*box)
+        coeffs[0] = rng.uniform(*DEFAULT_BOX)
         coords.append(coeffs)
     return np.array(coords)
 
@@ -290,13 +291,15 @@ def _drawn_one_at_a_time(algebra, arity, rng, box):
                                      make_truncated_algebra(3, 3)],
                          ids=["dim2", "dim6", "dim20"])
 def test_batch_sampling_reads_the_stream_as_single_draws(algebra):
-    box = (-1.0, 3.0)
     single, batched = np.random.default_rng(8), np.random.default_rng(8)
-    batch = sample_near_points(algebra, 3, batched, 5, box)
+    batch = sample_near_points(algebra, 3, batched, 5)
     for s in range(5):
-        assert np.array_equal(batch.coeffs[s], _drawn_one_at_a_time(algebra, 3, single, box))
+        assert np.array_equal(batch.coeffs[s], _drawn_one_at_a_time(algebra, 3, single))
     assert single.bit_generator.state == batched.bit_generator.state
     assert single.random() == batched.random()
+    lo, hi = DEFAULT_BOX
+    assert np.all((lo <= batch.coeffs[..., 0]) & (batch.coeffs[..., 0] <= hi))
+    assert np.all(np.abs(batch.coeffs[..., 1:]) <= 1.0)
 
 
 def _rescaled_truncated_1_3():
@@ -533,3 +536,15 @@ def test_kept_partials_die_with_their_functions():
     del fn
     gc.collect()
     assert not [r for r in refs if r() is not None]
+
+
+def test_solved_factors_merge_after_differentiation():
+    # each solve keeps one function per component, so the partials of two
+    # equal products carry the same factors and cancel term by term
+    f = prolong_function(parse_expr("x0*x1", 2), T3)
+    field = hamiltonian_field(f, SymplecticStructure.canonical(2), T3)
+    component = field.components[0]
+    assert component.terms[0].lazies[0].solve.component_function(0) is component
+    h1, h2 = component * f, component * f
+    assert (h1 - h2).is_structurally_zero()
+    assert len((h1.partial(0) - h2.partial(0)).terms) == 0

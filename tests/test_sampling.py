@@ -3,6 +3,7 @@
 import numpy as np
 
 from weiljet.algebra import make_truncated_algebra
+from weiljet.bundle import DEFAULT_BOX
 from weiljet.expression import eval_real
 from weiljet.sampling import (
     random_base_field,
@@ -59,3 +60,5 @@ def test_bundle_samples_live_on_the_algebra():
     assert fn.evaluate(point).algebra is T3
     element = sample_element(T3, rng)
     assert element.algebra is T3
+    assert DEFAULT_BOX[0] <= element.augmentation <= DEFAULT_BOX[1]
+    assert np.all(np.abs(element.coeffs[1:]) <= 1.0)

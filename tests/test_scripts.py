@@ -1,5 +1,7 @@
-"""Smoke runs of the example scripts against the package sources."""
+"""Smoke runs of the example scripts and the benchmark tooling against the
+package sources."""
 
+import importlib
 import importlib.util
 import json
 import os
@@ -18,6 +20,24 @@ def run_script(*argv):
     return subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_public_names_resolve():
+    for name in ("weiljet", "weiljet.jsonio", "weiljet.sampling", "weiljet.harness"):
+        module = importlib.import_module(name)
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, (name, missing)
+
+
+def test_benchmark_tracer_installs_against_the_sources():
+    # traced benchmark runs wrap library functions by name, so a deleted or
+    # renamed name fails here rather than in the benchmark
+    result = run_script("-c", "import sys; sys.path.insert(0, 'perfbench'); "
+                        "from layers import Tracer, install; install(Tracer()); "
+                        "import weiljet.poisson as p; "
+                        "print(p.poisson_derivation.__name__)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "traced"
 
 
 def test_demo_runs():
