@@ -544,7 +544,6 @@ def test_solved_factors_merge_after_differentiation():
     f = prolong_function(parse_expr("x0*x1", 2), T3)
     field = hamiltonian_field(f, SymplecticStructure.canonical(2), T3)
     component = field.components[0]
-    assert component.terms[0].lazies[0].solve.component_function(0) is component
     h1, h2 = component * f, component * f
     assert (h1 - h2).is_structurally_zero()
     assert len((h1.partial(0) - h2.partial(0)).terms) == 0
