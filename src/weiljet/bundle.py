@@ -46,6 +46,8 @@ from .expression import Const, ScalarExpr, add, differentiate, eval_weil, mul, s
 
 # Sampled near-points draw their augmentations uniformly from this interval.
 DEFAULT_BOX = (-2.0, 2.0)
+# Seed of the verification suite and of every generator made when none is given.
+DEFAULT_SEED = 42
 
 
 class NearPoint:
@@ -598,7 +600,7 @@ def max_difference(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
     if samples < 1:
         raise ValueError("max_difference needs at least one sample")
     if rng is None:
-        rng = np.random.default_rng(42)
+        rng = np.random.default_rng(DEFAULT_SEED)
     points = sample_near_points(f.algebra, f.arity, rng, samples)
     residuals = np.max(np.abs(f.evaluate(points) - g.evaluate(points)), axis=-1)
     if not np.isfinite(residuals).all():
@@ -612,3 +614,20 @@ def functions_equal(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
     """Sampled equality of A-valued functions at the given tolerance."""
     residual, _ = max_difference(f, g, samples=samples, rng=rng)
     return residual <= tol
+
+
+def worst_case(cases: Iterable[tuple[float, dict]]) -> tuple[float, dict | None]:
+    """The first (residual, witness) case with the largest residual, its
+    residual floored at 0.0; (0.0, None) when there are no cases."""
+    worst, witness = -1.0, None
+    for residual, case in cases:
+        if residual > worst:
+            worst, witness = residual, case
+    return max(worst, 0.0), witness
+
+
+def _random_unit_scale(algebra: WeilAlgebra, rng: np.random.Generator) -> WeilElement:
+    """Random invertible element: an augmentation of size 0.5 to 1.5, either sign."""
+    coeffs = rng.uniform(-1.0, 1.0, size=algebra.dim)
+    coeffs[0] = rng.uniform(0.5, 1.5) * (1.0 if rng.uniform() < 0.5 else -1.0)
+    return algebra.element(coeffs)

@@ -23,16 +23,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import WeilAlgebra, WeilElement
+from .algebra import WeilAlgebra
 from .bundle import (
     DEFAULT_BOX,
+    DEFAULT_SEED,
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
+    _random_unit_scale,
     _replaced,
     apply_field,
     max_difference,
     prolong_function,
+    worst_case,
 )
 from .errors import AlgebraMismatch, ArityError, InvalidPoissonStructure
 from .expression import (
@@ -98,7 +101,7 @@ class PoissonStructure:
         n = self.arity
         if n < 3:
             return
-        rng = np.random.default_rng(42)
+        rng = np.random.default_rng(DEFAULT_SEED)
         defects = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -290,13 +293,6 @@ def default_generators(arity: int) -> list[ScalarExpr]:
     return gens
 
 
-def _random_unit_scale(algebra: WeilAlgebra, rng: np.random.Generator) -> WeilElement:
-    # invertible scale: augmentation kept away from zero
-    coeffs = rng.uniform(-1.0, 1.0, size=algebra.dim)
-    coeffs[0] = rng.uniform(0.5, 1.5) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    return algebra.element(coeffs)
-
-
 def _closedness_cases(field: BundleVectorField, structure: ProlongedPoisson,
                       gens: Sequence[ScalarExpr], samples: int,
                       rng: np.random.Generator):
@@ -345,13 +341,8 @@ def poisson_closedness_defect(field: BundleVectorField, structure: ProlongedPois
     if not gens:
         raise ValueError("closedness needs a nonempty generator list")
     if rng is None:
-        rng = np.random.default_rng(42)
-    worst = -1.0
-    witness = None
-    for residual, case in _closedness_cases(field, structure, gens, samples, rng):
-        if residual > worst:
-            worst, witness = residual, case
-    return max(worst, 0.0), witness
+        rng = np.random.default_rng(DEFAULT_SEED)
+    return worst_case(_closedness_cases(field, structure, gens, samples, rng))
 
 
 def is_locally_hamiltonian_poisson(field: BundleVectorField,
@@ -372,7 +363,7 @@ def check_global_witness_poisson(field: BundleVectorField, witness: BundleFuncti
     """True when the field equals the Poisson derivation of the witness
     componentwise (sampled)."""
     if rng is None:
-        rng = np.random.default_rng(42)
+        rng = np.random.default_rng(DEFAULT_SEED)
     candidate = poisson_derivation(structure, witness)
     if field.arity != candidate.arity:
         raise ArityError("field arity does not match the structure")

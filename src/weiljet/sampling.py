@@ -14,6 +14,7 @@ import numpy as np
 from .algebra import WeilAlgebra, WeilElement
 from .bundle import (
     DEFAULT_BOX,
+    DEFAULT_SEED,
     BaseVectorField,
     BundleFunction,
     Term,
@@ -21,8 +22,6 @@ from .bundle import (
 )
 from .expression import ScalarExpr, add, call, const, mul, pow_, var
 from .symplectic import BaseForm, increasing_tuples
-
-DEFAULT_SEED = 42
 
 
 def sample_element(algebra: WeilAlgebra, rng: np.random.Generator) -> WeilElement:

@@ -6,7 +6,9 @@ space with A-valued function coefficients.  The prolongation of a form keeps
 the index basis and prolongs each coefficient.
 
 A symplectic structure is a closed nondegenerate 2-form (both sampled at
-construction).  The hamiltonian field of an A-valued function solves the
+construction).  A field X is locally hamiltonian when every coordinate
+coefficient of d(i_X Omega) vanishes; each is sampled at near-points, times
+two random invertible functions.  The hamiltonian field of an A-valued function solves the
 linear system  sum_i Omega_ij X^i = d_j(phi)  over the algebra at each
 evaluation point, for a whole batch of points at once; components come back
 as opaque factors that carry exact derivative rules, so the field composes
@@ -25,12 +27,15 @@ import numpy as np
 from .algebra import ZERO_TOL, WeilAlgebra, WeilElement, _add_live, _live, _product, _unit, _wrap
 from .bundle import (
     DEFAULT_BOX,
+    DEFAULT_SEED,
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
     Term,
+    _random_unit_scale,
     apply_field,
     max_difference,
+    worst_case,
 )
 from .errors import (
     AlgebraMismatch,
@@ -70,6 +75,18 @@ def _sort_index(idx: tuple[int, ...]):
     return tuple(sorted(idx)), (-1) ** inversions
 
 
+def _form_index(idx, degree: int, arity: int) -> tuple[int, ...]:
+    """A coefficient's index tuple, checked against the form's degree and arity."""
+    idx = tuple(idx)
+    if len(idx) != degree:
+        raise DegreeError(f"index {idx} does not have length {degree}")
+    if any(i < 0 or i >= arity for i in idx):
+        raise ArityError(f"index {idx} out of range for arity {arity}")
+    if list(idx) != sorted(set(idx)):
+        raise DegreeError(f"index {idx} must be strictly increasing")
+    return idx
+
+
 def _coerce_coeff(value, arity: int) -> ScalarExpr:
     if isinstance(value, ScalarExpr):
         if value.arity != arity:
@@ -95,13 +112,7 @@ class BaseForm:
             raise ArityError("forms need at least one base coordinate")
         cleaned: dict[tuple[int, ...], ScalarExpr] = {}
         for idx, raw in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise DegreeError(f"index {idx} does not have length {degree}")
-            if any(i < 0 or i >= arity for i in idx):
-                raise ArityError(f"index {idx} out of range for arity {arity}")
-            if list(idx) != sorted(set(idx)):
-                raise DegreeError(f"index {idx} must be strictly increasing")
+            idx = _form_index(idx, degree, arity)
             expr = _coerce_coeff(raw, arity)
             if not (isinstance(expr, Const) and expr.value == 0.0):
                 cleaned[idx] = expr
@@ -119,57 +130,11 @@ class BaseForm:
         expr = self.coeffs.get(key, const(0.0, self.arity))
         return expr if sign == 1 else neg(expr)
 
-    def evaluate(self, fields: Sequence[BaseVectorField]) -> ScalarExpr:
-        """Contract with vector fields (determinant expansion), returning an
-        expression."""
-        if len(fields) != self.degree:
-            raise DegreeError("field count does not match the form degree")
-        acc: ScalarExpr = const(0.0, self.arity)
-        for idx, coeff in self.coeffs.items():
-            det: ScalarExpr = const(0.0, self.arity)
-            for perm in itertools.permutations(range(self.degree)):
-                prod: ScalarExpr = const(_perm_sign(perm), self.arity)
-                for a, b in enumerate(perm):
-                    prod = mul(prod, fields[a].components[idx[b]])
-                det = add(det, prod)
-            acc = add(acc, mul(coeff, det))
-        return acc
-
-    def __add__(self, other):
-        if not isinstance(other, BaseForm):
-            return NotImplemented
-        if other.degree != self.degree or other.arity != self.arity:
-            raise DegreeError("forms disagree on degree or arity")
-        merged = dict(self.coeffs)
-        for idx, expr in other.coeffs.items():
-            merged[idx] = add(merged[idx], expr) if idx in merged else expr
-        return BaseForm(self.degree, self.arity, merged)
-
-    def __sub__(self, other):
-        if not isinstance(other, BaseForm):
-            return NotImplemented
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor) -> "BaseForm":
-        if isinstance(factor, (int, float)):
-            factor = const(float(factor), self.arity)
-        return BaseForm(self.degree, self.arity,
-                        {idx: mul(factor, expr) for idx, expr in self.coeffs.items()})
-
     def __repr__(self):
         if not self.coeffs:
             return f"BaseForm(degree={self.degree}, 0)"
         inner = " + ".join(f"({e.text}) dx{list(i)}" for i, e in sorted(self.coeffs.items()))
         return f"BaseForm({inner})"
-
-
-def _perm_sign(perm) -> float:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return float(sign)
 
 
 def exterior_derivative(form: BaseForm) -> BaseForm:
@@ -218,13 +183,7 @@ class BundleForm:
             raise DegreeError("form degree must be nonnegative")
         cleaned: dict[tuple[int, ...], BundleFunction] = {}
         for idx, fn in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise DegreeError(f"index {idx} does not have length {degree}")
-            if any(i < 0 or i >= arity for i in idx):
-                raise ArityError(f"index {idx} out of range for arity {arity}")
-            if list(idx) != sorted(set(idx)):
-                raise DegreeError(f"index {idx} must be strictly increasing")
+            idx = _form_index(idx, degree, arity)
             if not isinstance(fn, BundleFunction):
                 raise TypeError("prolonged-form coefficients must be A-valued functions")
             if not fn.is_structurally_zero():
@@ -243,44 +202,6 @@ class BundleForm:
             return zero
         fn = self.coeffs.get(key, zero)
         return fn if sign == 1 else -fn
-
-    def contract(self, fields: Sequence[BundleVectorField]) -> BundleFunction:
-        """Evaluate on vector fields by determinant expansion of canonical
-        components."""
-        if len(fields) != self.degree:
-            raise DegreeError("field count does not match the form degree")
-        summands = []
-        for idx, coeff in self.coeffs.items():
-            products = []
-            for perm in itertools.permutations(range(self.degree)):
-                prod = BundleFunction.constant(_perm_sign(perm), self.algebra, self.arity)
-                for a, b in enumerate(perm):
-                    prod = prod * fields[a].components[idx[b]]
-                products.append(prod)
-            det = BundleFunction.sum(self.algebra, self.arity, products)
-            summands.append(coeff * det)
-        return BundleFunction.sum(self.algebra, self.arity, summands)
-
-    def __add__(self, other):
-        if not isinstance(other, BundleForm):
-            return NotImplemented
-        if other.degree != self.degree or other.arity != self.arity:
-            raise DegreeError("forms disagree on degree or arity")
-        if not self.algebra.compatible_with(other.algebra):
-            raise AlgebraMismatch("forms live over different algebras")
-        merged = dict(self.coeffs)
-        for idx, fn in other.coeffs.items():
-            merged[idx] = merged[idx] + fn if idx in merged else fn
-        return BundleForm(self.degree, self.arity, self.algebra, merged)
-
-    def __sub__(self, other):
-        if not isinstance(other, BundleForm):
-            return NotImplemented
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor) -> "BundleForm":
-        return BundleForm(self.degree, self.arity, self.algebra,
-                          {idx: fn * factor for idx, fn in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -359,7 +280,7 @@ class SymplecticStructure:
         return self.form.arity
 
     def _validate(self):
-        rng = np.random.default_rng(42)
+        rng = np.random.default_rng(DEFAULT_SEED)
         n = self.arity
         closed = exterior_derivative(self.form)
         matrix = self.matrix()
@@ -614,7 +535,7 @@ def _symbolic_det(matrix, size) -> ScalarExpr:
     arity = matrix[0][0].arity
     acc: ScalarExpr = const(0.0, arity)
     for perm in itertools.permutations(range(size)):
-        prod: ScalarExpr = const(_perm_sign(perm), arity)
+        prod: ScalarExpr = const(float(_sort_index(perm)[1]), arity)
         for i, j in enumerate(perm):
             prod = mul(prod, matrix[i][j])
         acc = add(acc, prod)
@@ -638,20 +559,32 @@ def symplectic_bracket(f: BundleFunction, g: BundleFunction,
 
 def _random_coefficient_function(algebra: WeilAlgebra, arity: int,
                                  rng: np.random.Generator) -> BundleFunction:
-    # invertible-augmentation algebra coefficient times a linear pullback
-    coeffs = rng.uniform(-1.0, 1.0, size=algebra.dim)
-    coeffs[0] = rng.uniform(0.5, 1.5) * (1.0 if rng.uniform() < 0.5 else -1.0)
+    # invertible algebra coefficient times a linear pullback
+    scale = _random_unit_scale(algebra, rng)
     linear: ScalarExpr = const(round(float(rng.uniform(0.5, 1.5)), 3), arity)
     for i in range(arity):
         linear = add(linear, mul(const(round(float(rng.uniform(-1.0, 1.0)), 3), arity),
                                  var(i, arity)))
-    return BundleFunction(algebra, arity, [Term(algebra.element(coeffs), (linear,))])
+    return BundleFunction(algebra, arity, [Term(scale, (linear,))])
 
 
-def _coordinate_field(algebra: WeilAlgebra, arity: int, index: int) -> BundleVectorField:
-    comps = [BundleFunction.constant(1.0 if i == index else 0.0, algebra, arity)
-             for i in range(arity)]
-    return BundleVectorField(comps)
+def _closedness_cases(field: BundleVectorField, structure: SymplecticStructure,
+                      algebra: WeilAlgebra, samples: int, rng: np.random.Generator):
+    """(residual, witness) of d(i_X Omega) on each coordinate pair, in pair
+    order.  Each pair draws its two coefficient functions, then its points."""
+    n = structure.arity
+    omega = prolong_form(structure.form, algebra)
+    defect_form = bundle_exterior_derivative(interior_product(field, omega))
+    zero = BundleFunction.zero(algebra, n)
+    for pair in increasing_tuples(n, 2):
+        left = _random_coefficient_function(algebra, n, rng)
+        right = _random_coefficient_function(algebra, n, rng)
+        residual, point = max_difference(defect_form.coefficient(pair) * (left * right),
+                                         zero, samples=samples, rng=rng)
+        yield residual, {
+            "pair": list(pair),
+            "point": [[float(v) for v in c.coeffs] for c in point.coords],
+        }
 
 
 def symplectic_closedness_defect(field: BundleVectorField,
@@ -659,38 +592,15 @@ def symplectic_closedness_defect(field: BundleVectorField,
                                  algebra: WeilAlgebra, *,
                                  samples: int = 32,
                                  rng: np.random.Generator | None = None):
-    """Worst residual of d(i_X Omega) contracted with coordinate-field pairs
-    carrying random invertible function coefficients.
-
-    Returns (residual, witness).  The contraction is function-bilinear, so
-    coefficiented coordinate pairs decide vanishing of the whole 2-form.
-    """
+    """Worst residual of the coordinate coefficients of d(i_X Omega), each
+    times two random invertible functions; a 2-form vanishes exactly when
+    its coefficients do.  Returns (residual, witness), the witness naming
+    the pair and the worst near-point."""
     if rng is None:
-        rng = np.random.default_rng(42)
-    n = structure.arity
-    if field.arity != n:
+        rng = np.random.default_rng(DEFAULT_SEED)
+    if field.arity != structure.arity:
         raise ArityError("field arity does not match the structure")
-    omega = prolong_form(structure.form, algebra)
-    defect_form = bundle_exterior_derivative(interior_product(field, omega))
-    zero = BundleFunction.zero(algebra, n)
-    worst = -1.0
-    witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            left = _coordinate_field(algebra, n, i).scaled(
-                _random_coefficient_function(algebra, n, rng))
-            right = _coordinate_field(algebra, n, j).scaled(
-                _random_coefficient_function(algebra, n, rng))
-            value = defect_form.contract([left, right])
-            residual, point = max_difference(value, zero, samples=samples,
-                                             rng=rng)
-            if residual > worst:
-                worst = residual
-                witness = {
-                    "pair": [i, j],
-                    "point": [[float(v) for v in c.coeffs] for c in point.coords],
-                }
-    return max(worst, 0.0), witness
+    return worst_case(_closedness_cases(field, structure, algebra, samples, rng))
 
 
 def is_locally_hamiltonian_symplectic(field: BundleVectorField,
@@ -737,7 +647,7 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
     if rng is None:
-        rng = np.random.default_rng(42)
+        rng = np.random.default_rng(DEFAULT_SEED)
     n = structure.arity
     omega = prolong_form(structure.form, algebra)
     contracted = interior_product(field, omega)

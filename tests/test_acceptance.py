@@ -10,7 +10,7 @@ import time
 import pytest
 
 from weiljet.cli import main
-from weiljet.harness import MUTATION_TARGETS, default_specs, run_suite
+from weiljet.harness import CHECK_NAMES, MUTATION_TARGETS, default_specs, run_suite
 
 MODULE_T0 = time.perf_counter()
 
@@ -30,7 +30,19 @@ CRITERIA = [
     (11, "thm2_symplectic_derivation", 1e-8),
     (12, "prop7_symplectic_global", 1e-8),
     (13, "matrix_inverse_neumann", 1e-9),
+    (16, "taylor_coefficients", 1e-7),
+    (17, "chain_rule_soundness", 1e-9),
+    (18, "leibniz_derivation", 1e-9),
+    (19, "jacobi_field_bracket", 1e-8),
+    (20, "bracket_prolongation_poisson", 1e-8),
+    (21, "poisson_leibniz", 1e-8),
+    (22, "tau_calculus", 1e-8),
+    (23, "symplectic_local_equivalence", 0.5),
 ]
+
+
+def test_criteria_cover_every_check():
+    assert sorted(name for _, name, _ in CRITERIA) == list(CHECK_NAMES)
 
 
 @pytest.mark.parametrize(

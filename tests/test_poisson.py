@@ -8,6 +8,7 @@ from weiljet.bundle import (
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
+    _random_unit_scale,
     apply_field,
     functions_equal,
     max_difference,
@@ -20,7 +21,6 @@ from weiljet.poisson import (
     PoissonStructure,
     ProlongedPoisson,
     _closedness_cases,
-    _random_unit_scale,
     adjoint_differential,
     check_global_witness_poisson,
     default_generators,

@@ -45,12 +45,6 @@ def test_demo_runs():
     assert result.returncode == 0, result.stderr
 
 
-def test_check_timings_profiles_a_filtered_run():
-    result = run_script("scripts/check_timings.py", "--filter", "tau_calculus")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].startswith("1/1 checks passed")
-
-
 @pytest.fixture
 def bench(monkeypatch):
     """scripts/bench.py loaded as a module.  The perfbench modules it imports

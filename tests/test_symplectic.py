@@ -38,6 +38,7 @@ from weiljet.symplectic import (
     is_locally_hamiltonian_symplectic,
     prolong_form,
     symplectic_bracket,
+    symplectic_closedness_defect,
     weil_matrix_inverse,
 )
 from weiljet.sampling import random_base_form
@@ -55,16 +56,6 @@ def test_coefficient_lookup_is_signed():
     assert eval_real(omega.coefficient((0, 0)), [0.0, 0.0]) == pytest.approx(0.0)
     with pytest.raises(DegreeError):
         BaseForm(2, 2, {(1, 0): 1.0})
-
-
-def test_form_evaluation_is_the_determinant_pairing():
-    omega = BaseForm(2, 2, {(0, 1): 1.0})
-    x = BaseVectorField([parse_expr("x0", 2), parse_expr("x1", 2)])
-    y = BaseVectorField([parse_expr("1", 2), parse_expr("0", 2)])
-    value = omega.evaluate([x, y])
-    rng = np.random.default_rng(1)
-    for point in rng.uniform(-2, 2, (5, 2)):
-        assert eval_real(value, point) == pytest.approx(-point[1])
 
 
 def test_exterior_derivative_oracle():
@@ -312,9 +303,7 @@ def test_prolonged_contraction_of_a_hamiltonian_field_is_closed():
     field = hamiltonian_field(fn, CURVED, T3)
     closed = bundle_exterior_derivative(interior_product(field, omega))
     rng = np.random.default_rng(17)
-    probe_x = prolong_vector_field(BaseVectorField([parse_expr("1", 2), parse_expr("0", 2)]), T3)
-    probe_y = prolong_vector_field(BaseVectorField([parse_expr("0", 2), parse_expr("1", 2)]), T3)
-    paired = closed.contract([probe_x, probe_y])
+    paired = closed.coefficient((0, 1))
     for _ in range(5):
         point = sample_near_point(T3, 2, rng)
         assert paired.evaluate(point).almost_equal(T3.zero(), tol=1e-8)
@@ -326,8 +315,27 @@ def test_scaled_contraction_is_function_linear():
     field = hamiltonian_field(fn, CANONICAL, DUAL)
     weight = prolong_function(parse_expr("x0 * x1", 2), DUAL)
     left = interior_product(field.scaled(weight), omega)
-    right = interior_product(field, omega).scaled(weight)
-    probe = prolong_vector_field(BaseVectorField([parse_expr("1", 2), parse_expr("1", 2)]), DUAL)
-    a = left.contract([probe])
-    b = right.contract([probe])
-    assert functions_equal(a, b, samples=8, rng=np.random.default_rng(8))
+    right = interior_product(field, omega)
+    for idx in ((0,), (1,)):
+        assert functions_equal(left.coefficient(idx), right.coefficient(idx) * weight,
+                               samples=8, rng=np.random.default_rng(8))
+
+
+@pytest.mark.parametrize("algebra", [DUAL, T3], ids=["dual", "t3"])
+@pytest.mark.parametrize("structure", [
+    SymplecticStructure.canonical(4),
+    SymplecticStructure(BaseForm(2, 4, {(0, 1): "1 + x0^2 + x1^2", (2, 3): "2 + x2*x3",
+                                        (0, 2): 0.5})),
+], ids=["canonical4", "closed4"])
+def test_closedness_names_the_open_pair_in_four_dimensions(structure, algebra):
+    potential = prolong_function(parse_expr("x0 * x3 + x1^2 * x2", 4), algebra)
+    solved = hamiltonian_field(potential, structure, algebra)
+    assert is_locally_hamiltonian_symplectic(solved, structure, algebra, samples=8)
+    for components, pair in ((["0", "x1", "0", "0"], [0, 1]),
+                             (["0", "0", "0", "x3"], [2, 3])):
+        field = prolong_vector_field(
+            BaseVectorField([parse_expr(c, 4) for c in components]), algebra)
+        residual, witness = symplectic_closedness_defect(field, structure, algebra,
+                                                         samples=8)
+        assert residual > 1e-3
+        assert witness["pair"] == pair
