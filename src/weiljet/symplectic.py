@@ -8,13 +8,13 @@ the index basis and prolongs each coefficient.
 A symplectic structure is a closed nondegenerate 2-form (both sampled at
 construction).  A field X is locally hamiltonian when every coordinate
 coefficient of d(i_X Omega) vanishes; each is sampled at near-points, times
-two random invertible functions.  The hamiltonian field of an A-valued function solves the
-linear system  sum_i Omega_ij X^i = d_j(phi)  over the algebra at each
-evaluation point, for a whole batch of points at once; components come back
-as opaque factors that carry exact derivative rules, so the field composes
-with the rest of the calculus even though no closed form for it exists.
-Inverting the solve matrices uses the finite Neumann series of local-ring
-linear algebra, over (..., m, m, d) coefficient arrays.
+two random invertible functions.  The hamiltonian field of an A-valued
+function solves the linear system  sum_i Omega_ij X^i = d_j(phi)  over the
+algebra at each evaluation point, for a whole batch of points at once;
+components come back as opaque factors that carry exact derivative rules, so
+the field composes with the rest of the calculus even though no closed form
+for it exists.  Inverting the solve matrices uses the finite Neumann series
+of local-ring linear algebra, over (..., m, m, d) coefficient arrays.
 """
 
 from __future__ import annotations
