@@ -18,9 +18,12 @@ records:
   ``reference.check`` and its rates are perfbench's ``family_figures``;
 - the cold start of ``python -m weiljet algebra --algebra dual``;
 
-and once per side the line count of ``src/`` and the tree it measured: the
+and once per side the line count of ``src/``, the tree it measured (the
 commit, and a digest of the uncommitted changes under ``src/`` and
-``perfbench/`` (null when there are none).  The machine record (nproc,
+``perfbench/``, null when there are none) and, per seed, the cProfile total
+call count of one extra, untimed ``verify`` run as ``verify_calls.S``.
+Call counts are deterministic, so they show where work moved when wall
+times cannot.  The machine record (nproc,
 Python, numpy, BLAS threads) and the pinned BLAS environment are
 perfbench's.  With --parent, each figure is also compared pair by pair: in
 how many repeats the change did better, the gain of the change's median,
@@ -33,9 +36,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import pstats
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -77,6 +82,22 @@ def src_lines(root: Path) -> int:
 def git(root: Path, *argv: str) -> str:
     return subprocess.run(["git", *argv], cwd=root, capture_output=True,
                           text=True, timeout=60, check=True).stdout
+
+
+def verify_calls(root: Path) -> dict:
+    """Per seed, the total call count cProfile records over one
+    ``verify`` run in ``root``."""
+    counts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            profile = Path(tmp) / f"verify_{seed}.prof"
+            proc, _ = run(root, [sys.executable, "-m", "cProfile", "-o", str(profile),
+                                 "-m", "weiljet", "verify", "--seed", str(seed)])
+            if not profile.exists():
+                raise BenchError(f"profiled verify in {root} wrote no profile:\n"
+                                 f"{proc.stderr[-2000:]}")
+            counts[str(seed)] = pstats.Stats(str(profile)).total_calls
+    return counts
 
 
 def tree_state(root: Path) -> dict:
@@ -136,6 +157,8 @@ def series(side: dict) -> dict:
 
 def summary(side: dict) -> dict:
     out = {name: median(values) for name, values in series(side).items()}
+    out.update({f"verify_calls.{seed}": count
+                for seed, count in side["verify_calls"].items()})
     out["src_lines"] = side["src_lines"]
     return out
 
@@ -172,7 +195,7 @@ def main(argv=None) -> int:
     numpy_version = None
     try:
         sides = {name: {**tree_state(root), "src_lines": src_lines(root),
-                        "verify": {},
+                        "verify_calls": verify_calls(root), "verify": {},
                         **{figure: [] for figure in RATES + ("cli_start_s",)}}
                  for name, root in roots.items()}
         for repeat in range(REPEATS):

@@ -35,8 +35,9 @@ keeps its partials, so each is built once, and they go when it goes.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import attrgetter
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -626,8 +627,18 @@ def worst_case(cases: Iterable[tuple[float, dict]]) -> tuple[float, dict | None]
     return max(worst, 0.0), witness
 
 
-def _random_unit_scale(algebra: WeilAlgebra, rng: np.random.Generator) -> WeilElement:
-    """Random invertible element: an augmentation of size 0.5 to 1.5, either sign."""
-    coeffs = rng.uniform(-1.0, 1.0, size=algebra.dim)
-    coeffs[0] = rng.uniform(0.5, 1.5) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    return algebra.element(coeffs)
+def coordinate_pair_cases(component: Callable[[int, int], BundleFunction],
+                          algebra: WeilAlgebra, arity: int, samples: int,
+                          rng: np.random.Generator):
+    """(residual, witness) of each coordinate component ``component(i, j)``,
+    i < j, of an antisymmetric A-valued 2-tensor, sampled unscaled in pair
+    order; the witness names the pair and the worst near-point.  A
+    one-dimensional base has no pairs and draws no points."""
+    zero = BundleFunction.zero(algebra, arity)
+    for i, j in combinations(range(arity), 2):
+        residual, point = max_difference(component(i, j), zero, samples=samples,
+                                         rng=rng)
+        yield residual, {
+            "pair": [i, j],
+            "point": [[float(v) for v in c.coeffs] for c in point.coords],
+        }

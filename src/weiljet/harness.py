@@ -47,7 +47,6 @@ from .bundle import (
 )
 from .errors import DomainError
 from .expression import (
-    ScalarExpr,
     add,
     compose,
     const,
@@ -309,12 +308,6 @@ def _field_texts(field: BaseVectorField) -> list[str]:
     return [c.text for c in field.components]
 
 
-def _small_generators(arity: int) -> list[ScalarExpr]:
-    gens: list[ScalarExpr] = [var(i, arity) for i in range(arity)]
-    gens.append(mul(var(0, arity), var(arity - 1, arity)))
-    return gens
-
-
 def _worst_real(exprs, points: np.ndarray) -> float:
     """Largest |expr(x)| over base expressions and probe points."""
     return max((abs(eval_real(expr, x.tolist())) for expr in exprs for x in points),
@@ -323,9 +316,11 @@ def _worst_real(exprs, points: np.ndarray) -> float:
 
 def _base_poisson_defect(theta: BaseVectorField, structure: PoissonStructure,
                          points: np.ndarray) -> float:
-    """Worst sampled residual of the base bracket-compatibility defect."""
+    """Worst sampled residual of the base bracket-compatibility defect on
+    the coordinate pairs."""
     defect = adjoint_differential(theta, structure)
-    pairs = itertools.combinations(_small_generators(structure.arity), 2)
+    pairs = itertools.combinations([var(i, structure.arity)
+                                    for i in range(structure.arity)], 2)
     return _worst_real((defect(f, g) for f, g in pairs), points)
 
 
@@ -340,8 +335,7 @@ def _poisson_local_test(field: BundleVectorField, structure: PoissonStructure,
                         algebra: WeilAlgebra, **options) -> bool:
     """The Poisson local test, called like ``is_locally_hamiltonian_symplectic``."""
     return is_locally_hamiltonian_poisson(
-        field, ProlongedPoisson(structure, algebra),
-        _small_generators(structure.arity), **options)
+        field, ProlongedPoisson(structure, algebra), **options)
 
 
 def _verdict_agreement(spec: CheckSpec, rng: np.random.Generator, structures,

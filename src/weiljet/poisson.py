@@ -14,12 +14,12 @@ The adjoint differential takes a function to its hamiltonian field
 and ``prolonged_adjoint_differential`` (over the algebra) return as a function
 of the pair.  A field is locally hamiltonian when that defect vanishes,
 globally hamiltonian when a potential function produces it exactly; both
-tests are sampled, never searched.
+tests are sampled, never searched.  The defect is -(L_X pi)(df, dg), a
+derivation in each slot, so the local test samples it, unscaled, on the
+coordinate pairs (x_i^A, x_j^A) alone.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .bundle import (
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
-    _random_unit_scale,
     _replaced,
     apply_field,
+    coordinate_pair_cases,
     max_difference,
     prolong_function,
     worst_case,
@@ -92,7 +92,6 @@ class PoissonStructure:
                 entries[(i, j)] = expr
         self.arity = arity
         self._entries = entries
-        self._ad_cache: dict[ScalarExpr, BaseVectorField] = {}
         if validate:
             self._validate_jacobi()
 
@@ -149,9 +148,6 @@ class PoissonStructure:
 
     def ad(self, f: ScalarExpr) -> BaseVectorField:
         """Hamiltonian field of f: the derivation g -> {f,g}."""
-        cached = self._ad_cache.get(f)
-        if cached is not None:
-            return cached
         if f.arity != self.arity:
             raise ArityError("function arity does not match the structure")
         comps = []
@@ -161,9 +157,7 @@ class PoissonStructure:
                 if k != j:
                     acc = add(acc, mul(self.entry(k, j), differentiate(f, k)))
             comps.append(acc)
-        field = BaseVectorField(comps)
-        self._ad_cache[f] = field
-        return field
+        return BaseVectorField(comps)
 
     @classmethod
     def canonical(cls, arity: int) -> "PoissonStructure":
@@ -222,19 +216,21 @@ def poisson_derivation(structure: ProlongedPoisson,
 
 
 def _derivation(structure: ProlongedPoisson, fn: BundleFunction) -> BundleVectorField:
-    """The body of ``poisson_derivation``, for arguments it has checked."""
+    """The body of ``poisson_derivation``, for arguments it has checked.  The
+    base hamiltonian field of each distinct pullback is built once per call
+    and dropped with it, so nothing outlives the call."""
     algebra, n = structure.algebra, structure.arity
-    components = []
-    for i in range(n):
-        terms = []
-        for term in fn.terms:
-            for j, p in enumerate(term.pullbacks):
-                comp = structure.base.ad(p).components[i]
-                if isinstance(comp, Const) and comp.value == 0.0:
-                    continue
-                terms.append(_replaced(term, j, comp))
-        components.append(BundleFunction._merged(algebra, n, terms))
-    return BundleVectorField(components)
+    fields: dict[ScalarExpr, BaseVectorField] = {}
+    components: list[list] = [[] for _ in range(n)]
+    for term in fn.terms:
+        for j, p in enumerate(term.pullbacks):
+            if p not in fields:
+                fields[p] = structure.base.ad(p)
+            for terms, comp in zip(components, fields[p].components):
+                if not (isinstance(comp, Const) and comp.value == 0.0):
+                    terms.append(_replaced(term, j, comp))
+    return BundleVectorField([BundleFunction._merged(algebra, n, terms)
+                              for terms in components])
 
 
 def prolonged_bracket(structure: ProlongedPoisson, f: BundleFunction,
@@ -284,74 +280,48 @@ def _pair_defect(field: BundleVectorField, derivation_f: BundleVectorField,
 
 # -- hamiltonian decision procedures -------------------------------------------
 
-def default_generators(arity: int) -> list[ScalarExpr]:
-    """Coordinates and their pairwise products."""
-    gens = [var(i, arity) for i in range(arity)]
-    for i in range(arity):
-        for j in range(i, arity):
-            gens.append(mul(var(i, arity), var(j, arity)))
-    return gens
-
-
 def _closedness_cases(field: BundleVectorField, structure: ProlongedPoisson,
-                      gens: Sequence[ScalarExpr], samples: int,
-                      rng: np.random.Generator):
-    """(residual, witness) of the defect on each generator pair, in pair
-    order.  X(g^A) and the Poisson derivation of g^A are built once per
-    generator; each pair draws its two scales, then its points."""
+                      samples: int, rng: np.random.Generator):
+    """(residual, witness) of the defect on each coordinate pair
+    (x_i^A, x_j^A), i < j, in pair order.  X(x_i^A) and the Poisson
+    derivation of x_i^A are built once per coordinate."""
     algebra, n = structure.algebra, structure.arity
-    prolonged = [prolong_function(g, algebra) for g in gens]
-    moved = [apply_field(field, g) for g in prolonged]
-    derivations = [poisson_derivation(structure, g) for g in prolonged]
-    zero = BundleFunction.zero(algebra, n)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            a = _random_unit_scale(algebra, rng)
-            b = _random_unit_scale(algebra, rng)
-            defect = _pair_defect(field, derivations[i], derivations[j],
-                                  moved[i], moved[j], prolonged[j])
-            residual, point = max_difference(defect * (a * b), zero,
-                                             samples=samples, rng=rng)
-            yield residual, {
-                "left": gens[i].text,
-                "right": gens[j].text,
-                "left_scale": [float(c) for c in a.coeffs],
-                "right_scale": [float(c) for c in b.coeffs],
-                "point": [[float(v) for v in c.coeffs] for c in point.coords],
-            }
+    coords = [prolong_function(var(i, n), algebra) for i in range(n)]
+    moved = [apply_field(field, x) for x in coords]
+    derivations = [poisson_derivation(structure, x) for x in coords]
+    return coordinate_pair_cases(
+        lambda i, j: _pair_defect(field, derivations[i], derivations[j],
+                                  moved[i], moved[j], coords[j]),
+        algebra, n, samples, rng)
 
 
 def poisson_closedness_defect(field: BundleVectorField, structure: ProlongedPoisson,
-                              gens: Sequence[ScalarExpr] | None = None, *,
-                              samples: int = 32,
+                              *, samples: int = 32,
                               rng: np.random.Generator | None = None):
     """Worst residual of the prolonged adjoint differential of the field on
-    generator pairs with random invertible algebra scales.
+    the coordinate pairs (x_i^A, x_j^A), i < j.
 
-    Returns (residual, witness) where the witness records the pair, the
-    scales, and the worst near-point.  The defect pair form
-    (f, g) -> {f, Xg} - {g, Xf} - X{f, g} is A-bilinear: the derivation of
-    f*a is a times that of f, and X and the derivations are A-linear, so
-    defect(f*a, g*b) = a*b*defect(f, g).  Each pair is therefore evaluated as
-    its unscaled defect times a*b, and scaled generator pairs decide
-    closedness for the whole representable class.
+    Returns (residual, witness), the witness naming the pair [i, j] and the
+    worst near-point; a one-dimensional base has no pairs and gives
+    (0.0, None).  The defect D(f, g) = {f, Xg} - {g, Xf} - X{f, g} equals
+    -(L_X pi)(df, dg), so it is A-bilinear and a derivation in each slot:
+    D(f, g*h) = g*D(f, h) + h*D(f, g).  On representable functions it is
+    therefore sum_ij d_i f * d_j g * D(x_i^A, x_j^A), and it vanishes exactly
+    when its coordinate components do.  Those are sampled unscaled: a unit
+    of A times a nonzero element is nonzero, so random invertible scales
+    could not change the verdict.
     """
-    if gens is None:
-        gens = default_generators(structure.arity)
-    if not gens:
-        raise ValueError("closedness needs a nonempty generator list")
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    return worst_case(_closedness_cases(field, structure, gens, samples, rng))
+    return worst_case(_closedness_cases(field, structure, samples, rng))
 
 
 def is_locally_hamiltonian_poisson(field: BundleVectorField,
-                                   structure: ProlongedPoisson,
-                                   gens: Sequence[ScalarExpr] | None = None, *,
+                                   structure: ProlongedPoisson, *,
                                    samples: int = 32, tol: float = 1e-9,
                                    rng: np.random.Generator | None = None) -> bool:
     """Sampled test that the field is closed for the adjoint differential."""
-    residual, _ = poisson_closedness_defect(field, structure, gens,
+    residual, _ = poisson_closedness_defect(field, structure,
                                             samples=samples, rng=rng)
     return residual <= tol
 

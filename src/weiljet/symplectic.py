@@ -7,10 +7,10 @@ the index basis and prolongs each coefficient.
 
 A symplectic structure is a closed nondegenerate 2-form (both sampled at
 construction).  A field X is locally hamiltonian when every coordinate
-coefficient of d(i_X Omega) vanishes; each is sampled at near-points, times
-two random invertible functions.  The hamiltonian field of an A-valued
-function solves the linear system  sum_i Omega_ij X^i = d_j(phi)  over the
-algebra at each evaluation point, for a whole batch of points at once;
+coefficient of d(i_X Omega) vanishes; each is sampled, unscaled, at
+near-points.  The hamiltonian field of an A-valued function solves the
+linear system  sum_i Omega_ij X^i = d_j(phi)  over the algebra at each
+evaluation point, for a whole batch of points at once;
 components come back as opaque factors that carry exact derivative rules, so
 the field composes with the rest of the calculus even though no closed form
 for it exists.  Inverting the solve matrices uses the finite Neumann series
@@ -32,8 +32,8 @@ from .bundle import (
     BundleFunction,
     BundleVectorField,
     Term,
-    _random_unit_scale,
     apply_field,
+    coordinate_pair_cases,
     max_difference,
     worst_case,
 )
@@ -55,7 +55,6 @@ from .expression import (
     mul,
     neg,
     parse_expr,
-    var,
 )
 from .poisson import PoissonStructure
 
@@ -557,34 +556,14 @@ def symplectic_bracket(f: BundleFunction, g: BundleFunction,
 
 # -- decision procedures ---------------------------------------------------------
 
-def _random_coefficient_function(algebra: WeilAlgebra, arity: int,
-                                 rng: np.random.Generator) -> BundleFunction:
-    # invertible algebra coefficient times a linear pullback
-    scale = _random_unit_scale(algebra, rng)
-    linear: ScalarExpr = const(round(float(rng.uniform(0.5, 1.5)), 3), arity)
-    for i in range(arity):
-        linear = add(linear, mul(const(round(float(rng.uniform(-1.0, 1.0)), 3), arity),
-                                 var(i, arity)))
-    return BundleFunction(algebra, arity, [Term(scale, (linear,))])
-
-
 def _closedness_cases(field: BundleVectorField, structure: SymplecticStructure,
                       algebra: WeilAlgebra, samples: int, rng: np.random.Generator):
     """(residual, witness) of d(i_X Omega) on each coordinate pair, in pair
-    order.  Each pair draws its two coefficient functions, then its points."""
-    n = structure.arity
+    order, each coefficient sampled unscaled."""
     omega = prolong_form(structure.form, algebra)
     defect_form = bundle_exterior_derivative(interior_product(field, omega))
-    zero = BundleFunction.zero(algebra, n)
-    for pair in increasing_tuples(n, 2):
-        left = _random_coefficient_function(algebra, n, rng)
-        right = _random_coefficient_function(algebra, n, rng)
-        residual, point = max_difference(defect_form.coefficient(pair) * (left * right),
-                                         zero, samples=samples, rng=rng)
-        yield residual, {
-            "pair": list(pair),
-            "point": [[float(v) for v in c.coeffs] for c in point.coords],
-        }
+    return coordinate_pair_cases(lambda i, j: defect_form.coefficient((i, j)),
+                                 algebra, structure.arity, samples, rng)
 
 
 def symplectic_closedness_defect(field: BundleVectorField,
@@ -592,10 +571,10 @@ def symplectic_closedness_defect(field: BundleVectorField,
                                  algebra: WeilAlgebra, *,
                                  samples: int = 32,
                                  rng: np.random.Generator | None = None):
-    """Worst residual of the coordinate coefficients of d(i_X Omega), each
-    times two random invertible functions; a 2-form vanishes exactly when
-    its coefficients do.  Returns (residual, witness), the witness naming
-    the pair and the worst near-point."""
+    """Worst residual of the coordinate coefficients of d(i_X Omega),
+    sampled unscaled; a 2-form vanishes exactly when its coefficients do.
+    Returns (residual, witness), the witness naming the pair and the worst
+    near-point."""
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     if field.arity != structure.arity:

@@ -228,6 +228,19 @@ def test_hamcheck_without_witness_reports_unknown(capsys):
     assert payload["witness_checked"] is False
 
 
+def test_hamcheck_on_a_one_dimensional_poisson_base(capsys):
+    # one coordinate gives no pair to sample, so every field is closed
+    code, out, _ = run_cli(
+        capsys,
+        "hamcheck",
+        "--algebra", "dual",
+        "--poisson", '{"arity":1,"bivector":{}}',
+        "--field", '[[{"coeff":[1.0,0.0],"pullbacks":["x0"]}]]',
+    )
+    assert code == 0
+    assert json.loads(out)["locally"] is True
+
+
 def test_hamcheck_arity_mismatch_is_exit_two(capsys):
     code, out, _ = run_cli(
         capsys,

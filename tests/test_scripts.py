@@ -75,7 +75,7 @@ def test_bench_writes_its_record(bench, tmp_path, monkeypatch, capsys):
     assert [run["exit"] for run in side["verify"]["42"]["runs"]] == [0]
     summary = record["summary"]["change"]
     assert summary["src_lines"] > 0
-    for name in ("verify_s.42", "poisson_decisions_per_s",
+    for name in ("verify_s.42", "verify_calls.42", "poisson_decisions_per_s",
                  "symplectic_decisions_per_s", "cli_start_s"):
         assert summary[name] > 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == record["summary"]
