@@ -92,6 +92,11 @@ class PoissonStructure:
                 entries[(i, j)] = expr
         self.arity = arity
         self._entries = entries
+        # column j of the signed bivector: (k, pi_kj) for each nonzero entry,
+        # k ascending; a zero entry adds nothing to a hamiltonian field
+        self._columns = [[(k, self.entry(k, j)) for k in range(arity)
+                          if (min(j, k), max(j, k)) in entries]
+                         for j in range(arity)]
         if validate:
             self._validate_jacobi()
 
@@ -151,11 +156,10 @@ class PoissonStructure:
         if f.arity != self.arity:
             raise ArityError("function arity does not match the structure")
         comps = []
-        for j in range(self.arity):
+        for column in self._columns:
             acc: ScalarExpr = const(0.0, self.arity)
-            for k in range(self.arity):
-                if k != j:
-                    acc = add(acc, mul(self.entry(k, j), differentiate(f, k)))
+            for k, entry in column:
+                acc = add(acc, mul(entry, differentiate(f, k)))
             comps.append(acc)
         return BaseVectorField(comps)
 
