@@ -23,12 +23,11 @@ commit, and a digest of the uncommitted changes under ``src/`` and
 ``perfbench/``, null when there are none) and, per seed, the cProfile total
 call count of one extra, untimed ``verify`` run as ``verify_calls.S``.
 Call counts are deterministic, so they show where work moved when wall
-times cannot.  The machine record (nproc,
-Python, numpy, BLAS threads) and the pinned BLAS environment are
-perfbench's.  With --parent, each figure is also compared pair by pair: in
-how many repeats the change did better, the gain of the change's median,
-and the parent's interquartile range.  The last line of stdout is a JSON
-summary of the medians.
+times cannot.  The machine record (nproc, Python, numpy, BLAS threads) and
+the pinned BLAS environment are perfbench's.  With --parent, each figure is
+also compared pair by pair: in how many repeats the change did better, the
+gain of the change's median, and the parent's interquartile range.  The
+last line of stdout is a JSON summary of the medians.
 """
 
 from __future__ import annotations
