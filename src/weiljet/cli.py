@@ -9,7 +9,9 @@ object per line); diagnostics go to standard error.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -55,6 +57,8 @@ from .symplectic import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 32
+# bounds the near-point batch a single decision or check allocates
+MAX_SAMPLES = 10_000
 
 
 def _emit(payload) -> None:
@@ -80,9 +84,17 @@ def _report_error(exc: Exception) -> int:
     return code
 
 
-def _require_samples(samples: int | None) -> None:
-    if samples is not None and samples < 1:
-        raise ParseError(f"--samples must be at least 1, got {samples}")
+def _require_sampling(samples: int | None, seed: int) -> None:
+    if samples is not None and not 1 <= samples <= MAX_SAMPLES:
+        raise ParseError(
+            f"--samples must be between 1 and {MAX_SAMPLES}, got {samples}")
+    if seed < 0:
+        raise ParseError(f"--seed must be nonnegative, got {seed}")
+
+
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParseError(f"--tol must be finite and nonnegative, got {tol}")
 
 
 def _sign_flag(text: str) -> int:
@@ -182,7 +194,8 @@ def cmd_hamfield(args) -> int:
 
 
 def cmd_hamcheck(args) -> int:
-    _require_samples(args.samples)
+    _require_sampling(args.samples, args.seed)
+    _require_tol(args.tol)
     algebra = parse_algebra_spec(args.algebra)
     mode, base, prolonged = _structure(args, algebra)
     field = bundle_field_from_json(_load_json_arg(args.field, "field"), algebra)
@@ -220,7 +233,7 @@ def cmd_hamcheck(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_samples(args.samples)
+    _require_sampling(args.samples, args.seed)
     specs = default_specs(seed=args.seed, name_filter=args.filter,
                           samples=args.samples)
     reports = run_suite(specs, mutation=args.mutate)
@@ -251,7 +264,11 @@ def _add_structure_flags(parser: argparse.ArgumentParser) -> None:
                        help="symplectic spec: canonical:N or form JSON")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Parsing keeps no
+    state in it, and its error and help output look up the standard streams
+    when they print, so every ``main`` call may share it."""
     parser = _ArgumentParser(
         prog="weiljet",
         description="jet calculus over Weil algebras: prolongation, brackets, "
@@ -304,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help=f"decision tolerance (default {DEFAULT_TOL})")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help=f"near-points per decision (default {DEFAULT_SAMPLES})")
+                   help=f"near-points per decision (default {DEFAULT_SAMPLES}, "
+                        f"at most {MAX_SAMPLES})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"sampling seed (default {DEFAULT_SEED})")
     p.set_defaults(handler=cmd_hamcheck)
@@ -314,7 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"suite seed (default {DEFAULT_SEED})")
     p.add_argument("--samples", type=int, default=None,
-                   help="override per-check sample counts")
+                   help=f"override per-check sample counts (at most "
+                        f"{MAX_SAMPLES})")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed seconds in each report line")
     p.add_argument("--mutate", choices=sorted(MUTATIONS), default=None,

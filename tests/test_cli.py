@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from hypothesis import strategies as st
 
 from weiljet.algebra import make_truncated_algebra
 from weiljet.bundle import sample_near_point
-from weiljet.cli import _emit, main
+from weiljet import cli
+from weiljet.cli import MAX_SAMPLES, _emit, main
 from weiljet.errors import ParseError
 from weiljet.jsonio import (
     bundle_field_from_json,
@@ -352,11 +357,53 @@ DUAL_FIELD = ("--algebra", "dual", "--poisson", "canonical:2", "--field", '["x1"
     ("hamcheck", *DUAL_FIELD, "--samples", "0"),
     ("hamcheck", *DUAL_FIELD, "--samples", "-3"),
     ("verify", "--filter", "taylor", "--samples", "0"),
+    ("hamcheck", *DUAL_FIELD, "--samples", str(MAX_SAMPLES + 1)),
+    # rejected before the near-point batch is drawn
+    ("hamcheck", *DUAL_FIELD, "--samples", "100000000000"),
+    ("verify", "--filter", "dual_forward_derivative", "--samples", "100000000000"),
+    # a tolerance that is not finite, or negative, decides nothing
+    ("hamcheck", *DUAL_FIELD, "--tol", "nan"),
+    ("hamcheck", *DUAL_FIELD, "--tol", "inf"),
+    ("hamcheck", *DUAL_FIELD, "--tol", "-1"),
+    ("hamcheck", *DUAL_FIELD, "--seed", "-1"),
+    ("verify", "--filter", "taylor", "--seed", "-1"),
 ])
 def test_samples_below_one_is_a_parse_error(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
-    assert strict_document(out)["error"]["type"] == "ParseError"
+    error = strict_document(out)["error"]
+    assert error["type"] == "ParseError"
+    assert argv[-2] in error["message"]
+
+
+def test_parser_reuse_keeps_no_state_between_calls(capsys, monkeypatch):
+    """One process running a sequence of calls prints what a fresh process
+    prints for each of them, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+    sequence = [
+        ("bracket", "--algebra", "dual"),
+        ("bracket", "--algebra", "dual", "--poisson", "canonical:2",
+         "--symplectic", "canonical:2", "-f", "x0", "-g", "x1"),
+        ("prolong", "--help"),
+        ("hamfield", "--algebra", "dual", "--poisson", "canonical:2",
+         "--fn", "x0*x1", "--sign", "-1"),
+        ("hamcheck", *DUAL_FIELD, "--witness", "x0*x1", "--sign", "-1",
+         "--samples", "8", "--seed", "5"),
+        ("hamcheck", *DUAL_FIELD, "--witness", "x0*x1"),
+        ("verify", "--seed", "3", "--filter", "prop6"),
+    ]
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    for argv in sequence:
+        fresh = subprocess.run([sys.executable, "-m", "weiljet", *argv], cwd=root,
+                               env=env, capture_output=True)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out.encode(), err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._build_parser() is cli._build_parser()
+    args = cli._build_parser().parse_args(["hamcheck", *DUAL_FIELD])
+    assert (args.sign, args.samples, args.seed) == (1, 32, 42)
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
