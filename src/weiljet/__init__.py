@@ -18,7 +18,6 @@ from .bundle import (
     BundleFunction,
     BundleVectorField,
     NearPoint,
-    Term,
     apply_field,
     functions_equal,
     lie_bracket,
@@ -107,7 +106,7 @@ __all__ = [
     "ScalarExpr", "parse_expr", "differentiate", "compose",
     "eval_real", "eval_weil",
     # bundle
-    "NearPoint", "Term", "BundleFunction", "BaseVectorField",
+    "NearPoint", "BundleFunction", "BaseVectorField",
     "BundleVectorField", "prolong_function", "prolong_vector_field",
     "pushforward_map", "apply_field", "lie_bracket", "sample_near_point",
     "max_difference", "functions_equal",

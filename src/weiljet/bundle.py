@@ -10,40 +10,37 @@ draw and evaluate their points that way.  A point or a batch keeps what was
 evaluated there (expression nodes, linear solves) in its own cache, which
 goes when the point goes.
 
-A-valued functions on the near-point space are stored as sums of terms
-
-    coeff * f1^A * ... * fk^A * L1 * ... * Lm
-
-with coeff in A, each f an expression on the base, and each L an opaque
-pointwise factor that knows how to evaluate itself and how to differentiate
-itself (used for hamiltonian fields of non-representable functions, whose
-components come from solving a linear system at each point, for a whole
-batch at once).  Functions with no opaque factors are called representable;
-structural operations that need to inspect the integrand (like the prolonged
-Poisson derivation) require representability, while evaluation and
-derivatives work for every term.
-
-A function's terms are canonical: no pullback is a constant (constants fold
-into the coefficient), the pullbacks are sorted by text, and no two terms
-share their factors.  The public constructor checks and canonicalizes what
-it is given.  The operations (``partial``, sums, products, ``apply_field``
-and the Poisson derivation) read canonical terms, emit canonical terms, and
-merge them once per operation without checking them again; the merge adds
-coefficients in the order the terms come and drops zero sums.  A function
-keeps its partials, so each is built once, and they go when it goes.
+An A-valued function on the near-point space is the root of one
+hash-consed expression DAG (``expression``).  Its real subtrees are base
+expressions acting as their prolongations f^A; its other leaves are A-valued
+constants and solved components, one component of a linear system solved at
+each point for a whole batch at once (used for hamiltonian fields, which
+have no closed form).  Sums, products, partials and ``apply_field`` build
+interned nodes, so equal functions share one root; a partial is kept on its
+node, and evaluation is the one batched walker, memoized in the point's
+cache.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import attrgetter
-from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import WeilAlgebra, WeilElement, _product, _wrap
+from .algebra import WeilAlgebra, WeilElement, _wrap
 from .errors import AlgebraMismatch, ArityError, DomainError
-from .expression import Const, ScalarExpr, add, differentiate, eval_weil, mul, sub
+from .expression import (
+    Const,
+    ScalarExpr,
+    _weight,
+    add,
+    differentiate,
+    eval_weil,
+    mul,
+    neg,
+    sub,
+)
 
 # Sampled near-points draw their augmentations uniformly from this interval.
 DEFAULT_BOX = (-2.0, 2.0)
@@ -57,7 +54,7 @@ class NearPoint:
     ``coeffs`` stacks the coordinates' coefficients as an (n, d) array.
     Evaluation of expressions at the point is memoized node by node, so
     functions evaluated at one NearPoint share their subexpressions there;
-    lazy factors keep their solves in the same cache.
+    linear solves keep their solutions in the same cache.
     """
 
     __slots__ = ("algebra", "coords", "coeffs", "_eval_cache", "__weakref__")
@@ -104,7 +101,7 @@ class NearPoint:
 class NearPoints:
     """A batch of S near-points, held as one (S, n, d) coefficient array.
 
-    Expressions and lazy factors evaluate over the whole batch at once,
+    Expressions and linear solves evaluate over the whole batch at once,
     memoized in one cache for the batch, and give every sample the bits it
     would get alone.  ``batch[s]`` is sample s as a NearPoint of its own.
     """
@@ -157,203 +154,47 @@ def sample_near_point(algebra: WeilAlgebra, arity: int,
     return sample_near_points(algebra, arity, rng, 1)[0]
 
 
-@runtime_checkable
-class LazyFactor(Protocol):
-    """A pointwise A-valued factor that can evaluate and differentiate itself.
-
-    ``evaluate`` takes a NearPoint or a NearPoints batch and returns the
-    (..., d) coefficient array, as ``pulled`` does.  ``partial`` returns a
-    full function (not another factor) because the derivative of a solved
-    quantity is generally a combination of factors.
-    """
-
-    def evaluate(self, point) -> np.ndarray: ...
-
-    def partial(self, index: int) -> "BundleFunction": ...
-
-
-class Term:
-    """One product term of an A-valued function."""
-
-    __slots__ = ("coeff", "pullbacks", "lazies")
-
-    def __init__(self, coeff: WeilElement, pullbacks: Iterable[ScalarExpr] = (),
-                 lazies: Iterable[LazyFactor] = ()):
-        self.coeff = coeff
-        self.pullbacks = _sorted_pullbacks(tuple(pullbacks))
-        self.lazies = tuple(lazies)
-
-    def __repr__(self):
-        parts = [repr(self.coeff)]
-        parts.extend(f"({p.text})^A" for p in self.pullbacks)
-        parts.extend(f"<{type(l).__name__}>" for l in self.lazies)
-        return " * ".join(parts)
-
-
-# -- canonical terms ------------------------------------------------------------
-#
-# A term is canonical for a function when its coefficient lives in the
-# function's algebra, its pullbacks have the function's arity, none of them
-# is a Const, and they are sorted by text.  The operations below take
-# canonical terms and emit canonical terms, so one merge per operation is all
-# they need.
-
-_text = attrgetter("text")
-
-
-def _sorted_pullbacks(pullbacks: tuple) -> tuple:
-    # sorting reads the texts, which a lone pullback never needs
-    return tuple(sorted(pullbacks, key=_text)) if len(pullbacks) > 1 else pullbacks
-
-
-def _term(coeff: WeilElement, pullbacks: tuple, lazies: tuple) -> Term:
-    """A term from parts that are canonical already: nothing is sorted,
-    copied or checked."""
-    term = object.__new__(Term)
-    term.coeff = coeff
-    term.pullbacks = pullbacks
-    term.lazies = lazies
-    return term
-
-
-def _merge(terms: Iterable[Term]) -> tuple[Term, ...]:
-    """Merge canonical terms: terms with the same factors add their
-    coefficients in order, in the place of the first, and sums that are zero
-    are dropped."""
-    merged: dict = {}
-    for term in terms:
-        key = (term.pullbacks, term.lazies)
-        first = merged.get(key)
-        if first is None:
-            merged[key] = term
-        else:
-            merged[key] = _term(_wrap(first.coeff.algebra,
-                                      first.coeff.coeffs + term.coeff.coeffs),
-                                key[0], key[1])
-    return tuple(t for t in merged.values() if np.count_nonzero(t.coeff.coeffs))
-
-
-def _replaced(term: Term, j: int, expr: ScalarExpr) -> Term:
-    """The term with pullback j replaced by expr; a constant expr folds into
-    the coefficient."""
-    rest = term.pullbacks[:j] + term.pullbacks[j + 1:]
-    if isinstance(expr, Const):
-        return _term(term.coeff * expr.value, rest, term.lazies)
-    return _term(term.coeff, _sorted_pullbacks(rest + (expr,)), term.lazies)
-
-
-def _products(left: Iterable[Term], right: Sequence[Term]):
-    """The canonical terms of a product of two sums of terms, unmerged, in
-    distributive order."""
-    for s in left:
-        algebra, a = s.coeff.algebra, s.coeff.coeffs
-        for t in right:
-            yield _term(_wrap(algebra, _product(algebra, a, t.coeff.coeffs)),
-                        _sorted_pullbacks(s.pullbacks + t.pullbacks),
-                        s.lazies + t.lazies)
-
-
-def _product_rule(term: Term, index: int, positions: Iterable[int]) -> list[Term]:
-    """The terms of d/dx_index of one term, differentiating the pullbacks at
-    ``positions`` and every lazy factor.  Each pullback branch is kept as its
-    own one-term function would keep it (a zero branch is dropped); each lazy
-    branch is the rest of the term times the factor's partial, merged as that
-    product."""
-    out = []
-    for j in positions:
-        branch = _replaced(term, j, differentiate(term.pullbacks[j], index))
-        if np.count_nonzero(branch.coeff.coeffs):
-            out.append(branch)
-    for k, lz in enumerate(term.lazies):
-        rest = _term(term.coeff, term.pullbacks, term.lazies[:k] + term.lazies[k + 1:])
-        out.extend(_merge(_products((rest,), lz.partial(index).terms)))
-    return out
-
-
 class BundleFunction:
-    """A-valued function on the prolonged space, a compacted sum of terms.
+    """A-valued function on the prolonged space: the root of an expression
+    DAG over the base, whose leaves may also be A-valued constants and solved
+    components (see ``expression``).  Real subtrees act as their
+    prolongations f^A.  Sums, products and partials build interned nodes,
+    and the partials are kept on the nodes."""
 
-    Its terms are canonical (see "canonical terms" above), and its partials
-    are built once and kept on it."""
+    __slots__ = ("algebra", "arity", "root", "__weakref__")
 
-    __slots__ = ("algebra", "arity", "terms", "_partials", "__weakref__")
-
-    def __init__(self, algebra: WeilAlgebra, arity: int, terms: Iterable[Term] = ()):
+    def __init__(self, algebra: WeilAlgebra, arity: int, root: ScalarExpr):
         if arity < 1:
             raise ArityError("functions need at least one base coordinate")
-        canonical = []
-        for term in terms:
-            if not algebra.compatible_with(term.coeff.algebra):
-                raise AlgebraMismatch("term coefficient lives in a different algebra")
-            coeff = term.coeff
-            kept = []
-            for p in term.pullbacks:
-                if p.arity != arity:
-                    raise ArityError("pullback arity does not match the function")
-                if isinstance(p, Const):
-                    # constant pullbacks are real multiples of the unit
-                    coeff = coeff * p.value
-                else:
-                    kept.append(p)
-            canonical.append(_term(coeff, _sorted_pullbacks(tuple(kept)),
-                                   tuple(term.lazies)))
+        if root.arity != arity:
+            raise ArityError("root arity does not match the function")
         self.algebra = algebra
         self.arity = arity
-        self.terms = _merge(canonical)
-        self._partials = None
-
-    @classmethod
-    def _merged(cls, algebra: WeilAlgebra, arity: int,
-                terms: Iterable[Term]) -> "BundleFunction":
-        """The function of canonical terms after one merge, unchecked."""
-        fn = object.__new__(cls)
-        fn.algebra = algebra
-        fn.arity = arity
-        fn.terms = _merge(terms)
-        fn._partials = None
-        return fn
+        self.root = root
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, algebra: WeilAlgebra, arity: int) -> "BundleFunction":
-        return cls(algebra, arity)
+        return cls(algebra, arity, Const(0.0, arity))
 
     @classmethod
     def constant(cls, value, algebra: WeilAlgebra, arity: int) -> "BundleFunction":
         if isinstance(value, WeilElement):
-            coeff = value
-        else:
-            coeff = algebra.from_real(float(value))
-        return cls(algebra, arity, [Term(coeff)])
+            if not algebra.compatible_with(value.algebra):
+                raise AlgebraMismatch("constant lives in a different algebra")
+            return cls(algebra, arity, _weight(value, arity))
+        return cls(algebra, arity, Const(float(value), arity))
 
     @classmethod
     def from_expr(cls, expr: ScalarExpr, algebra: WeilAlgebra) -> "BundleFunction":
-        """Prolongation of a base expression: one pullback with unit weight."""
-        return cls(algebra, expr.arity, [Term(algebra.unit(), (expr,))])
-
-    @classmethod
-    def sum(cls, algebra: WeilAlgebra, arity: int,
-            parts: Iterable["BundleFunction"]) -> "BundleFunction":
-        """The sum of functions, merging all their terms in one pass."""
-        terms = []
-        for part in parts:
-            if not algebra.compatible_with(part.algebra):
-                raise AlgebraMismatch("functions live over different algebras")
-            if part.arity != arity:
-                raise ArityError("functions disagree on the base arity")
-            terms.extend(part.terms)
-        return cls._merged(algebra, arity, terms)
+        """Prolongation of a base expression."""
+        return cls(algebra, expr.arity, expr)
 
     # -- structure -----------------------------------------------------------
 
-    @property
-    def is_representable(self) -> bool:
-        """True when every term is a weighted product of pullbacks."""
-        return all(not t.lazies for t in self.terms)
-
     def is_structurally_zero(self) -> bool:
-        return not self.terms
+        return isinstance(self.root, Const) and self.root.value == 0.0
 
     def _check_mate(self, other: "BundleFunction"):
         if not self.algebra.compatible_with(other.algebra):
@@ -365,45 +206,22 @@ class BundleFunction:
 
     def evaluate(self, point):
         """Value at a NearPoint, or at every point of a NearPoints batch as
-        an (S, d) coefficient array, in one pass over the terms."""
-        total = self._coefficients(point)
-        return total if isinstance(point, NearPoints) else _wrap(self.algebra, total)
-
-    def _coefficients(self, point) -> np.ndarray:
-        """The (..., d) coefficient array of the value at a NearPoint or a
-        NearPoints batch."""
+        a read-only (S, d) coefficient array: the root evaluated there, with
+        every node kept in the point's cache."""
         if not self.algebra.compatible_with(point.algebra):
             raise AlgebraMismatch("point algebra does not match the function")
         if point.arity != self.arity:
             raise ArityError("point arity does not match the function")
-        algebra = self.algebra
-        total = np.zeros(point.coeffs.shape[:-2] + (algebra.dim,))
-        for term in self.terms:
-            value = term.coeff.coeffs
-            for p in term.pullbacks:
-                value = _product(algebra, value, point.pulled(p))
-            for lz in term.lazies:
-                value = _product(algebra, value, lz.evaluate(point))
-            total = total + value
-        return total
+        value = point.pulled(self.root)
+        if isinstance(point, NearPoints):
+            value = value.view()
+            value.setflags(write=False)
+            return value
+        return _wrap(self.algebra, value)
 
     def partial(self, index: int) -> "BundleFunction":
-        """Partial derivative along base coordinate ``index`` (product rule
-        across pullbacks and opaque factors; pullbacks differentiate
-        symbolically).  Built once per index and kept on the function."""
-        partials = self._partials
-        if partials is not None and index in partials:
-            return partials[index]
-        if index < 0 or index >= self.arity:
-            raise ArityError(f"derivative index {index} out of range")
-        terms = []
-        for term in self.terms:
-            terms.extend(_product_rule(term, index, range(len(term.pullbacks))))
-        result = BundleFunction._merged(self.algebra, self.arity, terms)
-        if partials is None:
-            partials = self._partials = {}
-        partials[index] = result
-        return result
+        """Partial derivative along base coordinate ``index``."""
+        return BundleFunction(self.algebra, self.arity, differentiate(self.root, index))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -411,39 +229,35 @@ class BundleFunction:
         if not isinstance(other, BundleFunction):
             return NotImplemented
         self._check_mate(other)
-        return BundleFunction._merged(self.algebra, self.arity, self.terms + other.terms)
+        return BundleFunction(self.algebra, self.arity, add(self.root, other.root))
 
     def __sub__(self, other):
         if not isinstance(other, BundleFunction):
             return NotImplemented
-        return self + (-other)
+        self._check_mate(other)
+        return BundleFunction(self.algebra, self.arity, sub(self.root, other.root))
 
     def __neg__(self):
-        return self * -1.0
+        return BundleFunction(self.algebra, self.arity, neg(self.root))
 
     def __mul__(self, other):
         if isinstance(other, BundleFunction):
             self._check_mate(other)
-            terms = _products(self.terms, other.terms)
+            factor = other.root
         elif isinstance(other, WeilElement):
             if not self.algebra.compatible_with(other.algebra):
                 raise AlgebraMismatch("scalar lives in a different algebra")
-            terms = [_term(_wrap(t.coeff.algebra,
-                                 _product(t.coeff.algebra, t.coeff.coeffs, other.coeffs)),
-                           t.pullbacks, t.lazies) for t in self.terms]
+            factor = _weight(other, self.arity)
         elif isinstance(other, (int, float)):
-            factor = float(other)
-            terms = [_term(t.coeff * factor, t.pullbacks, t.lazies) for t in self.terms]
+            factor = Const(float(other), self.arity)
         else:
             return NotImplemented
-        return BundleFunction._merged(self.algebra, self.arity, terms)
+        return BundleFunction(self.algebra, self.arity, mul(self.root, factor))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        if not self.terms:
-            return "BundleFunction(0)"
-        return "BundleFunction(" + " + ".join(repr(t) for t in self.terms) + ")"
+        return f"BundleFunction({self.root.text})"
 
 
 def prolong_function(f: ScalarExpr, algebra: WeilAlgebra) -> BundleFunction:
@@ -570,10 +384,10 @@ def apply_field(field: BundleVectorField, fn: BundleFunction) -> BundleFunction:
         raise ArityError("field and function disagree on arity")
     if not field.algebra.compatible_with(fn.algebra):
         raise AlgebraMismatch("field and function live over different algebras")
-    terms = []
+    root = Const(0.0, fn.arity)
     for i, comp in enumerate(field.components):
-        terms.extend(_merge(_products(comp.terms, fn.partial(i).terms)))
-    return BundleFunction._merged(fn.algebra, fn.arity, terms)
+        root = add(root, mul(comp.root, differentiate(fn.root, i)))
+    return BundleFunction(fn.algebra, fn.arity, root)
 
 
 def lie_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:

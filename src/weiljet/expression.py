@@ -9,6 +9,12 @@ equality is identity.  The table holds its nodes weakly, so it never
 outgrows the live expressions.  A constant is keyed on the ``repr`` of its
 value, which keeps 0.0 and -0.0 apart and makes every NaN one node.
 
+Two private leaf kinds make the same DAG hold A-valued functions on the
+near-point space (``bundle.BundleFunction``): an A-valued constant, and one
+component of a pointwise linear solve over the algebra.  Sums, products and
+partials of such functions are nodes like any other; the walkers over real
+values (``eval_real``, ``compose``) refuse them.
+
 ``text`` is the fully parenthesized form, rendered on first use in one pass;
 it is the wire format, because ``parse_expr(e.text, e.arity)`` returns ``e``
 itself.  Evaluation, differentiation and composition visit the DAG in a
@@ -207,6 +213,41 @@ class Call(ScalarExpr):
         return (f"{self.fn}(", self.arg, ")")
 
 
+class _Weight(ScalarExpr):
+    """An A-valued constant: a fixed element of a Weil algebra whose
+    nilpotent part is not zero (a real multiple of the unit is a Const).
+    Its partials are 0 and it evaluates to its coefficient vector."""
+
+    __slots__ = ("algebra", "coeffs")
+
+    def __init__(self, algebra: WeilAlgebra, coeffs: np.ndarray, arity: int):
+        super().__init__(arity, "<" + ", ".join(repr(float(c)) for c in coeffs) + ">")
+        self.algebra = algebra
+        self.coeffs = coeffs
+
+    @staticmethod
+    def _key(algebra, coeffs, arity):
+        return (_Weight, algebra._fingerprint, coeffs.tobytes(), arity)
+
+
+class _Solved(ScalarExpr):
+    """Component ``index`` of a pointwise linear solve over a Weil algebra.
+    The solve gives ``solution(point)``, the (..., m, d) solution at a
+    near-point or a batch, and ``derivative(i)``, the solve whose solution is
+    the partial along x_i; the node keeps its solve alive."""
+
+    __slots__ = ("solve", "index")
+
+    def __init__(self, solve, index: int, arity: int):
+        super().__init__(arity, f"<solved {index}>")
+        self.solve = solve
+        self.index = index
+
+    @staticmethod
+    def _key(solve, index, arity):
+        return (_Solved, id(solve), index, arity)
+
+
 def _render(root: ScalarExpr) -> str:
     """Text of ``root`` in one pass, O(len(text)) and no recursion.  A node
     without text lists its ``_pieces``, strings and child nodes; a node with
@@ -258,6 +299,15 @@ def var(index: int, arity: int) -> Var:
     if index < 0 or index >= arity:
         raise ArityError(f"variable x{index} out of range for arity {arity}")
     return Var(index, arity)
+
+
+def _weight(element: WeilElement, arity: int) -> ScalarExpr:
+    """The A-valued constant ``element`` in the given arity; a real multiple
+    of the unit is a Const."""
+    coeffs = element.coeffs
+    if not np.count_nonzero(coeffs[1:]):
+        return Const(coeffs[0], arity)
+    return _Weight(element.algebra, coeffs, arity)
 
 
 def _is_const(e: ScalarExpr, value: float | None = None) -> bool:
@@ -504,6 +554,20 @@ def parse_expr(text: str, arity: int) -> ScalarExpr:
         raise ParseError("expression nests too deeply") from None
 
 
+def _coerce(value, arity: int, what: str) -> ScalarExpr:
+    """An expression in the given arity from an expression, its text or a
+    number; ``what`` names the value in the errors."""
+    if isinstance(value, ScalarExpr):
+        if value.arity != arity:
+            raise ArityError(f"{what} has arity {value.arity}, not {arity}")
+        return value
+    if isinstance(value, str):
+        return parse_expr(value, arity)
+    if isinstance(value, (int, float)):
+        return const(float(value), arity)
+    raise TypeError(f"cannot read a {what} from {type(value).__name__}")
+
+
 # -- calculus ----------------------------------------------------------------
 
 def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
@@ -528,7 +592,7 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
         elif index in derivs:
             continue
         kind = type(node)
-        if kind is Const:
+        if kind is Const or kind is _Weight:
             out = zero
         elif kind is Var:
             out = one if node.index == index else zero
@@ -537,8 +601,10 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
         elif kind is Sub:
             out = sub(node.a._derivs[index], node.b._derivs[index])
         elif kind is Mul:
-            out = add(mul(node.a._derivs[index], node.b),
-                      mul(node.a, node.b._derivs[index]))
+            out = _product_rule(node.a, node.b, node.a._derivs[index],
+                                node.b._derivs[index])
+        elif kind is _Solved:
+            out = _Solved(node.solve.derivative(index), node.index, arity)
         elif kind is Div:
             num = sub(mul(node.a._derivs[index], node.b),
                       mul(node.a, node.b._derivs[index]))
@@ -559,6 +625,28 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
                 out = div(darg, node.arg)
         derivs[index] = out
     return f._derivs[index]
+
+
+def _product_rule(a: ScalarExpr, b: ScalarExpr, da: ScalarExpr,
+                  db: ScalarExpr) -> ScalarExpr:
+    """The partial of a * b from the factors and their partials; the
+    harness's ``leibniz_drop`` mutation replaces it."""
+    return add(mul(da, b), mul(a, db))
+
+
+def _forget_partials():
+    """Drop the partials kept on every live node, and the derived solves
+    behind solved components, so that later calls build them anew; the
+    harness does this where a mutation starts and ends."""
+    for node in list(_NODES.values()):
+        node._derivs = None
+        if type(node) is _Solved:
+            node.solve._derived.clear()
+
+
+def _real_only(node: ScalarExpr, walker: str):
+    """Refuse an A-valued node in a walker over real expressions."""
+    raise AlgebraMismatch(f"{walker} takes real expressions; {node.text} is A-valued")
 
 
 def compose(f: ScalarExpr, replacements: Sequence[ScalarExpr]) -> ScalarExpr:
@@ -589,8 +677,10 @@ def compose(f: ScalarExpr, replacements: Sequence[ScalarExpr]) -> ScalarExpr:
             value = div(out[node.a], out[node.b])
         elif kind is Pow:
             value = pow_(out[node.base], node.exponent)
-        else:  # Call
+        elif kind is Call:
             value = call(node.fn, out[node.arg])
+        else:
+            _real_only(node, "compose")
         out[node] = value
     return out[f]
 
@@ -619,11 +709,13 @@ def eval_real(f: ScalarExpr, point: Sequence[float]) -> float:
             value = values[node.a] / denom
         elif kind is Pow:
             value = _real_power(values[node.base], node.exponent)
-        else:  # Call
+        elif kind is Call:
             inner = values[node.arg]
             if node.fn == "log" and inner <= 0.0:
                 raise DomainError("log of a nonpositive value")
             value = _real_primitive(node.fn, inner)
+        else:
+            _real_only(node, "eval_real")
         values[node] = value
     return values[f]
 
@@ -701,8 +793,16 @@ def eval_weil(f: ScalarExpr, point, *,
                              _inverse(algebra, values[node.b]))
         elif kind is Pow:
             value = _power(algebra, values[node.base], node.exponent)
-        else:  # Call
+        elif kind is Call:
             value = _taylor_lift(node.fn, algebra, values[node.arg])
+        elif kind is _Weight:
+            if not algebra.compatible_with(node.algebra):
+                raise AlgebraMismatch("an A-valued constant lives in another algebra")
+            value = np.broadcast_to(node.coeffs, batch + node.coeffs.shape)
+        else:  # _Solved
+            if elements:
+                raise TypeError("a solved component evaluates at near-points only")
+            value = node.solve.solution(point)[..., node.index, :]
         values[node] = value
     return _wrap(algebra, values[f]) if elements else values[f]
 

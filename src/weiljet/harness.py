@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import bundle, expression, poisson, symplectic
+from . import expression, poisson, symplectic
 from .algebra import WeilAlgebra, _product, make_truncated_algebra
 from .bundle import (
     DEFAULT_BOX,
@@ -47,6 +47,8 @@ from .bundle import (
 )
 from .errors import DomainError
 from .expression import (
+    Const,
+    _Weight,
     add,
     compose,
     const,
@@ -201,12 +203,14 @@ def _flipped_derivation(derivation, structure, fn):
     return -derivation(structure, fn)
 
 
-def _dropped_branch(product_rule, term, index, positions):
-    # the final pullback branch is lost on genuine products
-    count = len(term.pullbacks)
-    if count >= 2:
-        positions = [j for j in positions if j != count - 1]
-    return product_rule(term, index, positions)
+_CONSTANTS = (Const, _Weight)
+
+
+def _dropped_branch(product_rule, a, b, da, db):
+    # the right factor's branch is lost on products of two nonconstant factors
+    if not isinstance(a, _CONSTANTS) and not isinstance(b, _CONSTANTS):
+        db = const(0.0, b.arity)
+    return product_rule(a, b, da, db)
 
 
 def _truncated_lift(taylor_lift, fn, algebra, a):
@@ -224,7 +228,7 @@ def _short_series(matrix_inverse, algebra, matrix):
 
 MUTATIONS: dict[str, tuple[object, str, Callable]] = {
     "tau_sign_flip": (poisson, "_derivation", _flipped_derivation),
-    "leibniz_drop": (bundle, "_product_rule", _dropped_branch),
+    "leibniz_drop": (expression, "_product_rule", _dropped_branch),
     "taylor_truncate": (expression, "_taylor_lift", _truncated_lift),
     "bivector_transpose": (PoissonStructure, "entry", _unsigned_entry),
     "neumann_skip": (symplectic, "_matrix_inverse", _short_series),
@@ -969,11 +973,14 @@ def _mutated(mutation: str | None):
                          f"known: {', '.join(sorted(MUTATIONS))}")
     owner, attribute, wrong = MUTATIONS[mutation]
     kernel = getattr(owner, attribute)
+    # partials kept on live nodes must not cross the boundary either way
+    expression._forget_partials()
     setattr(owner, attribute, lambda *args: wrong(kernel, *args))
     try:
         yield
     finally:
         setattr(owner, attribute, kernel)
+        expression._forget_partials()
 
 
 __all__ = [

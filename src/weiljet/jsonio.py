@@ -12,27 +12,46 @@ Schemas:
   form        {"degree":p, "arity":n, "coeffs":{"0,1":"expr", ...}}
 
 Term coefficients are a plain number (a real multiple of the unit) or a full
-coefficient vector.  Bivector keys accept both the two-digit and the
-comma-separated spellings.  Everything emitted here parses back through the
-matching reader.
+coefficient vector.  A function read from terms is their sum, each term its
+coefficient times its pullbacks in order.  A function is written by
+expanding its A-valued sums and products into terms whose pullbacks are its
+maximal real subexpressions, so a real product stays one pullback.
+Bivector keys accept both the two-digit and the comma-separated spellings.
+Everything emitted here parses back through the matching reader.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
 
-from .algebra import WeilAlgebra, WeilElement, make_truncated_algebra, validate_algebra
+import numpy as np
+
+from .algebra import (
+    WeilAlgebra,
+    WeilElement,
+    _product,
+    _unit,
+    make_truncated_algebra,
+    validate_algebra,
+)
 from .bundle import (
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
     NearPoint,
-    Term,
 )
 from .errors import DomainError, ParseError
-from .expression import parse_expr
+from .expression import (
+    Add,
+    Const,
+    Mul,
+    Sub,
+    _Solved,
+    _topological,
+    _Weight,
+    parse_expr,
+)
 from .poisson import PoissonStructure
 from .symplectic import BaseForm
 
@@ -79,9 +98,9 @@ def parse_algebra_spec(text: str) -> WeilAlgebra:
 
 # -- elements and points ----------------------------------------------------------
 
-def _coeffs_to_json(element: WeilElement) -> list[float]:
+def _coeffs_to_json(coeffs) -> list[float]:
     """Coefficients as JSON numbers; a result that overflowed has none."""
-    values = [float(c) for c in element.coeffs]
+    values = [float(c) for c in coeffs]
     if not all(math.isfinite(v) for v in values):
         raise DomainError("result has a non-finite coefficient")
     return values
@@ -98,7 +117,7 @@ def _coeffs_from_json(values) -> list[float]:
 
 
 def element_to_json(element: WeilElement) -> dict:
-    return {"coeffs": _coeffs_to_json(element)}
+    return {"coeffs": _coeffs_to_json(element.coeffs)}
 
 
 def element_from_json(obj, algebra: WeilAlgebra) -> WeilElement:
@@ -129,7 +148,7 @@ def point_from_json(obj: dict, algebra: WeilAlgebra | None = None) -> NearPoint:
 
 # -- functions and fields ----------------------------------------------------------
 
-def _term_from_json(obj: dict, algebra: WeilAlgebra, arity: int) -> Term:
+def _term_from_json(obj: dict, algebra: WeilAlgebra, arity: int) -> BundleFunction:
     if not isinstance(obj, dict):
         raise ParseError("a term must be an object with 'coeff' and 'pullbacks'")
     raw = obj.get("coeff", 1.0)
@@ -137,27 +156,81 @@ def _term_from_json(obj: dict, algebra: WeilAlgebra, arity: int) -> Term:
         coeff = algebra.from_real(_coeffs_from_json([raw])[0])
     else:
         coeff = element_from_json(raw, algebra)
-    pulls = [parse_expr(text, arity) for text in obj.get("pullbacks", [])]
-    return Term(coeff, pulls)
+    term = BundleFunction.constant(coeff, algebra, arity)
+    for text in obj.get("pullbacks", []):
+        term = term * BundleFunction.from_expr(parse_expr(text, arity), algebra)
+    return term
 
 
-def _term_to_json(term: Term) -> dict:
-    if term.lazies:
-        raise ValueError("solved components have no serialized form")
-    return {"coeff": _coeffs_to_json(term.coeff),
-            "pullbacks": [p.text for p in term.pullbacks]}
+def _terms_from_json(entries, algebra: WeilAlgebra, arity: int) -> BundleFunction:
+    total = BundleFunction.zero(algebra, arity)
+    for obj in entries:
+        total = total + _term_from_json(obj, algebra, arity)
+    return total
+
+
+def _expanded_terms(fn: BundleFunction) -> list[dict]:
+    """The terms of a function as written: A-valued sums, differences and
+    products expanded, each maximal real subtree one pullback (a real
+    product is never distributed), terms with the same pullbacks added in
+    the order they come, and zero sums dropped."""
+    algebra, unit = fn.algebra, _unit(fn.algebra)
+    # node with an A-valued constant below it -> {pullbacks: (pullbacks, coefficients)}
+    expanded: dict = {}
+
+    def terms_of(node):
+        if node in expanded:
+            return expanded[node]
+        if isinstance(node, Const):
+            return {(): ((), node.value * unit)} if node.value != 0.0 else {}
+        return {(node,): ((node,), unit)}
+
+    for node in _topological(fn.root):
+        kind = type(node)
+        if kind is _Solved:
+            raise ValueError("solved components have no serialized form")
+        if kind is _Weight:
+            expanded[node] = {(): ((), node.coeffs)}
+            continue
+        if not any(child in expanded for child in node.children):
+            continue
+        if kind not in (Add, Sub, Mul):
+            raise ValueError(f"{node.text} has no serialized form")
+        left, right = terms_of(node.a), terms_of(node.b)
+        if kind is Mul:
+            out: dict = {}
+            for pulls_a, coeff_a in left.values():
+                for pulls_b, coeff_b in right.values():
+                    _accumulate(out, pulls_a + pulls_b,
+                                _product(algebra, coeff_a, coeff_b))
+        else:
+            out = dict(left)
+            for pulls, coeff in right.values():
+                _accumulate(out, pulls, coeff if kind is Add else -coeff)
+        expanded[node] = out
+    return [{"coeff": _coeffs_to_json(coeff),
+             "pullbacks": sorted(p.text for p in pulls)}
+            for pulls, coeff in terms_of(fn.root).values()
+            if np.count_nonzero(coeff)]
+
+
+def _accumulate(terms: dict, pulls: tuple, coeff):
+    """Add coeff * pulls into terms, keyed on the pullbacks as a multiset."""
+    key = tuple(sorted(pulls, key=id))
+    if key in terms:
+        coeff = terms[key][1] + coeff
+    terms[key] = (pulls, coeff)
 
 
 def bundle_function_to_json(fn: BundleFunction) -> dict:
-    return {"terms": [_term_to_json(t) for t in fn.terms]}
+    return {"terms": _expanded_terms(fn)}
 
 
 def bundle_function_from_json(obj, algebra: WeilAlgebra, arity: int) -> BundleFunction:
     if isinstance(obj, str):
         return BundleFunction.from_expr(parse_expr(obj, arity), algebra)
     if isinstance(obj, dict) and "terms" in obj:
-        terms = [_term_from_json(t, algebra, arity) for t in obj["terms"]]
-        return BundleFunction(algebra, arity, terms)
+        return _terms_from_json(obj["terms"], algebra, arity)
     raise ParseError("a function is an expression string or a terms object")
 
 
@@ -182,8 +255,7 @@ def bundle_field_from_json(obj, algebra: WeilAlgebra) -> BundleVectorField:
     for entry in obj:
         if not isinstance(entry, list):
             raise ParseError("each component is an expression string or a term list")
-        terms = [_term_from_json(t, algebra, n) for t in entry]
-        comps.append(BundleFunction(algebra, n, terms))
+        comps.append(_terms_from_json(entry, algebra, n))
     return BundleVectorField(comps)
 
 

@@ -3,10 +3,10 @@
 A Poisson structure on an open subset of R^n is an antisymmetric bivector
 pi_ij of expressions whose bracket {f,g} = sum pi_ij df/dx_i dg/dx_j
 satisfies the Jacobi identity (sampled at construction).  Prolonging over a
-Weil algebra A gives a bracket on representable A-valued functions that is
-computed structurally: on a pullback f^A the associated derivation is the
-prolongation of the base hamiltonian field of f, and it extends to products
-by the Leibniz rule and to algebra-element coefficients linearly.
+Weil algebra A gives a bracket on A-valued functions: the derivation of fn
+has components sum_k pi_kj^A * d_k fn, which on a pullback f^A is the
+prolongation of the base hamiltonian field of f, extends to products by the
+Leibniz rule and to algebra-element coefficients linearly.
 
 The adjoint differential takes a function to its hamiltonian field
 (``PoissonStructure.ad``, ``poisson_derivation``) and a field X to its defect
@@ -30,7 +30,6 @@ from .bundle import (
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
-    _replaced,
     apply_field,
     coordinate_pair_cases,
     max_difference,
@@ -41,13 +40,13 @@ from .errors import AlgebraMismatch, ArityError, InvalidPoissonStructure
 from .expression import (
     Const,
     ScalarExpr,
+    _coerce,
     add,
     const,
     differentiate,
     eval_real,
     mul,
     neg,
-    parse_expr,
     sub,
     var,
 )
@@ -56,18 +55,6 @@ from .expression import (
 # largest defect accepted at each
 _JACOBI_SAMPLES = 12
 _JACOBI_TOL = 1e-8
-
-
-def _coerce_entry(value, arity: int) -> ScalarExpr:
-    if isinstance(value, ScalarExpr):
-        if value.arity != arity:
-            raise ArityError("bivector entry arity does not match the structure")
-        return value
-    if isinstance(value, str):
-        return parse_expr(value, arity)
-    if isinstance(value, (int, float)):
-        return const(float(value), arity)
-    raise TypeError(f"cannot read a bivector entry from {type(value).__name__}")
 
 
 class PoissonStructure:
@@ -83,7 +70,7 @@ class PoissonStructure:
                 raise ArityError(f"bivector index {key} out of range")
             if i == j:
                 raise InvalidPoissonStructure("diagonal bivector entries must be zero")
-            expr = _coerce_entry(raw, arity)
+            expr = _coerce(raw, arity, "bivector entry")
             if i > j:
                 i, j, expr = j, i, neg(expr)
             if (i, j) in entries:
@@ -206,35 +193,29 @@ def poisson_derivation(structure: ProlongedPoisson,
                        fn: BundleFunction) -> BundleVectorField:
     """The derivation psi -> {fn, psi} of the prolonged bracket.
 
-    Computed structurally: a pullback f^A contributes the prolonged base
-    hamiltonian field of f; products contribute by the Leibniz rule; algebra
-    coefficients pass through linearly.  Requires a representable function.
+    Component j is sum_k pi_kj^A * d_k fn.  On a pullback f^A that is the
+    prolonged base hamiltonian field of f, and by the Leibniz rule it is the
+    same on products; it needs no closed form of fn, so solved components
+    are accepted too.
     """
     if fn.arity != structure.arity:
         raise ArityError("function arity does not match the structure")
     if not fn.algebra.compatible_with(structure.algebra):
         raise AlgebraMismatch("function algebra does not match the prolongation")
-    if not fn.is_representable:
-        raise ValueError("the Poisson derivation needs a representable function")
     return _derivation(structure, fn)
 
 
 def _derivation(structure: ProlongedPoisson, fn: BundleFunction) -> BundleVectorField:
-    """The body of ``poisson_derivation``, for arguments it has checked.  The
-    base hamiltonian field of each distinct pullback is built once per call
-    and dropped with it, so nothing outlives the call."""
-    algebra, n = structure.algebra, structure.arity
-    fields: dict[ScalarExpr, BaseVectorField] = {}
-    components: list[list] = [[] for _ in range(n)]
-    for term in fn.terms:
-        for j, p in enumerate(term.pullbacks):
-            if p not in fields:
-                fields[p] = structure.base.ad(p)
-            for terms, comp in zip(components, fields[p].components):
-                if not (isinstance(comp, Const) and comp.value == 0.0):
-                    terms.append(_replaced(term, j, comp))
-    return BundleVectorField([BundleFunction._merged(algebra, n, terms)
-                              for terms in components])
+    """The body of ``poisson_derivation``, for arguments it has checked; the
+    sum over each column runs over its nonzero entries only."""
+    n = structure.arity
+    components = []
+    for column in structure.base._columns:
+        root = const(0.0, n)
+        for k, entry in column:
+            root = add(root, mul(entry, differentiate(fn.root, k)))
+        components.append(BundleFunction(structure.algebra, n, root))
+    return BundleVectorField(components)
 
 
 def prolonged_bracket(structure: ProlongedPoisson, f: BundleFunction,
@@ -262,8 +243,7 @@ def prolonged_adjoint_differential(field: BundleVectorField,
                                    prolonged: ProlongedPoisson):
     """The adjoint differential of a field over the algebra: the defect
     (f, g) -> {f, Xg} - {g, Xf} - X{f, g} with all brackets taken over the
-    algebra, as a function of two representable arguments.  X itself may
-    have opaque (solved) components."""
+    algebra, as a function of two A-valued arguments."""
 
     def defect(f: BundleFunction, g: BundleFunction) -> BundleFunction:
         return _pair_defect(field, poisson_derivation(prolonged, f),
@@ -309,8 +289,8 @@ def poisson_closedness_defect(field: BundleVectorField, structure: ProlongedPois
     worst near-point; a one-dimensional base has no pairs and gives
     (0.0, None).  The defect D(f, g) = {f, Xg} - {g, Xf} - X{f, g} equals
     -(L_X pi)(df, dg), so it is A-bilinear and a derivation in each slot:
-    D(f, g*h) = g*D(f, h) + h*D(f, g).  On representable functions it is
-    therefore sum_ij d_i f * d_j g * D(x_i^A, x_j^A), and it vanishes exactly
+    D(f, g*h) = g*D(f, h) + h*D(f, g).  It is therefore
+    sum_ij d_i f * d_j g * D(x_i^A, x_j^A), and it vanishes exactly
     when its coordinate components do.  Those are sampled unscaled: a unit
     of A times a nonzero element is nonzero, so random invertible scales
     could not change the verdict.

@@ -17,7 +17,6 @@ from .bundle import (
     DEFAULT_SEED,
     BaseVectorField,
     BundleFunction,
-    Term,
     sample_near_point,
 )
 from .expression import ScalarExpr, add, call, const, mul, pow_, var
@@ -103,16 +102,16 @@ def random_base_form(arity: int, degree: int, rng: np.random.Generator) -> BaseF
 def random_bundle_function(algebra: WeilAlgebra, arity: int,
                            rng: np.random.Generator, *,
                            max_terms: int = 2) -> BundleFunction:
-    """Representable function: algebra-element coefficients times one or two
-    polynomial pullbacks per term."""
-    terms = []
+    """A sum of terms, each an algebra-element coefficient times one or two
+    prolonged polynomials."""
+    total = BundleFunction.zero(algebra, arity)
     for _ in range(int(rng.integers(1, max_terms + 1))):
-        coeff = sample_element(algebra, rng)
-        n_pulls = int(rng.integers(1, 3))
-        pulls = [random_polynomial(arity, rng, max_degree=2, max_terms=2)
-                 for _ in range(n_pulls)]
-        terms.append(Term(coeff, pulls))
-    return BundleFunction(algebra, arity, terms)
+        term = BundleFunction.constant(sample_element(algebra, rng), algebra, arity)
+        for _ in range(int(rng.integers(1, 3))):
+            term = term * BundleFunction.from_expr(
+                random_polynomial(arity, rng, max_degree=2, max_terms=2), algebra)
+        total = total + term
+    return total
 
 
 __all__ = [

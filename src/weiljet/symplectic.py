@@ -11,10 +11,11 @@ coefficient of d(i_X Omega) vanishes; each is sampled, unscaled, at
 near-points.  The hamiltonian field of an A-valued function solves the
 linear system  sum_i Omega_ij X^i = d_j(phi)  over the algebra at each
 evaluation point, for a whole batch of points at once;
-components come back as opaque factors that carry exact derivative rules, so
-the field composes with the rest of the calculus even though no closed form
-for it exists.  Inverting the solve matrices uses the finite Neumann series
-of local-ring linear algebra, over (..., m, m, d) coefficient arrays.
+components come back as solved-component nodes of the expression DAG that
+carry exact derivative rules, so the field composes with the rest of the
+calculus even though no closed form for it exists.  Inverting the solve
+matrices uses the finite Neumann series of local-ring linear algebra, over
+(..., m, m, d) coefficient arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .bundle import (
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
-    Term,
     apply_field,
     coordinate_pair_cases,
     max_difference,
@@ -47,6 +47,8 @@ from .errors import (
 from .expression import (
     Const,
     ScalarExpr,
+    _coerce,
+    _Solved,
     add,
     const,
     differentiate,
@@ -54,7 +56,6 @@ from .expression import (
     eval_real,
     mul,
     neg,
-    parse_expr,
 )
 from .poisson import PoissonStructure
 
@@ -86,18 +87,6 @@ def _form_index(idx, degree: int, arity: int) -> tuple[int, ...]:
     return idx
 
 
-def _coerce_coeff(value, arity: int) -> ScalarExpr:
-    if isinstance(value, ScalarExpr):
-        if value.arity != arity:
-            raise ArityError("form coefficient arity does not match")
-        return value
-    if isinstance(value, str):
-        return parse_expr(value, arity)
-    if isinstance(value, (int, float)):
-        return const(float(value), arity)
-    raise TypeError(f"cannot read a form coefficient from {type(value).__name__}")
-
-
 class BaseForm:
     """Differential form on a base open: degree, arity, and a coefficient
     expression per strictly increasing index tuple."""
@@ -112,7 +101,7 @@ class BaseForm:
         cleaned: dict[tuple[int, ...], ScalarExpr] = {}
         for idx, raw in (coeffs or {}).items():
             idx = _form_index(idx, degree, arity)
-            expr = _coerce_coeff(raw, arity)
+            expr = _coerce(raw, arity, "form coefficient")
             if not (isinstance(expr, Const) and expr.value == 0.0):
                 cleaned[idx] = expr
         if degree > arity and cleaned:
@@ -218,7 +207,7 @@ def prolong_form(form: BaseForm, algebra: WeilAlgebra) -> BundleForm:
 
 def bundle_exterior_derivative(form: BundleForm) -> BundleForm:
     """Exterior derivative over the algebra; coefficients differentiate by
-    their own rules, so solved (opaque) coefficients are handled exactly."""
+    their own rules, so solved coefficients are handled exactly."""
     out: dict[tuple[int, ...], BundleFunction] = {}
     for idx, coeff in form.coeffs.items():
         for i in range(form.arity):
@@ -414,36 +403,30 @@ class _SystemMatrix:
 
 class _LinearSolve:
     """One right-hand side against a shared system; solutions kept in the
-    point's evaluation cache, derivatives produced as further solves."""
+    point's evaluation cache, derivatives produced as further solves, kept
+    per direction so that all components share one."""
 
-    __slots__ = ("system", "rhs", "_derived", "_components")
+    __slots__ = ("system", "rhs", "_derived")
 
     def __init__(self, system: _SystemMatrix, rhs: Sequence[BundleFunction]):
         self.system = system
         self.rhs = tuple(rhs)
         self._derived: dict[int, "_LinearSolve"] = {}
-        self._components: dict[int, BundleFunction] = {}
 
     def solution(self, point) -> np.ndarray:
         """The (..., m, d) solution at a near-point or a batch."""
         cached = point._eval_cache.get(self)
         if cached is None:
-            values = np.stack([fn._coefficients(point) for fn in self.rhs], axis=-2)
+            values = np.stack([point.pulled(fn.root) for fn in self.rhs], axis=-2)
             cached = _matrix_product(self.system.algebra, self.system.inverse_at(point),
                                      values[..., None, :])[..., 0, :]
             point._eval_cache[self] = cached
         return cached
 
     def component_function(self, index: int) -> BundleFunction:
-        """Solution component ``index`` as a function of one opaque factor.
-        Built once per index and kept, so terms carrying the factor merge."""
-        fn = self._components.get(index)
-        if fn is None:
-            factor = _SolvedComponent(self, index)
-            fn = self._components[index] = BundleFunction(
-                self.system.algebra, self.system.arity,
-                [Term(self.system.algebra.unit(), (), (factor,))])
-        return fn
+        """Solution component ``index``: a solved-component node."""
+        arity = self.system.arity
+        return BundleFunction(self.system.algebra, arity, _Solved(self, index, arity))
 
     def derivative(self, direction: int) -> "_LinearSolve":
         """Solve for the directional derivative of the solution:
@@ -467,29 +450,13 @@ class _LinearSolve:
         return cached
 
 
-class _SolvedComponent:
-    """Opaque factor for one component of a pointwise linear solve."""
-
-    __slots__ = ("solve", "index")
-
-    def __init__(self, solve: _LinearSolve, index: int):
-        self.solve = solve
-        self.index = index
-
-    def evaluate(self, point) -> np.ndarray:
-        return self.solve.solution(point)[..., self.index, :]
-
-    def partial(self, index: int) -> BundleFunction:
-        return self.solve.derivative(index).component_function(self.index)
-
-
 def hamiltonian_field(fn: BundleFunction, structure: SymplecticStructure,
                       algebra: WeilAlgebra) -> BundleVectorField:
     """The field X with i_X Omega = d(fn) over the algebra.
 
     Components are solved pointwise (first-slot contraction: the transpose of
     the coefficient matrix is applied to the component vector) and returned as
-    opaque functions with exact derivative rules.
+    solved-component nodes with exact derivative rules.
     """
     n = structure.arity
     if fn.arity != n:

@@ -9,7 +9,7 @@ import pytest
 from weiljet.algebra import (
     AlgebraMismatch,
     NotInvertible,
-    WeilElement,
+    _product,
     make_truncated_algebra,
     validate_algebra,
 )
@@ -20,7 +20,6 @@ from weiljet.bundle import (
     BundleVectorField,
     NearPoint,
     NearPoints,
-    Term,
     apply_field,
     functions_equal,
     lie_bracket,
@@ -34,6 +33,8 @@ from weiljet.bundle import (
 from weiljet.errors import ArityError, DomainError
 from weiljet.expression import (
     Const,
+    _Solved,
+    _topological,
     add,
     compose,
     differentiate,
@@ -200,54 +201,25 @@ def test_algebra_mismatch_is_rejected():
         f.evaluate(point)
 
 
-def test_representability():
-    # algebra weights keep a function representable; only lazy factors break it
-    f = prolong_function(parse_expr("x0", 1), T3)
-    assert f.is_representable
-    assert (f * T3.basis_element(1)).is_representable
-
-
 def _summands():
-    # the x0 term cancels exactly in the second part and comes back in the
-    # fourth, so a fold of + drops it and re-appends it at the end
     x0, x1 = parse_expr("x0", 2), parse_expr("x1", 2)
-    sine, cosine = parse_expr("sin(x0)", 2), parse_expr("cos(x1)", 2)
     c = M2.element([2.0, 0.5, -1.0])
-    return [
-        BundleFunction(M2, 2, [Term(c, (x0,)), Term(M2.unit(), (sine,))]),
-        BundleFunction(M2, 2, [Term(c * -1.0, (x0,)), Term(c, (x1, x0))]),
-        BundleFunction(M2, 2, [Term(M2.element([0.0, 1.0, 0.0]), (cosine,))]),
-        BundleFunction(M2, 2, [Term(c * 3.0, (x0,)), Term(c, (sine, x1))]),
-    ]
-
-
-def _by_key(fn):
-    return {(term.pullbacks, term.lazies): tuple(term.coeff.coeffs) for term in fn.terms}
-
-
-def test_sum_matches_a_fold_of_additions():
-    parts = _summands()
-    folded = BundleFunction.zero(M2, 2)
-    for part in parts:
-        folded = folded + part
-    summed = BundleFunction.sum(M2, 2, parts)
-    assert _by_key(summed) == _by_key(folded)
-    assert ([(t.pullbacks, t.lazies) for t in summed.terms]
-            != [(t.pullbacks, t.lazies) for t in folded.terms])
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        point = sample_near_point(M2, 2, rng)
-        np.testing.assert_allclose(summed.evaluate(point).coeffs,
-                                   folded.evaluate(point).coeffs, atol=1e-12)
-    assert BundleFunction.sum(M2, 2, []).is_structurally_zero()
+    return [prolong_function(x0, M2) * c, prolong_function(x1, M2) * c]
 
 
 def test_sum_rejects_mismatched_parts():
     parts = _summands()
+    other_algebra = BundleFunction.constant(1.0, T3, 2)
+    other_arity = BundleFunction.constant(1.0, M2, 3)
+    for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g):
+        with pytest.raises(AlgebraMismatch):
+            op(parts[0], other_algebra)
+        with pytest.raises(ArityError):
+            op(parts[1], other_arity)
     with pytest.raises(AlgebraMismatch):
-        BundleFunction.sum(M2, 2, parts + [BundleFunction.constant(1.0, T3, 2)])
-    with pytest.raises(ArityError):
-        BundleFunction.sum(M2, 2, parts + [BundleFunction.constant(1.0, M2, 3)])
+        parts[0] * T3.basis_element(1)
+    with pytest.raises(AlgebraMismatch):
+        BundleFunction.constant(T3.basis_element(1), M2, 2)
 
 
 def test_max_difference_needs_a_sample():
@@ -333,7 +305,8 @@ def test_batch_evaluation_equals_point_evaluation(algebra, samples):
     exprs = [parse_expr(text, 2) for text in BATCH_EXPRS]
     batch = sample_near_points(algebra, 2, np.random.default_rng(samples), samples)
     coeff = algebra.element(np.linspace(0.5, -0.5, algebra.dim))
-    fn = BundleFunction(algebra, 2, [Term(coeff, exprs[:2]), Term(algebra.unit(), exprs[2:])])
+    lifted = [prolong_function(f, algebra) for f in exprs]
+    fn = lifted[0] * lifted[1] * coeff + lifted[2]
     jets = [eval_weil(f, batch) for f in exprs]
     values = fn.evaluate(batch)
     assert values.shape == (samples, algebra.dim)
@@ -360,7 +333,7 @@ def test_batch_solves_equal_point_solves(structure, algebra, samples):
     weight = prolong_function(parse_expr("x0 + x1^2", n), algebra)
     field = hamiltonian_field(potential, structure, algebra)
     fn = field.components[0] * weight
-    assert not fn.is_representable
+    assert any(isinstance(node, _Solved) for node in _topological(fn.root))
     batch = sample_near_points(algebra, n, np.random.default_rng(samples), samples)
     for f in (fn, fn.partial(1)):
         values = f.evaluate(batch)
@@ -384,138 +357,131 @@ def test_batch_with_a_singular_point_is_not_invertible():
         eval_weil(parse_expr("1 / x0", 1), NearPoints(T3, coeffs))
 
 
-# -- one merge per operation --------------------------------------------------
+# -- operations against a term reference ----------------------------------------
 #
-# The reference builds each result as the term algebra did before its
-# operations emitted canonical terms into one merge: every product-rule branch
-# as a one-term public BundleFunction, every product and scaling through the
-# public constructor, and a sum of those.  The operations must give the same
-# terms, in the same order, with bit-identical coefficients.
+# Each operand comes with its terms: (coefficient, base expressions) pairs
+# whose sum of coefficient * product of prolongations is the operand.  A
+# solved component of the canonical structure has a closed form, so it has
+# terms too.  The reference applies each operation to the terms (the
+# product rule per pullback, products term by term, the Poisson derivation
+# per pullback through the base hamiltonian field) and must agree with the
+# operation in value at a batch of near-points.
 
-def _ref_mul(f, other):
-    if isinstance(other, BundleFunction):
-        terms = [Term(s.coeff * t.coeff, s.pullbacks + t.pullbacks, s.lazies + t.lazies)
-                 for s in f.terms for t in other.terms]
-    else:
-        scale = other if isinstance(other, WeilElement) else float(other)
-        terms = [Term(t.coeff * scale, t.pullbacks, t.lazies) for t in f.terms]
-    return BundleFunction(f.algebra, f.arity, terms)
-
-
-def _ref_sum(algebra, arity, parts):
-    return BundleFunction(algebra, arity, [t for part in parts for t in part.terms])
+def _ref_value(terms, algebra, points):
+    total = np.zeros((len(points), algebra.dim))
+    for coeff, pulls in terms:
+        value = np.broadcast_to(coeff.coeffs, total.shape)
+        for p in pulls:
+            value = _product(algebra, value, eval_weil(p, points))
+        total = total + value
+    return total
 
 
-def _ref_partial(fn, index):
-    parts = []
-    for term in fn.terms:
-        for j, p in enumerate(term.pullbacks):
-            rest = term.pullbacks[:j] + term.pullbacks[j + 1:]
-            parts.append(BundleFunction(fn.algebra, fn.arity, [
-                Term(term.coeff, rest + (differentiate(p, index),), term.lazies)]))
-        for k, lz in enumerate(term.lazies):
-            base = BundleFunction(fn.algebra, fn.arity, [
-                Term(term.coeff, term.pullbacks, term.lazies[:k] + term.lazies[k + 1:])])
-            parts.append(_ref_mul(base, lz.partial(index)))
-    return _ref_sum(fn.algebra, fn.arity, parts)
+def _ref_mul(f, g):
+    return [(a * b, pa + pb) for a, pa in f for b, pb in g]
 
 
-def _ref_apply_field(field, fn):
-    return _ref_sum(fn.algebra, fn.arity, [_ref_mul(comp, _ref_partial(fn, i))
-                                           for i, comp in enumerate(field.components)])
+def _ref_scale(f, scale):
+    return [(coeff * scale, pulls) for coeff, pulls in f]
 
 
-def _ref_poisson_derivation(structure, fn):
-    components = []
-    for i in range(structure.arity):
-        terms = []
-        for term in fn.terms:
-            for j, p in enumerate(term.pullbacks):
-                comp = structure.base.ad(p).components[i]
-                if isinstance(comp, Const) and comp.value == 0.0:
-                    continue
-                terms.append(Term(term.coeff,
-                                  term.pullbacks[:j] + term.pullbacks[j + 1:] + (comp,)))
-        components.append(BundleFunction(structure.algebra, structure.arity, terms))
-    return components
+def _ref_partial(terms, index):
+    return [(coeff, pulls[:j] + (differentiate(p, index),) + pulls[j + 1:])
+            for coeff, pulls in terms for j, p in enumerate(pulls)]
 
 
-def _lazy_identity(lz):
-    # a solved factor's partial is a fresh factor on a kept derived solve
-    return (lz.solve, lz.index)
+def _ref_apply_field(field_terms, terms):
+    return [t for i, comp in enumerate(field_terms)
+            for t in _ref_mul(comp, _ref_partial(terms, i))]
 
 
-def _assert_same_terms(got, ref):
-    assert len(got.terms) == len(ref.terms)
-    for g, r in zip(got.terms, ref.terms):
-        assert len(g.pullbacks) == len(r.pullbacks)
-        assert all(a is b for a, b in zip(g.pullbacks, r.pullbacks))
-        assert [_lazy_identity(lz) for lz in g.lazies] == [_lazy_identity(lz) for lz in r.lazies]
-        assert np.array_equal(g.coeff.coeffs, r.coeff.coeffs)
-        assert g.coeff.coeffs.tobytes() == r.coeff.coeffs.tobytes()
+def _ref_poisson_derivation(base, terms):
+    return [[(coeff, pulls[:j] + pulls[j + 1:] + (base.ad(p).components[i],))
+             for coeff, pulls in terms for j, p in enumerate(pulls)]
+            for i in range(base.arity)]
 
 
 def _operands(algebra, seed):
+    """(function, terms) pairs: random sums, terms that cancel, constant
+    partials, and the components of a solved field."""
     rng = np.random.default_rng(seed)
-    fns = [random_bundle_function(algebra, 2, rng, max_terms=3) for _ in range(4)]
     x0, x1 = parse_expr("x0", 2), parse_expr("x1", 2)
     affine, product = parse_expr("3*x1 + 2", 2), parse_expr("x0*x1", 2)
     c = algebra.element(np.linspace(1.0, -0.5, algebra.dim))
-    # derivatives that are constants, 0 among them, and terms that cancel
-    fns.append(BundleFunction(algebra, 2, [
-        Term(c, (x0,)), Term(c * -2.0, (affine,)), Term(algebra.unit(), (x0, x1)),
-        Term(c, (product, x1)), Term(c * -1.0, (x1, x0))]))
-    # products whose terms merge within one component's product and with
-    # the product of the component before: a merge of the whole sum at once
-    # would add those coefficients in another order
-    e, f, g, h = (sample_element(algebra, rng) for _ in range(4))
-    fns.append(BundleFunction(algebra, 2, [Term(e, (x0,)), Term(f, (x1,))]))
-    fns.append(BundleFunction(algebra, 2, [Term(g, (x1, x1)), Term(h, (x0, x1))]))
-    potential = prolong_function(parse_expr("x0^2*x1 + sin(x1)", 2), algebra)
-    solved = hamiltonian_field(potential, SymplecticStructure.canonical(2), algebra)
-    fns.append(solved.components[0])
-    fns.append(solved.components[1] * fns[0] + fns[4])
-    return fns, solved
+    e, f = sample_element(algebra, rng), sample_element(algebra, rng)
+    term_lists = [
+        [(sample_element(algebra, rng), (random_expression(2, rng),)),
+         (sample_element(algebra, rng), (x0, random_expression(2, rng)))],
+        [(c, (x0,)), (c * -2.0, (affine,)), (algebra.unit(), (x0, x1)),
+         (c, (product, x1)), (c * -1.0, (x1, x0))],
+        [(e, (x0,)), (f, (x1, x1))],
+    ]
+    operands = []
+    for terms in term_lists:
+        fn = BundleFunction.zero(algebra, 2)
+        for coeff, pulls in terms:
+            term = BundleFunction.constant(coeff, algebra, 2)
+            for p in pulls:
+                term = term * prolong_function(p, algebra)
+            fn = fn + term
+        operands.append((fn, terms))
+    # i_X (dx0 ^ dx1) = dphi gives X = (d_1 phi, -d_0 phi)
+    phi = parse_expr("x0^2*x1 + sin(x1)", 2)
+    solved = hamiltonian_field(prolong_function(phi, algebra),
+                               SymplecticStructure.canonical(2), algebra)
+    closed = [[(algebra.unit(), (differentiate(phi, 1),))],
+              [(algebra.unit() * -1.0, (differentiate(phi, 0),))]]
+    operands += list(zip(solved.components, closed))
+    fn, terms = operands[4]
+    operands.append((fn * operands[0][0] + operands[1][0],
+                     _ref_mul(terms, operands[0][1]) + operands[1][1]))
+    return operands, (solved, closed)
+
+
+def _assert_same_values(got, terms, points):
+    want = _ref_value(terms, got.algebra, points)
+    np.testing.assert_allclose(got.evaluate(points), want, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("algebra", [DUAL, T3, M2], ids=["dual", "t3", "m2"])
 def test_operations_match_the_one_term_reference(algebra):
-    fns, solved = _operands(algebra, 11)
+    operands, solved = _operands(algebra, 11)
+    points = sample_near_points(algebra, 2, np.random.default_rng(5), 6)
     scale = algebra.element(np.linspace(-0.5, 0.75, algebra.dim))
-    for f in fns:
+    for f, tf in operands:
+        _assert_same_values(f, tf, points)
         for index in range(2):
-            _assert_same_terms(f.partial(index), _ref_partial(f, index))
-        _assert_same_terms(f * scale, _ref_mul(f, scale))
-        _assert_same_terms(f * 2.5, _ref_mul(f, 2.5))
-        _assert_same_terms(f * 0.0, _ref_mul(f, 0.0))
-        _assert_same_terms(-f, _ref_mul(f, -1.0))
-        for g in fns:
-            _assert_same_terms(f * g, _ref_mul(f, g))
-            _assert_same_terms(f + g, _ref_sum(algebra, 2, [f, g]))
-            _assert_same_terms(f - g, _ref_sum(algebra, 2, [f, _ref_mul(g, -1.0)]))
-            _assert_same_terms(f - f, BundleFunction.zero(algebra, 2))
-    _assert_same_terms(BundleFunction.sum(algebra, 2, fns), _ref_sum(algebra, 2, fns))
-    fields = [solved, BundleVectorField(fns[:2]), BundleVectorField([fns[5], fns[5]]),
-              BundleVectorField([fns[4], fns[8]])]
-    for field in fields:
-        for f in fns:
-            _assert_same_terms(apply_field(field, f), _ref_apply_field(field, f))
+            _assert_same_values(f.partial(index), _ref_partial(tf, index), points)
+        _assert_same_values(f * scale, _ref_scale(tf, scale), points)
+        _assert_same_values(f * 2.5, _ref_scale(tf, 2.5), points)
+        _assert_same_values(-f, _ref_scale(tf, -1.0), points)
+        assert (f * 0.0).is_structurally_zero()
+        for g, tg in operands:
+            _assert_same_values(f * g, _ref_mul(tf, tg), points)
+            _assert_same_values(f + g, tf + tg, points)
+            _assert_same_values(f - g, tf + _ref_scale(tg, -1.0), points)
+    (fn0, t0), (fn1, t1), (fn2, t2) = operands[:3]
+    fields = [solved, (BundleVectorField([fn0, fn1]), [t0, t1]),
+              (BundleVectorField([fn2, fn2]), [t2, t2])]
+    for field, field_terms in fields:
+        for f, tf in operands:
+            _assert_same_values(apply_field(field, f),
+                                _ref_apply_field(field_terms, tf), points)
     prolonged = ProlongedPoisson(PoissonStructure.canonical(2), algebra)
-    for f in fns:
-        if f.is_representable:
-            for got, ref in zip(poisson_derivation(prolonged, f).components,
-                                _ref_poisson_derivation(prolonged, f)):
-                _assert_same_terms(got, ref)
+    for f, tf in operands:
+        for got, ref in zip(poisson_derivation(prolonged, f).components,
+                            _ref_poisson_derivation(prolonged.base, tf)):
+            _assert_same_values(got, ref, points)
 
 
-# -- partials kept on the function ---------------------------------------------
+# -- partials kept on the nodes ---------------------------------------------------
 
 def test_partials_are_built_once_per_index():
-    fns, _ = _operands(M2, 3)
-    for f in fns:
-        assert f.partial(0) is f.partial(0)
-        assert f.partial(1) is f.partial(1)
-        assert f.partial(0) is not f.partial(1)
+    operands, _ = _operands(M2, 3)
+    for f, _ in operands:
+        assert f.partial(0).root is f.partial(0).root
+        assert f.partial(1).root is f.partial(1).root
+        assert f.partial(0).root is not f.partial(1).root
         with pytest.raises(ArityError):
             f.partial(2)
         with pytest.raises(ArityError):
@@ -530,20 +496,34 @@ def test_kept_partials_die_with_their_functions():
         if k % 100 == 0:
             fn = hamiltonian_field(potential, SymplecticStructure.canonical(2), T3).components[1]
         else:
-            fn = BundleFunction(T3, 2, [Term(T3.element([k, 1.0, 0.5]), (x0, x1))])
-        refs += [weakref.ref(fn), weakref.ref(fn.partial(k % 2)),
-                 weakref.ref(fn.partial(k % 2).partial(0))]
+            fn = (prolong_function(x0, T3) * prolong_function(x1, T3)
+                  * T3.element([k, 1.0, 0.5]))
+        refs += [weakref.ref(fn.root), weakref.ref(fn.partial(k % 2).root),
+                 weakref.ref(fn.partial(k % 2).partial(0).root)]
     del fn
     gc.collect()
     assert not [r for r in refs if r() is not None]
 
 
 def test_solved_factors_merge_after_differentiation():
-    # each solve keeps one function per component, so the partials of two
-    # equal products carry the same factors and cancel term by term
+    # a solve's component is one interned node, so two equal products of it
+    # are one function, and so are their partials
     f = prolong_function(parse_expr("x0*x1", 2), T3)
     field = hamiltonian_field(f, SymplecticStructure.canonical(2), T3)
     component = field.components[0]
     h1, h2 = component * f, component * f
-    assert (h1 - h2).is_structurally_zero()
-    assert len((h1.partial(0) - h2.partial(0)).terms) == 0
+    assert h1.root is h2.root
+    assert h1.partial(0).root is h2.partial(0).root
+    assert field.components[1].partial(0).root is field.components[1].partial(0).root
+
+
+def test_evaluate_hands_out_no_writable_cache():
+    f = prolong_function(parse_expr("x0 * x1 + sin(x0)", 2), T3)
+    batch = sample_near_points(T3, 2, np.random.default_rng(4), 3)
+    values = f.evaluate(batch)
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+    point = batch[0]
+    with pytest.raises(ValueError):
+        f.evaluate(point).coeffs[0] = 1.0
+    assert np.array_equal(f.evaluate(batch), values)

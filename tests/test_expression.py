@@ -345,3 +345,20 @@ def test_deep_nesting_evaluates_without_recursion():
     assert eval_weil(f, point).coeffs.tolist() == [2.0 * n, 2.0 * n]
     h = compose(f, [parse_expr("x2", 3), parse_expr("x0", 3)])
     assert eval_real(h, [2.0, 0.0, 0.5]) == 1.0 * n
+
+
+def test_real_walkers_refuse_algebra_valued_nodes():
+    from weiljet.bundle import BundleFunction, prolong_function
+    from weiljet.errors import AlgebraMismatch
+    from weiljet.symplectic import SymplecticStructure, hamiltonian_field
+
+    f = prolong_function(parse_expr("x0 * x1", 2), DUAL)
+    weighted = f * DUAL.element([1.0, 2.0]) + f
+    solved = hamiltonian_field(f, SymplecticStructure.canonical(2), DUAL).components[0]
+    assert isinstance(BundleFunction.constant(DUAL.element([1.0, 2.0]), DUAL, 2).root,
+                      expression._Weight)
+    for fn in (weighted, solved, solved * f):
+        with pytest.raises(AlgebraMismatch):
+            eval_real(fn.root, [0.5, 1.0])
+        with pytest.raises(AlgebraMismatch):
+            compose(fn.root, [parse_expr("x0", 1), parse_expr("x0", 1)])

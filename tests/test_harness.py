@@ -259,6 +259,27 @@ def test_leibniz_drop_reaches_bundle_partials():
     assert np.max(np.abs(dropped - exact)) > 1e-3
 
 
+def test_kept_partials_do_not_cross_a_mutation_boundary():
+    # the functions outlive the mutation, and their partials are kept on
+    # their nodes (a solved component's through its solve's derived solves):
+    # built before, they must not serve inside it, and built inside, they
+    # must not serve after it
+    product = _lifted("x0^2") * _lifted("sin(x1)")
+    curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
+    solved = hamiltonian_field(product, curved, T3).components[0]
+
+    def partials():
+        return np.stack([f.partial(i).evaluate(_near_point()).coeffs
+                         for f in (product, solved) for i in range(2)])
+
+    exact = partials()
+    with _mutated("leibniz_drop"):
+        dropped = partials()
+    assert np.max(np.abs(dropped[:2] - exact[:2])) > 1e-3
+    assert np.max(np.abs(dropped[2:] - exact[2:])) > 1e-3
+    assert np.array_equal(partials(), exact)
+
+
 @pytest.mark.parametrize("mutation", ["tau_sign_flip", "bivector_transpose"])
 def test_poisson_mutations_reach_the_prolonged_bracket(mutation):
     def bracket():

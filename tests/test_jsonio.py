@@ -113,6 +113,33 @@ def test_field_roundtrips():
         bundle_field_from_json([], T3)
 
 
+def test_terms_are_written_expanded_and_merged():
+    # sums and products over the algebra expand into terms, and equal
+    # pullbacks merge; a real product stays one pullback, however long
+    x0, x1 = (prolong_function(parse_expr(f"x{i}", 2), M2) for i in range(2))
+    e1, e2 = M2.basis_element(1), M2.basis_element(2)
+    long_text = "*".join(f"(x{k % 2} + {k})" for k in range(40))
+    long = prolong_function(parse_expr(long_text, 2), M2)
+    fn = ((x0 * e1 + x1) * (x1 * e2 - BundleFunction.constant(2.0, M2, 2))
+          + long * e1 + x0 * e1 - x1 * x1)
+    terms = bundle_function_to_json(fn)["terms"]
+    written = {(tuple(t["coeff"]), tuple(t["pullbacks"])) for t in terms}
+    # e1 * e2 = 0 drops x0 * x1, and -2 x0 e1 + x0 e1 merge
+    assert written == {
+        ((0.0, -1.0, 0.0), ("x0",)),
+        ((0.0, 0.0, 1.0), ("x1", "x1")),
+        ((-2.0, 0.0, 0.0), ("x1",)),
+        ((0.0, 1.0, 0.0), (parse_expr(long_text, 2).text,)),
+        ((-1.0, 0.0, 0.0), ("(x1 * x1)",)),
+    }
+    assert len(terms) == len(written)
+    rebuilt = bundle_function_from_json({"terms": terms}, M2, 2)
+    point = sample_near_point(M2, 2, np.random.default_rng(4))
+    assert rebuilt.evaluate(point).almost_equal(fn.evaluate(point), tol=1e-9 * 40 ** 40)
+    assert bundle_function_to_json(fn - fn) == {"terms": []}
+    assert bundle_function_to_json(fn * 0.0) == {"terms": []}
+
+
 def test_lazy_components_refuse_serialization():
     curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
     fn = prolong_function(parse_expr("x0 * x1", 2), T3)

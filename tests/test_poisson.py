@@ -32,6 +32,7 @@ from weiljet.poisson import (
     prolonged_adjoint_differential,
 )
 from weiljet.sampling import random_base_field, random_bundle_function, random_expression
+from weiljet.symplectic import BaseForm
 
 DUAL = make_truncated_algebra(1, 1)
 T3 = make_truncated_algebra(1, 2)
@@ -129,16 +130,36 @@ def test_poisson_derivation_matches_the_base_field():
     )
 
 
-def test_poisson_derivation_requires_representability():
-    from weiljet.symplectic import BaseForm, SymplecticStructure, hamiltonian_field
+def test_poisson_derivation_accepts_solved_functions():
+    from weiljet.symplectic import SymplecticStructure, hamiltonian_field
 
     structure = ProlongedPoisson(CANONICAL, T3)
     curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
-    lazy = hamiltonian_field(prolong_function(parse_expr("x0 * x1", 2), T3), curved, T3)
-    stray = lazy.components[0]
-    assert not stray.is_representable
-    with pytest.raises(ValueError):
-        poisson_derivation(structure, stray)
+    solved = hamiltonian_field(prolong_function(parse_expr("x0 * x1", 2), T3), curved, T3)
+    stray = solved.components[0] * prolong_function(parse_expr("x0 + x1^2", 2), T3)
+    probe = prolong_function(parse_expr("sin(x0) * x1", 2), T3)
+    # {s, g} = -{g, s}, where the right side applies the prolonged base
+    # hamiltonian field of g to the solved function
+    forward = apply_field(poisson_derivation(structure, stray), probe)
+    backward = apply_field(poisson_derivation(structure, probe), stray)
+    zero = BundleFunction.zero(T3, 2)
+    assert max_difference(forward + backward, zero, samples=8,
+                          rng=np.random.default_rng(3))[0] < 1e-9
+    assert max_difference(forward, zero, samples=8, rng=np.random.default_rng(3))[0] > 1e-3
+    with pytest.raises(ArityError):
+        poisson_derivation(ProlongedPoisson(ROTATIONAL, T3), stray)
+
+
+@pytest.mark.parametrize("read", [
+    lambda value: PoissonStructure(2, {(0, 1): value}),
+    lambda value: BaseForm(2, 2, {(0, 1): value}),
+], ids=["bivector_entry", "form_coefficient"])
+def test_entry_coercion_rejects_lists_and_foreign_arities(read):
+    assert read("1 + x0^2") is not None and read(2) is not None
+    with pytest.raises(TypeError):
+        read([1.0])
+    with pytest.raises(ArityError):
+        read(parse_expr("x0 * x2", 3))
 
 
 def test_adjoint_differential_squares_to_zero():
