@@ -15,14 +15,16 @@ component of a pointwise linear solve over the algebra.  Sums, products and
 partials of such functions are nodes like any other; the walkers over real
 values (``eval_real``, ``compose``) refuse them.
 
-``text`` is the fully parenthesized form, rendered on first use in one pass;
-it is the wire format, because ``parse_expr(e.text, e.arity)`` returns ``e``
-itself.  Evaluation, differentiation and composition visit the DAG in a
-topological order, found once per root and kept on it, with no Python
-recursion; each handles a distinct node once per call, so shared
+``text`` is parenthesized except along same-precedence chains, where
+((a + b) - c) prints as (a + b - c); it is rendered on first use in one
+pass, and it is the wire format, because ``parse_expr(e.text, e.arity)``
+returns ``e`` itself.  Evaluation, differentiation and composition visit the
+DAG in a topological order, found once per root and kept on it, with no
+Python recursion; each handles a distinct node once per call, so shared
 subexpressions cost nothing extra and nesting depth is bounded by memory
 only.  Differentiation goes further and keeps each node's partials on the
-node.  Only the parser recurses, so it refuses text nested too deeply.
+node.  Only the parser recurses, so it refuses parentheses nested too
+deeply; a long sum or product prints one level deep and parses in a loop.
 
 Evaluation over a Weil algebra replaces each primitive g by its truncated
 Taylor expansion g(a0 + nu) = sum_{k<=h} g^(k)(a0)/k! * nu^k, where a0 is the
@@ -135,6 +137,8 @@ class Var(ScalarExpr):
 class _Binary(ScalarExpr):
     __slots__ = ("a", "b")
     op = ""
+    # binding strength: + and - share one level, * and / the next
+    level = 0
 
     def __init__(self, a: ScalarExpr, b: ScalarExpr):
         super().__init__(a.arity)
@@ -149,27 +153,42 @@ class _Binary(ScalarExpr):
         return (self.a, self.b)
 
     def _pieces(self):
-        return ("(", self.a, f" {self.op} ", self.b, ")")
+        # a left operand of the same level prints without its own
+        # parentheses, so ((a + b) - c) is (a + b - c); the left spine is
+        # walked, not recursed into
+        rights = []
+        node = self
+        while True:
+            rights += (node.b, f" {node.op} ")
+            left = node.a
+            if not (isinstance(left, _Binary) and left.level == self.level):
+                break
+            node = left
+        return ("(", left, *reversed(rights), ")")
 
 
 class Add(_Binary):
     __slots__ = ()
     op = "+"
+    level = 1
 
 
 class Sub(_Binary):
     __slots__ = ()
     op = "-"
+    level = 1
 
 
 class Mul(_Binary):
     __slots__ = ()
     op = "*"
+    level = 2
 
 
 class Div(_Binary):
     __slots__ = ()
     op = "/"
+    level = 2
 
 
 class Pow(ScalarExpr):

@@ -490,6 +490,36 @@ def test_deep_sum_hamfield_without_recursion(capsys):
     assert second.count("x1") == 3000 and "x0" not in second
 
 
+def test_deep_sum_hamfield_reads_back(capsys):
+    code, out, _ = run_cli(capsys, "hamfield", "--algebra", "dual",
+                           "--poisson", "canonical:2",
+                           "--fn", "+".join(["x0*x1"] * 3000))
+    assert code == 0
+    field = bundle_field_from_json(strict_document(out), make_truncated_algebra(1, 1))
+    point = sample_near_point(field.algebra, 2, np.random.default_rng(1))
+    x0, x1 = (c.coeffs for c in point.coords)
+    np.testing.assert_allclose(field.components[0].evaluate(point).coeffs, -3000 * x0)
+    np.testing.assert_allclose(field.components[1].evaluate(point).coeffs, 3000 * x1)
+
+
+@pytest.mark.parametrize("coeff", [1.5, [1.5, 0.25]], ids=["real", "weighted"])
+def test_hamfield_terms_round_trip_through_hamcheck(capsys, coeff):
+    # 300 terms: with real coefficients the function is one real sum, which
+    # is written as one pullback and must parse back
+    terms = [{"coeff": coeff, "pullbacks": [f"x0*x1*x2^{k % 4 + 1}", f"x{k % 3} + {k}"]}
+             for k in range(300)]
+    fn = json.dumps({"terms": terms})
+    code, out, _ = run_cli(capsys, "hamfield", "--algebra", "dual",
+                           "--poisson", "rotational", "--fn", fn)
+    assert code == 0
+    code, verdict, _ = run_cli(capsys, "hamcheck", "--algebra", "dual",
+                               "--poisson", "rotational", "--field", out.strip(),
+                               "--witness", fn, "--samples", "4", "--tol", "1e-6")
+    assert code == 0
+    assert strict_document(verdict)["locally"] is True
+    assert strict_document(verdict)["globally"] is True
+
+
 @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
 def test_non_finite_algebra_table_is_a_validation_error(capsys, entry):
     table = '{"family":"table","constants":[[[1,0],[0,1]],[[0,1],[0,%s]]]}' % entry

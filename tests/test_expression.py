@@ -339,12 +339,33 @@ def test_deep_nesting_evaluates_without_recursion():
     n = 5000
     f = parse_expr("+".join(["x0*x1"] * n), 2)
     g = differentiate(f, 0)
-    assert g.text == "(" * (n - 1) + "x1" + " + x1)" * (n - 1)
+    assert g.text == "(" + " + ".join(["x1"] * n) + ")"
+    assert parse_expr(g.text, 2) is g
+    assert parse_expr(f.text, 2) is f
     assert eval_real(g, [0.5, 2.0]) == 2.0 * n
     point = [DUAL.element([1.0, 1.0]), DUAL.element([2.0, 0.0])]
     assert eval_weil(f, point).coeffs.tolist() == [2.0 * n, 2.0 * n]
     h = compose(f, [parse_expr("x2", 3), parse_expr("x0", 3)])
     assert eval_real(h, [2.0, 0.0, 0.5]) == 1.0 * n
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("x0 + x1 - x2 + 1", "(x0 + x1 - x2 + 1.0)"),
+        ("x0 - (x1 - x2)", "(x0 - (x1 - x2))"),
+        ("x0 * x1 / x2 * 2", "(x0 * x1 / x2 * 2.0)"),
+        ("x0 / (x1 * x2)", "(x0 / (x1 * x2))"),
+        ("x0 * x1 + x2 * x0 * x1 - x2", "((x0 * x1) + (x2 * x0 * x1) - x2)"),
+        ("(x0 + x1) * x2 * (x0 - x1)", "((x0 + x1) * x2 * (x0 - x1))"),
+        ("-x0 * x1 - -2", "((-1.0 * x0 * x1) - -2.0)"),
+        ("sin(x0 + x1 + x2)^2 + x0", "((sin((x0 + x1 + x2)) ^ 2) + x0)"),
+    ],
+)
+def test_same_level_chains_print_flat(text, printed):
+    e = parse_expr(text, 3)
+    assert e.text == printed
+    assert parse_expr(printed, 3) is e
 
 
 def test_real_walkers_refuse_algebra_valued_nodes():
