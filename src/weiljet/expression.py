@@ -766,7 +766,9 @@ def eval_weil(f: ScalarExpr, point, *,
     coefficient array ``coeffs`` of shape (..., n, d) (a ``bundle.NearPoint``
     or a ``bundle.NearPoints`` batch), and the value is the (..., d) array.
     A batch runs the DAG once, each node over all of its points at once, and
-    gives every point the bits a single evaluation would.
+    gives every point the bits a single evaluation would.  A solved
+    component reads its solve from the near-points' own cache, so it has no
+    value at a sequence of elements.
 
     ``cache`` maps nodes to their coefficient arrays at this same point; it is
     read and extended, so evaluations at one point share their
