@@ -175,7 +175,8 @@ def _expanded_terms(fn: BundleFunction) -> list[dict]:
     product is never distributed), terms with the same pullbacks added in
     the order they come, and zero sums dropped."""
     algebra, unit = fn.algebra, _unit(fn.algebra)
-    # node with an A-valued constant below it -> {pullbacks: (pullbacks, coefficients)}
+    # node with an A-valued constant below it -> its terms,
+    # {pullback multiset: (pullbacks, coefficient array)}
     expanded: dict = {}
 
     def terms_of(node):
