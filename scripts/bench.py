@@ -17,6 +17,9 @@ records:
   run the same benchmark code; its outputs are checked by
   ``reference.check`` and its rates are perfbench's ``family_figures``;
 - the cold start of ``python -m weiljet algebra --algebra dual``;
+- as ``algebra_build_s.K,H``, the time ``make_truncated_algebra(K, H)``
+  takes for each algebra of perfbench's jets workload (dimensions 2 to 70),
+  each built once in one fresh process;
 
 and once per side the line count of ``src/``, the tree it measured (the
 commit, and a digest of the uncommitted changes under ``src/`` and
@@ -56,7 +59,20 @@ DECIDE_SEED = 1
 TIMEOUT_S = 300
 RATES = ("poisson_decisions_per_s", "symplectic_decisions_per_s")
 # Figures where a lower value is better; the rest are rates.
-LOWER_IS_BETTER = ("verify_s.", "cli_start_s")
+LOWER_IS_BETTER = ("verify_s.", "cli_start_s", "algebra_build_s.")
+# (width, height) of the truncated algebras whose build is timed
+BUILD_ALGEBRAS = reference.WIDE_ALGEBRAS
+# Times each build of argv[1]'s (width, height) list after the import.
+BUILD_CHILD = """
+import json, sys, time
+from weiljet.algebra import make_truncated_algebra
+spent = {}
+for width, height in json.loads(sys.argv[1]):
+    t0 = time.perf_counter()
+    make_truncated_algebra(width, height)
+    spent[f"{width},{height}"] = time.perf_counter() - t0
+print(json.dumps(spent))
+"""
 # Where an uncommitted change moves the numbers.
 MEASURED_PATHS = ("src", "perfbench")
 
@@ -142,6 +158,13 @@ def measure_once(root: Path, decide, side: dict) -> str:
     if proc.returncode != 0 or json.loads(proc.stdout).get("dim") != 2:
         raise BenchError(f"cold-start command failed in {root}: {proc.stderr[-500:]}")
     side["cli_start_s"].append(spent)
+
+    proc, _ = run(root, [sys.executable, "-c", BUILD_CHILD,
+                         json.dumps(BUILD_ALGEBRAS)])
+    if proc.returncode != 0:
+        raise BenchError(f"algebra builds failed in {root}: {proc.stderr[-500:]}")
+    for key, spent in json.loads(proc.stdout).items():
+        side["algebra_build_s"].setdefault(key, []).append(spent)
     return result["numpy"]
 
 
@@ -151,6 +174,8 @@ def series(side: dict) -> dict:
            for seed, entry in side["verify"].items()}
     for name in RATES + ("cli_start_s",):
         out[name] = side[name]
+    out.update({f"algebra_build_s.{key}": values
+                for key, values in side["algebra_build_s"].items()})
     return out
 
 
@@ -195,6 +220,7 @@ def main(argv=None) -> int:
     try:
         sides = {name: {**tree_state(root), "src_lines": src_lines(root),
                         "verify_calls": verify_calls(root), "verify": {},
+                        "algebra_build_s": {},
                         **{figure: [] for figure in RATES + ("cli_start_s",)}}
                  for name, root in roots.items()}
         for repeat in range(REPEATS):

@@ -6,10 +6,19 @@ with m^h != (0) is the height.  The basis convention is fixed throughout the
 package: e_0 is the unit and e_1, ..., e_{d-1} span m, so the coefficient of
 e_0 is the augmentation (real part) of an element.
 
+An algebra is held as its nonzero structure constants only: the triples
+e_left[n] * e_right[n] -> weights[n] * e_out[n], in the row-major order of
+the dense d x d x d table.  Products, the fingerprint and the height read the
+triples; the dense table and the ideal filtration are built only when asked
+for, at d^3 cost.
+
 ``make_truncated_algebra(k, h)`` builds the truncated polynomial ring in k
 variables modulo all monomials of total degree > h; dual numbers are the
-(1, 1) member.  Arbitrary tables enter through ``validate_algebra``, which
-re-derives every axiom numerically and never trusts a caller-supplied height.
+(1, 1) member.  Its basis is monomial, so it lists the products of basis
+elements that stay below degree h + 1 directly, and derives the height from
+them.  Arbitrary tables enter through ``validate_algebra``, which re-derives
+every axiom numerically on the dense table it is given and never trusts a
+caller-supplied height.
 """
 
 from __future__ import annotations
@@ -106,43 +115,74 @@ def _ideal_filtration(constants: np.ndarray) -> tuple[int, list[np.ndarray]]:
     raise NotLocal("maximal-ideal candidate is not nilpotent")
 
 
+def _monomial_rank(suffix: np.ndarray, height: int) -> np.ndarray:
+    """Basis index of each monomial of degree <= height, given as the rows
+    of ``suffix``: s_u, its degree in t_{u+1}..t_k, for u = 0..k-1.
+
+    In the graded order a monomial comes after those of lower degree, and
+    for u = 1..k-1 after those of its degree that agree with it before t_u
+    and have a larger exponent of t_u.  Each count is of the monomials in
+    t_{u+1}..t_k of degree below s_u, and there are comb(s_u - 1 + k - u,
+    k - u) of those.
+    """
+    width = suffix.shape[1]
+    below = np.array([[math.comb(s - 1 + width - u, width - u)
+                       for s in range(height + 1)] for u in range(width)],
+                     dtype=np.intp)
+    return below[np.arange(width), suffix].sum(axis=1)
+
+
+def _monomial_height(dim: int, left: np.ndarray, right: np.ndarray,
+                     out: np.ndarray) -> int:
+    """The height from the triples of a monomial basis: m^n is spanned by
+    basis elements, and e_j is in m^(n+1) when some e_a e_b with e_a in m^n
+    and b >= 1 hits it, as products of monomials never cancel."""
+    ideal = (left > 0) & (right > 0)
+    left, out = left[ideal], out[ideal]
+    level = np.arange(dim) > 0
+    for power in range(dim):
+        if not level.any():
+            return power
+        level = np.bincount(out[level[left]], minlength=dim) > 0
+    raise NotLocal("maximal-ideal candidate is not nilpotent")
+
+
 class WeilAlgebra:
-    """Immutable structure-constant algebra.
+    """Immutable structure-constant algebra, held as its nonzero constants.
 
     Construct through ``make_truncated_algebra`` or ``validate_algebra``; the
     raw constructor trusts its inputs and is meant for code that has already
-    established the axioms.
+    established the axioms.  ``left``, ``right`` and ``out`` are intp index
+    arrays and ``weights`` a float64 array, listed in the row-major order
+    ``np.nonzero`` gives for the dense table: e_left[n] * e_right[n]
+    contributes weights[n] to e_out[n].
     """
 
-    __slots__ = ("_constants", "_labels", "_height", "_filtration", "_family",
-                 "_fingerprint", "_left", "_right", "_out", "_weights", "_row_slots")
+    __slots__ = ("_dim", "_labels", "_height", "_family", "_fingerprint",
+                 "_left", "_right", "_out", "_weights", "_row_slots",
+                 "_constants", "_filtration")
 
-    def __init__(self, constants, labels, height, ideal_filtration,
+    def __init__(self, dim, left, right, out, weights, labels, height,
                  family=("table",)):
-        arr = np.array(constants, dtype=float)
-        arr.setflags(write=False)
-        self._constants = arr
+        self._dim = int(dim)
+        self._left, self._right, self._out, self._weights = (
+            left, right, out, weights)
+        for arr in (left, right, out, weights):
+            arr.setflags(write=False)
         self._labels = tuple(labels)
         self._height = int(height)
-        filt = []
-        for level in ideal_filtration:
-            level = np.array(level, dtype=float)
-            level.setflags(write=False)
-            filt.append(level)
-        self._filtration = tuple(filt)
         self._family = tuple(family)
-        self._fingerprint = hash((arr.shape[0], arr.tobytes()))
-        # Products read only the nonzero constants: e_left[n] * e_right[n]
-        # contributes weights[n] to e_out[n].
-        self._left, self._right, self._out = np.nonzero(arr)
-        self._weights = arr[self._left, self._right, self._out]
+        self._fingerprint = hash((self._dim, left.tobytes(), right.tobytes(),
+                                  out.tobytes(), weights.tobytes()))
         # _out shifted by d * row for rows 0, 1, ...: the output slots of a
         # batch of products, grown on demand
         self._row_slots = self._out
+        self._constants = None
+        self._filtration = None
 
     @property
     def dim(self) -> int:
-        return self._constants.shape[0]
+        return self._dim
 
     @property
     def height(self) -> int:
@@ -154,10 +194,23 @@ class WeilAlgebra:
 
     @property
     def structure_constants(self) -> np.ndarray:
+        """The dense d x d x d table, built on first request."""
+        if self._constants is None:
+            table = np.zeros((self._dim,) * 3)
+            table[self._left, self._right, self._out] = self._weights
+            table.setflags(write=False)
+            self._constants = table
         return self._constants
 
     @property
     def ideal_filtration(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal bases of m, m^2, ..., computed from the dense table on
+        first request."""
+        if self._filtration is None:
+            levels = _ideal_filtration(self.structure_constants)[1]
+            for level in levels:
+                level.setflags(write=False)
+            self._filtration = tuple(levels)
         return self._filtration
 
     @property
@@ -474,23 +527,25 @@ def make_truncated_algebra(width: int, height: int) -> WeilAlgebra:
     if dim > MAX_DIM:
         raise CapacityError(f"dimension {dim} exceeds the cap of {MAX_DIM}")
     monos = _monomials(width, height)
-    index = {m: i for i, m in enumerate(monos)}
-    constants = np.zeros((dim, dim, dim))
-    for i, left in enumerate(monos):
-        for j in range(i, dim):
-            prod = tuple(a + b for a, b in zip(left, monos[j]))
-            k = index.get(prod)
-            if k is not None:
-                constants[i, j, k] = 1.0
-                constants[j, i, k] = 1.0
+    # suffix[i, u]: the degree of monomial i in the variables t_{u+1}..t_k
+    suffix = np.cumsum(np.array(monos, dtype=np.intp).reshape(dim, width)[:, ::-1],
+                       axis=1)[:, ::-1]
+    # e_i e_j is a monomial when deg i + deg j <= height, else zero.  The
+    # basis is graded, so those j are the first comb(width + g, width) basis
+    # elements, g = height - deg i; row by row they come in np.nonzero order.
+    lengths = np.array([math.comb(width + g, width)
+                        for g in range(height, -1, -1)])[suffix[:, 0]]
+    left = np.repeat(np.arange(dim), lengths)
+    right = np.arange(left.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    out = _monomial_rank(suffix[left] + suffix[right], height)
     labels = [_monomial_label(m) for m in monos]
     # The monomial table is commutative/associative/local by construction, but
     # the height is still recomputed from the table rather than trusted.
-    computed_height, filtration = _ideal_filtration(constants)
+    computed_height = _monomial_height(dim, left, right, out)
     if computed_height != height:
         raise AssertionError("computed height disagrees with the construction")
-    return WeilAlgebra(constants, labels, computed_height, filtration,
-                       family=("truncated", width, height))
+    return WeilAlgebra(dim, left, right, out, np.ones(left.size), labels,
+                       computed_height, family=("truncated", width, height))
 
 
 def validate_algebra(constants) -> WeilAlgebra:
@@ -511,10 +566,14 @@ def validate_algebra(constants) -> WeilAlgebra:
         raise NotCommutative("c[i,j,:] != c[j,i,:]")
     if np.max(np.abs(arr[0] - np.eye(d))) > ZERO_TOL:
         raise NoUnit("basis element 0 does not act as the unit")
-    left = np.einsum("ijm,mkl->ijkl", arr, arr)
-    right = np.einsum("jkm,iml->ijkl", arr, arr)
-    if np.max(np.abs(left - right)) > ZERO_TOL:
-        raise NotAssociative("(e_i e_j) e_k != e_i (e_j e_k)")
-    height, filtration = _ideal_filtration(arr)
-    return WeilAlgebra(arr, [f"e{i}" for i in range(d)], height, filtration,
-                       family=("table",))
+    # one left factor e_i at a time, so no d^4 array is formed:
+    # [j, (k, l)] of (e_i e_j) e_k and of e_i (e_j e_k)
+    rows, columns = arr.reshape(d, d * d), arr.reshape(d * d, d)
+    for i in range(d):
+        if np.max(np.abs(arr[i] @ rows
+                         - (columns @ arr[i]).reshape(d, d * d))) > ZERO_TOL:
+            raise NotAssociative("(e_i e_j) e_k != e_i (e_j e_k)")
+    height, _ = _ideal_filtration(arr)
+    left, right, out = np.nonzero(arr)
+    return WeilAlgebra(d, left, right, out, arr[left, right, out],
+                       [f"e{i}" for i in range(d)], height, family=("table",))

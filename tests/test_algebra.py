@@ -1,6 +1,7 @@
 """Ring laws, validation, and inversion for Weil algebras."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weiljet.algebra import (
+    _ideal_filtration,
+    _monomials,
     CapacityError,
     NoUnit,
     NotAssociative,
@@ -17,6 +20,7 @@ from weiljet.algebra import (
     make_truncated_algebra,
     validate_algebra,
 )
+from weiljet.harness import ALL_ALGEBRAS, battery_algebra
 
 DUAL = make_truncated_algebra(1, 1)
 T4 = make_truncated_algebra(1, 3)
@@ -229,3 +233,73 @@ def test_large_integer_powers_of_dual_numbers(a0, exponent):
     power = DUAL.element([a0, 1.0]) ** exponent
     expected = [a0 ** exponent, exponent * a0 ** (exponent - 1)]
     np.testing.assert_allclose(power.coeffs, expected, rtol=1e-9)
+
+
+def _dense_truncated(width, height):
+    """The dense d x d x d table of truncated:width,height and the height the
+    linear-algebra filtration gives it: the reference for the sparse build."""
+    monos = _monomials(width, height)
+    index = {m: i for i, m in enumerate(monos)}
+    dim = len(monos)
+    constants = np.zeros((dim, dim, dim))
+    for i, left in enumerate(monos):
+        for j in range(i, dim):
+            k = index.get(tuple(a + b for a, b in zip(left, monos[j])))
+            if k is not None:
+                constants[i, j, k] = constants[j, i, k] = 1.0
+    return constants, _ideal_filtration(constants)[0]
+
+
+# small algebras, then the jets workload's seven, dimensions 2 to 70
+SMALL_AND_JETS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2),
+                  (1, 10), (2, 4), (3, 3), (2, 7), (3, 5), (4, 4)]
+
+
+@pytest.mark.parametrize("width,height", [*SMALL_AND_JETS, (3, 8)])
+def test_sparse_build_matches_the_dense_table(width, height):
+    algebra = make_truncated_algebra(width, height)
+    constants, dense_height = _dense_truncated(width, height)
+    left, right, out = np.nonzero(constants)
+    expected = (left, right, out, constants[left, right, out])
+    for got, want in zip((algebra._left, algebra._right, algebra._out,
+                          algebra._weights), expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert algebra.height == dense_height == height
+    assert np.array_equal(algebra.structure_constants, constants)
+
+
+@pytest.mark.parametrize("width,height", SMALL_AND_JETS)
+def test_validated_table_is_compatible(width, height):
+    algebra = make_truncated_algebra(width, height)
+    validated = validate_algebra(algebra.structure_constants)
+    assert validated.compatible_with(algebra)
+    assert validated.height == algebra.height
+
+
+@pytest.mark.parametrize("key", ALL_ALGEBRAS)
+def test_sparse_height_matches_the_filtration(key):
+    algebra = battery_algebra(key)
+    assert algebra.height == len(algebra.ideal_filtration)
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_memory_stays_cubic():
+    # the d^4 intermediates of an all-at-once associativity check would
+    # take about 300 MB here
+    constants = make_truncated_algebra(3, 5).structure_constants
+    assert _traced_peak(lambda: validate_algebra(constants)) < 32e6
+
+
+@pytest.mark.parametrize("width,height", [(1, 511), (3, 8)])
+def test_construction_builds_no_dense_table(width, height):
+    # the dense table of truncated:1,511 alone is 1.07 GB
+    assert _traced_peak(lambda: make_truncated_algebra(width, height)) < 64e6

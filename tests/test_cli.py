@@ -604,3 +604,14 @@ def test_cli_contract_holds_for_generated_input(argv):
         code = main(argv)
     assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
     strict_document(out.getvalue())
+
+
+def test_algebra_at_the_dimension_cap():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "weiljet", "algebra", "--algebra", "truncated:1,511"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert strict_document(result.stdout)["dim"] == 512
