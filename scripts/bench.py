@@ -17,14 +17,19 @@ records:
   run the same benchmark code; its outputs are checked by
   ``reference.check`` and its rates are perfbench's ``family_figures``;
 - the cold start of ``python -m weiljet algebra --algebra dual``;
+- as ``import_s``, the wall time of a fresh ``python -c "import weiljet.cli"``;
 - as ``algebra_build_s.K,H``, the time ``make_truncated_algebra(K, H)``
   takes for each algebra of perfbench's jets workload (dimensions 2 to 70),
   each built once in one fresh process;
 
 and once per side the line count of ``src/``, the tree it measured (the
 commit, and a digest of the uncommitted changes under ``src/`` and
-``perfbench/``, null when there are none) and, per seed, the cProfile total
-call count of one extra, untimed ``verify`` run as ``verify_calls.S``.
+``perfbench/``, null when there are none), the sorted ``weiljet.*`` modules
+that ``import weiljet.cli`` loads (``import_modules``), whether the
+measuring environment writes no bytecode caches (``dont_write_bytecode``,
+which makes every fresh process compile what it imports) and, per seed, the
+cProfile total call count of one extra, untimed ``verify`` run as
+``verify_calls.S``.
 Call counts are deterministic, so they show where work moved when wall
 times cannot.  The machine record (nproc, Python, numpy, BLAS threads) and
 the pinned BLAS environment are perfbench's.  With --parent, each figure is
@@ -59,7 +64,9 @@ DECIDE_SEED = 1
 TIMEOUT_S = 300
 RATES = ("poisson_decisions_per_s", "symplectic_decisions_per_s")
 # Figures where a lower value is better; the rest are rates.
-LOWER_IS_BETTER = ("verify_s.", "cli_start_s", "algebra_build_s.")
+LOWER_IS_BETTER = ("verify_s.", "cli_start_s", "import_s", "algebra_build_s.")
+# Single figures timed once per repeat.
+TIMES = ("cli_start_s", "import_s")
 # (width, height) of the truncated algebras whose build is timed
 BUILD_ALGEBRAS = reference.WIDE_ALGEBRAS
 # Times each build of argv[1]'s (width, height) list after the import.
@@ -72,6 +79,15 @@ for width, height in json.loads(sys.argv[1]):
     make_truncated_algebra(width, height)
     spent[f"{width},{height}"] = time.perf_counter() - t0
 print(json.dumps(spent))
+"""
+# Prints the weiljet submodules importing the CLI loads, and the
+# interpreter's bytecode flag.
+IMPORT_CHILD = """
+import json, sys
+import weiljet.cli
+print(json.dumps({"import_modules": sorted(name for name in sys.modules
+                                           if name.startswith("weiljet.")),
+                  "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}))
 """
 # Where an uncommitted change moves the numbers.
 MEASURED_PATHS = ("src", "perfbench")
@@ -113,6 +129,15 @@ def verify_calls(root: Path) -> dict:
                                  f"{proc.stderr[-2000:]}")
             counts[str(seed)] = pstats.Stats(str(profile)).total_calls
     return counts
+
+
+def import_state(root: Path) -> dict:
+    """What ``import weiljet.cli`` loads in ``root``, and whether the
+    measuring environment writes bytecode caches."""
+    proc, _ = run(root, [sys.executable, "-c", IMPORT_CHILD])
+    if proc.returncode != 0:
+        raise BenchError(f"importing the CLI failed in {root}: {proc.stderr[-500:]}")
+    return json.loads(proc.stdout)
 
 
 def tree_state(root: Path) -> dict:
@@ -159,6 +184,11 @@ def measure_once(root: Path, decide, side: dict) -> str:
         raise BenchError(f"cold-start command failed in {root}: {proc.stderr[-500:]}")
     side["cli_start_s"].append(spent)
 
+    proc, spent = run(root, [sys.executable, "-c", "import weiljet.cli"])
+    if proc.returncode != 0:
+        raise BenchError(f"importing the CLI failed in {root}: {proc.stderr[-500:]}")
+    side["import_s"].append(spent)
+
     proc, _ = run(root, [sys.executable, "-c", BUILD_CHILD,
                          json.dumps(BUILD_ALGEBRAS)])
     if proc.returncode != 0:
@@ -172,7 +202,7 @@ def series(side: dict) -> dict:
     """Each figure's values, one per repeat."""
     out = {f"verify_s.{seed}": entry["s"]
            for seed, entry in side["verify"].items()}
-    for name in RATES + ("cli_start_s",):
+    for name in RATES + TIMES:
         out[name] = side[name]
     out.update({f"algebra_build_s.{key}": values
                 for key, values in side["algebra_build_s"].items()})
@@ -219,9 +249,10 @@ def main(argv=None) -> int:
     numpy_version = None
     try:
         sides = {name: {**tree_state(root), "src_lines": src_lines(root),
+                        **import_state(root),
                         "verify_calls": verify_calls(root), "verify": {},
                         "algebra_build_s": {},
-                        **{figure: [] for figure in RATES + ("cli_start_s",)}}
+                        **{figure: [] for figure in RATES + TIMES}}
                  for name, root in roots.items()}
         for repeat in range(REPEATS):
             order = list(roots) if repeat % 2 == 0 else list(reversed(roots))

@@ -46,12 +46,29 @@ MAX_DIM = 512
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """Exponent tuples of ``parts`` entries summing to ``total``, the first
+    entry descending fastest: (2, 0), (1, 1), (0, 2).
+
+    Each step moves one unit from the last nonzero entry before the final
+    one (the pivot) to its right neighbour, together with all of the final
+    entry.  The pivot moves at most one place right per step, so the scan
+    back to it costs O(1) amortized and each tuple O(parts).
+    """
+    exps = [total] + [0] * (parts - 1)
+    last = parts - 1
+    pivot = 0 if last else -1
+    while True:
+        yield tuple(exps)
+        while pivot >= 0 and not exps[pivot]:
+            pivot -= 1
+        if pivot < 0:
+            return
+        exps[pivot] -= 1
+        carry = exps[last] + 1
+        exps[last] = 0
+        exps[pivot + 1] = carry
+        if pivot + 1 < last:
+            pivot += 1
 
 
 def _monomials(width: int, height: int) -> list[tuple[int, ...]]:

@@ -15,9 +15,7 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from .bundle import BundleFunction, prolong_function
+from .bundle import DEFAULT_SEED
 from .errors import (
     ArityError,
     DomainError,
@@ -25,34 +23,6 @@ from .errors import (
     ParseError,
     SingularRealPart,
     WeilError,
-)
-from .expression import parse_expr
-from .harness import default_specs, run_suite, MUTATIONS
-from .jsonio import (
-    algebra_to_json,
-    bundle_field_from_json,
-    bundle_function_from_json,
-    bundle_function_to_json,
-    element_to_json,
-    field_to_json,
-    parse_algebra_spec,
-    parse_poisson_spec,
-    parse_symplectic_spec,
-    point_from_json,
-)
-from .poisson import (
-    ProlongedPoisson,
-    check_global_witness_poisson,
-    is_locally_hamiltonian_poisson,
-    poisson_derivation,
-    prolonged_bracket,
-)
-from .sampling import DEFAULT_SEED
-from .symplectic import (
-    check_global_witness_symplectic,
-    hamiltonian_field,
-    is_locally_hamiltonian_symplectic,
-    symplectic_bracket,
 )
 
 DEFAULT_TOL = 1e-9
@@ -112,30 +82,40 @@ def _load_json_arg(text: str, what: str):
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _read_function(text: str, algebra, arity: int) -> BundleFunction:
+def _read_function(text: str, algebra, arity: int):
     """A function argument: an expression string, or a {"terms": ...} JSON
     object."""
+    from . import bundle, expression, jsonio
+
     stripped = text.strip()
     if stripped.startswith("{"):
-        return bundle_function_from_json(
+        return jsonio.bundle_function_from_json(
             _load_json_arg(stripped, "function"), algebra, arity)
-    return BundleFunction.from_expr(parse_expr(stripped, arity), algebra)
+    return bundle.BundleFunction.from_expr(
+        expression.parse_expr(stripped, arity), algebra)
 
 
 def _structure(args, algebra):
     """Build (mode, structure, prolonged-or-None) from --poisson/--symplectic."""
+    from . import jsonio, poisson
+
     if getattr(args, "poisson", None) is not None:
-        base = parse_poisson_spec(args.poisson)
-        return "poisson", base, ProlongedPoisson(base, algebra)
-    base = parse_symplectic_spec(args.symplectic)
+        base = jsonio.parse_poisson_spec(args.poisson)
+        return "poisson", base, poisson.ProlongedPoisson(base, algebra)
+    base = jsonio.parse_symplectic_spec(args.symplectic)
     return "symplectic", base, None
 
 
 # -- subcommand handlers --------------------------------------------------------------
+#
+# Each handler imports the modules it runs, so a process loads only what its
+# command needs: ``verify`` alone loads the harness.
 
 def cmd_algebra(args) -> int:
-    algebra = parse_algebra_spec(args.algebra)
-    payload = algebra_to_json(algebra)
+    from . import jsonio
+
+    algebra = jsonio.parse_algebra_spec(args.algebra)
+    payload = jsonio.algebra_to_json(algebra)
     payload.update({
         "dim": algebra.dim,
         "height": algebra.height,
@@ -146,59 +126,72 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_prolong(args) -> int:
-    algebra = parse_algebra_spec(args.algebra) if args.algebra else None
-    point = point_from_json(_load_json_arg(args.point, "near-point"), algebra)
-    f = parse_expr(args.expr, point.arity)
-    value = prolong_function(f, point.algebra).evaluate(point)
-    _emit(element_to_json(value))
+    from . import bundle, expression, jsonio
+
+    algebra = jsonio.parse_algebra_spec(args.algebra) if args.algebra else None
+    point = jsonio.point_from_json(_load_json_arg(args.point, "near-point"),
+                                   algebra)
+    f = expression.parse_expr(args.expr, point.arity)
+    value = bundle.prolong_function(f, point.algebra).evaluate(point)
+    _emit(jsonio.element_to_json(value))
     return 0
 
 
 def cmd_bracket(args) -> int:
-    algebra = parse_algebra_spec(args.algebra)
+    from . import jsonio, poisson, symplectic
+
+    algebra = jsonio.parse_algebra_spec(args.algebra)
     mode, base, prolonged = _structure(args, algebra)
     left = _read_function(args.left, algebra, base.arity)
     right = _read_function(args.right, algebra, base.arity)
     if mode == "poisson":
-        result = prolonged_bracket(prolonged, left, right)
+        result = poisson.prolonged_bracket(prolonged, left, right)
     else:
-        result = symplectic_bracket(left, right, base, algebra)
+        result = symplectic.symplectic_bracket(left, right, base, algebra)
     if args.point:
-        point = point_from_json(_load_json_arg(args.point, "near-point"),
-                                algebra)
-        _emit(element_to_json(result.evaluate(point)))
+        point = jsonio.point_from_json(
+            _load_json_arg(args.point, "near-point"), algebra)
+        _emit(jsonio.element_to_json(result.evaluate(point)))
     else:
-        _emit(bundle_function_to_json(result))
+        _emit(jsonio.bundle_function_to_json(result))
     return 0
 
 
 def cmd_hamfield(args) -> int:
-    algebra = parse_algebra_spec(args.algebra)
+    from . import bundle, jsonio, poisson, symplectic
+
+    algebra = jsonio.parse_algebra_spec(args.algebra)
     mode, base, prolonged = _structure(args, algebra)
     fn = _read_function(args.fn, algebra, base.arity)
     if mode == "poisson":
-        field = poisson_derivation(prolonged, fn)
+        field = poisson.poisson_derivation(prolonged, fn)
     else:
-        field = hamiltonian_field(fn, base, algebra)
+        field = symplectic.hamiltonian_field(fn, base, algebra)
     if args.sign == -1:
-        field = field.scaled(BundleFunction.constant(-1.0, algebra, base.arity))
+        field = field.scaled(
+            bundle.BundleFunction.constant(-1.0, algebra, base.arity))
     if args.point:
-        point = point_from_json(_load_json_arg(args.point, "near-point"),
-                                algebra)
-        _emit({"components": [element_to_json(c.evaluate(point))
+        point = jsonio.point_from_json(
+            _load_json_arg(args.point, "near-point"), algebra)
+        _emit({"components": [jsonio.element_to_json(c.evaluate(point))
                               for c in field.components],
                "sign": args.sign})
     else:
-        _emit(field_to_json(field))
+        _emit(jsonio.field_to_json(field))
     return 0
 
 
 def cmd_hamcheck(args) -> int:
+    import numpy as np
+
+    from . import jsonio, poisson, symplectic
+
     _require_sampling(args.samples, args.seed)
     _require_tol(args.tol)
-    algebra = parse_algebra_spec(args.algebra)
+    algebra = jsonio.parse_algebra_spec(args.algebra)
     mode, base, prolonged = _structure(args, algebra)
-    field = bundle_field_from_json(_load_json_arg(args.field, "field"), algebra)
+    field = jsonio.bundle_field_from_json(
+        _load_json_arg(args.field, "field"), algebra)
     if field.arity != base.arity:
         raise ArityError("field component count does not match the structure")
     witness = None
@@ -206,20 +199,20 @@ def cmd_hamcheck(args) -> int:
         witness = _read_function(args.witness, algebra, base.arity)
     rng = np.random.default_rng(args.seed)
     if mode == "poisson":
-        locally = is_locally_hamiltonian_poisson(
+        locally = poisson.is_locally_hamiltonian_poisson(
             field, prolonged, samples=args.samples, tol=args.tol, rng=rng)
         globally: bool | str = "unknown"
         if witness is not None:
             scaled = witness if args.sign == 1 else witness * -1.0
-            globally = check_global_witness_poisson(
+            globally = poisson.check_global_witness_poisson(
                 field, scaled, prolonged,
                 samples=args.samples, tol=args.tol, rng=rng)
     else:
-        locally = is_locally_hamiltonian_symplectic(
+        locally = symplectic.is_locally_hamiltonian_symplectic(
             field, base, algebra, samples=args.samples, tol=args.tol, rng=rng)
         globally = "unknown"
         if witness is not None:
-            verdict = check_global_witness_symplectic(
+            verdict = symplectic.check_global_witness_symplectic(
                 field, witness, base, algebra, sigma=args.sign,
                 samples=args.samples, tol=args.tol, rng=rng)
             globally = verdict.ok
@@ -233,10 +226,12 @@ def cmd_hamcheck(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     _require_sampling(args.samples, args.seed)
-    specs = default_specs(seed=args.seed, name_filter=args.filter,
-                          samples=args.samples)
-    reports = run_suite(specs, mutation=args.mutate)
+    specs = harness.default_specs(seed=args.seed, name_filter=args.filter,
+                                  samples=args.samples)
+    reports = harness.run_suite(specs, mutation=args.mutate)
     for report in reports:
         print(report.json_line(include_timing=args.timings))
     passed = sum(1 for r in reports if r.passed)
@@ -254,6 +249,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         _report_error(ParseError(f"{self.prog}: {message}"))
         self.exit(2)
+
+
+class _MutationNames:
+    """The ``--mutate`` choices, read from ``harness.MUTATIONS`` only when
+    argparse checks or lists them, so that only ``verify`` loads the
+    harness."""
+
+    @staticmethod
+    def _names() -> list[str]:
+        from .harness import MUTATIONS
+
+        return sorted(MUTATIONS)
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def _add_structure_flags(parser: argparse.ArgumentParser) -> None:
@@ -336,9 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"{MAX_SAMPLES})")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed seconds in each report line")
-    p.add_argument("--mutate", choices=sorted(MUTATIONS), default=None,
-                   help="run with an intentionally broken operation "
-                        "(the suite must fail)")
+    mutate = p.add_argument("--mutate", default=None,
+                            help="run with an intentionally broken operation "
+                                 "(the suite must fail)")
+    # Set after add_argument, which would list the choices at once.
+    mutate.choices = _MutationNames()
     p.set_defaults(handler=cmd_verify)
 
     return parser

@@ -1,6 +1,7 @@
 """Ring laws, validation, and inversion for Weil algebras."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,37 @@ def test_large_integer_powers_of_dual_numbers(a0, exponent):
     power = DUAL.element([a0, 1.0]) ** exponent
     expected = [a0 ** exponent, exponent * a0 ** (exponent - 1)]
     np.testing.assert_allclose(power.coeffs, expected, rtol=1e-9)
+
+
+def _recursive_compositions(total, parts):
+    """The recursive enumeration the iterative one replaced: the reference
+    for the graded basis order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_monomial_order_matches_the_recursive_enumeration(width):
+    for height in range(7):
+        expected = [mono for degree in range(height + 1)
+                    for mono in _recursive_compositions(degree, width)]
+        assert _monomials(width, height) == expected, height
+
+
+def test_the_widest_truncated_algebra_builds_quickly():
+    # the recursive enumeration took about 0.5 s for the 511 degree-1
+    # monomials alone; the whole build now takes about 0.05 s
+    def build():
+        t0 = time.perf_counter()
+        algebra = make_truncated_algebra(511, 1)
+        assert algebra.dim == 512
+        return time.perf_counter() - t0
+
+    assert min(build() for _ in range(3)) < 0.25
 
 
 def _dense_truncated(width, height):

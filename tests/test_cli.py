@@ -19,6 +19,7 @@ from weiljet.bundle import sample_near_point
 from weiljet import cli
 from weiljet.cli import MAX_SAMPLES, _emit, main
 from weiljet.errors import ParseError
+from weiljet.harness import MUTATIONS
 from weiljet.jsonio import (
     bundle_field_from_json,
     bundle_function_from_json,
@@ -318,6 +319,12 @@ def test_usage_errors_are_exit_two(capsys):
         assert code == 2, argv
         assert strict_document(out)["error"]["type"] == "ParseError", argv
         assert err.startswith("usage:"), argv
+    # the --mutate choices are still read from the harness, in order
+    _, out, err = run_cli(capsys, "verify", "--mutate", "bogus")
+    choices = ", ".join(repr(name) for name in sorted(MUTATIONS))
+    assert strict_document(out)["error"]["message"].endswith(
+        f"invalid choice: 'bogus' (choose from {choices})")
+    assert f"[--mutate {{{','.join(sorted(MUTATIONS))}}}]" in err
 
 
 def test_leading_minus_expression_is_a_usage_error(capsys):
@@ -338,6 +345,12 @@ def test_help_prints_usage_and_exits_zero(capsys):
     assert code == 0
     assert out.startswith("usage: weiljet prolong")
     assert err == ""
+
+
+def test_verify_help_lists_the_mutations(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    assert f"  --mutate {{{','.join(sorted(MUTATIONS))}}}\n" in out
 
 
 def _reject_constant(name):

@@ -72,11 +72,14 @@ def test_bench_writes_its_record(bench, tmp_path, monkeypatch, capsys):
     assert "comparison" not in record
     (side,) = record["sides"].values()
     assert len(side["commit"]) == 40
+    assert side["import_modules"] == ["weiljet.algebra", "weiljet.bundle", "weiljet.cli",
+                                      "weiljet.errors", "weiljet.expression"]
+    assert isinstance(side["dont_write_bytecode"], bool)
     assert [run["exit"] for run in side["verify"]["42"]["runs"]] == [0]
     summary = record["summary"]["change"]
     assert summary["src_lines"] > 0
     for name in ("verify_s.42", "verify_calls.42", "poisson_decisions_per_s",
-                 "symplectic_decisions_per_s", "cli_start_s"):
+                 "symplectic_decisions_per_s", "cli_start_s", "import_s"):
         assert summary[name] > 0
     for width, height in bench.BUILD_ALGEBRAS:
         assert summary[f"algebra_build_s.{width},{height}"] > 0
@@ -87,7 +90,7 @@ def test_bench_compares_pair_by_pair(bench):
     def side(verify, poisson):
         return {"verify": {"42": {"s": verify}}, "poisson_decisions_per_s": poisson,
                 "symplectic_decisions_per_s": [1.0] * 4, "cli_start_s": [0.2] * 4,
-                "algebra_build_s": {"4,4": verify}}
+                "import_s": verify, "algebra_build_s": {"4,4": verify}}
 
     compared = bench.comparison(side([1.0, 2.0, 1.0, 1.0], [3.0, 3.0, 1.0, 3.0]),
                                 side([2.0, 1.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]))
@@ -96,5 +99,6 @@ def test_bench_compares_pair_by_pair(bench):
     assert compared["poisson_decisions_per_s"]["change_better"] == 3
     assert compared["poisson_decisions_per_s"]["parent_iqr"] == 0.0
     assert compared["algebra_build_s.4,4"] == compared["verify_s.42"]
+    assert compared["import_s"] == compared["verify_s.42"]
     assert compared["cli_start_s"] == {"change_better": 0, "pairs": 4,
                                        "median_gain": 0.0, "parent_iqr": 0.0}
