@@ -46,13 +46,14 @@ MAX_DIM = 512
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of ``parts`` entries summing to ``total``, the first
-    entry descending fastest: (2, 0), (1, 1), (0, 2).
+    """Exponent tuples of ``parts`` entries summing to ``total``, in reverse
+    lexicographic order: (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), ...
 
-    Each step moves one unit from the last nonzero entry before the final
-    one (the pivot) to its right neighbour, together with all of the final
-    entry.  The pivot moves at most one place right per step, so the scan
-    back to it costs O(1) amortized and each tuple O(parts).
+    Each step takes one unit from the pivot, the last nonzero entry before
+    the final one, and moves it with the final entry's whole value into the
+    pivot's right neighbour.  The pivot moves at most one place right per
+    step, so the scan back to it costs O(1) amortized and each tuple
+    O(parts).
     """
     exps = [total] + [0] * (parts - 1)
     last = parts - 1

@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .bundle import DEFAULT_SEED
 from .errors import (
@@ -24,6 +24,9 @@ from .errors import (
     SingularRealPart,
     WeilError,
 )
+
+if TYPE_CHECKING:
+    from .bundle import BundleFunction
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 32
@@ -82,7 +85,7 @@ def _load_json_arg(text: str, what: str):
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _read_function(text: str, algebra, arity: int):
+def _read_function(text: str, algebra, arity: int) -> BundleFunction:
     """A function argument: an expression string, or a {"terms": ...} JSON
     object."""
     from . import bundle, expression, jsonio
@@ -256,17 +259,15 @@ class _MutationNames:
     argparse checks or lists them, so that only ``verify`` loads the
     harness."""
 
-    @staticmethod
-    def _names() -> list[str]:
+    def __contains__(self, name) -> bool:
         from .harness import MUTATIONS
 
-        return sorted(MUTATIONS)
-
-    def __contains__(self, name) -> bool:
-        return name in self._names()
+        return name in MUTATIONS
 
     def __iter__(self):
-        return iter(self._names())
+        from .harness import MUTATIONS
+
+        return iter(sorted(MUTATIONS))
 
 
 def _add_structure_flags(parser: argparse.ArgumentParser) -> None:

@@ -345,9 +345,6 @@ def test_help_prints_usage_and_exits_zero(capsys):
     assert code == 0
     assert out.startswith("usage: weiljet prolong")
     assert err == ""
-
-
-def test_verify_help_lists_the_mutations(capsys):
     code, out, _ = run_cli(capsys, "verify", "--help")
     assert code == 0
     assert f"  --mutate {{{','.join(sorted(MUTATIONS))}}}\n" in out
