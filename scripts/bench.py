@@ -18,6 +18,11 @@ records:
   ``reference.check`` and its rates are perfbench's ``family_figures``;
 - the cold start of ``python -m weiljet algebra --algebra dual``;
 - as ``import_s``, the wall time of a fresh ``python -c "import weiljet.cli"``;
+- as ``symbolic_build_s``, symbolic construction after the import in a fresh
+  process: each deep input of perfbench's jets workload (drawn for
+  JETS_SEED) parsed, differentiated along its ``seq`` and composed with
+  ``[x1, x0]``, every result kept alive, so partials built for one input
+  are reused by the next as in a jets round;
 - as ``algebra_build_s.K,H``, the time ``make_truncated_algebra(K, H)``
   takes for each algebra of perfbench's jets workload (dimensions 2 to 70),
   each built once in one fresh process;
@@ -61,12 +66,14 @@ from run import family_figures  # noqa: E402
 REPEATS = 10
 SEEDS = (42, 7, 1000)
 DECIDE_SEED = 1
+JETS_SEED = 1
 TIMEOUT_S = 300
 RATES = ("poisson_decisions_per_s", "symplectic_decisions_per_s")
 # Figures where a lower value is better; the rest are rates.
-LOWER_IS_BETTER = ("verify_s.", "cli_start_s", "import_s", "algebra_build_s.")
+LOWER_IS_BETTER = ("verify_s.", "cli_start_s", "import_s", "algebra_build_s.",
+                   "symbolic_build_s")
 # Single figures timed once per repeat.
-TIMES = ("cli_start_s", "import_s")
+TIMES = ("cli_start_s", "import_s", "symbolic_build_s")
 # (width, height) of the truncated algebras whose build is timed
 BUILD_ALGEBRAS = reference.WIDE_ALGEBRAS
 # Times each build of argv[1]'s (width, height) list after the import.
@@ -79,6 +86,20 @@ for width, height in json.loads(sys.argv[1]):
     make_truncated_algebra(width, height)
     spent[f"{width},{height}"] = time.perf_counter() - t0
 print(json.dumps(spent))
+"""
+# Times the symbolic construction of argv[1]'s jets deep inputs after the
+# import.
+SYMBOLIC_CHILD = """
+import json, sys, time
+from weiljet.expression import compose, differentiate, parse_expr, var
+built = []
+t0 = time.perf_counter()
+for op in json.loads(sys.argv[1]):
+    f = parse_expr(op["expr"], op["arity"])
+    for i in op["seq"]:
+        f = differentiate(f, i)
+    built.append(compose(f, [var(1, op["arity"]), var(0, op["arity"])]))
+print(json.dumps(time.perf_counter() - t0))
 """
 # Prints the weiljet submodules importing the CLI loads, and the
 # interpreter's bytecode flag.
@@ -151,9 +172,11 @@ def tree_state(root: Path) -> dict:
                                    if changes else None)}
 
 
-def measure_once(root: Path, decide, side: dict) -> str:
+def measure_once(root: Path, decide, deep: list, side: dict) -> str:
     """One repeat on one checkout, appended to ``side``; returns the numpy
-    version the checkout's measuring process reported."""
+    version the checkout's measuring process reported.  ``decide`` holds
+    the decide workload's inputs and expected outputs, ``deep`` the jets
+    workload's deep inputs."""
     for seed in SEEDS:
         proc, spent = run(root, [sys.executable, "-m", "weiljet", "verify",
                                  "--seed", str(seed)])
@@ -188,6 +211,11 @@ def measure_once(root: Path, decide, side: dict) -> str:
     if proc.returncode != 0:
         raise BenchError(f"importing the CLI failed in {root}: {proc.stderr[-500:]}")
     side["import_s"].append(spent)
+
+    proc, _ = run(root, [sys.executable, "-c", SYMBOLIC_CHILD, json.dumps(deep)])
+    if proc.returncode != 0:
+        raise BenchError(f"symbolic construction failed in {root}: {proc.stderr[-500:]}")
+    side["symbolic_build_s"].append(json.loads(proc.stdout))
 
     proc, _ = run(root, [sys.executable, "-c", BUILD_CHILD,
                          json.dumps(BUILD_ALGEBRAS)])
@@ -246,6 +274,7 @@ def main(argv=None) -> int:
     if args.parent is not None:
         roots["parent"] = args.parent.resolve()
     decide = reference.make_inputs("decide", DECIDE_SEED)
+    deep = reference.make_inputs("jets", JETS_SEED)[0]["deep"]
     numpy_version = None
     try:
         sides = {name: {**tree_state(root), "src_lines": src_lines(root),
@@ -257,7 +286,7 @@ def main(argv=None) -> int:
         for repeat in range(REPEATS):
             order = list(roots) if repeat % 2 == 0 else list(reversed(roots))
             for name in order:
-                numpy_version = measure_once(roots[name], decide, sides[name])
+                numpy_version = measure_once(roots[name], decide, deep, sides[name])
     except (BenchError, OSError, subprocess.SubprocessError) as exc:
         print(f"bench error: {exc}", file=sys.stderr)
         return 1
@@ -267,7 +296,7 @@ def main(argv=None) -> int:
                     machine_record(str(ROOT), numpy_version).items()
                     if key != "commit"},
         "settings": {"repeats": REPEATS, "seeds": list(SEEDS),
-                     "decide_seed": DECIDE_SEED,
+                     "decide_seed": DECIDE_SEED, "jets_seed": JETS_SEED,
                      "order": "alternating, change first in even repeats"},
         "summary": {name: summary(side) for name, side in sides.items()},
     }

@@ -360,10 +360,12 @@ def _inverse(algebra: WeilAlgebra, a: np.ndarray) -> np.ndarray:
     nil = a.copy()
     nil[..., 0] = 0.0
     scaled_nil = nil * scale
-    acc = term = _unit(algebra)
+    acc = _unit(algebra)
+    term = -scaled_nil
     live = True
-    for _ in range(algebra.height):
-        term = -_product(algebra, term, scaled_nil)
+    for k in range(algebra.height):
+        if k:
+            term = -_product(algebra, term, scaled_nil)
         live = _live(term, live)
         if live is False:
             break
@@ -393,18 +395,21 @@ def _add_live(acc: np.ndarray, term: np.ndarray, live) -> np.ndarray:
 
 
 def _power(algebra: WeilAlgebra, a: np.ndarray, exponent: int) -> np.ndarray:
-    """Integer power by repeated squaring: O(log |exponent|) products."""
+    """Integer power by repeated squaring: O(log |exponent|) products, the
+    first factor taken as it is rather than multiplied into the unit."""
     if exponent < 0:
         return _power(algebra, _inverse(algebra, a), -exponent)
-    result = _unit(algebra)
+    if exponent == 0:
+        return _unit(algebra)
+    result = None
     square = a
-    while exponent:
+    while True:
         if exponent & 1:
-            result = _product(algebra, result, square)
+            result = square if result is None else _product(algebra, result, square)
         exponent >>= 1
-        if exponent:
-            square = _product(algebra, square, square)
-    return result
+        if not exponent:
+            return result
+        square = _product(algebra, square, square)
 
 
 class WeilElement:

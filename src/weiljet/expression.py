@@ -5,8 +5,9 @@ Nodes: coordinates x0..x{n-1}, float constants, the binary operations
 carries the ambient arity.  Nodes are immutable and hash-consed: every
 constructor call goes through one intern table keyed on the node's kind,
 payload, children and arity, so equal expressions are the same object and
-equality is identity.  The table holds its nodes weakly, so it never
-outgrows the live expressions.  A constant is keyed on the ``repr`` of its
+equality is identity.  The table maps each key to a weak reference to its
+node, and a node's death removes its entry, so the table never outgrows the
+live expressions.  A constant is keyed on the ``repr`` of its
 value, which keeps 0.0 and -0.0 apart and makes every NaN one node.
 
 Two private leaf kinds make the same DAG hold A-valued functions on the
@@ -51,7 +52,6 @@ from .algebra import (
     _live,
     _power,
     _product,
-    _unit,
     _wrap,
 )
 from .errors import (
@@ -64,11 +64,28 @@ from .errors import (
 
 PRIMITIVES = ("sin", "cos", "exp", "log")
 
-# The intern table: key -> the one live node with that key.  Keys name
-# child nodes by id, so the table holds no node strongly: a live node keeps
-# its children alive, so the ids in a live key are never reused, and a dead
-# node's children can be collected with it in one pass of the collector.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The intern table: key -> a weak reference to the one live node with that
+# key.  Keys name child nodes by id, so the table holds no node strongly: a
+# live node keeps its children alive, so the ids in a live key are never
+# reused, and a dead node's children can be collected with it in one pass of
+# the collector.  A constructor call costs one dict lookup and one
+# dereference, both in C; only a node's death runs Python code (``_drop``).
+_NODES: dict = {}
+
+
+class _NodeRef(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _NodeRef) -> None:
+    """The callback of every reference in the table: remove the dead
+    node's entry, unless its key already maps to another reference (a node
+    can be rebuilt under the key after the collector cleared ``ref`` and
+    before it ran this)."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
 
 
 class _Interned(type):
@@ -77,10 +94,14 @@ class _Interned(type):
 
     def __call__(cls, *args):
         key = (cls, *args) if cls._key is None else cls._key(*args)
-        node = _NODES.get(key)
-        if node is None:
-            node = super().__call__(*args)
-            _NODES[key] = node
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = super().__call__(*args)
+        ref = _NODES[key] = _NodeRef(node, _drop)
+        ref.key = key
         return node
 
 
@@ -329,37 +350,39 @@ def _weight(element: WeilElement, arity: int) -> ScalarExpr:
     return _Weight(element.algebra, coeffs, arity)
 
 
-def _is_const(e: ScalarExpr, value: float | None = None) -> bool:
-    return isinstance(e, Const) and (value is None or e.value == value)
-
-
 def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value, a.arity)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value + b.value, a.arity)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value, a.arity)
-    if _is_const(b, 0.0):
-        return a
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a.value - b.value, a.arity)
+        if b.value == 0.0:
+            return a
     return Sub(a, b)
 
 
 def mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value, a.arity)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0, a.arity)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value * b.value, a.arity)
+        if a.value == 0.0:
+            return Const(0.0, a.arity)
+        if a.value == 1.0:
+            return b
+    elif type(b) is Const:
+        if b.value == 0.0:
+            return Const(0.0, a.arity)
+        if b.value == 1.0:
+            return a
     return Mul(a, b)
 
 
@@ -657,7 +680,10 @@ def _forget_partials():
     """Drop the partials kept on every live node, and the derived solves
     behind solved components, so that later calls build them anew; the
     harness does this where a mutation starts and ends."""
-    for node in list(_NODES.values()):
+    for ref in list(_NODES.values()):
+        node = ref()
+        if node is None:
+            continue
         node._derivs = None
         if type(node) is _Solved:
             node.solve._derived.clear()
@@ -845,13 +871,14 @@ def _taylor_lift(fn: str, algebra: WeilAlgebra, a: np.ndarray,
         heads = [_primitive_derivative(fn, 0, x) for x in xs]
     acc = np.zeros(a.shape)
     acc[..., 0] = heads[0] if a.ndim == 1 else np.reshape(heads, a.shape[:-1])
-    power = _unit(algebra)
     nil = a.copy()
     nil[..., 0] = 0.0
+    power = nil
     live = True
     factorial = 1.0
     for k in range(1, order + 1):
-        power = _product(algebra, power, nil)
+        if k > 1:
+            power = _product(algebra, power, nil)
         live = _live(power, live)
         if live is False:
             break

@@ -312,13 +312,14 @@ class SymplecticStructure:
 # Real matrices enter as multiples of the unit.
 
 def _matrix_product(algebra: WeilAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of (..., m, p, d) and (..., p, q, d) matrices over A; each
-    entry sums its p products from left to right."""
-    acc = None
-    for k in range(a.shape[-2]):
-        left, right = np.broadcast_arrays(a[..., :, k:k + 1, :], b[..., k:k + 1, :, :])
-        term = _product(algebra, left, right)
-        acc = term if acc is None else acc + term
+    """Product of (..., m, p, d) and (..., p, q, d) matrices over A: all
+    m*p*q entry products in one kernel call, then each entry sums its p
+    products from left to right."""
+    left, right = np.broadcast_arrays(a[..., :, :, None, :], b[..., None, :, :, :])
+    terms = _product(algebra, left, right)
+    acc = terms[..., 0, :, :]
+    for k in range(1, terms.shape[-3]):
+        acc = acc + terms[..., k, :, :]
     return acc
 
 

@@ -21,6 +21,7 @@ from weiljet.algebra import (
     make_truncated_algebra,
     validate_algebra,
 )
+from weiljet import algebra as algebra_module
 from weiljet.harness import ALL_ALGEBRAS, battery_algebra
 
 DUAL = make_truncated_algebra(1, 1)
@@ -234,6 +235,56 @@ def test_large_integer_powers_of_dual_numbers(a0, exponent):
     power = DUAL.element([a0, 1.0]) ** exponent
     expected = [a0 ** exponent, exponent * a0 ** (exponent - 1)]
     np.testing.assert_allclose(power.coeffs, expected, rtol=1e-9)
+
+
+def _counting_products(monkeypatch):
+    """Count the kernel's products inside the algebra module from here on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
+
+    product = algebra_module._product
+    monkeypatch.setattr(algebra_module, "_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("exponent,products", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
+def test_a_power_multiplies_no_factor_into_the_unit(monkeypatch, exponent, products):
+    a = M3.element([1.5, -0.5, 0.25, 2.0, -1.0, 0.75])
+    calls = _counting_products(monkeypatch)
+    power = a ** exponent
+    assert len(calls) == products
+    expected = a
+    for _ in range(exponent - 1):
+        expected = expected * a
+    np.testing.assert_allclose(power.coeffs, expected.coeffs, rtol=1e-12)
+
+
+def test_powers_zero_and_one_are_the_unit_and_the_element():
+    a = M3.element([1.5, -0.5, 0.25, 2.0, -1.0, 0.75])
+    assert np.array_equal((a ** 0).coeffs, M3.unit().coeffs)
+    assert np.array_equal((a ** 1).coeffs, a.coeffs)
+    for result in (a ** 0, a ** 1):
+        assert not result.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("height", [1, 2, 5])
+def test_an_inverse_at_a_general_point_costs_height_minus_one_products(
+        monkeypatch, height):
+    algebra = make_truncated_algebra(1, height)
+    a = algebra.element(np.arange(2.0, algebra.dim + 2.0))
+    calls = _counting_products(monkeypatch)
+    inverse = a.inverse()
+    assert len(calls) == height - 1
+    # the series as it read with the unit as its zeroth term, bit for bit
+    nil = a.nilpotent_part() * (1.0 / a.augmentation)
+    acc = term = algebra.unit()
+    for _ in range(height):
+        term = -(term * nil)
+        acc = acc + term
+    assert np.array_equal(inverse.coeffs, acc.coeffs * (1.0 / a.augmentation))
 
 
 def _recursive_compositions(total, parts):

@@ -625,3 +625,58 @@ def test_algebra_at_the_dimension_cap():
         cwd=root, env=env, capture_output=True, text=True, timeout=30)
     assert result.returncode == 0, result.stderr
     assert strict_document(result.stdout)["dim"] == 512
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Runs one command through the given entry point, then prints the BLAS
+# variables the process ended with on stderr.
+ENTRY_PROBE = """
+import json, os, sys
+{entry}
+code = main()
+print(json.dumps({{v: os.environ.get(v) for v in {variables!r}}}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_entry(entry: str, argv, **preset):
+    """``argv`` through ``entry`` in a fresh process whose environment has
+    none of the BLAS variables but ``preset``; the process result and the
+    variables it ended with."""
+    root = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env.update(preset)
+    code = ENTRY_PROBE.format(entry=entry, variables=BLAS_THREADS)
+    result = subprocess.run([sys.executable, "-c", code, *argv], cwd=root, env=env,
+                            capture_output=True, text=True, timeout=120)
+    return result, json.loads(result.stderr.splitlines()[-1])
+
+
+PINNED = "from weiljet.__main__ import run as main"
+UNPINNED = "from weiljet.cli import main"
+
+
+def test_the_entry_point_pins_unset_blas_pools_to_one_thread():
+    result, variables = run_entry(PINNED, ["algebra", "--algebra", "dual"])
+    assert result.returncode == 0, result.stderr
+    assert variables == dict.fromkeys(BLAS_THREADS, "1")
+    result, variables = run_entry(PINNED, ["algebra", "--algebra", "dual"],
+                                  OPENBLAS_NUM_THREADS="4")
+    assert result.returncode == 0, result.stderr
+    assert variables == {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
+                         "MKL_NUM_THREADS": "1"}
+    # the CLI module itself sets nothing
+    result, variables = run_entry(UNPINNED, ["algebra", "--algebra", "dual"])
+    assert result.returncode == 0, result.stderr
+    assert variables == dict.fromkeys(BLAS_THREADS)
+
+
+def test_the_blas_pin_leaves_verify_output_unchanged():
+    pinned, _ = run_entry(PINNED, ["verify", "--seed", "42"])
+    unpinned, _ = run_entry(UNPINNED, ["verify", "--seed", "42"])
+    assert pinned.returncode == unpinned.returncode == 0
+    assert pinned.stdout == unpinned.stdout
+    # stderr less the probe's own last line
+    assert pinned.stderr.splitlines()[:-1] == unpinned.stderr.splitlines()[:-1]

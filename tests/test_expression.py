@@ -17,6 +17,7 @@ from weiljet import expression
 from weiljet.algebra import NotInvertible, make_truncated_algebra
 from weiljet.errors import ArityError, DomainError, ParseError, UnknownIdentifier
 from weiljet.expression import (
+    PRIMITIVES,
     Add,
     Call,
     Const,
@@ -25,6 +26,7 @@ from weiljet.expression import (
     Pow,
     Sub,
     Var,
+    _primitive_derivative,
     _taylor_lift,
     add,
     call,
@@ -39,6 +41,7 @@ from weiljet.expression import (
     parse_expr,
     pow_,
     sub,
+    var,
 )
 from weiljet.sampling import random_expression
 
@@ -265,6 +268,86 @@ def test_intern_table_holds_only_live_nodes():
     del f, g, h, third, chain
     gc.collect()
     assert len(expression._NODES) == baseline
+
+
+class _Unnamed:
+    """A weakly referable object that is not a node."""
+
+
+def test_a_stale_reference_leaves_the_live_entry():
+    # during a collection a node can die after a node with its key was
+    # rebuilt; the dead node's callback must not remove the new entry
+    node = var(0, 2)
+    key = (Var, 0, 2)
+    live = expression._NODES[key]
+    stale = expression._NodeRef(_Unnamed())
+    stale.key = key
+    assert stale() is None
+    expression._drop(stale)
+    assert expression._NODES[key] is live and live() is node
+
+
+def test_an_acyclic_expression_leaves_the_table_without_the_collector():
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        baseline = len(expression._NODES)
+        f = parse_expr("sin(2.875 * x0) + x1 ^ 3 / (x0 + 4.0625)", 2)
+        assert f.text and len(expression._NODES) > baseline
+        del f
+        assert len(expression._NODES) == baseline
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_forget_partials_skips_dead_entries():
+    f = parse_expr("exp(x0) * x1 + 1.0625", 2)
+    differentiate(f, 0)
+    assert f._derivs is not None
+    key = ("a dead entry",)
+    dead = expression._NodeRef(_Unnamed())
+    expression._NODES[key] = dead
+    try:
+        expression._forget_partials()
+    finally:
+        del expression._NODES[key]
+    assert f._derivs is None
+
+
+def _counting_products(monkeypatch):
+    """Count the kernel's products in ``_taylor_lift`` from here on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
+
+    product = expression._product
+    monkeypatch.setattr(expression, "_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("height", [1, 2, 5])
+@pytest.mark.parametrize("fn", PRIMITIVES)
+def test_a_lift_at_a_general_point_costs_height_minus_one_products(
+        monkeypatch, fn, height):
+    algebra = make_truncated_algebra(1, height)
+    a = np.arange(1.0, algebra.dim + 1.0)
+    calls = _counting_products(monkeypatch)
+    lift = _taylor_lift(fn, algebra, a)
+    assert len(calls) == height - 1
+    nil = a.copy()
+    nil[0] = 0.0
+    expected = np.zeros(algebra.dim)
+    expected[0] = getattr(math, fn)(a[0])
+    power = np.eye(algebra.dim)[0]
+    for k in range(1, height + 1):
+        power = (algebra.element(power) * algebra.element(nil)).coeffs
+        scale = _primitive_derivative(fn, k, a[0]) / math.factorial(k)
+        expected = expected + power * scale
+    assert np.array_equal(lift, expected)
 
 
 def _tree_eval_weil(f, point):

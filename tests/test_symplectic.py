@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from weiljet.algebra import make_truncated_algebra
+from weiljet.algebra import _product, make_truncated_algebra
 from weiljet.bundle import (
     BaseVectorField,
     BundleFunction,
@@ -146,6 +146,46 @@ def test_truncating_the_neumann_tail_is_detected():
 def test_singular_real_part_is_rejected():
     with pytest.raises(SingularRealPart):
         weil_matrix_inverse([[T3.basis_element(1)]])
+
+
+def _matrix_product_by_k(algebra, a, b):
+    """One kernel call per summation index k: the reference the one-call
+    matrix product must match bit for bit."""
+    acc = None
+    for k in range(a.shape[-2]):
+        left, right = np.broadcast_arrays(a[..., :, k:k + 1, :], b[..., k:k + 1, :, :])
+        term = _product(algebra, left, right)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _mixed_matrices(rng, shape, dim):
+    """Random matrices over A in which about a third of the entries are
+    real, some of those with a negative zero nilpotent part."""
+    out = rng.uniform(-1.0, 1.0, shape + (dim,))
+    real = rng.random(shape) < 0.35
+    out[real, 1:] = np.where(rng.random((real.sum(), dim - 1)) < 0.5, -0.0, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("key", ALL_ALGEBRAS)
+def test_one_call_matrix_product_equals_the_sum_over_k(key, batch):
+    algebra = battery_algebra(key)
+    rng = np.random.default_rng(len(batch) + algebra.dim)
+    for m in range(1, 5):
+        for p in range(1, 5):
+            for q in range(1, 5):
+                a = _mixed_matrices(rng, batch + (m, p), algebra.dim)
+                b = _mixed_matrices(rng, batch + (p, q), algebra.dim)
+                pairs = [(a, b)]
+                if batch:
+                    pairs += [(a[0], b), (a, b[0])]
+                for left, right in pairs:
+                    got = _matrix_product(algebra, left, right)
+                    want = _matrix_product_by_k(algebra, left, right)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("terms", ["full", "height"])
