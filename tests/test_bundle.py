@@ -316,17 +316,21 @@ def test_batch_evaluation_equals_point_evaluation(algebra, samples):
             assert np.array_equal(jet[s], eval_weil(f, point.coords).coeffs)
 
 
+# Each structure is built by the test: one built at collection would live for
+# the whole session, with every partial a test hangs on its nodes (see
+# test_symplectic.py).
 SOLVE_STRUCTURES = {
-    "canonical2": SymplecticStructure.canonical(2),
-    "canonical4": SymplecticStructure.canonical(4),
-    "curved": SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"})),
+    "canonical2": lambda: SymplecticStructure.canonical(2),
+    "canonical4": lambda: SymplecticStructure.canonical(4),
+    "curved": lambda: SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"})),
 }
 
 
 @pytest.mark.parametrize("samples", [1, 4, 32])
 @pytest.mark.parametrize("algebra", [T3, make_truncated_algebra(2, 2)], ids=["t3", "m3"])
-@pytest.mark.parametrize("structure", SOLVE_STRUCTURES.values(), ids=SOLVE_STRUCTURES.keys())
-def test_batch_solves_equal_point_solves(structure, algebra, samples):
+@pytest.mark.parametrize("make", SOLVE_STRUCTURES.values(), ids=SOLVE_STRUCTURES.keys())
+def test_batch_solves_equal_point_solves(make, algebra, samples):
+    structure = make()
     n = structure.arity
     potential = prolong_function(
         parse_expr(f"sin(x0) * x1^2 + exp(0.5*x{n - 1})", n), algebra)

@@ -37,8 +37,14 @@ from weiljet.symplectic import BaseForm
 DUAL = make_truncated_algebra(1, 1)
 T3 = make_truncated_algebra(1, 2)
 
-CANONICAL = PoissonStructure.canonical(2)
 ROTATIONAL = PoissonStructure.rotational()
+
+
+# Built in each test that uses it, for the reason given in test_symplectic.py:
+# a module-level two-dimensional structure would keep its nodes, and the
+# partials tests hang on them, alive for the whole session.
+def canonical_structure() -> PoissonStructure:
+    return PoissonStructure.canonical(2)
 
 
 def _eval_grid(expr, rng, count=6, box=(-2.0, 2.0)):
@@ -49,10 +55,11 @@ def _eval_grid(expr, rng, count=6, box=(-2.0, 2.0)):
 
 
 def test_canonical_entries_are_antisymmetric():
-    assert eval_real(CANONICAL.entry(0, 1), [0.3, 0.7]) == pytest.approx(1.0)
-    assert eval_real(CANONICAL.entry(1, 0), [0.3, 0.7]) == pytest.approx(-1.0)
-    assert eval_real(CANONICAL.entry(0, 0), [0.3, 0.7]) == pytest.approx(0.0)
-    assert set(CANONICAL.upper_entries) == {(0, 1)}
+    canonical = canonical_structure()
+    assert eval_real(canonical.entry(0, 1), [0.3, 0.7]) == pytest.approx(1.0)
+    assert eval_real(canonical.entry(1, 0), [0.3, 0.7]) == pytest.approx(-1.0)
+    assert eval_real(canonical.entry(0, 0), [0.3, 0.7]) == pytest.approx(0.0)
+    assert set(canonical.upper_entries) == {(0, 1)}
 
 
 def test_canonical_needs_even_arity():
@@ -80,7 +87,7 @@ def test_jacobi_violation_is_rejected():
 
 def test_base_bracket_laws_sampled():
     rng = np.random.default_rng(11)
-    for structure in (CANONICAL, ROTATIONAL):
+    for structure in (canonical_structure(), ROTATIONAL):
         arity = structure.arity
         f, g, h = (random_expression(arity, rng) for _ in range(3))
         anti = structure.bracket(f, g)
@@ -99,7 +106,7 @@ def test_base_bracket_laws_sampled():
 def test_hamiltonian_derivation_of_the_oscillator():
     # {H, x0} = -x1 and {H, x1} = x0 for H = (x0^2 + x1^2)/2
     energy = parse_expr("(x0^2 + x1^2) / 2", 2)
-    field = CANONICAL.ad(energy)
+    field = canonical_structure().ad(energy)
     rng = np.random.default_rng(3)
     for point in rng.uniform(-2, 2, (6, 2)):
         assert eval_real(field.components[0], point) == pytest.approx(-point[1])
@@ -107,20 +114,20 @@ def test_hamiltonian_derivation_of_the_oscillator():
 
 
 def test_prolonged_bracket_extends_the_base_bracket():
-    structure = ProlongedPoisson(CANONICAL, T3)
+    structure = ProlongedPoisson(canonical_structure(), T3)
     rng = np.random.default_rng(17)
     f = random_expression(2, rng)
     g = random_expression(2, rng)
     got = structure.bracket(prolong_function(f, T3), prolong_function(g, T3))
-    want = prolong_function(CANONICAL.bracket(f, g), T3)
+    want = prolong_function(canonical_structure().bracket(f, g), T3)
     assert functions_equal(got, want, samples=8, tol=1e-8, rng=np.random.default_rng(1))
 
 
 def test_poisson_derivation_matches_the_base_field():
-    structure = ProlongedPoisson(CANONICAL, T3)
+    structure = ProlongedPoisson(canonical_structure(), T3)
     energy = parse_expr("(x0^2 + x1^2) / 2", 2)
     field = poisson_derivation(structure, prolong_function(energy, T3))
-    want = prolong_vector_field(CANONICAL.ad(energy), T3)
+    want = prolong_vector_field(canonical_structure().ad(energy), T3)
     probe = prolong_function(parse_expr("x0 * x1", 2), T3)
     assert functions_equal(
         apply_field(field, probe),
@@ -133,7 +140,7 @@ def test_poisson_derivation_matches_the_base_field():
 def test_poisson_derivation_accepts_solved_functions():
     from weiljet.symplectic import SymplecticStructure, hamiltonian_field
 
-    structure = ProlongedPoisson(CANONICAL, T3)
+    structure = ProlongedPoisson(canonical_structure(), T3)
     curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
     solved = hamiltonian_field(prolong_function(parse_expr("x0 * x1", 2), T3), curved, T3)
     stray = solved.components[0] * prolong_function(parse_expr("x0 + x1^2", 2), T3)
@@ -164,7 +171,8 @@ def test_entry_coercion_rejects_lists_and_foreign_arities(read):
 
 def test_adjoint_differential_squares_to_zero():
     h = parse_expr("x0^2 * x1 + cos(x1)", 2)
-    defect = adjoint_differential(CANONICAL.ad(h), CANONICAL)(
+    canonical = canonical_structure()
+    defect = adjoint_differential(canonical.ad(h), canonical)(
         parse_expr("x0 + x1^2", 2), parse_expr("x0 * x1", 2))
     rng = np.random.default_rng(3)
     for point in rng.uniform(-2, 2, (6, 2)):
@@ -172,10 +180,10 @@ def test_adjoint_differential_squares_to_zero():
 
 
 def test_prolonged_adjoint_differential_commutes_with_prolongation():
-    structure = ProlongedPoisson(CANONICAL, DUAL)
+    structure = ProlongedPoisson(canonical_structure(), DUAL)
     h = parse_expr("x0^2 + x0 * x1", 2)
     lifted_then_d = poisson_derivation(structure, prolong_function(h, DUAL))
-    d_then_lifted = prolong_vector_field(CANONICAL.ad(h), DUAL)
+    d_then_lifted = prolong_vector_field(canonical_structure().ad(h), DUAL)
     probe = prolong_function(parse_expr("x0 * x1", 2), DUAL)
     assert functions_equal(
         apply_field(lifted_then_d, probe),
@@ -188,17 +196,18 @@ def test_prolonged_adjoint_differential_commutes_with_prolongation():
     f, g = parse_expr("x0 + x1^2", 2), parse_expr("sin(x1)", 2)
     lifted = prolonged_adjoint_differential(prolong_vector_field(eta, DUAL), structure)(
         prolong_function(f, DUAL), prolong_function(g, DUAL))
-    base = prolong_function(adjoint_differential(eta, CANONICAL)(f, g), DUAL)
+    base = prolong_function(adjoint_differential(eta, canonical_structure())(f, g), DUAL)
     assert functions_equal(lifted, base, samples=8, rng=np.random.default_rng(7))
 
 
-@pytest.mark.parametrize("base, pairs", [
-    (CANONICAL, [[0, 1]]),
-    (ROTATIONAL, [[0, 1], [0, 2], [1, 2]]),
-    (PoissonStructure.canonical(4),
+@pytest.mark.parametrize("make, pairs", [
+    (canonical_structure, [[0, 1]]),
+    (PoissonStructure.rotational, [[0, 1], [0, 2], [1, 2]]),
+    (lambda: PoissonStructure.canonical(4),
      [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]),
 ], ids=["canonical2", "rotational", "canonical4"])
-def test_closedness_samples_each_coordinate_pair_once(base, pairs):
+def test_closedness_samples_each_coordinate_pair_once(make, pairs):
+    base = make()
     n = base.arity
     structure = ProlongedPoisson(base, DUAL)
     field = prolong_vector_field(BaseVectorField([parse_expr(f"x{i}^2", n)
@@ -210,7 +219,7 @@ def test_closedness_samples_each_coordinate_pair_once(base, pairs):
 
 
 def test_closedness_defect_separates_hamiltonian_fields():
-    structure = ProlongedPoisson(CANONICAL, T3)
+    structure = ProlongedPoisson(canonical_structure(), T3)
     energy = parse_expr("(x0^2 + x1^2) / 2", 2)
     good = poisson_derivation(structure, prolong_function(energy, T3))
     assert is_locally_hamiltonian_poisson(good, structure, samples=12, rng=np.random.default_rng(0))
@@ -237,7 +246,7 @@ def test_a_one_dimensional_base_has_no_pairs_and_draws_no_point():
 
 
 def test_global_witness_for_a_constant_field():
-    structure = ProlongedPoisson(CANONICAL, DUAL)
+    structure = ProlongedPoisson(canonical_structure(), DUAL)
     field = BundleVectorField(
         [BundleFunction.constant(1.0, DUAL, 2), BundleFunction.constant(0.0, DUAL, 2)]
     )
@@ -264,16 +273,17 @@ def _ref_closedness_cases(field, structure, samples, rng):
 
 
 CLOSEDNESS_CASES = {
-    "canonical2": (PoissonStructure.canonical(2), "x0^2*x1 + sin(x0) + x1^3"),
-    "rotational": (ROTATIONAL, "x0^2 + x1*x2 + cos(x2)"),
-    "canonical4": (PoissonStructure.canonical(4), "x0*x2 + x1^2*x3 + sin(x3)"),
+    "canonical2": (canonical_structure, "x0^2*x1 + sin(x0) + x1^3"),
+    "rotational": (PoissonStructure.rotational, "x0^2 + x1*x2 + cos(x2)"),
+    "canonical4": (lambda: PoissonStructure.canonical(4), "x0*x2 + x1^2*x3 + sin(x3)"),
 }
 
 
 @pytest.mark.parametrize("algebra", [DUAL, T3], ids=["dual", "truncated:1,2"])
 @pytest.mark.parametrize("name", CLOSEDNESS_CASES)
 def test_hoisted_closedness_matches_the_whole_pair_defect(name, algebra):
-    base, potential = CLOSEDNESS_CASES[name]
+    make, potential = CLOSEDNESS_CASES[name]
+    base = make()
     n = base.arity
     structure = ProlongedPoisson(base, algebra)
     closed = base.ad(parse_expr(potential, n))
@@ -369,7 +379,7 @@ def _battery_fields(structure, rng):
 def test_coordinate_pairs_agree_with_the_brute_force_verdict(algebra):
     rng = np.random.default_rng(8)
     verdicts = {"closed": [], "prolonged": [], "nilpotent": []}
-    for base in (CANONICAL, ROTATIONAL, PoissonStructure.canonical(4)):
+    for base in (canonical_structure(), ROTATIONAL, PoissonStructure.canonical(4)):
         structure = ProlongedPoisson(base, algebra)
         for kind, field in _battery_fields(structure, rng):
             local = is_locally_hamiltonian_poisson(field, structure, samples=4,

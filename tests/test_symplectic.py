@@ -46,8 +46,18 @@ from weiljet.sampling import random_base_form
 DUAL = make_truncated_algebra(1, 1)
 T3 = make_truncated_algebra(1, 2)
 
-CANONICAL = SymplecticStructure(BaseForm(2, 2, {(0, 1): 1.0}))
-CURVED = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
+
+# The two-dimensional structures are built in each test that uses them.  A
+# module-level one is built when the module is collected and lives for the
+# whole session, keeping its nodes alive with every partial any test hangs on
+# them; the live-node counts of other tests would then depend on which of
+# those partials earlier tests happened to build.
+def canonical_structure() -> SymplecticStructure:
+    return SymplecticStructure(BaseForm(2, 2, {(0, 1): 1.0}))
+
+
+def curved_structure() -> SymplecticStructure:
+    return SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
 
 
 def test_coefficient_lookup_is_signed():
@@ -232,7 +242,7 @@ def test_batch_with_a_singular_solve_point_raises():
 
 def test_solves_do_not_keep_their_points_alive():
     potential = prolong_function(parse_expr("sin(x0) * x1^2", 2), T3)
-    component = hamiltonian_field(potential, CURVED, T3).components[0]
+    component = hamiltonian_field(potential, curved_structure(), T3).components[0]
     derivative = component.partial(1)
     rng = np.random.default_rng(5)
     refs = []
@@ -260,13 +270,14 @@ def test_hamiltonian_field_oracles():
     point = sample_near_point(DUAL, 2, rng)
     # the energy rotates: X_H = (x1, -x0)
     energy = prolong_function(parse_expr("(x0^2 + x1^2) / 2", 2), DUAL)
-    field = hamiltonian_field(energy, CANONICAL, DUAL)
+    field = hamiltonian_field(energy, canonical_structure(), DUAL)
     assert field.components[0].evaluate(point).almost_equal(point.coords[1], tol=1e-9)
     assert field.components[1].evaluate(point).almost_equal(
         point.coords[0] * DUAL.from_real(-1.0), tol=1e-9
     )
     # coordinate functions move each other: X_{x1} = (1, 0) and X_{x0} = (0, -1)
-    first = hamiltonian_field(prolong_function(parse_expr("x1", 2), DUAL), CANONICAL, DUAL)
+    first = hamiltonian_field(prolong_function(parse_expr("x1", 2), DUAL),
+                              canonical_structure(), DUAL)
     assert first.components[0].evaluate(point).almost_equal(DUAL.unit(), tol=1e-9)
     assert first.components[1].evaluate(point).almost_equal(DUAL.zero(), tol=1e-9)
 
@@ -274,15 +285,15 @@ def test_hamiltonian_field_oracles():
 def test_symplectic_bracket_of_coordinates():
     x0 = prolong_function(parse_expr("x0", 2), DUAL)
     x1 = prolong_function(parse_expr("x1", 2), DUAL)
-    bracket = symplectic_bracket(x0, x1, CANONICAL, DUAL)
+    bracket = symplectic_bracket(x0, x1, canonical_structure(), DUAL)
     point = sample_near_point(DUAL, 2, np.random.default_rng(3))
     assert bracket.evaluate(point).almost_equal(DUAL.from_real(-1.0), tol=1e-10)
 
 
 def test_inverse_bivector_oracles():
-    flat = inverse_bivector(CANONICAL)
+    flat = inverse_bivector(canonical_structure())
     assert eval_real(flat.entry(0, 1), [0.5, 0.5]) == pytest.approx(-1.0)
-    curved = inverse_bivector(CURVED)
+    curved = inverse_bivector(curved_structure())
     rng = np.random.default_rng(11)
     for point in rng.uniform(-2, 2, (6, 2)):
         assert eval_real(curved.entry(0, 1), point) == pytest.approx(
@@ -293,14 +304,14 @@ def test_inverse_bivector_oracles():
 def test_bracket_coincides_with_the_inverse_bivector_bracket():
     f = prolong_function(parse_expr("x0^2 + x1", 2), T3)
     g = prolong_function(parse_expr("sin(x0) * x1", 2), T3)
-    via_form = symplectic_bracket(f, g, CURVED, T3)
-    via_bivector = ProlongedPoisson(inverse_bivector(CURVED), T3).bracket(f, g)
+    via_form = symplectic_bracket(f, g, curved_structure(), T3)
+    via_bivector = ProlongedPoisson(inverse_bivector(curved_structure()), T3).bracket(f, g)
     assert functions_equal(via_form, via_bivector, samples=8, rng=np.random.default_rng(5))
 
 
 def test_local_decision_for_flat_and_curved_structures():
     rng = np.random.default_rng(13)
-    for structure in (CANONICAL, CURVED):
+    for structure in (canonical_structure(), curved_structure()):
         base = base_hamiltonian_field(parse_expr("x0 * x1 + x1^2", 2), structure)
         good = prolong_vector_field(base, DUAL)
         assert is_locally_hamiltonian_symplectic(
@@ -315,32 +326,33 @@ def test_local_decision_for_flat_and_curved_structures():
 
 
 def test_global_witness_signs():
+    canonical = canonical_structure()
     energy = prolong_function(parse_expr("(x0^2 + x1^2) / 2", 2), DUAL)
-    field = hamiltonian_field(energy, CANONICAL, DUAL)
+    field = hamiltonian_field(energy, canonical, DUAL)
     verdict = check_global_witness_symplectic(
-        field, energy, CANONICAL, DUAL, sigma=1, rng=np.random.default_rng(2)
+        field, energy, canonical, DUAL, sigma=1, rng=np.random.default_rng(2)
     )
     assert verdict.ok and verdict.matched_sign == 1
     flipped = check_global_witness_symplectic(
-        field, energy, CANONICAL, DUAL, sigma=-1, rng=np.random.default_rng(2)
+        field, energy, canonical, DUAL, sigma=-1, rng=np.random.default_rng(2)
     )
     assert not flipped.ok
     assert flipped.matched_sign == 1
     negated = field.scaled(BundleFunction.constant(-1.0, DUAL, 2))
     reverse = check_global_witness_symplectic(
-        negated, energy, CANONICAL, DUAL, sigma=-1, rng=np.random.default_rng(2)
+        negated, energy, canonical, DUAL, sigma=-1, rng=np.random.default_rng(2)
     )
     assert reverse.ok and reverse.matched_sign == -1
     stray = prolong_function(parse_expr("x0 * x1", 2), DUAL)
     assert not check_global_witness_symplectic(
-        field, stray, CANONICAL, DUAL, sigma=1, rng=np.random.default_rng(2)
+        field, stray, canonical, DUAL, sigma=1, rng=np.random.default_rng(2)
     ).ok
 
 
 def test_prolonged_contraction_of_a_hamiltonian_field_is_closed():
-    omega = prolong_form(CURVED.form, T3)
+    omega = prolong_form(curved_structure().form, T3)
     fn = prolong_function(parse_expr("x0^2 * x1", 2), T3)
-    field = hamiltonian_field(fn, CURVED, T3)
+    field = hamiltonian_field(fn, curved_structure(), T3)
     closed = bundle_exterior_derivative(interior_product(field, omega))
     rng = np.random.default_rng(17)
     paired = closed.coefficient((0, 1))
@@ -350,9 +362,9 @@ def test_prolonged_contraction_of_a_hamiltonian_field_is_closed():
 
 
 def test_scaled_contraction_is_function_linear():
-    omega = prolong_form(CANONICAL.form, DUAL)
+    omega = prolong_form(canonical_structure().form, DUAL)
     fn = prolong_function(parse_expr("x0 + x1^2", 2), DUAL)
-    field = hamiltonian_field(fn, CANONICAL, DUAL)
+    field = hamiltonian_field(fn, canonical_structure(), DUAL)
     weight = prolong_function(parse_expr("x0 * x1", 2), DUAL)
     left = interior_product(field.scaled(weight), omega)
     right = interior_product(field, omega)
