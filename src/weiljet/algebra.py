@@ -521,7 +521,8 @@ class WeilElement:
                 and np.array_equal(self._coeffs, other._coeffs))
 
     def __hash__(self):
-        return hash((self.algebra._fingerprint, self._coeffs.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, so elements equal under == hash alike
+        return hash((self.algebra._fingerprint, (self._coeffs + 0.0).tobytes()))
 
     def almost_equal(self, other: "WeilElement", tol: float = 1e-9) -> bool:
         _require_same_algebra(self.algebra, other.algebra)

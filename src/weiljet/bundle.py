@@ -3,12 +3,12 @@
 A near-point of R^n for a Weil algebra A is an n-tuple of A elements; its
 origin is the tuple of augmentations.  A smooth map h between base opens
 prolongs to near-points by evaluating each component over A, and a scalar
-function f prolongs to the A-valued function f^A acting the same way.  A
-batch of near-points (``NearPoints``) holds S of them as one coefficient
-array, and functions evaluate over all of them at once; sampled comparisons
-draw and evaluate their points that way.  A point or a batch keeps what was
-evaluated there (expression nodes, linear solves) in its own cache, which
-goes when the point goes.
+function f prolongs to the A-valued function f^A acting the same way.  One
+type, ``NearPoint``, holds a point as an (n, d) coefficient array and a
+batch of S points as an (S, n, d) one; functions evaluate over a whole batch
+at once, and sampled comparisons draw and evaluate their points that way.
+A point or a batch keeps what was evaluated there (expression nodes, linear
+solves) in its own cache, which goes when the point goes.
 
 An A-valued function on the near-point space is the root of one
 hash-consed expression DAG (``expression``).  Its real subtrees are base
@@ -49,18 +49,22 @@ DEFAULT_SEED = 42
 
 
 class NearPoint:
-    """A point of the prolonged space: one A element per base coordinate.
+    """A point of the prolonged space, or a batch of them: one A element per
+    base coordinate, held as one read-only coefficient array ``coeffs`` of
+    shape (..., n, d).  A single point has no leading axes; a batch of S
+    points has shape (S, n, d), and ``batch[s]`` is sample s as a point of
+    its own.
 
-    ``coeffs`` stacks the coordinates' coefficients as an (n, d) array.
-    Evaluation of expressions at the point is memoized node by node, so
-    functions evaluated at one NearPoint share their subexpressions there;
-    linear solves keep their solutions in the same cache.
+    Evaluation of expressions is memoized node by node in the point's cache,
+    so functions evaluated at one point or batch share their subexpressions
+    there; linear solves keep their solutions in the same cache.  A batch
+    runs each node over all of its points at once and gives every sample the
+    bits it would get alone.
     """
 
-    __slots__ = ("algebra", "coords", "coeffs", "_eval_cache", "__weakref__")
+    __slots__ = ("algebra", "coeffs", "_eval_cache", "__weakref__")
 
     def __init__(self, coords: Sequence[WeilElement]):
-        coords = tuple(coords)
         if not coords:
             raise ArityError("a near-point needs at least one coordinate")
         algebra = coords[0].algebra
@@ -68,17 +72,35 @@ class NearPoint:
             if not algebra.compatible_with(c.algebra):
                 raise AlgebraMismatch("near-point coordinates disagree on the algebra")
         self.algebra = algebra
-        self.coords = coords
         self.coeffs = np.array([c.coeffs for c in coords])
         self.coeffs.setflags(write=False)
         self._eval_cache = {}
 
+    @classmethod
+    def from_coeffs(cls, algebra: WeilAlgebra, coeffs) -> "NearPoint":
+        """The point or batch with a copy of ``coeffs``, an (..., n, d) array."""
+        coeffs = np.array(coeffs, dtype=float)
+        if coeffs.ndim < 2 or coeffs.shape[-2] < 1 or coeffs.shape[-1] != algebra.dim:
+            raise ArityError(f"expected an (..., n, {algebra.dim}) coefficient array, "
+                             f"got shape {coeffs.shape}")
+        coeffs.setflags(write=False)
+        point = object.__new__(cls)
+        point.algebra = algebra
+        point.coeffs = coeffs
+        point._eval_cache = {}
+        return point
+
     @property
     def arity(self) -> int:
-        return len(self.coords)
+        return self.coeffs.shape[-2]
+
+    def __getitem__(self, index: int) -> "NearPoint":
+        """Sample ``index`` of a batch; a single point raises ArityError."""
+        return NearPoint.from_coeffs(self.algebra, self.coeffs[index])
 
     def pulled(self, expr: ScalarExpr) -> np.ndarray:
-        """Coefficients of the prolonged function expr^A at this point."""
+        """Coefficients of the prolonged function expr^A at this point, or at
+        every point of the batch."""
         cached = self._eval_cache.get(expr)
         if cached is None:
             cached = eval_weil(expr, self, cache=self._eval_cache)
@@ -88,51 +110,17 @@ class NearPoint:
         if not isinstance(other, NearPoint):
             return NotImplemented
         return (self.algebra.compatible_with(other.algebra)
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.algebra._fingerprint, self.coords))
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __repr__(self):
-        inner = ", ".join(repr(c) for c in self.coords)
+        if self.coeffs.ndim > 2:
+            return f"NearPoint(batch of shape {self.coeffs.shape})"
+        inner = ", ".join(repr(WeilElement(self.algebra, c)) for c in self.coeffs)
         return f"NearPoint({inner})"
 
 
-class NearPoints:
-    """A batch of S near-points, held as one (S, n, d) coefficient array.
-
-    Expressions and linear solves evaluate over the whole batch at once,
-    memoized in one cache for the batch, and give every sample the bits it
-    would get alone.  ``batch[s]`` is sample s as a NearPoint of its own.
-    """
-
-    __slots__ = ("algebra", "coeffs", "_eval_cache")
-
-    def __init__(self, algebra: WeilAlgebra, coeffs):
-        coeffs = np.array(coeffs, dtype=float)
-        if coeffs.ndim != 3 or coeffs.shape[1] < 1 or coeffs.shape[2] != algebra.dim:
-            raise ArityError(f"expected an (S, n, {algebra.dim}) coefficient array, "
-                             f"got shape {coeffs.shape}")
-        coeffs.setflags(write=False)
-        self.algebra = algebra
-        self.coeffs = coeffs
-        self._eval_cache = {}
-
-    @property
-    def arity(self) -> int:
-        return self.coeffs.shape[1]
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
-
-    def __getitem__(self, index: int) -> NearPoint:
-        return NearPoint([WeilElement(self.algebra, c) for c in self.coeffs[index]])
-
-    pulled = NearPoint.pulled
-
-
 def sample_near_points(algebra: WeilAlgebra, arity: int, rng: np.random.Generator,
-                       samples: int) -> NearPoints:
+                       samples: int) -> NearPoint:
     """``samples`` random near-points from one draw: augmentations uniform in
     ``DEFAULT_BOX``, the remaining coefficients uniform in [-1, 1].  The
     points and the generator's final state are those of drawing the points
@@ -144,7 +132,7 @@ def sample_near_points(algebra: WeilAlgebra, arity: int, rng: np.random.Generato
     # by the last value scaled to the box
     coeffs = -1.0 + 2.0 * u[..., :-1]
     coeffs[..., 0] = lo + (hi - lo) * u[..., -1]
-    return NearPoints(algebra, coeffs)
+    return NearPoint.from_coeffs(algebra, coeffs)
 
 
 def sample_near_point(algebra: WeilAlgebra, arity: int,
@@ -204,20 +192,20 @@ class BundleFunction:
 
     # -- evaluation and calculus ----------------------------------------------
 
-    def evaluate(self, point):
-        """Value at a NearPoint, or at every point of a NearPoints batch as
-        a read-only (S, d) coefficient array: the root evaluated there, with
-        every node kept in the point's cache."""
+    def evaluate(self, point: NearPoint):
+        """Value at a near-point, or at every point of a batch as a read-only
+        (S, d) coefficient array: the root evaluated there, with every node
+        kept in the point's cache."""
         if not self.algebra.compatible_with(point.algebra):
             raise AlgebraMismatch("point algebra does not match the function")
         if point.arity != self.arity:
             raise ArityError("point arity does not match the function")
         value = point.pulled(self.root)
-        if isinstance(point, NearPoints):
-            value = value.view()
-            value.setflags(write=False)
-            return value
-        return _wrap(self.algebra, value)
+        if value.ndim == 1:
+            return _wrap(self.algebra, value)
+        value = value.view()
+        value.setflags(write=False)
+        return value
 
     def partial(self, index: int) -> "BundleFunction":
         """Partial derivative along base coordinate ``index``."""
@@ -266,7 +254,7 @@ def prolong_function(f: ScalarExpr, algebra: WeilAlgebra) -> BundleFunction:
     return BundleFunction.from_expr(f, algebra)
 
 
-def pushforward_map(components: Sequence[ScalarExpr], point):
+def pushforward_map(components: Sequence[ScalarExpr], point: NearPoint) -> NearPoint:
     """Apply the prolongation of the smooth map with the given component
     expressions to a near-point, or to every point of a batch."""
     if not components:
@@ -275,9 +263,7 @@ def pushforward_map(components: Sequence[ScalarExpr], point):
         if h.arity != point.arity:
             raise ArityError("map components disagree with the point arity")
     coeffs = np.stack([point.pulled(h) for h in components], axis=-2)
-    if isinstance(point, NearPoints):
-        return NearPoints(point.algebra, coeffs)
-    return NearPoint([WeilElement(point.algebra, c) for c in coeffs])
+    return NearPoint.from_coeffs(point.algebra, coeffs)
 
 
 # -- vector fields ------------------------------------------------------------
@@ -454,5 +440,5 @@ def coordinate_pair_cases(component: Callable[[int, int], BundleFunction],
                                          rng=rng)
         yield residual, {
             "pair": [i, j],
-            "point": [[float(v) for v in c.coeffs] for c in point.coords],
+            "point": point.coeffs.tolist(),
         }

@@ -52,7 +52,6 @@ from .algebra import (
     _live,
     _power,
     _product,
-    _wrap,
 )
 from .errors import (
     AlgebraMismatch,
@@ -782,42 +781,26 @@ def _primitive_derivative(fn: str, k: int, x: float) -> float:
         raise DomainError(f"derivative {k} of {fn} is out of range at {x!r}") from None
 
 
-def eval_weil(f: ScalarExpr, point, *,
-              cache: dict | None = None) -> WeilElement | np.ndarray:
+def eval_weil(f: ScalarExpr, point, *, cache: dict | None = None) -> np.ndarray:
     """Evaluate over a Weil algebra; this is the algebra morphism that sends
     x_i to the i-th coordinate of the point.
 
-    ``point`` is either a sequence of n WeilElements, and the value is a
-    WeilElement, or near-points given as an object with an ``algebra`` and a
-    coefficient array ``coeffs`` of shape (..., n, d) (a ``bundle.NearPoint``
-    or a ``bundle.NearPoints`` batch), and the value is the (..., d) array.
-    A batch runs the DAG once, each node over all of its points at once, and
-    gives every point the bits a single evaluation would.  A solved
-    component reads its solve from the near-points' own cache, so it has no
-    value at a sequence of elements.
+    ``point`` is a ``bundle.NearPoint``: an ``algebra`` and a coefficient
+    array ``coeffs`` of shape (..., n, d), one point or a batch of them, and
+    the value is the (..., d) array.  A batch runs the DAG once, each node
+    over all of its points at once, and gives every point the bits a single
+    evaluation would.  A solved component reads its solve from the point's
+    own cache.
 
     ``cache`` maps nodes to their coefficient arrays at this same point; it is
     read and extended, so evaluations at one point share their
     subexpressions.
     """
-    elements = not hasattr(point, "coeffs")
-    if elements:
-        if len(point) != f.arity:
-            raise ArityError("point length does not match the arity")
-        if not point:
-            raise ArityError("evaluation over an algebra needs at least one coordinate")
-        algebra = point[0].algebra
-        for elem in point:
-            if not algebra.compatible_with(elem.algebra):
-                raise AlgebraMismatch("point coordinates live in different algebras")
-        coords = [elem.coeffs for elem in point]
-        batch = ()
-    else:
-        algebra, array = point.algebra, point.coeffs
-        if array.shape[-2] != f.arity:
-            raise ArityError("point length does not match the arity")
-        coords = [array[..., i, :] for i in range(f.arity)]
-        batch = array.shape[:-2]
+    algebra, array = point.algebra, point.coeffs
+    if array.shape[-2] != f.arity:
+        raise ArityError("point length does not match the arity")
+    coords = [array[..., i, :] for i in range(f.arity)]
+    batch = array.shape[:-2]
     values = {} if cache is None else cache
     for node in _topological(f):
         if node in values:
@@ -847,11 +830,9 @@ def eval_weil(f: ScalarExpr, point, *,
                 raise AlgebraMismatch("an A-valued constant lives in another algebra")
             value = np.broadcast_to(node.coeffs, batch + node.coeffs.shape)
         else:  # _Solved
-            if elements:
-                raise TypeError("a solved component evaluates at near-points only")
             value = node.solve.solution(point)[..., node.index, :]
         values[node] = value
-    return _wrap(algebra, values[f]) if elements else values[f]
+    return values[f]
 
 
 def _taylor_lift(fn: str, algebra: WeilAlgebra, a: np.ndarray,

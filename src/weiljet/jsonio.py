@@ -133,7 +133,7 @@ def element_from_json(obj, algebra: WeilAlgebra) -> WeilElement:
 
 def point_to_json(point: NearPoint) -> dict:
     return {"algebra": algebra_to_json(point.algebra),
-            "coords": [element_to_json(c) for c in point.coords]}
+            "coords": [{"coeffs": _coeffs_to_json(row)} for row in point.coeffs]}
 
 
 def point_from_json(obj: dict, algebra: WeilAlgebra | None = None) -> NearPoint:

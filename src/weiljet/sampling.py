@@ -17,7 +17,6 @@ from .bundle import (
     DEFAULT_SEED,
     BaseVectorField,
     BundleFunction,
-    sample_near_point,
 )
 from .expression import ScalarExpr, add, call, const, mul, pow_, var
 from .symplectic import BaseForm, increasing_tuples
@@ -117,7 +116,6 @@ def random_bundle_function(algebra: WeilAlgebra, arity: int,
 __all__ = [
     "DEFAULT_SEED",
     "sample_element",
-    "sample_near_point",
     "random_polynomial",
     "random_expression",
     "random_base_field",

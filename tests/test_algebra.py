@@ -178,6 +178,12 @@ def test_compatibility_is_structural():
     assert not DUAL.compatible_with(T4)
 
 
+def test_hash_agrees_with_equality_on_signed_zeros():
+    a, b = DUAL.element([0.0, 1.0]), DUAL.element([-0.0, 1.0])
+    assert a == b
+    assert len({a, b}) == 1
+
+
 def _dense_product(a, b):
     constants = a.algebra.structure_constants
     return np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, constants)

@@ -9,6 +9,7 @@ import pytest
 from weiljet.algebra import (
     AlgebraMismatch,
     NotInvertible,
+    WeilElement,
     _product,
     make_truncated_algebra,
     validate_algebra,
@@ -19,7 +20,6 @@ from weiljet.bundle import (
     BundleFunction,
     BundleVectorField,
     NearPoint,
-    NearPoints,
     apply_field,
     functions_equal,
     lie_bracket,
@@ -167,8 +167,8 @@ def test_pushforward_evaluates_componentwise():
     chart = [parse_expr("x0 * x1", 2), parse_expr("x0 + x1", 2), parse_expr("sin(x0)", 2)]
     image = pushforward_map(chart, point)
     assert image.arity == 3
-    for component, coord in zip(chart, image.coords):
-        assert coord.almost_equal(eval_weil(component, point.coords))
+    for component, coord in zip(chart, image.coeffs):
+        assert np.allclose(coord, eval_weil(component, point), rtol=0.0, atol=1e-9)
 
 
 def test_pushforward_functoriality():
@@ -178,8 +178,7 @@ def test_pushforward_functoriality():
     outer = [parse_expr("x0^2 + x1", 2)]
     stepwise = pushforward_map(outer, pushforward_map(inner, point))
     collapsed = pushforward_map([compose(c, inner) for c in outer], point)
-    for a, b in zip(stepwise.coords, collapsed.coords):
-        assert a.almost_equal(b, tol=1e-9)
+    assert np.allclose(stepwise.coeffs, collapsed.coeffs, rtol=0.0, atol=1e-9)
 
 
 def test_functions_equal_tolerance_and_determinism():
@@ -313,7 +312,7 @@ def test_batch_evaluation_equals_point_evaluation(algebra, samples):
     for s, point in enumerate(_points_of(batch)):
         assert np.array_equal(values[s], fn.evaluate(point).coeffs)
         for f, jet in zip(exprs, jets):
-            assert np.array_equal(jet[s], eval_weil(f, point.coords).coeffs)
+            assert np.array_equal(jet[s], eval_weil(f, point))
 
 
 # Each structure is built by the test: one built at collection would live for
@@ -349,16 +348,56 @@ def test_batch_domain_error_at_the_last_point():
     coeffs = np.array(sample_near_points(T3, 1, np.random.default_rng(2), 4).coeffs)
     coeffs[:, 0, 0] = [1.0, 2.0, 0.5, -0.5]
     log = parse_expr("log(x0)", 1)
-    assert eval_weil(log, NearPoints(T3, coeffs[:3])).shape == (3, 3)
+    assert eval_weil(log, NearPoint.from_coeffs(T3, coeffs[:3])).shape == (3, 3)
     with pytest.raises(DomainError):
-        eval_weil(log, NearPoints(T3, coeffs))
+        eval_weil(log, NearPoint.from_coeffs(T3, coeffs))
 
 
 def test_batch_with_a_singular_point_is_not_invertible():
     coeffs = np.array(sample_near_points(T3, 1, np.random.default_rng(2), 4).coeffs)
     coeffs[2, 0, 0] = 0.0
     with pytest.raises(NotInvertible):
-        eval_weil(parse_expr("1 / x0", 1), NearPoints(T3, coeffs))
+        eval_weil(parse_expr("1 / x0", 1), NearPoint.from_coeffs(T3, coeffs))
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 0, 3), (4, 2, 4)],
+                         ids=["no-coordinate-axis", "no-coordinates", "wrong-dim"])
+def test_from_coeffs_rejects_a_wrong_shape(shape):
+    with pytest.raises(ArityError):
+        NearPoint.from_coeffs(T3, np.zeros(shape))
+
+
+def test_a_batch_and_its_points_share_one_type():
+    batch = sample_near_points(T3, 2, np.random.default_rng(6), 3)
+    fn = prolong_function(parse_expr("sin(x0) * x1", 2), T3)
+    values = fn.evaluate(batch)
+    assert isinstance(values, np.ndarray) and values.shape == (3, 3)
+    assert not values.flags.writeable and not batch.coeffs.flags.writeable
+    for s in range(3):
+        point = batch[s]
+        assert point == NearPoint([T3.element(c) for c in batch.coeffs[s]])
+        assert point._eval_cache == {}
+        value = fn.evaluate(point)
+        assert isinstance(value, WeilElement)
+        assert np.array_equal(value.coeffs, values[s])
+        with pytest.raises(ArityError):
+            point[0]
+
+
+def test_batches_go_through_the_class_pulled(monkeypatch):
+    # a tracer wraps NearPoint.pulled by class attribute, so batches must
+    # look it up there rather than through a copy bound when a class is made
+    shapes = []
+    pulled = NearPoint.pulled
+
+    def counting(point, expr):
+        shapes.append(point.coeffs.shape)
+        return pulled(point, expr)
+
+    monkeypatch.setattr(NearPoint, "pulled", counting)
+    f = prolong_function(parse_expr("sin(x0) * x1", 2), T3)
+    max_difference(f, f * 2.0, samples=4, rng=np.random.default_rng(0))
+    assert shapes == [(4, 2, 3), (4, 2, 3)]
 
 
 # -- operations against a term reference ----------------------------------------
@@ -372,7 +411,7 @@ def test_batch_with_a_singular_point_is_not_invertible():
 # operation in value at a batch of near-points.
 
 def _ref_value(terms, algebra, points):
-    total = np.zeros((len(points), algebra.dim))
+    total = np.zeros((points.coeffs.shape[0], algebra.dim))
     for coeff, pulls in terms:
         value = np.broadcast_to(coeff.coeffs, total.shape)
         for p in pulls:

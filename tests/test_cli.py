@@ -144,7 +144,7 @@ def test_bracket_without_point_emits_a_readable_function(capsys):
     assert code == 0
     fn = bundle_function_from_json(json.loads(out), T3, 3)
     point = sample_near_point(T3, 3, np.random.default_rng(0))
-    assert fn.evaluate(point).almost_equal(point.coords[2], tol=1e-10)
+    assert fn.evaluate(point).almost_equal(T3.element(point.coeffs[2]), tol=1e-10)
 
 
 def test_hamfield_rotational(capsys):
@@ -160,8 +160,8 @@ def test_hamfield_rotational(capsys):
     point = sample_near_point(T3, 3, np.random.default_rng(1))
     values = [c.evaluate(point) for c in field.components]
     assert values[0].almost_equal(T3.zero(), tol=1e-10)
-    assert values[1].almost_equal(point.coords[2], tol=1e-10)
-    assert values[2].almost_equal(point.coords[1] * T3.from_real(-1.0), tol=1e-10)
+    assert values[1].almost_equal(T3.element(point.coeffs[2]), tol=1e-10)
+    assert values[2].almost_equal(T3.element(point.coeffs[1]) * T3.from_real(-1.0), tol=1e-10)
 
 
 def test_hamfield_at_a_point_with_sign(capsys):
@@ -507,7 +507,7 @@ def test_deep_sum_hamfield_reads_back(capsys):
     assert code == 0
     field = bundle_field_from_json(strict_document(out), make_truncated_algebra(1, 1))
     point = sample_near_point(field.algebra, 2, np.random.default_rng(1))
-    x0, x1 = (c.coeffs for c in point.coords)
+    x0, x1 = point.coeffs
     np.testing.assert_allclose(field.components[0].evaluate(point).coeffs, -3000 * x0)
     np.testing.assert_allclose(field.components[1].evaluate(point).coeffs, 3000 * x1)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from weiljet import expression
 from weiljet.algebra import NotInvertible, make_truncated_algebra
+from weiljet.bundle import NearPoint
 from weiljet.errors import ArityError, DomainError, ParseError, UnknownIdentifier
 from weiljet.expression import (
     PRIMITIVES,
@@ -148,13 +149,13 @@ def test_eval_real_domain_errors():
 def test_eval_weil_log_needs_positive_augmentation():
     f = parse_expr("log(x0)", 1)
     with pytest.raises(DomainError):
-        eval_weil(f, [DUAL.element([-1.0, 1.0])])
+        eval_weil(f, NearPoint([DUAL.element([-1.0, 1.0])]))
 
 
 def test_eval_weil_division_by_nilpotent():
     f = parse_expr("x0 / x1", 2)
     with pytest.raises(NotInvertible):
-        eval_weil(f, [DUAL.unit(), DUAL.basis_element(1)])
+        eval_weil(f, NearPoint([DUAL.unit(), DUAL.basis_element(1)]))
 
 
 @given(st.integers(1, 3), seeds)
@@ -177,7 +178,7 @@ def test_eval_weil_carries_taylor_coefficients(seed):
     rng = np.random.default_rng(seed)
     f = random_expression(1, rng)
     a = float(rng.uniform(-1.0, 1.0))
-    got = eval_weil(f, [T4.element([a, 1.0, 0.0, 0.0])]).coeffs
+    got = eval_weil(f, NearPoint([T4.element([a, 1.0, 0.0, 0.0])]))
     x = sp.symbols("x0:1")[0]
     oracle = to_sympy(f, (x,))
     for k in range(4):
@@ -191,7 +192,7 @@ def test_eval_weil_composite_jets(seed):
     rng = np.random.default_rng(seed)
     f = random_expression(1, rng)
     a, b, c = (float(v) for v in rng.uniform(-1.0, 1.0, 3))
-    got = eval_weil(f, [T3.element([a, b, c])]).coeffs
+    got = eval_weil(f, NearPoint([T3.element([a, b, c])]))
     x, s = sp.symbols("x s")
     curve = to_sympy(f, (x,)).subs(x, a + b * s + c * s**2)
     poly = sp.series(curve, s, 0, 3).removeO()
@@ -203,8 +204,8 @@ def test_eval_weil_composite_jets(seed):
 def test_eval_weil_multivariate_gradient():
     f = parse_expr("sin(x0) * x1 + x1^2", 2)
     a, b = 0.7, -0.4
-    point = [M2.element([a, 1.0, 0.0]), M2.element([b, 0.0, 1.0])]
-    got = eval_weil(f, point).coeffs
+    point = NearPoint([M2.element([a, 1.0, 0.0]), M2.element([b, 0.0, 1.0])])
+    got = eval_weil(f, point)
     assert got[0] == pytest.approx(math.sin(a) * b + b * b)
     assert got[1] == pytest.approx(math.cos(a) * b)
     assert got[2] == pytest.approx(math.sin(a) + 2 * b)
@@ -213,7 +214,7 @@ def test_eval_weil_multivariate_gradient():
 def test_eval_weil_log_and_division_jets():
     f = parse_expr("log(x0) / (1 + x0)", 1)
     a = 2.0
-    got = eval_weil(f, [T3.element([a, 1.0, 0.0])]).coeffs
+    got = eval_weil(f, NearPoint([T3.element([a, 1.0, 0.0])]))
     x = sp.Symbol("x")
     oracle = sp.log(x) / (1 + x)
     for k in range(3):
@@ -410,12 +411,13 @@ def test_dag_walks_match_recursive_tree_walks_on_deep_partials():
         point = [algebra.element(np.concatenate(([rng.uniform(-1, 1)],
                                                  rng.uniform(-1, 1, algebra.dim - 1))))
                  for _ in range(2)]
-        got = eval_weil(f, point).coeffs
+        at = NearPoint(point)
+        got = eval_weil(f, at)
         assert np.array_equal(got, _tree_eval_weil(f, point).coeffs), order
         cache = {}
-        assert np.array_equal(eval_weil(f, point, cache=cache).coeffs, got)
+        assert np.array_equal(eval_weil(f, at, cache=cache), got)
         shared = f.children[0]
-        assert eval_weil(shared, point, cache=cache).coeffs is cache[shared]
+        assert eval_weil(shared, at, cache=cache) is cache[shared]
 
 
 def test_deep_nesting_evaluates_without_recursion():
@@ -426,8 +428,8 @@ def test_deep_nesting_evaluates_without_recursion():
     assert parse_expr(g.text, 2) is g
     assert parse_expr(f.text, 2) is f
     assert eval_real(g, [0.5, 2.0]) == 2.0 * n
-    point = [DUAL.element([1.0, 1.0]), DUAL.element([2.0, 0.0])]
-    assert eval_weil(f, point).coeffs.tolist() == [2.0 * n, 2.0 * n]
+    point = NearPoint([DUAL.element([1.0, 1.0]), DUAL.element([2.0, 0.0])])
+    assert eval_weil(f, point).tolist() == [2.0 * n, 2.0 * n]
     h = compose(f, [parse_expr("x2", 3), parse_expr("x0", 3)])
     assert eval_real(h, [2.0, 0.0, 0.5]) == 1.0 * n
 

@@ -268,7 +268,7 @@ def _ref_closedness_cases(field, structure, samples, rng):
                                          samples=samples, rng=rng)
         yield residual, {
             "pair": [i, j],
-            "point": [[float(v) for v in c.coeffs] for c in point.coords],
+            "point": point.coeffs.tolist(),
         }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from weiljet.algebra import make_truncated_algebra
-from weiljet.bundle import DEFAULT_BOX
+from weiljet.bundle import DEFAULT_BOX, sample_near_point
 from weiljet.expression import eval_real
 from weiljet.sampling import (
     random_base_field,
@@ -12,7 +12,6 @@ from weiljet.sampling import (
     random_expression,
     random_polynomial,
     sample_element,
-    sample_near_point,
 )
 
 T3 = make_truncated_algebra(1, 2)

@@ -40,6 +40,27 @@ def test_benchmark_tracer_installs_against_the_sources():
     assert result.stdout.strip() == "traced"
 
 
+JETS_ROUND = """
+import sys
+sys.path.insert(0, "perfbench")
+import reference, workloads
+inputs, expect = reference.jets_inputs(1)
+inputs = {family: ops[:2] for family, ops in inputs.items()}
+expect = {family: jets[:2] for family, jets in expect.items()}
+_, outputs, ops = workloads.Jets(inputs).run_round()
+print(ops, reference.check("jets", inputs, expect, outputs))
+"""
+
+
+def test_benchmark_jets_round_runs_against_the_sources():
+    # the jets workload builds its near-points through the public
+    # constructor, so a change to what it calls fails here rather than in
+    # the benchmark
+    result = run_script("-c", JETS_ROUND)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "4 ([], 0)"
+
+
 def test_demo_runs():
     result = run_script("scripts/demo.py")
     assert result.returncode == 0, result.stderr

@@ -11,7 +11,6 @@ from weiljet.bundle import (
     BaseVectorField,
     BundleFunction,
     NearPoint,
-    NearPoints,
     functions_equal,
     prolong_function,
     prolong_vector_field,
@@ -234,10 +233,10 @@ def test_batch_with_a_singular_solve_point_raises():
     potential = prolong_function(parse_expr("x0 * x1^2", 2), T3)
     component = hamiltonian_field(potential, structure, T3).components[0]
     coeffs = np.array(sample_near_points(T3, 2, np.random.default_rng(3), 4).coeffs)
-    assert component.evaluate(NearPoints(T3, coeffs)).shape == (4, 3)
+    assert component.evaluate(NearPoint.from_coeffs(T3, coeffs)).shape == (4, 3)
     coeffs[2, 0, 0] = 0.0
     with pytest.raises(SingularRealPart):
-        component.evaluate(NearPoints(T3, coeffs))
+        component.evaluate(NearPoint.from_coeffs(T3, coeffs))
 
 
 def test_solves_do_not_keep_their_points_alive():
@@ -271,9 +270,9 @@ def test_hamiltonian_field_oracles():
     # the energy rotates: X_H = (x1, -x0)
     energy = prolong_function(parse_expr("(x0^2 + x1^2) / 2", 2), DUAL)
     field = hamiltonian_field(energy, canonical_structure(), DUAL)
-    assert field.components[0].evaluate(point).almost_equal(point.coords[1], tol=1e-9)
+    assert field.components[0].evaluate(point).almost_equal(DUAL.element(point.coeffs[1]), tol=1e-9)
     assert field.components[1].evaluate(point).almost_equal(
-        point.coords[0] * DUAL.from_real(-1.0), tol=1e-9
+        DUAL.element(point.coeffs[0]) * DUAL.from_real(-1.0), tol=1e-9
     )
     # coordinate functions move each other: X_{x1} = (1, 0) and X_{x0} = (0, -1)
     first = hamiltonian_field(prolong_function(parse_expr("x1", 2), DUAL),
