@@ -78,13 +78,6 @@ def _sign_flag(text: str) -> int:
     raise argparse.ArgumentTypeError("sign must be +1 or -1")
 
 
-def _load_json_arg(text: str, what: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} is not valid JSON: {exc}") from None
-
-
 def _read_function(text: str, algebra, arity: int) -> BundleFunction:
     """A function argument: an expression string, or a {"terms": ...} JSON
     object."""
@@ -93,7 +86,7 @@ def _read_function(text: str, algebra, arity: int) -> BundleFunction:
     stripped = text.strip()
     if stripped.startswith("{"):
         return jsonio.bundle_function_from_json(
-            _load_json_arg(stripped, "function"), algebra, arity)
+            jsonio.load_json(stripped, "function"), algebra, arity)
     return bundle.BundleFunction.from_expr(
         expression.parse_expr(stripped, arity), algebra)
 
@@ -132,7 +125,7 @@ def cmd_prolong(args) -> int:
     from . import bundle, expression, jsonio
 
     algebra = jsonio.parse_algebra_spec(args.algebra) if args.algebra else None
-    point = jsonio.point_from_json(_load_json_arg(args.point, "near-point"),
+    point = jsonio.point_from_json(jsonio.load_json(args.point, "near-point"),
                                    algebra)
     f = expression.parse_expr(args.expr, point.arity)
     value = bundle.prolong_function(f, point.algebra).evaluate(point)
@@ -153,7 +146,7 @@ def cmd_bracket(args) -> int:
         result = symplectic.symplectic_bracket(left, right, base, algebra)
     if args.point:
         point = jsonio.point_from_json(
-            _load_json_arg(args.point, "near-point"), algebra)
+            jsonio.load_json(args.point, "near-point"), algebra)
         _emit(jsonio.element_to_json(result.evaluate(point)))
     else:
         _emit(jsonio.bundle_function_to_json(result))
@@ -175,7 +168,7 @@ def cmd_hamfield(args) -> int:
             bundle.BundleFunction.constant(-1.0, algebra, base.arity))
     if args.point:
         point = jsonio.point_from_json(
-            _load_json_arg(args.point, "near-point"), algebra)
+            jsonio.load_json(args.point, "near-point"), algebra)
         _emit({"components": [jsonio.element_to_json(c.evaluate(point))
                               for c in field.components],
                "sign": args.sign})
@@ -194,7 +187,7 @@ def cmd_hamcheck(args) -> int:
     algebra = jsonio.parse_algebra_spec(args.algebra)
     mode, base, prolonged = _structure(args, algebra)
     field = jsonio.bundle_field_from_json(
-        _load_json_arg(args.field, "field"), algebra)
+        jsonio.load_json(args.field, "field"), algebra)
     if field.arity != base.arity:
         raise ArityError("field component count does not match the structure")
     witness = None

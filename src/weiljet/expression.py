@@ -24,8 +24,9 @@ DAG in a topological order, found once per root and kept on it, with no
 Python recursion; each handles a distinct node once per call, so shared
 subexpressions cost nothing extra and nesting depth is bounded by memory
 only.  Differentiation goes further and keeps each node's partials on the
-node.  Only the parser recurses, so it refuses parentheses nested too
-deeply; a long sum or product prints one level deep and parses in a loop.
+node.  The parser reads a text in one loop over an explicit stack, so it
+refuses nesting deeper than ``MAX_NESTING`` wherever it is called from; a
+long sum or product prints one level deep and parses flat.
 
 Evaluation over a Weil algebra replaces each primitive g by its truncated
 Taylor expansion g(a0 + nu) = sum_{k<=h} g^(k)(a0)/k! * nu^k, where a0 is the
@@ -439,146 +440,19 @@ def _real_primitive(fn: str, x: float) -> float:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
+# The deepest stack of pending operations a text may build: open parentheses
+# and calls, negations, and operators waiting for their right operand.
+MAX_NESTING = 1000
+
+_SCAN = re.compile(r"""
+    \s+
   | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>[-+*/^()])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 _VAR_NAME = re.compile(r"^x(\d+)$")
-
-
-class _Token:
-    __slots__ = ("kind", "text", "offset", "value", "is_int")
-
-    def __init__(self, kind, text, offset, value=None, is_int=False):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-        self.value = value
-        self.is_int = is_int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
-            body = m.group()
-            tokens.append(_Token("num", body, pos, float(body),
-                                 is_int=("." not in body and "e" not in body and "E" not in body)))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("ident", m.group(), pos))
-        elif m.lastgroup == "op":
-            tokens.append(_Token("op", m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent for
-        expr   := term (('+'|'-') term)*
-        term   := factor (('*'|'/') factor)*
-        factor := '-' factor | atom ['^' integer]
-        atom   := number | ident | ident '(' expr ')' | '(' expr ')'
-    which gives the precedence ^  >  unary -  >  * /  >  + -.
-    """
-
-    def __init__(self, text: str, arity: int):
-        self.tokens = _tokenize(text)
-        self.arity = arity
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
-
-    def parse(self) -> ScalarExpr:
-        node = self.expr()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ParseError(f"unexpected trailing input {tail.text!r}", tail.offset)
-        return node
-
-    def expr(self) -> ScalarExpr:
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.take().text
-            rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
-
-    def term(self) -> ScalarExpr:
-        node = self.factor()
-        while self.at_op("*", "/"):
-            op = self.take().text
-            rhs = self.factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
-        return node
-
-    def factor(self) -> ScalarExpr:
-        if self.at_op("-"):
-            self.take()
-            return neg(self.factor())
-        node = self.atom()
-        if self.at_op("^"):
-            self.take()
-            sign = 1
-            if self.at_op("-"):
-                self.take()
-                sign = -1
-            tok = self.peek()
-            if tok.kind != "num" or not tok.is_int:
-                raise ParseError("exponent must be an integer", tok.offset)
-            self.take()
-            return pow_(node, sign * int(tok.value))
-        return node
-
-    def atom(self) -> ScalarExpr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return Const(tok.value, self.arity)
-        if tok.kind == "ident":
-            self.take()
-            m = _VAR_NAME.match(tok.text)
-            if m:
-                index = int(m.group(1))
-                if index >= self.arity:
-                    raise ArityError(
-                        f"variable {tok.text} out of range for arity {self.arity}")
-                return Var(index, self.arity)
-            if tok.text in PRIMITIVES:
-                if not self.at_op("("):
-                    raise ParseError(f"expected '(' after {tok.text}", self.peek().offset)
-                self.take()
-                arg = self.expr()
-                if not self.at_op(")"):
-                    raise ParseError("expected ')'", self.peek().offset)
-                self.take()
-                return call(tok.text, arg)
-            raise UnknownIdentifier(f"unknown identifier {tok.text!r}", tok.offset)
-        if self.at_op("("):
-            self.take()
-            node = self.expr()
-            if not self.at_op(")"):
-                raise ParseError("expected ')'", self.peek().offset)
-            self.take()
-            return node
-        raise ParseError("expected a number, identifier, or '('", tok.offset)
 
 
 def parse_expr(text: str, arity: int) -> ScalarExpr:
@@ -586,13 +460,103 @@ def parse_expr(text: str, arity: int) -> ScalarExpr:
 
     Variables are x0..x{arity-1}; ^ takes a literal integer exponent, with
     negative exponents rewritten as division and fractional ones rejected.
+    The grammar is
+        expr   := term (('+'|'-') term)*
+        term   := factor (('*'|'/') factor)*
+        factor := '-' factor | atom ['^' ['-'] integer]
+        atom   := number | ident | ident '(' expr ')' | '(' expr ')'
+    which gives the precedence ^  >  unary -  >  * /  >  + -.  One loop reads
+    it over an explicit stack at most ``MAX_NESTING`` deep.  Negations,
+    products and quotients are built as soon as their right operand is
+    complete, and sums and differences when the next term ends, so constant
+    folding raises where a recursive descent would.
     """
     if arity < 0:
         raise ArityError("arity must be nonnegative")
-    try:
-        return _Parser(text, arity).parse()
-    except RecursionError:
-        raise ParseError("expression nests too deeply") from None
+    # (kind, text, offset), an operator's kind being its text; the whole
+    # text is scanned before parsing starts
+    tokens = []
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind is not None:
+            tokens.append((m.group() if kind == "op" else kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    # pending (operation, left operand): "(" or a primitive opens a group,
+    # "neg" negates, and a binary operator holds its left operand
+    stack = []
+    pos = 0
+    while True:
+        # operand position: a negation, an opening group, or an atom
+        if len(stack) > MAX_NESTING:
+            raise ParseError("expression nests too deeply")
+        kind, body, offset = tokens[pos]
+        pos += 1
+        if kind == "-" or kind == "(" or body in PRIMITIVES:
+            if kind == "ident":
+                if tokens[pos][0] != "(":
+                    raise ParseError(f"expected '(' after {body}", tokens[pos][2])
+                pos += 1
+            stack.append(("neg" if kind == "-" else body, None))
+            continue
+        if kind == "num":
+            value = Const(float(body), arity)
+        elif kind == "ident":
+            m = _VAR_NAME.match(body)
+            if m is None:
+                raise UnknownIdentifier(f"unknown identifier {body!r}", offset)
+            if int(m.group(1)) >= arity:
+                raise ArityError(f"variable {body} out of range for arity {arity}")
+            value = Var(int(m.group(1)), arity)
+        else:
+            raise ParseError("expected a number, identifier, or '('", offset)
+        # operator position, after an atom or a closed group: at most one
+        # power, then a closing parenthesis, a binary operator or the end
+        while True:
+            kind, body, offset = tokens[pos]
+            if kind == "^":
+                pos += 1
+                sign = 1
+                if tokens[pos][0] == "-":
+                    sign = -1
+                    pos += 1
+                kind, body, offset = tokens[pos]
+                # a number is an integer when it has no point and no exponent
+                if kind != "num" or not body.isdigit():
+                    raise ParseError("exponent must be an integer", offset)
+                value = pow_(value, sign * int(float(body)))
+                pos += 1
+                kind, body, offset = tokens[pos]
+            while stack and stack[-1][0] in ("neg", "*", "/"):
+                op, left = stack.pop()
+                if op == "neg":
+                    value = neg(value)
+                elif op == "*":
+                    value = mul(left, value)
+                else:
+                    value = div(left, value)
+            if kind == "*" or kind == "/":
+                break
+            # the term ends here
+            while stack and stack[-1][0] in ("+", "-"):
+                op, left = stack.pop()
+                value = add(left, value) if op == "+" else sub(left, value)
+            if kind != ")" or not stack:
+                break
+            op = stack.pop()[0]
+            if op != "(":
+                value = call(op, value)
+            pos += 1
+        if kind in ("+", "-", "*", "/"):
+            stack.append((kind, value))
+            pos += 1
+            continue
+        if stack:
+            raise ParseError("expected ')'", offset)
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {body!r}", offset)
+        return value
 
 
 def _coerce(value, arity: int, what: str) -> ScalarExpr:

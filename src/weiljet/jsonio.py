@@ -56,6 +56,19 @@ from .poisson import PoissonStructure
 from .symplectic import BaseForm
 
 
+def load_json(text: str, what: str):
+    """The JSON document in ``text``, one command-line argument; ``what``
+    names it in the errors.  The decoder recurses once per level of
+    nesting, so a document nested past the interpreter's stack is refused
+    as a parse error, like a malformed one."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what} nests too deeply") from None
+
+
 # -- algebras -------------------------------------------------------------------
 
 def algebra_to_json(algebra: WeilAlgebra) -> dict:
@@ -89,11 +102,7 @@ def parse_algebra_spec(text: str) -> WeilAlgebra:
         except ValueError:
             raise ParseError(f"expected 'truncated:k,h', got {text!r}") from None
         return make_truncated_algebra(width, height)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"algebra spec is not valid JSON: {exc}") from None
-    return algebra_from_json(obj)
+    return algebra_from_json(load_json(text, "algebra spec"))
 
 
 # -- elements and points ----------------------------------------------------------
@@ -300,11 +309,7 @@ def parse_poisson_spec(text: str) -> PoissonStructure:
         return PoissonStructure.canonical(arity)
     if text == "rotational":
         return PoissonStructure.rotational()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"Poisson spec is not valid JSON: {exc}") from None
-    return poisson_from_json(obj)
+    return poisson_from_json(load_json(text, "Poisson spec"))
 
 
 def form_to_json(form: BaseForm) -> dict:
@@ -344,14 +349,12 @@ def parse_symplectic_spec(text: str, arity: int | None = None):
         except ValueError:
             raise ParseError(f"expected 'canonical:n', got {text!r}") from None
         return SymplecticStructure.canonical(size)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"symplectic spec is not valid JSON: {exc}") from None
-    return SymplecticStructure(form_from_json(obj, arity))
+    return SymplecticStructure(form_from_json(load_json(text, "symplectic spec"),
+                                              arity))
 
 
 __all__ = [
+    "load_json",
     "algebra_to_json", "algebra_from_json", "parse_algebra_spec",
     "element_to_json", "element_from_json",
     "point_to_json", "point_from_json",

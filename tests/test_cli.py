@@ -473,6 +473,28 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert strict_document(out)["error"]["type"] == "ParseError"
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("algebra", "--algebra", DEEP_JSON),
+    ("hamcheck", "--algebra", "dual", "--poisson", DEEP_JSON, "--field", '["x0", "x1"]'),
+    ("hamcheck", "--algebra", "dual", "--symplectic", DEEP_JSON,
+     "--field", '["x0", "x1"]'),
+    ("hamcheck", "--algebra", "dual", "--poisson", "canonical:2", "--field", DEEP_JSON),
+    ("prolong", "--algebra", "dual", "--expr", "x0",
+     "--point", '{"coords": ' + DEEP_JSON + "}"),
+    ("hamfield", "--algebra", "dual", "--poisson", "canonical:2",
+     "--fn", '{"terms": ' + DEEP_JSON + "}"),
+], ids=["algebra", "poisson", "symplectic", "field", "point", "fn"])
+def test_deeply_nested_json_is_a_parse_error(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    error = strict_document(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].endswith("nests too deeply")
+
+
 def test_emit_refuses_non_finite_numbers(capsys):
     with pytest.raises(ValueError):
         _emit({"coeffs": [float("nan"), 1.0]})

@@ -6,6 +6,7 @@ nothing about this package's evaluation code.
 
 import gc
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 from weiljet import expression
 from weiljet.algebra import NotInvertible, make_truncated_algebra
 from weiljet.bundle import NearPoint
-from weiljet.errors import ArityError, DomainError, ParseError, UnknownIdentifier
+from weiljet.errors import (
+    ArityError,
+    DomainError,
+    ParseError,
+    UnknownIdentifier,
+    WeilError,
+)
 from weiljet.expression import (
     PRIMITIVES,
     Add,
@@ -113,6 +120,58 @@ def test_parse_error_carries_offset():
     with pytest.raises(ParseError) as excinfo:
         parse_expr("x0 + * x1", 2)
     assert excinfo.value.offset == 5
+
+
+# (text, error type, message, offset) at arity 2.  Construction folds
+# constants, so a quotient by zero raises as soon as its right operand is
+# complete, before any later syntax error.
+MALFORMED = [
+    ("1.5e-2/0 log", DomainError, "division by the constant zero", None),
+    ("x0^1.5", ParseError, "exponent must be an integer", 3),
+    ("sin x0", ParseError, "expected '(' after sin", 4),
+    ("(x0", ParseError, "expected ')'", 3),
+    ("x0)", ParseError, "unexpected trailing input ')'", 2),
+    ("x0^2^3", ParseError, "unexpected trailing input '^'", 4),
+    ("$", ParseError, "unexpected character '$'", 0),
+    ("x5", ArityError, "variable x5 out of range for arity 2", None),
+    ("foo(x0)", UnknownIdentifier, "unknown identifier 'foo'", 0),
+    ("", ParseError, "expected a number, identifier, or '('", 0),
+    ("   ", ParseError, "expected a number, identifier, or '('", 3),
+    ("x0 * * x1", ParseError, "expected a number, identifier, or '('", 5),
+    ("-", ParseError, "expected a number, identifier, or '('", 1),
+    ("sin()", ParseError, "expected a number, identifier, or '('", 4),
+    ("((x0) + )", ParseError, "expected a number, identifier, or '('", 8),
+    ("cos", ParseError, "expected '(' after cos", 3),
+    ("sin(x0", ParseError, "expected ')'", 6),
+    ("log(0", ParseError, "expected ')'", 5),
+    ("log(0))", DomainError, "log of a nonpositive constant", None),
+    ("exp(1000)", DomainError, "exp is out of range at 1000.0", None),
+    ("sin(1e308*10)", DomainError, "sin is out of range at inf", None),
+    ("2^5000", DomainError, "2.0 ^ 5000 overflows", None),
+    ("0^-1", DomainError, "division by the constant zero", None),
+    ("x0^-x1", ParseError, "exponent must be an integer", 4),
+    ("x0^-", ParseError, "exponent must be an integer", 4),
+    ("1/0^x0", ParseError, "exponent must be an integer", 4),
+    ("1/(0)^x0", ParseError, "exponent must be an integer", 6),
+    ("(x0)^2^3", ParseError, "unexpected trailing input '^'", 6),
+    ("(x0 + x1))", ParseError, "unexpected trailing input ')'", 9),
+    ("2x0", ParseError, "unexpected trailing input 'x0'", 1),
+    ("sin(x0)(x1)", ParseError, "unexpected trailing input '('", 7),
+    ("x0 @ 1", ParseError, "unexpected character '@'", 3),
+    ("log(0) $", ParseError, "unexpected character '$'", 7),
+    ("x_1", UnknownIdentifier, "unknown identifier 'x_1'", 0),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, offset", MALFORMED)
+def test_malformed_text_is_refused_exactly(text, kind, message, offset):
+    with pytest.raises(WeilError) as excinfo:
+        parse_expr(text, 2)
+    error = excinfo.value
+    assert type(error) is kind
+    suffix = "" if offset is None else f" (at offset {offset})"
+    assert str(error) == message + suffix
+    assert getattr(error, "offset", None) == offset
 
 
 def test_unknown_identifier():
@@ -432,6 +491,38 @@ def test_deep_nesting_evaluates_without_recursion():
     assert eval_weil(f, point).tolist() == [2.0 * n, 2.0 * n]
     h = compose(f, [parse_expr("x2", 3), parse_expr("x0", 3)])
     assert eval_real(h, [2.0, 0.0, 0.5]) == 1.0 * n
+
+
+def _call_near_the_stack_limit(fn, headroom=50):
+    """fn() called with only ``headroom`` frames left below the recursion
+    limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def descend(n):
+        return fn() if n == 0 else descend(n - 1)
+
+    return descend(sys.getrecursionlimit() - headroom - depth)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("sin(", ")"), ("-", "")])
+def test_nesting_cap_does_not_depend_on_the_callers_stack(opening, closing):
+    text = opening * 150 + "x0" + closing * 150
+    expected = parse_expr(text, 1)
+    assert _call_near_the_stack_limit(lambda: parse_expr(text, 1)) is expected
+
+
+def test_nesting_cap():
+    cap = expression.MAX_NESTING
+    assert parse_expr("(" * cap + "x0" + ")" * cap, 1) is parse_expr("x0", 1)
+    negated = var(0, 1)
+    for _ in range(cap):
+        negated = neg(negated)
+    assert parse_expr("-" * cap + "x0", 1) is negated
+    for text in ("(" * (cap + 1) + "x0" + ")" * (cap + 1), "-" * (cap + 1) + "x0"):
+        with pytest.raises(ParseError, match="^expression nests too deeply$"):
+            parse_expr(text, 1)
 
 
 @pytest.mark.parametrize(
