@@ -26,6 +26,11 @@ records:
 - as ``algebra_build_s.K,H``, the time ``make_truncated_algebra(K, H)``
   takes for each algebra of perfbench's jets workload (dimensions 2 to 70),
   each built once in one fresh process;
+- as ``mutation_sweep_s``, the wall time of one mutation sweep of
+  perfbench's suite workload (``workloads.Suite(...).sweep()``: every
+  mutation on each of its target checks, through the CLI) in a fresh
+  process, after one untimed sweep; every mutation must be caught by its
+  target check;
 
 and once per side the line count of ``src/``, the tree it measured (the
 commit, and a digest of the uncommitted changes under ``src/`` and
@@ -71,9 +76,9 @@ TIMEOUT_S = 300
 RATES = ("poisson_decisions_per_s", "symplectic_decisions_per_s")
 # Figures where a lower value is better; the rest are rates.
 LOWER_IS_BETTER = ("verify_s.", "cli_start_s", "import_s", "algebra_build_s.",
-                   "symbolic_build_s")
+                   "symbolic_build_s", "mutation_sweep_s")
 # Single figures timed once per repeat.
-TIMES = ("cli_start_s", "import_s", "symbolic_build_s")
+TIMES = ("cli_start_s", "import_s", "symbolic_build_s", "mutation_sweep_s")
 # (width, height) of the truncated algebras whose build is timed
 BUILD_ALGEBRAS = reference.WIDE_ALGEBRAS
 # Times each build of argv[1]'s (width, height) list after the import.
@@ -101,6 +106,18 @@ for op in json.loads(sys.argv[1]):
     built.append(compose(f, [var(1, op["arity"]), var(0, op["arity"])]))
 print(json.dumps(time.perf_counter() - t0))
 """
+# Times one mutation sweep of the suite workload on argv[2]'s inputs after an
+# untimed one, with argv[1]'s perfbench modules.
+SWEEP_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import workloads
+suite = workloads.Suite(json.loads(sys.argv[2]))
+suite.sweep()
+t0 = time.perf_counter()
+sweeps, _ = suite.sweep()
+print(json.dumps({"s": time.perf_counter() - t0, "sweeps": sweeps}))
+"""
 # Prints the weiljet submodules importing the CLI loads, and the
 # interpreter's bytecode flag.
 IMPORT_CHILD = """
@@ -116,6 +133,19 @@ MEASURED_PATHS = ("src", "perfbench")
 
 class BenchError(Exception):
     """A measured command failed or gave wrong outputs."""
+
+
+def uncaught(sweeps: list) -> list[str]:
+    """The sweeps whose mutation its target check did not catch: the run
+    must exit 5 with the target's report failing."""
+    missed = []
+    for sweep in sweeps:
+        reports = [json.loads(line) for line in sweep["out"].splitlines()]
+        if sweep["code"] != 5 or not any(
+                r["name"] == sweep["target"] and r["passed"] is False
+                for r in reports):
+            missed.append(f"{sweep['mutation']} on {sweep['target']}")
+    return missed
 
 
 def run(root: Path, argv: list[str], stdin: str | None = None):
@@ -172,11 +202,11 @@ def tree_state(root: Path) -> dict:
                                    if changes else None)}
 
 
-def measure_once(root: Path, decide, deep: list, side: dict) -> str:
+def measure_once(root: Path, decide, deep: list, suite: dict, side: dict) -> str:
     """One repeat on one checkout, appended to ``side``; returns the numpy
     version the checkout's measuring process reported.  ``decide`` holds
     the decide workload's inputs and expected outputs, ``deep`` the jets
-    workload's deep inputs."""
+    workload's deep inputs, ``suite`` the suite workload's inputs."""
     for seed in SEEDS:
         proc, spent = run(root, [sys.executable, "-m", "weiljet", "verify",
                                  "--seed", str(seed)])
@@ -223,6 +253,16 @@ def measure_once(root: Path, decide, deep: list, side: dict) -> str:
         raise BenchError(f"algebra builds failed in {root}: {proc.stderr[-500:]}")
     for key, spent in json.loads(proc.stdout).items():
         side["algebra_build_s"].setdefault(key, []).append(spent)
+
+    proc, _ = run(root, [sys.executable, "-c", SWEEP_CHILD, str(ROOT / "perfbench"),
+                         json.dumps(suite)])
+    if proc.returncode != 0:
+        raise BenchError(f"mutation sweep failed in {root}: {proc.stderr[-500:]}")
+    sweep = json.loads(proc.stdout)
+    missed = uncaught(sweep["sweeps"])
+    if missed:
+        raise BenchError(f"mutations not caught in {root}: {missed}")
+    side["mutation_sweep_s"].append(sweep["s"])
     return result["numpy"]
 
 
@@ -275,6 +315,7 @@ def main(argv=None) -> int:
         roots["parent"] = args.parent.resolve()
     decide = reference.make_inputs("decide", DECIDE_SEED)
     deep = reference.make_inputs("jets", JETS_SEED)[0]["deep"]
+    suite = reference.make_inputs("suite", 0)[0]
     numpy_version = None
     try:
         sides = {name: {**tree_state(root), "src_lines": src_lines(root),
@@ -286,7 +327,8 @@ def main(argv=None) -> int:
         for repeat in range(REPEATS):
             order = list(roots) if repeat % 2 == 0 else list(reversed(roots))
             for name in order:
-                numpy_version = measure_once(roots[name], decide, deep, sides[name])
+                numpy_version = measure_once(roots[name], decide, deep, suite,
+                                             sides[name])
     except (BenchError, OSError, subprocess.SubprocessError) as exc:
         print(f"bench error: {exc}", file=sys.stderr)
         return 1

@@ -314,8 +314,8 @@ def _product(algebra: WeilAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not a_count:
             return b * a[..., :1]
         if a_count == a2.shape[0] * (d - 1):
-            weights = (a2[:, algebra._left] * b2[:, algebra._right]
-                       * algebra._weights)
+            weights = (a2.take(algebra._left, axis=1)
+                       * b2.take(algebra._right, axis=1) * algebra._weights)
             return _bincount(algebra, weights, len(weights)).reshape(
                 a.shape if a.ndim > 1 else b.shape)
     # real and general factors mixed: each point on its own rule
@@ -328,8 +328,8 @@ def _product(algebra: WeilAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[a_real] = b[a_real] * a[a_real, :1]
     rows = np.flatnonzero(~(b_real | a_real))
     if rows.size:
-        weights = (a[rows][:, algebra._left] * b[rows][:, algebra._right]
-                   * algebra._weights)
+        weights = (a[rows].take(algebra._left, axis=1)
+                   * b[rows].take(algebra._right, axis=1) * algebra._weights)
         out[rows] = _bincount(algebra, weights, rows.size).reshape(-1, d)
     return out.reshape(shape)
 

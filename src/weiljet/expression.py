@@ -156,7 +156,7 @@ class Var(ScalarExpr):
 
 
 class _Binary(ScalarExpr):
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "children")
     op = ""
     # binding strength: + and - share one level, * and / the next
     level = 0
@@ -164,14 +164,11 @@ class _Binary(ScalarExpr):
     def __init__(self, a: ScalarExpr, b: ScalarExpr):
         super().__init__(a.arity)
         self.a, self.b = a, b
+        self.children = (a, b)
 
     @classmethod
     def _key(cls, a, b):
         return (cls, id(a), id(b))
-
-    @property
-    def children(self):
-        return (self.a, self.b)
 
     def _pieces(self):
         # a left operand of the same level prints without its own
@@ -216,38 +213,32 @@ class Pow(ScalarExpr):
     """Integer power with exponent >= 2; smaller and negative exponents are
     folded away or rewritten as division by the constructors."""
 
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent", "children")
 
     def __init__(self, base: ScalarExpr, exponent: int):
         super().__init__(base.arity)
         self.base, self.exponent = base, exponent
+        self.children = (base,)
 
     @classmethod
     def _key(cls, base, exponent):
         return (cls, id(base), exponent)
-
-    @property
-    def children(self):
-        return (self.base,)
 
     def _pieces(self):
         return ("(", self.base, f" ^ {self.exponent})")
 
 
 class Call(ScalarExpr):
-    __slots__ = ("fn", "arg")
+    __slots__ = ("fn", "arg", "children")
 
     def __init__(self, fn: str, arg: ScalarExpr):
         super().__init__(arg.arity)
         self.fn, self.arg = fn, arg
+        self.children = (arg,)
 
     @classmethod
     def _key(cls, fn, arg):
         return (cls, fn, id(arg))
-
-    @property
-    def children(self):
-        return (self.arg,)
 
     def _pieces(self):
         return (f"{self.fn}(", self.arg, ")")
@@ -443,6 +434,9 @@ def _real_primitive(fn: str, x: float) -> float:
 # The deepest stack of pending operations a text may build: open parentheses
 # and calls, negations, and operators waiting for their right operand.
 MAX_NESTING = 1000
+# The largest exponent literal: up to it every integer is a float, so the
+# power rule's coefficient float(exponent) is exact.
+MAX_EXPONENT = 2 ** 53
 
 _SCAN = re.compile(r"""
     \s+
@@ -458,8 +452,9 @@ _VAR_NAME = re.compile(r"^x(\d+)$")
 def parse_expr(text: str, arity: int) -> ScalarExpr:
     """Parse expression text against a fixed arity.
 
-    Variables are x0..x{arity-1}; ^ takes a literal integer exponent, with
-    negative exponents rewritten as division and fractional ones rejected.
+    Variables are x0..x{arity-1}; ^ takes a literal integer exponent of at
+    most ``MAX_EXPONENT`` in size, with negative exponents rewritten as
+    division and fractional ones rejected.
     The grammar is
         expr   := term (('+'|'-') term)*
         term   := factor (('*'|'/') factor)*
@@ -525,7 +520,12 @@ def parse_expr(text: str, arity: int) -> ScalarExpr:
                 # a number is an integer when it has no point and no exponent
                 if kind != "num" or not body.isdigit():
                     raise ParseError("exponent must be an integer", offset)
-                value = pow_(value, sign * int(float(body)))
+                # the length test comes first, so no long literal is converted
+                digits = body.lstrip("0") or "0"
+                if (len(digits) > len(str(MAX_EXPONENT))
+                        or int(digits) > MAX_EXPONENT):
+                    raise ParseError("exponent out of range", offset)
+                value = pow_(value, sign * int(digits))
                 pos += 1
                 kind, body, offset = tokens[pos]
             while stack and stack[-1][0] in ("neg", "*", "/"):
@@ -766,25 +766,40 @@ def eval_weil(f: ScalarExpr, point, *, cache: dict | None = None) -> np.ndarray:
     coords = [array[..., i, :] for i in range(f.arity)]
     batch = array.shape[:-2]
     values = {} if cache is None else cache
+
+    def array(node):
+        # a Const becomes an array only when a node other than a product
+        # reads it, or when it is the root
+        value = values.get(node)
+        if value is None:
+            value = values[node] = _const_array(node.value, batch, algebra.dim)
+        return value
+
     for node in _topological(f):
         if node in values:
             # the cache only ever holds whole sub-DAGs
             continue
         kind = type(node)
         if kind is Const:
-            value = np.zeros(batch + (algebra.dim,))
-            value[..., 0] = node.value
+            continue
         elif kind is Var:
             value = coords[node.index]
         elif kind is Add:
-            value = values[node.a] + values[node.b]
+            value = array(node.a) + array(node.b)
         elif kind is Sub:
-            value = values[node.a] - values[node.b]
+            value = array(node.a) - array(node.b)
         elif kind is Mul:
-            value = _product(algebra, values[node.a], values[node.b])
+            a, b = node.a, node.b
+            if type(b) is Const:
+                # the kernel scales by a real right factor, whatever the left
+                value = values[a] * b.value
+            elif type(a) is Const:
+                value = _const_times(algebra, a.value, values[b], batch)
+            else:
+                value = _product(algebra, values[a], values[b])
         elif kind is Div:
-            value = _product(algebra, values[node.a],
-                             _inverse(algebra, values[node.b]))
+            value = _product(algebra, array(node.a),
+                             _inverse(algebra, array(node.b)))
         elif kind is Pow:
             value = _power(algebra, values[node.base], node.exponent)
         elif kind is Call:
@@ -796,7 +811,26 @@ def eval_weil(f: ScalarExpr, point, *, cache: dict | None = None) -> np.ndarray:
         else:  # _Solved
             value = node.solve.solution(point)[..., node.index, :]
         values[node] = value
-    return values[f]
+    return array(f)
+
+
+def _const_array(value: float, batch: tuple, dim: int) -> np.ndarray:
+    """The real ``value`` times the unit, at every point of ``batch``."""
+    out = np.zeros(batch + (dim,))
+    out[..., 0] = value
+    return out
+
+
+def _const_times(algebra: WeilAlgebra, c: float, x: np.ndarray,
+                 batch: tuple) -> np.ndarray:
+    """The kernel's product of the constant ``c`` and ``x``: ``x`` scaled by
+    ``c`` when every nilpotent slot of ``x`` is nonzero (the kernel's
+    all-general test), else the kernel on the built constant, which keeps
+    the signed zeros of ``c * 0`` at real points."""
+    nil = x[..., 1:]
+    if nil.size and np.count_nonzero(nil) == nil.size:
+        return x * c
+    return _product(algebra, _const_array(c, batch, algebra.dim), x)
 
 
 def _taylor_lift(fn: str, algebra: WeilAlgebra, a: np.ndarray,

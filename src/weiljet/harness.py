@@ -91,7 +91,6 @@ from .symplectic import (
     is_locally_hamiltonian_symplectic,
     prolong_form,
     symplectic_bracket,
-    weil_matrix_inverse,
 )
 
 # decision thresholds used inside verdict-agreement checks
@@ -445,14 +444,17 @@ def _check_dual_forward_derivative(spec: CheckSpec, rng: np.random.Generator):
     for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
         f = random_expression(n, rng)
         grads = [differentiate(f, d) for d in range(n)]
-        for _ in range(spec.samples):
-            x = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
+        xs = [rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
+              for _ in range(spec.samples)]
+        # one batch of every sample along every direction: point (s, d) is
+        # x_s with a unit nilpotent part on coordinate d
+        batch = np.zeros((spec.samples, n, n, algebra.dim))
+        batch[..., 0] = np.reshape(xs, (spec.samples, 1, n))
+        batch[..., 1] = np.eye(n)
+        slopes = eval_weil(f, NearPoint.from_coeffs(algebra, batch))[..., 1].tolist()
+        for x, sample_slopes in zip(xs, slopes):
             base = x.tolist()
-            for d in range(n):
-                coords = tuple(
-                    algebra.element([base[k], 1.0]) if k == d
-                    else algebra.from_real(base[k]) for k in range(n))
-                slope = float(eval_weil(f, NearPoint(coords))[1])
+            for d, slope in enumerate(sample_slopes):
                 exact = eval_real(grads[d], base)
                 bumped = list(base)
                 bumped[d] = base[d] + step
@@ -731,22 +733,31 @@ def _check_prop7_symplectic_global(spec: CheckSpec, rng: np.random.Generator):
                   1e-9, samples=50, expressions=0))
 def _check_matrix_inverse_neumann(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
+        matrices = []
         for trial in range(spec.samples):
             size = 2 + (trial % 3)
             while True:
                 real = rng.uniform(-2.0, 2.0, size=(size, size))
                 if np.linalg.cond(real) < 100.0:
                     break
-            matrix = np.concatenate(
+            matrices.append(np.concatenate(
                 (real[..., None], rng.uniform(-1.0, 1.0, (size, size, algebra.dim - 1))),
-                axis=-1)
-            inverse = weil_matrix_inverse([[algebra.element(entry) for entry in row]
-                                           for row in matrix])
-            product = _matrix_product(algebra, matrix, np.array(
-                [[entry.coeffs for entry in row] for row in inverse]))
-            identity = np.eye(size)[:, :, None] * algebra.unit().coeffs
-            residual = float(np.max(np.abs(product - identity)))
-            yield residual, {"algebra": key, "size": size, "matrix": matrix.tolist()}
+                axis=-1))
+        # each size class inverts as one batch, every matrix to the bits it
+        # would get alone; the kernel is read from its module at call time,
+        # where a mutation replaces it
+        residuals = {}
+        for first in range(min(3, spec.samples)):
+            trials = range(first, spec.samples, 3)
+            stack = np.array([matrices[t] for t in trials])
+            product = _matrix_product(
+                algebra, stack, symplectic._matrix_inverse(algebra, stack))
+            identity = np.eye(2 + first)[:, :, None] * algebra.unit().coeffs
+            residuals.update(zip(trials, np.max(np.abs(product - identity),
+                                                axis=(1, 2, 3)).tolist()))
+        for trial, matrix in enumerate(matrices):
+            yield residuals[trial], {"algebra": key, "size": len(matrix),
+                                     "matrix": matrix.tolist()}
 
 
 @_check(CheckSpec("leibniz_derivation",

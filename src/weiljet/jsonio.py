@@ -56,6 +56,26 @@ from .poisson import PoissonStructure
 from .symplectic import BaseForm
 
 
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` when it is a JSON value of ``kind``, a boolean not counting
+    as an integer; a ParseError naming ``what`` otherwise."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{what} must be {_KINDS[kind]}")
+    return value
+
+
+def _expr_entry(raw, what: str):
+    """An expression string, or a number read as a finite constant."""
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, (int, float)):
+        return _coeffs_from_json([raw])[0]
+    raise ParseError(f"{what} must be an expression string or a number")
+
+
 def load_json(text: str, what: str):
     """The JSON document in ``text``, one command-line argument; ``what``
     names it in the errors.  The decoder recurses once per level of
@@ -83,9 +103,17 @@ def algebra_from_json(obj: dict) -> WeilAlgebra:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParseError("an algebra object needs a 'family' key")
     if obj["family"] == "truncated":
-        return make_truncated_algebra(int(obj["width"]), int(obj["height"]))
+        return make_truncated_algebra(
+            _typed(obj.get("width"), int, "a truncated algebra's 'width'"),
+            _typed(obj.get("height"), int, "a truncated algebra's 'height'"))
     if obj["family"] == "table":
-        return validate_algebra(obj["constants"])
+        constants = _typed(obj.get("constants"), list, "a table algebra's 'constants'")
+        try:
+            table = np.array(constants, dtype=float)
+        except (TypeError, ValueError):
+            raise ParseError("a table algebra's 'constants' must be nested "
+                             "lists of numbers") from None
+        return validate_algebra(table)
     raise ParseError(f"unknown algebra family {obj['family']!r}")
 
 
@@ -118,7 +146,8 @@ def _coeffs_to_json(coeffs) -> list[float]:
 def _coeffs_from_json(values) -> list[float]:
     try:
         out = [float(v) for v in values]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        # OverflowError: an integer literal beyond the float range
         raise ParseError("coefficients must be numbers") from None
     if not all(math.isfinite(v) for v in out):
         raise ParseError("coefficients must be finite")
@@ -152,7 +181,8 @@ def point_from_json(obj: dict, algebra: WeilAlgebra | None = None) -> NearPoint:
         if "algebra" not in obj:
             raise ParseError("a near-point needs an embedded or provided algebra")
         algebra = algebra_from_json(obj["algebra"])
-    return NearPoint([element_from_json(c, algebra) for c in obj["coords"]])
+    coords = _typed(obj["coords"], list, "a near-point's 'coords'")
+    return NearPoint([element_from_json(c, algebra) for c in coords])
 
 
 # -- functions and fields ----------------------------------------------------------
@@ -166,14 +196,16 @@ def _term_from_json(obj: dict, algebra: WeilAlgebra, arity: int) -> BundleFuncti
     else:
         coeff = element_from_json(raw, algebra)
     term = BundleFunction.constant(coeff, algebra, arity)
-    for text in obj.get("pullbacks", []):
+    for text in _typed(obj.get("pullbacks", []), list, "a term's 'pullbacks'"):
+        if not isinstance(text, str):
+            raise ParseError("each pullback must be an expression string")
         term = term * BundleFunction.from_expr(parse_expr(text, arity), algebra)
     return term
 
 
 def _terms_from_json(entries, algebra: WeilAlgebra, arity: int) -> BundleFunction:
     total = BundleFunction.zero(algebra, arity)
-    for obj in entries:
+    for obj in _typed(entries, list, "a function's 'terms'"):
         total = total + _term_from_json(obj, algebra, arity)
     return total
 
@@ -293,8 +325,10 @@ def poisson_to_json(structure: PoissonStructure) -> dict:
 def poisson_from_json(obj: dict) -> PoissonStructure:
     if not isinstance(obj, dict) or "arity" not in obj or "bivector" not in obj:
         raise ParseError("a Poisson object needs 'arity' and 'bivector'")
-    arity = int(obj["arity"])
-    bivector = {_pair_key_from_json(k): v for k, v in obj["bivector"].items()}
+    arity = _typed(obj["arity"], int, "a Poisson object's 'arity'")
+    bivector = {_pair_key_from_json(k): _expr_entry(v, "a bivector entry")
+                for k, v in _typed(obj["bivector"], dict,
+                                   "a Poisson object's 'bivector'").items()}
     return PoissonStructure(arity, bivector)
 
 
@@ -323,20 +357,20 @@ def form_from_json(obj: dict, arity: int | None = None) -> BaseForm:
         raise ParseError("a form object needs 'degree' and 'coeffs'")
     coeffs = {}
     top = -1
-    for key, raw in obj.get("coeffs", {}).items():
+    for key, raw in _typed(obj.get("coeffs", {}), dict, "a form's 'coeffs'").items():
         try:
             idx = tuple(int(p) for p in key.split(",")) if key else ()
         except ValueError:
             raise ParseError(f"bad coefficient key {key!r}") from None
-        coeffs[idx] = raw
+        coeffs[idx] = _expr_entry(raw, "a form coefficient")
         top = max(top, max(idx, default=-1))
     if arity is None:
         arity = obj.get("arity")
     if arity is None:
         arity = top + 1
-    if arity < 1:
+    if _typed(arity, int, "a form's 'arity'") < 1:
         raise ParseError("cannot infer the form arity; provide one")
-    return BaseForm(int(obj["degree"]), int(arity), coeffs)
+    return BaseForm(_typed(obj["degree"], int, "a form's 'degree'"), arity, coeffs)
 
 
 def parse_symplectic_spec(text: str, arity: int | None = None):

@@ -225,6 +225,52 @@ def test_product_matches_the_dense_table(algebra):
         assert (a * a.inverse()).almost_equal(algebra.unit(), tol=1e-9)
 
 
+def _special_rows(rng, rows, dim, kinds):
+    """``rows`` coefficient rows, each of a kind drawn from ``kinds``:
+    "general" (every slot nonzero), "real" (nilpotent part +0.0 or -0.0) or
+    "partial" (some nilpotent slots zero); about one slot in eight holds
+    -0.0, +-inf or NaN instead."""
+    out = rng.uniform(-2.0, 2.0, (rows, dim))
+    for r, kind in enumerate(rng.choice(kinds, rows)):
+        if kind == "real":
+            out[r, 1:] = rng.choice([0.0, -0.0], dim - 1)
+        elif kind == "partial":
+            out[r, 1:][rng.random(dim - 1) < 0.5] = 0.0
+    special = rng.random((rows, dim)) < 0.125
+    out[special] = rng.choice([-0.0, np.inf, -np.inf, np.nan], special.sum())
+    return out
+
+
+def _same_bits(got, want):
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("kinds", [("general",), ("real",), ("partial",),
+                                   ("general", "real", "partial")])
+@pytest.mark.parametrize("key", ALL_ALGEBRAS)
+def test_batched_products_equal_single_products_bit_for_bit(key, kinds):
+    algebra = battery_algebra(key)
+    rng = np.random.default_rng(algebra.dim * 10 + len(kinds))
+    product = algebra_module._product
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(20):
+            a = _special_rows(rng, 6, algebra.dim, kinds)
+            b = _special_rows(rng, 6, algebra.dim, kinds)
+            batched = product(algebra, a, b)
+            assert _same_bits(batched, [product(algebra, a[r], b[r]) for r in range(6)])
+            # a single element against a batch, on either side
+            for single in (a[0], b[0]):
+                assert _same_bits(product(algebra, single, b),
+                                  [product(algebra, single, row) for row in b])
+                assert _same_bits(product(algebra, a, single),
+                                  [product(algebra, row, single) for row in a])
+            # leading axes of any rank
+            assert _same_bits(product(algebra, a.reshape(2, 3, -1),
+                                      b.reshape(2, 3, -1)),
+                              batched.reshape(2, 3, -1))
+
+
 def test_arithmetic_results_are_read_only():
     a = M3.element([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     b = M3.element([0.5, -1.0, 0.0, 2.0, 1.0, -3.0])

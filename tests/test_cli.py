@@ -495,6 +495,69 @@ def test_deeply_nested_json_is_a_parse_error(capsys, argv):
     assert error["message"].endswith("nests too deeply")
 
 
+@pytest.mark.parametrize("algebra, expr, coeffs, printed", [
+    ("dual", "-1*x0", [2, 0], '{"coeffs":[-2.0,0.0]}'),
+    ("dual", "-1*x0", [2, -0.0], '{"coeffs":[-2.0,0.0]}'),
+    ("dual", "x0*-1", [2, 0], '{"coeffs":[-2.0,-0.0]}'),
+    ("dual", "-1*x0", [-3, 1], '{"coeffs":[3.0,-1.0]}'),
+    ("truncated:2,2", "-1*x0", [2, 0, 0, 0, 0, 0],
+     '{"coeffs":[-2.0,0.0,0.0,0.0,0.0,0.0]}'),
+])
+def test_constant_factors_keep_signed_zeros(capsys, algebra, expr, coeffs, printed):
+    # -1 * x0 at a real point is the kernel's (-1) * (2 + 0t): the real
+    # left factor scales the right one, so its nilpotent slot is 0 * 2
+    point = json.dumps({"coords": [{"coeffs": coeffs}]})
+    code, out, _ = run_cli(capsys, "prolong", "--algebra", algebra,
+                           f"--expr={expr}", "--point", point)
+    assert (code, out) == (0, printed + "\n")
+
+
+_NINES = "9" * 400
+_MISTYPED = [
+    ("hamcheck", "--algebra", "dual", "--poisson", '{"arity":2,"bivector":[1]}',
+     "--field", '["x0","x1"]'),
+    ("hamcheck", "--algebra", "dual", "--poisson", '{"arity":[1],"bivector":{}}',
+     "--field", '["x0","x1"]'),
+    ("hamcheck", "--algebra", "dual", "--poisson", '{"arity":true,"bivector":{}}',
+     "--field", '["x0","x1"]'),
+    ("hamcheck", "--algebra", "dual", "--poisson", '{"arity":2,"bivector":{"01":[1]}}',
+     "--field", '["x0","x1"]'),
+    ("hamcheck", "--algebra", "dual", "--symplectic", '{"degree":2,"coeffs":[1]}',
+     "--field", '["x0","x1"]'),
+    ("hamcheck", "--algebra", "dual", "--symplectic",
+     '{"degree":"2","arity":2,"coeffs":{}}', "--field", '["x0","x1"]'),
+    ("hamcheck", "--algebra", "dual", "--symplectic",
+     '{"degree":2,"arity":[2],"coeffs":{}}', "--field", '["x0","x1"]'),
+    ("hamcheck", "--algebra", "dual", "--symplectic",
+     '{"degree":2,"coeffs":{"0,1":null}}', "--field", '["x0","x1"]'),
+    ("algebra", "--algebra", '{"family":"truncated","width":"1","height":1}'),
+    ("algebra", "--algebra", '{"family":"truncated","width":1}'),
+    ("algebra", "--algebra", '{"family":"table","constants":{"0":1}}'),
+    ("algebra", "--algebra", '{"family":"table","constants":[[[1,0],[0]]]}'),
+    ("prolong", "--algebra", "dual", "--expr", "x0", "--point", '{"coords":5}'),
+    ("prolong", "--algebra", "dual", "--expr", "x0",
+     "--point", '{"coords":[{"coeffs":[1,%s]}]}' % _NINES),
+    ("hamfield", "--algebra", "dual", "--poisson", "canonical:2", "--fn", '{"terms":5}'),
+    ("hamfield", "--algebra", "dual", "--poisson", "canonical:2",
+     "--fn", '{"terms":[{"coeff":1,"pullbacks":"x0"}]}'),
+    ("hamfield", "--algebra", "dual", "--poisson", "canonical:2",
+     "--fn", '{"terms":[{"coeff":1,"pullbacks":[5]}]}'),
+    ("hamfield", "--algebra", "dual", "--poisson", "canonical:2",
+     "--fn", '{"terms":[{"coeff":%s,"pullbacks":["x0"]}]}' % _NINES),
+    ("prolong", "--algebra", "dual", "--expr", "x0^" + _NINES,
+     "--point", '{"coords":[{"coeffs":[1,1]}]}'),
+    ("prolong", "--algebra", "dual", "--expr", "x0^11111111111111111111",
+     "--point", '{"coords":[{"coeffs":[1,1]}]}'),
+]
+
+
+@pytest.mark.parametrize("argv", _MISTYPED)
+def test_mistyped_json_values_and_long_exponents_are_parse_errors(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert strict_document(out)["error"]["type"] == "ParseError"
+
+
 def test_emit_refuses_non_finite_numbers(capsys):
     with pytest.raises(ValueError):
         _emit({"coeffs": [float("nan"), 1.0]})

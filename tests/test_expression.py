@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weiljet import expression
-from weiljet.algebra import NotInvertible, make_truncated_algebra
+from weiljet.algebra import NotInvertible, _inverse, _product, make_truncated_algebra
 from weiljet.bundle import NearPoint
 from weiljet.errors import (
     ArityError,
@@ -523,6 +523,67 @@ def test_nesting_cap():
     for text in ("(" * (cap + 1) + "x0" + ")" * (cap + 1), "-" * (cap + 1) + "x0"):
         with pytest.raises(ParseError, match="^expression nests too deeply$"):
             parse_expr(text, 1)
+
+
+def test_exponent_cap():
+    cap = expression.MAX_EXPONENT
+    assert cap == 2 ** 53
+    for sign in ("", "-"):
+        text = f"x0^{sign}{cap}"
+        f = parse_expr(text, 1)
+        assert parse_expr(f.text, 1) is f
+        assert f" ^ {cap})" in f.text
+        # leading zeros do not count towards the size
+        assert parse_expr(f"x0^{sign}000{cap}", 1) is f
+    for body in (str(cap + 1), "11111111111111111111", "9" * 400, "9" * 5000):
+        with pytest.raises(ParseError, match="^exponent out of range"):
+            parse_expr("x0^" + body, 1)
+
+
+def _const_array(value, batch, dim):
+    out = np.zeros(batch + (dim,))
+    out[..., 0] = value
+    return out
+
+
+_CONSTANT_READERS = [
+    ("c*x", lambda c, x: mul(c, x), lambda alg, c, x: _product(alg, c, x)),
+    ("x*c", lambda c, x: mul(x, c), lambda alg, c, x: _product(alg, x, c)),
+    ("c", lambda c, x: c, lambda alg, c, x: c),
+    ("c+x", lambda c, x: add(c, x), lambda alg, c, x: c + x),
+    ("x-c", lambda c, x: sub(x, c), lambda alg, c, x: x - c),
+    ("c-x", lambda c, x: sub(c, x), lambda alg, c, x: c - x),
+    ("x/c", lambda c, x: div(x, c), lambda alg, c, x: _product(alg, x, _inverse(alg, c))),
+    ("c/x", lambda c, x: div(c, x), lambda alg, c, x: _product(alg, c, _inverse(alg, x))),
+]
+
+
+@pytest.mark.parametrize("rows", ["single", "single-real", "general", "real", "mixed"])
+@pytest.mark.parametrize("label, build, kernel", _CONSTANT_READERS,
+                         ids=[r[0] for r in _CONSTANT_READERS])
+def test_constants_evaluate_as_the_kernel_on_a_built_constant(label, build, kernel, rows):
+    """Products by a constant may skip building it, but every result keeps
+    the bits of the kernel on the built constant array, signed zeros of
+    real points included."""
+    algebra = make_truncated_algebra(2, 2)
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.5, 2.0, (4, 1, algebra.dim)) * rng.choice([-1.0, 1.0], (4, 1, 1))
+    if rows in ("real", "mixed"):
+        coords[1:3, :, 1:] = [0.0, -0.0, 0.0, -0.0, 0.0]
+        if rows == "real":
+            coords[:, :, 1:] = coords[1, :, 1:]
+    if rows.startswith("single"):
+        coords = coords[0]
+        if rows == "single-real":
+            coords[:, 1:] = -0.0
+    x = coords[..., 0, :]
+    for value in (-1.0, 2.5, -0.5, np.inf):
+        f = build(const(value, 1), var(0, 1))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            got = eval_weil(f, NearPoint.from_coeffs(algebra, coords))
+            want = kernel(algebra, _const_array(value, x.shape[:-1], algebra.dim), x)
+        assert np.array_equal(got, want, equal_nan=True), (label, value)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (label, value)
 
 
 @pytest.mark.parametrize(

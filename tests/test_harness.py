@@ -2,11 +2,13 @@
 
 import importlib
 import inspect
+import itertools
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,9 +17,9 @@ import pytest
 
 import weiljet
 from weiljet.algebra import make_truncated_algebra
-from weiljet.bundle import NearPoint, prolong_function
+from weiljet.bundle import DEFAULT_BOX, NearPoint, prolong_function
 from weiljet.errors import DomainError
-from weiljet.expression import parse_expr
+from weiljet.expression import differentiate, eval_real, eval_weil, parse_expr
 from weiljet.harness import (
     _REGISTRY,
     BATTERY,
@@ -25,6 +27,8 @@ from weiljet.harness import (
     MUTATION_TARGETS,
     MUTATIONS,
     CheckReport,
+    _check_dual_forward_derivative,
+    _check_matrix_inverse_neumann,
     _mutated,
     _worst_case,
     battery_algebra,
@@ -32,7 +36,14 @@ from weiljet.harness import (
     run_suite,
 )
 from weiljet.poisson import PoissonStructure, ProlongedPoisson, prolonged_bracket
-from weiljet.symplectic import BaseForm, SymplecticStructure, hamiltonian_field
+from weiljet.sampling import random_expression
+from weiljet.symplectic import (
+    BaseForm,
+    SymplecticStructure,
+    _matrix_product,
+    hamiltonian_field,
+    weil_matrix_inverse,
+)
 
 T3 = make_truncated_algebra(1, 2)
 
@@ -292,3 +303,79 @@ def test_poisson_mutations_reach_the_prolonged_bracket(mutation):
         assert np.array_equal(wrong, -exact)
     else:
         assert min(np.max(np.abs(wrong - exact)), np.max(np.abs(wrong + exact))) > 1e-3
+
+
+# -- batched checks against their per-point loops ------------------------------------
+
+def _matrix_inverse_neumann_per_trial(spec, rng):
+    """The check with one ``weil_matrix_inverse`` call per trial: the
+    reference whose cases the batched check must yield exactly."""
+    for key in spec.algebras:
+        algebra = battery_algebra(key)
+        for trial in range(spec.samples):
+            size = 2 + (trial % 3)
+            while True:
+                real = rng.uniform(-2.0, 2.0, size=(size, size))
+                if np.linalg.cond(real) < 100.0:
+                    break
+            matrix = np.concatenate(
+                (real[..., None], rng.uniform(-1.0, 1.0, (size, size, algebra.dim - 1))),
+                axis=-1)
+            inverse = weil_matrix_inverse([[algebra.element(entry) for entry in row]
+                                           for row in matrix])
+            product = _matrix_product(algebra, matrix, np.array(
+                [[entry.coeffs for entry in row] for row in inverse]))
+            identity = np.eye(size)[:, :, None] * algebra.unit().coeffs
+            residual = float(np.max(np.abs(product - identity)))
+            yield residual, {"algebra": key, "size": size, "matrix": matrix.tolist()}
+
+
+def _dual_forward_derivative_per_point(spec, rng):
+    """The check with one evaluation per sample and direction: the
+    reference whose cases the batched check must yield exactly."""
+    algebra = battery_algebra("dual")
+    step = 1e-5
+    for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
+        f = random_expression(n, rng)
+        grads = [differentiate(f, d) for d in range(n)]
+        for _ in range(spec.samples):
+            x = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
+            base = x.tolist()
+            for d in range(n):
+                coords = tuple(
+                    algebra.element([base[k], 1.0]) if k == d
+                    else algebra.from_real(base[k]) for k in range(n))
+                slope = float(eval_weil(f, NearPoint(coords))[1])
+                exact = eval_real(grads[d], base)
+                bumped = list(base)
+                bumped[d] = base[d] + step
+                upper = eval_real(f, bumped)
+                bumped[d] = base[d] - step
+                lower = eval_real(f, bumped)
+                fd = (upper - lower) / (2.0 * step)
+                residual = max(abs(slope - fd) / max(1.0, abs(fd)),
+                               abs(slope - exact) / max(1.0, abs(exact)))
+                yield residual, {
+                    "f": f.text, "direction": d, "x": [float(v) for v in base],
+                    "slope": slope, "finite_difference": float(fd),
+                }
+
+
+@pytest.mark.parametrize("check, reference, mutation", [
+    (_check_matrix_inverse_neumann, _matrix_inverse_neumann_per_trial, None),
+    (_check_matrix_inverse_neumann, _matrix_inverse_neumann_per_trial, "neumann_skip"),
+    (_check_dual_forward_derivative, _dual_forward_derivative_per_point, None),
+    (_check_dual_forward_derivative, _dual_forward_derivative_per_point, "taylor_truncate"),
+])
+def test_batched_checks_yield_the_cases_of_their_per_point_loops(check, reference,
+                                                                 mutation):
+    name = check.__name__[len("_check_"):]
+    (spec,) = default_specs(seed=42, names=(name,))
+    streams = [np.random.default_rng([spec.seed, zlib.crc32(name.encode("ascii"))])
+               for _ in range(2)]
+    with _mutated(mutation):
+        got = list(check(spec, streams[0]))
+        want = list(reference(spec, streams[1]))
+    assert len(got) == len(want) > 0
+    assert got == want
+    assert streams[0].bit_generator.state == streams[1].bit_generator.state

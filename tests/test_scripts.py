@@ -101,7 +101,7 @@ def test_bench_writes_its_record(bench, tmp_path, monkeypatch, capsys):
     assert summary["src_lines"] > 0
     for name in ("verify_s.42", "verify_calls.42", "poisson_decisions_per_s",
                  "symplectic_decisions_per_s", "cli_start_s", "import_s",
-                 "symbolic_build_s"):
+                 "symbolic_build_s", "mutation_sweep_s"):
         assert summary[name] > 0
     for width, height in bench.BUILD_ALGEBRAS:
         assert summary[f"algebra_build_s.{width},{height}"] > 0
@@ -113,7 +113,7 @@ def test_bench_compares_pair_by_pair(bench):
         return {"verify": {"42": {"s": verify}}, "poisson_decisions_per_s": poisson,
                 "symplectic_decisions_per_s": [1.0] * 4, "cli_start_s": [0.2] * 4,
                 "import_s": verify, "symbolic_build_s": verify,
-                "algebra_build_s": {"4,4": verify}}
+                "mutation_sweep_s": verify, "algebra_build_s": {"4,4": verify}}
 
     compared = bench.comparison(side([1.0, 2.0, 1.0, 1.0], [3.0, 3.0, 1.0, 3.0]),
                                 side([2.0, 1.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]))
@@ -124,5 +124,16 @@ def test_bench_compares_pair_by_pair(bench):
     assert compared["algebra_build_s.4,4"] == compared["verify_s.42"]
     assert compared["import_s"] == compared["verify_s.42"]
     assert compared["symbolic_build_s"] == compared["verify_s.42"]
+    assert compared["mutation_sweep_s"] == compared["verify_s.42"]
     assert compared["cli_start_s"] == {"change_better": 0, "pairs": 4,
                                        "median_gain": 0.0, "parent_iqr": 0.0}
+
+
+def test_bench_counts_a_sweep_caught_only_by_its_failing_target(bench):
+    def sweep(code, passed):
+        report = json.dumps({"name": "t", "passed": passed})
+        return {"mutation": "m", "target": "t", "code": code,
+                "out": json.dumps({"name": "other", "passed": False}) + "\n" + report}
+
+    assert bench.uncaught([sweep(5, False)]) == []
+    assert bench.uncaught([sweep(5, True), sweep(0, False)]) == ["m on t", "m on t"]
