@@ -28,7 +28,7 @@ _EXPORTS = {
         "NearPoint", "BundleFunction", "BaseVectorField",
         "BundleVectorField", "prolong_function", "prolong_vector_field",
         "pushforward_map", "apply_field", "lie_bracket", "sample_near_point",
-        "max_difference", "functions_equal",
+        "max_difference",
     ),
     "poisson": (
         "PoissonStructure", "ProlongedPoisson", "poisson_derivation",

@@ -541,15 +541,23 @@ def make_truncated_algebra(width: int, height: int) -> WeilAlgebra:
     """Truncated polynomial algebra R[t1..tk] modulo total degree > height.
 
     Basis: all monomials of degree <= height in graded order, so the unit is
-    basis element 0 and dim = binomial(width + height, width).
+    basis element 0 and dim = binomial(width + height, width).  A width or
+    height above ``MAX_DIM`` is refused before the binomial is computed.
     """
     if width < 1:
         raise ValueError("width must be at least 1")
     if height < 0:
         raise ValueError("height must be nonnegative")
+    # from height 1 on, dim >= max(width, height) + 1; at height 0 the work
+    # still grows with the width.  The binomial of huge arguments is slow to
+    # compute and to print, and the message names neither.
+    if max(width, height) > MAX_DIM:
+        raise CapacityError(f"a truncated algebra's width and height are capped "
+                            f"at {MAX_DIM}")
     dim = math.comb(width + height, width)
     if dim > MAX_DIM:
-        raise CapacityError(f"dimension {dim} exceeds the cap of {MAX_DIM}")
+        raise CapacityError(f"dimension binomial({width + height}, {width}) "
+                            f"exceeds the cap of {MAX_DIM}")
     monos = _monomials(width, height)
     # suffix[i, u]: the degree of monomial i in the variables t_{u+1}..t_k
     suffix = np.cumsum(np.array(monos, dtype=np.intp).reshape(dim, width)[:, ::-1],

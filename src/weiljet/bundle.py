@@ -6,7 +6,8 @@ prolongs to near-points by evaluating each component over A, and a scalar
 function f prolongs to the A-valued function f^A acting the same way.  One
 type, ``NearPoint``, holds a point as an (n, d) coefficient array and a
 batch of S points as an (S, n, d) one; functions evaluate over a whole batch
-at once, and sampled comparisons draw and evaluate their points that way.
+at once, and sampled comparisons draw and evaluate their points that way, a
+group of comparisons in one batch.
 A point or a batch keeps what was evaluated there (expression nodes, linear
 solves) in its own cache, which goes when the point goes.
 
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import WeilAlgebra, WeilElement, _wrap
-from .errors import AlgebraMismatch, ArityError, DomainError
+from .errors import AlgebraMismatch, ArityError, DomainError, WeilError
 from .expression import (
     Const,
     ScalarExpr,
@@ -94,8 +95,9 @@ class NearPoint:
     def arity(self) -> int:
         return self.coeffs.shape[-2]
 
-    def __getitem__(self, index: int) -> "NearPoint":
-        """Sample ``index`` of a batch; a single point raises ArityError."""
+    def __getitem__(self, index) -> "NearPoint":
+        """Sample ``index`` of a batch, or the batch of the samples a slice
+        picks; a single point raises ArityError."""
         return NearPoint.from_coeffs(self.algebra, self.coeffs[index])
 
     def pulled(self, expr: ScalarExpr) -> np.ndarray:
@@ -387,34 +389,57 @@ def lie_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField
 
 # -- sampled comparison --------------------------------------------------------
 
-def max_difference(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
-                   rng: np.random.Generator | None = None):
-    """Largest coefficientwise deviation |f - g| over random near-points.
+def max_difference(pairs: Sequence[tuple[BundleFunction, BundleFunction]], *,
+                   samples: int = 32, rng: np.random.Generator | None = None
+                   ) -> list[tuple[float, NearPoint]]:
+    """Largest coefficientwise deviation |f - g| of each (f, g) pair of a
+    group over random near-points.
 
-    Draws all ``samples`` points at once and evaluates both sides over the
-    batch.  Returns (residual, worst_point), the first point with the largest
-    residual in sample order.  Raises ValueError for fewer than one sample
-    and DomainError when a residual is not finite (an overflow, say), since
-    no largest deviation can then be named.
+    The group draws ``samples`` points per pair in one batch: the points,
+    and the generator's final state, of drawing pair after pair.  Every
+    function is evaluated over the whole batch, so work on the nodes the
+    pairs share is done once, and each pair's residual comes from its own
+    rows.  A function may fail on another pair's rows where it would not on
+    its own (``log(x0)`` where their x0 <= 0, say); when evaluating the group
+    raises a WeilError, each pair is compared on its own rows alone, one
+    after another, which raises what comparing the pairs separately would.
+
+    Returns one (residual, worst_point) per pair, the worst point being the
+    first of the pair's points with the largest residual.  Raises ValueError
+    for fewer than one sample and DomainError when a residual is not finite
+    (an overflow, say), since no largest deviation can then be named.
     """
-    f._check_mate(g)
+    if not pairs:
+        return []
     if samples < 1:
         raise ValueError("max_difference needs at least one sample")
+    first = pairs[0][0]
+    for f, g in pairs:
+        first._check_mate(f)
+        f._check_mate(g)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    points = sample_near_points(f.algebra, f.arity, rng, samples)
-    residuals = np.max(np.abs(f.evaluate(points) - g.evaluate(points)), axis=-1)
-    if not np.isfinite(residuals).all():
-        raise DomainError("a sampled residual is not finite")
-    worst = int(np.argmax(residuals))
-    return float(residuals[worst]), points[worst]
-
-
-def functions_equal(f: BundleFunction, g: BundleFunction, *, samples: int = 32,
-                    tol: float = 1e-9, rng: np.random.Generator | None = None) -> bool:
-    """Sampled equality of A-valued functions at the given tolerance."""
-    residual, _ = max_difference(f, g, samples=samples, rng=rng)
-    return residual <= tol
+    points = sample_near_points(first.algebra, first.arity, rng,
+                                len(pairs) * samples)
+    rows = [slice(k * samples, (k + 1) * samples) for k in range(len(pairs))]
+    try:
+        deviations = [f.evaluate(points)[own] - g.evaluate(points)[own]
+                      for (f, g), own in zip(pairs, rows)]
+    except WeilError:
+        deviations = None
+    out = []
+    for k, ((f, g), own) in enumerate(zip(pairs, rows)):
+        if deviations is None:
+            alone = points[own]
+            deviation = f.evaluate(alone) - g.evaluate(alone)
+        else:
+            deviation = deviations[k]
+        residuals = np.max(np.abs(deviation), axis=-1)
+        if not np.isfinite(residuals).all():
+            raise DomainError("a sampled residual is not finite")
+        worst = int(np.argmax(residuals))
+        out.append((float(residuals[worst]), points[own.start + worst]))
+    return out
 
 
 def worst_case(cases: Iterable[tuple[float, dict]]) -> tuple[float, dict | None]:
@@ -432,12 +457,22 @@ def coordinate_pair_cases(component: Callable[[int, int], BundleFunction],
                           rng: np.random.Generator):
     """(residual, witness) of each coordinate component ``component(i, j)``,
     i < j, of an antisymmetric A-valued 2-tensor, sampled unscaled in pair
-    order; the witness names the pair and the worst near-point.  A
-    one-dimensional base has no pairs and draws no points."""
+    order as one group (see ``max_difference``); the witness names the pair
+    and the worst near-point.  A one-dimensional base has no pairs and draws
+    no points."""
     zero = BundleFunction.zero(algebra, arity)
-    for i, j in combinations(range(arity), 2):
-        residual, point = max_difference(component(i, j), zero, samples=samples,
-                                         rng=rng)
+    pairs = list(combinations(range(arity), 2))
+    group = []
+    try:
+        for i, j in pairs:
+            group.append((component(i, j), zero))
+    except WeilError:
+        # the components built before the failing one are compared first,
+        # and their errors come first, as when each is compared once built
+        max_difference(group, samples=samples, rng=rng)
+        raise
+    for (i, j), (residual, point) in zip(
+            pairs, max_difference(group, samples=samples, rng=rng)):
         yield residual, {
             "pair": [i, j],
             "point": point.coeffs.tolist(),

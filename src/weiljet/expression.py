@@ -24,9 +24,11 @@ DAG in a topological order, found once per root and kept on it, with no
 Python recursion; each handles a distinct node once per call, so shared
 subexpressions cost nothing extra and nesting depth is bounded by memory
 only.  Differentiation goes further and keeps each node's partials on the
-node.  The parser reads a text in one loop over an explicit stack, so it
-refuses nesting deeper than ``MAX_NESTING`` wherever it is called from; a
-long sum or product prints one level deep and parses flat.
+node.  Evaluation over a cache that already holds part of the DAG, and
+differentiation of a root without a tape, walk only the nodes still to do
+and keep no tape.  The parser reads a text in one loop over an explicit
+stack, so it refuses nesting deeper than ``MAX_NESTING`` wherever it is
+called from; a long sum or product prints one level deep and parses flat.
 
 Evaluation over a Weil algebra replaces each primitive g by its truncated
 Taylor expansion g(a0 + nu) = sum_{k<=h} g^(k)(a0)/k! * nu^k, where a0 is the
@@ -303,21 +305,29 @@ def _topological(root: ScalarExpr) -> tuple[ScalarExpr, ...]:
     the root itself, which would make a reference cycle."""
     tape = root._tape
     if tape is None:
-        order = []
-        seen = {root}
-        stack = [(root, iter(root.children))]
-        while stack:
-            node, pending = stack[-1]
-            for child in pending:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append((child, iter(child.children)))
-                    break
-            else:
-                stack.pop()
-                order.append(node)
-        tape = root._tape = tuple(order[:-1])
+        tape = root._tape = tuple(_unfinished(root)[:-1])
     return (*tape, root)
+
+
+def _unfinished(root: ScalarExpr, finished=None) -> list[ScalarExpr]:
+    """The nodes under ``root`` in the order of ``_topological``, without a
+    tape.  ``finished(node)`` marks a node whose whole sub-DAG is done; the
+    walk lists no such node and does not descend into it, so it costs only
+    the nodes still to do."""
+    order = []
+    seen = {root}
+    stack = [(root, iter(root.children))]
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if child not in seen and (finished is None or not finished(child)):
+                seen.add(child)
+                stack.append((child, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
 
 
 # -- smart constructors (constant folding only) ------------------------------
@@ -344,6 +354,12 @@ def _weight(element: WeilElement, arity: int) -> ScalarExpr:
 def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if type(a) is Const:
         if type(b) is Const:
+            # c + 0.0 is c itself, but -0.0 + 0.0 is +0.0; the texts tell the
+            # signed zeros apart
+            if b._text == "0.0" and a._text != "-0.0":
+                return a
+            if a._text == "0.0" and b._text != "-0.0":
+                return b
             return Const(a.value + b.value, a.arity)
         if a.value == 0.0:
             return b
@@ -366,12 +382,12 @@ def mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
         if type(b) is Const:
             return Const(a.value * b.value, a.arity)
         if a.value == 0.0:
-            return Const(0.0, a.arity)
+            return a if a._text == "0.0" else Const(0.0, a.arity)
         if a.value == 1.0:
             return b
     elif type(b) is Const:
         if b.value == 0.0:
-            return Const(0.0, a.arity)
+            return b if b._text == "0.0" else Const(0.0, a.arity)
         if b.value == 1.0:
             return a
     return Mul(a, b)
@@ -590,7 +606,14 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
         return f._derivs[index]
     arity = f.arity
     zero, one = Const(0.0, arity), Const(1.0, arity)
-    for node in _topological(f):
+    if f._tape is None:
+        # a node with this partial has it on its whole sub-DAG: its partials
+        # were built children first, and ``_forget_partials`` drops them all
+        nodes = _unfinished(f, lambda node: (node._derivs is not None
+                                             and index in node._derivs))
+    else:
+        nodes = _topological(f)
+    for node in nodes:
         derivs = node._derivs
         if derivs is None:
             derivs = node._derivs = {}
@@ -775,9 +798,12 @@ def eval_weil(f: ScalarExpr, point, *, cache: dict | None = None) -> np.ndarray:
             value = values[node] = _const_array(node.value, batch, algebra.dim)
         return value
 
-    for node in _topological(f):
+    # the cache only ever holds whole sub-DAGs, so over a warm cache the
+    # walk stops at its nodes and keeps no tape; a cold one takes the tape
+    # kept on the root, which evaluations at fresh points reuse
+    nodes = _unfinished(f, values.__contains__) if values else _topological(f)
+    for node in nodes:
         if node in values:
-            # the cache only ever holds whole sub-DAGs
             continue
         kind = type(node)
         if kind is Const:

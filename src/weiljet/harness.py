@@ -263,19 +263,36 @@ def _worst_case(check: Callable, spec: CheckSpec,
     return max(worst, 0.0), witness
 
 
+def _sampled_group(group, spec: CheckSpec,
+                   rng: np.random.Generator) -> list[tuple[float, dict]]:
+    """One case per (lhs, rhs, witness) of a comparison group, in order: the
+    worst |lhs - rhs| on the member's own sampled points, with its point
+    added to the witness.  The group draws its points as one batch, as
+    many as drawing member after member would (``max_difference``), so the
+    members share the work on the nodes they have in common."""
+    results = max_difference([(lhs, rhs) for lhs, rhs, _ in group],
+                             samples=spec.samples, rng=rng)
+    return [(residual, {**witness, "point": point.coeffs.tolist()})
+            for (_, _, witness), (residual, point) in zip(group, results)]
+
+
 def _sampled(lhs: BundleFunction, rhs: BundleFunction, spec: CheckSpec,
              rng: np.random.Generator, **witness) -> tuple[float, dict]:
     """One case: the worst sampled |lhs - rhs|, with its point in the witness."""
-    residual, point = max_difference(lhs, rhs, samples=spec.samples, rng=rng)
-    witness["point"] = point.coeffs.tolist()
-    return residual, witness
+    [case] = _sampled_group([(lhs, rhs, witness)], spec, rng)
+    return case
 
 
-def _componentwise(lhs_field: BundleVectorField, rhs_field: BundleVectorField,
-                   spec: CheckSpec, rng: np.random.Generator, **witness):
-    """One sampled case per component of two fields."""
-    for i, (lhs, rhs) in enumerate(zip(lhs_field.components, rhs_field.components)):
-        yield _sampled(lhs, rhs, spec, rng, component=i, **witness)
+def _componentwise(fields, spec: CheckSpec, rng: np.random.Generator,
+                   **witness) -> list[tuple[float, dict]]:
+    """One sampled case per component of each (lhs field, rhs field, extra
+    witness), all of them one comparison group."""
+    return _sampled_group(
+        [(lhs, rhs, {**witness, **extra, "component": i})
+         for lhs_field, rhs_field, extra in fields
+         for i, (lhs, rhs) in enumerate(zip(lhs_field.components,
+                                            rhs_field.components))],
+        spec, rng)
 
 
 def _derivation_sides(apply: Callable, field, bracket: Callable,
@@ -525,11 +542,10 @@ def _check_lie_morphism_fields(spec: CheckSpec, rng: np.random.Generator):
                 ("sum", prolong_vector_field(summed_base, algebra),
                  lifted1 + lifted2),
             )
-            for label, lhs, rhs in cases:
-                yield from _componentwise(
-                    lhs, rhs, spec, rng, algebra=key, identity=label,
-                    theta1=_field_texts(theta1), theta2=_field_texts(theta2),
-                    factor=f.text)
+            yield from _componentwise(
+                [(lhs, rhs, {"identity": label}) for label, lhs, rhs in cases],
+                spec, rng, algebra=key, theta1=_field_texts(theta1),
+                theta2=_field_texts(theta2), factor=f.text)
 
 
 @_check(CheckSpec("functoriality_composition",
@@ -620,8 +636,8 @@ def _check_prop4_prop5_global_witness(spec: CheckSpec, rng: np.random.Generator)
         lifted_potential = prolong_function(f, algebra)
         lifted_field = prolong_vector_field(structure.ad(f), algebra)
         derivation = poisson_derivation(prolonged, lifted_potential)
-        yield from _componentwise(lifted_field, derivation, spec, rng, **where,
-                                  part="field", f=f.text)
+        yield from _componentwise([(lifted_field, derivation, {})], spec, rng,
+                                  **where, part="field", f=f.text)
         for _ in range(spec.expressions):
             psi = random_bundle_function(algebra, n, rng)
             yield _sampled(apply_field(lifted_field, psi),
@@ -674,8 +690,9 @@ def _check_thm1_bracket_coincidence(spec: CheckSpec, rng: np.random.Generator):
                                        structure, algebra)
             lifted = prolong_vector_field(base_hamiltonian_field(f, structure),
                                           algebra)
-            yield from _componentwise(solved, lifted, spec, rng, algebra=key,
-                                      arity=n, part="field", f=f.text)
+            yield from _componentwise([(solved, lifted, {})], spec, rng,
+                                      algebra=key, arity=n, part="field",
+                                      f=f.text)
 
 
 @_check(CheckSpec("thm2_symplectic_derivation",
@@ -771,12 +788,14 @@ def _check_leibniz_derivation(spec: CheckSpec, rng: np.random.Generator):
             lifted = prolong_vector_field(theta, algebra)
             phi, psi = _lifted_pair(n, algebra, rng)
             chi = random_bundle_function(algebra, n, rng)
+            group = []
             for label, left, right in (("pullbacks", phi, psi),
                                        ("mixed", phi, chi)):
                 lhs, rhs = _derivation_sides(apply_field, lifted,
                                              operator.mul, left, right)
-                yield _sampled(lhs, rhs, spec, rng, algebra=key, case=label,
-                               theta=_field_texts(theta))
+                group.append((lhs, rhs, {"algebra": key, "case": label,
+                                         "theta": _field_texts(theta)}))
+            yield from _sampled_group(group, spec, rng)
 
 
 @_check(CheckSpec("tau_calculus",
@@ -808,9 +827,9 @@ def _check_tau_calculus(spec: CheckSpec, rng: np.random.Generator):
                 ("leibniz", poisson_derivation(prolonged, phi * psi),
                  tau_psi.scaled(phi) + tau_phi.scaled(psi)),
             )
-            for label, lhs, rhs in cases:
-                yield from _componentwise(lhs, rhs, spec, rng, **where,
-                                          identity=label)
+            yield from _componentwise(
+                [(lhs, rhs, {"identity": label}) for label, lhs, rhs in cases],
+                spec, rng, **where)
 
 
 @_check(CheckSpec("bracket_prolongation_poisson",
@@ -868,8 +887,8 @@ def _check_chain_rule_soundness(spec: CheckSpec, rng: np.random.Generator):
             applied = BundleVectorField(
                 [apply_field(lifted, prolong_function(var(i, n), algebra))
                  for i in range(n)])
-            yield from _componentwise(applied, lifted, spec, rng, algebra=key,
-                                      identity="coordinate",
+            yield from _componentwise([(applied, lifted, {})], spec, rng,
+                                      algebra=key, identity="coordinate",
                                       theta=_field_texts(theta))
 
 
@@ -890,8 +909,8 @@ def _check_jacobi_field_bracket(spec: CheckSpec, rng: np.random.Generator):
                       + lie_bracket(lie_bracket(y, z), x)
                       + lie_bracket(lie_bracket(z, x), y))
             for label, combo in (("antisymmetry", skew), ("jacobi", cyclic)):
-                yield from _componentwise(combo, zero, spec, rng, algebra=key,
-                                          identity=label)
+                yield from _componentwise([(combo, zero, {})], spec, rng,
+                                          algebra=key, identity=label)
 
 
 @_check(CheckSpec("symplectic_local_equivalence",

@@ -322,7 +322,7 @@ def check_global_witness_poisson(field: BundleVectorField, witness: BundleFuncti
     if field.arity != candidate.arity:
         raise ArityError("field arity does not match the structure")
     for mine, theirs in zip(field.components, candidate.components):
-        residual, _ = max_difference(mine, theirs, samples=samples, rng=rng)
+        [(residual, _)] = max_difference([(mine, theirs)], samples=samples, rng=rng)
         if residual > tol:
             return False
     return True

@@ -604,8 +604,8 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
         worst = 0.0
         for i in range(n):
             target = gradient[i] * float(sign)
-            residual, _ = max_difference(contracted.coefficient((i,)), target,
-                                         samples=samples, rng=rng)
+            [(residual, _)] = max_difference(
+                [(contracted.coefficient((i,)), target)], samples=samples, rng=rng)
             worst = max(worst, residual)
         outcomes[sign] = worst
         if worst <= tol:

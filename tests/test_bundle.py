@@ -1,6 +1,7 @@
 """Prolongation of functions and vector fields to near-points."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -21,7 +22,7 @@ from weiljet.bundle import (
     BundleVectorField,
     NearPoint,
     apply_field,
-    functions_equal,
+    coordinate_pair_cases,
     lie_bracket,
     max_difference,
     prolong_function,
@@ -29,6 +30,7 @@ from weiljet.bundle import (
     pushforward_map,
     sample_near_point,
     sample_near_points,
+    worst_case,
 )
 from weiljet.errors import ArityError, DomainError
 from weiljet.expression import (
@@ -43,14 +45,26 @@ from weiljet.expression import (
     parse_expr,
     sub,
 )
-from weiljet.poisson import PoissonStructure, ProlongedPoisson, poisson_derivation
+from weiljet.poisson import (
+    PoissonStructure,
+    ProlongedPoisson,
+    poisson_derivation,
+    prolonged_adjoint_differential,
+)
 from weiljet.sampling import (
     random_base_field,
     random_bundle_function,
     random_expression,
     sample_element,
 )
-from weiljet.symplectic import BaseForm, SymplecticStructure, hamiltonian_field
+from weiljet.symplectic import (
+    BaseForm,
+    SymplecticStructure,
+    bundle_exterior_derivative,
+    hamiltonian_field,
+    interior_product,
+    prolong_form,
+)
 
 DUAL = make_truncated_algebra(1, 1)
 T3 = make_truncated_algebra(1, 2)
@@ -78,10 +92,14 @@ def test_prolongation_is_a_ring_morphism(algebra):
         g = random_expression(2, rng)
         prod = prolong_function(mul(f, g), algebra)
         split = prolong_function(f, algebra) * prolong_function(g, algebra)
-        assert max_difference(prod, split, samples=8, rng=np.random.default_rng(trial))[0] < 1e-8
+        [(residual, _)] = max_difference([(prod, split)], samples=8,
+                                         rng=np.random.default_rng(trial))
+        assert residual < 1e-8
         total = prolong_function(add(f, g), algebra)
         parts = prolong_function(f, algebra) + prolong_function(g, algebra)
-        assert max_difference(total, parts, samples=8, rng=np.random.default_rng(trial))[0] < 1e-8
+        [(residual, _)] = max_difference([(total, parts)], samples=8,
+                                         rng=np.random.default_rng(trial))
+        assert residual < 1e-8
 
 
 def test_partial_commutes_with_prolongation():
@@ -89,12 +107,12 @@ def test_partial_commutes_with_prolongation():
     f = random_expression(2, rng)
     lifted = prolong_function(f, T3)
     for index in range(2):
-        assert functions_equal(
-            lifted.partial(index),
-            prolong_function(differentiate(f, index), T3),
+        [(residual, _)] = max_difference(
+            [(lifted.partial(index), prolong_function(differentiate(f, index), T3))],
             samples=8,
             rng=np.random.default_rng(index),
         )
+        assert residual <= 1e-9
 
 
 def test_prolonged_field_satisfies_chain_rule():
@@ -108,7 +126,8 @@ def test_prolonged_field_satisfies_chain_rule():
         term = mul(component, differentiate(f, j))
         symbolic = term if symbolic is None else add(symbolic, term)
     want = prolong_function(symbolic, M2)
-    assert max_difference(got, want, samples=8, rng=np.random.default_rng(5))[0] < 1e-8
+    [(residual, _)] = max_difference([(got, want)], samples=8, rng=np.random.default_rng(5))
+    assert residual < 1e-8
 
 
 def _base_bracket_field(v, w, arity):
@@ -132,12 +151,12 @@ def test_lie_bracket_prolongs_the_base_bracket():
     f = prolong_function(random_expression(2, rng), DUAL)
     bracket = lie_bracket(prolong_vector_field(v, DUAL), prolong_vector_field(w, DUAL))
     prolonged = prolong_vector_field(_base_bracket_field(v, w, 2), DUAL)
-    assert max_difference(
-        apply_field(bracket, f),
-        apply_field(prolonged, f),
+    [(residual, _)] = max_difference(
+        [(apply_field(bracket, f), apply_field(prolonged, f))],
         samples=6,
         rng=np.random.default_rng(8),
-    )[0] < 1e-7
+    )
+    assert residual < 1e-7
 
 
 def test_lie_bracket_antisymmetry():
@@ -148,7 +167,9 @@ def test_lie_bracket_antisymmetry():
     forward = apply_field(lie_bracket(x, y), f)
     backward = apply_field(lie_bracket(y, x), f)
     zero = BundleFunction.zero(DUAL, 2)
-    assert max_difference(forward + backward, zero, samples=6, rng=np.random.default_rng(2))[0] < 1e-8
+    [(residual, _)] = max_difference([(forward + backward, zero)], samples=6,
+                                     rng=np.random.default_rng(2))
+    assert residual < 1e-8
 
 
 def test_scaled_field_scales_derivations():
@@ -158,7 +179,8 @@ def test_scaled_field_scales_derivations():
     f = prolong_function(random_expression(2, rng), T3)
     got = apply_field(field.scaled(weight), f)
     want = weight * apply_field(field, f)
-    assert max_difference(got, want, samples=6, rng=np.random.default_rng(4))[0] < 1e-8
+    [(residual, _)] = max_difference([(got, want)], samples=6, rng=np.random.default_rng(4))
+    assert residual < 1e-8
 
 
 def test_pushforward_evaluates_componentwise():
@@ -181,14 +203,15 @@ def test_pushforward_functoriality():
     assert np.allclose(stepwise.coeffs, collapsed.coeffs, rtol=0.0, atol=1e-9)
 
 
-def test_functions_equal_tolerance_and_determinism():
+def test_max_difference_tolerance_and_determinism():
     f = prolong_function(parse_expr("x0", 1), DUAL)
     near = f + BundleFunction.constant(1e-12, DUAL, 1)
     far = f + BundleFunction.constant(1e-3, DUAL, 1)
-    assert functions_equal(f, near, samples=8, rng=np.random.default_rng(0))
-    assert not functions_equal(f, far, samples=8, rng=np.random.default_rng(0))
-    first, where = max_difference(f, far, samples=8, rng=np.random.default_rng(9))
-    second, _ = max_difference(f, far, samples=8, rng=np.random.default_rng(9))
+    [(small, _)] = max_difference([(f, near)], samples=8, rng=np.random.default_rng(0))
+    [(large, _)] = max_difference([(f, far)], samples=8, rng=np.random.default_rng(0))
+    assert small <= 1e-9 < large
+    [(first, where)] = max_difference([(f, far)], samples=8, rng=np.random.default_rng(9))
+    [(second, _)] = max_difference([(f, far)], samples=8, rng=np.random.default_rng(9))
     assert first == second == pytest.approx(1e-3)
     assert where is not None
 
@@ -224,7 +247,7 @@ def test_sum_rejects_mismatched_parts():
 def test_max_difference_needs_a_sample():
     f = prolong_function(parse_expr("x0", 1), DUAL)
     with pytest.raises(ValueError):
-        max_difference(f, f, samples=0)
+        max_difference([(f, f)], samples=0)
 
 
 @pytest.mark.parametrize("seed", [3, 5, 6])
@@ -234,16 +257,159 @@ def test_non_finite_residual_is_a_domain_error(seed):
     twice = prolong_function(parse_expr("2*x0^100000", 1), T3)
     once = prolong_function(parse_expr("x0^100000", 1), T3)
     with pytest.raises(DomainError):
-        functions_equal(twice, once, rng=np.random.default_rng(seed))
+        max_difference([(twice, once)], rng=np.random.default_rng(seed))
 
 
 def test_worst_point_is_the_first_largest_in_sample_order():
     # constants differ by exactly 0.25 everywhere: every point ties
     f = BundleFunction.constant(1.0, DUAL, 1)
     g = BundleFunction.constant(1.25, DUAL, 1)
-    residual, point = max_difference(f, g, samples=8, rng=np.random.default_rng(1))
+    [(residual, point)] = max_difference([(f, g)], samples=8, rng=np.random.default_rng(1))
     assert residual == 0.25
     assert point == sample_near_points(DUAL, 1, np.random.default_rng(1), 8)[0]
+
+
+# -- comparison groups ------------------------------------------------------------
+
+def _one_pair_at_a_time(pairs, samples, rng):
+    # max_difference as it compared before groups: each pair on a draw and a
+    # cache of its own
+    out = []
+    for f, g in pairs:
+        points = sample_near_points(f.algebra, f.arity, rng, samples)
+        residuals = np.max(np.abs(f.evaluate(points) - g.evaluate(points)), axis=-1)
+        if not np.isfinite(residuals).all():
+            raise DomainError("a sampled residual is not finite")
+        worst = int(np.argmax(residuals))
+        out.append((float(residuals[worst]), points[worst]))
+    return out
+
+
+def _pairs_one_at_a_time(component, algebra, arity, samples, rng):
+    # coordinate_pair_cases as it compared before groups
+    zero = BundleFunction.zero(algebra, arity)
+    for i, j in itertools.combinations(range(arity), 2):
+        [(residual, point)] = _one_pair_at_a_time([(component(i, j), zero)], samples, rng)
+        yield residual, {"pair": [i, j], "point": point.coeffs.tolist()}
+
+
+def _assert_same_bits(got, want):
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("algebra", [DUAL, T3, M2], ids=["dual", "t3", "m2"])
+def test_a_group_of_field_components_compares_as_its_pairs_one_at_a_time(algebra):
+    rng = np.random.default_rng(31)
+    prolonged = ProlongedPoisson(PoissonStructure.rotational(), algebra)
+    theta1, theta2 = random_base_field(3, rng), random_base_field(3, rng)
+    x, y = (prolong_vector_field(t, algebra) for t in (theta1, theta2))
+    phi, psi = (random_bundle_function(algebra, 3, rng) for _ in range(2))
+    tau_phi, tau_psi = poisson_derivation(prolonged, phi), poisson_derivation(prolonged, psi)
+    fields = [
+        (lie_bracket(x, y), prolong_vector_field(theta1.bracket(theta2), algebra)),
+        (poisson_derivation(prolonged, phi * psi), tau_psi.scaled(phi) + tau_phi.scaled(psi)),
+        (x, y),
+    ]
+    pairs = [(lhs, rhs) for lhs_field, rhs_field in fields
+             for lhs, rhs in zip(lhs_field.components, rhs_field.components)]
+    grouped, single = np.random.default_rng(5), np.random.default_rng(5)
+    got = max_difference(pairs, samples=4, rng=grouped)
+    want = _one_pair_at_a_time(pairs, 4, single)
+    _assert_same_bits([r for r, _ in got], [r for r, _ in want])
+    _assert_same_bits([p.coeffs for _, p in got], [p.coeffs for _, p in want])
+    assert grouped.bit_generator.state == single.bit_generator.state
+    assert max(r for r, _ in got) > 1e-3
+
+
+def _poisson_pair_defect(structure, algebra, rng):
+    field = prolong_vector_field(random_base_field(structure.arity, rng), algebra)
+    defect = prolonged_adjoint_differential(field, ProlongedPoisson(structure, algebra))
+    coords = [prolong_function(parse_expr(f"x{i}", structure.arity), algebra)
+              for i in range(structure.arity)]
+    return lambda i, j: defect(coords[i], coords[j])
+
+
+def _form_pair_defect(form, algebra, rng, solved):
+    structure = SymplecticStructure(form)
+    if solved:
+        field = hamiltonian_field(random_bundle_function(algebra, form.arity, rng),
+                                  structure, algebra)
+    else:
+        field = prolong_vector_field(random_base_field(form.arity, rng), algebra)
+    defect = bundle_exterior_derivative(
+        interior_product(field, prolong_form(structure.form, algebra)))
+    return lambda i, j: defect.coefficient((i, j))
+
+
+CURVED_FORM4 = BaseForm(2, 4, {(0, 1): "1 + 0.5*x0^2", (0, 2): 0.25,
+                               (2, 3): "2 + cos(0.5*x3)"})
+
+
+@pytest.mark.parametrize("algebra", [DUAL, T3], ids=["dual", "t3"])
+@pytest.mark.parametrize("components", [
+    lambda algebra, rng: _poisson_pair_defect(PoissonStructure.rotational(), algebra, rng),
+    lambda algebra, rng: _poisson_pair_defect(PoissonStructure.canonical(4), algebra, rng),
+    lambda algebra, rng: _form_pair_defect(CURVED_FORM4, algebra, rng, solved=False),
+    lambda algebra, rng: _form_pair_defect(CURVED_FORM4, algebra, rng, solved=True),
+], ids=["rotational", "canonical4", "curved_form4", "curved_form4_solved"])
+def test_coordinate_pairs_compare_as_one_pair_at_a_time(components, algebra):
+    component = components(algebra, np.random.default_rng(17))
+    arity = component(0, 1).arity
+    grouped, single = np.random.default_rng(3), np.random.default_rng(3)
+    got = list(coordinate_pair_cases(component, algebra, arity, 4, grouped))
+    want = list(_pairs_one_at_a_time(component, algebra, arity, 4, single))
+    _assert_same_bits([r for r, _ in got], [r for r, _ in want])
+    assert [w for _, w in got] == [w for _, w in want]
+    assert grouped.bit_generator.state == single.bit_generator.state
+    assert worst_case(got) == worst_case(want)
+
+
+def _logged_pairs(x0_positive_on_own_rows):
+    # component (0, 1) reads log(x0) and the others do not; find the first
+    # seed whose draw puts x0 <= 0 on the other pairs' rows, and on the
+    # logged pair's own rows exactly when asked
+    samples = 2
+    for seed in range(1000):
+        x0 = sample_near_points(T3, 3, np.random.default_rng(seed), 3 * samples).coeffs[:, 0, 0]
+        own, others = x0[:samples], x0[samples:]
+        if (own > 0).all() == x0_positive_on_own_rows and (others <= 0).any():
+            return seed, samples
+    raise AssertionError("no seed found")
+
+
+@pytest.mark.parametrize("defined", [True, False], ids=["defined", "undefined"])
+def test_a_member_undefined_on_other_rows_decides_as_on_its_own(defined):
+    logged = prolong_function(parse_expr("log(x0) * x1 + x2", 3), T3)
+    plain = prolong_function(parse_expr("x0 * x1 - x2^2", 3), T3)
+    component = {(0, 1): logged, (0, 2): plain, (1, 2): plain * 2.0}.get
+    seed, samples = _logged_pairs(defined)
+    grouped, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    if defined:
+        got = worst_case(coordinate_pair_cases(
+            lambda i, j: component((i, j)), T3, 3, samples, grouped))
+        want = worst_case(_pairs_one_at_a_time(
+            lambda i, j: component((i, j)), T3, 3, samples, single))
+        assert got == want
+        assert grouped.bit_generator.state == single.bit_generator.state
+        return
+    for rng, cases in ((grouped, coordinate_pair_cases), (single, _pairs_one_at_a_time)):
+        with pytest.raises(DomainError, match="log needs a positive augmentation"):
+            worst_case(cases(lambda i, j: component((i, j)), T3, 3, samples, rng))
+
+
+def test_a_component_that_cannot_be_built_fails_after_the_pairs_before_it():
+    logged = prolong_function(parse_expr("log(x0 - 10)", 3), T3)
+
+    def component(i, j):
+        if (i, j) == (0, 1):
+            return logged
+        raise ArityError("not built")
+
+    # the first pair fails to evaluate before the second fails to build
+    with pytest.raises(DomainError):
+        list(coordinate_pair_cases(component, T3, 3, 2, np.random.default_rng(0)))
 
 
 # -- batches ----------------------------------------------------------------------
@@ -396,7 +562,7 @@ def test_batches_go_through_the_class_pulled(monkeypatch):
 
     monkeypatch.setattr(NearPoint, "pulled", counting)
     f = prolong_function(parse_expr("sin(x0) * x1", 2), T3)
-    max_difference(f, f * 2.0, samples=4, rng=np.random.default_rng(0))
+    max_difference([(f, f * 2.0)], samples=4, rng=np.random.default_rng(0))
     assert shapes == [(4, 2, 3), (4, 2, 3)]
 
 

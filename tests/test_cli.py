@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -710,6 +711,23 @@ def test_algebra_at_the_dimension_cap():
         cwd=root, env=env, capture_output=True, text=True, timeout=30)
     assert result.returncode == 0, result.stderr
     assert strict_document(result.stdout)["dim"] == 512
+
+
+@pytest.mark.parametrize("spec", [
+    "truncated:100000,100000",
+    "truncated:4000000,4000000",
+    "truncated:600,0",
+    '{"family":"truncated","width":600,"height":600}',
+    '{"family":"truncated","width":1,"height":' + "9" * 4000 + "}",
+])
+def test_truncated_specs_past_the_cap_are_refused_at_once(capsys, spec):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "algebra", "--algebra", spec)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    error = strict_document(out)["error"]
+    assert error["type"] == "CapacityError"
+    assert len(error["message"]) < 100
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -620,3 +620,47 @@ def test_real_walkers_refuse_algebra_valued_nodes():
             eval_real(fn.root, [0.5, 1.0])
         with pytest.raises(AlgebraMismatch):
             compose(fn.root, [parse_expr("x0", 1), parse_expr("x0", 1)])
+
+
+def test_a_warm_cache_evaluates_as_a_cold_one():
+    """Over a cache that already holds part of the DAG, the walk stops at the
+    finished nodes and keeps no tape; the values keep the bits of a cold
+    evaluation, which still keeps its tape on the root."""
+    algebra = make_truncated_algebra(2, 2)
+    shared = parse_expr("exp(0.3141 * x0) * (x0 * x1)", 2)
+    root = parse_expr("sin(x0 * x1) + exp(0.3141 * x0) * (x0 * x1)"
+                      " - log(x1^2 + 1.2718) / (x0^2 + 2)", 2)
+    coords = np.random.default_rng(12).uniform(-2.0, 2.0, (5, 2, algebra.dim))
+    coords[1:3, :, 1:] = [0.0, -0.0, 0.0, -0.0, 0.0]
+    warm = NearPoint.from_coeffs(algebra, coords)
+    warm.pulled(shared)
+    assert root._tape is None
+    got = warm.pulled(root)
+    assert root._tape is None
+    want = eval_weil(root, NearPoint.from_coeffs(algebra, coords))
+    assert root._tape is not None
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_partials_of_a_root_without_a_tape_are_the_partials_of_its_tape():
+    part = parse_expr("x0^3 * cos(x1) / (x0^2 + 1.5772)", 2)
+    root = parse_expr("exp(x0^3 * cos(x1) / (x0^2 + 1.5772)) * x1 - x0^3 * cos(x1)", 2)
+    differentiate(part, 0)
+    assert root._tape is None
+    first = differentiate(root, 0)
+    assert root._tape is None
+    expression._forget_partials()
+    expression._topological(root)
+    assert differentiate(root, 0) is first
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, 2.5, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("b", [0.0, -0.0, 2.5])
+def test_constant_folds_give_the_constant_of_float_arithmetic(a, b):
+    assert add(const(a, 1), const(b, 1)) is const(a + b, 1)
+    assert add(const(b, 1), const(a, 1)) is const(b + a, 1)
+    x = var(0, 1)
+    if a == 0.0:
+        assert mul(const(a, 1), x) is const(0.0, 1)
+        assert mul(x, const(a, 1)) is const(0.0, 1)

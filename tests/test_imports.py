@@ -35,7 +35,7 @@ PUBLIC_NAMES = {
     "apply_field", "base_hamiltonian_field", "base_interior_product",
     "battery_algebra", "bundle_exterior_derivative", "check_global_witness_poisson",
     "check_global_witness_symplectic", "compose", "default_specs", "differentiate",
-    "eval_real", "eval_weil", "exterior_derivative", "functions_equal",
+    "eval_real", "eval_weil", "exterior_derivative",
     "hamiltonian_field", "interior_product", "inverse_bivector",
     "is_locally_hamiltonian_poisson", "is_locally_hamiltonian_symplectic",
     "lie_bracket", "make_truncated_algebra", "max_difference", "parse_expr",
