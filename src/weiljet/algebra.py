@@ -548,9 +548,9 @@ def make_truncated_algebra(width: int, height: int) -> WeilAlgebra:
         raise ValueError("width must be at least 1")
     if height < 0:
         raise ValueError("height must be nonnegative")
-    # from height 1 on, dim >= max(width, height) + 1; at height 0 the work
-    # still grows with the width.  The binomial of huge arguments is slow to
-    # compute and to print, and the message names neither.
+    # from height 1 on, dim >= max(width, height) + 1, and at height 0 the
+    # work still grows with the width; the binomial of huge arguments is slow
+    # to compute and to print, so no message prints it or them
     if max(width, height) > MAX_DIM:
         raise CapacityError(f"a truncated algebra's width and height are capped "
                             f"at {MAX_DIM}")

@@ -267,9 +267,9 @@ def _sampled_group(group, spec: CheckSpec,
                    rng: np.random.Generator) -> list[tuple[float, dict]]:
     """One case per (lhs, rhs, witness) of a comparison group, in order: the
     worst |lhs - rhs| on the member's own sampled points, with its point
-    added to the witness.  The group draws its points as one batch, as
-    many as drawing member after member would (``max_difference``), so the
-    members share the work on the nodes they have in common."""
+    added to the witness.  The group draws the points of drawing member
+    after member in one batch (``max_difference``), so the members share
+    the work on the nodes they have in common."""
     results = max_difference([(lhs, rhs) for lhs, rhs, _ in group],
                              samples=spec.samples, rng=rng)
     return [(residual, {**witness, "point": point.coeffs.tolist()})
