@@ -366,37 +366,39 @@ def test_coordinate_pairs_compare_as_one_pair_at_a_time(components, algebra):
     assert worst_case(got) == worst_case(want)
 
 
-def _logged_pairs(x0_positive_on_own_rows):
-    # component (0, 1) reads log(x0) and the others do not; find the first
-    # seed whose draw puts x0 <= 0 on the other pairs' rows, and on the
-    # logged pair's own rows exactly when asked
-    samples = 2
+def _logged_pair_seed(samples, x0_positive_on_own_rows):
+    # the first seed whose draw puts x0 <= 0 on the rows of pairs (0, 2) and
+    # (1, 2), and on the rows of pair (0, 1) exactly when asked
     for seed in range(1000):
-        x0 = sample_near_points(T3, 3, np.random.default_rng(seed), 3 * samples).coeffs[:, 0, 0]
+        points = sample_near_points(T3, 3, np.random.default_rng(seed), 3 * samples)
+        x0 = points.coeffs[:, 0, 0]
         own, others = x0[:samples], x0[samples:]
         if (own > 0).all() == x0_positive_on_own_rows and (others <= 0).any():
-            return seed, samples
+            return seed
     raise AssertionError("no seed found")
 
 
 @pytest.mark.parametrize("defined", [True, False], ids=["defined", "undefined"])
 def test_a_member_undefined_on_other_rows_decides_as_on_its_own(defined):
+    # component (0, 1) reads log(x0) and the others do not
     logged = prolong_function(parse_expr("log(x0) * x1 + x2", 3), T3)
     plain = prolong_function(parse_expr("x0 * x1 - x2^2", 3), T3)
-    component = {(0, 1): logged, (0, 2): plain, (1, 2): plain * 2.0}.get
-    seed, samples = _logged_pairs(defined)
+    parts = {(0, 1): logged, (0, 2): plain, (1, 2): plain * 2.0}
+
+    def component(i, j):
+        return parts[i, j]
+
+    seed = _logged_pair_seed(2, defined)
     grouped, single = np.random.default_rng(seed), np.random.default_rng(seed)
     if defined:
-        got = worst_case(coordinate_pair_cases(
-            lambda i, j: component((i, j)), T3, 3, samples, grouped))
-        want = worst_case(_pairs_one_at_a_time(
-            lambda i, j: component((i, j)), T3, 3, samples, single))
+        got = worst_case(coordinate_pair_cases(component, T3, 3, 2, grouped))
+        want = worst_case(_pairs_one_at_a_time(component, T3, 3, 2, single))
         assert got == want
         assert grouped.bit_generator.state == single.bit_generator.state
         return
     for rng, cases in ((grouped, coordinate_pair_cases), (single, _pairs_one_at_a_time)):
         with pytest.raises(DomainError, match="log needs a positive augmentation"):
-            worst_case(cases(lambda i, j: component((i, j)), T3, 3, samples, rng))
+            worst_case(cases(component, T3, 3, 2, rng))
 
 
 def test_a_component_that_cannot_be_built_fails_after_the_pairs_before_it():
