@@ -31,8 +31,6 @@ records:
   mutation on each of its target checks, through the CLI) in a fresh
   process, after one untimed sweep; every mutation must be caught by its
   target check;
-- as ``mutation_sweep_calls``, the cProfile total call count of one more,
-  untimed sweep in that process;
 
 and once per side the line count of ``src/``, the tree it measured (the
 commit, and a digest of the uncommitted changes under ``src/`` and
@@ -78,10 +76,9 @@ TIMEOUT_S = 300
 RATES = ("poisson_decisions_per_s", "symplectic_decisions_per_s")
 # Figures where a lower value is better; the rest are rates.
 LOWER_IS_BETTER = ("verify_s.", "cli_start_s", "import_s", "algebra_build_s.",
-                   "symbolic_build_s", "mutation_sweep_s", "mutation_sweep_calls")
-# Single figures measured once per repeat.
-TIMES = ("cli_start_s", "import_s", "symbolic_build_s", "mutation_sweep_s",
-         "mutation_sweep_calls")
+                   "symbolic_build_s", "mutation_sweep_s")
+# Single figures timed once per repeat.
+TIMES = ("cli_start_s", "import_s", "symbolic_build_s", "mutation_sweep_s")
 # (width, height) of the truncated algebras whose build is timed
 BUILD_ALGEBRAS = reference.WIDE_ALGEBRAS
 # Times each build of argv[1]'s (width, height) list after the import.
@@ -110,21 +107,16 @@ for op in json.loads(sys.argv[1]):
 print(json.dumps(time.perf_counter() - t0))
 """
 # Times one mutation sweep of the suite workload on argv[2]'s inputs after an
-# untimed one, with argv[1]'s perfbench modules, then counts the calls of one
-# more sweep under cProfile.
+# untimed one, with argv[1]'s perfbench modules.
 SWEEP_CHILD = """
-import cProfile, json, pstats, sys, time
+import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import workloads
 suite = workloads.Suite(json.loads(sys.argv[2]))
 suite.sweep()
 t0 = time.perf_counter()
 sweeps, _ = suite.sweep()
-spent = time.perf_counter() - t0
-profile = cProfile.Profile()
-profile.runcall(suite.sweep)
-print(json.dumps({"s": spent, "sweeps": sweeps,
-                  "calls": pstats.Stats(profile).total_calls}))
+print(json.dumps({"s": time.perf_counter() - t0, "sweeps": sweeps}))
 """
 # Prints the weiljet submodules importing the CLI loads, and the
 # interpreter's bytecode flag.
@@ -271,7 +263,6 @@ def measure_once(root: Path, decide, deep: list, suite: dict, side: dict) -> str
     if missed:
         raise BenchError(f"mutations not caught in {root}: {missed}")
     side["mutation_sweep_s"].append(sweep["s"])
-    side["mutation_sweep_calls"].append(sweep["calls"])
     return result["numpy"]
 
 

@@ -541,19 +541,24 @@ def make_truncated_algebra(width: int, height: int) -> WeilAlgebra:
     """Truncated polynomial algebra R[t1..tk] modulo total degree > height.
 
     Basis: all monomials of degree <= height in graded order, so the unit is
-    basis element 0 and dim = binomial(width + height, width).  A width or
-    height above ``MAX_DIM`` is refused before the binomial is computed.
+    basis element 0 and dim = binomial(width + height, width).  From height
+    1 on, a width or height above ``MAX_DIM`` is refused before the binomial
+    is computed; height 0 gives R, whatever the width.
     """
     if width < 1:
         raise ValueError("width must be at least 1")
     if height < 0:
         raise ValueError("height must be nonnegative")
-    # from height 1 on, dim >= max(width, height) + 1, and at height 0 the
-    # work still grows with the width; the binomial of huge arguments is slow
-    # to compute and to print, so no message prints it or them
+    if height == 0:
+        # the unit alone, built without a width-long monomial table
+        index = np.zeros(1, dtype=np.intp)
+        return WeilAlgebra(1, index, index.copy(), index.copy(), np.ones(1),
+                           ["1"], 0, family=("truncated", width, 0))
+    # dim >= max(width, height) + 1 here; the binomial of huge arguments is
+    # slow to compute and to print, so no message prints it or them
     if max(width, height) > MAX_DIM:
         raise CapacityError(f"a truncated algebra's width and height are capped "
-                            f"at {MAX_DIM}")
+                            f"at {MAX_DIM} from height 1 on")
     dim = math.comb(width + height, width)
     if dim > MAX_DIM:
         raise CapacityError(f"dimension binomial({width + height}, {width}) "

@@ -47,6 +47,11 @@ from .expression import (
 DEFAULT_BOX = (-2.0, 2.0)
 # Seed of the verification suite and of every generator made when none is given.
 DEFAULT_SEED = 42
+# Most rows a comparison group evaluates in one batch.  Every member runs
+# over the whole batch, so a batch saves NumPy calls on the nodes its
+# members share but does arithmetic on every other member's rows; past a
+# few hundred rows that arithmetic costs more than the calls it saves.
+GROUP_ROWS = 64
 
 
 class NearPoint:
@@ -395,14 +400,16 @@ def max_difference(pairs: Sequence[tuple[BundleFunction, BundleFunction]], *,
     """Largest coefficientwise deviation |f - g| of each (f, g) pair of a
     group over random near-points.
 
-    The group draws ``samples`` points per pair in one batch: the points,
-    and the generator's final state, of drawing pair after pair.  Every
-    function is evaluated over the whole batch, so work on the nodes the
-    pairs share is done once, and each pair's residual comes from its own
-    rows.  A function may fail on another pair's rows where it would not on
-    its own (``log(x0)`` where their x0 <= 0, say); when evaluating the group
-    raises a WeilError, each pair is compared on its own rows alone, one
-    after another, which raises what comparing the pairs separately would.
+    The group draws ``samples`` points per pair, pair after pair, in
+    batches of as many whole pairs as fit in ``GROUP_ROWS`` rows (one pair
+    at least): the points, and the generator's final state, of drawing one
+    pair after another.  Every function of a batch is evaluated over all of
+    its rows, so work on the nodes its pairs share is done once, and each
+    pair's residual comes from its own rows.  A function may fail on another
+    pair's rows where it would not on its own (``log(x0)`` where their
+    x0 <= 0, say); when evaluating a batch raises a WeilError, its pairs are
+    compared on their own rows alone, one after another, which raises what
+    comparing the pairs separately would.
 
     Returns one (residual, worst_point) per pair, the worst point being the
     first of the pair's points with the largest residual.  Raises ValueError
@@ -419,16 +426,26 @@ def max_difference(pairs: Sequence[tuple[BundleFunction, BundleFunction]], *,
         f._check_mate(g)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    points = sample_near_points(first.algebra, first.arity, rng,
-                                len(pairs) * samples)
-    rows = [slice(k * samples, (k + 1) * samples) for k in range(len(pairs))]
+    size = max(1, GROUP_ROWS // samples)
+    out = []
+    for start in range(0, len(pairs), size):
+        out.extend(_batch_differences(pairs[start:start + size], samples, rng))
+    return out
+
+
+def _batch_differences(batch, samples: int, rng: np.random.Generator):
+    """``max_difference`` of the pairs of one batch; the batch's points and
+    cache go when this returns, before the next batch is drawn."""
+    f0 = batch[0][0]
+    points = sample_near_points(f0.algebra, f0.arity, rng, len(batch) * samples)
+    rows = [slice(k * samples, (k + 1) * samples) for k in range(len(batch))]
     try:
         deviations = [f.evaluate(points)[own] - g.evaluate(points)[own]
-                      for (f, g), own in zip(pairs, rows)]
+                      for (f, g), own in zip(batch, rows)]
     except WeilError:
         deviations = None
     out = []
-    for k, ((f, g), own) in enumerate(zip(pairs, rows)):
+    for k, ((f, g), own) in enumerate(zip(batch, rows)):
         if deviations is None:
             alone = points[own]
             deviation = f.evaluate(alone) - g.evaluate(alone)

@@ -24,11 +24,11 @@ DAG in a topological order, found once per root and kept on it, with no
 Python recursion; each handles a distinct node once per call, so shared
 subexpressions cost nothing extra and nesting depth is bounded by memory
 only.  Differentiation goes further and keeps each node's partials on the
-node.  Evaluation over a cache that already holds part of the DAG, and
-differentiation of a root without a tape, walk only the nodes still to do
-and keep no tape.  The parser reads a text in one loop over an explicit
-stack, so it refuses nesting deeper than ``MAX_NESTING`` wherever it is
-called from; a long sum or product prints one level deep and parses flat.
+node.  Evaluation over a cache that already holds part of the DAG walks
+only the nodes still to do and keeps no tape.  The parser reads a text in
+one loop over an explicit stack, so it refuses nesting deeper than
+``MAX_NESTING`` wherever it is called from; a long sum or product prints
+one level deep and parses flat.
 
 Evaluation over a Weil algebra replaces each primitive g by its truncated
 Taylor expansion g(a0 + nu) = sum_{k<=h} g^(k)(a0)/k! * nu^k, where a0 is the
@@ -606,14 +606,7 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
         return f._derivs[index]
     arity = f.arity
     zero, one = Const(0.0, arity), Const(1.0, arity)
-    if f._tape is None:
-        # a node with this partial has it on its whole sub-DAG: its partials
-        # were built children first, and ``_forget_partials`` drops them all
-        nodes = _unfinished(f, lambda node: (node._derivs is not None
-                                             and index in node._derivs))
-    else:
-        nodes = _topological(f)
-    for node in nodes:
+    for node in _topological(f):
         derivs = node._derivs
         if derivs is None:
             derivs = node._derivs = {}

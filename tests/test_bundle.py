@@ -15,8 +15,10 @@ from weiljet.algebra import (
     make_truncated_algebra,
     validate_algebra,
 )
+from weiljet import bundle
 from weiljet.bundle import (
     DEFAULT_BOX,
+    GROUP_ROWS,
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
@@ -299,8 +301,9 @@ def _assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("samples", [4, 24, 80])
 @pytest.mark.parametrize("algebra", [DUAL, T3, M2], ids=["dual", "t3", "m2"])
-def test_a_group_of_field_components_compares_as_its_pairs_one_at_a_time(algebra):
+def test_a_group_of_field_components_compares_as_its_pairs_one_at_a_time(algebra, samples):
     rng = np.random.default_rng(31)
     prolonged = ProlongedPoisson(PoissonStructure.rotational(), algebra)
     theta1, theta2 = random_base_field(3, rng), random_base_field(3, rng)
@@ -315,8 +318,8 @@ def test_a_group_of_field_components_compares_as_its_pairs_one_at_a_time(algebra
     pairs = [(lhs, rhs) for lhs_field, rhs_field in fields
              for lhs, rhs in zip(lhs_field.components, rhs_field.components)]
     grouped, single = np.random.default_rng(5), np.random.default_rng(5)
-    got = max_difference(pairs, samples=4, rng=grouped)
-    want = _one_pair_at_a_time(pairs, 4, single)
+    got = max_difference(pairs, samples=samples, rng=grouped)
+    want = _one_pair_at_a_time(pairs, samples, single)
     _assert_same_bits([r for r, _ in got], [r for r, _ in want])
     _assert_same_bits([p.coeffs for _, p in got], [p.coeffs for _, p in want])
     assert grouped.bit_generator.state == single.bit_generator.state
@@ -354,16 +357,45 @@ CURVED_FORM4 = BaseForm(2, 4, {(0, 1): "1 + 0.5*x0^2", (0, 2): 0.25,
     lambda algebra, rng: _form_pair_defect(CURVED_FORM4, algebra, rng, solved=False),
     lambda algebra, rng: _form_pair_defect(CURVED_FORM4, algebra, rng, solved=True),
 ], ids=["rotational", "canonical4", "curved_form4", "curved_form4_solved"])
-def test_coordinate_pairs_compare_as_one_pair_at_a_time(components, algebra):
+@pytest.mark.parametrize("samples", [4, 40])
+def test_coordinate_pairs_compare_as_one_pair_at_a_time(components, algebra, samples):
     component = components(algebra, np.random.default_rng(17))
     arity = component(0, 1).arity
     grouped, single = np.random.default_rng(3), np.random.default_rng(3)
-    got = list(coordinate_pair_cases(component, algebra, arity, 4, grouped))
-    want = list(_pairs_one_at_a_time(component, algebra, arity, 4, single))
+    got = list(coordinate_pair_cases(component, algebra, arity, samples, grouped))
+    want = list(_pairs_one_at_a_time(component, algebra, arity, samples, single))
     _assert_same_bits([r for r, _ in got], [r for r, _ in want])
     assert [w for _, w in got] == [w for _, w in want]
     assert grouped.bit_generator.state == single.bit_generator.state
     assert worst_case(got) == worst_case(want)
+
+
+@pytest.mark.parametrize("members, samples, batches", [
+    (9, 4, [36]),
+    (9, 20, [60, 60, 60]),
+    (5, 16, [64, 16]),
+    (3, 40, [40, 40, 40]),
+    (2, 100, [100, 100]),
+])
+def test_a_group_draws_batches_of_whole_pairs_within_the_row_bound(
+        monkeypatch, members, samples, batches):
+    assert GROUP_ROWS == 64
+    drawn = []
+
+    def recording(algebra, arity, rng, count):
+        drawn.append(count)
+        return sample_near_points(algebra, arity, rng, count)
+
+    monkeypatch.setattr(bundle, "sample_near_points", recording)
+    pairs = [(prolong_function(parse_expr(f"x0 * {k + 1}", 1), DUAL),
+              prolong_function(parse_expr("x0", 1), DUAL)) for k in range(members)]
+    grouped, single = np.random.default_rng(8), np.random.default_rng(8)
+    got = max_difference(pairs, samples=samples, rng=grouped)
+    assert drawn == batches
+    want = _one_pair_at_a_time(pairs, samples, single)
+    _assert_same_bits([r for r, _ in got], [r for r, _ in want])
+    _assert_same_bits([p.coeffs for _, p in got], [p.coeffs for _, p in want])
+    assert grouped.bit_generator.state == single.bit_generator.state
 
 
 def _logged_pair_seed(samples, x0_positive_on_own_rows):

@@ -716,7 +716,6 @@ def test_algebra_at_the_dimension_cap():
 @pytest.mark.parametrize("spec", [
     "truncated:100000,100000",
     "truncated:4000000,4000000",
-    "truncated:600,0",
     '{"family":"truncated","width":600,"height":600}',
     '{"family":"truncated","width":1,"height":' + "9" * 4000 + "}",
 ])
@@ -728,6 +727,21 @@ def test_truncated_specs_past_the_cap_are_refused_at_once(capsys, spec):
     error = strict_document(out)["error"]
     assert error["type"] == "CapacityError"
     assert len(error["message"]) < 100
+
+
+@pytest.mark.parametrize("spec, width", [
+    ("truncated:600,0", 600),
+    ("truncated:1000000000000,0", 10 ** 12),
+    ('{"family":"truncated","width":600,"height":0}', 600),
+])
+def test_height_zero_gives_the_reals_at_any_width(capsys, spec, width):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "algebra", "--algebra", spec)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert strict_document(out) == {"basis": ["1"], "dim": 1, "family": "truncated",
+                                    "height": 0, "width": width}
+    assert make_truncated_algebra(width, 0).compatible_with(make_truncated_algebra(1, 0))
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

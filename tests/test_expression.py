@@ -643,18 +643,6 @@ def test_a_warm_cache_evaluates_as_a_cold_one():
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_partials_of_a_root_without_a_tape_are_the_partials_of_its_tape():
-    part = parse_expr("x0^3 * cos(x1) / (x0^2 + 1.5772)", 2)
-    root = parse_expr("exp(x0^3 * cos(x1) / (x0^2 + 1.5772)) * x1 - x0^3 * cos(x1)", 2)
-    differentiate(part, 0)
-    assert root._tape is None
-    first = differentiate(root, 0)
-    assert root._tape is None
-    expression._forget_partials()
-    expression._topological(root)
-    assert differentiate(root, 0) is first
-
-
 @pytest.mark.parametrize("a", [0.0, -0.0, 2.5, -1.0, math.inf, math.nan])
 @pytest.mark.parametrize("b", [0.0, -0.0, 2.5])
 def test_constant_folds_give_the_constant_of_float_arithmetic(a, b):
