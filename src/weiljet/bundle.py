@@ -7,7 +7,7 @@ function f prolongs to the A-valued function f^A acting the same way.  One
 type, ``NearPoint``, holds a point as an (n, d) coefficient array and a
 batch of S points as an (S, n, d) one; functions evaluate over a whole batch
 at once, and sampled comparisons draw and evaluate their points that way, a
-group of comparisons in one batch.
+group of comparisons in batches of at most ``GROUP_ROWS`` rows.
 A point or a batch keeps what was evaluated there (expression nodes, linear
 solves) in its own cache, which goes when the point goes.
 
@@ -49,8 +49,10 @@ DEFAULT_BOX = (-2.0, 2.0)
 DEFAULT_SEED = 42
 # Most rows a comparison group evaluates in one batch.  Every member runs
 # over the whole batch, so a batch saves NumPy calls on the nodes its
-# members share but does arithmetic on every other member's rows; past a
-# few hundred rows that arithmetic costs more than the calls it saves.
+# members share but does arithmetic on every other member's rows.  Groups
+# of tau_calculus identities stopped gaining near 300 rows, and coordinate
+# pairs, which share less, sooner; 64 keeps whole every group of the
+# verification suite (54 rows at most).
 GROUP_ROWS = 64
 
 
