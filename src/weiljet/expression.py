@@ -13,22 +13,26 @@ value, which keeps 0.0 and -0.0 apart and makes every NaN one node.
 Two private leaf kinds make the same DAG hold A-valued functions on the
 near-point space (``bundle.BundleFunction``): an A-valued constant, and one
 component of a pointwise linear solve over the algebra.  Sums, products and
-partials of such functions are nodes like any other; the walkers over real
-values (``eval_real``, ``compose``) refuse them.
+partials of such functions are nodes like any other; the real value
+domains (``eval_real``, ``compose``) refuse them.
 
 ``text`` is parenthesized except along same-precedence chains, where
 ((a + b) - c) prints as (a + b - c); it is rendered on first use in one
 pass, and it is the wire format, because ``parse_expr(e.text, e.arity)``
-returns ``e`` itself.  Evaluation, differentiation and composition visit the
-DAG in a topological order, found once per root and kept on it, with no
-Python recursion; each handles a distinct node once per call, so shared
+returns ``e`` itself.  The parser reads a text in one loop over an explicit
+stack, so it refuses nesting deeper than ``MAX_NESTING`` wherever it is
+called from; a long sum or product prints one level deep and parses flat.
+
+Differentiation, composition and evaluation over the reals and over a Weil
+algebra are one loop, ``_walk``, over four value domains, each a table of
+rules by node kind: one tape, many sweeps (Griewank & Walther, *Evaluating
+Derivatives*, 2008).  The walk visits the DAG children first, in a
+topological order found once per root and kept on it, with no Python
+recursion, and handles each distinct node once per call, so shared
 subexpressions cost nothing extra and nesting depth is bounded by memory
-only.  Differentiation goes further and keeps each node's partials on the
-node.  Evaluation over a cache that already holds part of the DAG walks
-only the nodes still to do and keeps no tape.  The parser reads a text in
-one loop over an explicit stack, so it refuses nesting deeper than
-``MAX_NESTING`` wherever it is called from; a long sum or product prints
-one level deep and parses flat.
+only.  Differentiation keeps each node's partials on the node.  Evaluation
+over a cache that already holds part of the DAG walks only the nodes still
+to do and keeps no tape.
 
 Evaluation over a Weil algebra replaces each primitive g by its truncated
 Taylor expansion g(a0 + nu) = sum_{k<=h} g^(k)(a0)/k! * nu^k, where a0 is the
@@ -589,7 +593,27 @@ def _coerce(value, arity: int, what: str) -> ScalarExpr:
     raise TypeError(f"cannot read a {what} from {type(value).__name__}")
 
 
-# -- calculus ----------------------------------------------------------------
+# -- calculus: one walk, one rule table per value domain ---------------------
+
+def _walk(nodes, rules: dict, values: dict, env, walker: str = "") -> dict:
+    """Give each of ``nodes``, children first, that ``values`` lacks the
+    value ``rules[type(node)](node, values, env)``, and return ``values``.
+    A rule reads the children's values in ``values`` and the walk's
+    argument ``env``, and the seams ``_product_rule`` and ``_taylor_lift``
+    when it runs.  A kind mapped to None gets no value (its readers build
+    one); a kind missing from a real domain's table is A-valued, refused in
+    the name of ``walker``."""
+    for node in nodes:
+        if node not in values:
+            try:
+                rule = rules[type(node)]
+            except KeyError:
+                raise AlgebraMismatch(f"{walker} takes real expressions; "
+                                      f"{node.text} is A-valued") from None
+            if rule is not None:
+                values[node] = rule(node, values, env)
+    return values
+
 
 def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
     """Symbolic partial derivative with respect to x{index}.
@@ -604,48 +628,20 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
         raise ArityError(f"derivative index {index} out of range for arity {f.arity}")
     if f._derivs is not None and index in f._derivs:
         return f._derivs[index]
-    arity = f.arity
-    zero, one = Const(0.0, arity), Const(1.0, arity)
-    for node in _topological(f):
+    tape = _topological(f)
+    # the walk fills a plain dict, seeded with the partials the nodes keep
+    # and written back to them
+    partials = {}
+    for node in tape:
         derivs = node._derivs
         if derivs is None:
-            derivs = node._derivs = {}
+            node._derivs = {}
         elif index in derivs:
-            continue
-        kind = type(node)
-        if kind is Const or kind is _Weight:
-            out = zero
-        elif kind is Var:
-            out = one if node.index == index else zero
-        elif kind is Add:
-            out = add(node.a._derivs[index], node.b._derivs[index])
-        elif kind is Sub:
-            out = sub(node.a._derivs[index], node.b._derivs[index])
-        elif kind is Mul:
-            out = _product_rule(node.a, node.b, node.a._derivs[index],
-                                node.b._derivs[index])
-        elif kind is _Solved:
-            out = _Solved(node.solve.derivative(index), node.index, arity)
-        elif kind is Div:
-            num = sub(mul(node.a._derivs[index], node.b),
-                      mul(node.a, node.b._derivs[index]))
-            out = div(num, mul(node.b, node.b))
-        elif kind is Pow:
-            scale = mul(Const(float(node.exponent), arity),
-                        pow_(node.base, node.exponent - 1))
-            out = mul(scale, node.base._derivs[index])
-        else:  # Call
-            darg = node.arg._derivs[index]
-            if node.fn == "sin":
-                out = mul(call("cos", node.arg), darg)
-            elif node.fn == "cos":
-                out = mul(neg(call("sin", node.arg)), darg)
-            elif node.fn == "exp":
-                out = mul(node, darg)
-            else:  # log
-                out = div(darg, node.arg)
-        derivs[index] = out
-    return f._derivs[index]
+            partials[node] = derivs[index]
+    _walk(tape, _PARTIAL, partials, (index, Const(0.0, f.arity), Const(1.0, f.arity)))
+    for node in tape:
+        node._derivs[index] = partials[node]
+    return partials[f]
 
 
 def _product_rule(a: ScalarExpr, b: ScalarExpr, da: ScalarExpr,
@@ -653,6 +649,30 @@ def _product_rule(a: ScalarExpr, b: ScalarExpr, da: ScalarExpr,
     """The partial of a * b from the factors and their partials; the
     harness's ``leibniz_drop`` mutation replaces it."""
     return add(mul(da, b), mul(a, db))
+
+
+def _partial_call(n, d, e):
+    if n.fn == "log":
+        return div(d[n.arg], n.arg)
+    outer = (n if n.fn == "exp" else call("cos", n.arg) if n.fn == "sin"
+             else neg(call("sin", n.arg)))
+    return mul(outer, d[n.arg])
+
+
+# e: (index, 0.0, 1.0) in the root's arity
+_PARTIAL = {
+    Const: lambda n, d, e: e[1],
+    _Weight: lambda n, d, e: e[1],
+    Var: lambda n, d, e: e[2] if n.index == e[0] else e[1],
+    Add: lambda n, d, e: add(d[n.a], d[n.b]),
+    Sub: lambda n, d, e: sub(d[n.a], d[n.b]),
+    Mul: lambda n, d, e: _product_rule(n.a, n.b, d[n.a], d[n.b]),
+    Div: lambda n, d, e: div(sub(mul(d[n.a], n.b), mul(n.a, d[n.b])), mul(n.b, n.b)),
+    Pow: lambda n, d, e: mul(mul(Const(float(n.exponent), n.arity),
+                                 pow_(n.base, n.exponent - 1)), d[n.base]),
+    Call: _partial_call,
+    _Solved: lambda n, d, e: _Solved(n.solve.derivative(e[0]), n.index, n.arity),
+}
 
 
 def _forget_partials():
@@ -668,11 +688,6 @@ def _forget_partials():
             node.solve._derived.clear()
 
 
-def _real_only(node: ScalarExpr, walker: str):
-    """Refuse an A-valued node in a walker over real expressions."""
-    raise AlgebraMismatch(f"{walker} takes real expressions; {node.text} is A-valued")
-
-
 def compose(f: ScalarExpr, replacements: Sequence[ScalarExpr]) -> ScalarExpr:
     """Substitute replacements[i] for x{i}; the result lives in the
     replacements' arity."""
@@ -680,85 +695,54 @@ def compose(f: ScalarExpr, replacements: Sequence[ScalarExpr]) -> ScalarExpr:
         raise ArityError("replacement count does not match the arity")
     if f.arity == 0:
         raise ArityError("cannot compose with an empty replacement list")
-    target = replacements[0].arity
-    for r in replacements:
-        if r.arity != target:
-            raise ArityError("replacements disagree on arity")
-    out: dict[ScalarExpr, ScalarExpr] = {}
-    for node in _topological(f):
-        kind = type(node)
-        if kind is Const:
-            value = Const(node.value, target)
-        elif kind is Var:
-            value = replacements[node.index]
-        elif kind is Add:
-            value = add(out[node.a], out[node.b])
-        elif kind is Sub:
-            value = sub(out[node.a], out[node.b])
-        elif kind is Mul:
-            value = mul(out[node.a], out[node.b])
-        elif kind is Div:
-            value = div(out[node.a], out[node.b])
-        elif kind is Pow:
-            value = pow_(out[node.base], node.exponent)
-        elif kind is Call:
-            value = call(node.fn, out[node.arg])
-        else:
-            _real_only(node, "compose")
-        out[node] = value
-    return out[f]
+    if any(r.arity != replacements[0].arity for r in replacements):
+        raise ArityError("replacements disagree on arity")
+    return _walk(_topological(f), _SUBSTITUTION, {}, replacements, "compose")[f]
+
+
+# e: the replacements
+_SUBSTITUTION = {
+    Const: lambda n, v, e: Const(n.value, e[0].arity),
+    Var: lambda n, v, e: e[n.index],
+    Add: lambda n, v, e: add(v[n.a], v[n.b]),
+    Sub: lambda n, v, e: sub(v[n.a], v[n.b]),
+    Mul: lambda n, v, e: mul(v[n.a], v[n.b]),
+    Div: lambda n, v, e: div(v[n.a], v[n.b]),
+    Pow: lambda n, v, e: pow_(v[n.base], n.exponent),
+    Call: lambda n, v, e: call(n.fn, v[n.arg]),
+}
 
 
 def eval_real(f: ScalarExpr, point: Sequence[float]) -> float:
     """Evaluate at a real point."""
     if len(point) != f.arity:
         raise ArityError("point length does not match the arity")
-    values: dict[ScalarExpr, float] = {}
-    for node in _topological(f):
-        kind = type(node)
-        if kind is Const:
-            value = node.value
-        elif kind is Var:
-            value = float(point[node.index])
-        elif kind is Add:
-            value = values[node.a] + values[node.b]
-        elif kind is Sub:
-            value = values[node.a] - values[node.b]
-        elif kind is Mul:
-            value = values[node.a] * values[node.b]
-        elif kind is Div:
-            denom = values[node.b]
-            if denom == 0.0:
-                raise DomainError("division by zero")
-            value = values[node.a] / denom
-        elif kind is Pow:
-            value = _real_power(values[node.base], node.exponent)
-        elif kind is Call:
-            inner = values[node.arg]
-            if node.fn == "log" and inner <= 0.0:
-                raise DomainError("log of a nonpositive value")
-            value = _real_primitive(node.fn, inner)
-        else:
-            _real_only(node, "eval_real")
-        values[node] = value
-    return values[f]
+    return _walk(_topological(f), _REAL, {}, point, "eval_real")[f]
 
 
-# closed-form k-th derivatives of the primitives at a real point
-def _primitive_derivative(fn: str, k: int, x: float) -> float:
-    try:
-        if fn == "sin":
-            return (math.sin(x), math.cos(x), -math.sin(x), -math.cos(x))[k % 4]
-        if fn == "cos":
-            return (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))[k % 4]
-        if fn == "exp":
-            return math.exp(x)
-        # log: k = 0 handled by the caller; x ** k underflows to zero when the
-        # derivative overflows
-        return ((-1.0) ** (k - 1)) * math.factorial(k - 1) / x ** k
-    except (OverflowError, ZeroDivisionError, ValueError):
-        # ValueError: sin and cos of an infinite augmentation
-        raise DomainError(f"derivative {k} of {fn} is out of range at {x!r}") from None
+def _real_div(n, v, e):
+    if v[n.b] == 0.0:
+        raise DomainError("division by zero")
+    return v[n.a] / v[n.b]
+
+
+def _real_call(n, v, e):
+    if n.fn == "log" and v[n.arg] <= 0.0:
+        raise DomainError("log of a nonpositive value")
+    return _real_primitive(n.fn, v[n.arg])
+
+
+# e: the point
+_REAL = {
+    Const: lambda n, v, e: n.value,
+    Var: lambda n, v, e: float(e[n.index]),
+    Add: lambda n, v, e: v[n.a] + v[n.b],
+    Sub: lambda n, v, e: v[n.a] - v[n.b],
+    Mul: lambda n, v, e: v[n.a] * v[n.b],
+    Div: _real_div,
+    Pow: lambda n, v, e: _real_power(v[n.base], n.exponent),
+    Call: _real_call,
+}
 
 
 def eval_weil(f: ScalarExpr, point, *, cache: dict | None = None) -> np.ndarray:
@@ -776,61 +760,60 @@ def eval_weil(f: ScalarExpr, point, *, cache: dict | None = None) -> np.ndarray:
     read and extended, so evaluations at one point share their
     subexpressions.
     """
-    algebra, array = point.algebra, point.coeffs
-    if array.shape[-2] != f.arity:
+    if point.coeffs.shape[-2] != f.arity:
         raise ArityError("point length does not match the arity")
-    coords = [array[..., i, :] for i in range(f.arity)]
-    batch = array.shape[:-2]
     values = {} if cache is None else cache
-
-    def array(node):
-        # a Const becomes an array only when a node other than a product
-        # reads it, or when it is the root
-        value = values.get(node)
-        if value is None:
-            value = values[node] = _const_array(node.value, batch, algebra.dim)
-        return value
-
     # the cache only ever holds whole sub-DAGs, so over a warm cache the
     # walk stops at its nodes and keeps no tape; a cold one takes the tape
     # kept on the root, which evaluations at fresh points reuse
-    nodes = _unfinished(f, values.__contains__) if values else _topological(f)
-    for node in nodes:
-        if node in values:
-            continue
-        kind = type(node)
-        if kind is Const:
-            continue
-        elif kind is Var:
-            value = coords[node.index]
-        elif kind is Add:
-            value = array(node.a) + array(node.b)
-        elif kind is Sub:
-            value = array(node.a) - array(node.b)
-        elif kind is Mul:
-            a, b = node.a, node.b
-            if type(b) is Const:
-                # the kernel scales by a real right factor, whatever the left
-                value = values[a] * b.value
-            elif type(a) is Const:
-                value = _const_times(algebra, a.value, values[b], batch)
-            else:
-                value = _product(algebra, values[a], values[b])
-        elif kind is Div:
-            value = _product(algebra, array(node.a),
-                             _inverse(algebra, array(node.b)))
-        elif kind is Pow:
-            value = _power(algebra, values[node.base], node.exponent)
-        elif kind is Call:
-            value = _taylor_lift(node.fn, algebra, values[node.arg])
-        elif kind is _Weight:
-            if not algebra.compatible_with(node.algebra):
-                raise AlgebraMismatch("an A-valued constant lives in another algebra")
-            value = np.broadcast_to(node.coeffs, batch + node.coeffs.shape)
-        else:  # _Solved
-            value = node.solve.solution(point)[..., node.index, :]
-        values[node] = value
-    return array(f)
+    _walk(_unfinished(f, values.__contains__) if values else _topological(f),
+          _WEIL, values, point)
+    return values[f] if f in values else _weil_array(f, values, point)
+
+
+def _weil_array(n, v, point):
+    """A constant's value, which the walk leaves out: it becomes an array
+    only when a node other than a product reads it, or it is the root."""
+    if n not in v:
+        v[n] = _const_array(n.value, point.coeffs.shape[:-2], point.algebra.dim)
+    return v[n]
+
+
+def _weil_sum(n, v, e):
+    x = v[n.a] if n.a in v else _weil_array(n.a, v, e)
+    y = v[n.b] if n.b in v else _weil_array(n.b, v, e)
+    return x + y if type(n) is Add else x - y
+
+
+def _weil_mul(n, v, e):
+    if type(n.b) is Const:
+        # the kernel scales by a real right factor, whatever the left
+        return v[n.a] * n.b.value
+    if type(n.a) is Const:
+        return _const_times(e.algebra, n.a.value, v[n.b], e.coeffs.shape[:-2])
+    return _product(e.algebra, v[n.a], v[n.b])
+
+
+def _weil_weight(n, v, e):
+    if not e.algebra.compatible_with(n.algebra):
+        raise AlgebraMismatch("an A-valued constant lives in another algebra")
+    return np.broadcast_to(n.coeffs, e.coeffs.shape[:-2] + n.coeffs.shape)
+
+
+# e: the near-point
+_WEIL = {
+    Const: None,
+    Var: lambda n, v, e: e.coeffs[..., n.index, :],
+    Add: _weil_sum,
+    Sub: _weil_sum,
+    Mul: _weil_mul,
+    Div: lambda n, v, e: _product(e.algebra, _weil_array(n.a, v, e),
+                                  _inverse(e.algebra, _weil_array(n.b, v, e))),
+    Pow: lambda n, v, e: _power(e.algebra, v[n.base], n.exponent),
+    Call: lambda n, v, e: _taylor_lift(n.fn, e.algebra, v[n.arg]),
+    _Weight: _weil_weight,
+    _Solved: lambda n, v, e: n.solve.solution(e)[..., n.index, :],
+}
 
 
 def _const_array(value: float, batch: tuple, dim: int) -> np.ndarray:
@@ -861,19 +844,20 @@ def _taylor_lift(fn: str, algebra: WeilAlgebra, a: np.ndarray,
     mutation sets it."""
     order = algebra.height if order is None else min(algebra.height, order)
     xs = a[..., 0].ravel().tolist()
+    # per-point values: a float at one point, an (..., 1) array on a batch
+    column = ((lambda values: values[0]) if a.ndim == 1 else
+              (lambda values: np.reshape(values, a.shape[:-1] + (1,))))
     if fn == "log":
         if any(x <= 0.0 for x in xs):
             raise DomainError("log needs a positive augmentation")
-        heads = [math.log(x) for x in xs]
+        cycle = [column([math.log(x) for x in xs])]
     else:
-        heads = [_primitive_derivative(fn, 0, x) for x in xs]
+        cycle = [column(values) for values in _derivative_cycle(fn, xs)]
     acc = np.zeros(a.shape)
-    acc[..., 0] = heads[0] if a.ndim == 1 else np.reshape(heads, a.shape[:-1])
+    acc[..., :1] = cycle[0]
     nil = a.copy()
     nil[..., 0] = 0.0
-    power = nil
-    live = True
-    factorial = 1.0
+    power, live, factorial = nil, True, 1.0
     for k in range(1, order + 1):
         if k > 1:
             power = _product(algebra, power, nil)
@@ -881,12 +865,42 @@ def _taylor_lift(fn: str, algebra: WeilAlgebra, a: np.ndarray,
         if live is False:
             break
         factorial *= k
-        if a.ndim == 1:
-            scale = _primitive_derivative(fn, k, xs[0]) / factorial
-        else:
+        if fn == "log":
+            # its k-th derivative can overflow where a series has ended, so
+            # it is taken only at the points still going on
             going = [True] * len(xs) if live is True else live.ravel().tolist()
-            scale = np.reshape([_primitive_derivative(fn, k, x) / factorial
-                                if alive else 0.0 for x, alive in zip(xs, going)],
-                               a.shape[:-1] + (1,))
+            scale = column([_log_derivative(k, x) / factorial if alive else 0.0
+                            for x, alive in zip(xs, going)])
+        else:
+            scale = cycle[k % len(cycle)] / factorial
+            if live is not True:
+                scale = np.where(live[..., None], scale, 0.0)
         acc = _add_live(acc, power * scale, live)
     return acc
+
+
+def _derivative_cycle(fn: str, xs: list) -> list:
+    """The derivatives of sin, cos or exp at the points ``xs``, one sequence
+    over the points per derivative, derivative k being entry k modulo the
+    count: from one math.sin and math.cos, or one math.exp, per point."""
+    values = []
+    for x in xs:
+        try:
+            if fn == "exp":
+                values.append((math.exp(x),))
+            else:
+                s, c = math.sin(x), math.cos(x)
+                values.append((s, c, -s, -c) if fn == "sin" else (c, -s, -c, s))
+        except (OverflowError, ValueError):
+            # ValueError: sin and cos of an infinite augmentation
+            raise DomainError(f"derivative 0 of {fn} is out of range at {x!r}") from None
+    return list(zip(*values)) or [()] * (1 if fn == "exp" else 4)
+
+
+def _log_derivative(k: int, x: float) -> float:
+    """The k-th derivative of log at x, k >= 1; x ** k underflows to zero
+    when the derivative overflows."""
+    try:
+        return ((-1.0) ** (k - 1)) * math.factorial(k - 1) / x ** k
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"derivative {k} of log is out of range at {x!r}") from None

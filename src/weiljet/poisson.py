@@ -21,9 +21,11 @@ coordinate pairs (x_i^A, x_j^A) alone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .algebra import WeilAlgebra
+from .algebra import MAX_DIM, WeilAlgebra
 from .bundle import (
     DEFAULT_BOX,
     DEFAULT_SEED,
@@ -36,7 +38,7 @@ from .bundle import (
     prolong_function,
     worst_case,
 )
-from .errors import AlgebraMismatch, ArityError, InvalidPoissonStructure
+from .errors import AlgebraMismatch, ArityError, CapacityError, InvalidPoissonStructure
 from .expression import (
     Const,
     ScalarExpr,
@@ -57,12 +59,20 @@ _JACOBI_SAMPLES = 12
 _JACOBI_TOL = 1e-8
 
 
+def _check_arity(arity: int) -> None:
+    """Refuse a Poisson or symplectic structure above ``MAX_DIM``
+    coordinates, before any work per coordinate."""
+    if arity > MAX_DIM:
+        raise CapacityError(f"a structure's arity is capped at {MAX_DIM}")
+
+
 class PoissonStructure:
     """Antisymmetric bivector on a base open, stored as its upper triangle."""
 
     def __init__(self, arity: int, bivector: dict, *, validate: bool = True):
         if arity < 1:
             raise ArityError("a Poisson structure needs at least one coordinate")
+        _check_arity(arity)
         entries: dict[tuple[int, int], ScalarExpr] = {}
         for key, raw in bivector.items():
             i, j = key
@@ -80,36 +90,42 @@ class PoissonStructure:
         self.arity = arity
         self._entries = entries
         # column j of the signed bivector: (k, pi_kj) for each nonzero entry,
-        # k ascending; a zero entry adds nothing to a hamiltonian field
-        self._columns = [[(k, self.entry(k, j)) for k in range(arity)
-                          if (min(j, k), max(j, k)) in entries]
-                         for j in range(arity)]
+        # k ascending (the pairs in order give each column its k < j, then
+        # its k > j); a zero entry adds nothing to a hamiltonian field
+        self._columns = [[] for _ in range(arity)]
+        for i, j in sorted(entries):
+            self._columns[j].append((i, self.entry(i, j)))
+            self._columns[i].append((j, self.entry(j, i)))
         if validate:
             self._validate_jacobi()
 
     def _validate_jacobi(self):
-        """Sampled Jacobi identity on coordinate triples."""
+        """Sampled Jacobi identity on coordinate triples.  A triple whose
+        three entries are constants has a constant defect, 0 or NaN, that
+        passes; it is neither built nor sampled, and its draws are skipped."""
         n = self.arity
         if n < 3:
             return
         rng = np.random.default_rng(DEFAULT_SEED)
-        defects = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc: ScalarExpr = const(0.0, n)
-                    for m in range(n):
-                        acc = add(acc, mul(self.entry(i, m),
-                                           differentiate(self.entry(j, k), m)))
-                        acc = add(acc, mul(self.entry(j, m),
-                                           differentiate(self.entry(k, i), m)))
-                        acc = add(acc, mul(self.entry(k, m),
-                                           differentiate(self.entry(i, j), m)))
-                    defects.append(((i, j, k), acc))
-        for (i, j, k), defect in defects:
+        varying = [pair for pair, e in self._entries.items() if type(e) is not Const]
+        triples = sorted({tuple(sorted((i, j, k))) for i, j in varying
+                          for k in range(n) if k != i and k != j})
+        drawn = 0  # the triples, in order, whose draws are made or skipped
+        for i, j, k in triples:
+            acc: ScalarExpr = const(0.0, n)
+            for m in range(n):
+                acc = add(acc, mul(self.entry(i, m), differentiate(self.entry(j, k), m)))
+                acc = add(acc, mul(self.entry(j, m), differentiate(self.entry(k, i), m)))
+                acc = add(acc, mul(self.entry(k, m), differentiate(self.entry(i, j), m)))
+            # (i, j, k) follows this many triples, each drawing 12 points of
+            # n doubles, one 64-bit draw per double
+            rank = (math.comb(n, 3) - math.comb(n - i, 3) + math.comb(n - 1 - i, 2)
+                    - math.comb(n - j, 2) + k - j - 1)
+            rng.bit_generator.advance((rank - drawn) * _JACOBI_SAMPLES * n)
+            drawn = rank + 1
             for _ in range(_JACOBI_SAMPLES):
                 x = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
-                value = eval_real(defect, x)
+                value = eval_real(acc, x)
                 if abs(value) > _JACOBI_TOL:
                     raise InvalidPoissonStructure(
                         f"Jacobi identity fails on coordinates {(i, j, k)}: "
@@ -155,6 +171,7 @@ class PoissonStructure:
         """{x_{2k}, x_{2k+1}} = 1 on an even-dimensional base."""
         if arity % 2 != 0:
             raise ArityError("the canonical structure needs an even arity")
+        _check_arity(arity)
         return cls(arity, {(2 * k, 2 * k + 1): 1.0 for k in range(arity // 2)},
                    validate=False)
 

@@ -43,6 +43,7 @@ from .errors import (
     DegreeError,
     InvalidSymplecticStructure,
     SingularRealPart,
+    WeilError,
 )
 from .expression import (
     Const,
@@ -57,7 +58,7 @@ from .expression import (
     mul,
     neg,
 )
-from .poisson import PoissonStructure
+from .poisson import PoissonStructure, _check_arity
 
 
 def increasing_tuples(arity: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -258,6 +259,7 @@ class SymplecticStructure:
             raise DegreeError("a symplectic structure is a 2-form")
         if form.arity % 2 != 0:
             raise InvalidSymplecticStructure("the base dimension must be even")
+        _check_arity(form.arity)
         self.form = form
         self._inverse_bivector: PoissonStructure | None = None
         if validate:
@@ -271,22 +273,36 @@ class SymplecticStructure:
         rng = np.random.default_rng(DEFAULT_SEED)
         n = self.arity
         closed = exterior_derivative(self.form)
-        matrix = self.matrix()
-        for _ in range(_VALIDATION_SAMPLES):
-            x = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
-            for idx, coeff in closed.coeffs.items():
-                value = eval_real(coeff, x)
-                if abs(value) > _VALIDATION_TOL:
-                    raise InvalidSymplecticStructure(
-                        f"the form is not closed: d-coefficient {idx} is "
-                        f"{value:.3e} at {tuple(round(v, 4) for v in x)}")
-            numeric = np.array([[eval_real(matrix[i][j], x) for j in range(n)]
-                                for i in range(n)])
-            det = float(np.linalg.det(numeric))
+        points = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=(_VALIDATION_SAMPLES, n))
+        # only the upper triangle is evaluated: entry (j, i) is the negation
+        # of entry (i, j), whose value is -v bit for bit, and the diagonal 0.0
+        upper = np.triu_indices(n, 1)
+        entries = [self.form.coefficient((i, j)) for i, j in zip(*upper)]
+        numeric = np.zeros((_VALIDATION_SAMPLES, n, n))
+        evaluated, failure = 0, None
+        for x, values in zip(points, numeric):
+            try:
+                for idx, coeff in closed.coeffs.items():
+                    value = eval_real(coeff, x)
+                    if abs(value) > _VALIDATION_TOL:
+                        raise InvalidSymplecticStructure(
+                            f"the form is not closed: d-coefficient {idx} is "
+                            f"{value:.3e} at {tuple(round(v, 4) for v in x)}")
+                values[upper] = [eval_real(entry, x) for entry in entries]
+            except WeilError as exc:
+                failure = exc
+                break
+            evaluated += 1
+        # each point's determinant comes before the next point's checks, so a
+        # degenerate point before a failing one raises in its place
+        numeric[:, upper[1], upper[0]] = -numeric[:, upper[0], upper[1]]
+        for det, x in zip(np.linalg.det(numeric[:evaluated]), points):
             if abs(det) <= _VALIDATION_TOL:
                 raise InvalidSymplecticStructure(
-                    f"the form degenerates (det {det:.3e}) at "
+                    f"the form degenerates (det {float(det):.3e}) at "
                     f"{tuple(round(v, 4) for v in x)}")
+        if failure is not None:
+            raise failure
 
     def matrix(self) -> list[list[ScalarExpr]]:
         """Full antisymmetric coefficient matrix as expressions."""
@@ -298,6 +314,7 @@ class SymplecticStructure:
         """Sum of dx_{2k} wedge dx_{2k+1} with unit coefficients."""
         if arity % 2 != 0:
             raise InvalidSymplecticStructure("the base dimension must be even")
+        _check_arity(arity)
         form = BaseForm(2, arity, {(2 * k, 2 * k + 1): 1.0 for k in range(arity // 2)})
         return cls(form, validate=False)
 
@@ -601,11 +618,11 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
     gradient = [witness.partial(i) for i in range(n)]
     outcomes = {}
     for sign in (sigma, -sigma):
+        # one group: the draws and errors of comparing one after another
+        group = [(contracted.coefficient((i,)), gradient[i] * float(sign))
+                 for i in range(n)]
         worst = 0.0
-        for i in range(n):
-            target = gradient[i] * float(sign)
-            [(residual, _)] = max_difference(
-                [(contracted.coefficient((i,)), target)], samples=samples, rng=rng)
+        for residual, _ in max_difference(group, samples=samples, rng=rng):
             worst = max(worst, residual)
         outcomes[sign] = worst
         if worst <= tol:

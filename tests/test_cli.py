@@ -744,6 +744,61 @@ def test_height_zero_gives_the_reals_at_any_width(capsys, spec, width):
     assert make_truncated_algebra(width, 0).compatible_with(make_truncated_algebra(1, 0))
 
 
+@pytest.mark.parametrize("spec, arity", [('{"arity":50,"bivector":{}}', 50),
+                                         ('{"arity":512,"bivector":{}}', 512),
+                                         ("canonical:512", 512)])
+def test_poisson_structures_up_to_the_arity_cap_validate_at_once(capsys, spec, arity):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "hamfield", "--algebra", "dual", "--poisson", spec,
+                           "--fn", "x0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert len(strict_document(out)) == arity
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--poisson", '{"arity":513,"bivector":{}}'),
+    ("--poisson", "canonical:100000"),
+    ("--symplectic", "canonical:100000"),
+    ("--symplectic", '{"degree":2,"arity":514,"coeffs":{}}'),
+])
+def test_structures_past_the_arity_cap_are_refused_at_once(capsys, flag, spec):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "hamfield", "--algebra", "dual", flag, spec,
+                           "--fn", "x0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert strict_document(out)["error"] == {
+        "type": "CapacityError", "message": "a structure's arity is capped at 512"}
+
+
+# The parent's messages, copied: the Jacobi check builds and samples only the
+# triples with a non-constant entry, and skips the draws of the others.
+@pytest.mark.parametrize("bivector, message", [
+    ('{"13":"x4^2","04":"x1","23":"sin(x0)"}',
+     "Jacobi identity fails on coordinates (0, 1, 3): residual -1.246e-01 at "
+     "(np.float64(0.6736), np.float64(-0.1156), np.float64(0.2609), np.float64(1.06), "
+     "np.float64(0.5389))"),
+    ('{"01":"1","23":"x5","45":"x2"}',
+     "Jacobi identity fails on coordinates (2, 3, 4): residual 1.354e-01 at "
+     "(np.float64(-1.6156), np.float64(-1.3859), np.float64(0.1354), "
+     "np.float64(-1.7299), np.float64(-1.7888), np.float64(-1.9979))"),
+    ('{"01":"1","23":"x0*x1","67":"x3*x4"}',
+     "Jacobi identity fails on coordinates (0, 2, 3): residual 1.638e+00 at "
+     "(np.float64(1.6382), np.float64(0.3485), np.float64(1.4011), "
+     "np.float64(-0.6376), np.float64(-0.0047), np.float64(0.1256), "
+     "np.float64(-1.5801), np.float64(-0.4058))"),
+])
+def test_jacobi_failures_keep_their_points_past_skipped_triples(capsys, bivector, message):
+    arity = message.count("np.float64")
+    spec = f'{{"arity":{arity},"bivector":{bivector}}}'
+    code, out, _ = run_cli(capsys, "hamfield", "--algebra", "dual", "--poisson", spec,
+                           "--fn", "x0")
+    assert code == 4
+    assert strict_document(out)["error"] == {"type": "InvalidPoissonStructure",
+                                             "message": message}
+
+
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Runs one command through the given entry point, then prints the BLAS
 # variables the process ended with on stderr.

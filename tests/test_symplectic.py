@@ -350,6 +350,74 @@ def test_global_witness_signs():
     ).ok
 
 
+def _one_coefficient_at_a_time(field, witness, structure, algebra, sigma, samples,
+                               tol, rng):
+    """The witness check comparing the coefficients of one sign one at a
+    time, each on its own draw: the reference for the grouped check."""
+    n = structure.arity
+    contracted = interior_product(field, prolong_form(structure.form, algebra))
+    gradient = [witness.partial(i) for i in range(n)]
+    outcomes = {}
+    for sign in (sigma, -sigma):
+        worst = 0.0
+        for i in range(n):
+            [(residual, _)] = max_difference(
+                [(contracted.coefficient((i,)), gradient[i] * float(sign))],
+                samples=samples, rng=rng)
+            worst = max(worst, residual)
+        outcomes[sign] = worst
+        if worst <= tol:
+            return sign == sigma, sign, worst
+    return False, None, min(outcomes.values())
+
+
+def curved_four_form() -> SymplecticStructure:
+    return SymplecticStructure(BaseForm(2, 4, {(0, 1): "1 + 0.5*x0^2", (0, 2): 0.3,
+                                               (2, 3): "2 + cos(0.7*x3)"}))
+
+
+@pytest.mark.parametrize("algebra", [DUAL, T3], ids=["dual", "t3"])
+@pytest.mark.parametrize("form", ["canonical:4", "curved4"])
+@pytest.mark.parametrize("samples", [3, 32])
+def test_witness_groups_give_the_verdict_and_draws_of_one_coefficient_at_a_time(
+        algebra, form, samples):
+    structure = (SymplecticStructure.canonical(4) if form == "canonical:4"
+                 else curved_four_form())
+    potential = prolong_function(parse_expr("x0*x2 + sin(x1)*x3^2", 4), algebra)
+    field = hamiltonian_field(potential, structure, algebra)
+    stray = prolong_function(parse_expr("x0*x1 + x3", 4), algebra)
+    for witness, ok in ((potential, True), (stray, False)):
+        grouped, alone = np.random.default_rng(4), np.random.default_rng(4)
+        verdict = check_global_witness_symplectic(
+            field, witness, structure, algebra, samples=samples, rng=grouped)
+        want = _one_coefficient_at_a_time(field, witness, structure, algebra, 1,
+                                          samples, 1e-9, alone)
+        assert (verdict.ok, verdict.matched_sign, verdict.residual) == want
+        assert verdict.ok is ok and (ok or verdict.matched_sign is None)
+        assert grouped.bit_generator.state == alone.bit_generator.state
+
+
+# The parent's messages, copied: the batched validation raises the first
+# failure of the point-by-point one, a determinant at an earlier point before
+# a later point's evaluation error.
+_AT = ("at (np.float64(1.0958), np.float64(-0.2445), np.float64(1.4344), "
+       "np.float64(0.7895))")
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ({(0, 1): "x1 + x2"}, f"the form is not closed: d-coefficient (0, 1, 2) is 1.000e+00 {_AT}"),
+    ({(0, 1): 1.0}, f"the form degenerates (det 0.000e+00) {_AT}"),
+    ({(0, 1): "1e-6*log(x1 + 1.5)", (2, 3): 1e-6},
+     f"the form degenerates (det 5.178e-26) {_AT}"),
+    ({(0, 1): 1e-6, (2, 3): "1e-6 + 1e-7*x1^3"},
+     f"the form is not closed: d-coefficient (1, 2, 3) is 1.793e-08 {_AT}"),
+], ids=["not-closed", "degenerate", "degenerate-before-log", "nearly-closed"])
+def test_validation_messages_are_the_point_by_point_ones(coeffs, message):
+    with pytest.raises(InvalidSymplecticStructure) as caught:
+        SymplecticStructure(BaseForm(2, 4, coeffs))
+    assert str(caught.value) == message
+
+
 def test_prolonged_contraction_of_a_hamiltonian_field_is_closed():
     omega = prolong_form(curved_structure().form, T3)
     fn = prolong_function(parse_expr("x0^2 * x1", 2), T3)
