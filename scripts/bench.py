@@ -32,7 +32,8 @@ records:
   process, after one untimed sweep; every mutation must be caught by its
   target check;
 
-and once per side the line count of ``src/``, the tree it measured (the
+and once per side the line count of ``src/``, in all (``src_lines``) and per
+module (``src_lines.<path under src/>``), the tree it measured (the
 commit, and a digest of the uncommitted changes under ``src/`` and
 ``perfbench/``, null when there are none), the sorted ``weiljet.*`` modules
 that ``import weiljet.cli`` loads (``import_modules``), whether the
@@ -156,9 +157,15 @@ def run(root: Path, argv: list[str], stdin: str | None = None):
     return proc, time.perf_counter() - t0
 
 
+def module_lines(root: Path) -> dict[str, int]:
+    """The line count of each module under ``src/``, by its path there."""
+    src = root / "src"
+    return {path.relative_to(src).as_posix(): len(path.read_text().splitlines())
+            for path in sorted(src.rglob("*.py"))}
+
+
 def src_lines(root: Path) -> int:
-    return sum(len(path.read_text().splitlines())
-               for path in sorted((root / "src").rglob("*.py")))
+    return sum(module_lines(root).values())
 
 
 def git(root: Path, *argv: str) -> str:
@@ -282,6 +289,8 @@ def summary(side: dict) -> dict:
     out.update({f"verify_calls.{seed}": count
                 for seed, count in side["verify_calls"].items()})
     out["src_lines"] = side["src_lines"]
+    out.update({f"src_lines.{module}": count
+                for module, count in side["module_lines"].items()})
     return out
 
 
@@ -319,6 +328,7 @@ def main(argv=None) -> int:
     numpy_version = None
     try:
         sides = {name: {**tree_state(root), "src_lines": src_lines(root),
+                        "module_lines": module_lines(root),
                         **import_state(root),
                         "verify_calls": verify_calls(root), "verify": {},
                         "algebra_build_s": {},

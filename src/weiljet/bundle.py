@@ -19,7 +19,9 @@ each point for a whole batch at once (used for hamiltonian fields, which
 have no closed form).  Sums, products, partials and ``apply_field`` build
 interned nodes, so equal functions share one root; a partial is kept on its
 node, and evaluation is the one batched walker, memoized in the point's
-cache.
+cache.  The prolonged field and form operations, here and in ``poisson`` and
+``symplectic``, are the base ones on the same roots, so each builds the very
+node its base counterpart builds.
 """
 
 from __future__ import annotations
@@ -362,13 +364,18 @@ class BundleVectorField:
         """Multiply every component by a function, algebra element, or number."""
         return BundleVectorField([c * factor for c in self.components])
 
+    def _base(self) -> BaseVectorField:
+        """The base field over the components' roots, for the base operations."""
+        return BaseVectorField([c.root for c in self.components])
+
     def __repr__(self):
         inner = ", ".join(repr(c) for c in self.components)
         return f"BundleVectorField({inner})"
 
 
 def prolong_vector_field(field: BaseVectorField, algebra: WeilAlgebra) -> BundleVectorField:
-    """Componentwise prolongation of a base vector field."""
+    """Componentwise prolongation of a base vector field, whose components
+    may also be A-valued roots."""
     return BundleVectorField([BundleFunction.from_expr(c, algebra)
                               for c in field.components])
 
@@ -379,19 +386,16 @@ def apply_field(field: BundleVectorField, fn: BundleFunction) -> BundleFunction:
         raise ArityError("field and function disagree on arity")
     if not field.algebra.compatible_with(fn.algebra):
         raise AlgebraMismatch("field and function live over different algebras")
-    root = Const(0.0, fn.arity)
-    for i, comp in enumerate(field.components):
-        root = add(root, mul(comp.root, differentiate(fn.root, i)))
-    return BundleFunction(fn.algebra, fn.arity, root)
+    return BundleFunction(fn.algebra, fn.arity, field._base().apply_to(fn.root))
 
 
 def lie_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:
     """Commutator of prolonged-space vector fields."""
     if x.arity != y.arity:
         raise ArityError("fields disagree on arity")
-    comps = [apply_field(x, y.components[i]) - apply_field(y, x.components[i])
-             for i in range(x.arity)]
-    return BundleVectorField(comps)
+    if not x.algebra.compatible_with(y.algebra):
+        raise AlgebraMismatch("field and function live over different algebras")
+    return prolong_vector_field(x._base().bracket(y._base()), y.algebra)
 
 
 # -- sampled comparison --------------------------------------------------------

@@ -44,6 +44,7 @@ from .bundle import (
     prolong_vector_field,
     pushforward_map,
     sample_near_points,
+    worst_case,
 )
 from .errors import DomainError
 from .expression import (
@@ -251,16 +252,17 @@ MUTATION_TARGETS: dict[str, tuple[str, ...]] = {
 
 def _worst_case(check: Callable, spec: CheckSpec,
                 rng: np.random.Generator) -> tuple[float, dict | None]:
-    """The first-seen worst (residual, witness) of a check; (0.0, None)
-    when it yields no cases."""
-    worst, witness = -1.0, None
-    for residual, case_witness in check(spec, rng):
-        residual = float(residual)
-        if not math.isfinite(residual):
-            raise DomainError(f"{spec.name}: a residual is not finite")
-        if residual > worst:
-            worst, witness = residual, case_witness
-    return max(worst, 0.0), witness
+    """The first-seen worst (residual, witness) of a check (``worst_case``);
+    DomainError as soon as a residual that is not finite is made."""
+
+    def finite():
+        for residual, witness in check(spec, rng):
+            residual = float(residual)
+            if not math.isfinite(residual):
+                raise DomainError(f"{spec.name}: a residual is not finite")
+            yield residual, witness
+
+    return worst_case(finite())
 
 
 def _sampled_group(group, spec: CheckSpec,

@@ -6,7 +6,8 @@ satisfies the Jacobi identity (sampled at construction).  Prolonging over a
 Weil algebra A gives a bracket on A-valued functions: the derivation of fn
 has components sum_k pi_kj^A * d_k fn, which on a pullback f^A is the
 prolongation of the base hamiltonian field of f, extends to products by the
-Leibniz rule and to algebra-element coefficients linearly.
+Leibniz rule and to algebra-element coefficients linearly: it is the base
+derivation ``PoissonStructure.ad`` on the same root.
 
 The adjoint differential takes a function to its hamiltonian field
 (``PoissonStructure.ad``, ``poisson_derivation``) and a field X to its defect
@@ -36,13 +37,16 @@ from .bundle import (
     coordinate_pair_cases,
     max_difference,
     prolong_function,
+    prolong_vector_field,
     worst_case,
 )
 from .errors import AlgebraMismatch, ArityError, CapacityError, InvalidPoissonStructure
 from .expression import (
     Const,
     ScalarExpr,
+    Var,
     _coerce,
+    _topological,
     add,
     const,
     differentiate,
@@ -113,7 +117,7 @@ class PoissonStructure:
         drawn = 0  # the triples, in order, whose draws are made or skipped
         for i, j, k in triples:
             acc: ScalarExpr = const(0.0, n)
-            for m in range(n):
+            for m in sorted(self._jacobi_indices(i, j, k)):
                 acc = add(acc, mul(self.entry(i, m), differentiate(self.entry(j, k), m)))
                 acc = add(acc, mul(self.entry(j, m), differentiate(self.entry(k, i), m)))
                 acc = add(acc, mul(self.entry(k, m), differentiate(self.entry(i, j), m)))
@@ -130,6 +134,25 @@ class PoissonStructure:
                     raise InvalidPoissonStructure(
                         f"Jacobi identity fails on coordinates {(i, j, k)}: "
                         f"residual {value:.3e} at {tuple(round(v, 4) for v in x)}")
+
+    def _jacobi_indices(self, i: int, j: int, k: int) -> set[int]:
+        """The m whose terms the Jacobi defect of (i, j, k) sums: for each
+        cyclic (a, b, c), the support of row a and the variables of pi_bc.
+        Any other term pi_am * d_m pi_bc is a zero times one node, and folds
+        to +-0.0, leaving the sum the same node, unless that node is a
+        non-finite constant; its first m is kept, whose NaN keeps the defect."""
+        wanted = set()
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            entry = self.entry(b, c)
+            own = {m for m, _ in self._columns[a]}
+            own.update(node.index for node in _topological(entry) if type(node) is Var)
+            outside = next((m for m in range(self.arity) if m not in own), None)
+            if outside is not None:
+                partial = differentiate(entry, outside)
+                if type(partial) is Const and not math.isfinite(partial.value):
+                    own.add(outside)
+            wanted |= own
+        return wanted
 
     def entry(self, i: int, j: int) -> ScalarExpr:
         """Signed component pi_ij (antisymmetric in its indices)."""
@@ -223,16 +246,9 @@ def poisson_derivation(structure: ProlongedPoisson,
 
 
 def _derivation(structure: ProlongedPoisson, fn: BundleFunction) -> BundleVectorField:
-    """The body of ``poisson_derivation``, for arguments it has checked; the
-    sum over each column runs over its nonzero entries only."""
-    n = structure.arity
-    components = []
-    for column in structure.base._columns:
-        root = const(0.0, n)
-        for k, entry in column:
-            root = add(root, mul(entry, differentiate(fn.root, k)))
-        components.append(BundleFunction(structure.algebra, n, root))
-    return BundleVectorField(components)
+    """The body of ``poisson_derivation``, for arguments it has checked: the
+    base derivation ``PoissonStructure.ad`` of fn's root."""
+    return prolong_vector_field(structure.base.ad(fn.root), structure.algebra)
 
 
 def prolonged_bracket(structure: ProlongedPoisson, f: BundleFunction,

@@ -1,9 +1,9 @@
 """Differential forms, symplectic structures, and hamiltonian fields.
 
-Forms are stored by their coefficients on strictly increasing coordinate
-index tuples, on the base with expression coefficients and on the prolonged
-space with A-valued function coefficients.  The prolongation of a form keeps
-the index basis and prolongs each coefficient.
+Forms are stored by their expression coefficients on strictly increasing
+coordinate index tuples.  A prolonged form is the base form over the roots of
+its A-valued coefficients plus the algebra, so its exterior derivative and
+contractions are the base ones on the same roots.
 
 A symplectic structure is a closed nondegenerate 2-form (both sampled at
 construction).  A field X is locally hamiltonian when every coordinate
@@ -76,18 +76,6 @@ def _sort_index(idx: tuple[int, ...]):
     return tuple(sorted(idx)), (-1) ** inversions
 
 
-def _form_index(idx, degree: int, arity: int) -> tuple[int, ...]:
-    """A coefficient's index tuple, checked against the form's degree and arity."""
-    idx = tuple(idx)
-    if len(idx) != degree:
-        raise DegreeError(f"index {idx} does not have length {degree}")
-    if any(i < 0 or i >= arity for i in idx):
-        raise ArityError(f"index {idx} out of range for arity {arity}")
-    if list(idx) != sorted(set(idx)):
-        raise DegreeError(f"index {idx} must be strictly increasing")
-    return idx
-
-
 class BaseForm:
     """Differential form on a base open: degree, arity, and a coefficient
     expression per strictly increasing index tuple."""
@@ -101,7 +89,13 @@ class BaseForm:
             raise ArityError("forms need at least one base coordinate")
         cleaned: dict[tuple[int, ...], ScalarExpr] = {}
         for idx, raw in (coeffs or {}).items():
-            idx = _form_index(idx, degree, arity)
+            idx = tuple(idx)
+            if len(idx) != degree:
+                raise DegreeError(f"index {idx} does not have length {degree}")
+            if any(i < 0 or i >= arity for i in idx):
+                raise ArityError(f"index {idx} out of range for arity {arity}")
+            if list(idx) != sorted(set(idx)):
+                raise DegreeError(f"index {idx} must be strictly increasing")
             expr = _coerce(raw, arity, "form coefficient")
             if not (isinstance(expr, Const) and expr.value == 0.0):
                 cleaned[idx] = expr
@@ -161,66 +155,57 @@ def base_interior_product(field: BaseVectorField, form: BaseForm) -> BaseForm:
 
 
 class BundleForm:
-    """A-valued form on the prolonged space: coefficients are A-valued
-    functions over the same increasing index basis."""
+    """A-valued form on the prolonged space: a base form over the roots of
+    its coefficient functions, and the algebra they live over."""
 
-    __slots__ = ("degree", "arity", "algebra", "coeffs")
+    __slots__ = ("algebra", "_base")
 
     def __init__(self, degree: int, arity: int, algebra: WeilAlgebra,
                  coeffs: dict | None = None):
-        if degree < 0:
-            raise DegreeError("form degree must be nonnegative")
-        cleaned: dict[tuple[int, ...], BundleFunction] = {}
+        roots = {}
         for idx, fn in (coeffs or {}).items():
-            idx = _form_index(idx, degree, arity)
             if not isinstance(fn, BundleFunction):
                 raise TypeError("prolonged-form coefficients must be A-valued functions")
-            if not fn.is_structurally_zero():
-                cleaned[idx] = fn
-        if degree > arity and cleaned:
-            raise DegreeError("forms above the top degree must be zero")
-        self.degree = degree
-        self.arity = arity
+            # only roots are kept, so a coefficient meets the others' algebra
+            # and arity here, not when coefficients are summed
+            if not algebra.compatible_with(fn.algebra):
+                raise AlgebraMismatch("functions live over different algebras")
+            if fn.arity != arity:
+                raise ArityError("functions disagree on the base arity")
+            roots[idx] = fn.root
         self.algebra = algebra
-        self.coeffs = cleaned
+        self._base = BaseForm(degree, arity, roots)
+
+    degree = property(lambda self: self._base.degree)
+    arity = property(lambda self: self._base.arity)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], BundleFunction]:
+        return {idx: BundleFunction(self.algebra, self.arity, root)
+                for idx, root in self._base.coeffs.items()}
 
     def coefficient(self, idx: tuple[int, ...]) -> BundleFunction:
-        key, sign = _sort_index(tuple(idx))
-        zero = BundleFunction.zero(self.algebra, self.arity)
-        if sign == 0:
-            return zero
-        fn = self.coeffs.get(key, zero)
-        return fn if sign == 1 else -fn
+        return BundleFunction(self.algebra, self.arity, self._base.coefficient(idx))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._base.coeffs:
             return f"BundleForm(degree={self.degree}, 0)"
         inner = " + ".join(f"[{fn!r}] dx{list(i)}" for i, fn in sorted(self.coeffs.items()))
         return f"BundleForm({inner})"
 
 
 def prolong_form(form: BaseForm, algebra: WeilAlgebra) -> BundleForm:
-    """Prolong a base form: same index basis, each coefficient prolonged."""
-    coeffs = {idx: BundleFunction.from_expr(expr, algebra)
-              for idx, expr in form.coeffs.items()}
-    return BundleForm(form.degree, form.arity, algebra, coeffs)
+    """Prolong a base form, whose coefficients may also be A-valued roots:
+    same index basis, each coefficient prolonged."""
+    prolonged = object.__new__(BundleForm)
+    prolonged.algebra, prolonged._base = algebra, form
+    return prolonged
 
 
 def bundle_exterior_derivative(form: BundleForm) -> BundleForm:
     """Exterior derivative over the algebra; coefficients differentiate by
     their own rules, so solved coefficients are handled exactly."""
-    out: dict[tuple[int, ...], BundleFunction] = {}
-    for idx, coeff in form.coeffs.items():
-        for i in range(form.arity):
-            if i in idx:
-                continue
-            pos = sum(1 for j in idx if j < i)
-            key = tuple(sorted(idx + (i,)))
-            contribution = coeff.partial(i)
-            if pos % 2 == 1:
-                contribution = -contribution
-            out[key] = out[key] + contribution if key in out else contribution
-    return BundleForm(form.degree + 1, form.arity, form.algebra, out)
+    return prolong_form(exterior_derivative(form._base), form.algebra)
 
 
 def interior_product(field: BundleVectorField, form: BundleForm) -> BundleForm:
@@ -231,15 +216,7 @@ def interior_product(field: BundleVectorField, form: BundleForm) -> BundleForm:
         raise ArityError("field and form disagree on arity")
     if not field.algebra.compatible_with(form.algebra):
         raise AlgebraMismatch("field and form live over different algebras")
-    out: dict[tuple[int, ...], BundleFunction] = {}
-    for idx, coeff in form.coeffs.items():
-        for a, i in enumerate(idx):
-            key = idx[:a] + idx[a + 1:]
-            contribution = field.components[i] * coeff
-            if a % 2 == 1:
-                contribution = -contribution
-            out[key] = out[key] + contribution if key in out else contribution
-    return BundleForm(form.degree - 1, form.arity, form.algebra, out)
+    return prolong_form(base_interior_product(field._base(), form._base), form.algebra)
 
 
 # Validation at construction: seeded points in DEFAULT_BOX; a closedness

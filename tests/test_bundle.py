@@ -34,7 +34,7 @@ from weiljet.bundle import (
     sample_near_points,
     worst_case,
 )
-from weiljet.errors import ArityError, DomainError
+from weiljet.errors import ArityError, DegreeError, DomainError
 from weiljet.expression import (
     Const,
     _Solved,
@@ -61,8 +61,11 @@ from weiljet.sampling import (
 )
 from weiljet.symplectic import (
     BaseForm,
+    BundleForm,
     SymplecticStructure,
+    base_interior_product,
     bundle_exterior_derivative,
+    exterior_derivative,
     hamiltonian_field,
     interior_product,
     prolong_form,
@@ -770,3 +773,108 @@ def test_evaluate_hands_out_no_writable_cache():
     with pytest.raises(ValueError):
         f.evaluate(point).coeffs[0] = 1.0
     assert np.array_equal(f.evaluate(batch), values)
+
+
+def _fn(algebra, arity, text="x0"):
+    return prolong_function(parse_expr(text, arity), algebra)
+
+
+def _field(algebra, arity):
+    return prolong_vector_field(BaseVectorField([parse_expr(f"x{i}", arity)
+                                                 for i in range(arity)]), algebra)
+
+
+def _poisson(algebra):
+    return ProlongedPoisson(PoissonStructure.canonical(2), algebra)
+
+
+# The parent's exception types and messages, copied.  The prolonged field
+# and form operations are the base ones on their arguments' roots, so a
+# form keeps only roots: a coefficient over another algebra or arity is
+# refused when the form is built, with the message the parent gave when
+# such a coefficient met another one.  Everything is built when a case runs.
+MOVED_CHECKS = {
+    "apply_field-arity": (lambda: apply_field(_field(DUAL, 2), _fn(DUAL, 3)),
+                          ArityError, "field and function disagree on arity"),
+    "apply_field-algebra": (lambda: apply_field(_field(DUAL, 2), _fn(T3, 2)),
+                            AlgebraMismatch,
+                            "field and function live over different algebras"),
+    "lie_bracket-arity": (lambda: lie_bracket(_field(DUAL, 2), _field(DUAL, 3)),
+                          ArityError, "fields disagree on arity"),
+    "lie_bracket-algebra": (lambda: lie_bracket(_field(DUAL, 2), _field(T3, 2)),
+                            AlgebraMismatch,
+                            "field and function live over different algebras"),
+    "poisson_derivation-arity": (lambda: poisson_derivation(_poisson(DUAL), _fn(DUAL, 3)),
+                                 ArityError, "function arity does not match the structure"),
+    "poisson_derivation-algebra": (lambda: poisson_derivation(_poisson(DUAL), _fn(T3, 2)),
+                                   AlgebraMismatch,
+                                   "function algebra does not match the prolongation"),
+    "interior_product-degree": (
+        lambda: interior_product(_field(DUAL, 2),
+                                 BundleForm(0, 2, DUAL, {(): _fn(DUAL, 2)})),
+        DegreeError, "cannot contract a form of degree zero"),
+    "interior_product-arity": (
+        lambda: interior_product(_field(DUAL, 3),
+                                 BundleForm(1, 2, DUAL, {(0,): _fn(DUAL, 2)})),
+        ArityError, "field and form disagree on arity"),
+    "interior_product-algebra": (
+        lambda: interior_product(_field(T3, 2),
+                                 BundleForm(1, 2, DUAL, {(0,): _fn(DUAL, 2)})),
+        AlgebraMismatch, "field and form live over different algebras"),
+    "interior_product-coefficient-algebra": (
+        lambda: interior_product(_field(DUAL, 2),
+                                 BundleForm(1, 2, DUAL, {(0,): _fn(T3, 2)})),
+        AlgebraMismatch, "functions live over different algebras"),
+    "bundle_exterior_derivative-algebra": (
+        lambda: bundle_exterior_derivative(
+            BundleForm(1, 2, DUAL, {(0,): _fn(DUAL, 2, "x1"), (1,): _fn(T3, 2)})),
+        AlgebraMismatch, "functions live over different algebras"),
+    "bundle_exterior_derivative-arity": (
+        lambda: bundle_exterior_derivative(
+            BundleForm(1, 2, DUAL, {(0,): _fn(DUAL, 2, "x1"), (1,): _fn(DUAL, 3)})),
+        ArityError, "functions disagree on the base arity"),
+    "BundleForm-negative-degree": (lambda: BundleForm(-1, 2, DUAL, {}),
+                                   DegreeError, "form degree must be nonnegative"),
+    "BundleForm-degree": (lambda: BundleForm(2, 2, DUAL, {(0,): _fn(DUAL, 2)}),
+                          DegreeError, "index (0,) does not have length 2"),
+    "BundleForm-order": (lambda: BundleForm(2, 2, DUAL, {(1, 0): _fn(DUAL, 2)}),
+                         DegreeError, "index (1, 0) must be strictly increasing"),
+    "BundleForm-arity": (lambda: BundleForm(2, 2, DUAL, {(0, 2): _fn(DUAL, 2)}),
+                         ArityError, "index (0, 2) out of range for arity 2"),
+    "BundleForm-coefficient-type": (
+        lambda: BundleForm(1, 2, DUAL, {(0,): parse_expr("x0", 2)}),
+        TypeError, "prolonged-form coefficients must be A-valued functions"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", MOVED_CHECKS.values(),
+                         ids=MOVED_CHECKS.keys())
+def test_prolonged_operations_keep_their_argument_checks(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_prolonged_operations_build_the_base_nodes():
+    rng = np.random.default_rng(23)
+    for algebra in (DUAL, T3):
+        x = random_base_field(3, rng, max_degree=2)
+        y = random_base_field(3, rng, max_degree=2)
+        f = random_expression(3, rng)
+        lifted = prolong_vector_field(x, algebra)
+        assert apply_field(lifted, prolong_function(f, algebra)).root is x.apply_to(f)
+        bracket = lie_bracket(lifted, prolong_vector_field(y, algebra))
+        assert [c.root for c in bracket.components] == list(x.bracket(y).components)
+        base = PoissonStructure.rotational()
+        derivation = poisson_derivation(ProlongedPoisson(base, algebra),
+                                        prolong_function(f, algebra))
+        assert [c.root for c in derivation.components] == list(base.ad(f).components)
+        omega = BaseForm(2, 3, {(0, 1): f, (1, 2): "x0 * x2"})
+        pairs = [(bundle_exterior_derivative(prolong_form(omega, algebra)),
+                  exterior_derivative(omega)),
+                 (interior_product(lifted, prolong_form(omega, algebra)),
+                  base_interior_product(x, omega))]
+        for prolonged, expected in pairs:
+            assert prolonged.degree == expected.degree
+            assert {idx: fn.root for idx, fn in prolonged.coeffs.items()} == expected.coeffs

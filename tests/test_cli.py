@@ -746,6 +746,7 @@ def test_height_zero_gives_the_reals_at_any_width(capsys, spec, width):
 
 @pytest.mark.parametrize("spec, arity", [('{"arity":50,"bivector":{}}', 50),
                                          ('{"arity":512,"bivector":{}}', 512),
+                                         ('{"arity":512,"bivector":{"0,1":"x2"}}', 512),
                                          ("canonical:512", 512)])
 def test_poisson_structures_up_to_the_arity_cap_validate_at_once(capsys, spec, arity):
     start = time.perf_counter()

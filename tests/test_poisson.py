@@ -84,6 +84,28 @@ def test_jacobi_violation_is_rejected():
     PoissonStructure(3, bivector, validate=False)
 
 
+# The parent's verdicts and message, copied.  An infinite constant in an entry
+# makes some Jacobi terms NaN, where a zero entry meets an infinite partial,
+# and others infinite; the check sums only the terms that can differ from
+# +-0.0, and one NaN among them keeps the defect NaN, which passes.
+@pytest.mark.parametrize("arity, bivector, message", [
+    (3, {(0, 2): "1/x0", (1, 0): "1e308*10*x0"}, None),
+    (5, {(0, 3): "-1e308*10", (1, 4): "-2", (2, 1): "1e308*10*x0"}, None),
+    (5, {(0, 1): "1e308*10*x2"}, None),
+    (5, {(1, 3): "x1 - x0", (0, 2): "1e308*10*x2*x1 + x0"},
+     "Jacobi identity fails on coordinates (1, 2, 3): residual -inf at "
+     "(np.float64(1.7249), np.float64(-1.5211), np.float64(-1.5316), "
+     "np.float64(-1.6492), np.float64(0.6315))"),
+])
+def test_jacobi_keeps_the_verdicts_of_infinite_entries(arity, bivector, message):
+    if message is None:
+        PoissonStructure(arity, bivector)
+    else:
+        with pytest.raises(InvalidPoissonStructure) as caught:
+            PoissonStructure(arity, bivector)
+        assert str(caught.value) == message
+
+
 def test_base_bracket_laws_sampled():
     rng = np.random.default_rng(11)
     for structure in (canonical_structure(), ROTATIONAL):

@@ -98,7 +98,9 @@ def test_bench_writes_its_record(bench, tmp_path, monkeypatch, capsys):
     assert isinstance(side["dont_write_bytecode"], bool)
     assert [run["exit"] for run in side["verify"]["42"]["runs"]] == [0]
     summary = record["summary"]["change"]
-    assert summary["src_lines"] > 0
+    assert summary["src_lines"] == sum(count for name, count in summary.items()
+                                       if name.startswith("src_lines.")) > 0
+    assert summary["src_lines.weiljet/bundle.py"] > 0
     for name in ("verify_s.42", "verify_calls.42", "poisson_decisions_per_s",
                  "symplectic_decisions_per_s", "cli_start_s", "import_s",
                  "symbolic_build_s", "mutation_sweep_s"):
@@ -106,6 +108,16 @@ def test_bench_writes_its_record(bench, tmp_path, monkeypatch, capsys):
     for width, height in bench.BUILD_ALGEBRAS:
         assert summary[f"algebra_build_s.{width},{height}"] > 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == record["summary"]
+
+
+def test_bench_counts_lines_per_module(bench, tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not a module\n")
+    assert bench.module_lines(tmp_path) == {"pkg/a.py": 2, "pkg/b.py": 1}
+    assert bench.src_lines(tmp_path) == 3
 
 
 def test_bench_compares_pair_by_pair(bench):
