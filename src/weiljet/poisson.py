@@ -138,9 +138,9 @@ class PoissonStructure:
     def _jacobi_indices(self, i: int, j: int, k: int) -> set[int]:
         """The m whose terms the Jacobi defect of (i, j, k) sums: for each
         cyclic (a, b, c), the support of row a and the variables of pi_bc.
-        Any other term pi_am * d_m pi_bc is a zero times one node, and folds
-        to +-0.0, leaving the sum the same node, unless that node is a
-        non-finite constant; its first m is kept, whose NaN keeps the defect."""
+        Any other term pi_am * d_m pi_bc is zero times one node and folds to
+        +-0.0, leaving the sum the same node; if that node is a non-finite
+        constant, the first such m is kept, and its NaN keeps the defect NaN."""
         wanted = set()
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             entry = self.entry(b, c)
