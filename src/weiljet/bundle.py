@@ -19,9 +19,11 @@ each point for a whole batch at once (used for hamiltonian fields, which
 have no closed form).  Sums, products, partials and ``apply_field`` build
 interned nodes, so equal functions share one root; a partial is kept on its
 node, and evaluation is the one batched walker, memoized in the point's
-cache.  The prolonged field and form operations, here and in ``poisson`` and
-``symplectic``, are the base ones on the same roots, so each builds the very
-node its base counterpart builds.
+cache.  A prolonged field is a ``BaseVectorField`` over its components'
+roots plus the algebra, as a prolonged form is a ``BaseForm`` over its
+coefficients' roots.  The prolonged field and form operations, here and in
+``poisson`` and ``symplectic``, are the base ones on the same roots, so each
+builds the very node its base counterpart builds.
 """
 
 from __future__ import annotations
@@ -185,15 +187,7 @@ class BundleFunction:
             return cls(algebra, arity, _weight(value, arity))
         return cls(algebra, arity, Const(float(value), arity))
 
-    @classmethod
-    def from_expr(cls, expr: ScalarExpr, algebra: WeilAlgebra) -> "BundleFunction":
-        """Prolongation of a base expression."""
-        return cls(algebra, expr.arity, expr)
-
     # -- structure -----------------------------------------------------------
-
-    def is_structurally_zero(self) -> bool:
-        return isinstance(self.root, Const) and self.root.value == 0.0
 
     def _check_mate(self, other: "BundleFunction"):
         if not self.algebra.compatible_with(other.algebra):
@@ -262,7 +256,7 @@ class BundleFunction:
 def prolong_function(f: ScalarExpr, algebra: WeilAlgebra) -> BundleFunction:
     """The A-valued prolongation f^A, acting on near-points by evaluating f
     over the algebra."""
-    return BundleFunction.from_expr(f, algebra)
+    return BundleFunction(algebra, f.arity, f)
 
 
 def pushforward_map(components: Sequence[ScalarExpr], point: NearPoint) -> NearPoint:
@@ -300,9 +294,10 @@ class BaseVectorField:
 
     def apply_to(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative X(f) as an expression."""
-        if f.arity != self.arity:
+        arity = len(self.components)
+        if f.arity != arity:
             raise ArityError("function arity does not match the field")
-        total: ScalarExpr = Const(0.0, self.arity)
+        total: ScalarExpr = Const(0.0, arity)
         for i, comp in enumerate(self.components):
             total = add(total, mul(comp, differentiate(f, i)))
         return total
@@ -322,10 +317,11 @@ class BaseVectorField:
 
 
 class BundleVectorField:
-    """Vector field on the prolonged space, one A-valued function per base
-    coordinate direction."""
+    """Vector field on the prolonged space: a base field over the roots of
+    its A-valued component functions, one per base coordinate direction, and
+    the algebra they live over."""
 
-    __slots__ = ("algebra", "components")
+    __slots__ = ("algebra", "_base")
 
     def __init__(self, components: Sequence[BundleFunction]):
         components = tuple(components)
@@ -339,34 +335,35 @@ class BundleVectorField:
             if c.arity != arity:
                 raise ArityError("component arity must equal the component count")
         self.algebra = algebra
-        self.components = components
+        self._base = BaseVectorField([c.root for c in components])
+
+    arity = property(lambda self: self._base.arity)
 
     @property
-    def arity(self) -> int:
-        return len(self.components)
+    def components(self) -> tuple[BundleFunction, ...]:
+        return tuple(BundleFunction(self.algebra, self.arity, root)
+                     for root in self._base.components)
 
     def __add__(self, other):
         if not isinstance(other, BundleVectorField):
             return NotImplemented
         if other.arity != self.arity:
             raise ArityError("fields disagree on arity")
-        return BundleVectorField([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        if not isinstance(other, BundleVectorField):
-            return NotImplemented
-        return self + (-other)
+        if not self.algebra.compatible_with(other.algebra):
+            raise AlgebraMismatch("functions live over different algebras")
+        return self._over([add(a, b) for a, b in zip(self._base.components,
+                                                     other._base.components)])
 
     def __neg__(self):
-        return BundleVectorField([-c for c in self.components])
+        return self._over([neg(c) for c in self._base.components])
 
     def scaled(self, factor) -> "BundleVectorField":
         """Multiply every component by a function, algebra element, or number."""
-        return BundleVectorField([c * factor for c in self.components])
+        return self._over([(c * factor).root for c in self.components])
 
-    def _base(self) -> BaseVectorField:
-        """The base field over the components' roots, for the base operations."""
-        return BaseVectorField([c.root for c in self.components])
+    def _over(self, roots: list[ScalarExpr]) -> "BundleVectorField":
+        """The field over this one's algebra with the given component roots."""
+        return prolong_vector_field(BaseVectorField(roots), self.algebra)
 
     def __repr__(self):
         inner = ", ".join(repr(c) for c in self.components)
@@ -375,9 +372,10 @@ class BundleVectorField:
 
 def prolong_vector_field(field: BaseVectorField, algebra: WeilAlgebra) -> BundleVectorField:
     """Componentwise prolongation of a base vector field, whose components
-    may also be A-valued roots."""
-    return BundleVectorField([BundleFunction.from_expr(c, algebra)
-                              for c in field.components])
+    may also be A-valued roots: same components, over the algebra."""
+    prolonged = object.__new__(BundleVectorField)
+    prolonged.algebra, prolonged._base = algebra, field
+    return prolonged
 
 
 def apply_field(field: BundleVectorField, fn: BundleFunction) -> BundleFunction:
@@ -386,7 +384,7 @@ def apply_field(field: BundleVectorField, fn: BundleFunction) -> BundleFunction:
         raise ArityError("field and function disagree on arity")
     if not field.algebra.compatible_with(fn.algebra):
         raise AlgebraMismatch("field and function live over different algebras")
-    return BundleFunction(fn.algebra, fn.arity, field._base().apply_to(fn.root))
+    return BundleFunction(fn.algebra, fn.arity, field._base.apply_to(fn.root))
 
 
 def lie_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField:
@@ -395,7 +393,7 @@ def lie_bracket(x: BundleVectorField, y: BundleVectorField) -> BundleVectorField
         raise ArityError("fields disagree on arity")
     if not x.algebra.compatible_with(y.algebra):
         raise AlgebraMismatch("field and function live over different algebras")
-    return prolong_vector_field(x._base().bracket(y._base()), y.algebra)
+    return prolong_vector_field(x._base.bracket(y._base), y.algebra)
 
 
 # -- sampled comparison --------------------------------------------------------

@@ -87,7 +87,7 @@ def _read_function(text: str, algebra, arity: int) -> BundleFunction:
     if stripped.startswith("{"):
         return jsonio.bundle_function_from_json(
             jsonio.load_json(stripped, "function"), algebra, arity)
-    return bundle.BundleFunction.from_expr(
+    return bundle.prolong_function(
         expression.parse_expr(stripped, arity), algebra)
 
 

@@ -540,7 +540,7 @@ def _check_lie_morphism_fields(spec: CheckSpec, rng: np.random.Generator):
                 ("bracket", prolong_vector_field(theta1.bracket(theta2), algebra),
                  lie_bracket(lifted1, lifted2)),
                 ("scaling", prolong_vector_field(scaled_base, algebra),
-                 lifted1.scaled(BundleFunction.from_expr(f, algebra))),
+                 lifted1.scaled(prolong_function(f, algebra))),
                 ("sum", prolong_vector_field(summed_base, algebra),
                  lifted1 + lifted2),
             )

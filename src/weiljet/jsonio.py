@@ -40,6 +40,8 @@ from .bundle import (
     BundleFunction,
     BundleVectorField,
     NearPoint,
+    prolong_function,
+    prolong_vector_field,
 )
 from .errors import DomainError, ParseError
 from .expression import (
@@ -199,7 +201,7 @@ def _term_from_json(obj: dict, algebra: WeilAlgebra, arity: int) -> BundleFuncti
     for text in _typed(obj.get("pullbacks", []), list, "a term's 'pullbacks'"):
         if not isinstance(text, str):
             raise ParseError("each pullback must be an expression string")
-        term = term * BundleFunction.from_expr(parse_expr(text, arity), algebra)
+        term = term * prolong_function(parse_expr(text, arity), algebra)
     return term
 
 
@@ -270,7 +272,7 @@ def bundle_function_to_json(fn: BundleFunction) -> dict:
 
 def bundle_function_from_json(obj, algebra: WeilAlgebra, arity: int) -> BundleFunction:
     if isinstance(obj, str):
-        return BundleFunction.from_expr(parse_expr(obj, arity), algebra)
+        return prolong_function(parse_expr(obj, arity), algebra)
     if isinstance(obj, dict) and "terms" in obj:
         return _terms_from_json(obj["terms"], algebra, arity)
     raise ParseError("a function is an expression string or a terms object")
@@ -291,8 +293,8 @@ def bundle_field_from_json(obj, algebra: WeilAlgebra) -> BundleVectorField:
         raise ParseError("a vector field is a nonempty list")
     n = len(obj)
     if all(isinstance(c, str) for c in obj):
-        return BundleVectorField([
-            BundleFunction.from_expr(parse_expr(text, n), algebra) for text in obj])
+        return prolong_vector_field(
+            BaseVectorField([parse_expr(text, n) for text in obj]), algebra)
     comps = []
     for entry in obj:
         if not isinstance(entry, list):

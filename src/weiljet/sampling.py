@@ -17,6 +17,7 @@ from .bundle import (
     DEFAULT_SEED,
     BaseVectorField,
     BundleFunction,
+    prolong_function,
 )
 from .expression import ScalarExpr, add, call, const, mul, pow_, var
 from .symplectic import BaseForm, increasing_tuples
@@ -107,7 +108,7 @@ def random_bundle_function(algebra: WeilAlgebra, arity: int,
     for _ in range(int(rng.integers(1, max_terms + 1))):
         term = BundleFunction.constant(sample_element(algebra, rng), algebra, arity)
         for _ in range(int(rng.integers(1, 3))):
-            term = term * BundleFunction.from_expr(
+            term = term * prolong_function(
                 random_polynomial(arity, rng, max_degree=2, max_terms=2), algebra)
         total = total + term
     return total

@@ -35,6 +35,7 @@ from .bundle import (
     apply_field,
     coordinate_pair_cases,
     max_difference,
+    prolong_vector_field,
     worst_case,
 )
 from .errors import (
@@ -216,7 +217,7 @@ def interior_product(field: BundleVectorField, form: BundleForm) -> BundleForm:
         raise ArityError("field and form disagree on arity")
     if not field.algebra.compatible_with(form.algebra):
         raise AlgebraMismatch("field and form live over different algebras")
-    return prolong_form(base_interior_product(field._base(), form._base), form.algebra)
+    return prolong_form(base_interior_product(field._base, form._base), form.algebra)
 
 
 # Validation at construction: seeded points in DEFAULT_BOX; a closedness
@@ -418,11 +419,6 @@ class _LinearSolve:
             point._eval_cache[self] = cached
         return cached
 
-    def component_function(self, index: int) -> BundleFunction:
-        """Solution component ``index``: a solved-component node."""
-        arity = self.system.arity
-        return BundleFunction(self.system.algebra, arity, _Solved(self, index, arity))
-
     def derivative(self, direction: int) -> "_LinearSolve":
         """Solve for the directional derivative of the solution:
         B dx = d(rhs) - dB x, exact over the algebra."""
@@ -437,8 +433,7 @@ class _LinearSolve:
                     db = differentiate(self.system.entries[j][k], direction)
                     if isinstance(db, Const) and db.value == 0.0:
                         continue
-                    fn = fn - (BundleFunction.from_expr(db, algebra)
-                               * self.component_function(k))
+                    fn = fn - BundleFunction(algebra, n, mul(db, _Solved(self, k, n)))
                 new_rhs.append(fn)
             cached = _LinearSolve(self.system, new_rhs)
             self._derived[direction] = cached
@@ -463,7 +458,8 @@ def hamiltonian_field(fn: BundleFunction, structure: SymplecticStructure,
     system = _SystemMatrix(transposed, algebra, n)
     rhs = [fn.partial(i) for i in range(n)]
     solve = _LinearSolve(system, rhs)
-    return BundleVectorField([solve.component_function(i) for i in range(n)])
+    return prolong_vector_field(BaseVectorField([_Solved(solve, i, n) for i in range(n)]),
+                                algebra)
 
 
 def inverse_bivector(structure: SymplecticStructure) -> PoissonStructure:

@@ -86,7 +86,7 @@ def test_constant_function():
     f = BundleFunction.constant(5.0, DUAL, 2)
     point = sample_near_point(DUAL, 2, np.random.default_rng(0))
     np.testing.assert_allclose(f.evaluate(point).coeffs, [5.0, 0.0])
-    assert BundleFunction.zero(DUAL, 2).is_structurally_zero()
+    assert BundleFunction.zero(DUAL, 2).root is Const(0.0, 2)
 
 
 @pytest.mark.parametrize("algebra", [DUAL, T3, M2], ids=["dual", "t3", "m2"])
@@ -701,7 +701,7 @@ def test_operations_match_the_one_term_reference(algebra):
         _assert_same_values(f * scale, _ref_scale(tf, scale), points)
         _assert_same_values(f * 2.5, _ref_scale(tf, 2.5), points)
         _assert_same_values(-f, _ref_scale(tf, -1.0), points)
-        assert (f * 0.0).is_structurally_zero()
+        assert (f * 0.0).root is Const(0.0, 2)
         for g, tg in operands:
             _assert_same_values(f * g, _ref_mul(tf, tg), points)
             _assert_same_values(f + g, tf + tg, points)
@@ -856,24 +856,47 @@ def test_prolonged_operations_keep_their_argument_checks(call, error, message):
     assert str(caught.value) == message
 
 
-def test_prolonged_operations_build_the_base_nodes():
+def test_prolonged_operations_build_the_base_nodes(monkeypatch):
+    # a prolonged field is its base field plus the algebra: the operations
+    # build no base field besides the one a field-valued result wraps
+    built = []
+    init = BaseVectorField.__init__
+
+    def counted_init(self, components):
+        built.append(self)
+        init(self, components)
+
+    monkeypatch.setattr(BaseVectorField, "__init__", counted_init)
+
+    def building_only_its_result(call):
+        built.clear()
+        result = call()
+        assert [b for b in built if b is not getattr(result, "_base", None)] == []
+        return result
+
     rng = np.random.default_rng(23)
     for algebra in (DUAL, T3):
         x = random_base_field(3, rng, max_degree=2)
         y = random_base_field(3, rng, max_degree=2)
         f = random_expression(3, rng)
-        lifted = prolong_vector_field(x, algebra)
-        assert apply_field(lifted, prolong_function(f, algebra)).root is x.apply_to(f)
-        bracket = lie_bracket(lifted, prolong_vector_field(y, algebra))
+        lifted = building_only_its_result(lambda: prolong_vector_field(x, algebra))
+        assert lifted._base is x
+        applied = building_only_its_result(
+            lambda: apply_field(lifted, prolong_function(f, algebra)))
+        assert applied.root is x.apply_to(f)
+        bracket = building_only_its_result(
+            lambda: lie_bracket(lifted, prolong_vector_field(y, algebra)))
         assert [c.root for c in bracket.components] == list(x.bracket(y).components)
         base = PoissonStructure.rotational()
-        derivation = poisson_derivation(ProlongedPoisson(base, algebra),
-                                        prolong_function(f, algebra))
+        derivation = building_only_its_result(
+            lambda: poisson_derivation(ProlongedPoisson(base, algebra),
+                                       prolong_function(f, algebra)))
         assert [c.root for c in derivation.components] == list(base.ad(f).components)
         omega = BaseForm(2, 3, {(0, 1): f, (1, 2): "x0 * x2"})
         pairs = [(bundle_exterior_derivative(prolong_form(omega, algebra)),
                   exterior_derivative(omega)),
-                 (interior_product(lifted, prolong_form(omega, algebra)),
+                 (building_only_its_result(
+                     lambda: interior_product(lifted, prolong_form(omega, algebra))),
                   base_interior_product(x, omega))]
         for prolonged, expected in pairs:
             assert prolonged.degree == expected.degree

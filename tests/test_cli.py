@@ -667,9 +667,27 @@ def _coefficients(draw, dim):
 
 
 @st.composite
+def _field(draw, arity, dim):
+    """A field as expression strings or as term lists, sometimes with a wrong
+    component count."""
+    size = draw(st.sampled_from([arity, arity, arity, 1, arity + 1]))
+    if draw(st.booleans()):
+        return json.dumps([draw(_EXPRESSIONS) for _ in range(size)])
+    element = _coefficients(dim).map(lambda c: '{"coeffs": [%s]}' % ", ".join(c))
+
+    def term():
+        return '{"coeff": %s, "pullbacks": %s}' % (
+            draw(_ANY_NUMBER | element), json.dumps(draw(st.lists(_EXPRESSIONS, max_size=2))))
+
+    return "[%s]" % ", ".join(
+        "[%s]" % ", ".join(term() for _ in range(draw(st.integers(0, 2))))
+        for _ in range(size))
+
+
+@st.composite
 def _argv(draw):
     spec, dim = draw(_ALGEBRAS)
-    command = draw(st.sampled_from(["algebra", "prolong", "hamfield", "bracket"]))
+    command = draw(st.sampled_from(["algebra", "prolong", "hamfield", "bracket", "hamcheck"]))
 
     def point(arity):
         return '{"coords": [%s]}' % ", ".join(
@@ -682,6 +700,10 @@ def _argv(draw):
         return ["prolong", "--algebra", spec, "--expr", draw(_EXPRESSIONS),
                 "--point", point(draw(st.integers(1, 3)))]
     flag, structure, arity = draw(_STRUCTURES)
+    if command == "hamcheck":
+        witness = ["--witness", draw(_EXPRESSIONS)] if draw(st.booleans()) else []
+        return ["hamcheck", "--algebra", spec, flag, structure,
+                "--field", draw(_field(arity, dim)), *witness]
     at = ["--point", point(arity)] if draw(st.booleans()) else []
     if command == "hamfield":
         return ["hamfield", "--algebra", spec, flag, structure,
