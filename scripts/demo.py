@@ -13,7 +13,6 @@ from weiljet.bundle import (
 from weiljet.expression import parse_expr
 from weiljet.poisson import (
     PoissonStructure,
-    ProlongedPoisson,
     check_global_witness_poisson,
     is_locally_hamiltonian_poisson,
     poisson_derivation,
@@ -49,7 +48,8 @@ def jets():
 def brackets():
     banner("Prolonged Poisson brackets extend the base bracket")
     t3 = make_truncated_algebra(1, 2)
-    structure = ProlongedPoisson(PoissonStructure.canonical(2), t3)
+    # the structure stays on the base; the algebra comes with the function
+    structure = PoissonStructure.canonical(2)
     energy = prolong_function(parse_expr("(x0^2 + x1^2) / 2", 2), t3)
     field = poisson_derivation(structure, energy)
     point = NearPoint([t3.element([0.5, 1.0, 0.0]), t3.element([0.25, 0.0, 0.0])])
@@ -61,7 +61,7 @@ def brackets():
 def decisions():
     banner("Locally vs globally hamiltonian")
     dual = make_truncated_algebra(1, 1)
-    structure = ProlongedPoisson(PoissonStructure.canonical(2), dual)
+    structure = PoissonStructure.canonical(2)
     constant = BundleVectorField(
         [BundleFunction.constant(1.0, dual, 2), BundleFunction.constant(0.0, dual, 2)]
     )
@@ -79,13 +79,13 @@ def symplectic_side():
     t3 = make_truncated_algebra(1, 2)
     curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
     fn = prolong_function(parse_expr("x0 * x1", 2), t3)
-    field = hamiltonian_field(fn, curved, t3)
+    field = hamiltonian_field(fn, curved)
     point = NearPoint([t3.element([0.5, 1.0, 0.0]), t3.element([-0.3, 0.0, 0.0])])
     values = [c.evaluate(point) for c in field.components]
     print(f"X_f for omega = (1 + x0^2) dx0^dx1 at a jet: ({values[0]!r}, {values[1]!r})")
     x0 = prolong_function(parse_expr("x0", 2), t3)
     x1 = prolong_function(parse_expr("x1", 2), t3)
-    pair = symplectic_bracket(x0, x1, curved, t3).evaluate(point)
+    pair = symplectic_bracket(x0, x1, curved).evaluate(point)
     print(f"{{x0, x1}} under the curved form at that jet: {pair!r}")
 
 

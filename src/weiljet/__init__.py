@@ -31,7 +31,7 @@ _EXPORTS = {
         "max_difference",
     ),
     "poisson": (
-        "PoissonStructure", "ProlongedPoisson", "poisson_derivation",
+        "PoissonStructure", "poisson_derivation",
         "prolonged_bracket", "adjoint_differential",
         "prolonged_adjoint_differential", "poisson_closedness_defect",
         "is_locally_hamiltonian_poisson", "check_global_witness_poisson",

@@ -81,25 +81,21 @@ def _sign_flag(text: str) -> int:
 def _read_function(text: str, algebra, arity: int) -> BundleFunction:
     """A function argument: an expression string, or a {"terms": ...} JSON
     object."""
-    from . import bundle, expression, jsonio
+    from . import jsonio
 
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return jsonio.bundle_function_from_json(
-            jsonio.load_json(stripped, "function"), algebra, arity)
-    return bundle.prolong_function(
-        expression.parse_expr(stripped, arity), algebra)
+    obj = text.strip()
+    if obj.startswith("{"):
+        obj = jsonio.load_json(obj, "function")
+    return jsonio.bundle_function_from_json(obj, algebra, arity)
 
 
-def _structure(args, algebra):
-    """Build (mode, structure, prolonged-or-None) from --poisson/--symplectic."""
-    from . import jsonio, poisson
+def _structure(args):
+    """Build (mode, base structure) from --poisson/--symplectic."""
+    from . import jsonio
 
     if getattr(args, "poisson", None) is not None:
-        base = jsonio.parse_poisson_spec(args.poisson)
-        return "poisson", base, poisson.ProlongedPoisson(base, algebra)
-    base = jsonio.parse_symplectic_spec(args.symplectic)
-    return "symplectic", base, None
+        return "poisson", jsonio.parse_poisson_spec(args.poisson)
+    return "symplectic", jsonio.parse_symplectic_spec(args.symplectic)
 
 
 # -- subcommand handlers --------------------------------------------------------------
@@ -137,13 +133,13 @@ def cmd_bracket(args) -> int:
     from . import jsonio, poisson, symplectic
 
     algebra = jsonio.parse_algebra_spec(args.algebra)
-    mode, base, prolonged = _structure(args, algebra)
-    left = _read_function(args.left, algebra, base.arity)
-    right = _read_function(args.right, algebra, base.arity)
+    mode, structure = _structure(args)
+    left = _read_function(args.left, algebra, structure.arity)
+    right = _read_function(args.right, algebra, structure.arity)
     if mode == "poisson":
-        result = poisson.prolonged_bracket(prolonged, left, right)
+        result = poisson.prolonged_bracket(structure, left, right)
     else:
-        result = symplectic.symplectic_bracket(left, right, base, algebra)
+        result = symplectic.symplectic_bracket(left, right, structure)
     if args.point:
         point = jsonio.point_from_json(
             jsonio.load_json(args.point, "near-point"), algebra)
@@ -157,15 +153,15 @@ def cmd_hamfield(args) -> int:
     from . import bundle, jsonio, poisson, symplectic
 
     algebra = jsonio.parse_algebra_spec(args.algebra)
-    mode, base, prolonged = _structure(args, algebra)
-    fn = _read_function(args.fn, algebra, base.arity)
+    mode, structure = _structure(args)
+    fn = _read_function(args.fn, algebra, structure.arity)
     if mode == "poisson":
-        field = poisson.poisson_derivation(prolonged, fn)
+        field = poisson.poisson_derivation(structure, fn)
     else:
-        field = symplectic.hamiltonian_field(fn, base, algebra)
+        field = symplectic.hamiltonian_field(fn, structure)
     if args.sign == -1:
         field = field.scaled(
-            bundle.BundleFunction.constant(-1.0, algebra, base.arity))
+            bundle.BundleFunction.constant(-1.0, algebra, structure.arity))
     if args.point:
         point = jsonio.point_from_json(
             jsonio.load_json(args.point, "near-point"), algebra)
@@ -185,31 +181,31 @@ def cmd_hamcheck(args) -> int:
     _require_sampling(args.samples, args.seed)
     _require_tol(args.tol)
     algebra = jsonio.parse_algebra_spec(args.algebra)
-    mode, base, prolonged = _structure(args, algebra)
+    mode, structure = _structure(args)
     field = jsonio.bundle_field_from_json(
         jsonio.load_json(args.field, "field"), algebra)
-    if field.arity != base.arity:
+    if field.arity != structure.arity:
         raise ArityError("field component count does not match the structure")
     witness = None
     if args.witness is not None:
-        witness = _read_function(args.witness, algebra, base.arity)
+        witness = _read_function(args.witness, algebra, structure.arity)
     rng = np.random.default_rng(args.seed)
     if mode == "poisson":
         locally = poisson.is_locally_hamiltonian_poisson(
-            field, prolonged, samples=args.samples, tol=args.tol, rng=rng)
+            field, structure, samples=args.samples, tol=args.tol, rng=rng)
         globally: bool | str = "unknown"
         if witness is not None:
             scaled = witness if args.sign == 1 else witness * -1.0
             globally = poisson.check_global_witness_poisson(
-                field, scaled, prolonged,
+                field, scaled, structure,
                 samples=args.samples, tol=args.tol, rng=rng)
     else:
         locally = symplectic.is_locally_hamiltonian_symplectic(
-            field, base, algebra, samples=args.samples, tol=args.tol, rng=rng)
+            field, structure, samples=args.samples, tol=args.tol, rng=rng)
         globally = "unknown"
         if witness is not None:
             verdict = symplectic.check_global_witness_symplectic(
-                field, witness, base, algebra, sigma=args.sign,
+                field, witness, structure, sigma=args.sign,
                 samples=args.samples, tol=args.tol, rng=rng)
             globally = verdict.ok
     _emit({

@@ -61,12 +61,12 @@ from .expression import (
 )
 from .poisson import (
     PoissonStructure,
-    ProlongedPoisson,
     adjoint_differential,
     check_global_witness_poisson,
     is_locally_hamiltonian_poisson,
     poisson_derivation,
     prolonged_adjoint_differential,
+    prolonged_bracket,
 )
 from .sampling import (
     DEFAULT_SEED,
@@ -316,8 +316,7 @@ def _poisson_cases(spec: CheckSpec):
     for key, algebra in _spec_algebras(spec):
         for sname, structure in (("canonical2", PoissonStructure.canonical(2)),
                                  ("rotational3", PoissonStructure.rotational())):
-            yield ({"algebra": key, "structure": sname}, algebra, structure,
-                   ProlongedPoisson(structure, algebra))
+            yield {"algebra": key, "structure": sname}, algebra, structure
 
 
 def _lifted_pair(n: int, algebra: WeilAlgebra, rng: np.random.Generator):
@@ -351,13 +350,6 @@ def _base_symplectic_defect(theta: BaseVectorField, structure: SymplecticStructu
     """Worst sampled coefficient of d(i_theta Omega) on the base."""
     closed = exterior_derivative(base_interior_product(theta, structure.form))
     return _worst_real(closed.coeffs.values(), points)
-
-
-def _poisson_local_test(field: BundleVectorField, structure: PoissonStructure,
-                        algebra: WeilAlgebra, **options) -> bool:
-    """The Poisson local test, called like ``is_locally_hamiltonian_symplectic``."""
-    return is_locally_hamiltonian_poisson(
-        field, ProlongedPoisson(structure, algebra), **options)
 
 
 def _verdict_agreement(spec: CheckSpec, rng: np.random.Generator, structures,
@@ -394,7 +386,7 @@ def _verdict_agreement(spec: CheckSpec, rng: np.random.Generator, structures,
                 total += 1
                 base_verdict = defect <= _VERDICT_TOL
                 lifted_verdict = lifted_test(
-                    prolong_vector_field(theta, algebra), structure, algebra,
+                    prolong_vector_field(theta, algebra), structure,
                     samples=spec.samples, tol=_VERDICT_TOL, rng=rng)
                 if lifted_verdict != base_verdict:
                     disagreements += 1
@@ -577,13 +569,13 @@ def _check_functoriality_composition(spec: CheckSpec, rng: np.random.Generator):
                   "base defect",
                   1e-8, samples=6, expressions=4))
 def _check_prop1_cochain_prolongation(spec: CheckSpec, rng: np.random.Generator):
-    for where, algebra, structure, prolonged in _poisson_cases(spec):
+    for where, algebra, structure in _poisson_cases(spec):
         n = structure.arity
         for _ in range(spec.expressions):
             eta = random_base_field(n, rng, max_degree=2)
             base_defect = adjoint_differential(eta, structure)
             lifted_defect = prolonged_adjoint_differential(
-                prolong_vector_field(eta, algebra), prolonged)
+                prolong_vector_field(eta, algebra), structure)
             for _ in range(6):
                 f = random_polynomial(n, rng, max_degree=2)
                 g = random_polynomial(n, rng, max_degree=2)
@@ -602,7 +594,7 @@ def _check_prop2_local_iff(spec: CheckSpec, rng: np.random.Generator):
     return _verdict_agreement(
         spec, rng, [({}, PoissonStructure.rotational())],
         lambda f, structure: structure.ad(f), _base_poisson_defect,
-        _poisson_local_test)
+        is_locally_hamiltonian_poisson)
 
 
 @_check(CheckSpec("prop3_bracket_derivation",
@@ -610,19 +602,18 @@ def _check_prop2_local_iff(spec: CheckSpec, rng: np.random.Generator):
                   "bracket",
                   1e-8, samples=4, expressions=10))
 def _check_prop3_bracket_derivation(spec: CheckSpec, rng: np.random.Generator):
-    for where, algebra, structure, prolonged in _poisson_cases(spec):
+    for where, algebra, structure in _poisson_cases(spec):
         n = structure.arity
         chi = random_polynomial(n, rng, max_degree=3)
-        derivation = poisson_derivation(prolonged,
-                                        prolong_function(chi, algebra))
-        if not _poisson_local_test(derivation, structure, algebra,
-                                   samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
+        derivation = poisson_derivation(structure, prolong_function(chi, algebra))
+        if not is_locally_hamiltonian_poisson(derivation, structure, samples=spec.samples,
+                                              tol=_VERDICT_TOL, rng=rng):
             yield 1.0, {**where, "chi": chi.text,
                         "reason": "premise field failed the local test"}
             continue
         for _ in range(spec.expressions):
             lhs, rhs = _derivation_sides(apply_field, derivation,
-                                         prolonged.bracket,
+                                         functools.partial(prolonged_bracket, structure),
                                          *_lifted_pair(n, algebra, rng))
             yield _sampled(lhs, rhs, spec, rng, **where, chi=chi.text)
 
@@ -632,12 +623,12 @@ def _check_prop3_bracket_derivation(spec: CheckSpec, rng: np.random.Generator):
                   "lifted potential, as fields and on brackets",
                   1e-8, samples=6, expressions=10))
 def _check_prop4_prop5_global_witness(spec: CheckSpec, rng: np.random.Generator):
-    for where, algebra, structure, prolonged in _poisson_cases(spec):
+    for where, algebra, structure in _poisson_cases(spec):
         n = structure.arity
         f = random_polynomial(n, rng, max_degree=3)
         lifted_potential = prolong_function(f, algebra)
         lifted_field = prolong_vector_field(structure.ad(f), algebra)
-        derivation = poisson_derivation(prolonged, lifted_potential)
+        derivation = poisson_derivation(structure, lifted_potential)
         yield from _componentwise([(lifted_field, derivation, {})], spec, rng,
                                   **where, part="field", f=f.text)
         for _ in range(spec.expressions):
@@ -646,7 +637,7 @@ def _check_prop4_prop5_global_witness(spec: CheckSpec, rng: np.random.Generator)
                            apply_field(derivation, psi), spec, rng, **where,
                            part="bracket", f=f.text)
         if not check_global_witness_poisson(
-                lifted_field, lifted_potential, prolonged,
+                lifted_field, lifted_potential, structure,
                 samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
             yield 1.0, {**where, "part": "witness", "f": f.text}
 
@@ -679,17 +670,15 @@ def _check_thm1_bracket_coincidence(spec: CheckSpec, rng: np.random.Generator):
         for n in spec.arities:
             structure = SymplecticStructure.canonical(n)
             bivector = inverse_bivector(structure)
-            prolonged = ProlongedPoisson(bivector, algebra)
             for _ in range(spec.expressions):
                 phi = random_bundle_function(algebra, n, rng)
                 psi = random_bundle_function(algebra, n, rng)
-                lhs = symplectic_bracket(phi, psi, structure, algebra)
-                rhs = apply_field(poisson_derivation(prolonged, phi), psi)
+                lhs = symplectic_bracket(phi, psi, structure)
+                rhs = apply_field(poisson_derivation(bivector, phi), psi)
                 yield _sampled(lhs, rhs, spec, rng, algebra=key, arity=n,
                                part="bracket")
             f = random_polynomial(n, rng, max_degree=3)
-            solved = hamiltonian_field(prolong_function(f, algebra),
-                                       structure, algebra)
+            solved = hamiltonian_field(prolong_function(f, algebra), structure)
             lifted = prolong_vector_field(base_hamiltonian_field(f, structure),
                                           algebra)
             yield from _componentwise([(solved, lifted, {})], spec, rng,
@@ -705,22 +694,21 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator)
     structure = SymplecticStructure.canonical(2)
     bivector = inverse_bivector(structure)
     for key, algebra in _spec_algebras(spec):
-        prolonged = ProlongedPoisson(bivector, algebra)
         f = random_polynomial(2, rng, max_degree=3)
         lifted_field = prolong_vector_field(base_hamiltonian_field(f, structure),
                                             algebra)
         if not is_locally_hamiltonian_symplectic(
-                lifted_field, structure, algebra,
+                lifted_field, structure,
                 samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
             yield 1.0, {"algebra": key, "f": f.text,
                         "reason": "premise field failed the local test"}
             continue
         # one anchor pair through the pointwise-solved bracket itself, the
         # remaining pairs through the equivalent inverse-bivector bracket
-        solved_bracket = functools.partial(symplectic_bracket, structure=structure,
-                                           algebra=algebra)
+        solved_bracket = functools.partial(symplectic_bracket, structure=structure)
+        bivector_bracket = functools.partial(prolonged_bracket, bivector)
         brackets = ([("solved_bracket", solved_bracket)]
-                    + [("bivector_bracket", prolonged.bracket)] * spec.expressions)
+                    + [("bivector_bracket", bivector_bracket)] * spec.expressions)
         for part, bracket in brackets:
             lhs, rhs = _derivation_sides(apply_field, lifted_field, bracket,
                                          *_lifted_pair(2, algebra, rng))
@@ -739,7 +727,7 @@ def _check_prop7_symplectic_global(spec: CheckSpec, rng: np.random.Generator):
             lifted_field = prolong_vector_field(
                 base_hamiltonian_field(f, structure), algebra)
             verdict = check_global_witness_symplectic(
-                lifted_field, prolong_function(f, algebra), structure, algebra,
+                lifted_field, prolong_function(f, algebra), structure,
                 sigma=1, samples=spec.samples, tol=spec.tolerance, rng=rng)
             residual = verdict.residual if verdict.ok else max(verdict.residual, 1.0)
             yield residual, {"algebra": key, "f": f.text,
@@ -805,13 +793,13 @@ def _check_leibniz_derivation(spec: CheckSpec, rng: np.random.Generator):
                   "additive, module-linear, and Leibniz",
                   1e-8, samples=4, expressions=3))
 def _check_tau_calculus(spec: CheckSpec, rng: np.random.Generator):
-    for where, algebra, structure, prolonged in _poisson_cases(spec):
+    for where, algebra, structure in _poisson_cases(spec):
         n = structure.arity
         for _ in range(spec.expressions):
             f = random_polynomial(n, rng, max_degree=2)
             g = random_polynomial(n, rng, max_degree=2)
             anchored = apply_field(
-                poisson_derivation(prolonged, prolong_function(f, algebra)),
+                poisson_derivation(structure, prolong_function(f, algebra)),
                 prolong_function(g, algebra))
             yield _sampled(
                 anchored, prolong_function(structure.bracket(f, g), algebra),
@@ -819,14 +807,14 @@ def _check_tau_calculus(spec: CheckSpec, rng: np.random.Generator):
             phi = random_bundle_function(algebra, n, rng)
             psi = random_bundle_function(algebra, n, rng)
             scale = sample_element(algebra, rng)
-            tau_phi = poisson_derivation(prolonged, phi)
-            tau_psi = poisson_derivation(prolonged, psi)
+            tau_phi = poisson_derivation(structure, phi)
+            tau_psi = poisson_derivation(structure, psi)
             cases = (
-                ("additivity", poisson_derivation(prolonged, phi + psi),
+                ("additivity", poisson_derivation(structure, phi + psi),
                  tau_phi + tau_psi),
-                ("module_linearity", poisson_derivation(prolonged, phi * scale),
+                ("module_linearity", poisson_derivation(structure, phi * scale),
                  tau_phi.scaled(BundleFunction.constant(scale, algebra, n))),
-                ("leibniz", poisson_derivation(prolonged, phi * psi),
+                ("leibniz", poisson_derivation(structure, phi * psi),
                  tau_psi.scaled(phi) + tau_phi.scaled(psi)),
             )
             yield from _componentwise(
@@ -839,20 +827,21 @@ def _check_tau_calculus(spec: CheckSpec, rng: np.random.Generator):
                   "and is antisymmetric",
                   1e-8, samples=6, expressions=4))
 def _check_bracket_prolongation_poisson(spec: CheckSpec, rng: np.random.Generator):
-    for where, algebra, structure, prolonged in _poisson_cases(spec):
+    for where, algebra, structure in _poisson_cases(spec):
         n = structure.arity
         zero = BundleFunction.zero(algebra, n)
         for _ in range(spec.expressions):
             f = random_polynomial(n, rng, max_degree=2)
             g = random_polynomial(n, rng, max_degree=2)
-            lhs = prolonged.bracket(prolong_function(f, algebra),
+            lhs = prolonged_bracket(structure, prolong_function(f, algebra),
                                     prolong_function(g, algebra))
             rhs = prolong_function(structure.bracket(f, g), algebra)
             yield _sampled(lhs, rhs, spec, rng, **where,
                            identity="prolongation", f=f.text, g=g.text)
             phi = random_bundle_function(algebra, n, rng)
             psi = random_bundle_function(algebra, n, rng)
-            skew = prolonged.bracket(phi, psi) + prolonged.bracket(psi, phi)
+            skew = (prolonged_bracket(structure, phi, psi)
+                    + prolonged_bracket(structure, psi, phi))
             yield _sampled(skew, zero, spec, rng, **where, identity="antisymmetry")
 
 
@@ -860,14 +849,14 @@ def _check_bracket_prolongation_poisson(spec: CheckSpec, rng: np.random.Generato
                   "the prolonged bracket is a derivation in its function slots",
                   1e-8, samples=6, expressions=4))
 def _check_poisson_leibniz(spec: CheckSpec, rng: np.random.Generator):
-    for where, algebra, structure, prolonged in _poisson_cases(spec):
+    for where, algebra, structure in _poisson_cases(spec):
         n = structure.arity
         for _ in range(spec.expressions):
             phi1, phi2, phi3 = (random_bundle_function(algebra, n, rng)
                                 for _ in range(3))
             # {., phi3} is a derivation of products
             lhs, rhs = _derivation_sides(
-                lambda third, fn: prolonged.bracket(fn, third), phi3,
+                lambda third, fn: prolonged_bracket(structure, fn, third), phi3,
                 operator.mul, phi1, phi2)
             yield _sampled(lhs, rhs, spec, rng, **where)
 

@@ -146,6 +146,9 @@ def _coeffs_to_json(coeffs) -> list[float]:
 
 
 def _coeffs_from_json(values) -> list[float]:
+    """Finite floats from JSON numbers; a boolean is not a number."""
+    if any(isinstance(v, bool) for v in values):
+        raise ParseError("coefficients must be numbers")
     try:
         out = [float(v) for v in values]
     except (TypeError, ValueError, OverflowError):

@@ -7,7 +7,9 @@ Weil algebra A gives a bracket on A-valued functions: the derivation of fn
 has components sum_k pi_kj^A * d_k fn, which on a pullback f^A is the
 prolongation of the base hamiltonian field of f, extends to products by the
 Leibniz rule and to algebra-element coefficients linearly: it is the base
-derivation ``PoissonStructure.ad`` on the same root.
+derivation ``PoissonStructure.ad`` on the same root.  So the structure stays
+on the base: every prolonged operation takes the ``PoissonStructure`` and
+reads A from its A-valued arguments.
 
 The adjoint differential takes a function to its hamiltonian field
 (``PoissonStructure.ad``, ``poisson_derivation``) and a field X to its defect
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .algebra import MAX_DIM, WeilAlgebra
+from .algebra import MAX_DIM
 from .bundle import (
     DEFAULT_BOX,
     DEFAULT_SEED,
@@ -40,7 +42,7 @@ from .bundle import (
     prolong_vector_field,
     worst_case,
 )
-from .errors import AlgebraMismatch, ArityError, CapacityError, InvalidPoissonStructure
+from .errors import ArityError, CapacityError, InvalidPoissonStructure
 from .expression import (
     Const,
     ScalarExpr,
@@ -133,7 +135,7 @@ class PoissonStructure:
                 if abs(value) > _JACOBI_TOL:
                     raise InvalidPoissonStructure(
                         f"Jacobi identity fails on coordinates {(i, j, k)}: "
-                        f"residual {value:.3e} at {tuple(round(v, 4) for v in x)}")
+                        f"residual {value:.3e} at {tuple(float(round(v, 4)) for v in x)}")
 
     def _jacobi_indices(self, i: int, j: int, k: int) -> set[int]:
         """The m whose terms the Jacobi defect of (i, j, k) sums: for each
@@ -210,28 +212,10 @@ class PoissonStructure:
         return f"PoissonStructure(arity={self.arity}, {{{inner}}})"
 
 
-class ProlongedPoisson:
-    """A base Poisson structure together with the Weil algebra it is
-    prolonged over."""
-
-    def __init__(self, base: PoissonStructure, algebra: WeilAlgebra):
-        self.base = base
-        self.algebra = algebra
-
-    @property
-    def arity(self) -> int:
-        return self.base.arity
-
-    def bracket(self, f: BundleFunction, g: BundleFunction) -> BundleFunction:
-        return prolonged_bracket(self, f, g)
-
-    def __repr__(self):
-        return f"ProlongedPoisson({self.base!r}, {self.algebra!r})"
-
-
-def poisson_derivation(structure: ProlongedPoisson,
+def poisson_derivation(structure: PoissonStructure,
                        fn: BundleFunction) -> BundleVectorField:
-    """The derivation psi -> {fn, psi} of the prolonged bracket.
+    """The derivation psi -> {fn, psi} of the bracket prolonged over fn's
+    algebra.
 
     Component j is sum_k pi_kj^A * d_k fn.  On a pullback f^A that is the
     prolonged base hamiltonian field of f, and by the Leibniz rule it is the
@@ -240,18 +224,16 @@ def poisson_derivation(structure: ProlongedPoisson,
     """
     if fn.arity != structure.arity:
         raise ArityError("function arity does not match the structure")
-    if not fn.algebra.compatible_with(structure.algebra):
-        raise AlgebraMismatch("function algebra does not match the prolongation")
     return _derivation(structure, fn)
 
 
-def _derivation(structure: ProlongedPoisson, fn: BundleFunction) -> BundleVectorField:
+def _derivation(structure: PoissonStructure, fn: BundleFunction) -> BundleVectorField:
     """The body of ``poisson_derivation``, for arguments it has checked: the
     base derivation ``PoissonStructure.ad`` of fn's root."""
-    return prolong_vector_field(structure.base.ad(fn.root), structure.algebra)
+    return prolong_vector_field(structure.ad(fn.root), fn.algebra)
 
 
-def prolonged_bracket(structure: ProlongedPoisson, f: BundleFunction,
+def prolonged_bracket(structure: PoissonStructure, f: BundleFunction,
                       g: BundleFunction) -> BundleFunction:
     """{f, g} over the algebra: apply the derivation of f to g."""
     return apply_field(poisson_derivation(structure, f), g)
@@ -273,14 +255,14 @@ def adjoint_differential(field: BaseVectorField, structure: PoissonStructure):
 
 
 def prolonged_adjoint_differential(field: BundleVectorField,
-                                   prolonged: ProlongedPoisson):
+                                   structure: PoissonStructure):
     """The adjoint differential of a field over the algebra: the defect
     (f, g) -> {f, Xg} - {g, Xf} - X{f, g} with all brackets taken over the
     algebra, as a function of two A-valued arguments."""
 
     def defect(f: BundleFunction, g: BundleFunction) -> BundleFunction:
-        return _pair_defect(field, poisson_derivation(prolonged, f),
-                            poisson_derivation(prolonged, g),
+        return _pair_defect(field, poisson_derivation(structure, f),
+                            poisson_derivation(structure, g),
                             apply_field(field, f), apply_field(field, g), g)
 
     return defect
@@ -297,12 +279,12 @@ def _pair_defect(field: BundleVectorField, derivation_f: BundleVectorField,
 
 # -- hamiltonian decision procedures -------------------------------------------
 
-def _closedness_cases(field: BundleVectorField, structure: ProlongedPoisson,
+def _closedness_cases(field: BundleVectorField, structure: PoissonStructure,
                       samples: int, rng: np.random.Generator):
     """(residual, witness) of the defect on each coordinate pair
-    (x_i^A, x_j^A), i < j, in pair order.  X(x_i^A) and the Poisson
-    derivation of x_i^A are built once per coordinate."""
-    algebra, n = structure.algebra, structure.arity
+    (x_i^A, x_j^A), i < j, over the field's algebra, in pair order.  X(x_i^A)
+    and the Poisson derivation of x_i^A are built once per coordinate."""
+    algebra, n = field.algebra, structure.arity
     coords = [prolong_function(var(i, n), algebra) for i in range(n)]
     moved = [apply_field(field, x) for x in coords]
     derivations = [poisson_derivation(structure, x) for x in coords]
@@ -312,7 +294,7 @@ def _closedness_cases(field: BundleVectorField, structure: ProlongedPoisson,
         algebra, n, samples, rng)
 
 
-def poisson_closedness_defect(field: BundleVectorField, structure: ProlongedPoisson,
+def poisson_closedness_defect(field: BundleVectorField, structure: PoissonStructure,
                               *, samples: int = 32,
                               rng: np.random.Generator | None = None):
     """Worst residual of the prolonged adjoint differential of the field on
@@ -334,7 +316,7 @@ def poisson_closedness_defect(field: BundleVectorField, structure: ProlongedPois
 
 
 def is_locally_hamiltonian_poisson(field: BundleVectorField,
-                                   structure: ProlongedPoisson, *,
+                                   structure: PoissonStructure, *,
                                    samples: int = 32, tol: float = 1e-9,
                                    rng: np.random.Generator | None = None) -> bool:
     """Sampled test that the field is closed for the adjoint differential."""
@@ -344,7 +326,7 @@ def is_locally_hamiltonian_poisson(field: BundleVectorField,
 
 
 def check_global_witness_poisson(field: BundleVectorField, witness: BundleFunction,
-                                 structure: ProlongedPoisson, *,
+                                 structure: PoissonStructure, *,
                                  samples: int = 32, tol: float = 1e-9,
                                  rng: np.random.Generator | None = None) -> bool:
     """True when the field equals the Poisson derivation of the witness

@@ -6,16 +6,17 @@ its A-valued coefficients plus the algebra, so its exterior derivative and
 contractions are the base ones on the same roots.
 
 A symplectic structure is a closed nondegenerate 2-form (both sampled at
-construction).  A field X is locally hamiltonian when every coordinate
-coefficient of d(i_X Omega) vanishes; each is sampled, unscaled, at
-near-points.  The hamiltonian field of an A-valued function solves the
-linear system  sum_i Omega_ij X^i = d_j(phi)  over the algebra at each
-evaluation point, for a whole batch of points at once;
-components come back as solved-component nodes of the expression DAG that
-carry exact derivative rules, so the field composes with the rest of the
-calculus even though no closed form for it exists.  Inverting the solve
-matrices uses the finite Neumann series of local-ring linear algebra, over
-(..., m, m, d) coefficient arrays.
+construction).  It stays on the base: every operation over an algebra takes
+the ``SymplecticStructure`` and reads A from its A-valued arguments.  A field
+X is locally hamiltonian when every coordinate coefficient of d(i_X Omega)
+vanishes; each is sampled, unscaled, at near-points.  The hamiltonian field
+of an A-valued function solves the linear system
+sum_i Omega_ij X^i = d_j(phi)  over the algebra at each evaluation point, for
+a whole batch of points at once; components come back as solved-component
+nodes of the expression DAG that carry exact derivative rules, so the field
+composes with the rest of the calculus even though no closed form for it
+exists.  Inverting the solve matrices uses the finite Neumann series of
+local-ring linear algebra, over (..., m, m, d) coefficient arrays.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .expression import (
     eval_real,
     mul,
     neg,
+    sub,
 )
 from .poisson import PoissonStructure, _check_arity
 
@@ -265,7 +267,7 @@ class SymplecticStructure:
                     if abs(value) > _VALIDATION_TOL:
                         raise InvalidSymplecticStructure(
                             f"the form is not closed: d-coefficient {idx} is "
-                            f"{value:.3e} at {tuple(round(v, 4) for v in x)}")
+                            f"{value:.3e} at {tuple(float(round(v, 4)) for v in x)}")
                 values[upper] = [eval_real(entry, x) for entry in entries]
             except WeilError as exc:
                 failure = exc
@@ -278,7 +280,7 @@ class SymplecticStructure:
             if abs(det) <= _VALIDATION_TOL:
                 raise InvalidSymplecticStructure(
                     f"the form degenerates (det {float(det):.3e}) at "
-                    f"{tuple(round(v, 4) for v in x)}")
+                    f"{tuple(float(round(v, 4)) for v in x)}")
         if failure is not None:
             raise failure
 
@@ -404,7 +406,7 @@ class _LinearSolve:
 
     __slots__ = ("system", "rhs", "_derived")
 
-    def __init__(self, system: _SystemMatrix, rhs: Sequence[BundleFunction]):
+    def __init__(self, system: _SystemMatrix, rhs: Sequence[ScalarExpr]):
         self.system = system
         self.rhs = tuple(rhs)
         self._derived: dict[int, "_LinearSolve"] = {}
@@ -413,7 +415,7 @@ class _LinearSolve:
         """The (..., m, d) solution at a near-point or a batch."""
         cached = point._eval_cache.get(self)
         if cached is None:
-            values = np.stack([point.pulled(fn.root) for fn in self.rhs], axis=-2)
+            values = np.stack([point.pulled(root) for root in self.rhs], axis=-2)
             cached = _matrix_product(self.system.algebra, self.system.inverse_at(point),
                                      values[..., None, :])[..., 0, :]
             point._eval_cache[self] = cached
@@ -424,25 +426,25 @@ class _LinearSolve:
         B dx = d(rhs) - dB x, exact over the algebra."""
         cached = self._derived.get(direction)
         if cached is None:
-            algebra, n = self.system.algebra, self.system.arity
+            n = self.system.arity
             size = len(self.rhs)
             new_rhs = []
             for j in range(size):
-                fn = self.rhs[j].partial(direction)
+                root = differentiate(self.rhs[j], direction)
                 for k in range(size):
                     db = differentiate(self.system.entries[j][k], direction)
                     if isinstance(db, Const) and db.value == 0.0:
                         continue
-                    fn = fn - BundleFunction(algebra, n, mul(db, _Solved(self, k, n)))
-                new_rhs.append(fn)
+                    root = sub(root, mul(db, _Solved(self, k, n)))
+                new_rhs.append(root)
             cached = _LinearSolve(self.system, new_rhs)
             self._derived[direction] = cached
         return cached
 
 
-def hamiltonian_field(fn: BundleFunction, structure: SymplecticStructure,
-                      algebra: WeilAlgebra) -> BundleVectorField:
-    """The field X with i_X Omega = d(fn) over the algebra.
+def hamiltonian_field(fn: BundleFunction,
+                      structure: SymplecticStructure) -> BundleVectorField:
+    """The field X with i_X Omega = d(fn) over fn's algebra.
 
     Components are solved pointwise (first-slot contraction: the transpose of
     the coefficient matrix is applied to the component vector) and returned as
@@ -451,15 +453,12 @@ def hamiltonian_field(fn: BundleFunction, structure: SymplecticStructure,
     n = structure.arity
     if fn.arity != n:
         raise ArityError("function arity does not match the structure")
-    if not fn.algebra.compatible_with(algebra):
-        raise AlgebraMismatch("function algebra does not match the request")
     matrix = structure.matrix()
     transposed = [[matrix[j][i] for j in range(n)] for i in range(n)]
-    system = _SystemMatrix(transposed, algebra, n)
-    rhs = [fn.partial(i) for i in range(n)]
-    solve = _LinearSolve(system, rhs)
+    system = _SystemMatrix(transposed, fn.algebra, n)
+    solve = _LinearSolve(system, [differentiate(fn.root, i) for i in range(n)])
     return prolong_vector_field(BaseVectorField([_Solved(solve, i, n) for i in range(n)]),
-                                algebra)
+                                fn.algebra)
 
 
 def inverse_bivector(structure: SymplecticStructure) -> PoissonStructure:
@@ -506,27 +505,25 @@ def base_hamiltonian_field(f: ScalarExpr, structure: SymplecticStructure) -> Bas
 
 
 def symplectic_bracket(f: BundleFunction, g: BundleFunction,
-                       structure: SymplecticStructure,
-                       algebra: WeilAlgebra) -> BundleFunction:
+                       structure: SymplecticStructure) -> BundleFunction:
     """{f, g} over the algebra: apply the hamiltonian field of f to g."""
-    return apply_field(hamiltonian_field(f, structure, algebra), g)
+    return apply_field(hamiltonian_field(f, structure), g)
 
 
 # -- decision procedures ---------------------------------------------------------
 
 def _closedness_cases(field: BundleVectorField, structure: SymplecticStructure,
-                      algebra: WeilAlgebra, samples: int, rng: np.random.Generator):
-    """(residual, witness) of d(i_X Omega) on each coordinate pair, in pair
-    order, each coefficient sampled unscaled."""
-    omega = prolong_form(structure.form, algebra)
+                      samples: int, rng: np.random.Generator):
+    """(residual, witness) of d(i_X Omega) on each coordinate pair, over the
+    field's algebra, in pair order, each coefficient sampled unscaled."""
+    omega = prolong_form(structure.form, field.algebra)
     defect_form = bundle_exterior_derivative(interior_product(field, omega))
     return coordinate_pair_cases(lambda i, j: defect_form.coefficient((i, j)),
-                                 algebra, structure.arity, samples, rng)
+                                 field.algebra, structure.arity, samples, rng)
 
 
 def symplectic_closedness_defect(field: BundleVectorField,
-                                 structure: SymplecticStructure,
-                                 algebra: WeilAlgebra, *,
+                                 structure: SymplecticStructure, *,
                                  samples: int = 32,
                                  rng: np.random.Generator | None = None):
     """Worst residual of the coordinate coefficients of d(i_X Omega),
@@ -537,16 +534,15 @@ def symplectic_closedness_defect(field: BundleVectorField,
         rng = np.random.default_rng(DEFAULT_SEED)
     if field.arity != structure.arity:
         raise ArityError("field arity does not match the structure")
-    return worst_case(_closedness_cases(field, structure, algebra, samples, rng))
+    return worst_case(_closedness_cases(field, structure, samples, rng))
 
 
 def is_locally_hamiltonian_symplectic(field: BundleVectorField,
-                                      structure: SymplecticStructure,
-                                      algebra: WeilAlgebra, *,
+                                      structure: SymplecticStructure, *,
                                       samples: int = 32, tol: float = 1e-9,
                                       rng: np.random.Generator | None = None) -> bool:
     """Sampled test that i_X Omega is closed over the algebra."""
-    residual, _ = symplectic_closedness_defect(field, structure, algebra,
+    residual, _ = symplectic_closedness_defect(field, structure,
                                                samples=samples, rng=rng)
     return residual <= tol
 
@@ -571,8 +567,7 @@ class WitnessVerdict:
 
 
 def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFunction,
-                                    structure: SymplecticStructure,
-                                    algebra: WeilAlgebra, *, sigma: int = 1,
+                                    structure: SymplecticStructure, *, sigma: int = 1,
                                     samples: int = 32, tol: float = 1e-9,
                                     rng: np.random.Generator | None = None) -> WitnessVerdict:
     """Confirm i_X Omega = sigma * d(witness) coefficientwise (sampled).
@@ -586,7 +581,7 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     n = structure.arity
-    omega = prolong_form(structure.form, algebra)
+    omega = prolong_form(structure.form, field.algebra)
     contracted = interior_product(field, omega)
     gradient = [witness.partial(i) for i in range(n)]
     outcomes = {}

@@ -49,7 +49,6 @@ from weiljet.expression import (
 )
 from weiljet.poisson import (
     PoissonStructure,
-    ProlongedPoisson,
     poisson_derivation,
     prolonged_adjoint_differential,
 )
@@ -63,6 +62,7 @@ from weiljet.symplectic import (
     BaseForm,
     BundleForm,
     SymplecticStructure,
+    base_hamiltonian_field,
     base_interior_product,
     bundle_exterior_derivative,
     exterior_derivative,
@@ -308,14 +308,14 @@ def _assert_same_bits(got, want):
 @pytest.mark.parametrize("algebra", [DUAL, T3, M2], ids=["dual", "t3", "m2"])
 def test_a_group_of_field_components_compares_as_its_pairs_one_at_a_time(algebra, samples):
     rng = np.random.default_rng(31)
-    prolonged = ProlongedPoisson(PoissonStructure.rotational(), algebra)
+    rotational = PoissonStructure.rotational()
     theta1, theta2 = random_base_field(3, rng), random_base_field(3, rng)
     x, y = (prolong_vector_field(t, algebra) for t in (theta1, theta2))
     phi, psi = (random_bundle_function(algebra, 3, rng) for _ in range(2))
-    tau_phi, tau_psi = poisson_derivation(prolonged, phi), poisson_derivation(prolonged, psi)
+    tau_phi, tau_psi = poisson_derivation(rotational, phi), poisson_derivation(rotational, psi)
     fields = [
         (lie_bracket(x, y), prolong_vector_field(theta1.bracket(theta2), algebra)),
-        (poisson_derivation(prolonged, phi * psi), tau_psi.scaled(phi) + tau_phi.scaled(psi)),
+        (poisson_derivation(rotational, phi * psi), tau_psi.scaled(phi) + tau_phi.scaled(psi)),
         (x, y),
     ]
     pairs = [(lhs, rhs) for lhs_field, rhs_field in fields
@@ -331,7 +331,7 @@ def test_a_group_of_field_components_compares_as_its_pairs_one_at_a_time(algebra
 
 def _poisson_pair_defect(structure, algebra, rng):
     field = prolong_vector_field(random_base_field(structure.arity, rng), algebra)
-    defect = prolonged_adjoint_differential(field, ProlongedPoisson(structure, algebra))
+    defect = prolonged_adjoint_differential(field, structure)
     coords = [prolong_function(parse_expr(f"x{i}", structure.arity), algebra)
               for i in range(structure.arity)]
     return lambda i, j: defect(coords[i], coords[j])
@@ -341,7 +341,7 @@ def _form_pair_defect(form, algebra, rng, solved):
     structure = SymplecticStructure(form)
     if solved:
         field = hamiltonian_field(random_bundle_function(algebra, form.arity, rng),
-                                  structure, algebra)
+                                  structure)
     else:
         field = prolong_vector_field(random_base_field(form.arity, rng), algebra)
     defect = bundle_exterior_derivative(
@@ -537,7 +537,7 @@ def test_batch_solves_equal_point_solves(make, algebra, samples):
     potential = prolong_function(
         parse_expr(f"sin(x0) * x1^2 + exp(0.5*x{n - 1})", n), algebra)
     weight = prolong_function(parse_expr("x0 + x1^2", n), algebra)
-    field = hamiltonian_field(potential, structure, algebra)
+    field = hamiltonian_field(potential, structure)
     fn = field.components[0] * weight
     assert any(isinstance(node, _Solved) for node in _topological(fn.root))
     batch = sample_near_points(algebra, n, np.random.default_rng(samples), samples)
@@ -674,7 +674,7 @@ def _operands(algebra, seed):
     # i_X (dx0 ^ dx1) = dphi gives X = (d_1 phi, -d_0 phi)
     phi = parse_expr("x0^2*x1 + sin(x1)", 2)
     solved = hamiltonian_field(prolong_function(phi, algebra),
-                               SymplecticStructure.canonical(2), algebra)
+                               SymplecticStructure.canonical(2))
     closed = [[(algebra.unit(), (differentiate(phi, 1),))],
               [(algebra.unit() * -1.0, (differentiate(phi, 0),))]]
     operands += list(zip(solved.components, closed))
@@ -713,10 +713,10 @@ def test_operations_match_the_one_term_reference(algebra):
         for f, tf in operands:
             _assert_same_values(apply_field(field, f),
                                 _ref_apply_field(field_terms, tf), points)
-    prolonged = ProlongedPoisson(PoissonStructure.canonical(2), algebra)
+    canonical = PoissonStructure.canonical(2)
     for f, tf in operands:
-        for got, ref in zip(poisson_derivation(prolonged, f).components,
-                            _ref_poisson_derivation(prolonged.base, tf)):
+        for got, ref in zip(poisson_derivation(canonical, f).components,
+                            _ref_poisson_derivation(canonical, tf)):
             _assert_same_values(got, ref, points)
 
 
@@ -740,7 +740,7 @@ def test_kept_partials_die_with_their_functions():
     refs = []
     for k in range(1000):
         if k % 100 == 0:
-            fn = hamiltonian_field(potential, SymplecticStructure.canonical(2), T3).components[1]
+            fn = hamiltonian_field(potential, SymplecticStructure.canonical(2)).components[1]
         else:
             fn = (prolong_function(x0, T3) * prolong_function(x1, T3)
                   * T3.element([k, 1.0, 0.5]))
@@ -755,7 +755,7 @@ def test_solved_factors_merge_after_differentiation():
     # a solve's component is one interned node, so two equal products of it
     # are one function, and so are their partials
     f = prolong_function(parse_expr("x0*x1", 2), T3)
-    field = hamiltonian_field(f, SymplecticStructure.canonical(2), T3)
+    field = hamiltonian_field(f, SymplecticStructure.canonical(2))
     component = field.components[0]
     h1, h2 = component * f, component * f
     assert h1.root is h2.root
@@ -784,10 +784,6 @@ def _field(algebra, arity):
                                                  for i in range(arity)]), algebra)
 
 
-def _poisson(algebra):
-    return ProlongedPoisson(PoissonStructure.canonical(2), algebra)
-
-
 # The parent's exception types and messages, copied.  The prolonged field
 # and form operations are the base ones on their arguments' roots, so a
 # form keeps only roots: a coefficient over another algebra or arity is
@@ -804,11 +800,9 @@ MOVED_CHECKS = {
     "lie_bracket-algebra": (lambda: lie_bracket(_field(DUAL, 2), _field(T3, 2)),
                             AlgebraMismatch,
                             "field and function live over different algebras"),
-    "poisson_derivation-arity": (lambda: poisson_derivation(_poisson(DUAL), _fn(DUAL, 3)),
-                                 ArityError, "function arity does not match the structure"),
-    "poisson_derivation-algebra": (lambda: poisson_derivation(_poisson(DUAL), _fn(T3, 2)),
-                                   AlgebraMismatch,
-                                   "function algebra does not match the prolongation"),
+    "poisson_derivation-arity": (
+        lambda: poisson_derivation(PoissonStructure.canonical(2), _fn(DUAL, 3)),
+        ArityError, "function arity does not match the structure"),
     "interior_product-degree": (
         lambda: interior_product(_field(DUAL, 2),
                                  BundleForm(0, 2, DUAL, {(): _fn(DUAL, 2)})),
@@ -889,8 +883,7 @@ def test_prolonged_operations_build_the_base_nodes(monkeypatch):
         assert [c.root for c in bracket.components] == list(x.bracket(y).components)
         base = PoissonStructure.rotational()
         derivation = building_only_its_result(
-            lambda: poisson_derivation(ProlongedPoisson(base, algebra),
-                                       prolong_function(f, algebra)))
+            lambda: poisson_derivation(base, prolong_function(f, algebra)))
         assert [c.root for c in derivation.components] == list(base.ad(f).components)
         omega = BaseForm(2, 3, {(0, 1): f, (1, 2): "x0 * x2"})
         pairs = [(bundle_exterior_derivative(prolong_form(omega, algebra)),
@@ -901,3 +894,30 @@ def test_prolonged_operations_build_the_base_nodes(monkeypatch):
         for prolonged, expected in pairs:
             assert prolonged.degree == expected.degree
             assert {idx: fn.root for idx, fn in prolonged.coeffs.items()} == expected.coeffs
+
+
+def test_structures_stay_on_the_base_and_read_the_algebra_from_their_arguments():
+    # the Poisson and symplectic operations take the base structure; the
+    # algebra of their result is the one their A-valued argument carries
+    import weiljet
+
+    rotational, canonical = PoissonStructure.rotational(), SymplecticStructure.canonical(2)
+    rng = np.random.default_rng(25)
+    for algebra in (DUAL, T3):
+        f = random_expression(3, rng)
+        derivation = poisson_derivation(rotational, prolong_function(f, algebra))
+        assert derivation.algebra is algebra
+        assert [c.root for c in derivation.components] == list(rotational.ad(f).components)
+        g = random_expression(2, rng)
+        solved = hamiltonian_field(prolong_function(g, algebra), canonical)
+        assert solved.algebra is algebra
+        # the solve holds the partials of the root, whose closed form the
+        # inverse bivector gives
+        [solve] = {c.solve for c in solved._base.components}
+        assert solve.rhs == (differentiate(g, 0), differentiate(g, 1))
+        closed = prolong_vector_field(base_hamiltonian_field(g, canonical), algebra)
+        for residual, _ in max_difference(list(zip(solved.components, closed.components)),
+                                          samples=4, rng=np.random.default_rng(1)):
+            assert residual <= 1e-9
+    with pytest.raises(AttributeError):
+        weiljet.ProlongedPoisson

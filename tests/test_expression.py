@@ -688,7 +688,7 @@ def test_real_walkers_refuse_algebra_valued_nodes():
 
     f = prolong_function(parse_expr("x0 * x1", 2), DUAL)
     weighted = f * DUAL.element([1.0, 2.0]) + f
-    solved = hamiltonian_field(f, SymplecticStructure.canonical(2), DUAL).components[0]
+    solved = hamiltonian_field(f, SymplecticStructure.canonical(2)).components[0]
     assert isinstance(BundleFunction.constant(DUAL.element([1.0, 2.0]), DUAL, 2).root,
                       expression._Weight)
     for fn in (weighted, solved, solved * f):

@@ -35,7 +35,7 @@ from weiljet.harness import (
     default_specs,
     run_suite,
 )
-from weiljet.poisson import PoissonStructure, ProlongedPoisson, prolonged_bracket
+from weiljet.poisson import PoissonStructure, prolonged_bracket
 from weiljet.sampling import random_expression
 from weiljet.symplectic import (
     BaseForm,
@@ -246,8 +246,7 @@ def test_neumann_skip_reaches_the_hamiltonian_field_solve():
     curved = BaseForm(2, 2, {(0, 1): "1 + x0^2"})
 
     def component():
-        field = hamiltonian_field(_lifted("x0*x1 + sin(x0)"),
-                                  SymplecticStructure(curved), T3)
+        field = hamiltonian_field(_lifted("x0*x1 + sin(x0)"), SymplecticStructure(curved))
         return field.components[0].evaluate(_near_point()).coeffs
 
     exact, skipped = _unmutated_and_mutated("neumann_skip", component)
@@ -277,7 +276,7 @@ def test_kept_partials_do_not_cross_a_mutation_boundary():
     # must not serve after it
     product = _lifted("x0^2") * _lifted("sin(x1)")
     curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
-    solved = hamiltonian_field(product, curved, T3).components[0]
+    solved = hamiltonian_field(product, curved).components[0]
 
     def partials():
         return np.stack([f.partial(i).evaluate(_near_point()).coeffs
@@ -294,7 +293,7 @@ def test_kept_partials_do_not_cross_a_mutation_boundary():
 @pytest.mark.parametrize("mutation", ["tau_sign_flip", "bivector_transpose"])
 def test_poisson_mutations_reach_the_prolonged_bracket(mutation):
     def bracket():
-        structure = ProlongedPoisson(PoissonStructure.canonical(2), T3)
+        structure = PoissonStructure.canonical(2)
         return prolonged_bracket(structure, _lifted("x0*x1 + sin(x0)"),
                                  _lifted("x0^2 + cos(x1)")).evaluate(_near_point()).coeffs
 

@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
     "DegreeError", "DomainError", "InvalidPoissonStructure",
     "InvalidSymplecticStructure", "MUTATIONS", "NearPoint", "NoUnit",
     "NotAssociative", "NotCommutative", "NotInvertible", "NotLocal", "ParseError",
-    "PoissonStructure", "ProlongedPoisson", "ScalarExpr", "SingularRealPart",
+    "PoissonStructure", "ScalarExpr", "SingularRealPart",
     "SymplecticStructure", "UnknownIdentifier", "WeilAlgebra", "WeilElement",
     "WeilError", "WitnessVerdict", "__version__", "adjoint_differential",
     "apply_field", "base_hamiltonian_field", "base_interior_product",

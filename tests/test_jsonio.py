@@ -142,7 +142,7 @@ def test_terms_are_written_expanded_and_merged():
 def test_lazy_components_refuse_serialization():
     curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
     fn = prolong_function(parse_expr("x0 * x1", 2), T3)
-    field = hamiltonian_field(fn, curved, T3)
+    field = hamiltonian_field(fn, curved)
     with pytest.raises(ValueError):
         field_to_json(field)
 
