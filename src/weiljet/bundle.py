@@ -7,7 +7,8 @@ function f prolongs to the A-valued function f^A acting the same way.  One
 type, ``NearPoint``, holds a point as an (n, d) coefficient array and a
 batch of S points as an (S, n, d) one; functions evaluate over a whole batch
 at once, and sampled comparisons draw and evaluate their points that way, a
-group of comparisons in batches of at most ``GROUP_ROWS`` rows.
+group of comparisons in batches of at most ``GROUP_ROWS`` rows.  Every
+hamiltonian verdict asks whether such a group vanishes (``zero_test``).
 A point or a batch keeps what was evaluated there (expression nodes, linear
 solves) in its own cache, which goes when the point goes.
 
@@ -28,8 +29,7 @@ builds the very node its base counterpart builds.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -463,7 +463,7 @@ def _batch_differences(batch, samples: int, rng: np.random.Generator):
     return out
 
 
-def worst_case(cases: Iterable[tuple[float, dict]]) -> tuple[float, dict | None]:
+def worst_case(cases: Iterable[tuple[float, object]]) -> tuple[float, object | None]:
     """The first (residual, witness) case with the largest residual, its
     residual floored at 0.0; (0.0, None) when there are no cases."""
     worst, witness = -1.0, None
@@ -473,28 +473,26 @@ def worst_case(cases: Iterable[tuple[float, dict]]) -> tuple[float, dict | None]
     return max(worst, 0.0), witness
 
 
-def coordinate_pair_cases(component: Callable[[int, int], BundleFunction],
-                          algebra: WeilAlgebra, arity: int, samples: int,
-                          rng: np.random.Generator):
-    """(residual, witness) of each coordinate component ``component(i, j)``,
-    i < j, of an antisymmetric A-valued 2-tensor, sampled unscaled in pair
-    order as one group (see ``max_difference``); the witness names the pair
-    and the worst near-point.  A one-dimensional base has no pairs and draws
-    no points."""
-    zero = BundleFunction.zero(algebra, arity)
-    pairs = list(combinations(range(arity), 2))
+def zero_test(pairs: Iterable[tuple[BundleFunction, BundleFunction]], *,
+              samples: int, rng: np.random.Generator | None
+              ) -> tuple[float, int | None, NearPoint | None]:
+    """Sampled test that every f - g of a group of (f, g) pairs vanishes,
+    the pairs compared as one ``max_difference`` group.
+
+    Returns the worst residual, floored at 0.0, the index of the first pair
+    that holds it, and that pair's worst near-point; an empty group draws no
+    points and gives (0.0, None, None).  The pairs may be built lazily: when
+    building one raises a WeilError, the pairs built before it are compared
+    first, and their errors come first, as when each is compared once built.
+    """
     group = []
     try:
-        for i, j in pairs:
-            group.append((component(i, j), zero))
+        for pair in pairs:
+            group.append(pair)
     except WeilError:
-        # the components built before the failing one are compared first,
-        # and their errors come first, as when each is compared once built
         max_difference(group, samples=samples, rng=rng)
         raise
-    for (i, j), (residual, point) in zip(
-            pairs, max_difference(group, samples=samples, rng=rng)):
-        yield residual, {
-            "pair": [i, j],
-            "point": point.coeffs.tolist(),
-        }
+    residual, worst = worst_case(
+        (residual, (k, point)) for k, (residual, point)
+        in enumerate(max_difference(group, samples=samples, rng=rng)))
+    return (residual, *(worst or (None, None)))

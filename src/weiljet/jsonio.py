@@ -110,9 +110,11 @@ def algebra_from_json(obj: dict) -> WeilAlgebra:
             _typed(obj.get("height"), int, "a truncated algebra's 'height'"))
     if obj["family"] == "table":
         constants = _typed(obj.get("constants"), list, "a table algebra's 'constants'")
+        # ragged nesting leaves lists among the entries, which are no numbers
+        shaped = np.array(constants, dtype=object)
         try:
-            table = np.array(constants, dtype=float)
-        except (TypeError, ValueError):
+            table = np.reshape(_numbers_from_json(shaped.ravel()), shaped.shape)
+        except ParseError:
             raise ParseError("a table algebra's 'constants' must be nested "
                              "lists of numbers") from None
         return validate_algebra(table)
@@ -145,15 +147,20 @@ def _coeffs_to_json(coeffs) -> list[float]:
     return values
 
 
-def _coeffs_from_json(values) -> list[float]:
-    """Finite floats from JSON numbers; a boolean is not a number."""
+def _numbers_from_json(values) -> list[float]:
+    """Floats from JSON numbers; a boolean is not a number."""
     if any(isinstance(v, bool) for v in values):
         raise ParseError("coefficients must be numbers")
     try:
-        out = [float(v) for v in values]
+        return [float(v) for v in values]
     except (TypeError, ValueError, OverflowError):
         # OverflowError: an integer literal beyond the float range
         raise ParseError("coefficients must be numbers") from None
+
+
+def _coeffs_from_json(values) -> list[float]:
+    """Finite floats from JSON numbers (``_numbers_from_json``)."""
+    out = _numbers_from_json(values)
     if not all(math.isfinite(v) for v in out):
         raise ParseError("coefficients must be finite")
     return out

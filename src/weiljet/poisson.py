@@ -25,6 +25,7 @@ coordinate pairs (x_i^A, x_j^A) alone.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -36,11 +37,9 @@ from .bundle import (
     BundleFunction,
     BundleVectorField,
     apply_field,
-    coordinate_pair_cases,
-    max_difference,
     prolong_function,
     prolong_vector_field,
-    worst_case,
+    zero_test,
 )
 from .errors import ArityError, CapacityError, InvalidPoissonStructure
 from .expression import (
@@ -279,21 +278,6 @@ def _pair_defect(field: BundleVectorField, derivation_f: BundleVectorField,
 
 # -- hamiltonian decision procedures -------------------------------------------
 
-def _closedness_cases(field: BundleVectorField, structure: PoissonStructure,
-                      samples: int, rng: np.random.Generator):
-    """(residual, witness) of the defect on each coordinate pair
-    (x_i^A, x_j^A), i < j, over the field's algebra, in pair order.  X(x_i^A)
-    and the Poisson derivation of x_i^A are built once per coordinate."""
-    algebra, n = field.algebra, structure.arity
-    coords = [prolong_function(var(i, n), algebra) for i in range(n)]
-    moved = [apply_field(field, x) for x in coords]
-    derivations = [poisson_derivation(structure, x) for x in coords]
-    return coordinate_pair_cases(
-        lambda i, j: _pair_defect(field, derivations[i], derivations[j],
-                                  moved[i], moved[j], coords[j]),
-        algebra, n, samples, rng)
-
-
 def poisson_closedness_defect(field: BundleVectorField, structure: PoissonStructure,
                               *, samples: int = 32,
                               rng: np.random.Generator | None = None):
@@ -310,9 +294,19 @@ def poisson_closedness_defect(field: BundleVectorField, structure: PoissonStruct
     of A times a nonzero element is nonzero, so random invertible scales
     could not change the verdict.
     """
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
-    return worst_case(_closedness_cases(field, structure, samples, rng))
+    algebra, n = field.algebra, structure.arity
+    coords = [prolong_function(var(i, n), algebra) for i in range(n)]
+    moved = [apply_field(field, x) for x in coords]
+    derivations = [poisson_derivation(structure, x) for x in coords]
+    zero = BundleFunction.zero(algebra, n)
+    pairs = list(combinations(range(n), 2))
+    residual, index, point = zero_test(
+        ((_pair_defect(field, derivations[i], derivations[j], moved[i], moved[j],
+                       coords[j]), zero) for i, j in pairs),
+        samples=samples, rng=rng)
+    if index is None:
+        return residual, None
+    return residual, {"pair": list(pairs[index]), "point": point.coeffs.tolist()}
 
 
 def is_locally_hamiltonian_poisson(field: BundleVectorField,
@@ -329,15 +323,11 @@ def check_global_witness_poisson(field: BundleVectorField, witness: BundleFuncti
                                  structure: PoissonStructure, *,
                                  samples: int = 32, tol: float = 1e-9,
                                  rng: np.random.Generator | None = None) -> bool:
-    """True when the field equals the Poisson derivation of the witness
-    componentwise (sampled)."""
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
+    """True when the field equals the Poisson derivation of the witness,
+    all components sampled as one group (``zero_test``)."""
     candidate = poisson_derivation(structure, witness)
     if field.arity != candidate.arity:
         raise ArityError("field arity does not match the structure")
-    for mine, theirs in zip(field.components, candidate.components):
-        [(residual, _)] = max_difference([(mine, theirs)], samples=samples, rng=rng)
-        if residual > tol:
-            return False
-    return True
+    residual, _, _ = zero_test(zip(field.components, candidate.components),
+                               samples=samples, rng=rng)
+    return residual <= tol

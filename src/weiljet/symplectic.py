@@ -34,10 +34,8 @@ from .bundle import (
     BundleFunction,
     BundleVectorField,
     apply_field,
-    coordinate_pair_cases,
-    max_difference,
     prolong_vector_field,
-    worst_case,
+    zero_test,
 )
 from .errors import (
     AlgebraMismatch,
@@ -512,16 +510,6 @@ def symplectic_bracket(f: BundleFunction, g: BundleFunction,
 
 # -- decision procedures ---------------------------------------------------------
 
-def _closedness_cases(field: BundleVectorField, structure: SymplecticStructure,
-                      samples: int, rng: np.random.Generator):
-    """(residual, witness) of d(i_X Omega) on each coordinate pair, over the
-    field's algebra, in pair order, each coefficient sampled unscaled."""
-    omega = prolong_form(structure.form, field.algebra)
-    defect_form = bundle_exterior_derivative(interior_product(field, omega))
-    return coordinate_pair_cases(lambda i, j: defect_form.coefficient((i, j)),
-                                 field.algebra, structure.arity, samples, rng)
-
-
 def symplectic_closedness_defect(field: BundleVectorField,
                                  structure: SymplecticStructure, *,
                                  samples: int = 32,
@@ -530,11 +518,17 @@ def symplectic_closedness_defect(field: BundleVectorField,
     sampled unscaled; a 2-form vanishes exactly when its coefficients do.
     Returns (residual, witness), the witness naming the pair and the worst
     near-point."""
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
     if field.arity != structure.arity:
         raise ArityError("field arity does not match the structure")
-    return worst_case(_closedness_cases(field, structure, samples, rng))
+    omega = prolong_form(structure.form, field.algebra)
+    defect = bundle_exterior_derivative(interior_product(field, omega))
+    zero = BundleFunction.zero(field.algebra, field.arity)
+    pairs = list(increasing_tuples(field.arity, 2))
+    residual, index, point = zero_test(
+        ((defect.coefficient(pair), zero) for pair in pairs), samples=samples, rng=rng)
+    if index is None:
+        return residual, None
+    return residual, {"pair": list(pairs[index]), "point": point.coeffs.tolist()}
 
 
 def is_locally_hamiltonian_symplectic(field: BundleVectorField,
@@ -579,6 +573,7 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
     if rng is None:
+        # both signs draw from the one generator
         rng = np.random.default_rng(DEFAULT_SEED)
     n = structure.arity
     omega = prolong_form(structure.form, field.algebra)
@@ -586,12 +581,8 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
     gradient = [witness.partial(i) for i in range(n)]
     outcomes = {}
     for sign in (sigma, -sigma):
-        # one group: the draws and errors of comparing one after another
-        group = [(contracted.coefficient((i,)), gradient[i] * float(sign))
-                 for i in range(n)]
-        worst = 0.0
-        for residual, _ in max_difference(group, samples=samples, rng=rng):
-            worst = max(worst, residual)
+        worst, _, _ = zero_test([(contracted.coefficient((i,)), gradient[i] * float(sign))
+                                 for i in range(n)], samples=samples, rng=rng)
         outcomes[sign] = worst
         if worst <= tol:
             return WitnessVerdict(sign == sigma, sign, worst)

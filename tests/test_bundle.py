@@ -24,7 +24,6 @@ from weiljet.bundle import (
     BundleVectorField,
     NearPoint,
     apply_field,
-    coordinate_pair_cases,
     lie_bracket,
     max_difference,
     prolong_function,
@@ -33,6 +32,7 @@ from weiljet.bundle import (
     sample_near_point,
     sample_near_points,
     worst_case,
+    zero_test,
 )
 from weiljet.errors import ArityError, DegreeError, DomainError
 from weiljet.expression import (
@@ -291,11 +291,20 @@ def _one_pair_at_a_time(pairs, samples, rng):
 
 
 def _pairs_one_at_a_time(component, algebra, arity, samples, rng):
-    # coordinate_pair_cases as it compared before groups
+    # the coordinate pairs of a 2-tensor compared as before groups
     zero = BundleFunction.zero(algebra, arity)
     for i, j in itertools.combinations(range(arity), 2):
         [(residual, point)] = _one_pair_at_a_time([(component(i, j), zero)], samples, rng)
         yield residual, {"pair": [i, j], "point": point.coeffs.tolist()}
+
+
+def _zero_test_of_pairs(component, algebra, arity, samples, rng):
+    # zero_test over the coordinate pairs, lazily built, as (residual, witness)
+    zero = BundleFunction.zero(algebra, arity)
+    pairs = list(itertools.combinations(range(arity), 2))
+    residual, index, point = zero_test(((component(i, j), zero) for i, j in pairs),
+                                       samples=samples, rng=rng)
+    return residual, {"pair": list(pairs[index]), "point": point.coeffs.tolist()}
 
 
 def _assert_same_bits(got, want):
@@ -365,12 +374,29 @@ def test_coordinate_pairs_compare_as_one_pair_at_a_time(components, algebra, sam
     component = components(algebra, np.random.default_rng(17))
     arity = component(0, 1).arity
     grouped, single = np.random.default_rng(3), np.random.default_rng(3)
-    got = list(coordinate_pair_cases(component, algebra, arity, samples, grouped))
-    want = list(_pairs_one_at_a_time(component, algebra, arity, samples, single))
-    _assert_same_bits([r for r, _ in got], [r for r, _ in want])
-    assert [w for _, w in got] == [w for _, w in want]
+    got = _zero_test_of_pairs(component, algebra, arity, samples, grouped)
+    want = worst_case(_pairs_one_at_a_time(component, algebra, arity, samples, single))
+    _assert_same_bits(got[0], want[0])
+    assert got[1] == want[1]
     assert grouped.bit_generator.state == single.bit_generator.state
-    assert worst_case(got) == worst_case(want)
+
+
+def test_an_empty_group_is_zero_and_draws_nothing():
+    rng = np.random.default_rng(6)
+    before = rng.bit_generator.state
+    assert zero_test([], samples=4, rng=rng) == (0.0, None, None)
+    assert zero_test(iter(()), samples=0, rng=rng) == (0.0, None, None)
+    assert rng.bit_generator.state == before
+
+
+def test_zero_test_names_the_first_pair_of_the_worst_residual():
+    zero, one = (BundleFunction.constant(c, DUAL, 1) for c in (0.0, 1.0))
+    pairs = [(zero, zero), (one, zero), (zero, one), (zero, zero)]
+    residual, index, point = zero_test(pairs, samples=8, rng=np.random.default_rng(2))
+    want = max_difference(pairs, samples=8, rng=np.random.default_rng(2))
+    assert [r for r, _ in want] == [0.0, 1.0, 1.0, 0.0]
+    assert (residual, index) == (1.0, 1)
+    assert point == want[1][1]
 
 
 @pytest.mark.parametrize("members, samples, batches", [
@@ -426,14 +452,15 @@ def test_a_member_undefined_on_other_rows_decides_as_on_its_own(defined):
     seed = _logged_pair_seed(2, defined)
     grouped, single = np.random.default_rng(seed), np.random.default_rng(seed)
     if defined:
-        got = worst_case(coordinate_pair_cases(component, T3, 3, 2, grouped))
+        got = _zero_test_of_pairs(component, T3, 3, 2, grouped)
         want = worst_case(_pairs_one_at_a_time(component, T3, 3, 2, single))
         assert got == want
         assert grouped.bit_generator.state == single.bit_generator.state
         return
-    for rng, cases in ((grouped, coordinate_pair_cases), (single, _pairs_one_at_a_time)):
-        with pytest.raises(DomainError, match="log needs a positive augmentation"):
-            worst_case(cases(component, T3, 3, 2, rng))
+    with pytest.raises(DomainError, match="log needs a positive augmentation"):
+        _zero_test_of_pairs(component, T3, 3, 2, grouped)
+    with pytest.raises(DomainError, match="log needs a positive augmentation"):
+        worst_case(_pairs_one_at_a_time(component, T3, 3, 2, single))
 
 
 def test_a_component_that_cannot_be_built_fails_after_the_pairs_before_it():
@@ -446,7 +473,21 @@ def test_a_component_that_cannot_be_built_fails_after_the_pairs_before_it():
 
     # the first pair fails to evaluate before the second fails to build
     with pytest.raises(DomainError):
-        list(coordinate_pair_cases(component, T3, 3, 2, np.random.default_rng(0)))
+        _zero_test_of_pairs(component, T3, 3, 2, np.random.default_rng(0))
+
+
+def test_a_pair_that_cannot_be_built_fails_after_comparing_the_pairs_before_it():
+    x0 = prolong_function(parse_expr("x0", 1), DUAL)
+
+    def pairs():
+        yield x0, x0
+        raise ArityError("not built")
+
+    rng, single = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(ArityError, match="not built"):
+        zero_test(pairs(), samples=5, rng=rng)
+    sample_near_points(DUAL, 1, single, 5)
+    assert rng.bit_generator.state == single.bit_generator.state
 
 
 # -- batches ----------------------------------------------------------------------

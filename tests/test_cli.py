@@ -558,6 +558,10 @@ _MISTYPED = [
      "--fn", "x0"),
     ("hamfield", "--algebra", "dual",
      "--symplectic", '{"degree":2,"arity":2,"coeffs":{"0,1":true}}', "--fn", "x0"),
+    ("algebra", "--algebra",
+     '{"family":"table","constants":[[[true,false],[false,true]],[[false,true],[false,false]]]}'),
+    ("algebra", "--algebra",
+     '{"family":"table","constants":[[[1,0],[0,1]],[[0,1],[0,1%s]]]}' % ("0" * 400)),
 ]
 
 
@@ -679,7 +683,7 @@ def _table_algebra(draw):
                  for plane in algebra.structure_constants.tolist()]
     if draw(st.booleans()):
         i, j, k = (draw(st.integers(0, algebra.dim - 1)) for _ in range(3))
-        constants[i][j][k] = draw(_ANY_NUMBER)
+        constants[i][j][k] = draw(_ANY_NUMBER | st.just(_NINES))
     nested = "[%s]" % ", ".join("[%s]" % ", ".join("[%s]" % ", ".join(row) for row in plane)
                                 for plane in constants)
     return '{"family": "table", "constants": %s}' % nested, algebra.dim

@@ -16,12 +16,13 @@ from weiljet.bundle import (
     max_difference,
     prolong_function,
     prolong_vector_field,
+    sample_near_points,
+    worst_case,
 )
 from weiljet.errors import ArityError, InvalidPoissonStructure
 from weiljet.expression import add, eval_real, mul, parse_expr, var
 from weiljet.poisson import (
     PoissonStructure,
-    _closedness_cases,
     adjoint_differential,
     check_global_witness_poisson,
     is_locally_hamiltonian_poisson,
@@ -236,10 +237,13 @@ def test_closedness_samples_each_coordinate_pair_once(make, pairs):
     n = structure.arity
     field = prolong_vector_field(BaseVectorField([parse_expr(f"x{i}^2", n)
                                                   for i in range(n)]), DUAL)
-    cases = list(_closedness_cases(field, structure, 4, np.random.default_rng(0)))
-    assert [case["pair"] for _, case in cases] == pairs
-    assert all(set(case) == {"pair", "point"} and len(case["point"]) == n
-               for _, case in cases)
+    rng, drawn = np.random.default_rng(0), np.random.default_rng(0)
+    _, witness = poisson_closedness_defect(field, structure, samples=4, rng=rng)
+    # the pairs' points, in pair order, and nothing more
+    sample_near_points(DUAL, n, drawn, 4 * len(pairs))
+    assert rng.bit_generator.state == drawn.bit_generator.state
+    assert set(witness) == {"pair", "point"} and len(witness["point"]) == n
+    assert witness["pair"] in pairs
 
 
 def test_closedness_defect_separates_hamiltonian_fields():
@@ -280,6 +284,35 @@ def test_global_witness_for_a_constant_field():
     assert not check_global_witness_poisson(field, wrong, structure, rng=np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("algebra", [DUAL, T3], ids=["dual", "t3"])
+@pytest.mark.parametrize("make", [canonical_structure, PoissonStructure.rotational,
+                                  lambda: CURVED4], ids=["canonical2", "rotational", "curved4"])
+def test_a_passing_witness_draws_as_its_components_one_after_another(make, algebra):
+    structure = make()
+    n = structure.arity
+    potential = prolong_function(parse_expr("x0 * x1 + sin(x0) * x1^2", n), algebra)
+    field = poisson_derivation(structure, potential)
+    rng, single = np.random.default_rng(12), np.random.default_rng(12)
+    assert check_global_witness_poisson(field, potential, structure, samples=6, rng=rng)
+    for _ in range(n):
+        sample_near_points(algebra, n, single, 6)
+    assert rng.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize("wrong", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("make", [canonical_structure, PoissonStructure.rotational],
+                         ids=["canonical2", "rotational"])
+def test_a_witness_failing_in_one_component_is_refused(make, wrong):
+    structure = make()
+    n = structure.arity
+    potential = prolong_function(parse_expr("x0^2 * x1 + cos(x1)", n), DUAL)
+    components = list(poisson_derivation(structure, potential).components)
+    components[wrong] = components[wrong] + BundleFunction.constant(0.5, DUAL, n)
+    field = BundleVectorField(components)
+    assert not check_global_witness_poisson(field, potential, structure, samples=4,
+                                            rng=np.random.default_rng(3))
+
+
 def _ref_closedness_cases(field, structure, samples, rng):
     # the defect of every coordinate pair built whole and unscaled, as the
     # pair form defines it
@@ -314,15 +347,12 @@ def test_hoisted_closedness_matches_the_whole_pair_defect(name, algebra):
                                  *closed.components[1:]])
     for base_field, is_closed in ((closed, True), (perturbed, False)):
         field = prolong_vector_field(base_field, algebra)
-        got = list(_closedness_cases(field, structure, 8, np.random.default_rng(5)))
-        ref = list(_ref_closedness_cases(field, structure, 8, np.random.default_rng(5)))
-        assert len(got) == len(ref) == n * (n - 1) // 2
-        for (residual, case), (ref_residual, ref_case) in zip(got, ref):
-            assert abs(residual - ref_residual) <= 1e-12 * (1.0 + abs(ref_residual))
-            assert case == ref_case
-        worst, witness = poisson_closedness_defect(field, structure, samples=8,
-                                                   rng=np.random.default_rng(5))
-        ref_worst, ref_witness = max(ref, key=lambda case: case[0])
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        worst, witness = poisson_closedness_defect(field, structure, samples=8, rng=rng)
+        ref_worst, ref_witness = worst_case(
+            _ref_closedness_cases(field, structure, 8, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert abs(worst - ref_worst) <= 1e-12 * (1.0 + abs(ref_worst))
         assert (worst <= 1e-9) == (ref_worst <= 1e-9) == is_closed
         if not is_closed:
             assert witness == ref_witness

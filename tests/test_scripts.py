@@ -40,6 +40,33 @@ def test_benchmark_tracer_installs_against_the_sources():
     assert result.stdout.strip() == "traced"
 
 
+TRACED_DECISIONS = """
+import json, sys
+from collections import Counter
+sys.path.insert(0, "perfbench")
+from layers import Tracer, install
+tracer = Tracer()
+install(tracer)
+from weiljet import cli
+for flag in ("--poisson", "--symplectic"):
+    code = cli.main(["hamcheck", "--algebra", "dual", flag, "canonical:2",
+                     "--field", '["-x0","x1"]', "--witness", "x0*x1", "--samples", "4"])
+    assert code == 0, code
+print(json.dumps(Counter(tracer.names[i] for i in tracer.name)))
+"""
+
+
+def test_benchmark_traces_every_hamiltonian_decision():
+    # the per-layer decision metrics read these spans, so a verdict routed
+    # around the traced names fails here rather than reading 0 in the benchmark
+    result = run_script("-c", TRACED_DECISIONS)
+    assert result.returncode == 0, result.stderr
+    spans = json.loads(result.stdout.splitlines()[-1])
+    for name in ("poisson.closedness", "poisson.witness",
+                 "symplectic.closedness", "symplectic.witness"):
+        assert spans.get(name, 0) >= 1, name
+
+
 JETS_ROUND = """
 import sys
 sys.path.insert(0, "perfbench")
