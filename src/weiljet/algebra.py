@@ -281,8 +281,11 @@ def _wrap(algebra: WeilAlgebra, coeffs: np.ndarray) -> "WeilElement":
 #
 # Arithmetic on coefficient arrays of shape (..., d): one element, or one per
 # point of a batch.  Operands share their leading axes, or one of them is a
-# single element (d,) that applies to every point.  Every point of a
-# batch gets the bits it would get alone, so a batch of S points equals S
+# single element (d,) that applies to every point.  A product has one rule,
+# the sum over the nonzero structure constants in triple order, and the
+# kernel never looks at the values: a real factor gets the same sum, whose
+# only nonzero summands are its scaling of the other factor.  Every point of
+# a batch gets the bits it would get alone, so a batch of S points equals S
 # single evaluations exactly.  WeilElement is the front end for one element.
 
 def _unit(algebra: WeilAlgebra) -> np.ndarray:
@@ -292,46 +295,17 @@ def _unit(algebra: WeilAlgebra) -> np.ndarray:
 
 
 def _product(algebra: WeilAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products through the nonzero structure constants only; a factor with
-    zero nilpotent part is a real multiple of the unit e_0 and just scales
-    the other factor (the right one is tested first)."""
+    """Products through the nonzero structure constants only: slot out[n]
+    of each point sums a[left[n]] * b[right[n]] * weights[n] over the
+    triples in order.  One point takes the sum without the batch reshape."""
     if a.ndim == 1 and b.ndim == 1:
-        if not np.count_nonzero(b[1:]):
-            return a * b[0]
-        if not np.count_nonzero(a[1:]):
-            return b * a[0]
         weights = a[algebra._left] * b[algebra._right] * algebra._weights
         return np.bincount(algebra._out, weights=weights, minlength=a.shape[0])
-    d = algebra.dim
-    a2, b2 = a.reshape(-1, d), b.reshape(-1, d)
-    # counts of nonzero nilpotent coefficients decide most batches at once
-    b_count = np.count_nonzero(b2[:, 1:])
-    if not b_count:
-        return a * b[..., :1]
-    a_count = np.count_nonzero(a2[:, 1:])
-    if b_count == b2.shape[0] * (d - 1):
-        # no right factor is real
-        if not a_count:
-            return b * a[..., :1]
-        if a_count == a2.shape[0] * (d - 1):
-            weights = (a2.take(algebra._left, axis=1)
-                       * b2.take(algebra._right, axis=1) * algebra._weights)
-            return _bincount(algebra, weights, len(weights)).reshape(
-                a.shape if a.ndim > 1 else b.shape)
-    # real and general factors mixed: each point on its own rule
-    a, b = np.broadcast_arrays(a, b)
-    shape = a.shape
-    a, b = a.reshape(-1, d), b.reshape(-1, d)
-    b_real = ~b[:, 1:].any(axis=1)
-    a_real = ~a[:, 1:].any(axis=1) & ~b_real
-    out = a * b[:, :1]
-    out[a_real] = b[a_real] * a[a_real, :1]
-    rows = np.flatnonzero(~(b_real | a_real))
-    if rows.size:
-        weights = (a[rows].take(algebra._left, axis=1)
-                   * b[rows].take(algebra._right, axis=1) * algebra._weights)
-        out[rows] = _bincount(algebra, weights, rows.size).reshape(-1, d)
-    return out.reshape(shape)
+    weights = (a.take(algebra._left, axis=-1) * b.take(algebra._right, axis=-1)
+               * algebra._weights)
+    batch = weights.shape[:-1]
+    return _bincount(algebra, weights, math.prod(batch)).reshape(
+        batch + (algebra.dim,))
 
 
 def _bincount(algebra: WeilAlgebra, weights: np.ndarray, rows: int) -> np.ndarray:

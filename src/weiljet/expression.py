@@ -786,11 +786,12 @@ def _weil_sum(n, v, e):
 
 
 def _weil_mul(n, v, e):
+    # a constant factor, on either side, scales the other value: the kernel
+    # gives the same nonzero coefficients on the built constant
     if type(n.b) is Const:
-        # the kernel scales by a real right factor, whatever the left
         return v[n.a] * n.b.value
     if type(n.a) is Const:
-        return _const_times(e.algebra, n.a.value, v[n.b], e.coeffs.shape[:-2])
+        return v[n.b] * n.a.value
     return _product(e.algebra, v[n.a], v[n.b])
 
 
@@ -821,18 +822,6 @@ def _const_array(value: float, batch: tuple, dim: int) -> np.ndarray:
     out = np.zeros(batch + (dim,))
     out[..., 0] = value
     return out
-
-
-def _const_times(algebra: WeilAlgebra, c: float, x: np.ndarray,
-                 batch: tuple) -> np.ndarray:
-    """The kernel's product of the constant ``c`` and ``x``: ``x`` scaled by
-    ``c`` when every nilpotent slot of ``x`` is nonzero (the kernel's
-    all-general test), else the kernel on the built constant, which keeps
-    the signed zeros of ``c * 0`` at real points."""
-    nil = x[..., 1:]
-    if nil.size and np.count_nonzero(nil) == nil.size:
-        return x * c
-    return _product(algebra, _const_array(c, batch, algebra.dim), x)
 
 
 def _taylor_lift(fn: str, algebra: WeilAlgebra, a: np.ndarray,

@@ -55,7 +55,7 @@ from .expression import (
     parse_expr,
 )
 from .poisson import PoissonStructure
-from .symplectic import BaseForm
+from .symplectic import BaseForm, SymplecticStructure
 
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object"}
@@ -148,13 +148,15 @@ def _coeffs_to_json(coeffs) -> list[float]:
 
 
 def _numbers_from_json(values) -> list[float]:
-    """Floats from JSON numbers; a boolean is not a number."""
-    if any(isinstance(v, bool) for v in values):
+    """Floats from JSON numbers; a boolean or a string that spells a number
+    is not one."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values):
         raise ParseError("coefficients must be numbers")
     try:
         return [float(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        # OverflowError: an integer literal beyond the float range
+    except OverflowError:
+        # an integer literal beyond the float range
         raise ParseError("coefficients must be numbers") from None
 
 
@@ -385,9 +387,8 @@ def form_from_json(obj: dict, arity: int | None = None) -> BaseForm:
     return BaseForm(_typed(obj["degree"], int, "a form's 'degree'"), arity, coeffs)
 
 
-def parse_symplectic_spec(text: str, arity: int | None = None):
+def parse_symplectic_spec(text: str) -> SymplecticStructure:
     """'canonical:n' or a form JSON object; returns a SymplecticStructure."""
-    from .symplectic import SymplecticStructure
     text = text.strip()
     if text.startswith("canonical:"):
         try:
@@ -395,8 +396,7 @@ def parse_symplectic_spec(text: str, arity: int | None = None):
         except ValueError:
             raise ParseError(f"expected 'canonical:n', got {text!r}") from None
         return SymplecticStructure.canonical(size)
-    return SymplecticStructure(form_from_json(load_json(text, "symplectic spec"),
-                                              arity))
+    return SymplecticStructure(form_from_json(load_json(text, "symplectic spec")))
 
 
 __all__ = [

@@ -218,7 +218,8 @@ def test_product_matches_the_dense_table(algebra):
         a, b = _random_element(algebra, rng), _random_element(algebra, rng)
         np.testing.assert_allclose((a * b).coeffs, _dense_product(a, b),
                                    rtol=1e-12, atol=1e-12)
-        # a real operand on either side only scales the other factor
+        # a real operand on either side gives the dense product exactly: its
+        # only nonzero summands scale the other factor
         real = algebra.from_real(float(rng.uniform(-2.0, 2.0)))
         assert np.array_equal((a * real).coeffs, _dense_product(a, real))
         assert np.array_equal((real * a).coeffs, _dense_product(real, a))
@@ -269,6 +270,30 @@ def test_batched_products_equal_single_products_bit_for_bit(key, kinds):
             assert _same_bits(product(algebra, a.reshape(2, 3, -1),
                                       b.reshape(2, 3, -1)),
                               batched.reshape(2, 3, -1))
+
+
+@pytest.mark.parametrize("key", ALL_ALGEBRAS)
+def test_a_real_factor_gets_the_general_sum(key):
+    """The kernel has one rule for every pair of factors: a real factor's
+    product has the nonzero bits of scaling the other factor, and +0.0
+    wherever a coefficient is zero, whatever the signs of the zeros."""
+    algebra = battery_algebra(key)
+    rng = np.random.default_rng(algebra.dim)
+    product = algebra_module._product
+    a = _special_rows(rng, 6, algebra.dim, ("general", "real", "partial"))
+    a[~np.isfinite(a)] = -0.0
+    real = np.zeros((6, algebra.dim))
+    real[:, 0] = rng.uniform(-2.0, 2.0, 6)
+    real[1:4, 0] = (0.0, -0.0, -1.0)
+    real[::2, 1:] = -0.0
+    scaled = a * real[:, :1]
+    zero = scaled == 0.0
+    for got in (product(algebra, a, real), product(algebra, real, a),
+                [product(algebra, a[r], real[r]) for r in range(6)],
+                [product(algebra, real[r], a[r]) for r in range(6)]):
+        got = np.asarray(got)
+        assert _same_bits(got[~zero], scaled[~zero])
+        assert not np.signbit(got[zero]).any()
 
 
 def test_arithmetic_results_are_read_only():

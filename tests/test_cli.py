@@ -497,16 +497,16 @@ def test_deeply_nested_json_is_a_parse_error(capsys, argv):
 
 
 @pytest.mark.parametrize("algebra, expr, coeffs, printed", [
-    ("dual", "-1*x0", [2, 0], '{"coeffs":[-2.0,0.0]}'),
+    ("dual", "-1*x0", [2, 0], '{"coeffs":[-2.0,-0.0]}'),
     ("dual", "-1*x0", [2, -0.0], '{"coeffs":[-2.0,0.0]}'),
     ("dual", "x0*-1", [2, 0], '{"coeffs":[-2.0,-0.0]}'),
     ("dual", "-1*x0", [-3, 1], '{"coeffs":[3.0,-1.0]}'),
     ("truncated:2,2", "-1*x0", [2, 0, 0, 0, 0, 0],
-     '{"coeffs":[-2.0,0.0,0.0,0.0,0.0,0.0]}'),
+     '{"coeffs":[-2.0,-0.0,-0.0,-0.0,-0.0,-0.0]}'),
 ])
 def test_constant_factors_keep_signed_zeros(capsys, algebra, expr, coeffs, printed):
-    # -1 * x0 at a real point is the kernel's (-1) * (2 + 0t): the real
-    # left factor scales the right one, so its nilpotent slot is 0 * 2
+    # a constant factor on either side scales the other one, so -1*x0 and
+    # x0*-1 agree bit for bit: the nilpotent slot of -1 * (2 + 0t) is -1 * 0
     point = json.dumps({"coords": [{"coeffs": coeffs}]})
     code, out, _ = run_cli(capsys, "prolong", "--algebra", algebra,
                            f"--expr={expr}", "--point", point)
@@ -562,6 +562,11 @@ _MISTYPED = [
      '{"family":"table","constants":[[[true,false],[false,true]],[[false,true],[false,false]]]}'),
     ("algebra", "--algebra",
      '{"family":"table","constants":[[[1,0],[0,1]],[[0,1],[0,1%s]]]}' % ("0" * 400)),
+    # nor is a string that spells a number
+    ("prolong", "--algebra", "dual", "--expr", "x0",
+     "--point", '{"coords":[{"coeffs":["1","2"]}]}'),
+    ("algebra", "--algebra",
+     '{"family":"table","constants":[[[1,0],[0,1]],[[0,"1.0"],[0,0]]]}'),
 ]
 
 
