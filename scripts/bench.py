@@ -31,6 +31,12 @@ records:
   mutation on each of its target checks, through the CLI) in a fresh
   process, after one untimed sweep; every mutation must be caught by its
   target check;
+- layer figures from one fresh process: as ``cap_build_s.K,H`` and
+  ``cap_build_peak_mb.K,H``, the best of five builds of each algebra in
+  CAP_ALGEBRAS and the tracemalloc peak of one more, and as
+  ``matrix_inverse_s.M.K,H`` (``.real`` for real matrices), the best of five
+  pointwise solves ``symplectic._matrix_inverse`` of a batch of
+  SOLVE_BATCH random M x M matrices over ``truncated:K,H``;
 
 and once per side the line count of ``src/``, in all (``src_lines``) and per
 module (``src_lines.<path under src/>``), the tree it measured (the
@@ -77,7 +83,8 @@ TIMEOUT_S = 300
 RATES = ("poisson_decisions_per_s", "symplectic_decisions_per_s")
 # Figures where a lower value is better; the rest are rates.
 LOWER_IS_BETTER = ("verify_s.", "cli_start_s", "import_s", "algebra_build_s.",
-                   "symbolic_build_s", "mutation_sweep_s")
+                   "symbolic_build_s", "mutation_sweep_s", "cap_build_s.",
+                   "cap_build_peak_mb.", "matrix_inverse_s.")
 # Single figures timed once per repeat.
 TIMES = ("cli_start_s", "import_s", "symbolic_build_s", "mutation_sweep_s")
 # (width, height) of the truncated algebras whose build is timed
@@ -92,6 +99,44 @@ for width, height in json.loads(sys.argv[1]):
     make_truncated_algebra(width, height)
     spent[f"{width},{height}"] = time.perf_counter() - t0
 print(json.dumps(spent))
+"""
+# (width, height) of the largest truncated algebras, at the dimension cap
+CAP_ALGEBRAS = ((1, 511), (511, 1), (2, 30))
+# (size, width, height, real) of the timed pointwise solves
+SOLVES = ((2, 2, 2, False), (4, 2, 2, False), (8, 3, 4, False), (8, 3, 4, True))
+SOLVE_BATCH = 32
+# Prints the layer figures of argv[1]'s [CAP_ALGEBRAS, SOLVES, SOLVE_BATCH].
+LAYER_CHILD = """
+import json, sys, time, tracemalloc
+import numpy as np
+from weiljet.algebra import make_truncated_algebra
+from weiljet.symplectic import _matrix_inverse
+def best(call):
+    spent = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        call()
+        spent.append(time.perf_counter() - t0)
+    return min(spent)
+caps, solves, batch = json.loads(sys.argv[1])
+out = {}
+for width, height in caps:
+    out[f"cap_build_s.{width},{height}"] = best(
+        lambda: make_truncated_algebra(width, height))
+    tracemalloc.start()
+    make_truncated_algebra(width, height)
+    out[f"cap_build_peak_mb.{width},{height}"] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+rng = np.random.default_rng(0)
+for size, width, height, real in solves:
+    algebra = make_truncated_algebra(width, height)
+    stack = rng.uniform(-1.0, 1.0, (batch, size, size, algebra.dim))
+    stack[..., 0] += 3.0 * np.eye(size)
+    if real:
+        stack[..., 1:] = 0.0
+    name = f"matrix_inverse_s.{size}.{width},{height}" + (".real" if real else "")
+    out[name] = best(lambda: _matrix_inverse(algebra, stack))
+print(json.dumps(out))
 """
 # Times the symbolic construction of argv[1]'s jets deep inputs after the
 # import.
@@ -261,6 +306,13 @@ def measure_once(root: Path, decide, deep: list, suite: dict, side: dict) -> str
     for key, spent in json.loads(proc.stdout).items():
         side["algebra_build_s"].setdefault(key, []).append(spent)
 
+    proc, _ = run(root, [sys.executable, "-c", LAYER_CHILD,
+                         json.dumps([CAP_ALGEBRAS, SOLVES, SOLVE_BATCH])])
+    if proc.returncode != 0:
+        raise BenchError(f"layer figures failed in {root}: {proc.stderr[-500:]}")
+    for name, value in json.loads(proc.stdout).items():
+        side["layers"].setdefault(name, []).append(value)
+
     proc, _ = run(root, [sys.executable, "-c", SWEEP_CHILD, str(ROOT / "perfbench"),
                          json.dumps(suite)])
     if proc.returncode != 0:
@@ -281,6 +333,7 @@ def series(side: dict) -> dict:
         out[name] = side[name]
     out.update({f"algebra_build_s.{key}": values
                 for key, values in side["algebra_build_s"].items()})
+    out.update(side["layers"])
     return out
 
 
@@ -331,7 +384,7 @@ def main(argv=None) -> int:
                         "module_lines": module_lines(root),
                         **import_state(root),
                         "verify_calls": verify_calls(root), "verify": {},
-                        "algebra_build_s": {},
+                        "algebra_build_s": {}, "layers": {},
                         **{figure: [] for figure in RATES + TIMES}}
                  for name, root in roots.items()}
         for repeat in range(REPEATS):

@@ -9,22 +9,22 @@ e_0 is the augmentation (real part) of an element.
 An algebra is held as its nonzero structure constants only: the triples
 e_left[n] * e_right[n] -> weights[n] * e_out[n], in the row-major order of
 the dense d x d x d table.  Products, the fingerprint and the height read the
-triples; the dense table and the ideal filtration are built only when asked
-for, at d^3 cost.
+triples; the dense table is built only when asked for, at d^3 cost.
 
 ``make_truncated_algebra(k, h)`` builds the truncated polynomial ring in k
 variables modulo all monomials of total degree > h; dual numbers are the
 (1, 1) member.  Its basis is monomial, so it lists the products of basis
-elements that stay below degree h + 1 directly, and derives the height from
-them.  Arbitrary tables enter through ``validate_algebra``, which re-derives
-every axiom numerically on the dense table it is given and never trusts a
-caller-supplied height.
+elements that stay below degree h + 1 directly, finds each product's index
+by its exponent tuple, and derives the height from them.  Arbitrary tables
+enter through ``validate_algebra``, which re-derives every axiom numerically
+on the dense table it is given and never trusts a caller-supplied height;
+the powers of m it spans on the way are not kept.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -45,43 +45,22 @@ ZERO_TOL = 1e-10
 MAX_DIM = 512
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of ``parts`` entries summing to ``total``, in reverse
-    lexicographic order: (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), ...
-
-    Each step takes one unit from the pivot, the last nonzero entry before
-    the final one, and moves it with the final entry's whole value into the
-    pivot's right neighbour.  The pivot moves at most one place right per
-    step, so the scan back to it costs O(1) amortized and each tuple
-    O(parts).
-    """
-    exps = [total] + [0] * (parts - 1)
-    last = parts - 1
-    pivot = 0 if last else -1
-    while True:
-        yield tuple(exps)
-        while pivot >= 0 and not exps[pivot]:
-            pivot -= 1
-        if pivot < 0:
-            return
-        exps[pivot] -= 1
-        carry = exps[last] + 1
-        exps[last] = 0
-        exps[pivot + 1] = carry
-        if pivot + 1 < last:
-            pivot += 1
-
-
 def _monomials(width: int, height: int) -> list[tuple[int, ...]]:
     """Exponent tuples with total degree <= height, in graded order.
 
     Within one degree the first variable dominates, so for two variables the
     order is 1, t1, t2, t1^2, t1*t2, t2^2, ...  The order is part of the
     serialization contract: coefficient vectors are exchanged positionally.
+    It is the order in which ``combinations_with_replacement`` lists the
+    sorted variable indices of each degree's monomials.
     """
     monos: list[tuple[int, ...]] = []
     for degree in range(height + 1):
-        monos.extend(_compositions(degree, width))
+        for variables in combinations_with_replacement(range(width), degree):
+            exps = [0] * width
+            for var in variables:
+                exps[var] += 1
+            monos.append(tuple(exps))
     return monos
 
 
@@ -108,46 +87,26 @@ def _row_space_basis(rows: np.ndarray) -> np.ndarray:
     return vt[:rank]
 
 
-def _ideal_filtration(constants: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """Compute the filtration m, m^2, ... and the height from the table alone.
+def _table_height(constants: np.ndarray) -> int:
+    """The height from the table alone: the number of nonzero powers m, m^2,
+    ..., each spanned by the products of the one before with e_1..e_{d-1}.
 
     Raises NotLocal when span(e_1..e_{d-1}) is not an ideal or fails to be
     nilpotent within dim steps.
     """
     d = constants.shape[0]
     if d == 1:
-        return 0, []
+        return 0
     if np.max(np.abs(constants[1:, 1:, 0])) > ZERO_TOL:
         raise NotLocal("span(e_1..e_{d-1}) is not closed under multiplication")
-    generators = np.eye(d)[1:]
-    levels = [generators.copy()]
-    current = generators
-    for _ in range(d):
+    level = np.eye(d)[1:]
+    for height in range(1, d + 1):
         # products v * e_j for v in the current level, j >= 1
-        prods = np.einsum("ri,ijk->rjk", current, constants)[:, 1:, :].reshape(-1, d)
-        basis = _row_space_basis(prods)
-        if basis.shape[0] == 0:
-            return len(levels), levels
-        levels.append(basis)
-        current = basis
+        prods = np.einsum("ri,ijk->rjk", level, constants)[:, 1:, :].reshape(-1, d)
+        level = _row_space_basis(prods)
+        if level.shape[0] == 0:
+            return height
     raise NotLocal("maximal-ideal candidate is not nilpotent")
-
-
-def _monomial_rank(suffix: np.ndarray, height: int) -> np.ndarray:
-    """Basis index of each monomial of degree <= height, given as the rows
-    of ``suffix``: s_u, its degree in t_{u+1}..t_k, for u = 0..k-1.
-
-    In the graded order a monomial comes after those of lower degree, and
-    for u = 1..k-1 after those of its degree that agree with it before t_u
-    and have a larger exponent of t_u.  Each count is of the monomials in
-    t_{u+1}..t_k of degree below s_u, and there are comb(s_u - 1 + k - u,
-    k - u) of those.
-    """
-    width = suffix.shape[1]
-    below = np.array([[math.comb(s - 1 + width - u, width - u)
-                       for s in range(height + 1)] for u in range(width)],
-                     dtype=np.intp)
-    return below[np.arange(width), suffix].sum(axis=1)
 
 
 def _monomial_height(dim: int, left: np.ndarray, right: np.ndarray,
@@ -178,7 +137,7 @@ class WeilAlgebra:
 
     __slots__ = ("_dim", "_labels", "_height", "_family", "_fingerprint",
                  "_left", "_right", "_out", "_weights", "_row_slots",
-                 "_constants", "_filtration")
+                 "_constants")
 
     def __init__(self, dim, left, right, out, weights, labels, height,
                  family=("table",)):
@@ -196,7 +155,6 @@ class WeilAlgebra:
         # batch of products, grown on demand
         self._row_slots = self._out
         self._constants = None
-        self._filtration = None
 
     @property
     def dim(self) -> int:
@@ -219,17 +177,6 @@ class WeilAlgebra:
             table.setflags(write=False)
             self._constants = table
         return self._constants
-
-    @property
-    def ideal_filtration(self) -> tuple[np.ndarray, ...]:
-        """Orthonormal bases of m, m^2, ..., computed from the dense table on
-        first request."""
-        if self._filtration is None:
-            levels = _ideal_filtration(self.structure_constants)[1]
-            for level in levels:
-                level.setflags(write=False)
-            self._filtration = tuple(levels)
-        return self._filtration
 
     @property
     def family(self) -> tuple:
@@ -538,17 +485,18 @@ def make_truncated_algebra(width: int, height: int) -> WeilAlgebra:
         raise CapacityError(f"dimension binomial({width + height}, {width}) "
                             f"exceeds the cap of {MAX_DIM}")
     monos = _monomials(width, height)
-    # suffix[i, u]: the degree of monomial i in the variables t_{u+1}..t_k
-    suffix = np.cumsum(np.array(monos, dtype=np.intp).reshape(dim, width)[:, ::-1],
-                       axis=1)[:, ::-1]
+    exps = np.array(monos, dtype=np.intp).reshape(dim, width)
     # e_i e_j is a monomial when deg i + deg j <= height, else zero.  The
     # basis is graded, so those j are the first comb(width + g, width) basis
     # elements, g = height - deg i; row by row they come in np.nonzero order.
     lengths = np.array([math.comb(width + g, width)
-                        for g in range(height, -1, -1)])[suffix[:, 0]]
+                        for g in range(height, -1, -1)])[exps.sum(axis=1)]
     left = np.repeat(np.arange(dim), lengths)
     right = np.arange(left.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    out = _monomial_rank(suffix[left] + suffix[right], height)
+    index = {mono: i for i, mono in enumerate(monos)}
+    out = np.fromiter((index[mono] for mono in
+                       map(tuple, (exps[left] + exps[right]).tolist())),
+                      dtype=np.intp, count=left.size)
     labels = [_monomial_label(m) for m in monos]
     # The monomial table is commutative/associative/local by construction, but
     # the height is still recomputed from the table rather than trusted.
@@ -564,7 +512,8 @@ def validate_algebra(constants) -> WeilAlgebra:
 
     Verifies commutativity, unitality of basis element 0, associativity, and
     locality (the complement of the unit spans a nilpotent ideal).  The height
-    and the ideal filtration are computed, never taken on faith.
+    is computed, never taken on faith; the powers of m that give it are not
+    kept.
     """
     arr = np.asarray(constants, dtype=float)
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
@@ -584,7 +533,7 @@ def validate_algebra(constants) -> WeilAlgebra:
         if np.max(np.abs(arr[i] @ rows
                          - (columns @ arr[i]).reshape(d, d * d))) > ZERO_TOL:
             raise NotAssociative("(e_i e_j) e_k != e_i (e_j e_k)")
-    height, _ = _ideal_filtration(arr)
+    height = _table_height(arr)
     left, right, out = np.nonzero(arr)
     return WeilAlgebra(d, left, right, out, arr[left, right, out],
                        [f"e{i}" for i in range(d)], height, family=("table",))

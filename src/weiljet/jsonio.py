@@ -117,6 +117,10 @@ def algebra_from_json(obj: dict) -> WeilAlgebra:
         except ParseError:
             raise ParseError("a table algebra's 'constants' must be nested "
                              "lists of numbers") from None
+        dim = _typed(obj.get("dim", len(constants)), int, "a table algebra's 'dim'")
+        if dim != len(constants):
+            raise ParseError(f"a table algebra's 'dim' must equal the size of its "
+                             f"'constants', {len(constants)}")
         return validate_algebra(table)
     raise ParseError(f"unknown algebra family {obj['family']!r}")
 
@@ -366,7 +370,7 @@ def form_to_json(form: BaseForm) -> dict:
     return {"degree": form.degree, "arity": form.arity, "coeffs": coeffs}
 
 
-def form_from_json(obj: dict, arity: int | None = None) -> BaseForm:
+def form_from_json(obj: dict) -> BaseForm:
     if not isinstance(obj, dict) or "degree" not in obj:
         raise ParseError("a form object needs 'degree' and 'coeffs'")
     coeffs = {}
@@ -378,8 +382,7 @@ def form_from_json(obj: dict, arity: int | None = None) -> BaseForm:
             raise ParseError(f"bad coefficient key {key!r}") from None
         coeffs[idx] = _expr_entry(raw, "a form coefficient")
         top = max(top, max(idx, default=-1))
-    if arity is None:
-        arity = obj.get("arity")
+    arity = obj.get("arity")
     if arity is None:
         arity = top + 1
     if _typed(arity, int, "a form's 'arity'") < 1:

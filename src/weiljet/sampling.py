@@ -67,13 +67,10 @@ def _damped_linear(arity: int, rng: np.random.Generator, scale: float) -> Scalar
     return out
 
 
-def random_expression(arity: int, rng: np.random.Generator, *,
-                      transcendental: bool = True) -> ScalarExpr:
-    """Degree<=3 polynomial, optionally combined with one transcendental
-    factor sin/cos/exp of a damped linear argument."""
+def random_expression(arity: int, rng: np.random.Generator) -> ScalarExpr:
+    """Degree<=3 polynomial combined with one transcendental factor
+    sin/cos/exp of a damped linear argument."""
     poly = random_polynomial(arity, rng)
-    if not transcendental:
-        return poly
     fn = ("sin", "cos", "exp")[int(rng.integers(0, 3))]
     arg = _damped_linear(arity, rng, 0.3 if fn == "exp" else 0.8)
     factor = call(fn, arg)
@@ -100,12 +97,11 @@ def random_base_form(arity: int, degree: int, rng: np.random.Generator) -> BaseF
 
 
 def random_bundle_function(algebra: WeilAlgebra, arity: int,
-                           rng: np.random.Generator, *,
-                           max_terms: int = 2) -> BundleFunction:
-    """A sum of terms, each an algebra-element coefficient times one or two
-    prolonged polynomials."""
+                           rng: np.random.Generator) -> BundleFunction:
+    """A sum of one or two terms, each an algebra-element coefficient times
+    one or two prolonged polynomials."""
     total = BundleFunction.zero(algebra, arity)
-    for _ in range(int(rng.integers(1, max_terms + 1))):
+    for _ in range(int(rng.integers(1, 3))):
         term = BundleFunction.constant(sample_element(algebra, rng), algebra, arity)
         for _ in range(int(rng.integers(1, 3))):
             term = term * prolong_function(

@@ -304,14 +304,14 @@ class SymplecticStructure:
 #
 # Matrices over A are coefficient arrays of shape (..., m, m, d): one matrix,
 # or one per point of a batch, each of which gets the bits it would get alone.
-# Real matrices enter as multiples of the unit.
+# A real matrix stays real, of shape (..., m, m), and scales the entries of
+# the other factor directly.
 
 def _matrix_product(algebra: WeilAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (..., m, p, d) and (..., p, q, d) matrices over A: all
     m*p*q entry products in one kernel call, then each entry sums its p
     products from left to right."""
-    left, right = np.broadcast_arrays(a[..., :, :, None, :], b[..., None, :, :, :])
-    terms = _product(algebra, left, right)
+    terms = _product(algebra, a[..., :, :, None, :], b[..., None, :, :, :])
     acc = terms[..., 0, :, :]
     for k in range(1, terms.shape[-3]):
         acc = acc + terms[..., k, :, :]
@@ -338,25 +338,25 @@ def _matrix_inverse(algebra: WeilAlgebra, matrix: np.ndarray, *,
         raise SingularRealPart(
             f"real part is singular to tolerance (smallest singular value "
             f"{singular[0]:.3e})")
-    real_inv = np.linalg.inv(real)[..., None] * _unit(algebra)
+    real_inv = np.linalg.inv(real)
     nil = matrix.copy()
     nil[..., 0] = 0.0
-    c = _matrix_product(algebra, nil, -real_inv)
+    # -N M0^{-1}, each entry summing its m products from left to right
+    c = -np.einsum("...ikt,...kj->...ijt", nil, real_inv)
     count = algebra.height + 1 if terms is None else terms
     identity = np.eye(matrix.shape[-2])[..., None] * _unit(algebra)
     # the series runs flat, one row of m*m*d coefficients per matrix
-    series, power, live = identity.reshape(-1), identity, True
-    for _ in range(count - 1):
-        power = _matrix_product(algebra, c, power)
+    series, power, live = identity.reshape(-1), c, True
+    for k in range(count - 1):
+        if k:
+            power = _matrix_product(algebra, c, power)
         flat = power.reshape(matrix.shape[:-3] + (-1,))
         live = _live(flat, live)
         if live is False:
             break
         series = _add_live(series, flat, live)
     series = series.reshape(series.shape[:-1] + identity.shape)
-    # M0^{-1} S as (S^T M0^{-T})^T: each series entry times a real, in that order
-    return _matrix_product(algebra, series.swapaxes(-3, -2),
-                           real_inv.swapaxes(-3, -2)).swapaxes(-3, -2)
+    return np.einsum("...ik,...kjt->...ijt", real_inv, series)
 
 
 def weil_matrix_inverse(rows: Sequence[Sequence[WeilElement]]) -> list[list[WeilElement]]:

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weiljet.algebra import (
-    _ideal_filtration,
     _monomials,
+    _table_height,
     CapacityError,
     NoUnit,
     NotAssociative,
@@ -161,16 +161,6 @@ def test_geometric_series_inverse():
 def test_zero_augmentation_is_not_invertible():
     with pytest.raises(NotInvertible):
         DUAL.basis_element(1).inverse()
-
-
-def test_ideal_filtration_shrinks():
-    filtration = M3.ideal_filtration
-    assert len(filtration) == M3.height
-    ranks = [basis.shape[0] for basis in filtration]
-    assert ranks[0] == M3.dim - 1
-    assert ranks == sorted(ranks, reverse=True)
-    # two generators at height two leave the three quadratic monomials on top
-    assert ranks[-1] == 3
 
 
 def test_compatibility_is_structural():
@@ -407,7 +397,7 @@ def _dense_truncated(width, height):
             k = index.get(tuple(a + b for a, b in zip(left, monos[j])))
             if k is not None:
                 constants[i, j, k] = constants[j, i, k] = 1.0
-    return constants, _ideal_filtration(constants)[0]
+    return constants, _table_height(constants)
 
 
 # small algebras, then the jets workload's seven, dimensions 2 to 70
@@ -440,7 +430,37 @@ def test_validated_table_is_compatible(width, height):
 @pytest.mark.parametrize("key", ALL_ALGEBRAS)
 def test_sparse_height_matches_the_filtration(key):
     algebra = battery_algebra(key)
-    assert algebra.height == len(algebra.ideal_filtration)
+    assert algebra.height == _table_height(algebra.structure_constants)
+
+
+def _monomial_rank(suffix, height):
+    """Basis index of each monomial of degree <= height, given as the rows
+    of ``suffix``: s_u, its degree in t_{u+1}..t_k, for u = 0..k-1.
+
+    In the graded order a monomial comes after those of lower degree, and
+    for u = 1..k-1 after those of its degree that agree with it before t_u
+    and have a larger exponent of t_u.  Each count is of the monomials in
+    t_{u+1}..t_k of degree below s_u, and there are comb(s_u - 1 + k - u,
+    k - u) of those.  The ranking formula the construction used before it
+    looked the products up by exponent tuple: the reference for ``_out``.
+    """
+    width = suffix.shape[1]
+    below = np.array([[math.comb(s - 1 + width - u, width - u)
+                       for s in range(height + 1)] for u in range(width)],
+                     dtype=np.intp)
+    return below[np.arange(width), suffix].sum(axis=1)
+
+
+# shapes whose dense table would take d^3 memory, at and near the cap
+@pytest.mark.parametrize("width,height", [(1, 511), (511, 1), (2, 30), (30, 2), (7, 4)])
+def test_product_indices_match_the_ranking_formula(width, height):
+    algebra = make_truncated_algebra(width, height)
+    exps = np.array(_monomials(width, height), dtype=np.intp).reshape(algebra.dim, width)
+    # suffix[i, u]: the degree of monomial i in the variables t_{u+1}..t_k
+    suffix = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
+    expected = _monomial_rank(suffix[algebra._left] + suffix[algebra._right], height)
+    assert algebra._out.dtype == expected.dtype
+    assert np.array_equal(algebra._out, expected)
 
 
 def _traced_peak(build):

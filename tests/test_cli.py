@@ -535,6 +535,11 @@ _MISTYPED = [
     ("algebra", "--algebra", '{"family":"truncated","width":1}'),
     ("algebra", "--algebra", '{"family":"table","constants":{"0":1}}'),
     ("algebra", "--algebra", '{"family":"table","constants":[[[1,0],[0]]]}'),
+    # a table algebra's 'dim', when given, is an integer equal to its size
+    ("algebra", "--algebra",
+     '{"family":"table","dim":3,"constants":[[[1,0],[0,1]],[[0,1],[0,0]]]}'),
+    ("algebra", "--algebra",
+     '{"family":"table","dim":"two","constants":[[[1,0],[0,1]],[[0,1],[0,0]]]}'),
     ("prolong", "--algebra", "dual", "--expr", "x0", "--point", '{"coords":5}'),
     ("prolong", "--algebra", "dual", "--expr", "x0",
      "--point", '{"coords":[{"coeffs":[1,%s]}]}' % _NINES),

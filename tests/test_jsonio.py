@@ -173,7 +173,7 @@ def test_form_roundtrip_and_arity_inference():
     assert inferred.arity == 3
     with pytest.raises(ParseError):
         form_from_json({"degree": 2, "coeffs": {}})
-    explicit = form_from_json({"degree": 2, "coeffs": {}}, arity=4)
+    explicit = form_from_json({"degree": 2, "coeffs": {}, "arity": 4})
     assert explicit.arity == 4
 
 

@@ -134,6 +134,11 @@ def test_bench_writes_its_record(bench, tmp_path, monkeypatch, capsys):
         assert summary[name] > 0
     for width, height in bench.BUILD_ALGEBRAS:
         assert summary[f"algebra_build_s.{width},{height}"] > 0
+    for width, height in bench.CAP_ALGEBRAS:
+        assert summary[f"cap_build_s.{width},{height}"] > 0
+        assert summary[f"cap_build_peak_mb.{width},{height}"] > 0
+    assert len([name for name in summary
+                if name.startswith("matrix_inverse_s.")]) == len(bench.SOLVES)
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == record["summary"]
 
 
@@ -152,7 +157,8 @@ def test_bench_compares_pair_by_pair(bench):
         return {"verify": {"42": {"s": verify}}, "poisson_decisions_per_s": poisson,
                 "symplectic_decisions_per_s": [1.0] * 4, "cli_start_s": [0.2] * 4,
                 "import_s": verify, "symbolic_build_s": verify,
-                "mutation_sweep_s": verify, "algebra_build_s": {"4,4": verify}}
+                "mutation_sweep_s": verify, "algebra_build_s": {"4,4": verify},
+                "layers": {"cap_build_s.1,511": verify}}
 
     compared = bench.comparison(side([1.0, 2.0, 1.0, 1.0], [3.0, 3.0, 1.0, 3.0]),
                                 side([2.0, 1.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]))
@@ -164,6 +170,7 @@ def test_bench_compares_pair_by_pair(bench):
     assert compared["import_s"] == compared["verify_s.42"]
     assert compared["symbolic_build_s"] == compared["verify_s.42"]
     assert compared["mutation_sweep_s"] == compared["verify_s.42"]
+    assert compared["cap_build_s.1,511"] == compared["verify_s.42"]
     assert compared["cli_start_s"] == {"change_better": 0, "pairs": 4,
                                        "median_gain": 0.0, "parent_iqr": 0.0}
 

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from weiljet.algebra import _product, make_truncated_algebra
+from weiljet.algebra import _add_live, _live, _product, _unit, make_truncated_algebra
 from weiljet.bundle import (
     BaseVectorField,
     BundleFunction,
@@ -226,6 +226,50 @@ def test_stacked_matrix_kernel_equals_single_inverses(key, size, samples, terms)
                 for k in range(1, size):
                     acc = acc + rows[i][k] * inverse[k][j]
                 assert np.array_equal(products[s, i, j], acc.coeffs)
+
+
+def _unit_embedded_inverse(algebra, matrix, terms=None):
+    """The solve as it read with M0^{-1} held as A-valued entries, multiples
+    of the unit, and the series started at the identity: the reference the
+    real-matrix form must match bit for bit."""
+    real_inv = np.linalg.inv(matrix[..., 0])[..., None] * _unit(algebra)
+    nil = matrix.copy()
+    nil[..., 0] = 0.0
+    c = _matrix_product(algebra, nil, -real_inv)
+    count = algebra.height + 1 if terms is None else terms
+    identity = np.eye(matrix.shape[-2])[..., None] * _unit(algebra)
+    series, power, live = identity.reshape(-1), identity, True
+    for _ in range(count - 1):
+        power = _matrix_product(algebra, c, power)
+        flat = power.reshape(matrix.shape[:-3] + (-1,))
+        live = _live(flat, live)
+        if live is False:
+            break
+        series = _add_live(series, flat, live)
+    series = series.reshape(series.shape[:-1] + identity.shape)
+    return _matrix_product(algebra, series.swapaxes(-3, -2),
+                           real_inv.swapaxes(-3, -2)).swapaxes(-3, -2)
+
+
+@pytest.mark.parametrize("terms", ["full", "height", "one"])
+@pytest.mark.parametrize("batch", [(), (4,)])
+@pytest.mark.parametrize("key", ALL_ALGEBRAS)
+def test_real_inverse_matches_the_unit_embedded_form(key, batch, terms):
+    algebra = battery_algebra(key)
+    count = {"full": None, "height": algebra.height, "one": 1}[terms]
+    rng = np.random.default_rng(algebra.dim + len(batch))
+    for size in [1, 2, 3, 4, 5, 6, 16]:
+        stack = _mixed_matrices(rng, batch + (size, size), algebra.dim)
+        stack[..., 0] += 3.0 * np.eye(size)
+        matrices = [stack, stack[..., 0:1] * _unit(algebra)]  # and its real part
+        if batch:
+            stack[-1, ..., 1:] = 0.0  # a real matrix among general ones
+        for matrix in matrices:
+            got = _matrix_inverse(algebra, matrix, terms=count)
+            want = _unit_embedded_inverse(algebra, matrix, terms=count)
+            assert got.shape == want.shape == matrix.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_batch_with_a_singular_solve_point_raises():
