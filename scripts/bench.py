@@ -44,7 +44,11 @@ commit, and a digest of the uncommitted changes under ``src/`` and
 ``perfbench/``, null when there are none), the sorted ``weiljet.*`` modules
 that ``import weiljet.cli`` loads (``import_modules``), whether the
 measuring environment writes no bytecode caches (``dont_write_bytecode``,
-which makes every fresh process compile what it imports) and, per seed, the
+which makes every fresh process compile what it imports), the state of this
+interpreter's bytecode cache of each module under ``src/`` when the side is
+first measured (``bytecode_cache``: "absent", "fresh" or "stale"; without
+cache writes, every fresh process recompiles a module whose cache is absent
+or stale, which shows in the start-up figures) and, per seed, the
 cProfile total call count of one extra, untimed ``verify`` run as
 ``verify_calls.S``.
 Call counts are deterministic, so they show where work moved when wall
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import pstats
 import statistics
@@ -207,6 +212,30 @@ def module_lines(root: Path) -> dict[str, int]:
     src = root / "src"
     return {path.relative_to(src).as_posix(): len(path.read_text().splitlines())
             for path in sorted(src.rglob("*.py"))}
+
+
+def bytecode_caches(root: Path) -> dict[str, str]:
+    """Per module under ``src/``, by its path there, the state of this
+    interpreter's bytecode cache of it: "absent", "fresh" when it matches
+    the source as the import checks it (by modification time and size, or
+    by source hash for a hash-based cache), else "stale"."""
+    src = root / "src"
+    out = {}
+    for path in sorted(src.rglob("*.py")):
+        cache = Path(importlib.util.cache_from_source(str(path)))
+        if not cache.exists():
+            out[path.relative_to(src).as_posix()] = "absent"
+            continue
+        header = cache.read_bytes()[:16]
+        if int.from_bytes(header[4:8], "little") & 1:
+            source = importlib.util.source_hash(path.read_bytes())
+        else:
+            stat = path.stat()
+            source = ((int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+                      + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+        fresh = header[:4] == importlib.util.MAGIC_NUMBER and header[8:] == source
+        out[path.relative_to(src).as_posix()] = "fresh" if fresh else "stale"
+    return out
 
 
 def src_lines(root: Path) -> int:
@@ -382,6 +411,7 @@ def main(argv=None) -> int:
     try:
         sides = {name: {**tree_state(root), "src_lines": src_lines(root),
                         "module_lines": module_lines(root),
+                        "bytecode_cache": bytecode_caches(root),
                         **import_state(root),
                         "verify_calls": verify_calls(root), "verify": {},
                         "algebra_build_s": {}, "layers": {},

@@ -24,15 +24,15 @@ stack, so it refuses nesting deeper than ``MAX_NESTING`` wherever it is
 called from; a long sum or product prints one level deep and parses flat.
 
 Differentiation, composition and evaluation over the reals and over a Weil
-algebra are one loop, ``_walk``, over four value domains, each a table of
-rules by node kind: one tape, many sweeps (Griewank & Walther, *Evaluating
-Derivatives*, 2008).  The walk visits the DAG children first, in a
-topological order found once per root and kept on it, with no Python
-recursion, and handles each distinct node once per call, so shared
-subexpressions cost nothing extra and nesting depth is bounded by memory
-only.  Differentiation keeps each node's partials on the node.  Evaluation
-over a cache that already holds part of the DAG walks only the nodes still
-to do and keeps no tape.
+algebra sweep one tape with a table of rules by node kind per value domain
+(Griewank & Walther, *Evaluating Derivatives*, 2008).  A sweep visits the
+DAG children first, in a topological order found once per root and kept on
+it, with no Python recursion, and handles each distinct node once per call,
+so shared subexpressions cost nothing extra and nesting depth is bounded by
+memory only.  Composition and evaluation are one loop, ``_walk``.
+Differentiation keeps each node's partials on the node and runs a rule only
+where one is missing.  Evaluation over a cache that already holds part of
+the DAG walks only the nodes still to do and keeps no tape.
 
 Evaluation over a Weil algebra replaces each primitive g by its truncated
 Taylor expansion g(a0 + nu) = sum_{k<=h} g^(k)(a0)/k! * nu^k, where a0 is the
@@ -74,8 +74,12 @@ PRIMITIVES = ("sin", "cos", "exp", "log")
 # key.  Keys name child nodes by id, so the table holds no node strongly: a
 # live node keeps its children alive, so the ids in a live key are never
 # reused, and a dead node's children can be collected with it in one pass of
-# the collector.  A constructor call costs one dict lookup and one
-# dereference, both in C; only a node's death runs Python code (``_drop``).
+# the collector.  A smart constructor builds its key tuple and makes one
+# call, ``_intern``, which finds a live node with one dict lookup and one
+# dereference.  A miss also builds the node (``ScalarExpr.__init__`` runs
+# once), one weak reference and one dict entry; a node's death runs
+# ``_drop``.  A class call such as ``Const(0.0, n)`` goes through the same
+# function, after the class's ``_key``.
 _NODES: dict = {}
 
 
@@ -94,21 +98,25 @@ def _drop(ref: _NodeRef) -> None:
         del _NODES[ref.key]
 
 
+def _intern(key: tuple, cls: type, *args) -> "ScalarExpr":
+    """The live node with ``key``, or a new ``cls(*args)`` registered."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = type.__call__(cls, *args)
+    ref = _NODES[key] = _NodeRef(node, _drop)
+    ref.key = key
+    return node
+
+
 class _Interned(type):
     """Calling a node class returns the live node with the same key, and
     builds (and registers) a new one only when there is none."""
 
     def __call__(cls, *args):
-        key = (cls, *args) if cls._key is None else cls._key(*args)
-        ref = _NODES.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = super().__call__(*args)
-        ref = _NODES[key] = _NodeRef(node, _drop)
-        ref.key = key
-        return node
+        return _intern(cls._key(*args), cls, *args)
 
 
 class ScalarExpr(metaclass=_Interned):
@@ -117,9 +125,6 @@ class ScalarExpr(metaclass=_Interned):
 
     __slots__ = ("arity", "_text", "_tape", "_derivs", "__weakref__")
     children: tuple = ()
-    # builds the intern key from the constructor arguments where
-    # (class, *args) would not do
-    _key = None
 
     def __init__(self, arity: int, text: str | None = None):
         self.arity = arity
@@ -159,6 +164,10 @@ class Var(ScalarExpr):
     def __init__(self, index: int, arity: int):
         super().__init__(arity, f"x{index}")
         self.index = index
+
+    @staticmethod
+    def _key(index, arity):
+        return (Var, index, arity)
 
 
 class _Binary(ScalarExpr):
@@ -337,13 +346,14 @@ def _unfinished(root: ScalarExpr, finished=None) -> list[ScalarExpr]:
 # -- smart constructors (constant folding only) ------------------------------
 
 def const(value: float, arity: int) -> Const:
-    return Const(value, arity)
+    value = float(value)
+    return _intern((Const, repr(value), arity), Const, value, arity)
 
 
 def var(index: int, arity: int) -> Var:
     if index < 0 or index >= arity:
         raise ArityError(f"variable x{index} out of range for arity {arity}")
-    return Var(index, arity)
+    return _intern((Var, index, arity), Var, index, arity)
 
 
 def _weight(element: WeilElement, arity: int) -> ScalarExpr:
@@ -351,7 +361,7 @@ def _weight(element: WeilElement, arity: int) -> ScalarExpr:
     of the unit is a Const."""
     coeffs = element.coeffs
     if not np.count_nonzero(coeffs[1:]):
-        return Const(coeffs[0], arity)
+        return const(coeffs[0], arity)
     return _Weight(element.algebra, coeffs, arity)
 
 
@@ -364,41 +374,41 @@ def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
                 return a
             if a._text == "0.0" and b._text != "-0.0":
                 return b
-            return Const(a.value + b.value, a.arity)
+            return const(a.value + b.value, a.arity)
         if a.value == 0.0:
             return b
     elif type(b) is Const and b.value == 0.0:
         return a
-    return Add(a, b)
+    return _intern((Add, id(a), id(b)), Add, a, b)
 
 
 def sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if type(b) is Const:
         if type(a) is Const:
-            return Const(a.value - b.value, a.arity)
+            return const(a.value - b.value, a.arity)
         if b.value == 0.0:
             return a
-    return Sub(a, b)
+    return _intern((Sub, id(a), id(b)), Sub, a, b)
 
 
 def mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if type(a) is Const:
         if type(b) is Const:
-            return Const(a.value * b.value, a.arity)
+            return const(a.value * b.value, a.arity)
         if a.value == 0.0:
-            return a if a._text == "0.0" else Const(0.0, a.arity)
+            return a if a._text == "0.0" else const(0.0, a.arity)
         if a.value == 1.0:
             return b
     elif type(b) is Const:
         if b.value == 0.0:
-            return b if b._text == "0.0" else Const(0.0, a.arity)
+            return b if b._text == "0.0" else const(0.0, a.arity)
         if b.value == 1.0:
             return a
-    return Mul(a, b)
+    return _intern((Mul, id(a), id(b)), Mul, a, b)
 
 
 def neg(a: ScalarExpr) -> ScalarExpr:
-    return mul(Const(-1.0, a.arity), a)
+    return mul(const(-1.0, a.arity), a)
 
 
 def div(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
@@ -406,22 +416,22 @@ def div(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
         if b.value == 0.0:
             raise DomainError("division by the constant zero")
         if isinstance(a, Const):
-            return Const(a.value / b.value, a.arity)
+            return const(a.value / b.value, a.arity)
         if b.value == 1.0:
             return a
-    return Div(a, b)
+    return _intern((Div, id(a), id(b)), Div, a, b)
 
 
 def pow_(base: ScalarExpr, exponent: int) -> ScalarExpr:
     if exponent < 0:
-        return div(Const(1.0, base.arity), pow_(base, -exponent))
+        return div(const(1.0, base.arity), pow_(base, -exponent))
     if exponent == 0:
-        return Const(1.0, base.arity)
+        return const(1.0, base.arity)
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        return Const(_real_power(base.value, exponent), base.arity)
-    return Pow(base, exponent)
+        return const(_real_power(base.value, exponent), base.arity)
+    return _intern((Pow, id(base), exponent), Pow, base, exponent)
 
 
 def call(fn: str, arg: ScalarExpr) -> ScalarExpr:
@@ -430,8 +440,8 @@ def call(fn: str, arg: ScalarExpr) -> ScalarExpr:
     if isinstance(arg, Const):
         if fn == "log" and arg.value <= 0.0:
             raise DomainError("log of a nonpositive constant")
-        return Const(_real_primitive(fn, arg.value), arg.arity)
-    return Call(fn, arg)
+        return const(_real_primitive(fn, arg.value), arg.arity)
+    return _intern((Call, fn, id(arg)), Call, fn, arg)
 
 
 def _real_power(x: float, exponent: int) -> float:
@@ -516,14 +526,14 @@ def parse_expr(text: str, arity: int) -> ScalarExpr:
             stack.append(("neg" if kind == "-" else body, None))
             continue
         if kind == "num":
-            value = Const(float(body), arity)
+            value = const(float(body), arity)
         elif kind == "ident":
             m = _VAR_NAME.match(body)
             if m is None:
                 raise UnknownIdentifier(f"unknown identifier {body!r}", offset)
             if int(m.group(1)) >= arity:
                 raise ArityError(f"variable {body} out of range for arity {arity}")
-            value = Var(int(m.group(1)), arity)
+            value = var(int(m.group(1)), arity)
         else:
             raise ParseError("expected a number, identifier, or '('", offset)
         # operator position, after an atom or a closed group: at most one
@@ -593,14 +603,13 @@ def _coerce(value, arity: int, what: str) -> ScalarExpr:
     raise TypeError(f"cannot read a {what} from {type(value).__name__}")
 
 
-# -- calculus: one walk, one rule table per value domain ---------------------
+# -- calculus: one rule table per value domain -------------------------------
 
 def _walk(nodes, rules: dict, values: dict, env, walker: str = "") -> dict:
     """Give each of ``nodes``, children first, that ``values`` lacks the
     value ``rules[type(node)](node, values, env)``, and return ``values``.
     A rule reads the children's values in ``values`` and the walk's
-    argument ``env``, and the seams ``_product_rule`` and ``_taylor_lift``
-    when it runs.  A kind mapped to None gets no value (its readers build
+    argument ``env``, and the seam ``_taylor_lift`` when it runs.  A kind mapped to None gets no value (its readers build
     one); a kind missing from a real domain's table is A-valued, refused in
     the name of ``walker``."""
     for node in nodes:
@@ -622,25 +631,25 @@ def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
     call returns at once and a call on an expression that shares nodes with
     earlier ones builds only what is new.  A derivative can refer back to its
     node (d exp(u) = exp(u) * u'), so the kept partials form reference cycles
-    that the garbage collector frees with the expression.
+    that the garbage collector frees with the expression.  The rules are
+    ``_PARTIAL``'s, which read the seam ``_product_rule`` when they run.
     """
     if index < 0 or index >= f.arity:
         raise ArityError(f"derivative index {index} out of range for arity {f.arity}")
     if f._derivs is not None and index in f._derivs:
         return f._derivs[index]
-    tape = _topological(f)
-    # the walk fills a plain dict, seeded with the partials the nodes keep
-    # and written back to them
+    # one pass: a node that keeps the partial lends it to the rules through
+    # ``partials``, and a node that lacks it gets it from its rule
+    env = (index, const(0.0, f.arity), const(1.0, f.arity))
     partials = {}
-    for node in tape:
+    for node in _topological(f):
         derivs = node._derivs
         if derivs is None:
-            node._derivs = {}
+            derivs = node._derivs = {}
         elif index in derivs:
             partials[node] = derivs[index]
-    _walk(tape, _PARTIAL, partials, (index, Const(0.0, f.arity), Const(1.0, f.arity)))
-    for node in tape:
-        node._derivs[index] = partials[node]
+            continue
+        partials[node] = derivs[index] = _PARTIAL[type(node)](node, partials, env)
     return partials[f]
 
 
@@ -668,7 +677,7 @@ _PARTIAL = {
     Sub: lambda n, d, e: sub(d[n.a], d[n.b]),
     Mul: lambda n, d, e: _product_rule(n.a, n.b, d[n.a], d[n.b]),
     Div: lambda n, d, e: div(sub(mul(d[n.a], n.b), mul(n.a, d[n.b])), mul(n.b, n.b)),
-    Pow: lambda n, d, e: mul(mul(Const(float(n.exponent), n.arity),
+    Pow: lambda n, d, e: mul(mul(const(float(n.exponent), n.arity),
                                  pow_(n.base, n.exponent - 1)), d[n.base]),
     Call: _partial_call,
     _Solved: lambda n, d, e: _Solved(n.solve.derivative(e[0]), n.index, n.arity),
@@ -702,7 +711,7 @@ def compose(f: ScalarExpr, replacements: Sequence[ScalarExpr]) -> ScalarExpr:
 
 # e: the replacements
 _SUBSTITUTION = {
-    Const: lambda n, v, e: Const(n.value, e[0].arity),
+    Const: lambda n, v, e: const(n.value, e[0].arity),
     Var: lambda n, v, e: e[n.index],
     Add: lambda n, v, e: add(v[n.a], v[n.b]),
     Sub: lambda n, v, e: sub(v[n.a], v[n.b]),

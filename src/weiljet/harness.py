@@ -44,11 +44,11 @@ from .bundle import (
     prolong_vector_field,
     pushforward_map,
     sample_near_points,
-    worst_case,
 )
 from .errors import DomainError
 from .expression import (
     Const,
+    ScalarExpr,
     _Weight,
     add,
     compose,
@@ -248,21 +248,35 @@ MUTATION_TARGETS: dict[str, tuple[str, ...]] = {
 # A check is a generator of (residual, witness) cases; ``_worst_case`` runs one
 # and keeps the first case with the largest residual.  Cases are produced
 # lazily, so every draw happens at the same place in the check's RNG stream
-# as it would in a hand-written loop.
+# as it would in a hand-written loop.  A witness holds its expressions and
+# points as nodes and arrays until ``_worst_case`` renders it.
 
 def _worst_case(check: Callable, spec: CheckSpec,
                 rng: np.random.Generator) -> tuple[float, dict | None]:
-    """The first-seen worst (residual, witness) of a check (``worst_case``);
-    DomainError as soon as a residual that is not finite is made."""
+    """The first-seen worst (residual, witness) of a check, as ``worst_case``
+    gives it; DomainError as soon as a residual that is not finite is made.
+    Only a worst-so-far witness is rendered, and the check resumes without
+    any, so no witness keeps a node alive."""
+    worst, kept = -1.0, None
+    for residual, witness in check(spec, rng):
+        residual = float(residual)
+        if not math.isfinite(residual):
+            raise DomainError(f"{spec.name}: a residual is not finite")
+        if residual > worst:
+            worst, kept = residual, _rendered(witness)
+        witness = None
+    return max(worst, 0.0), kept
 
-    def finite():
-        for residual, witness in check(spec, rng):
-            residual = float(residual)
-            if not math.isfinite(residual):
-                raise DomainError(f"{spec.name}: a residual is not finite")
-            yield residual, witness
 
-    return worst_case(finite())
+def _rendered(value):
+    """A witness value with its nodes as texts and its arrays and sequences
+    as lists."""
+    if isinstance(value, dict):
+        return {key: _rendered(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rendered(item) for item in value]
+    return (value.text if isinstance(value, ScalarExpr)
+            else value.tolist() if isinstance(value, np.ndarray) else value)
 
 
 def _sampled_group(group, spec: CheckSpec,
@@ -274,7 +288,7 @@ def _sampled_group(group, spec: CheckSpec,
     the work on the nodes they have in common."""
     results = max_difference([(lhs, rhs) for lhs, rhs, _ in group],
                              samples=spec.samples, rng=rng)
-    return [(residual, {**witness, "point": point.coeffs.tolist()})
+    return [(residual, {**witness, "point": point.coeffs})
             for (_, _, witness), (residual, point) in zip(group, results)]
 
 
@@ -323,10 +337,6 @@ def _lifted_pair(n: int, algebra: WeilAlgebra, rng: np.random.Generator):
     """Two prolonged random polynomials of degree at most 2."""
     return [prolong_function(random_polynomial(n, rng, max_degree=2), algebra)
             for _ in range(2)]
-
-
-def _field_texts(field: BaseVectorField) -> list[str]:
-    return [c.text for c in field.components]
 
 
 def _worst_real(exprs, points: np.ndarray) -> float:
@@ -392,7 +402,7 @@ def _verdict_agreement(spec: CheckSpec, rng: np.random.Generator, structures,
                     disagreements += 1
                     witness = {
                         **where, "algebra": key, "kind": kind,
-                        "theta": _field_texts(theta),
+                        "theta": _rendered(theta.components),
                         "base_defect": float(defect),
                         "base_verdict": base_verdict,
                         "lifted_verdict": lifted_verdict,
@@ -437,11 +447,10 @@ def _check_morphism_function_lift(spec: CheckSpec, rng: np.random.Generator):
                                                - expected(fv, gv)), axis=-1))
                          for label, combined, expected in cases]
             for s in range(spec.samples):
-                point = xi.coeffs[s].tolist()
                 for label, residual in residuals:
                     yield float(residual[s]), {
-                        "algebra": key, "identity": label, "f": f.text,
-                        "g": g.text, "scalar": lam, "point": point,
+                        "algebra": key, "identity": label, "f": f, "g": g,
+                        "scalar": lam, "point": xi.coeffs[s],
                     }
 
 
@@ -476,7 +485,7 @@ def _check_dual_forward_derivative(spec: CheckSpec, rng: np.random.Generator):
                 residual = max(abs(slope - fd) / max(1.0, abs(fd)),
                                abs(slope - exact) / max(1.0, abs(exact)))
                 yield residual, {
-                    "f": f.text, "direction": d, "x": [float(v) for v in base],
+                    "f": f, "direction": d, "x": base,
                     "slope": slope, "finite_difference": float(fd),
                 }
 
@@ -506,7 +515,7 @@ def _check_taylor_coefficients(spec: CheckSpec, rng: np.random.Generator):
                         factorial *= k
                     expected = eval_real(derivs[k], [x]) / factorial
                     yield abs(float(jet[k]) - expected), {
-                        "algebra": key, "f": f.text, "x": x, "order": k,
+                        "algebra": key, "f": f, "x": x, "order": k,
                         "coefficient": float(jet[k]),
                         "expected": float(expected),
                     }
@@ -538,8 +547,8 @@ def _check_lie_morphism_fields(spec: CheckSpec, rng: np.random.Generator):
             )
             yield from _componentwise(
                 [(lhs, rhs, {"identity": label}) for label, lhs, rhs in cases],
-                spec, rng, algebra=key, theta1=_field_texts(theta1),
-                theta2=_field_texts(theta2), factor=f.text)
+                spec, rng, algebra=key, theta1=theta1.components,
+                theta2=theta2.components, factor=f)
 
 
 @_check(CheckSpec("functoriality_composition",
@@ -559,8 +568,8 @@ def _check_functoriality_composition(spec: CheckSpec, rng: np.random.Generator):
                                axis=-1)
             for s in range(spec.samples):
                 yield float(residuals[s]), {
-                    "algebra": key, "map": [c.text for c in smooth_map],
-                    "g": g.text, "point": xi.coeffs[s].tolist(),
+                    "algebra": key, "map": smooth_map, "g": g,
+                    "point": xi.coeffs[s],
                 }
 
 
@@ -583,7 +592,7 @@ def _check_prop1_cochain_prolongation(spec: CheckSpec, rng: np.random.Generator)
                                     prolong_function(g, algebra))
                 rhs = prolong_function(base_defect(f, g), algebra)
                 yield _sampled(lhs, rhs, spec, rng, **where,
-                               eta=_field_texts(eta), f=f.text, g=g.text)
+                               eta=eta.components, f=f, g=g)
 
 
 @_check(CheckSpec("prop2_local_iff",
@@ -608,14 +617,14 @@ def _check_prop3_bracket_derivation(spec: CheckSpec, rng: np.random.Generator):
         derivation = poisson_derivation(structure, prolong_function(chi, algebra))
         if not is_locally_hamiltonian_poisson(derivation, structure, samples=spec.samples,
                                               tol=_VERDICT_TOL, rng=rng):
-            yield 1.0, {**where, "chi": chi.text,
+            yield 1.0, {**where, "chi": chi,
                         "reason": "premise field failed the local test"}
             continue
         for _ in range(spec.expressions):
             lhs, rhs = _derivation_sides(apply_field, derivation,
                                          functools.partial(prolonged_bracket, structure),
                                          *_lifted_pair(n, algebra, rng))
-            yield _sampled(lhs, rhs, spec, rng, **where, chi=chi.text)
+            yield _sampled(lhs, rhs, spec, rng, **where, chi=chi)
 
 
 @_check(CheckSpec("prop4_prop5_global_witness",
@@ -630,16 +639,16 @@ def _check_prop4_prop5_global_witness(spec: CheckSpec, rng: np.random.Generator)
         lifted_field = prolong_vector_field(structure.ad(f), algebra)
         derivation = poisson_derivation(structure, lifted_potential)
         yield from _componentwise([(lifted_field, derivation, {})], spec, rng,
-                                  **where, part="field", f=f.text)
+                                  **where, part="field", f=f)
         for _ in range(spec.expressions):
             psi = random_bundle_function(algebra, n, rng)
             yield _sampled(apply_field(lifted_field, psi),
                            apply_field(derivation, psi), spec, rng, **where,
-                           part="bracket", f=f.text)
+                           part="bracket", f=f)
         if not check_global_witness_poisson(
                 lifted_field, lifted_potential, structure,
                 samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
-            yield 1.0, {**where, "part": "witness", "f": f.text}
+            yield 1.0, {**where, "part": "witness", "f": f}
 
 
 @_check(CheckSpec("prop6_interior_prolongation",
@@ -658,7 +667,7 @@ def _check_prop6_interior_prolongation(spec: CheckSpec, rng: np.random.Generator
                 for idx in increasing_tuples(n, degree - 1):
                     yield _sampled(lhs.coefficient(idx), rhs.coefficient(idx),
                                    spec, rng, algebra=key, degree=degree,
-                                   index=list(idx), theta=_field_texts(theta))
+                                   index=list(idx), theta=theta.components)
 
 
 @_check(CheckSpec("thm1_bracket_coincidence",
@@ -683,7 +692,7 @@ def _check_thm1_bracket_coincidence(spec: CheckSpec, rng: np.random.Generator):
                                           algebra)
             yield from _componentwise([(solved, lifted, {})], spec, rng,
                                       algebra=key, arity=n, part="field",
-                                      f=f.text)
+                                      f=f)
 
 
 @_check(CheckSpec("thm2_symplectic_derivation",
@@ -700,7 +709,7 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator)
         if not is_locally_hamiltonian_symplectic(
                 lifted_field, structure,
                 samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
-            yield 1.0, {"algebra": key, "f": f.text,
+            yield 1.0, {"algebra": key, "f": f,
                         "reason": "premise field failed the local test"}
             continue
         # one anchor pair through the pointwise-solved bracket itself, the
@@ -712,7 +721,7 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator)
         for part, bracket in brackets:
             lhs, rhs = _derivation_sides(apply_field, lifted_field, bracket,
                                          *_lifted_pair(2, algebra, rng))
-            yield _sampled(lhs, rhs, spec, rng, algebra=key, f=f.text, part=part)
+            yield _sampled(lhs, rhs, spec, rng, algebra=key, f=f, part=part)
 
 
 @_check(CheckSpec("prop7_symplectic_global",
@@ -730,7 +739,7 @@ def _check_prop7_symplectic_global(spec: CheckSpec, rng: np.random.Generator):
                 lifted_field, prolong_function(f, algebra), structure,
                 sigma=1, samples=spec.samples, tol=spec.tolerance, rng=rng)
             residual = verdict.residual if verdict.ok else max(verdict.residual, 1.0)
-            yield residual, {"algebra": key, "f": f.text,
+            yield residual, {"algebra": key, "f": f,
                              "matched_sign": verdict.matched_sign}
 
 
@@ -764,7 +773,7 @@ def _check_matrix_inverse_neumann(spec: CheckSpec, rng: np.random.Generator):
                                                 axis=(1, 2, 3)).tolist()))
         for trial, matrix in enumerate(matrices):
             yield residuals[trial], {"algebra": key, "size": len(matrix),
-                                     "matrix": matrix.tolist()}
+                                     "matrix": matrix}
 
 
 @_check(CheckSpec("leibniz_derivation",
@@ -784,7 +793,7 @@ def _check_leibniz_derivation(spec: CheckSpec, rng: np.random.Generator):
                 lhs, rhs = _derivation_sides(apply_field, lifted,
                                              operator.mul, left, right)
                 group.append((lhs, rhs, {"algebra": key, "case": label,
-                                         "theta": _field_texts(theta)}))
+                                         "theta": theta.components}))
             yield from _sampled_group(group, spec, rng)
 
 
@@ -803,7 +812,7 @@ def _check_tau_calculus(spec: CheckSpec, rng: np.random.Generator):
                 prolong_function(g, algebra))
             yield _sampled(
                 anchored, prolong_function(structure.bracket(f, g), algebra),
-                spec, rng, **where, identity="base_anchor", f=f.text, g=g.text)
+                spec, rng, **where, identity="base_anchor", f=f, g=g)
             phi = random_bundle_function(algebra, n, rng)
             psi = random_bundle_function(algebra, n, rng)
             scale = sample_element(algebra, rng)
@@ -837,7 +846,7 @@ def _check_bracket_prolongation_poisson(spec: CheckSpec, rng: np.random.Generato
                                     prolong_function(g, algebra))
             rhs = prolong_function(structure.bracket(f, g), algebra)
             yield _sampled(lhs, rhs, spec, rng, **where,
-                           identity="prolongation", f=f.text, g=g.text)
+                           identity="prolongation", f=f, g=g)
             phi = random_bundle_function(algebra, n, rng)
             psi = random_bundle_function(algebra, n, rng)
             skew = (prolonged_bracket(structure, phi, psi)
@@ -874,13 +883,13 @@ def _check_chain_rule_soundness(spec: CheckSpec, rng: np.random.Generator):
             lhs = apply_field(lifted, prolong_function(f, algebra))
             rhs = prolong_function(theta.apply_to(f), algebra)
             yield _sampled(lhs, rhs, spec, rng, algebra=key, identity="chain",
-                           theta=_field_texts(theta), f=f.text)
+                           theta=theta.components, f=f)
             applied = BundleVectorField(
                 [apply_field(lifted, prolong_function(var(i, n), algebra))
                  for i in range(n)])
             yield from _componentwise([(applied, lifted, {})], spec, rng,
                                       algebra=key, identity="coordinate",
-                                      theta=_field_texts(theta))
+                                      theta=theta.components)
 
 
 @_check(CheckSpec("jacobi_field_bracket",

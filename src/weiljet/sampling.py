@@ -32,20 +32,21 @@ def sample_element(algebra: WeilAlgebra, rng: np.random.Generator) -> WeilElemen
 
 
 def _coefficient(rng: np.random.Generator) -> float:
-    # short reprs keep expression texts readable in witnesses
-    value = round(float(rng.uniform(-2.0, 2.0)), 3)
+    # short reprs keep expression texts readable in witnesses; the draw is
+    # rng.uniform(-2.0, 2.0)'s own formula, without a NumPy scalar
+    value = round(-2.0 + 4.0 * rng.random(), 3)
     return value if value != 0.0 else 0.5
 
 
 def _monomial(arity: int, rng: np.random.Generator, max_degree: int) -> ScalarExpr:
     degree = int(rng.integers(0, max_degree + 1))
     out: ScalarExpr = const(_coefficient(rng), arity)
-    exponents = np.zeros(arity, dtype=int)
+    exponents = [0] * arity
     for _ in range(degree):
         exponents[int(rng.integers(0, arity))] += 1
     for i, e in enumerate(exponents):
         if e:
-            out = mul(out, pow_(var(i, arity), int(e)))
+            out = mul(out, pow_(var(i, arity), e))
     return out
 
 

@@ -314,6 +314,85 @@ def test_equal_expressions_are_one_node():
     assert const(1.0, 1) is not const(1.0, 2)
 
 
+def _fresh_nodes(arity):
+    """One node of each kind under keys no other test builds, in the order
+    the constructors build them."""
+    c = const(0.3779296875, arity)
+    x = var(arity - 1, arity)
+    return [c, x, add(c, x), sub(x, c), mul(c, x), div(x, c), pow_(x, 5),
+            call("cos", x)]
+
+
+def test_every_route_returns_the_one_live_node_for_a_key():
+    arity = 13
+    c, x, *rest = nodes = _fresh_nodes(arity)
+    # class calls as bundle.py makes them, with a NumPy float as well
+    assert Const(0.3779296875, arity) is c
+    assert Const(np.float64(0.3779296875), arity) is c
+    assert Const(float("0.3779296875"), arity) is c
+    assert Var(arity - 1, arity) is x
+    assert [Add(c, x), Sub(x, c), Mul(c, x), Div(x, c), Pow(x, 5),
+            Call("cos", x)] == rest
+    for node in nodes:
+        assert parse_expr(node.text, arity) is node
+    assert [type(node) for node in nodes] == [Const, Var, Add, Sub, Mul, Div,
+                                              Pow, Call]
+    # signed zeros stay apart on every route, and every NaN is one node
+    assert Const(-0.0, arity) is const(-0.0, arity) is parse_expr("-0.0", arity)
+    assert Const(0.0, arity) is const(0.0, arity) is parse_expr("0.0", arity)
+    assert const(-0.0, arity) is not const(0.0, arity)
+    assert (Const(float("nan"), arity) is const(-math.nan, arity)
+            is const(np.float64("nan"), arity))
+
+
+def test_only_a_new_node_runs_the_base_initializer(monkeypatch):
+    built = []
+    init = expression.ScalarExpr.__init__
+
+    def counted(node, *args):
+        built.append(node)
+        init(node, *args)
+
+    monkeypatch.setattr(expression.ScalarExpr, "__init__", counted)
+    nodes = _fresh_nodes(11)
+    assert built == nodes and len(set(map(id, built))) == len(nodes)
+    built.clear()
+    c, x = nodes[:2]
+    assert _fresh_nodes(11) == nodes
+    assert [Const(0.3779296875, 11), Var(10, 11), Add(c, x), Call("cos", x)] == [
+        nodes[0], nodes[1], nodes[2], nodes[7]]
+    assert [parse_expr(node.text, 11) for node in nodes] == nodes
+    assert built == []
+
+
+def test_differentiate_builds_only_the_missing_partials(monkeypatch):
+    u = parse_expr("x0 * x1 + 0.4140625 * sin(x1)", 2)
+    v = parse_expr("exp(0.2734375 * x0) * x1 ^ 3", 2)
+    du, dv = differentiate(u, 0), differentiate(v, 0)
+    kept = {node: node._derivs[0] for child in (u, v)
+            for node in expression._topological(child)}
+    root = add(mul(u, v), mul(v, v))
+    products = []
+    rule = expression._product_rule
+
+    def counted(a, b, da, db):
+        products.append((a, b))
+        return rule(a, b, da, db)
+
+    monkeypatch.setattr(expression, "_product_rule", counted)
+    partial = differentiate(root, 0)
+    # the two new products are the only nodes without the partial
+    assert products == [(u, v), (v, v)]
+    assert all(node._derivs[0] is kept[node] for node in kept)
+    assert u._derivs[0] is du and v._derivs[0] is dv
+    assert all(0 in node._derivs for node in expression._topological(root))
+    # built afresh, with no partial kept anywhere, it is the same node
+    expression._forget_partials()
+    assert differentiate(root, 0) is partial
+    assert len(products) == 2 + sum(type(node) is Mul
+                                    for node in expression._topological(root))
+
+
 def test_intern_table_holds_only_live_nodes():
     gc.collect()
     baseline = len(expression._NODES)

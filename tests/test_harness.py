@@ -30,6 +30,7 @@ from weiljet.harness import (
     _check_dual_forward_derivative,
     _check_matrix_inverse_neumann,
     _mutated,
+    _rendered,
     _worst_case,
     battery_algebra,
     default_specs,
@@ -125,6 +126,32 @@ def test_worst_case_keeps_the_first_of_tied_residuals():
         yield 2.0, {"case": 3}
 
     assert _worst_case(cases, None, None) == (2.0, {"case": 1})
+
+
+def test_worst_case_renders_only_the_worst_so_far(monkeypatch):
+    f = parse_expr("x0 * x1 + 0.3125", 2)
+    point = np.array([[0.5, 1.0], [-0.25, 2.0]])
+
+    def cases(spec, rng):
+        yield 1.0, {"f": f, "point": point, "theta": (f, f), "index": [0, 1]}
+        yield 0.5, {"f": f}
+        yield 2.0, {"f": f, "point": point[0]}
+        yield 1.5, {"f": f}
+
+    rendered = []
+    monkeypatch.setattr("weiljet.harness._rendered",
+                        lambda value: rendered.append(value) or _rendered(value))
+    residual, witness = _worst_case(cases, None, None)
+    assert residual == 2.0
+    assert witness == {"f": "((x0 * x1) + 0.3125)", "point": [0.5, 1.0]}
+    assert type(witness["point"][0]) is float
+    # the two cases that were the worst so far, and no other, were rendered
+    witnesses = [value for value in rendered if isinstance(value, dict)]
+    assert [sorted(w) for w in witnesses] == [["f", "index", "point", "theta"],
+                                              ["f", "point"]]
+    assert _rendered(witnesses[0]) == {
+        "f": f.text, "point": [[0.5, 1.0], [-0.25, 2.0]], "theta": [f.text] * 2,
+        "index": [0, 1]}
 
 
 def test_worst_case_refuses_a_non_finite_residual():
@@ -372,8 +399,9 @@ def test_batched_checks_yield_the_cases_of_their_per_point_loops(check, referenc
     (spec,) = default_specs(seed=42, names=(name,))
     streams = [np.random.default_rng([spec.seed, zlib.crc32(name.encode("ascii"))])
                for _ in range(2)]
+    # the check's witnesses hold nodes and arrays, rendered as the report would
     with _mutated(mutation):
-        got = list(check(spec, streams[0]))
+        got = [(residual, _rendered(case)) for residual, case in check(spec, streams[0])]
         want = list(reference(spec, streams[1]))
     assert len(got) == len(want) > 0
     assert got == want

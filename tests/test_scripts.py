@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,8 @@ def test_bench_writes_its_record(bench, tmp_path, monkeypatch, capsys):
     assert side["import_modules"] == ["weiljet.algebra", "weiljet.bundle", "weiljet.cli",
                                       "weiljet.errors", "weiljet.expression"]
     assert isinstance(side["dont_write_bytecode"], bool)
+    assert set(side["bytecode_cache"]) == set(side["module_lines"])
+    assert set(side["bytecode_cache"].values()) <= {"absent", "fresh", "stale"}
     assert [run["exit"] for run in side["verify"]["42"]["runs"]] == [0]
     summary = record["summary"]["change"]
     assert summary["src_lines"] == sum(count for name, count in summary.items()
@@ -150,6 +153,28 @@ def test_bench_counts_lines_per_module(bench, tmp_path):
     (package / "notes.txt").write_text("not a module\n")
     assert bench.module_lines(tmp_path) == {"pkg/a.py": 2, "pkg/b.py": 1}
     assert bench.src_lines(tmp_path) == 3
+
+
+def test_bench_records_each_modules_bytecode_cache(bench, tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    sources = {name: package / f"{name}.py" for name in
+               ("absent", "fresh", "stale", "hashed", "stale_hashed")}
+    for name, path in sources.items():
+        path.write_text(f"name = {name!r}\n")
+        if name != "absent":
+            mode = (py_compile.PycInvalidationMode.CHECKED_HASH if "hashed" in name
+                    else py_compile.PycInvalidationMode.TIMESTAMP)
+            py_compile.compile(str(path), doraise=True, invalidation_mode=mode)
+    # an edit that keeps the size and the modification time is seen only by
+    # the hash; one that changes the size by both checks
+    sources["stale"].write_text("name = 'stale, edited'\n")
+    stat = sources["stale_hashed"].stat()
+    sources["stale_hashed"].write_text("name = 'STALE_HASHED'\n")
+    os.utime(sources["stale_hashed"], ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert bench.bytecode_caches(tmp_path) == {
+        "pkg/absent.py": "absent", "pkg/fresh.py": "fresh", "pkg/hashed.py": "fresh",
+        "pkg/stale.py": "stale", "pkg/stale_hashed.py": "stale"}
 
 
 def test_bench_compares_pair_by_pair(bench):
