@@ -609,9 +609,9 @@ def _walk(nodes, rules: dict, values: dict, env, walker: str = "") -> dict:
     """Give each of ``nodes``, children first, that ``values`` lacks the
     value ``rules[type(node)](node, values, env)``, and return ``values``.
     A rule reads the children's values in ``values`` and the walk's
-    argument ``env``, and the seam ``_taylor_lift`` when it runs.  A kind mapped to None gets no value (its readers build
-    one); a kind missing from a real domain's table is A-valued, refused in
-    the name of ``walker``."""
+    argument ``env``, and the seam ``_taylor_lift``.  A kind mapped to None
+    gets no value (its readers build one); a kind missing from a real
+    domain's table is A-valued, refused in the name of ``walker``."""
     for node in nodes:
         if node not in values:
             try:
