@@ -36,10 +36,10 @@ import numpy as np
 from .algebra import WeilAlgebra, WeilElement, _wrap
 from .errors import AlgebraMismatch, ArityError, DomainError, WeilError
 from .expression import (
-    Const,
     ScalarExpr,
     _weight,
     add,
+    const,
     differentiate,
     eval_weil,
     mul,
@@ -177,7 +177,7 @@ class BundleFunction:
 
     @classmethod
     def zero(cls, algebra: WeilAlgebra, arity: int) -> "BundleFunction":
-        return cls(algebra, arity, Const(0.0, arity))
+        return cls(algebra, arity, const(0.0, arity))
 
     @classmethod
     def constant(cls, value, algebra: WeilAlgebra, arity: int) -> "BundleFunction":
@@ -185,7 +185,7 @@ class BundleFunction:
             if not algebra.compatible_with(value.algebra):
                 raise AlgebraMismatch("constant lives in a different algebra")
             return cls(algebra, arity, _weight(value, arity))
-        return cls(algebra, arity, Const(float(value), arity))
+        return cls(algebra, arity, const(value, arity))
 
     # -- structure -----------------------------------------------------------
 
@@ -242,7 +242,7 @@ class BundleFunction:
                 raise AlgebraMismatch("scalar lives in a different algebra")
             factor = _weight(other, self.arity)
         elif isinstance(other, (int, float)):
-            factor = Const(float(other), self.arity)
+            factor = const(other, self.arity)
         else:
             return NotImplemented
         return BundleFunction(self.algebra, self.arity, mul(self.root, factor))
@@ -297,7 +297,7 @@ class BaseVectorField:
         arity = len(self.components)
         if f.arity != arity:
             raise ArityError("function arity does not match the field")
-        total: ScalarExpr = Const(0.0, arity)
+        total: ScalarExpr = const(0.0, arity)
         for i, comp in enumerate(self.components):
             total = add(total, mul(comp, differentiate(f, i)))
         return total

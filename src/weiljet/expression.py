@@ -2,13 +2,16 @@
 
 Nodes: coordinates x0..x{n-1}, float constants, the binary operations
 + - * /, integer powers, and the primitives sin, cos, exp, log.  Every node
-carries the ambient arity.  Nodes are immutable and hash-consed: every
-constructor call goes through one intern table keyed on the node's kind,
-payload, children and arity, so equal expressions are the same object and
-equality is identity.  The table maps each key to a weak reference to its
-node, and a node's death removes its entry, so the table never outgrows the
-live expressions.  A constant is keyed on the ``repr`` of its
-value, which keeps 0.0 and -0.0 apart and makes every NaN one node.
+carries the ambient arity.  Nodes are immutable and hash-consed: they are
+made only by the constructor functions (``const``, ``var``, ``add`` ...,
+``call``, and the private ``_weight`` and ``_solved``), each of which writes
+its kind's key once, from the node's kind, payload, children and arity, and
+passes it to the one intern table.  Equal expressions are therefore the same
+object and equality is identity; the node classes serve ``type`` and
+``isinstance`` checks only.  The table maps each key to a weak reference to
+its node, and a node's death removes its entry, so the table never outgrows
+the live expressions.  A constant is keyed on the ``repr`` of its value,
+which keeps 0.0 and -0.0 apart and makes every NaN one node.
 
 Two private leaf kinds make the same DAG hold A-valued functions on the
 near-point space (``bundle.BundleFunction``): an A-valued constant, and one
@@ -74,12 +77,11 @@ PRIMITIVES = ("sin", "cos", "exp", "log")
 # key.  Keys name child nodes by id, so the table holds no node strongly: a
 # live node keeps its children alive, so the ids in a live key are never
 # reused, and a dead node's children can be collected with it in one pass of
-# the collector.  A smart constructor builds its key tuple and makes one
-# call, ``_intern``, which finds a live node with one dict lookup and one
-# dereference.  A miss also builds the node (``ScalarExpr.__init__`` runs
-# once), one weak reference and one dict entry; a node's death runs
-# ``_drop``.  A class call such as ``Const(0.0, n)`` goes through the same
-# function, after the class's ``_key``.
+# the collector.  ``_intern`` is the one place a node is built: a
+# constructor function builds its key tuple and calls it, and a hit costs
+# that tuple, one dict lookup and one dereference.  A miss also calls the
+# class (``ScalarExpr.__init__`` runs once) and adds one weak reference and
+# one dict entry; a node's death runs ``_drop``.
 _NODES: dict = {}
 
 
@@ -105,21 +107,13 @@ def _intern(key: tuple, cls: type, *args) -> "ScalarExpr":
         node = ref()
         if node is not None:
             return node
-    node = type.__call__(cls, *args)
+    node = cls(*args)
     ref = _NODES[key] = _NodeRef(node, _drop)
     ref.key = key
     return node
 
 
-class _Interned(type):
-    """Calling a node class returns the live node with the same key, and
-    builds (and registers) a new one only when there is none."""
-
-    def __call__(cls, *args):
-        return _intern(cls._key(*args), cls, *args)
-
-
-class ScalarExpr(metaclass=_Interned):
+class ScalarExpr:
     """Base node.  ``children`` lists the operand nodes left to right;
     nodes compare and hash by identity."""
 
@@ -148,14 +142,8 @@ class Const(ScalarExpr):
     __slots__ = ("value",)
 
     def __init__(self, value: float, arity: int):
-        value = float(value)
         super().__init__(arity, repr(value))
         self.value = value
-
-    @staticmethod
-    def _key(value, arity):
-        # repr keeps 0.0 and -0.0 apart and makes every NaN one node
-        return (Const, repr(float(value)), arity)
 
 
 class Var(ScalarExpr):
@@ -164,10 +152,6 @@ class Var(ScalarExpr):
     def __init__(self, index: int, arity: int):
         super().__init__(arity, f"x{index}")
         self.index = index
-
-    @staticmethod
-    def _key(index, arity):
-        return (Var, index, arity)
 
 
 class _Binary(ScalarExpr):
@@ -180,10 +164,6 @@ class _Binary(ScalarExpr):
         super().__init__(a.arity)
         self.a, self.b = a, b
         self.children = (a, b)
-
-    @classmethod
-    def _key(cls, a, b):
-        return (cls, id(a), id(b))
 
     def _pieces(self):
         # a left operand of the same level prints without its own
@@ -235,10 +215,6 @@ class Pow(ScalarExpr):
         self.base, self.exponent = base, exponent
         self.children = (base,)
 
-    @classmethod
-    def _key(cls, base, exponent):
-        return (cls, id(base), exponent)
-
     def _pieces(self):
         return ("(", self.base, f" ^ {self.exponent})")
 
@@ -250,10 +226,6 @@ class Call(ScalarExpr):
         super().__init__(arg.arity)
         self.fn, self.arg = fn, arg
         self.children = (arg,)
-
-    @classmethod
-    def _key(cls, fn, arg):
-        return (cls, fn, id(arg))
 
     def _pieces(self):
         return (f"{self.fn}(", self.arg, ")")
@@ -271,10 +243,6 @@ class _Weight(ScalarExpr):
         self.algebra = algebra
         self.coeffs = coeffs
 
-    @staticmethod
-    def _key(algebra, coeffs, arity):
-        return (_Weight, algebra._fingerprint, coeffs.tobytes(), arity)
-
 
 class _Solved(ScalarExpr):
     """Component ``index`` of a pointwise linear solve over a Weil algebra.
@@ -288,10 +256,6 @@ class _Solved(ScalarExpr):
         super().__init__(arity, f"<solved {index}>")
         self.solve = solve
         self.index = index
-
-    @staticmethod
-    def _key(solve, index, arity):
-        return (_Solved, id(solve), index, arity)
 
 
 def _render(root: ScalarExpr) -> str:
@@ -347,6 +311,7 @@ def _unfinished(root: ScalarExpr, finished=None) -> list[ScalarExpr]:
 
 def const(value: float, arity: int) -> Const:
     value = float(value)
+    # repr keeps 0.0 and -0.0 apart and makes every NaN one node
     return _intern((Const, repr(value), arity), Const, value, arity)
 
 
@@ -362,7 +327,13 @@ def _weight(element: WeilElement, arity: int) -> ScalarExpr:
     coeffs = element.coeffs
     if not np.count_nonzero(coeffs[1:]):
         return const(coeffs[0], arity)
-    return _Weight(element.algebra, coeffs, arity)
+    return _intern((_Weight, element.algebra._fingerprint, coeffs.tobytes(), arity),
+                   _Weight, element.algebra, coeffs, arity)
+
+
+def _solved(solve, index: int, arity: int) -> _Solved:
+    """Component ``index`` of the pointwise solve ``solve``."""
+    return _intern((_Solved, id(solve), index, arity), _Solved, solve, index, arity)
 
 
 def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
@@ -680,7 +651,7 @@ _PARTIAL = {
     Pow: lambda n, d, e: mul(mul(const(float(n.exponent), n.arity),
                                  pow_(n.base, n.exponent - 1)), d[n.base]),
     Call: _partial_call,
-    _Solved: lambda n, d, e: _Solved(n.solve.derivative(e[0]), n.index, n.arity),
+    _Solved: lambda n, d, e: _solved(n.solve.derivative(e[0]), n.index, n.arity),
 }
 
 

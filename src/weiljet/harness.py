@@ -933,7 +933,6 @@ CHECK_NAMES = tuple(sorted(_REGISTRY))
 
 def default_specs(*, seed: int = DEFAULT_SEED, name_filter: str | None = None,
                   names: Sequence[str] | None = None,
-                  algebras: Sequence[str] | None = None,
                   samples: int | None = None) -> list[CheckSpec]:
     """The registered specs, reseeded and optionally filtered or resized."""
     wanted = None if names is None else set(names)
@@ -948,11 +947,6 @@ def default_specs(*, seed: int = DEFAULT_SEED, name_filter: str | None = None,
         if name_filter and name_filter not in name:
             continue
         spec = replace(_REGISTRY[name][1], seed=seed)
-        if algebras is not None:
-            keep = tuple(k for k in spec.algebras if k in algebras)
-            if not keep:
-                continue
-            spec = replace(spec, algebras=keep)
         if samples is not None:
             spec = replace(spec, samples=samples)
         out.append(spec)

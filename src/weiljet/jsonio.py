@@ -1,4 +1,5 @@
-"""JSON readers and writers for the public object kinds.
+"""JSON readers for the public object kinds, and writers for those the CLI
+prints (algebras, elements, functions and fields).
 
 Schemas:
   algebra     {"family":"truncated","width":k,"height":h}
@@ -187,11 +188,6 @@ def element_from_json(obj, algebra: WeilAlgebra) -> WeilElement:
     return algebra.element(_coeffs_from_json(obj))
 
 
-def point_to_json(point: NearPoint) -> dict:
-    return {"algebra": algebra_to_json(point.algebra),
-            "coords": [{"coeffs": _coeffs_to_json(row)} for row in point.coeffs]}
-
-
 def point_from_json(obj: dict, algebra: WeilAlgebra | None = None) -> NearPoint:
     if not isinstance(obj, dict) or "coords" not in obj:
         raise ParseError("a near-point object needs a 'coords' list")
@@ -334,12 +330,6 @@ def _pair_key_from_json(key: str) -> tuple[int, int]:
         raise ParseError(f"bivector key {key!r} must name two indices") from None
 
 
-def poisson_to_json(structure: PoissonStructure) -> dict:
-    biv = {f"{i}{j}": expr.text
-           for (i, j), expr in sorted(structure.upper_entries.items())}
-    return {"arity": structure.arity, "bivector": biv}
-
-
 def poisson_from_json(obj: dict) -> PoissonStructure:
     if not isinstance(obj, dict) or "arity" not in obj or "bivector" not in obj:
         raise ParseError("a Poisson object needs 'arity' and 'bivector'")
@@ -362,12 +352,6 @@ def parse_poisson_spec(text: str) -> PoissonStructure:
     if text == "rotational":
         return PoissonStructure.rotational()
     return poisson_from_json(load_json(text, "Poisson spec"))
-
-
-def form_to_json(form: BaseForm) -> dict:
-    coeffs = {",".join(str(i) for i in idx): expr.text
-              for idx, expr in sorted(form.coeffs.items())}
-    return {"degree": form.degree, "arity": form.arity, "coeffs": coeffs}
 
 
 def form_from_json(obj: dict) -> BaseForm:
@@ -406,9 +390,9 @@ __all__ = [
     "load_json",
     "algebra_to_json", "algebra_from_json", "parse_algebra_spec",
     "element_to_json", "element_from_json",
-    "point_to_json", "point_from_json",
+    "point_from_json",
     "bundle_function_to_json", "bundle_function_from_json",
     "bundle_field_from_json", "field_to_json",
-    "poisson_to_json", "poisson_from_json", "parse_poisson_spec",
-    "form_to_json", "form_from_json", "parse_symplectic_spec",
+    "poisson_from_json", "parse_poisson_spec",
+    "form_from_json", "parse_symplectic_spec",
 ]

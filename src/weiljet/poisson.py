@@ -163,10 +163,6 @@ class PoissonStructure:
             return self._entries.get((i, j), const(0.0, self.arity))
         return neg(self._entries.get((j, i), const(0.0, self.arity)))
 
-    @property
-    def upper_entries(self) -> dict[tuple[int, int], ScalarExpr]:
-        return dict(self._entries)
-
     def bracket(self, f: ScalarExpr, g: ScalarExpr) -> ScalarExpr:
         """The bracket {f,g} as a symbolic expression."""
         if f.arity != self.arity or g.arity != self.arity:

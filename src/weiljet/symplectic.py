@@ -49,7 +49,7 @@ from .expression import (
     Const,
     ScalarExpr,
     _coerce,
-    _Solved,
+    _solved,
     add,
     const,
     differentiate,
@@ -433,7 +433,7 @@ class _LinearSolve:
                     db = differentiate(self.system.entries[j][k], direction)
                     if isinstance(db, Const) and db.value == 0.0:
                         continue
-                    root = sub(root, mul(db, _Solved(self, k, n)))
+                    root = sub(root, mul(db, _solved(self, k, n)))
                 new_rhs.append(root)
             cached = _LinearSolve(self.system, new_rhs)
             self._derived[direction] = cached
@@ -455,7 +455,7 @@ def hamiltonian_field(fn: BundleFunction,
     transposed = [[matrix[j][i] for j in range(n)] for i in range(n)]
     system = _SystemMatrix(transposed, fn.algebra, n)
     solve = _LinearSolve(system, [differentiate(fn.root, i) for i in range(n)])
-    return prolong_vector_field(BaseVectorField([_Solved(solve, i, n) for i in range(n)]),
+    return prolong_vector_field(BaseVectorField([_solved(solve, i, n) for i in range(n)]),
                                 fn.algebra)
 
 

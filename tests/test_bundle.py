@@ -36,11 +36,11 @@ from weiljet.bundle import (
 )
 from weiljet.errors import ArityError, DegreeError, DomainError
 from weiljet.expression import (
-    Const,
     _Solved,
     _topological,
     add,
     compose,
+    const,
     differentiate,
     eval_weil,
     mul,
@@ -86,7 +86,7 @@ def test_constant_function():
     f = BundleFunction.constant(5.0, DUAL, 2)
     point = sample_near_point(DUAL, 2, np.random.default_rng(0))
     np.testing.assert_allclose(f.evaluate(point).coeffs, [5.0, 0.0])
-    assert BundleFunction.zero(DUAL, 2).root is Const(0.0, 2)
+    assert BundleFunction.zero(DUAL, 2).root is const(0.0, 2)
 
 
 @pytest.mark.parametrize("algebra", [DUAL, T3, M2], ids=["dual", "t3", "m2"])
@@ -742,7 +742,7 @@ def test_operations_match_the_one_term_reference(algebra):
         _assert_same_values(f * scale, _ref_scale(tf, scale), points)
         _assert_same_values(f * 2.5, _ref_scale(tf, 2.5), points)
         _assert_same_values(-f, _ref_scale(tf, -1.0), points)
-        assert (f * 0.0).root is Const(0.0, 2)
+        assert (f * 0.0).root is const(0.0, 2)
         for g, tg in operands:
             _assert_same_values(f * g, _ref_mul(tf, tg), points)
             _assert_same_values(f + g, tf + tg, points)

@@ -326,22 +326,23 @@ def _fresh_nodes(arity):
 def test_every_route_returns_the_one_live_node_for_a_key():
     arity = 13
     c, x, *rest = nodes = _fresh_nodes(arity)
-    # class calls as bundle.py makes them, with a NumPy float as well
-    assert Const(0.3779296875, arity) is c
-    assert Const(np.float64(0.3779296875), arity) is c
-    assert Const(float("0.3779296875"), arity) is c
-    assert Var(arity - 1, arity) is x
-    assert [Add(c, x), Sub(x, c), Mul(c, x), Div(x, c), Pow(x, 5),
-            Call("cos", x)] == rest
+    # an int, a NumPy float and a parsed float give the one constant
+    assert const(np.float64(0.3779296875), arity) is c
+    assert const(float("0.3779296875"), arity) is c
+    assert const(1, arity) is const(1.0, arity) is parse_expr("1", arity)
+    assert var(arity - 1, arity) is x
+    assert all(a is b for a, b in zip(_fresh_nodes(arity), nodes))
     for node in nodes:
         assert parse_expr(node.text, arity) is node
     assert [type(node) for node in nodes] == [Const, Var, Add, Sub, Mul, Div,
                                               Pow, Call]
     # signed zeros stay apart on every route, and every NaN is one node
-    assert Const(-0.0, arity) is const(-0.0, arity) is parse_expr("-0.0", arity)
-    assert Const(0.0, arity) is const(0.0, arity) is parse_expr("0.0", arity)
+    assert const(-0.0, arity) is parse_expr("-0.0", arity)
+    assert const(0.0, arity) is parse_expr("0.0", arity)
+    assert add(const(-0.0, arity), const(0.0, arity)) is const(0.0, arity)
+    assert add(const(-0.0, arity), const(-0.0, arity)) is const(-0.0, arity)
     assert const(-0.0, arity) is not const(0.0, arity)
-    assert (Const(float("nan"), arity) is const(-math.nan, arity)
+    assert (const(float("nan"), arity) is const(-math.nan, arity)
             is const(np.float64("nan"), arity))
 
 
@@ -359,10 +360,55 @@ def test_only_a_new_node_runs_the_base_initializer(monkeypatch):
     built.clear()
     c, x = nodes[:2]
     assert _fresh_nodes(11) == nodes
-    assert [Const(0.3779296875, 11), Var(10, 11), Add(c, x), Call("cos", x)] == [
+    assert [const(0.3779296875, 11), var(10, 11), add(c, x), call("cos", x)] == [
         nodes[0], nodes[1], nodes[2], nodes[7]]
     assert [parse_expr(node.text, 11) for node in nodes] == nodes
     assert built == []
+
+
+def test_every_node_built_enters_the_intern_table(monkeypatch, capsys):
+    """``_intern`` is the one place a node is built: on the routes that build
+    every node kind, each run of ``ScalarExpr.__init__`` comes with one new
+    table reference."""
+    from weiljet.bundle import BundleFunction
+    from weiljet.cli import main
+
+    built, refs = [], []
+    init = expression.ScalarExpr.__init__
+
+    def counted(node, *args):
+        built.append(type(node))
+        init(node, *args)
+
+    class CountedRef(expression._NodeRef):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            refs.append(None)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(expression.ScalarExpr, "__init__", counted)
+    monkeypatch.setattr(expression, "_NodeRef", CountedRef)
+    # thm2 solves for hamiltonian fields, tau_calculus scales by A-valued
+    # constants
+    for name in ("thm", "tau_calculus"):
+        assert main(["verify", "--seed", "42", "--filter", name]) == 0
+    assert main(["hamfield", "--algebra", "dual", "--symplectic",
+                 '{"degree": 2, "arity": 2, "coeffs": {"0,1": "1 + x0^2"}}',
+                 "--fn", "x0 * x1", "--point",
+                 '{"coords": [{"coeffs": [0.5, 1.0]}, {"coeffs": [0.25, -1.0]}]}']) == 0
+    capsys.readouterr()
+    zero = BundleFunction.zero(DUAL, 17)
+    constant = BundleFunction.constant(0.4609375, DUAL, 17)
+    scaled = constant * 2.5
+    assert zero.root is const(0.0, 17) and scaled.root is const(1.15234375, 17)
+    assert {Const, Mul, expression._Solved, expression._Weight} <= set(built)
+    assert len(built) == len(refs)
+    # equal coefficients and an equal solve give one node
+    first, second = DUAL.element([0.4609375, 1.0]), DUAL.element([0.4609375, 1.0])
+    assert expression._weight(first, 3) is expression._weight(second, 3)
+    solve = object()
+    assert expression._solved(solve, 1, 3) is expression._solved(solve, 1, 3)
 
 
 def test_differentiate_builds_only_the_missing_partials(monkeypatch):

@@ -77,8 +77,6 @@ def test_default_specs_filters():
     named = default_specs(names=("tau_calculus",), samples=3)
     assert [spec.name for spec in named] == ["tau_calculus"]
     assert named[0].samples == 3
-    dual_only = default_specs(names=("morphism_function_lift",), algebras=("dual",))
-    assert dual_only[0].algebras == ("dual",)
     with pytest.raises(ValueError):
         default_specs(names=("no_such_check",))
 

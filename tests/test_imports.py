@@ -1,6 +1,7 @@
-"""What each entry point loads, and the package's names resolved on first
-access."""
+"""What each entry point loads, the package's names resolved on first
+access, and that every public name has a caller."""
 
+import ast
 import json
 import os
 import subprocess
@@ -94,3 +95,23 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         weiljet.no_such_name
     assert not hasattr(weiljet, "_no_such_module")
+
+
+# Public names that nothing in ``src`` reads: the benchmark under
+# ``perfbench`` reads or wraps them, so they go only with a change to it.
+UNREAD_BY_SRC = {"MUTATION_TARGETS", "sample_near_point", "weil_matrix_inverse"}
+
+
+def test_every_public_name_is_read_somewhere_in_src():
+    from weiljet import harness, jsonio, sampling
+
+    read = set()
+    for path in (ROOT / "src" / "weiljet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    public = {*weiljet.__all__, *jsonio.__all__, *sampling.__all__,
+              *harness.__all__} - {"__version__"}
+    assert public - read == UNREAD_BY_SRC

@@ -17,14 +17,11 @@ from weiljet.jsonio import (
     element_to_json,
     field_to_json,
     form_from_json,
-    form_to_json,
     parse_algebra_spec,
     parse_poisson_spec,
     parse_symplectic_spec,
     point_from_json,
-    point_to_json,
     poisson_from_json,
-    poisson_to_json,
 )
 from weiljet.poisson import PoissonStructure
 from weiljet.symplectic import BaseForm, SymplecticStructure, hamiltonian_field
@@ -71,15 +68,18 @@ def test_element_and_point_roundtrip():
     assert element_from_json({"coeffs": [1.0, 2.0, -0.5]}, T3).almost_equal(element)
     assert element_from_json([1.0, 2.0, -0.5], T3).almost_equal(element)
 
-    point = sample_near_point(M2, 2, np.random.default_rng(0))
-    payload = point_to_json(point)
+    coords = [{"coeffs": [0.5, 1.0, -2.0]}, {"coeffs": [-1.25, 0.0, 3.0]}]
+    payload = {"algebra": {"family": "truncated", "width": 2, "height": 1},
+               "coords": coords}
     rebuilt = point_from_json(payload)
-    assert np.allclose(rebuilt.coeffs, point.coeffs, rtol=0.0, atol=1e-9)
-    bare = {"coords": payload["coords"]}
+    assert rebuilt.algebra.compatible_with(M2)
+    assert rebuilt.coeffs.tolist() == [[0.5, 1.0, -2.0], [-1.25, 0.0, 3.0]]
+    bare = {"coords": coords}
     with pytest.raises(ParseError):
         point_from_json(bare)
     again = point_from_json(bare, algebra=M2)
     assert again.arity == 2
+    assert again.coeffs.tolist() == rebuilt.coeffs.tolist()
 
 
 def test_function_roundtrip():
@@ -148,14 +148,14 @@ def test_lazy_components_refuse_serialization():
 
 
 def test_poisson_roundtrip_and_key_formats():
-    structure = PoissonStructure.rotational()
-    payload = poisson_to_json(structure)
-    assert payload["arity"] == 3
-    assert set(payload["bivector"]) == {"01", "02", "12"}
-    rebuilt = poisson_from_json(payload)
-    assert rebuilt.arity == 3
+    rotational = PoissonStructure.rotational()
+    digits = {"arity": 3, "bivector": {"01": "x2", "12": "x0", "02": "-x1"}}
     comma = {"arity": 3, "bivector": {"0,1": "x2", "1,2": "x0", "0,2": "-x1"}}
-    assert poisson_from_json(comma).arity == 3
+    for payload in (digits, comma):
+        rebuilt = poisson_from_json(payload)
+        assert rebuilt.arity == 3
+        assert all(rebuilt.entry(i, j) is rotational.entry(i, j)
+                   for i in range(3) for j in range(3))
     assert parse_poisson_spec("canonical:2").arity == 2
     assert parse_poisson_spec("rotational").arity == 3
     with pytest.raises(ParseError):
@@ -164,13 +164,13 @@ def test_poisson_roundtrip_and_key_formats():
 
 def test_form_roundtrip_and_arity_inference():
     form = BaseForm(2, 3, {(0, 1): "x2", (1, 2): 1.0})
-    payload = form_to_json(form)
-    assert payload["arity"] == 3
-    assert set(payload["coeffs"]) == {"0,1", "1,2"}
+    payload = {"degree": 2, "arity": 3, "coeffs": {"0,1": "x2", "1,2": "1.0"}}
     rebuilt = form_from_json(payload)
     assert rebuilt.arity == 3 and rebuilt.degree == 2
+    assert rebuilt.coeffs == form.coeffs
     inferred = form_from_json({"degree": 2, "coeffs": {"0,1": "x2", "1,2": "1"}})
     assert inferred.arity == 3
+    assert inferred.coeffs == form.coeffs
     with pytest.raises(ParseError):
         form_from_json({"degree": 2, "coeffs": {}})
     explicit = form_from_json({"degree": 2, "coeffs": {}, "arity": 4})

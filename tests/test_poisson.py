@@ -59,7 +59,10 @@ def test_canonical_entries_are_antisymmetric():
     assert eval_real(canonical.entry(0, 1), [0.3, 0.7]) == pytest.approx(1.0)
     assert eval_real(canonical.entry(1, 0), [0.3, 0.7]) == pytest.approx(-1.0)
     assert eval_real(canonical.entry(0, 0), [0.3, 0.7]) == pytest.approx(0.0)
-    assert set(canonical.upper_entries) == {(0, 1)}
+    assert canonical.entry(0, 1) is parse_expr("1.0", 2)
+    four = PoissonStructure.canonical(4)
+    assert [(i, j) for i in range(4) for j in range(i + 1, 4)
+            if four.entry(i, j) is not parse_expr("0.0", 4)] == [(0, 1), (2, 3)]
 
 
 def test_canonical_needs_even_arity():
