@@ -14,7 +14,7 @@ from weiljet.expression import parse_expr
 from weiljet.poisson import (
     PoissonStructure,
     check_global_witness_poisson,
-    is_locally_hamiltonian_poisson,
+    poisson_closedness_defect,
     poisson_derivation,
 )
 from weiljet.symplectic import (
@@ -65,11 +65,14 @@ def decisions():
     constant = BundleVectorField(
         [BundleFunction.constant(1.0, dual, 2), BundleFunction.constant(0.0, dual, 2)]
     )
-    rng = np.random.default_rng(42)
-    local = is_locally_hamiltonian_poisson(constant, structure, rng=rng)
+    # each decision returns (residual, witness); the caller picks the tolerance
+    residual, _ = poisson_closedness_defect(constant, structure,
+                                            rng=np.random.default_rng(42))
+    local = residual <= 1e-9
     witness = prolong_function(parse_expr("-x1", 2), dual)
-    ok = check_global_witness_poisson(constant, witness, structure,
-                                      rng=np.random.default_rng(42))
+    residual, _ = check_global_witness_poisson(constant, witness, structure,
+                                               rng=np.random.default_rng(42))
+    ok = residual <= 1e-9
     print(f"X = (1, 0): locally hamiltonian? {local}")
     print(f"X = (1, 0) with witness -x1: globally hamiltonian? {ok}")
 

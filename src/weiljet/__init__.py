@@ -34,16 +34,15 @@ _EXPORTS = {
         "PoissonStructure", "poisson_derivation",
         "prolonged_bracket", "adjoint_differential",
         "prolonged_adjoint_differential", "poisson_closedness_defect",
-        "is_locally_hamiltonian_poisson", "check_global_witness_poisson",
+        "check_global_witness_poisson",
     ),
     "symplectic": (
-        "BaseForm", "BundleForm", "SymplecticStructure", "WitnessVerdict",
+        "BaseForm", "BundleForm", "SymplecticStructure",
         "exterior_derivative", "bundle_exterior_derivative",
         "base_interior_product", "interior_product", "prolong_form",
         "weil_matrix_inverse", "hamiltonian_field", "base_hamiltonian_field",
         "inverse_bivector", "symplectic_bracket",
-        "symplectic_closedness_defect", "is_locally_hamiltonian_symplectic",
-        "check_global_witness_symplectic",
+        "symplectic_closedness_defect", "check_global_witness_symplectic",
     ),
     "harness": (
         "AlgebraSpec", "BATTERY", "battery_algebra", "CheckSpec",

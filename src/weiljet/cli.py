@@ -189,25 +189,23 @@ def cmd_hamcheck(args) -> int:
     witness = None
     if args.witness is not None:
         witness = _read_function(args.witness, algebra, structure.arity)
+    if mode == "poisson":
+        defect, check_witness = (poisson.poisson_closedness_defect,
+                                 poisson.check_global_witness_poisson)
+    else:
+        defect, check_witness = (symplectic.symplectic_closedness_defect,
+                                 symplectic.check_global_witness_symplectic)
     rng = np.random.default_rng(args.seed)
+    residual, _ = defect(field, structure, samples=args.samples, rng=rng)
+    locally = residual <= args.tol
     # a witness that passes proves the field globally hamiltonian; one that
     # fails proves nothing, since another potential may pass
     witnessed = False
-    if mode == "poisson":
-        locally = poisson.is_locally_hamiltonian_poisson(
-            field, structure, samples=args.samples, tol=args.tol, rng=rng)
-        if witness is not None:
-            scaled = witness if args.sign == 1 else witness * -1.0
-            witnessed = poisson.check_global_witness_poisson(
-                field, scaled, structure,
-                samples=args.samples, tol=args.tol, rng=rng)
-    else:
-        locally = symplectic.is_locally_hamiltonian_symplectic(
-            field, structure, samples=args.samples, tol=args.tol, rng=rng)
-        if witness is not None:
-            witnessed = symplectic.check_global_witness_symplectic(
-                field, witness, structure, sigma=args.sign,
-                samples=args.samples, tol=args.tol, rng=rng).ok
+    if witness is not None:
+        scaled = witness if args.sign == 1 else witness * -1.0
+        residual, _ = check_witness(field, scaled, structure,
+                                    samples=args.samples, rng=rng)
+        witnessed = residual <= args.tol
     _emit({
         "locally": locally,
         "globally": True if witnessed else "unknown",

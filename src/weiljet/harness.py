@@ -63,7 +63,7 @@ from .poisson import (
     PoissonStructure,
     adjoint_differential,
     check_global_witness_poisson,
-    is_locally_hamiltonian_poisson,
+    poisson_closedness_defect,
     poisson_derivation,
     prolonged_adjoint_differential,
     prolonged_bracket,
@@ -89,12 +89,13 @@ from .symplectic import (
     increasing_tuples,
     interior_product,
     inverse_bivector,
-    is_locally_hamiltonian_symplectic,
     prolong_form,
     symplectic_bracket,
+    symplectic_closedness_defect,
 )
 
-# decision thresholds used inside verdict-agreement checks
+# the tolerance of the hamiltonian decisions the checks make themselves, and
+# the base defect at which the search for an open field stops
 _VERDICT_TOL = 1e-8
 _OPEN_MARGIN = 1e-3
 
@@ -364,7 +365,7 @@ def _base_symplectic_defect(theta: BaseVectorField, structure: SymplecticStructu
 
 def _verdict_agreement(spec: CheckSpec, rng: np.random.Generator, structures,
                        potential_field: Callable, base_defect: Callable,
-                       lifted_test: Callable):
+                       lifted_defect: Callable):
     """One case counting the disagreements of base and lifted local verdicts.
 
     Per structure, closed fields come from random potentials and open fields
@@ -395,9 +396,10 @@ def _verdict_agreement(spec: CheckSpec, rng: np.random.Generator, structures,
             for kind, theta, defect in cases:
                 total += 1
                 base_verdict = defect <= _VERDICT_TOL
-                lifted_verdict = lifted_test(
+                lifted_residual, _ = lifted_defect(
                     prolong_vector_field(theta, algebra), structure,
-                    samples=spec.samples, tol=_VERDICT_TOL, rng=rng)
+                    samples=spec.samples, rng=rng)
+                lifted_verdict = lifted_residual <= _VERDICT_TOL
                 if lifted_verdict != base_verdict:
                     disagreements += 1
                     witness = {
@@ -603,7 +605,7 @@ def _check_prop2_local_iff(spec: CheckSpec, rng: np.random.Generator):
     return _verdict_agreement(
         spec, rng, [({}, PoissonStructure.rotational())],
         lambda f, structure: structure.ad(f), _base_poisson_defect,
-        is_locally_hamiltonian_poisson)
+        poisson_closedness_defect)
 
 
 @_check(CheckSpec("prop3_bracket_derivation",
@@ -615,8 +617,9 @@ def _check_prop3_bracket_derivation(spec: CheckSpec, rng: np.random.Generator):
         n = structure.arity
         chi = random_polynomial(n, rng, max_degree=3)
         derivation = poisson_derivation(structure, prolong_function(chi, algebra))
-        if not is_locally_hamiltonian_poisson(derivation, structure, samples=spec.samples,
-                                              tol=_VERDICT_TOL, rng=rng):
+        premise, _ = poisson_closedness_defect(derivation, structure,
+                                               samples=spec.samples, rng=rng)
+        if premise > _VERDICT_TOL:
             yield 1.0, {**where, "chi": chi,
                         "reason": "premise field failed the local test"}
             continue
@@ -645,9 +648,9 @@ def _check_prop4_prop5_global_witness(spec: CheckSpec, rng: np.random.Generator)
             yield _sampled(apply_field(lifted_field, psi),
                            apply_field(derivation, psi), spec, rng, **where,
                            part="bracket", f=f)
-        if not check_global_witness_poisson(
-                lifted_field, lifted_potential, structure,
-                samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
+        residual, _ = check_global_witness_poisson(
+            lifted_field, lifted_potential, structure, samples=spec.samples, rng=rng)
+        if residual > _VERDICT_TOL:
             yield 1.0, {**where, "part": "witness", "f": f}
 
 
@@ -706,9 +709,9 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator)
         f = random_polynomial(2, rng, max_degree=3)
         lifted_field = prolong_vector_field(base_hamiltonian_field(f, structure),
                                             algebra)
-        if not is_locally_hamiltonian_symplectic(
-                lifted_field, structure,
-                samples=spec.samples, tol=_VERDICT_TOL, rng=rng):
+        premise, _ = symplectic_closedness_defect(lifted_field, structure,
+                                                  samples=spec.samples, rng=rng)
+        if premise > _VERDICT_TOL:
             yield 1.0, {"algebra": key, "f": f,
                         "reason": "premise field failed the local test"}
             continue
@@ -735,12 +738,10 @@ def _check_prop7_symplectic_global(spec: CheckSpec, rng: np.random.Generator):
             f = random_polynomial(2, rng, max_degree=3)
             lifted_field = prolong_vector_field(
                 base_hamiltonian_field(f, structure), algebra)
-            verdict = check_global_witness_symplectic(
+            residual, _ = check_global_witness_symplectic(
                 lifted_field, prolong_function(f, algebra), structure,
-                sigma=1, samples=spec.samples, tol=spec.tolerance, rng=rng)
-            residual = verdict.residual if verdict.ok else max(verdict.residual, 1.0)
-            yield residual, {"algebra": key, "f": f,
-                             "matched_sign": verdict.matched_sign}
+                samples=spec.samples, rng=rng)
+            yield residual, {"algebra": key, "f": f}
 
 
 @_check(CheckSpec("matrix_inverse_neumann",
@@ -923,7 +924,7 @@ def _check_symplectic_local_equivalence(spec: CheckSpec, rng: np.random.Generato
         spec, rng, [({"structure": "canonical2"}, SymplecticStructure.canonical(2)),
                     ({"structure": "curved2"}, curved)],
         base_hamiltonian_field, _base_symplectic_defect,
-        is_locally_hamiltonian_symplectic)
+        symplectic_closedness_defect)
 
 
 # -- runner -----------------------------------------------------------------------
@@ -932,18 +933,10 @@ CHECK_NAMES = tuple(sorted(_REGISTRY))
 
 
 def default_specs(*, seed: int = DEFAULT_SEED, name_filter: str | None = None,
-                  names: Sequence[str] | None = None,
                   samples: int | None = None) -> list[CheckSpec]:
     """The registered specs, reseeded and optionally filtered or resized."""
-    wanted = None if names is None else set(names)
-    if wanted is not None:
-        unknown = wanted - set(CHECK_NAMES)
-        if unknown:
-            raise ValueError(f"unknown check {sorted(unknown)[0]!r}")
     out = []
     for name in CHECK_NAMES:
-        if wanted is not None and name not in wanted:
-            continue
         if name_filter and name_filter not in name:
             continue
         spec = replace(_REGISTRY[name][1], seed=seed)

@@ -305,25 +305,22 @@ def poisson_closedness_defect(field: BundleVectorField, structure: PoissonStruct
     return residual, {"pair": list(pairs[index]), "point": point.coeffs.tolist()}
 
 
-def is_locally_hamiltonian_poisson(field: BundleVectorField,
-                                   structure: PoissonStructure, *,
-                                   samples: int = 32, tol: float = 1e-9,
-                                   rng: np.random.Generator | None = None) -> bool:
-    """Sampled test that the field is closed for the adjoint differential."""
-    residual, _ = poisson_closedness_defect(field, structure,
-                                            samples=samples, rng=rng)
-    return residual <= tol
-
-
 def check_global_witness_poisson(field: BundleVectorField, witness: BundleFunction,
                                  structure: PoissonStructure, *,
-                                 samples: int = 32, tol: float = 1e-9,
-                                 rng: np.random.Generator | None = None) -> bool:
-    """True when the field equals the Poisson derivation of the witness,
-    all components sampled as one group (``zero_test``)."""
+                                 samples: int = 32,
+                                 rng: np.random.Generator | None = None):
+    """Worst residual of the field minus the Poisson derivation of the
+    witness, all components sampled as one group (``zero_test``).
+
+    Returns (residual, witness), the witness naming the worst component
+    and its worst near-point, or (0.0, None) when there is nothing to
+    compare.
+    """
     candidate = poisson_derivation(structure, witness)
     if field.arity != candidate.arity:
         raise ArityError("field arity does not match the structure")
-    residual, _, _ = zero_test(zip(field.components, candidate.components),
-                               samples=samples, rng=rng)
-    return residual <= tol
+    residual, index, point = zero_test(zip(field.components, candidate.components),
+                                       samples=samples, rng=rng)
+    if index is None:
+        return residual, None
+    return residual, {"component": index, "point": point.coeffs.tolist()}

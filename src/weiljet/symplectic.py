@@ -531,59 +531,23 @@ def symplectic_closedness_defect(field: BundleVectorField,
     return residual, {"pair": list(pairs[index]), "point": point.coeffs.tolist()}
 
 
-def is_locally_hamiltonian_symplectic(field: BundleVectorField,
-                                      structure: SymplecticStructure, *,
-                                      samples: int = 32, tol: float = 1e-9,
-                                      rng: np.random.Generator | None = None) -> bool:
-    """Sampled test that i_X Omega is closed over the algebra."""
-    residual, _ = symplectic_closedness_defect(field, structure,
-                                               samples=samples, rng=rng)
-    return residual <= tol
-
-
-class WitnessVerdict:
-    """Outcome of a global-witness check: overall verdict, which sign of the
-    convention matched (if either), and the best residual seen."""
-
-    __slots__ = ("ok", "matched_sign", "residual")
-
-    def __init__(self, ok: bool, matched_sign: int | None, residual: float):
-        self.ok = ok
-        self.matched_sign = matched_sign
-        self.residual = residual
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return (f"WitnessVerdict(ok={self.ok}, matched_sign={self.matched_sign}, "
-                f"residual={self.residual:.3e})")
-
-
 def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFunction,
-                                    structure: SymplecticStructure, *, sigma: int = 1,
-                                    samples: int = 32, tol: float = 1e-9,
-                                    rng: np.random.Generator | None = None) -> WitnessVerdict:
-    """Confirm i_X Omega = sigma * d(witness) coefficientwise (sampled).
+                                    structure: SymplecticStructure, *,
+                                    samples: int = 32,
+                                    rng: np.random.Generator | None = None):
+    """Worst residual of i_X Omega - d(witness), its coefficients sampled as
+    one group (``zero_test``).
 
-    The verdict is positive only under the configured sign; the opposite sign
-    is also tried so a conventions mismatch is reported rather than silently
-    failed.
+    Returns (residual, witness), the witness naming the worst component
+    and its worst near-point, or (0.0, None) when there is nothing to
+    compare.  A witness passes only as given: under the opposite sign
+    convention, negate it first.
     """
-    if sigma not in (1, -1):
-        raise ValueError("sigma must be +1 or -1")
-    if rng is None:
-        # both signs draw from the one generator
-        rng = np.random.default_rng(DEFAULT_SEED)
-    n = structure.arity
     omega = prolong_form(structure.form, field.algebra)
     contracted = interior_product(field, omega)
-    gradient = [witness.partial(i) for i in range(n)]
-    outcomes = {}
-    for sign in (sigma, -sigma):
-        worst, _, _ = zero_test([(contracted.coefficient((i,)), gradient[i] * float(sign))
-                                 for i in range(n)], samples=samples, rng=rng)
-        outcomes[sign] = worst
-        if worst <= tol:
-            return WitnessVerdict(sign == sigma, sign, worst)
-    return WitnessVerdict(False, None, min(outcomes.values()))
+    residual, index, point = zero_test(
+        [(contracted.coefficient((i,)), witness.partial(i))
+         for i in range(structure.arity)], samples=samples, rng=rng)
+    if index is None:
+        return residual, None
+    return residual, {"component": index, "point": point.coeffs.tolist()}

@@ -371,11 +371,13 @@ SWAP_FIELD = ("--algebra", "dual", "--symplectic", "canonical:2", "--field", '["
     ((*SWAP_FIELD, "--witness", "x0"), "unknown"),
     ((*SWAP_FIELD, "--witness", "(x0^2 - x1^2)/2"), "unknown"),
     ((*DUAL_FIELD, "--witness", "(x0^2+x1^2)/2"), "unknown"),
+    ((*SWAP_FIELD, "--witness", "(x1^2 - x0^2)/2", "--sign", "-1"), "unknown"),
     # their correct potentials
     ((*SWAP_FIELD, "--witness", "(x1^2 - x0^2)/2"), True),
     ((*DUAL_FIELD, "--witness", "(x0^2+x1^2)/2", "--sign", "-1"), True),
-], ids=["swap-x0", "swap-wrong-sign", "poisson-sign-1", "swap-potential",
-        "poisson-sign-minus-1"])
+    ((*SWAP_FIELD, "--witness", "(x0^2 - x1^2)/2", "--sign", "-1"), True),
+], ids=["swap-x0", "swap-wrong-sign", "poisson-sign-1", "swap-sign-minus-1",
+        "swap-potential", "poisson-sign-minus-1", "swap-potential-sign-minus-1"])
 def test_hamcheck_is_globally_true_only_for_a_passing_witness(capsys, argv, globally):
     code, out, _ = run_cli(capsys, "hamcheck", *argv)
     assert code == 0

@@ -32,13 +32,12 @@ PUBLIC_NAMES = {
     "NotAssociative", "NotCommutative", "NotInvertible", "NotLocal", "ParseError",
     "PoissonStructure", "ScalarExpr", "SingularRealPart",
     "SymplecticStructure", "UnknownIdentifier", "WeilAlgebra", "WeilElement",
-    "WeilError", "WitnessVerdict", "__version__", "adjoint_differential",
+    "WeilError", "__version__", "adjoint_differential",
     "apply_field", "base_hamiltonian_field", "base_interior_product",
     "battery_algebra", "bundle_exterior_derivative", "check_global_witness_poisson",
     "check_global_witness_symplectic", "compose", "default_specs", "differentiate",
     "eval_real", "eval_weil", "exterior_derivative",
     "hamiltonian_field", "interior_product", "inverse_bivector",
-    "is_locally_hamiltonian_poisson", "is_locally_hamiltonian_symplectic",
     "lie_bracket", "make_truncated_algebra", "max_difference", "parse_expr",
     "poisson_closedness_defect", "poisson_derivation", "prolong_form",
     "prolong_function", "prolong_vector_field", "prolonged_adjoint_differential",

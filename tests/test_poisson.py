@@ -25,7 +25,6 @@ from weiljet.poisson import (
     PoissonStructure,
     adjoint_differential,
     check_global_witness_poisson,
-    is_locally_hamiltonian_poisson,
     poisson_closedness_defect,
     poisson_derivation,
     prolonged_adjoint_differential,
@@ -253,7 +252,9 @@ def test_closedness_defect_separates_hamiltonian_fields():
     structure = canonical_structure()
     energy = parse_expr("(x0^2 + x1^2) / 2", 2)
     good = poisson_derivation(structure, prolong_function(energy, T3))
-    assert is_locally_hamiltonian_poisson(good, structure, samples=12, rng=np.random.default_rng(0))
+    residual, _ = poisson_closedness_defect(good, structure, samples=12,
+                                            rng=np.random.default_rng(0))
+    assert residual <= 1e-9
     bad = prolong_vector_field(
         BaseVectorField([parse_expr("x0", 2), parse_expr("0", 2)]), T3
     )
@@ -263,7 +264,6 @@ def test_closedness_defect_separates_hamiltonian_fields():
     assert residual > 1e-3
     assert set(witness) == {"pair", "point"}
     assert witness["pair"] == [0, 1]
-    assert not is_locally_hamiltonian_poisson(bad, structure, samples=12, rng=np.random.default_rng(0))
 
 
 def test_a_one_dimensional_base_has_no_pairs_and_draws_no_point():
@@ -273,7 +273,6 @@ def test_a_one_dimensional_base_has_no_pairs_and_draws_no_point():
     before = rng.bit_generator.state
     assert poisson_closedness_defect(field, structure, rng=rng) == (0.0, None)
     assert rng.bit_generator.state == before
-    assert is_locally_hamiltonian_poisson(field, structure, rng=rng)
 
 
 def test_global_witness_for_a_constant_field():
@@ -283,8 +282,13 @@ def test_global_witness_for_a_constant_field():
     )
     good = prolong_function(parse_expr("-x1", 2), DUAL)
     wrong = prolong_function(parse_expr("x1", 2), DUAL)
-    assert check_global_witness_poisson(field, good, structure, rng=np.random.default_rng(1))
-    assert not check_global_witness_poisson(field, wrong, structure, rng=np.random.default_rng(1))
+    residual, _ = check_global_witness_poisson(field, good, structure,
+                                               rng=np.random.default_rng(1))
+    assert residual <= 1e-9
+    residual, witness = check_global_witness_poisson(field, wrong, structure,
+                                                     rng=np.random.default_rng(1))
+    assert residual > 1e-9
+    assert set(witness) == {"component", "point"} and len(witness["point"]) == 2
 
 
 @pytest.mark.parametrize("algebra", [DUAL, T3], ids=["dual", "t3"])
@@ -296,7 +300,8 @@ def test_a_passing_witness_draws_as_its_components_one_after_another(make, algeb
     potential = prolong_function(parse_expr("x0 * x1 + sin(x0) * x1^2", n), algebra)
     field = poisson_derivation(structure, potential)
     rng, single = np.random.default_rng(12), np.random.default_rng(12)
-    assert check_global_witness_poisson(field, potential, structure, samples=6, rng=rng)
+    assert check_global_witness_poisson(field, potential, structure, samples=6,
+                                        rng=rng)[0] <= 1e-9
     for _ in range(n):
         sample_near_points(algebra, n, single, 6)
     assert rng.bit_generator.state == single.bit_generator.state
@@ -312,8 +317,10 @@ def test_a_witness_failing_in_one_component_is_refused(make, wrong):
     components = list(poisson_derivation(structure, potential).components)
     components[wrong] = components[wrong] + BundleFunction.constant(0.5, DUAL, n)
     field = BundleVectorField(components)
-    assert not check_global_witness_poisson(field, potential, structure, samples=4,
-                                            rng=np.random.default_rng(3))
+    residual, witness = check_global_witness_poisson(field, potential, structure,
+                                                     samples=4, rng=np.random.default_rng(3))
+    assert residual > 1e-9
+    assert witness["component"] == range(n)[wrong]
 
 
 def _ref_closedness_cases(field, structure, samples, rng):
@@ -370,7 +377,7 @@ CURVED4 = PoissonStructure(4, {(0, 1): "1 + x0^2 + x1^2", (2, 3): "2 + x2*x3"})
 def test_closedness_names_the_open_pair_in_four_dimensions(base, algebra):
     potential = prolong_function(parse_expr("x0 * x3 + x1^2 * x2", 4), algebra)
     closed = poisson_derivation(base, potential)
-    assert is_locally_hamiltonian_poisson(closed, base, samples=8)
+    assert poisson_closedness_defect(closed, base, samples=8)[0] <= 1e-9
     # x1 d1 moves only pi_01 and x3 d3 only pi_23; on the flat structure
     # x2 d1 carries pi_23 onto the cross pair (1, 3)
     opens = [(["0", "x1", "0", "0"], [0, 1]), (["0", "0", "0", "x3"], [2, 3])]
@@ -436,8 +443,9 @@ def test_coordinate_pairs_agree_with_the_brute_force_verdict(algebra):
     verdicts = {"closed": [], "prolonged": [], "nilpotent": []}
     for structure in (canonical_structure(), ROTATIONAL, PoissonStructure.canonical(4)):
         for kind, field in _battery_fields(structure, algebra, rng):
-            local = is_locally_hamiltonian_poisson(field, structure, samples=4,
-                                                   rng=np.random.default_rng(0))
+            residual, _ = poisson_closedness_defect(field, structure, samples=4,
+                                                    rng=np.random.default_rng(0))
+            local = residual <= 1e-9
             assert local == _brute_force_closed(field, structure, 4,
                                                 np.random.default_rng(0)), (structure, kind)
             verdicts[kind].append(local)

@@ -34,7 +34,6 @@ from weiljet.symplectic import (
     hamiltonian_field,
     interior_product,
     inverse_bivector,
-    is_locally_hamiltonian_symplectic,
     prolong_form,
     symplectic_bracket,
     symplectic_closedness_defect,
@@ -359,59 +358,60 @@ def test_local_decision_for_flat_and_curved_structures():
     for structure in (canonical_structure(), curved_structure()):
         base = base_hamiltonian_field(parse_expr("x0 * x1 + x1^2", 2), structure)
         good = prolong_vector_field(base, DUAL)
-        assert is_locally_hamiltonian_symplectic(
+        residual, _ = symplectic_closedness_defect(
             good, structure, samples=10, rng=np.random.default_rng(0)
         )
+        assert residual <= 1e-9
         bad = prolong_vector_field(
             BaseVectorField([parse_expr("0", 2), parse_expr("x1", 2)]), DUAL
         )
-        assert not is_locally_hamiltonian_symplectic(
+        residual, _ = symplectic_closedness_defect(
             bad, structure, samples=10, rng=np.random.default_rng(0)
         )
+        assert residual > 1e-9
 
 
 def test_global_witness_signs():
     canonical = canonical_structure()
     energy = prolong_function(parse_expr("(x0^2 + x1^2) / 2", 2), DUAL)
     field = hamiltonian_field(energy, canonical)
-    verdict = check_global_witness_symplectic(
-        field, energy, canonical, sigma=1, rng=np.random.default_rng(2)
+    residual, _ = check_global_witness_symplectic(
+        field, energy, canonical, rng=np.random.default_rng(2)
     )
-    assert verdict.ok and verdict.matched_sign == 1
-    flipped = check_global_witness_symplectic(
-        field, energy, canonical, sigma=-1, rng=np.random.default_rng(2)
+    assert residual <= 1e-9
+    # the opposite convention is the negated witness, which this field refuses
+    flipped = energy * -1.0
+    residual, witness = check_global_witness_symplectic(
+        field, flipped, canonical, rng=np.random.default_rng(2)
     )
-    assert not flipped.ok
-    assert flipped.matched_sign == 1
+    assert residual > 1e-9
+    assert set(witness) == {"component", "point"} and witness["component"] in (0, 1)
     negated = field.scaled(BundleFunction.constant(-1.0, DUAL, 2))
-    reverse = check_global_witness_symplectic(
-        negated, energy, canonical, sigma=-1, rng=np.random.default_rng(2)
+    residual, _ = check_global_witness_symplectic(
+        negated, flipped, canonical, rng=np.random.default_rng(2)
     )
-    assert reverse.ok and reverse.matched_sign == -1
+    assert residual <= 1e-9
     stray = prolong_function(parse_expr("x0 * x1", 2), DUAL)
-    assert not check_global_witness_symplectic(
-        field, stray, canonical, sigma=1, rng=np.random.default_rng(2)
-    ).ok
+    residual, _ = check_global_witness_symplectic(
+        field, stray, canonical, rng=np.random.default_rng(2)
+    )
+    assert residual > 1e-9
 
 
-def _one_coefficient_at_a_time(field, witness, structure, sigma, samples, tol, rng):
-    """The witness check comparing the coefficients of one sign one at a
-    time, each on its own draw: the reference for the grouped check."""
+def _one_coefficient_at_a_time(field, witness, structure, samples, rng):
+    """The witness check comparing the coefficients one at a time, each on
+    its own draw: the reference for the grouped check.  Returns the worst
+    residual and the first component that holds it."""
     n = structure.arity
     contracted = interior_product(field, prolong_form(structure.form, field.algebra))
-    gradient = [witness.partial(i) for i in range(n)]
-    outcomes = {}
-    for sign in (sigma, -sigma):
-        worst = 0.0
-        for i in range(n):
-            [(residual, _)] = max_difference(
-                [(contracted.coefficient((i,)), gradient[i] * float(sign))],
-                samples=samples, rng=rng)
-            worst = max(worst, residual)
-        outcomes[sign] = worst
-        if worst <= tol:
-            return sign == sigma, sign, worst
-    return False, None, min(outcomes.values())
+    worst, component = -1.0, None
+    for i in range(n):
+        [(residual, _)] = max_difference(
+            [(contracted.coefficient((i,)), witness.partial(i))],
+            samples=samples, rng=rng)
+        if residual > worst:
+            worst, component = residual, i
+    return worst, component
 
 
 def curved_four_form() -> SymplecticStructure:
@@ -431,12 +431,12 @@ def test_witness_groups_give_the_verdict_and_draws_of_one_coefficient_at_a_time(
     stray = prolong_function(parse_expr("x0*x1 + x3", 4), algebra)
     for witness, ok in ((potential, True), (stray, False)):
         grouped, alone = np.random.default_rng(4), np.random.default_rng(4)
-        verdict = check_global_witness_symplectic(
+        residual, found = check_global_witness_symplectic(
             field, witness, structure, samples=samples, rng=grouped)
-        want = _one_coefficient_at_a_time(field, witness, structure, 1, samples, 1e-9,
-                                          alone)
-        assert (verdict.ok, verdict.matched_sign, verdict.residual) == want
-        assert verdict.ok is ok and (ok or verdict.matched_sign is None)
+        assert (residual, found["component"]) == _one_coefficient_at_a_time(
+            field, witness, structure, samples, alone)
+        assert (residual <= 1e-9) is ok
+        # one group is drawn, whether the witness passes or not
         assert grouped.bit_generator.state == alone.bit_generator.state
 
 
@@ -495,7 +495,7 @@ def test_scaled_contraction_is_function_linear():
 def test_closedness_names_the_open_pair_in_four_dimensions(structure, algebra):
     potential = prolong_function(parse_expr("x0 * x3 + x1^2 * x2", 4), algebra)
     solved = hamiltonian_field(potential, structure)
-    assert is_locally_hamiltonian_symplectic(solved, structure, samples=8)
+    assert symplectic_closedness_defect(solved, structure, samples=8)[0] <= 1e-9
     for components, pair in ((["0", "x1", "0", "0"], [0, 1]),
                              (["0", "0", "0", "x3"], [2, 3])):
         field = prolong_vector_field(
