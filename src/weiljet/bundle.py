@@ -8,7 +8,8 @@ type, ``NearPoint``, holds a point as an (n, d) coefficient array and a
 batch of S points as an (S, n, d) one; functions evaluate over a whole batch
 at once, and sampled comparisons draw and evaluate their points that way, a
 group of comparisons in batches of at most ``GROUP_ROWS`` rows.  Every
-hamiltonian verdict asks whether such a group vanishes (``zero_test``).
+sampled comparison, the hamiltonian verdicts and the verification suite's
+identities alike, asks whether such a group vanishes (``zero_test``).
 A point or a batch keeps what was evaluated there (expression nodes, linear
 solves) in its own cache, which goes when the point goes.
 
@@ -463,36 +464,30 @@ def _batch_differences(batch, samples: int, rng: np.random.Generator):
     return out
 
 
-def worst_case(cases: Iterable[tuple[float, object]]) -> tuple[float, object | None]:
-    """The first (residual, witness) case with the largest residual, its
-    residual floored at 0.0; (0.0, None) when there are no cases."""
-    worst, witness = -1.0, None
-    for residual, case in cases:
-        if residual > worst:
-            worst, witness = residual, case
-    return max(worst, 0.0), witness
-
-
-def zero_test(pairs: Iterable[tuple[BundleFunction, BundleFunction]], *,
+def zero_test(cases: Iterable[tuple[BundleFunction, BundleFunction, dict]], *,
               samples: int, rng: np.random.Generator | None
-              ) -> tuple[float, int | None, NearPoint | None]:
-    """Sampled test that every f - g of a group of (f, g) pairs vanishes,
-    the pairs compared as one ``max_difference`` group.
+              ) -> tuple[float, dict | None]:
+    """Sampled test that every f - g of a group of (f, g, witness) cases
+    vanishes, the pairs compared as one ``max_difference`` group.
 
-    Returns the worst residual, floored at 0.0, the index of the first pair
-    that holds it, and that pair's worst near-point; an empty group draws no
-    points and gives (0.0, None, None).  The pairs may be built lazily: when
-    building one raises a WeilError, the pairs built before it are compared
+    Returns the worst residual and the witness of the first case that holds
+    it, with that case's worst near-point added as nested lists
+    (``{**witness, "point": ...}``); an empty group draws no points and
+    gives (0.0, None).  The cases may be built lazily: when
+    building one raises a WeilError, the cases built before it are compared
     first, and their errors come first, as when each is compared once built.
     """
-    group = []
+    pairs, witnesses = [], []
     try:
-        for pair in pairs:
-            group.append(pair)
+        for f, g, witness in cases:
+            pairs.append((f, g))
+            witnesses.append(witness)
     except WeilError:
-        max_difference(group, samples=samples, rng=rng)
+        max_difference(pairs, samples=samples, rng=rng)
         raise
-    residual, worst = worst_case(
-        (residual, (k, point)) for k, (residual, point)
-        in enumerate(max_difference(group, samples=samples, rng=rng)))
-    return (residual, *(worst or (None, None)))
+    results = max_difference(pairs, samples=samples, rng=rng)
+    if not results:
+        return 0.0, None
+    residuals = [residual for residual, _ in results]
+    k = residuals.index(max(residuals))
+    return residuals[k], {**witnesses[k], "point": results[k][1].coeffs.tolist()}

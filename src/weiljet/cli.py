@@ -221,6 +221,9 @@ def cmd_verify(args) -> int:
     _require_sampling(args.samples, args.seed)
     specs = harness.default_specs(seed=args.seed, name_filter=args.filter,
                                   samples=args.samples)
+    if not specs:
+        raise ParseError(f"--filter {args.filter!r} matches no check; known "
+                         f"checks: {', '.join(harness.CHECK_NAMES)}")
     reports = harness.run_suite(specs, mutation=args.mutate)
     for report in reports:
         print(report.json_line(include_timing=args.timings))

@@ -39,11 +39,11 @@ from .bundle import (
     NearPoint,
     apply_field,
     lie_bracket,
-    max_difference,
     prolong_function,
     prolong_vector_field,
     pushforward_map,
     sample_near_points,
+    zero_test,
 )
 from .errors import DomainError
 from .expression import (
@@ -146,7 +146,11 @@ class CheckSpec:
     """Configuration for one named check.
 
     ``samples`` is the near-point count per comparison (matrix count for the
-    inverse check), ``expressions`` the number of random inputs per slot.
+    inverse check), ``expressions`` the number of random inputs per slot,
+    ``algebras`` and ``arities`` the battery keys and base arities a check
+    draws.  A check reads every value its registration sets; a default it
+    has no use for goes unread, such as ``arities`` where the check's
+    structures fix the arity.
     """
 
     name: str
@@ -250,12 +254,17 @@ MUTATION_TARGETS: dict[str, tuple[str, ...]] = {
 # and keeps the first case with the largest residual.  Cases are produced
 # lazily, so every draw happens at the same place in the check's RNG stream
 # as it would in a hand-written loop.  A witness holds its expressions and
-# points as nodes and arrays until ``_worst_case`` renders it.
+# points as nodes and arrays until ``_worst_case`` renders it.  Sampled
+# comparisons go through ``zero_test``: ``_sampled`` compares one pair and
+# ``_componentwise`` the components of fields as one group, and either gives
+# one case, the first worst of its group, which is the case the runner would
+# keep from that group's per-pair cases.
 
 def _worst_case(check: Callable, spec: CheckSpec,
                 rng: np.random.Generator) -> tuple[float, dict | None]:
-    """The first-seen worst (residual, witness) of a check, as ``worst_case``
-    gives it; DomainError as soon as a residual that is not finite is made.
+    """The first-seen worst (residual, witness) of a check, its residual
+    floored at 0.0, or (0.0, None) for a check without cases; DomainError
+    as soon as a residual that is not finite is made.
     Only a worst-so-far witness is rendered, and the check resumes without
     any, so no witness keeps a node alive."""
     worst, kept = -1.0, None
@@ -280,36 +289,23 @@ def _rendered(value):
             else value.tolist() if isinstance(value, np.ndarray) else value)
 
 
-def _sampled_group(group, spec: CheckSpec,
-                   rng: np.random.Generator) -> list[tuple[float, dict]]:
-    """One case per (lhs, rhs, witness) of a comparison group, in order: the
-    worst |lhs - rhs| on the member's own sampled points, with its point
-    added to the witness.  The group draws the points of drawing member
-    after member in one batch (``max_difference``), so the members share
-    the work on the nodes they have in common."""
-    results = max_difference([(lhs, rhs) for lhs, rhs, _ in group],
-                             samples=spec.samples, rng=rng)
-    return [(residual, {**witness, "point": point.coeffs})
-            for (_, _, witness), (residual, point) in zip(group, results)]
-
-
 def _sampled(lhs: BundleFunction, rhs: BundleFunction, spec: CheckSpec,
              rng: np.random.Generator, **witness) -> tuple[float, dict]:
     """One case: the worst sampled |lhs - rhs|, with its point in the witness."""
-    [case] = _sampled_group([(lhs, rhs, witness)], spec, rng)
-    return case
+    return zero_test([(lhs, rhs, witness)], samples=spec.samples, rng=rng)
 
 
 def _componentwise(fields, spec: CheckSpec, rng: np.random.Generator,
-                   **witness) -> list[tuple[float, dict]]:
-    """One sampled case per component of each (lhs field, rhs field, extra
-    witness), all of them one comparison group."""
-    return _sampled_group(
+                   **witness) -> tuple[float, dict | None]:
+    """One case for the components of every (lhs field, rhs field, extra
+    witness), compared as one group: the first worst component, named in the
+    witness."""
+    return zero_test(
         [(lhs, rhs, {**witness, **extra, "component": i})
          for lhs_field, rhs_field, extra in fields
          for i, (lhs, rhs) in enumerate(zip(lhs_field.components,
                                             rhs_field.components))],
-        spec, rng)
+        samples=spec.samples, rng=rng)
 
 
 def _derivation_sides(apply: Callable, field, bracket: Callable,
@@ -461,46 +457,46 @@ def _check_morphism_function_lift(spec: CheckSpec, rng: np.random.Generator):
                   "against symbolic and central finite differences",
                   1e-6, samples=4, expressions=20, algebras=("dual",)))
 def _check_dual_forward_derivative(spec: CheckSpec, rng: np.random.Generator):
-    algebra = battery_algebra("dual")
     step = 1e-5
-    for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
-        f = random_expression(n, rng)
-        grads = [differentiate(f, d) for d in range(n)]
-        xs = [rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
-              for _ in range(spec.samples)]
-        # one batch of every sample along every direction: point (s, d) is
-        # x_s with a unit nilpotent part on coordinate d
-        batch = np.zeros((spec.samples, n, n, algebra.dim))
-        batch[..., 0] = np.reshape(xs, (spec.samples, 1, n))
-        batch[..., 1] = np.eye(n)
-        slopes = eval_weil(f, NearPoint.from_coeffs(algebra, batch))[..., 1].tolist()
-        for x, sample_slopes in zip(xs, slopes):
-            base = x.tolist()
-            for d, slope in enumerate(sample_slopes):
-                exact = eval_real(grads[d], base)
-                bumped = list(base)
-                bumped[d] = base[d] + step
-                upper = eval_real(f, bumped)
-                bumped[d] = base[d] - step
-                lower = eval_real(f, bumped)
-                fd = (upper - lower) / (2.0 * step)
-                residual = max(abs(slope - fd) / max(1.0, abs(fd)),
-                               abs(slope - exact) / max(1.0, abs(exact)))
-                yield residual, {
-                    "f": f, "direction": d, "x": base,
-                    "slope": slope, "finite_difference": float(fd),
-                }
+    for _, algebra in _spec_algebras(spec):
+        for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
+            f = random_expression(n, rng)
+            grads = [differentiate(f, d) for d in range(n)]
+            xs = [rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
+                  for _ in range(spec.samples)]
+            # one batch of every sample along every direction: point (s, d)
+            # is x_s with a unit first-order part (basis slot 1) on
+            # coordinate d
+            batch = np.zeros((spec.samples, n, n, algebra.dim))
+            batch[..., 0] = np.reshape(xs, (spec.samples, 1, n))
+            batch[..., 1] = np.eye(n)
+            jets = eval_weil(f, NearPoint.from_coeffs(algebra, batch))
+            slopes = jets[..., 1].tolist()
+            for x, sample_slopes in zip(xs, slopes):
+                base = x.tolist()
+                for d, slope in enumerate(sample_slopes):
+                    exact = eval_real(grads[d], base)
+                    bumped = list(base)
+                    bumped[d] = base[d] + step
+                    upper = eval_real(f, bumped)
+                    bumped[d] = base[d] - step
+                    lower = eval_real(f, bumped)
+                    fd = (upper - lower) / (2.0 * step)
+                    residual = max(abs(slope - fd) / max(1.0, abs(fd)),
+                                   abs(slope - exact) / max(1.0, abs(exact)))
+                    yield residual, {
+                        "f": f, "direction": d, "x": base,
+                        "slope": slope, "finite_difference": float(fd),
+                    }
 
 
 @_check(CheckSpec("taylor_coefficients",
                   "single-variable jets carry k-th derivatives over k! as "
                   "coefficients",
                   1e-7, samples=4, expressions=8,
-                  algebras=("dual", "t3", "t4"), arities=(1,)))
+                  algebras=("dual", "t3", "t4")))
 def _check_taylor_coefficients(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
-        if _BATTERY_BY_KEY[key].width != 1:
-            continue
         height = algebra.height
         for _ in range(spec.expressions):
             f = random_expression(1, rng)
@@ -547,7 +543,7 @@ def _check_lie_morphism_fields(spec: CheckSpec, rng: np.random.Generator):
                 ("sum", prolong_vector_field(summed_base, algebra),
                  lifted1 + lifted2),
             )
-            yield from _componentwise(
+            yield _componentwise(
                 [(lhs, rhs, {"identity": label}) for label, lhs, rhs in cases],
                 spec, rng, algebra=key, theta1=theta1.components,
                 theta2=theta2.components, factor=f)
@@ -559,12 +555,12 @@ def _check_lie_morphism_fields(spec: CheckSpec, rng: np.random.Generator):
                   1e-9, samples=8, expressions=8, arities=(2,)))
 def _check_functoriality_composition(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
-        for _ in range(spec.expressions):
-            smooth_map = [random_polynomial(2, rng, max_degree=2, max_terms=3)
-                          for _ in range(2)]
-            g = random_expression(2, rng)
+        for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
+            smooth_map = [random_polynomial(n, rng, max_degree=2, max_terms=3)
+                          for _ in range(n)]
+            g = random_expression(n, rng)
             composed = compose(g, smooth_map)
-            xi = sample_near_points(algebra, 2, rng, spec.samples)
+            xi = sample_near_points(algebra, n, rng, spec.samples)
             eta = pushforward_map(smooth_map, xi)
             residuals = np.max(np.abs(eval_weil(composed, xi) - eval_weil(g, eta)),
                                axis=-1)
@@ -600,7 +596,7 @@ def _check_prop1_cochain_prolongation(spec: CheckSpec, rng: np.random.Generator)
 @_check(CheckSpec("prop2_local_iff",
                   "base and lifted local-hamiltonicity verdicts agree (residual "
                   "counts disagreements)",
-                  0.5, samples=4, expressions=6, arities=(3,)))
+                  0.5, samples=4, expressions=6))
 def _check_prop2_local_iff(spec: CheckSpec, rng: np.random.Generator):
     return _verdict_agreement(
         spec, rng, [({}, PoissonStructure.rotational())],
@@ -641,8 +637,8 @@ def _check_prop4_prop5_global_witness(spec: CheckSpec, rng: np.random.Generator)
         lifted_potential = prolong_function(f, algebra)
         lifted_field = prolong_vector_field(structure.ad(f), algebra)
         derivation = poisson_derivation(structure, lifted_potential)
-        yield from _componentwise([(lifted_field, derivation, {})], spec, rng,
-                                  **where, part="field", f=f)
+        yield _componentwise([(lifted_field, derivation, {})], spec, rng,
+                             **where, part="field", f=f)
         for _ in range(spec.expressions):
             psi = random_bundle_function(algebra, n, rng)
             yield _sampled(apply_field(lifted_field, psi),
@@ -693,9 +689,8 @@ def _check_thm1_bracket_coincidence(spec: CheckSpec, rng: np.random.Generator):
             solved = hamiltonian_field(prolong_function(f, algebra), structure)
             lifted = prolong_vector_field(base_hamiltonian_field(f, structure),
                                           algebra)
-            yield from _componentwise([(solved, lifted, {})], spec, rng,
-                                      algebra=key, arity=n, part="field",
-                                      f=f)
+            yield _componentwise([(solved, lifted, {})], spec, rng,
+                                 algebra=key, arity=n, part="field", f=f)
 
 
 @_check(CheckSpec("thm2_symplectic_derivation",
@@ -703,28 +698,29 @@ def _check_thm1_bracket_coincidence(spec: CheckSpec, rng: np.random.Generator):
                   "bracket",
                   1e-8, samples=4, expressions=10, arities=(2,)))
 def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator):
-    structure = SymplecticStructure.canonical(2)
-    bivector = inverse_bivector(structure)
-    for key, algebra in _spec_algebras(spec):
-        f = random_polynomial(2, rng, max_degree=3)
-        lifted_field = prolong_vector_field(base_hamiltonian_field(f, structure),
-                                            algebra)
-        premise, _ = symplectic_closedness_defect(lifted_field, structure,
-                                                  samples=spec.samples, rng=rng)
-        if premise > _VERDICT_TOL:
-            yield 1.0, {"algebra": key, "f": f,
-                        "reason": "premise field failed the local test"}
-            continue
-        # one anchor pair through the pointwise-solved bracket itself, the
-        # remaining pairs through the equivalent inverse-bivector bracket
-        solved_bracket = functools.partial(symplectic_bracket, structure=structure)
-        bivector_bracket = functools.partial(prolonged_bracket, bivector)
-        brackets = ([("solved_bracket", solved_bracket)]
-                    + [("bivector_bracket", bivector_bracket)] * spec.expressions)
-        for part, bracket in brackets:
-            lhs, rhs = _derivation_sides(apply_field, lifted_field, bracket,
-                                         *_lifted_pair(2, algebra, rng))
-            yield _sampled(lhs, rhs, spec, rng, algebra=key, f=f, part=part)
+    for n in spec.arities:
+        structure = SymplecticStructure.canonical(n)
+        bivector = inverse_bivector(structure)
+        for key, algebra in _spec_algebras(spec):
+            f = random_polynomial(n, rng, max_degree=3)
+            lifted_field = prolong_vector_field(
+                base_hamiltonian_field(f, structure), algebra)
+            premise, _ = symplectic_closedness_defect(lifted_field, structure,
+                                                      samples=spec.samples, rng=rng)
+            if premise > _VERDICT_TOL:
+                yield 1.0, {"algebra": key, "f": f,
+                            "reason": "premise field failed the local test"}
+                continue
+            # one anchor pair through the pointwise-solved bracket itself, the
+            # remaining pairs through the equivalent inverse-bivector bracket
+            solved_bracket = functools.partial(symplectic_bracket, structure=structure)
+            bivector_bracket = functools.partial(prolonged_bracket, bivector)
+            brackets = ([("solved_bracket", solved_bracket)]
+                        + [("bivector_bracket", bivector_bracket)] * spec.expressions)
+            for part, bracket in brackets:
+                lhs, rhs = _derivation_sides(apply_field, lifted_field, bracket,
+                                             *_lifted_pair(n, algebra, rng))
+                yield _sampled(lhs, rhs, spec, rng, algebra=key, f=f, part=part)
 
 
 @_check(CheckSpec("prop7_symplectic_global",
@@ -732,22 +728,23 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator)
                   "under the configured sign",
                   1e-8, samples=4, expressions=8, arities=(2,)))
 def _check_prop7_symplectic_global(spec: CheckSpec, rng: np.random.Generator):
-    structure = SymplecticStructure.canonical(2)
-    for key, algebra in _spec_algebras(spec):
-        for _ in range(spec.expressions):
-            f = random_polynomial(2, rng, max_degree=3)
-            lifted_field = prolong_vector_field(
-                base_hamiltonian_field(f, structure), algebra)
-            residual, _ = check_global_witness_symplectic(
-                lifted_field, prolong_function(f, algebra), structure,
-                samples=spec.samples, rng=rng)
-            yield residual, {"algebra": key, "f": f}
+    for n in spec.arities:
+        structure = SymplecticStructure.canonical(n)
+        for key, algebra in _spec_algebras(spec):
+            for _ in range(spec.expressions):
+                f = random_polynomial(n, rng, max_degree=3)
+                lifted_field = prolong_vector_field(
+                    base_hamiltonian_field(f, structure), algebra)
+                residual, _ = check_global_witness_symplectic(
+                    lifted_field, prolong_function(f, algebra), structure,
+                    samples=spec.samples, rng=rng)
+                yield residual, {"algebra": key, "f": f}
 
 
 @_check(CheckSpec("matrix_inverse_neumann",
                   "nilpotent-series inverses of matrices with well-conditioned "
                   "real part multiply back to the identity",
-                  1e-9, samples=50, expressions=0))
+                  1e-9, samples=50))
 def _check_matrix_inverse_neumann(spec: CheckSpec, rng: np.random.Generator):
     for key, algebra in _spec_algebras(spec):
         matrices = []
@@ -795,7 +792,7 @@ def _check_leibniz_derivation(spec: CheckSpec, rng: np.random.Generator):
                                              operator.mul, left, right)
                 group.append((lhs, rhs, {"algebra": key, "case": label,
                                          "theta": theta.components}))
-            yield from _sampled_group(group, spec, rng)
+            yield zero_test(group, samples=spec.samples, rng=rng)
 
 
 @_check(CheckSpec("tau_calculus",
@@ -827,7 +824,7 @@ def _check_tau_calculus(spec: CheckSpec, rng: np.random.Generator):
                 ("leibniz", poisson_derivation(structure, phi * psi),
                  tau_psi.scaled(phi) + tau_phi.scaled(psi)),
             )
-            yield from _componentwise(
+            yield _componentwise(
                 [(lhs, rhs, {"identity": label}) for label, lhs, rhs in cases],
                 spec, rng, **where)
 
@@ -888,9 +885,9 @@ def _check_chain_rule_soundness(spec: CheckSpec, rng: np.random.Generator):
             applied = BundleVectorField(
                 [apply_field(lifted, prolong_function(var(i, n), algebra))
                  for i in range(n)])
-            yield from _componentwise([(applied, lifted, {})], spec, rng,
-                                      algebra=key, identity="coordinate",
-                                      theta=theta.components)
+            yield _componentwise([(applied, lifted, {})], spec, rng,
+                                 algebra=key, identity="coordinate",
+                                 theta=theta.components)
 
 
 @_check(CheckSpec("jacobi_field_bracket",
@@ -910,14 +907,14 @@ def _check_jacobi_field_bracket(spec: CheckSpec, rng: np.random.Generator):
                       + lie_bracket(lie_bracket(y, z), x)
                       + lie_bracket(lie_bracket(z, x), y))
             for label, combo in (("antisymmetry", skew), ("jacobi", cyclic)):
-                yield from _componentwise([(combo, zero, {})], spec, rng,
-                                          algebra=key, identity=label)
+                yield _componentwise([(combo, zero, {})], spec, rng,
+                                     algebra=key, identity=label)
 
 
 @_check(CheckSpec("symplectic_local_equivalence",
                   "base and lifted symplectic local tests agree, including a "
                   "curved structure (residual counts disagreements)",
-                  0.5, samples=3, expressions=3, arities=(2,)))
+                  0.5, samples=3, expressions=3))
 def _check_symplectic_local_equivalence(spec: CheckSpec, rng: np.random.Generator):
     curved = SymplecticStructure(BaseForm(2, 2, {(0, 1): "1 + x0^2"}))
     return _verdict_agreement(

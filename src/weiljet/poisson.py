@@ -295,14 +295,11 @@ def poisson_closedness_defect(field: BundleVectorField, structure: PoissonStruct
     moved = [apply_field(field, x) for x in coords]
     derivations = [poisson_derivation(structure, x) for x in coords]
     zero = BundleFunction.zero(algebra, n)
-    pairs = list(combinations(range(n), 2))
-    residual, index, point = zero_test(
+    return zero_test(
         ((_pair_defect(field, derivations[i], derivations[j], moved[i], moved[j],
-                       coords[j]), zero) for i, j in pairs),
+                       coords[j]), zero, {"pair": [i, j]})
+         for i, j in combinations(range(n), 2)),
         samples=samples, rng=rng)
-    if index is None:
-        return residual, None
-    return residual, {"pair": list(pairs[index]), "point": point.coeffs.tolist()}
 
 
 def check_global_witness_poisson(field: BundleVectorField, witness: BundleFunction,
@@ -319,8 +316,6 @@ def check_global_witness_poisson(field: BundleVectorField, witness: BundleFuncti
     candidate = poisson_derivation(structure, witness)
     if field.arity != candidate.arity:
         raise ArityError("field arity does not match the structure")
-    residual, index, point = zero_test(zip(field.components, candidate.components),
-                                       samples=samples, rng=rng)
-    if index is None:
-        return residual, None
-    return residual, {"component": index, "point": point.coeffs.tolist()}
+    return zero_test(((f, g, {"component": k}) for k, (f, g)
+                      in enumerate(zip(field.components, candidate.components))),
+                     samples=samples, rng=rng)

@@ -523,12 +523,9 @@ def symplectic_closedness_defect(field: BundleVectorField,
     omega = prolong_form(structure.form, field.algebra)
     defect = bundle_exterior_derivative(interior_product(field, omega))
     zero = BundleFunction.zero(field.algebra, field.arity)
-    pairs = list(increasing_tuples(field.arity, 2))
-    residual, index, point = zero_test(
-        ((defect.coefficient(pair), zero) for pair in pairs), samples=samples, rng=rng)
-    if index is None:
-        return residual, None
-    return residual, {"pair": list(pairs[index]), "point": point.coeffs.tolist()}
+    return zero_test(((defect.coefficient(pair), zero, {"pair": list(pair)})
+                      for pair in increasing_tuples(field.arity, 2)),
+                     samples=samples, rng=rng)
 
 
 def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFunction,
@@ -545,9 +542,6 @@ def check_global_witness_symplectic(field: BundleVectorField, witness: BundleFun
     """
     omega = prolong_form(structure.form, field.algebra)
     contracted = interior_product(field, omega)
-    residual, index, point = zero_test(
-        [(contracted.coefficient((i,)), witness.partial(i))
-         for i in range(structure.arity)], samples=samples, rng=rng)
-    if index is None:
-        return residual, None
-    return residual, {"component": index, "point": point.coeffs.tolist()}
+    return zero_test([(contracted.coefficient((i,)), witness.partial(i),
+                       {"component": i}) for i in range(structure.arity)],
+                     samples=samples, rng=rng)

@@ -31,7 +31,6 @@ from weiljet.bundle import (
     pushforward_map,
     sample_near_point,
     sample_near_points,
-    worst_case,
     zero_test,
 )
 from weiljet.errors import ArityError, DegreeError, DomainError
@@ -70,6 +69,8 @@ from weiljet.symplectic import (
     interior_product,
     prolong_form,
 )
+
+from one_at_a_time import worst_case
 
 DUAL = make_truncated_algebra(1, 1)
 T3 = make_truncated_algebra(1, 2)
@@ -299,12 +300,11 @@ def _pairs_one_at_a_time(component, algebra, arity, samples, rng):
 
 
 def _zero_test_of_pairs(component, algebra, arity, samples, rng):
-    # zero_test over the coordinate pairs, lazily built, as (residual, witness)
+    # zero_test over the coordinate pairs, lazily built
     zero = BundleFunction.zero(algebra, arity)
-    pairs = list(itertools.combinations(range(arity), 2))
-    residual, index, point = zero_test(((component(i, j), zero) for i, j in pairs),
-                                       samples=samples, rng=rng)
-    return residual, {"pair": list(pairs[index]), "point": point.coeffs.tolist()}
+    return zero_test(((component(i, j), zero, {"pair": [i, j]})
+                      for i, j in itertools.combinations(range(arity), 2)),
+                     samples=samples, rng=rng)
 
 
 def _assert_same_bits(got, want):
@@ -384,19 +384,22 @@ def test_coordinate_pairs_compare_as_one_pair_at_a_time(components, algebra, sam
 def test_an_empty_group_is_zero_and_draws_nothing():
     rng = np.random.default_rng(6)
     before = rng.bit_generator.state
-    assert zero_test([], samples=4, rng=rng) == (0.0, None, None)
-    assert zero_test(iter(()), samples=0, rng=rng) == (0.0, None, None)
+    assert zero_test([], samples=4, rng=rng) == (0.0, None)
+    assert zero_test(iter(()), samples=0, rng=rng) == (0.0, None)
     assert rng.bit_generator.state == before
 
 
 def test_zero_test_names_the_first_pair_of_the_worst_residual():
     zero, one = (BundleFunction.constant(c, DUAL, 1) for c in (0.0, 1.0))
     pairs = [(zero, zero), (one, zero), (zero, one), (zero, zero)]
-    residual, index, point = zero_test(pairs, samples=8, rng=np.random.default_rng(2))
+    cases = [(f, g, {"case": k, "label": "tied"}) for k, (f, g) in enumerate(pairs)]
+    residual, witness = zero_test(cases, samples=8, rng=np.random.default_rng(2))
     want = max_difference(pairs, samples=8, rng=np.random.default_rng(2))
     assert [r for r, _ in want] == [0.0, 1.0, 1.0, 0.0]
-    assert (residual, index) == (1.0, 1)
-    assert point == want[1][1]
+    assert residual == 1.0
+    assert witness == {"case": 1, "label": "tied", "point": want[1][1].coeffs.tolist()}
+    # the case's own witness is copied, not extended
+    assert cases[1][2] == {"case": 1, "label": "tied"}
 
 
 @pytest.mark.parametrize("members, samples, batches", [
@@ -479,13 +482,13 @@ def test_a_component_that_cannot_be_built_fails_after_the_pairs_before_it():
 def test_a_pair_that_cannot_be_built_fails_after_comparing_the_pairs_before_it():
     x0 = prolong_function(parse_expr("x0", 1), DUAL)
 
-    def pairs():
-        yield x0, x0
+    def cases():
+        yield x0, x0, {"case": 0}
         raise ArityError("not built")
 
     rng, single = np.random.default_rng(4), np.random.default_rng(4)
     with pytest.raises(ArityError, match="not built"):
-        zero_test(pairs(), samples=5, rng=rng)
+        zero_test(cases(), samples=5, rng=rng)
     sample_near_points(DUAL, 1, single, 5)
     assert rng.bit_generator.state == single.bit_generator.state
 

@@ -401,6 +401,7 @@ def test_hamcheck_is_globally_true_only_for_a_passing_witness(capsys, argv, glob
     ("hamcheck", *DUAL_FIELD, "--tol", "-1"),
     ("hamcheck", *DUAL_FIELD, "--seed", "-1"),
     ("verify", "--filter", "taylor", "--seed", "-1"),
+    ("verify", "--filter", "no_such_check"),
 ])
 def test_samples_below_one_is_a_parse_error(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)

@@ -17,7 +17,15 @@ import pytest
 
 import weiljet
 from weiljet.algebra import make_truncated_algebra
-from weiljet.bundle import DEFAULT_BOX, NearPoint, prolong_function
+from weiljet.bundle import (
+    DEFAULT_BOX,
+    BundleFunction,
+    BundleVectorField,
+    NearPoint,
+    max_difference,
+    prolong_function,
+    prolong_vector_field,
+)
 from weiljet.errors import DomainError
 from weiljet.expression import differentiate, eval_real, eval_weil, parse_expr
 from weiljet.harness import (
@@ -27,17 +35,20 @@ from weiljet.harness import (
     MUTATION_TARGETS,
     MUTATIONS,
     CheckReport,
+    CheckSpec,
     _check_dual_forward_derivative,
     _check_matrix_inverse_neumann,
+    _componentwise,
     _mutated,
     _rendered,
+    _sampled,
     _worst_case,
     battery_algebra,
     default_specs,
     run_suite,
 )
 from weiljet.poisson import PoissonStructure, prolonged_bracket
-from weiljet.sampling import random_expression
+from weiljet.sampling import random_base_field, random_expression
 from weiljet.symplectic import (
     BaseForm,
     SymplecticStructure,
@@ -45,6 +56,8 @@ from weiljet.symplectic import (
     hamiltonian_field,
     weil_matrix_inverse,
 )
+
+from one_at_a_time import worst_case
 
 T3 = make_truncated_algebra(1, 2)
 
@@ -179,6 +192,69 @@ def test_worst_case_of_a_check_without_cases():
         yield from ()
 
     assert _worst_case(cases, None, None) == (0.0, None)
+
+
+# -- comparison helpers against one case per pair -----------------------------------
+
+def _sampled_group(group, spec, rng):
+    """One case per (lhs, rhs, witness) of a comparison group, in order, with
+    the member's worst point added to its witness: how the comparison helpers
+    expanded a group before each gave one case, and the reference whose
+    first worst case they must give."""
+    results = max_difference([(lhs, rhs) for lhs, rhs, _ in group],
+                             samples=spec.samples, rng=rng)
+    return [(residual, {**witness, "point": point.coeffs})
+            for (_, _, witness), (residual, point) in zip(group, results)]
+
+
+def _field_group(fields, **witness):
+    return [(lhs, rhs, {**witness, **extra, "component": i})
+            for lhs_field, rhs_field, extra in fields
+            for i, (lhs, rhs) in enumerate(zip(lhs_field.components,
+                                               rhs_field.components))]
+
+
+def _random_fields(rng, count):
+    return [prolong_vector_field(random_base_field(3, rng), T3) for _ in range(count)]
+
+
+@pytest.mark.parametrize("samples", [3, 40])
+def test_comparison_helpers_give_the_first_worst_case_of_their_pairs(samples):
+    spec = CheckSpec("helpers", "claim", 1e-8, samples=samples)
+    x, y, z = _random_fields(np.random.default_rng(12), 3)
+    phi = prolong_function(parse_expr("x0 * x1 + sin(x2)", 3), T3)
+    fields = [(x, y, {"identity": "xy"}), (y + z, z + y, {"identity": "sum"}),
+              (x, z, {"identity": "xz"})]
+    helpers = [
+        (lambda rng: _sampled(x.components[0] * phi, y.components[1], spec, rng,
+                              algebra="t3", part="pair"),
+         [(x.components[0] * phi, y.components[1], {"algebra": "t3", "part": "pair"})]),
+        (lambda rng: _componentwise(fields, spec, rng, algebra="t3"),
+         _field_group(fields, algebra="t3")),
+    ]
+    for helper, group in helpers:
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        residual, witness = helper(got_rng)
+        want_residual, want_witness = worst_case(_sampled_group(group, spec, want_rng))
+        assert residual == want_residual > 1e-3
+        assert _rendered(witness) == _rendered(want_witness)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_a_group_of_equal_pairs_names_its_first_case():
+    spec = CheckSpec("helpers", "claim", 1e-8, samples=4)
+    (x,) = _random_fields(np.random.default_rng(13), 1)
+    one = BundleFunction.constant(1.0, T3, 3)
+    shifted = BundleVectorField([c + one for c in x.components])
+    fields = [(shifted, x, {"identity": "first"}), (shifted, x, {"identity": "second"})]
+    got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+    residual, witness = _componentwise(fields, spec, got_rng, algebra="t3")
+    cases = _sampled_group(_field_group(fields, algebra="t3"), spec, want_rng)
+    assert [r for r, _ in cases] == [1.0] * 6
+    assert residual == 1.0
+    assert _rendered(witness) == _rendered(cases[0][1])
+    assert (witness["identity"], witness["component"]) == ("first", 0)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)

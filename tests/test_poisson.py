@@ -17,7 +17,6 @@ from weiljet.bundle import (
     prolong_function,
     prolong_vector_field,
     sample_near_points,
-    worst_case,
 )
 from weiljet.errors import ArityError, InvalidPoissonStructure
 from weiljet.expression import add, eval_real, mul, parse_expr, var
@@ -32,6 +31,8 @@ from weiljet.poisson import (
 )
 from weiljet.sampling import random_base_field, random_bundle_function, random_expression
 from weiljet.symplectic import BaseForm
+
+from one_at_a_time import worst_case
 
 DUAL = make_truncated_algebra(1, 1)
 T3 = make_truncated_algebra(1, 2)
