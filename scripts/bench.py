@@ -18,11 +18,12 @@ records:
   ``reference.check`` and its rates are perfbench's ``family_figures``;
 - the cold start of ``python -m weiljet algebra --algebra dual``;
 - as ``import_s``, the wall time of a fresh ``python -c "import weiljet.cli"``;
-- as ``symbolic_build_s``, symbolic construction after the import in a fresh
-  process: each deep input of perfbench's jets workload (drawn for
-  JETS_SEED) parsed, differentiated along its ``seq`` and composed with
-  ``[x1, x0]``, every result kept alive, so partials built for one input
-  are reused by the next as in a jets round;
+- as ``symbolic_build_s``, the median of SYMBOLIC_PASSES passes of symbolic
+  construction after the import in one fresh process: in each pass, each
+  deep input of perfbench's jets workload (drawn for JETS_SEED) parsed,
+  differentiated along its ``seq`` and composed with ``[x1, x0]``, every
+  result kept alive to the end of the pass, so partials built for one input
+  are reused by the next as in a jets round, and none by the next pass;
 - as ``algebra_build_s.K,H``, the time ``make_truncated_algebra(K, H)``
   takes for each algebra of perfbench's jets workload (dimensions 2 to 70),
   each built once in one fresh process;
@@ -143,19 +144,30 @@ for size, width, height, real in solves:
     out[name] = best(lambda: _matrix_inverse(algebra, stack))
 print(json.dumps(out))
 """
-# Times the symbolic construction of argv[1]'s jets deep inputs after the
-# import.
+# Passes of symbolic construction timed in one child; it prints their median.
+SYMBOLIC_PASSES = 15
+# Prints the median time of argv[2] passes of symbolic construction of
+# argv[1]'s jets deep inputs after the import.  A pass keeps its results
+# alive only until it returns, so the collection before the next pass
+# empties the intern table and every pass builds every node.
 SYMBOLIC_CHILD = """
-import json, sys, time
+import gc, json, statistics, sys, time
 from weiljet.expression import compose, differentiate, parse_expr, var
-built = []
-t0 = time.perf_counter()
-for op in json.loads(sys.argv[1]):
-    f = parse_expr(op["expr"], op["arity"])
-    for i in op["seq"]:
-        f = differentiate(f, i)
-    built.append(compose(f, [var(1, op["arity"]), var(0, op["arity"])]))
-print(json.dumps(time.perf_counter() - t0))
+deep, passes = json.loads(sys.argv[1]), int(sys.argv[2])
+def one_pass():
+    built = []
+    t0 = time.perf_counter()
+    for op in deep:
+        f = parse_expr(op["expr"], op["arity"])
+        for i in op["seq"]:
+            f = differentiate(f, i)
+        built.append(compose(f, [var(1, op["arity"]), var(0, op["arity"])]))
+    return time.perf_counter() - t0
+spent = []
+for _ in range(passes):
+    gc.collect()
+    spent.append(one_pass())
+print(json.dumps(statistics.median(spent)))
 """
 # Times one mutation sweep of the suite workload on argv[2]'s inputs after an
 # untimed one, with argv[1]'s perfbench modules.
@@ -323,7 +335,8 @@ def measure_once(root: Path, decide, deep: list, suite: dict, side: dict) -> str
         raise BenchError(f"importing the CLI failed in {root}: {proc.stderr[-500:]}")
     side["import_s"].append(spent)
 
-    proc, _ = run(root, [sys.executable, "-c", SYMBOLIC_CHILD, json.dumps(deep)])
+    proc, _ = run(root, [sys.executable, "-c", SYMBOLIC_CHILD, json.dumps(deep),
+                         str(SYMBOLIC_PASSES)])
     if proc.returncode != 0:
         raise BenchError(f"symbolic construction failed in {root}: {proc.stderr[-500:]}")
     side["symbolic_build_s"].append(json.loads(proc.stdout))

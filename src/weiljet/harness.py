@@ -458,7 +458,7 @@ def _check_morphism_function_lift(spec: CheckSpec, rng: np.random.Generator):
                   1e-6, samples=4, expressions=20, algebras=("dual",)))
 def _check_dual_forward_derivative(spec: CheckSpec, rng: np.random.Generator):
     step = 1e-5
-    for _, algebra in _spec_algebras(spec):
+    for key, algebra in _spec_algebras(spec):
         for n in itertools.islice(itertools.cycle(spec.arities), spec.expressions):
             f = random_expression(n, rng)
             grads = [differentiate(f, d) for d in range(n)]
@@ -485,7 +485,7 @@ def _check_dual_forward_derivative(spec: CheckSpec, rng: np.random.Generator):
                     residual = max(abs(slope - fd) / max(1.0, abs(fd)),
                                    abs(slope - exact) / max(1.0, abs(exact)))
                     yield residual, {
-                        "f": f, "direction": d, "x": base,
+                        "algebra": key, "f": f, "direction": d, "x": base,
                         "slope": slope, "finite_difference": float(fd),
                     }
 
@@ -708,7 +708,7 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator)
             premise, _ = symplectic_closedness_defect(lifted_field, structure,
                                                       samples=spec.samples, rng=rng)
             if premise > _VERDICT_TOL:
-                yield 1.0, {"algebra": key, "f": f,
+                yield 1.0, {"algebra": key, "arity": n, "f": f,
                             "reason": "premise field failed the local test"}
                 continue
             # one anchor pair through the pointwise-solved bracket itself, the
@@ -720,7 +720,8 @@ def _check_thm2_symplectic_derivation(spec: CheckSpec, rng: np.random.Generator)
             for part, bracket in brackets:
                 lhs, rhs = _derivation_sides(apply_field, lifted_field, bracket,
                                              *_lifted_pair(n, algebra, rng))
-                yield _sampled(lhs, rhs, spec, rng, algebra=key, f=f, part=part)
+                yield _sampled(lhs, rhs, spec, rng, algebra=key, arity=n, f=f,
+                               part=part)
 
 
 @_check(CheckSpec("prop7_symplectic_global",
@@ -738,7 +739,7 @@ def _check_prop7_symplectic_global(spec: CheckSpec, rng: np.random.Generator):
                 residual, _ = check_global_witness_symplectic(
                     lifted_field, prolong_function(f, algebra), structure,
                     samples=spec.samples, rng=rng)
-                yield residual, {"algebra": key, "f": f}
+                yield residual, {"algebra": key, "arity": n, "f": f}
 
 
 @_check(CheckSpec("matrix_inverse_neumann",

@@ -290,12 +290,8 @@ def bundle_function_from_json(obj, algebra: WeilAlgebra, arity: int) -> BundleFu
     raise ParseError("a function is an expression string or a terms object")
 
 
-def field_to_json(field) -> list:
-    if isinstance(field, BaseVectorField):
-        return [c.text for c in field.components]
-    if isinstance(field, BundleVectorField):
-        return [bundle_function_to_json(c)["terms"] for c in field.components]
-    raise TypeError(f"cannot serialize {type(field).__name__}")
+def field_to_json(field: BundleVectorField) -> list:
+    return [bundle_function_to_json(c)["terms"] for c in field.components]
 
 
 def bundle_field_from_json(obj, algebra: WeilAlgebra) -> BundleVectorField:

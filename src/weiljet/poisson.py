@@ -2,14 +2,18 @@
 
 A Poisson structure on an open subset of R^n is an antisymmetric bivector
 pi_ij of expressions whose bracket {f,g} = sum pi_ij df/dx_i dg/dx_j
-satisfies the Jacobi identity (sampled at construction).  Prolonging over a
-Weil algebra A gives a bracket on A-valued functions: the derivation of fn
-has components sum_k pi_kj^A * d_k fn, which on a pullback f^A is the
-prolongation of the base hamiltonian field of f, extends to products by the
-Leibniz rule and to algebra-element coefficients linearly: it is the base
-derivation ``PoissonStructure.ad`` on the same root.  So the structure stays
-on the base: every prolonged operation takes the ``PoissonStructure`` and
-reads A from its A-valued arguments.
+satisfies the Jacobi identity.  Construction samples it like every other
+identity, with ``zero_test``, over the one-dimensional algebra R, whose
+near-points are the points of the base: one group with a case per
+coordinate triple, so a defect that is not finite raises DomainError.
+
+Prolonging over a Weil algebra A gives a bracket on A-valued functions: the
+derivation of fn has components sum_k pi_kj^A * d_k fn, which on a pullback
+f^A is the prolongation of the base hamiltonian field of f, extends to
+products by the Leibniz rule and to algebra-element coefficients linearly:
+it is the base derivation ``PoissonStructure.ad`` on the same root.  So the
+structure stays on the base: every prolonged operation takes the
+``PoissonStructure`` and reads A from its A-valued arguments.
 
 The adjoint differential takes a function to its hamiltonian field
 (``PoissonStructure.ad``, ``poisson_derivation``) and a field X to its defect
@@ -24,14 +28,12 @@ coordinate pairs (x_i^A, x_j^A) alone.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 import numpy as np
 
-from .algebra import MAX_DIM
+from .algebra import MAX_DIM, make_truncated_algebra
 from .bundle import (
-    DEFAULT_BOX,
     DEFAULT_SEED,
     BaseVectorField,
     BundleFunction,
@@ -51,17 +53,22 @@ from .expression import (
     add,
     const,
     differentiate,
-    eval_real,
     mul,
     neg,
     sub,
     var,
 )
 
-# Jacobi validation at construction: seeded points in DEFAULT_BOX, and the
-# largest defect accepted at each
+# Jacobi validation at construction: points of the base sampled per triple,
+# and the largest defect accepted
 _JACOBI_SAMPLES = 12
 _JACOBI_TOL = 1e-8
+
+
+def _real_point(point) -> tuple[float, ...]:
+    """A point of M^R = M, given as its (n, 1) coefficients, rounded for a
+    message."""
+    return tuple(float(round(v, 4)) for (v,) in point)
 
 
 def _check_arity(arity: int) -> None:
@@ -105,55 +112,39 @@ class PoissonStructure:
             self._validate_jacobi()
 
     def _validate_jacobi(self):
-        """Sampled Jacobi identity on coordinate triples.  A triple whose
-        three entries are constants has a constant defect, 0 or NaN, that
-        passes; it is neither built nor sampled, and its draws are skipped."""
+        """Sampled Jacobi identity: one ``zero_test`` group over R (M^R = M),
+        one case per coordinate triple with a non-constant entry.  A triple
+        of constant entries has a constant defect, 0 or NaN, and is left out."""
         n = self.arity
-        if n < 3:
-            return
-        rng = np.random.default_rng(DEFAULT_SEED)
+        real = make_truncated_algebra(1, 0)
+        zero = BundleFunction.zero(real, n)
         varying = [pair for pair, e in self._entries.items() if type(e) is not Const]
         triples = sorted({tuple(sorted((i, j, k))) for i, j in varying
                           for k in range(n) if k != i and k != j})
-        drawn = 0  # the triples, in order, whose draws are made or skipped
-        for i, j, k in triples:
-            acc: ScalarExpr = const(0.0, n)
-            for m in sorted(self._jacobi_indices(i, j, k)):
-                acc = add(acc, mul(self.entry(i, m), differentiate(self.entry(j, k), m)))
-                acc = add(acc, mul(self.entry(j, m), differentiate(self.entry(k, i), m)))
-                acc = add(acc, mul(self.entry(k, m), differentiate(self.entry(i, j), m)))
-            # (i, j, k) follows this many triples, each drawing 12 points of
-            # n doubles, one 64-bit draw per double
-            rank = (math.comb(n, 3) - math.comb(n - i, 3) + math.comb(n - 1 - i, 2)
-                    - math.comb(n - j, 2) + k - j - 1)
-            rng.bit_generator.advance((rank - drawn) * _JACOBI_SAMPLES * n)
-            drawn = rank + 1
-            for _ in range(_JACOBI_SAMPLES):
-                x = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=n)
-                value = eval_real(acc, x)
-                if abs(value) > _JACOBI_TOL:
-                    raise InvalidPoissonStructure(
-                        f"Jacobi identity fails on coordinates {(i, j, k)}: "
-                        f"residual {value:.3e} at {tuple(float(round(v, 4)) for v in x)}")
+        residual, witness = zero_test(
+            ((prolong_function(self._jacobi_defect(*triple), real), zero,
+              {"triple": triple}) for triple in triples),
+            samples=_JACOBI_SAMPLES, rng=np.random.default_rng(DEFAULT_SEED))
+        if residual > _JACOBI_TOL:
+            raise InvalidPoissonStructure(
+                f"Jacobi identity fails on coordinates {witness['triple']}: "
+                f"residual {residual:.3e} at {_real_point(witness['point'])}")
 
-    def _jacobi_indices(self, i: int, j: int, k: int) -> set[int]:
-        """The m whose terms the Jacobi defect of (i, j, k) sums: for each
-        cyclic (a, b, c), the support of row a and the variables of pi_bc.
-        Any other term pi_am * d_m pi_bc is zero times one node and folds to
-        +-0.0, leaving the sum the same node; if that node is a non-finite
-        constant, the first such m is kept, and its NaN keeps the defect NaN."""
+    def _jacobi_defect(self, i: int, j: int, k: int) -> ScalarExpr:
+        """The cyclic sum of pi_am * d_m pi_bc over (a, b, c) = (i, j, k),
+        taken only at the m in the support of row a or among the variables of
+        pi_bc: any other term is zero times one node."""
+        acc: ScalarExpr = const(0.0, self.arity)
         wanted = set()
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            entry = self.entry(b, c)
-            own = {m for m, _ in self._columns[a]}
-            own.update(node.index for node in _topological(entry) if type(node) is Var)
-            outside = next((m for m in range(self.arity) if m not in own), None)
-            if outside is not None:
-                partial = differentiate(entry, outside)
-                if type(partial) is Const and not math.isfinite(partial.value):
-                    own.add(outside)
-            wanted |= own
-        return wanted
+            wanted.update(m for m, _ in self._columns[a])
+            wanted.update(node.index for node in _topological(self.entry(b, c))
+                          if type(node) is Var)
+        for m in sorted(wanted):
+            acc = add(acc, mul(self.entry(i, m), differentiate(self.entry(j, k), m)))
+            acc = add(acc, mul(self.entry(j, m), differentiate(self.entry(k, i), m)))
+            acc = add(acc, mul(self.entry(k, m), differentiate(self.entry(i, j), m)))
+        return acc
 
     def entry(self, i: int, j: int) -> ScalarExpr:
         """Signed component pi_ij (antisymmetric in its indices)."""

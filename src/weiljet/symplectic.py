@@ -5,9 +5,13 @@ coordinate index tuples.  A prolonged form is the base form over the roots of
 its A-valued coefficients plus the algebra, so its exterior derivative and
 contractions are the base ones on the same roots.
 
-A symplectic structure is a closed nondegenerate 2-form (both sampled at
-construction).  It stays on the base: every operation over an algebra takes
-the ``SymplecticStructure`` and reads A from its A-valued arguments.  A field
+A symplectic structure is a closed nondegenerate 2-form.  Construction
+samples closedness with ``zero_test`` over the one-dimensional algebra R,
+whose near-points are the points of the base, one case per coefficient of
+the exterior derivative, then the determinant at points of the same
+generator drawn after that group.  It stays on the base: every operation
+over an algebra takes the ``SymplecticStructure`` and reads A from its
+A-valued arguments.  A field
 X is locally hamiltonian when every coordinate coefficient of d(i_X Omega)
 vanishes; each is sampled, unscaled, at near-points.  The hamiltonian field
 of an A-valued function solves the linear system
@@ -26,15 +30,26 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import ZERO_TOL, WeilAlgebra, WeilElement, _add_live, _live, _product, _unit, _wrap
+from .algebra import (
+    ZERO_TOL,
+    WeilAlgebra,
+    WeilElement,
+    _add_live,
+    _live,
+    _product,
+    _unit,
+    _wrap,
+    make_truncated_algebra,
+)
 from .bundle import (
-    DEFAULT_BOX,
     DEFAULT_SEED,
     BaseVectorField,
     BundleFunction,
     BundleVectorField,
     apply_field,
+    prolong_function,
     prolong_vector_field,
+    sample_near_points,
     zero_test,
 )
 from .errors import (
@@ -43,7 +58,6 @@ from .errors import (
     DegreeError,
     InvalidSymplecticStructure,
     SingularRealPart,
-    WeilError,
 )
 from .expression import (
     Const,
@@ -54,12 +68,11 @@ from .expression import (
     const,
     differentiate,
     div,
-    eval_real,
     mul,
     neg,
     sub,
 )
-from .poisson import PoissonStructure, _check_arity
+from .poisson import PoissonStructure, _check_arity, _real_point
 
 
 def increasing_tuples(arity: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -220,8 +233,9 @@ def interior_product(field: BundleVectorField, form: BundleForm) -> BundleForm:
     return prolong_form(base_interior_product(field._base, form._base), form.algebra)
 
 
-# Validation at construction: seeded points in DEFAULT_BOX; a closedness
-# coefficient above _VALIDATION_TOL, or a determinant within it, rejects the form
+# Validation at construction: points of the base sampled per closedness
+# coefficient and for the determinant; a coefficient above _VALIDATION_TOL, or
+# a determinant within it, rejects the form
 _VALIDATION_SAMPLES = 12
 _VALIDATION_TOL = 1e-9
 
@@ -248,39 +262,29 @@ class SymplecticStructure:
         return self.form.arity
 
     def _validate(self):
-        rng = np.random.default_rng(DEFAULT_SEED)
+        """Closedness as one ``zero_test`` group over R (M^R = M), then the
+        determinant at points of the base drawn after it."""
         n = self.arity
-        closed = exterior_derivative(self.form)
-        points = rng.uniform(DEFAULT_BOX[0], DEFAULT_BOX[1], size=(_VALIDATION_SAMPLES, n))
-        # only the upper triangle is evaluated: entry (j, i) is the negation
-        # of entry (i, j), whose value is -v bit for bit, and the diagonal 0.0
-        upper = np.triu_indices(n, 1)
-        entries = [self.form.coefficient((i, j)) for i, j in zip(*upper)]
-        numeric = np.zeros((_VALIDATION_SAMPLES, n, n))
-        evaluated, failure = 0, None
-        for x, values in zip(points, numeric):
-            try:
-                for idx, coeff in closed.coeffs.items():
-                    value = eval_real(coeff, x)
-                    if abs(value) > _VALIDATION_TOL:
-                        raise InvalidSymplecticStructure(
-                            f"the form is not closed: d-coefficient {idx} is "
-                            f"{value:.3e} at {tuple(float(round(v, 4)) for v in x)}")
-                values[upper] = [eval_real(entry, x) for entry in entries]
-            except WeilError as exc:
-                failure = exc
-                break
-            evaluated += 1
-        # each point's determinant comes before the next point's checks, so a
-        # degenerate point before a failing one raises in its place
-        numeric[:, upper[1], upper[0]] = -numeric[:, upper[0], upper[1]]
-        for det, x in zip(np.linalg.det(numeric[:evaluated]), points):
+        real = make_truncated_algebra(1, 0)
+        rng = np.random.default_rng(DEFAULT_SEED)
+        zero = BundleFunction.zero(real, n)
+        residual, witness = zero_test(
+            ((prolong_function(coeff, real), zero, {"coefficient": idx})
+             for idx, coeff in exterior_derivative(self.form).coeffs.items()),
+            samples=_VALIDATION_SAMPLES, rng=rng)
+        if residual > _VALIDATION_TOL:
+            raise InvalidSymplecticStructure(
+                f"the form is not closed: d-coefficient {witness['coefficient']} is "
+                f"{residual:.3e} at {_real_point(witness['point'])}")
+        points = sample_near_points(real, n, rng, _VALIDATION_SAMPLES)
+        values = np.zeros((_VALIDATION_SAMPLES, n, n))
+        for (i, j), coeff in self.form.coeffs.items():
+            values[:, i, j] = points.pulled(coeff)[:, 0]
+        dets = np.linalg.det(values - values.swapaxes(1, 2))
+        for det, x in zip(dets, points.coeffs):
             if abs(det) <= _VALIDATION_TOL:
                 raise InvalidSymplecticStructure(
-                    f"the form degenerates (det {float(det):.3e}) at "
-                    f"{tuple(float(round(v, 4)) for v in x)}")
-        if failure is not None:
-            raise failure
+                    f"the form degenerates (det {float(det):.3e}) at {_real_point(x)}")
 
     def matrix(self) -> list[list[ScalarExpr]]:
         """Full antisymmetric coefficient matrix as expressions."""

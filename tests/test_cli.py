@@ -886,27 +886,37 @@ def test_structures_past_the_arity_cap_are_refused_at_once(capsys, flag, spec):
         "type": "CapacityError", "message": "a structure's arity is capped at 512"}
 
 
-# The parent's messages, copied: the Jacobi check builds and samples only the
-# triples with a non-constant entry, and skips the draws of the others.
+# The Jacobi check samples one group, one case per triple with a non-constant
+# entry, and names the triple and point of the worst residual.
 @pytest.mark.parametrize("bivector, message, arity", [
     ('{"13":"x4^2","04":"x1","23":"sin(x0)"}',
-     "Jacobi identity fails on coordinates (0, 1, 3): residual -1.246e-01 at "
-     "(0.6736, -0.1156, 0.2609, 1.06, 0.5389)", 5),
+     "Jacobi identity fails on coordinates (0, 1, 3): residual 6.045e+00 at "
+     "(0.7988, 1.8767, 0.8676, -0.911, 1.6104)", 5),
     ('{"01":"1","23":"x5","45":"x2"}',
-     "Jacobi identity fails on coordinates (2, 3, 4): residual 1.354e-01 at "
-     "(-1.6156, -1.3859, 0.1354, -1.7299, -1.7888, -1.9979)", 6),
+     "Jacobi identity fails on coordinates (3, 4, 5): residual 1.721e+00 at "
+     "(1.0973, -0.4397, -1.2296, -0.3088, 1.7316, -1.7214)", 6),
     ('{"01":"1","23":"x0*x1","67":"x3*x4"}',
-     "Jacobi identity fails on coordinates (0, 2, 3): residual 1.638e+00 at "
-     "(1.6382, 0.3485, 1.4011, -0.6376, -0.0047, 0.1256, -1.5801, -0.4058)", 8),
+     "Jacobi identity fails on coordinates (2, 6, 7): residual 2.274e+00 at "
+     "(1.404, -1.0894, 1.4697, 0.4757, -1.4868, 1.754, -0.2351, 0.1098)", 8),
 ])
-def test_jacobi_failures_keep_their_points_past_skipped_triples(capsys, bivector, message,
-                                                                arity):
+def test_jacobi_failures_name_the_worst_triple_and_point(capsys, bivector, message,
+                                                         arity):
     spec = f'{{"arity":{arity},"bivector":{bivector}}}'
     code, out, _ = run_cli(capsys, "hamfield", "--algebra", "dual", "--poisson", spec,
                            "--fn", "x0")
     assert code == 4
     assert strict_document(out)["error"] == {"type": "InvalidPoissonStructure",
                                              "message": message}
+
+
+def test_an_infinite_bivector_entry_is_a_domain_error(capsys):
+    # pi_01 = inf * x2 gives Jacobi defects that are not finite
+    spec = '{"arity":5,"bivector":{"01":"1e308*10*x2"}}'
+    code, out, _ = run_cli(capsys, "hamfield", "--algebra", "dual", "--poisson", spec,
+                           "--fn", "x0")
+    assert code == 3
+    assert strict_document(out)["error"] == {
+        "type": "DomainError", "message": "a sampled residual is not finite"}
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

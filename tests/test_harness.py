@@ -462,7 +462,8 @@ def _dual_forward_derivative_per_point(spec, rng):
                 residual = max(abs(slope - fd) / max(1.0, abs(fd)),
                                abs(slope - exact) / max(1.0, abs(exact)))
                 yield residual, {
-                    "f": f.text, "direction": d, "x": [float(v) for v in base],
+                    "algebra": "dual", "f": f.text, "direction": d,
+                    "x": [float(v) for v in base],
                     "slope": slope, "finite_difference": float(fd),
                 }
 

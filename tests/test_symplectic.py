@@ -440,21 +440,21 @@ def test_witness_groups_give_the_verdict_and_draws_of_one_coefficient_at_a_time(
         assert grouped.bit_generator.state == alone.bit_generator.state
 
 
-# The parent's messages, copied: the batched validation raises the first
-# failure of the point-by-point one, a determinant at an earlier point before
-# a later point's evaluation error.
-_AT = "at (1.0958, -0.2445, 1.4344, 0.7895)"
-
-
+# Closedness is one sampled group, naming the worst coefficient and point;
+# the determinant is then sampled at points drawn after that group.
 @pytest.mark.parametrize("coeffs, message", [
-    ({(0, 1): "x1 + x2"}, f"the form is not closed: d-coefficient (0, 1, 2) is 1.000e+00 {_AT}"),
-    ({(0, 1): 1.0}, f"the form degenerates (det 0.000e+00) {_AT}"),
+    ({(0, 1): "x1 + x2"}, "the form is not closed: d-coefficient (0, 1, 2) is 1.000e+00 "
+                          "at (-0.2445, 0.7895, 1.9025, 1.1443)"),
+    ({(0, 1): 1.0}, "the form degenerates (det 0.000e+00) at "
+                    "(-0.2445, 0.7895, 1.9025, 1.1443)"),
     ({(0, 1): "1e-6*log(x1 + 1.5)", (2, 3): 1e-6},
-     f"the form degenerates (det 5.178e-26) {_AT}"),
+     "the form degenerates (det 2.333e-24) at (1.3245, -1.2829, 1.4982, -0.7587)"),
     ({(0, 1): 1e-6, (2, 3): "1e-6 + 1e-7*x1^3"},
-     f"the form is not closed: d-coefficient (1, 2, 3) is 1.793e-08 {_AT}"),
-], ids=["not-closed", "degenerate", "degenerate-before-log", "nearly-closed"])
-def test_validation_messages_are_the_point_by_point_ones(coeffs, message):
+     "the form is not closed: d-coefficient (1, 2, 3) is 1.165e-06 at "
+     "(-1.441, -1.9706, 0.6594, 1.1229)"),
+], ids=["not-closed", "degenerate", "degenerate-log", "nearly-closed"])
+def test_validation_names_the_worst_coefficient_or_first_degenerate_point(coeffs,
+                                                                          message):
     with pytest.raises(InvalidSymplecticStructure) as caught:
         SymplecticStructure(BaseForm(2, 4, coeffs))
     assert str(caught.value) == message
