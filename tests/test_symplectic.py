@@ -453,8 +453,7 @@ def test_witness_groups_give_the_verdict_and_draws_of_one_coefficient_at_a_time(
      "the form is not closed: d-coefficient (1, 2, 3) is 1.165e-06 at "
      "(-1.441, -1.9706, 0.6594, 1.1229)"),
 ], ids=["not-closed", "degenerate", "degenerate-log", "nearly-closed"])
-def test_validation_names_the_worst_coefficient_or_first_degenerate_point(coeffs,
-                                                                          message):
+def test_validation_names_its_worst_coefficient_or_degenerate_point(coeffs, message):
     with pytest.raises(InvalidSymplecticStructure) as caught:
         SymplecticStructure(BaseForm(2, 4, coeffs))
     assert str(caught.value) == message
